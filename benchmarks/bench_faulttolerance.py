@@ -13,7 +13,7 @@ import time
 from bench_util import write_bench_json
 from repro.faults.plan import FaultPlan
 from repro.pipeline.quality import HeadlineMetrics
-from repro.pipeline.runner import run_resilient
+from repro.pipeline.runner import ResilientPipeline
 
 #: Fixed plan seed: the drift numbers are comparable across revisions.
 FAULT_SEED = 7
@@ -29,9 +29,9 @@ def test_faulttolerance_drift(benchmark, sim, bench_config, write_report):
 
     start = time.perf_counter()
     degraded = benchmark.pedantic(
-        lambda: run_resilient(
-            bench_config, plan=plan, baseline=baseline, sleep=lambda _d: None
-        ),
+        lambda: ResilientPipeline(
+            bench_config, plan=plan, sleep=lambda _d: None
+        ).run(baseline),
         rounds=1,
         iterations=1,
     )

@@ -23,7 +23,7 @@ import time
 from bench_util import write_bench_json
 from repro.obs import Telemetry
 from repro.obs.trace import SpanTracer
-from repro.pipeline.runner import run_resilient
+from repro.pipeline.runner import ResilientPipeline
 from repro.serve.service import LiveIngestService, ServeConfig
 from repro.serve.wal import KIND_ATTACK
 
@@ -39,9 +39,9 @@ def _timed_runs(bench_config, telemetry):
     events = 0
     for _ in range(ROUNDS):
         start = time.perf_counter()
-        result = run_resilient(
+        result = ResilientPipeline(
             bench_config, telemetry=telemetry, sleep=lambda _d: None
-        )
+        ).run()
         walls.append(time.perf_counter() - start)
         events = len(result.fused.combined.events)
     return walls, events
@@ -49,7 +49,7 @@ def _timed_runs(bench_config, telemetry):
 
 def test_telemetry_overhead(benchmark, bench_config, write_report):
     # Warm-up round so neither arm pays first-run import/cache costs.
-    run_resilient(bench_config, sleep=lambda _d: None)
+    ResilientPipeline(bench_config, sleep=lambda _d: None).run()
 
     disabled_walls, events = benchmark.pedantic(
         lambda: _timed_runs(bench_config, None), rounds=1, iterations=1

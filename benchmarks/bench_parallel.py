@@ -17,7 +17,7 @@ import time
 
 from bench_util import write_bench_json
 from repro.exec.pool import ExecConfig
-from repro.pipeline.runner import run_resilient
+from repro.pipeline.runner import ResilientPipeline
 
 WORKER_COUNTS = (1, 2, 4, 8)
 
@@ -27,9 +27,9 @@ def test_parallel_scaling(benchmark, bench_config, write_report):
 
     def timed_run(exec_config=None):
         start = time.perf_counter()
-        result = run_resilient(
+        result = ResilientPipeline(
             bench_config, exec_config=exec_config, sleep=lambda _d: None
-        )
+        ).run()
         return time.perf_counter() - start, result
 
     serial_elapsed, serial = benchmark.pedantic(

@@ -3,15 +3,11 @@
 Not a paper table — these benches characterize the reproduction itself.
 Each measured substrate runs twice over identical input:
 
-* ``rsdos``          — object batches + full-scan flow expiry (the seed
-                       behavior) vs. columnar batches + heap expiry
-* ``rsdos_sketch``   — the columnar tier vs. the sketch tier
+* ``rsdos_sketch``   — the exact tier vs. the sketch tier
                        (heavy-dict + count-min/HLL engine); reference
-                       here is the *columnar* fast path, so the speedup
-                       reads "sketch over exact-columnar"
-* ``honeypot``       — object request batches + full-scan expiry vs.
-                       columnar request log + heap expiry
-* ``honeypot_sketch``— columnar tier vs. sketch tier on the request log
+                       here is the exact batch detector, so the speedup
+                       reads "sketch over exact"
+* ``honeypot_sketch``— exact tier vs. sketch tier on the request log
 * ``lpm``            — linear longest-prefix probing vs. the packed
                        per-length binary search
 * ``hosting``        — linear interval scan vs. the packed
@@ -22,7 +18,7 @@ Equivalence is asserted in the same run that is timed: events, lookups
 and bytes must match exactly before a speedup is reported, so the bench
 doubles as an end-to-end equivalence check. The sketch arms are
 approximate by design, so they assert accuracy floors instead of
-identity: event-victim recall >= 0.95 against the columnar tier and
+identity: event-victim recall >= 0.95 against the exact tier and
 top-100 per-victim count relative error <= 5%. Results land in
 ``benchmarks/out/throughput.json`` (schema: :mod:`bench_util`, with a
 ``substrates`` map of reference/fast rates and speedups) and a rendered
@@ -54,7 +50,6 @@ from bench_util import write_bench_json
 
 from repro.honeypot.detection import (
     HoneypotDetector,
-    detect_columns as detect_honeypot_columns,
     detect_sketch as detect_honeypot_sketch,
 )
 from repro.honeypot.columnar import RequestColumns
@@ -72,7 +67,6 @@ from repro.pipeline.simulation import (
 )
 from repro.telescope.rsdos import (
     RSDoSDetector,
-    detect_columns as detect_telescope_columns,
     detect_sketch as detect_telescope_sketch,
 )
 
@@ -120,8 +114,8 @@ PROFILES = {
 def _best_of(repeats: int, fn: Callable[[], Any]) -> Tuple[float, Any]:
     """(best wall seconds, last result) over *repeats* runs.
 
-    Collects garbage before every timed run: the object-path detectors
-    leave cyclic garbage whose deferred gen-2 collection would otherwise
+    Collects garbage before every timed run: the exact detectors leave
+    cyclic garbage whose deferred gen-2 collection would otherwise
     be billed to whichever substrate happens to allocate next (observed
     as a 3x phantom slowdown on the substrate timed after them).
     """
@@ -170,26 +164,13 @@ def measure_substrates(
             "speedup": round(ref_s / fast_s, 3),
         }
 
-    # -- RSDoS detection -----------------------------------------------------
+    # -- RSDoS sketch tier (reference = the exact tier) ---------------------
     capture = telescope_capture(config, sim.ground_truth)
     columns = PacketColumns.from_batches(capture)
     rsdos_config = sim.config.rsdos_config()
-    ref_s, ref_events = _best_of(
-        repeats,
-        lambda: list(
-            RSDoSDetector(rsdos_config, indexed=False).run(iter(capture))
-        ),
-    )
-    fast_s, fast_events = _best_of(
-        repeats, lambda: detect_telescope_columns(rsdos_config, columns)
-    )
-    assert fast_events == ref_events, "columnar RSDoS diverged from reference"
-    record("rsdos", "batches/s", len(capture), ref_s, fast_s)
-
-    # -- RSDoS sketch tier (reference = the columnar tier itself) ------------
     sketch_config = sim.config.sketch_config()
-    columnar_s, columnar_events = _best_of(
-        repeats, lambda: detect_telescope_columns(rsdos_config, columns)
+    exact_s, exact_events = _best_of(
+        repeats, lambda: list(RSDoSDetector(rsdos_config).run(capture))
     )
     sketch_s, sketch_summary = _best_of(
         repeats,
@@ -198,39 +179,26 @@ def measure_substrates(
         ),
     )
     exact_counts: Dict[int, int] = {}
-    for is_backscatter, victim, count in zip(
-        columns.backscatter, columns.srcs, columns.counts
-    ):
-        if is_backscatter:
-            exact_counts[victim] = exact_counts.get(victim, 0) + count
+    for batch in capture:
+        if batch.is_backscatter:
+            exact_counts[batch.src] = (
+                exact_counts.get(batch.src, 0) + batch.count
+            )
     _assert_sketch_accuracy(
         "rsdos_sketch",
-        columnar_events,
+        exact_events,
         sketch_summary,
         sketch_summary.events(),
         exact_counts,
     )
-    record("rsdos_sketch", "batches/s", len(capture), columnar_s, sketch_s)
+    record("rsdos_sketch", "batches/s", len(capture), exact_s, sketch_s)
 
-    # -- honeypot detection --------------------------------------------------
+    # -- honeypot sketch tier ------------------------------------------------
     request_log = honeypot_capture(config, sim.ground_truth)
     request_columns = RequestColumns.from_batches(request_log)
     hp_config = sim.config.honeypot_detection_config()
-    ref_s, ref_events = _best_of(
-        repeats,
-        lambda: list(
-            HoneypotDetector(hp_config, indexed=False).run(iter(request_log))
-        ),
-    )
-    fast_s, fast_events = _best_of(
-        repeats, lambda: detect_honeypot_columns(hp_config, request_columns)
-    )
-    assert fast_events == ref_events, "columnar honeypot diverged"
-    record("honeypot", "batches/s", len(request_log), ref_s, fast_s)
-
-    # -- honeypot sketch tier ------------------------------------------------
-    columnar_s, columnar_events = _best_of(
-        repeats, lambda: detect_honeypot_columns(hp_config, request_columns)
+    exact_s, exact_events = _best_of(
+        repeats, lambda: list(HoneypotDetector(hp_config).run(request_log))
     )
     sketch_s, sketch_summary = _best_of(
         repeats,
@@ -249,13 +217,13 @@ def measure_substrates(
         request_counts[key] = request_counts.get(key, 0) + count
     _assert_sketch_accuracy(
         "honeypot_sketch",
-        columnar_events,
+        exact_events,
         sketch_summary,
         sketch_summary.events(),
         request_counts,
     )
     record(
-        "honeypot_sketch", "batches/s", len(request_log), columnar_s, sketch_s
+        "honeypot_sketch", "batches/s", len(request_log), exact_s, sketch_s
     )
 
     # -- longest-prefix match ------------------------------------------------
@@ -321,9 +289,9 @@ def measure_substrates(
 def render(substrates: Dict[str, Dict[str, Any]], title: str) -> str:
     lines = [
         title,
-        "(reference = seed implementation; fast = columnar/heap/packed "
-        "path; identical output asserted; *_sketch arms: reference = "
-        "columnar tier, accuracy floors asserted)",
+        "(reference = seed implementation; fast = packed/chunked path; "
+        "identical output asserted; *_sketch arms: reference = exact "
+        "tier, accuracy floors asserted)",
         "",
         f"{'substrate':<14} {'unit':<10} {'reference/s':>12} "
         f"{'fast/s':>12} {'speedup':>8}",

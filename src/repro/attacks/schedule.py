@@ -29,6 +29,7 @@ from repro.attacks.reflection import (
     ReflectionAttackConfig,
     ReflectionAttackGenerator,
 )
+from repro.core.distributions import poisson
 from repro.internet.hosting import HostingEcosystem
 from repro.internet.topology import AS_KIND_ISP, InternetTopology
 from repro.net.geo import GeoDatabase
@@ -266,7 +267,7 @@ class AttackSchedule:
         trend = 1.0 + cfg.growth * (day / max(1, cfg.n_days - 1))
         jitter = rng.uniform(1.0 - cfg.daily_jitter, 1.0 + cfg.daily_jitter)
         lam = base * trend * jitter
-        return _poisson(rng, lam)
+        return poisson(rng, lam)
 
     def _generate_day(self, day: int) -> List[GroundTruthAttack]:
         rng, cfg = self._rng, self.config
@@ -455,19 +456,3 @@ class AttackSchedule:
 # Readability aliases for _pick_target's boolean parameter.
 ATTACK_DIRECT_REPEAT_YES = True
 ATTACK_DIRECT_REPEAT_NO = False
-
-
-def _poisson(rng: Random, lam: float) -> int:
-    """Knuth's Poisson sampler (adequate for the daily-volume magnitudes)."""
-    if lam <= 0:
-        return 0
-    if lam > 500:
-        # Normal approximation keeps the sampler O(1) for huge volumes.
-        return max(0, int(rng.gauss(lam, lam**0.5) + 0.5))
-    limit = 2.718281828459045 ** (-lam)
-    k, product = 0, 1.0
-    while True:
-        product *= rng.random()
-        if product <= limit:
-            return k
-        k += 1

@@ -92,16 +92,8 @@ from repro.pipeline.datasets import (
 )
 from repro.pipeline.fullreport import REPORT_ORDER, generate_full_report
 from repro.pipeline.quality import HeadlineMetrics
-from repro.pipeline.runner import (
-    ResilientPipeline,
-    STAGE_ORDER,
-    run_resilient,
-)
-from repro.pipeline.simulation import (
-    CAPTURE_CODECS,
-    DETECT_TIERS,
-    run_simulation,
-)
+from repro.pipeline.runner import ResilientPipeline, STAGE_ORDER
+from repro.pipeline.simulation import DETECT_TIERS, run_simulation
 from repro.serve.chaos import run_serve_chaos_drill
 from repro.serve.http import run_service
 from repro.serve.service import ServeConfig
@@ -169,20 +161,11 @@ def _add_exec_args(
              "fault drills)",
     )
     sub.add_argument(
-        "--capture-codec", choices=CAPTURE_CODECS,
-        default=None if resumable else "columnar",
-        help="observation capture encoding fed to the detectors: "
-             "'columnar' (structure-of-arrays fast path, default) or "
-             "'object' (reference batch lists); output is byte-identical "
-             "either way",
-    )
-    sub.add_argument(
-        "--detect-tier", choices=DETECT_TIERS, default=None,
-        help="detection tier for the observation stages: 'exact' "
-             "(reference batch detectors), 'columnar' (inlined exact "
-             "fast path) or 'sketch' (approximate bounded-memory "
-             "streaming sketches, fastest); default matches the "
-             "capture codec",
+        "--detect-tier", choices=DETECT_TIERS,
+        default=None if resumable else "exact",
+        help="detection tier for the observation stages: 'exact' (the "
+             "paper's flow detectors, default) or 'sketch' (approximate "
+             "bounded-memory streaming sketches)",
     )
     sub.add_argument(
         "--stage-cache", type=Path, default=None, metavar="DIR",
@@ -625,19 +608,18 @@ def _finish_metrics(
         print(telemetry.metrics.render_prometheus(), end="")
 
 
-def _run_durable(
+def _run_pipeline(
     config: ScenarioConfig,
-    run_dir: Path,
+    run_dir: Optional[Path],
     crash_after: Optional[str] = None,
     exec_config: Optional[ExecConfig] = None,
     exec_faults: Optional[ExecFaultPlan] = None,
     deadline: Optional[float] = None,
     interrupt: Optional[InterruptGuard] = None,
-    capture_codec: str = "columnar",
-    detect_tier: Optional[str] = None,
+    detect_tier: str = "exact",
     stage_cache: Optional[Path] = None,
 ):
-    """Run the pipeline durably and leave the fused events in the run dir."""
+    """Run the pipeline; a durable run leaves the fused events in its dir."""
     pipeline = ResilientPipeline(
         config,
         run_dir=run_dir,
@@ -646,11 +628,12 @@ def _run_durable(
         exec_faults=exec_faults,
         deadline=deadline,
         interrupt=interrupt,
-        capture_codec=capture_codec,
         detect_tier=detect_tier,
         stage_cache=stage_cache,
     )
     result = pipeline.run()
+    if run_dir is None:
+        return result
     written = save_events_jsonl(
         result.fused.combined.events, run_dir / EVENTS_FILE
     )
@@ -677,14 +660,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     exec_config = _exec_config(args)
     exec_faults = _exec_faults(args)
     telemetry = _enable_metrics(args)
-    # Durable and supervised runs stop at stage boundaries on SIGINT or
-    # SIGTERM: checkpoints stay coherent, the run dir stays resumable,
-    # and the exit code says which signal it was.
+    # Runs stop at stage boundaries on SIGINT or SIGTERM: checkpoints
+    # stay coherent, a run dir stays resumable, and the exit code says
+    # which signal it was.
     guard = InterruptGuard().install()
     try:
         if args.run_dir is not None:
-            store = CheckpointStore(args.run_dir)
-            store.write_json(
+            CheckpointStore(args.run_dir).write_json(
                 META_FILE,
                 {
                     "meta_version": META_VERSION,
@@ -694,7 +676,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     "workers": exec_config.workers,
                     "shards": exec_config.shards,
                     "exec_mode": exec_config.mode,
-                    "capture_codec": args.capture_codec,
                     "detect_tier": args.detect_tier,
                     "stage_cache": (
                         str(args.stage_cache)
@@ -703,38 +684,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     ),
                 },
             )
-            result = _run_durable(
-                config,
-                args.run_dir,
-                args.crash_after,
-                exec_config=exec_config,
-                exec_faults=exec_faults,
-                deadline=args.deadline,
-                interrupt=guard,
-                capture_codec=args.capture_codec,
-                detect_tier=args.detect_tier,
-                stage_cache=args.stage_cache,
-            )
-        elif (
-            exec_config.parallel
-            or exec_faults is not None
-            or args.deadline is not None
-            or args.stage_cache is not None
-            or args.detect_tier is not None
-        ):
-            result = run_resilient(
-                config,
-                exec_config=exec_config,
-                exec_faults=exec_faults,
-                deadline=args.deadline,
-                interrupt=guard,
-                capture_codec=args.capture_codec,
-                detect_tier=args.detect_tier,
-                stage_cache=args.stage_cache,
-            )
-        else:
-            result = run_simulation(config)
-            guard.check("simulation finished")
+        result = _run_pipeline(
+            config,
+            args.run_dir,
+            args.crash_after,
+            exec_config=exec_config,
+            exec_faults=exec_faults,
+            deadline=args.deadline,
+            interrupt=guard,
+            detect_tier=args.detect_tier,
+            stage_cache=args.stage_cache,
+        )
     except RunDeadlineExceeded as exc:
         _finish_metrics(telemetry, args.run_dir)
         print(f"deadline exceeded: {exc}", file=sys.stderr)
@@ -801,16 +761,11 @@ def cmd_resume(args: argparse.Namespace) -> int:
         ),
         task_deadline=args.task_deadline,
     )
-    capture_codec = (
-        args.capture_codec
-        if args.capture_codec is not None
-        else meta.get("capture_codec") or "columnar"
-    )
-    detect_tier = (
-        args.detect_tier
-        if args.detect_tier is not None
-        else meta.get("detect_tier")
-    )
+    detect_tier = args.detect_tier or meta.get("detect_tier")
+    if detect_tier in (None, "columnar"):
+        # Older run dirs record no tier, or the retired columnar tier;
+        # both ran the exact detectors.
+        detect_tier = "exact"
     stage_cache = (
         args.stage_cache
         if args.stage_cache is not None
@@ -827,14 +782,13 @@ def cmd_resume(args: argparse.Namespace) -> int:
     telemetry = _enable_metrics(args)
     guard = InterruptGuard().install()
     try:
-        result = _run_durable(
+        result = _run_pipeline(
             config,
             args.run_dir,
             exec_config=exec_config,
             exec_faults=_exec_faults(args),
             deadline=args.deadline,
             interrupt=guard,
-            capture_codec=capture_codec,
             detect_tier=detect_tier,
             stage_cache=stage_cache,
         )
@@ -951,7 +905,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
             for feed in feeds
         ]
     for title, plan in plans:
-        degraded = run_resilient(config, plan=plan, baseline=baseline)
+        degraded = ResilientPipeline(config, plan=plan).run(baseline)
         print(f"\n--- {title} ---")
         print(degraded.quality.render(timings=args.timings))
     return 0

@@ -1,4 +1,5 @@
-"""Empirical distributions: duration and intensity CDFs (Figures 2, 3, 4).
+"""Distributions: duration and intensity CDFs (Figures 2, 3, 4) and the
+Poisson sampler the traffic models draw counts from.
 
 :class:`EmpiricalCDF` is the shared primitive: exact quantiles and
 fraction-at-or-below queries over a sorted sample, which is all the paper's
@@ -8,11 +9,35 @@ CDF figures need.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Sequence
+import math
+from random import Random
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from repro.core.events import AttackEvent, SOURCE_HONEYPOT
+if TYPE_CHECKING:
+    # Only for annotations: the traffic models import ``poisson`` while
+    # repro.core.events is still initializing.
+    from repro.core.events import AttackEvent
+
+
+def poisson(rng: Random, lam: float) -> int:
+    """One Poisson(*lam*) draw from *rng* (Knuth's product method).
+
+    Costs O(lam) ``random()`` calls; above lam = 500 a rounded normal
+    approximation keeps the draw O(1).
+    """
+    if lam <= 0:
+        return 0
+    if lam > 500:
+        return max(0, int(rng.gauss(lam, lam**0.5) + 0.5))
+    limit = math.exp(-lam)
+    k, product = 0, 1.0
+    while True:
+        product *= rng.random()
+        if product <= limit:
+            return k
+        k += 1
 
 
 class EmpiricalCDF:
@@ -84,6 +109,8 @@ def per_protocol_intensity_cdfs(
     events: Iterable[AttackEvent], top_n: int = 5
 ) -> Dict[str, EmpiricalCDF]:
     """Figure 4: one intensity CDF per top reflector protocol + overall."""
+    from repro.core.events import SOURCE_HONEYPOT
+
     by_protocol: Dict[str, List[float]] = {}
     all_values: List[float] = []
     for event in events:

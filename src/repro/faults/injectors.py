@@ -46,6 +46,10 @@ class TelescopeFaultInjector:
         self.dropped_packets = 0
 
     def filter(self, batches: Iterable[PacketBatch]) -> List[PacketBatch]:
+        if not self.windows:
+            # A fault-free plan, which every plain run has: skip the
+            # per-batch window test.
+            return list(batches)
         kept: List[PacketBatch] = []
         for batch in batches:
             if _in_windows(self.windows, batch.timestamp):
@@ -67,6 +71,8 @@ class HoneypotFaultInjector:
         self.dropped_requests = 0
 
     def filter(self, batches: Iterable[RequestBatch]) -> List[RequestBatch]:
+        if not any(self.schedule.values()):
+            return list(batches)
         kept: List[RequestBatch] = []
         for batch in batches:
             windows = self.schedule.get(batch.honeypot_id, ())

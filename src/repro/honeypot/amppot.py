@@ -20,6 +20,7 @@ from random import Random
 from typing import Iterable, Iterator, List, Tuple
 
 from repro.attacks.attacker import ATTACK_REFLECTION, GroundTruthAttack
+from repro.core.distributions import poisson
 from repro.net.protocols import REFLECTION_PROTOCOLS
 
 _REGION_PLAN: Tuple[Tuple[str, int], ...] = (
@@ -138,7 +139,7 @@ class AmpPotFleet:
             minute = 0
             while minute * 60.0 < attack.duration:
                 window = min(60.0, attack.duration - minute * 60.0)
-                count = _poisson(rng, rate * window)
+                count = poisson(rng, rate * window)
                 if count > 0:
                     yield RequestBatch(
                         timestamp=attack.start + minute * 60.0 + rng.uniform(0.0, 1.0),
@@ -182,17 +183,3 @@ class AmpPotFleet:
             batches.extend(self.scanner_noise(n_days))
         batches.sort(key=lambda b: b.timestamp)
         return batches
-
-
-def _poisson(rng: Random, lam: float) -> int:
-    if lam <= 0:
-        return 0
-    if lam > 500:
-        return max(0, int(rng.gauss(lam, lam**0.5) + 0.5))
-    limit = math.exp(-lam)
-    k, product = 0, 1.0
-    while True:
-        product *= rng.random()
-        if product <= limit:
-            return k
-        k += 1

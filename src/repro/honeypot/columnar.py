@@ -1,26 +1,19 @@
-"""Structure-of-arrays codec for honeypot request logs.
+"""Structure-of-arrays input for the honeypot sketch detection tier.
 
-The honeypot counterpart of :mod:`repro.net.columnar`: a fleet capture is
-a long time-sorted list of :class:`~repro.honeypot.amppot.RequestBatch`
-objects, and the detector only ever reads five scalar fields from each.
+The honeypot counterpart of :mod:`repro.net.columnar`: the sketch tier
+(:func:`repro.honeypot.detection.detect_sketch`) reads five scalar fields
+from each :class:`~repro.honeypot.amppot.RequestBatch`.
 :class:`RequestColumns` stores those fields as flat ``array`` columns;
 protocol strings (a handful of reflection protocols) are interned into a
 small lookup table and stored as one byte per row.
-
-``to_batches(from_batches(log))`` reproduces the input list exactly — the
-property the equivalence tests assert.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.honeypot.amppot import RequestBatch
-
-#: Bumped whenever the column layout changes; part of the stage-cache
-#: fingerprint so cached results never outlive their encoding.
-REQUEST_COLUMNS_SCHEMA = 1
 
 
 class RequestColumns:
@@ -41,23 +34,29 @@ class RequestColumns:
         self.honeypot_ids = array("I")
         self.protocol_ids = array("B")
         self.counts = array("Q")
-        #: Interning table: protocol id -> protocol string, in first-seen
-        #: order (deterministic for a given capture).
+        #: Interning table: protocol id -> protocol string.
         self.protocols: Tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
     @classmethod
-    def from_batches(cls, batches: Iterable[RequestBatch]) -> "RequestColumns":
-        """Encode a request log into columns (row order preserved)."""
+    def from_batches(
+        cls, batches: Iterable[RequestBatch], protocols: Sequence[str] = ()
+    ) -> "RequestColumns":
+        """Encode a request log into columns (row order preserved).
+
+        The interning table starts from *protocols* and appends any other
+        protocol in first-seen order, so encodings that share a starting
+        table (the shards of one log) share protocol ids.
+        """
         columns = cls()
         timestamps = columns.timestamps
         victims = columns.victims
         honeypot_ids = columns.honeypot_ids
         protocol_ids = columns.protocol_ids
         counts = columns.counts
-        table: Dict[str, int] = {}
+        table: Dict[str, int] = {name: i for i, name in enumerate(protocols)}
         for batch in batches:
             timestamps.append(batch.timestamp)
             victims.append(batch.victim)
@@ -71,30 +70,5 @@ class RequestColumns:
         columns.protocols = tuple(table)
         return columns
 
-    def row(self, index: int) -> RequestBatch:
-        """Materialize one row back into a :class:`RequestBatch`."""
-        return RequestBatch(
-            timestamp=self.timestamps[index],
-            victim=self.victims[index],
-            honeypot_id=self.honeypot_ids[index],
-            protocol=self.protocols[self.protocol_ids[index]],
-            count=self.counts[index],
-        )
 
-    def to_batches(self) -> List[RequestBatch]:
-        """Decode back into the object representation (exact inverse)."""
-        return [self.row(index) for index in range(len(self))]
-
-
-def encode_request_log(log: Sequence) -> RequestColumns:
-    """Encode unless already columnar (idempotent stage-side helper)."""
-    if isinstance(log, RequestColumns):
-        return log
-    return RequestColumns.from_batches(log)
-
-
-__all__ = [
-    "REQUEST_COLUMNS_SCHEMA",
-    "RequestColumns",
-    "encode_request_log",
-]
+__all__ = ["RequestColumns"]

@@ -202,111 +202,6 @@ class HoneypotDetector:
         )
 
 
-# Flow-record slots for the columnar fast path (plain lists instead of
-# _OpenFlow instances):
-# 0 victim, 1 protocol id, 2 first_ts, 3 last_ts, 4 requests,
-# 5 honeypot-id bitmask, 6 creation seq.
-def detect_columns(
-    config: DetectionConfig,
-    columns: RequestColumns,
-    shard_index: int = 0,
-    n_shards: int = 1,
-) -> List[AmpPotEvent]:
-    """Event extraction over a columnar request log — the object path
-    inlined.
-
-    Produces the exact event list :class:`HoneypotDetector` yields over
-    ``columns.to_batches()`` (same events, same order). The set of abused
-    honeypot instances is tracked as a bitmask instead of a ``set`` — only
-    its cardinality survives into the event.
-    """
-    protocols = columns.protocols
-    n_protocols = max(1, len(protocols))
-
-    gap_timeout = config.gap_timeout
-    sweep_interval = gap_timeout / 4
-    min_requests = config.min_requests
-    max_duration = config.max_event_duration
-    heappush, heappop = heapq.heappush, heapq.heappop
-
-    # Keys are the packed integer victim * n_protocols + protocol_id —
-    # cheaper to hash than (victim, protocol) tuples.
-    flows: dict = {}
-    heap: List[Tuple[float, int]] = []
-    events: List[AmpPotEvent] = []
-    last_sweep = float("-inf")
-    next_seq = 0
-    sharded = n_shards > 1
-
-    def close(record: list, capped: bool = False) -> None:
-        if record[4] <= min_requests:
-            return
-        end_ts = record[3]
-        if capped:
-            capped_end = record[2] + max_duration
-            if capped_end < end_ts:
-                end_ts = capped_end
-        events.append(
-            AmpPotEvent(
-                victim=record[0],
-                start_ts=record[2],
-                end_ts=end_ts,
-                protocol=protocols[record[1]],
-                requests=record[4],
-                honeypots=bin(record[5]).count("1"),
-            )
-        )
-
-    for now, victim, honeypot_id, protocol_id, count in zip(
-        columns.timestamps,
-        columns.victims,
-        columns.honeypot_ids,
-        columns.protocol_ids,
-        columns.counts,
-    ):
-        if sharded and victim % n_shards != shard_index:
-            continue
-        if now - last_sweep >= sweep_interval:
-            last_sweep = now
-            cutoff = now - gap_timeout
-            swept: List[Tuple[int, list]] = []
-            while heap and heap[0][0] < cutoff:
-                _, entry_key = heappop(heap)
-                record = flows.get(entry_key)
-                if record is None:
-                    continue  # entry outlived its flow
-                if record[3] < cutoff:
-                    del flows[entry_key]
-                    swept.append((record[6], record))
-                else:
-                    heappush(heap, (record[3], entry_key))
-            if swept:
-                swept.sort(key=lambda pair: pair[0])
-                for _, record in swept:
-                    close(record)
-        key = victim * n_protocols + protocol_id
-        record = flows.get(key)
-        if record is not None:
-            cap_exceeded = now - record[2] > max_duration
-            if cap_exceeded or now - record[3] > gap_timeout:
-                del flows[key]
-                close(record, capped=cap_exceeded)
-                record = None
-        if record is None:
-            record = [victim, protocol_id, now, now, 0, 0, next_seq]
-            next_seq += 1
-            flows[key] = record
-            heappush(heap, (now, key))
-        if now > record[3]:
-            record[3] = now
-        record[4] += count
-        record[5] |= 1 << honeypot_id
-
-    for record in flows.values():
-        close(record)
-    return events
-
-
 # Sketch-tier heavy-record slots (one record per victim/protocol pair):
 # 0 first_ts, 1 last_ts, 2 requests, 3 honeypot-id bitmask.
 # Slot 2 is the eviction count.
@@ -326,8 +221,8 @@ def _combine_honeypot_records(mine: list, theirs: list) -> None:
 class HoneypotSketch:
     """Mergeable sketch-tier summary of one request-log shard.
 
-    Keys are the same packed ``victim * n_protocols + protocol_id``
-    integers the columnar tier uses; the protocol interning table rides
+    Keys are packed ``victim * n_protocols + protocol_id`` integers
+    (cheaper to hash than tuples); the protocol interning table rides
     along so a merged summary can unpack them. Merging requires the
     same table on both sides (always true for shards of one capture);
     a summary of an empty capture merges with anything.
@@ -421,11 +316,9 @@ class HoneypotSketch:
 def detect_sketch(
     config: DetectionConfig,
     columns: RequestColumns,
-    shard_index: int = 0,
-    n_shards: int = 1,
     sketch_config: Optional[SketchConfig] = None,
 ) -> HoneypotSketch:
-    """Sketch-tier ingestion of a columnar request log.
+    """Sketch-tier ingestion of one (shard's) request log into a summary.
 
     Per-row work is one dict hit plus three in-place mutations — no
     expiry heap, no gap/cap bookkeeping. Returns the mergeable
@@ -444,27 +337,14 @@ def detect_sketch(
         columns.protocol_ids,
         columns.counts,
     )
-    if n_shards > 1:
-        for now, victim, honeypot_id, protocol_id, count in rows:
-            if victim % n_shards != shard_index:
-                continue
-            key = victim * n_protocols + protocol_id
-            try:
-                record = heavy[key]
-                record[1] = now
-                record[2] += count
-                record[3] |= 1 << honeypot_id
-            except KeyError:
-                admit(key, [now, now, count, 1 << honeypot_id])
-    else:
-        for now, victim, honeypot_id, protocol_id, count in rows:
-            key = victim * n_protocols + protocol_id
-            try:
-                record = heavy[key]
-                record[1] = now
-                record[2] += count
-                record[3] |= 1 << honeypot_id
-            except KeyError:
-                admit(key, [now, now, count, 1 << honeypot_id])
+    for now, victim, honeypot_id, protocol_id, count in rows:
+        key = victim * n_protocols + protocol_id
+        try:
+            record = heavy[key]
+            record[1] = now
+            record[2] += count
+            record[3] |= 1 << honeypot_id
+        except KeyError:
+            admit(key, [now, now, count, 1 << honeypot_id])
     sketch.rows += len(columns)
     return summary

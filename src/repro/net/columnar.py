@@ -1,49 +1,30 @@
-"""Structure-of-arrays codec for telescope packet captures.
+"""Structure-of-arrays input for the sketch detection tier.
 
-A two-year capture window holds millions of :class:`~repro.net.packet.
-PacketBatch` objects; handing them to the detector as Python objects costs
-an attribute lookup (a dict probe plus descriptor call) per field per
-batch. :class:`PacketColumns` stores the same capture as eleven flat
-``array`` columns — one contiguous machine-typed buffer per field — so the
-hot detection loop reads ``column[i]`` (a C-level index) instead, and the
-whole capture is a handful of reference-free buffers instead of millions
-of heap objects.
+The sketch tier (:func:`repro.telescope.rsdos.detect_sketch`) reads four
+quantities per packet batch. :class:`PacketColumns` stores exactly those
+as flat columns, so its hot loop indexes machine-typed buffers instead of
+touching a Python object per batch: the victim (``srcs``), the
+timestamp, the backscatter verdict (:attr:`PacketBatch.is_backscatter`
+as 0/1) and ``sketch_packed``.
 
-The encoding is exactly invertible: ``to_batches(from_batches(capture))``
-reproduces the input list element-for-element, which is what the
-equivalence tests pin down. Variable-length source-port sets are flattened
-into one ``ports`` column with a per-row offsets column (row *i* owns
-``ports[offsets[i]:offsets[i+1]]``, stored sorted); ``None`` quoted
-protocols map to ``-1`` in a signed column.
-
-Three derived columns are precomputed at encode time — ``backscatter``
-(:attr:`PacketBatch.is_backscatter` as 0/1), ``attack_protos``
-(:attr:`PacketBatch.attack_proto`), and ``sketch_packed`` — so the
-classification branches run once per capture instead of once per
-detection shard.
-
-``sketch_packed`` packs every per-row quantity the sketch detection
-tier accumulates (tcp count, icmp count, bytes, distinct destinations)
-into one integer with 64-bit fields, choosing the tcp/icmp field by the
-row's response protocol *here*, where the protocol is already known.
-The sketch tier's hot loop then does a single ``record[2] += packed``
-per row — one add maintains all four running sums at once. Summing is
-safe because each field is non-negative and 64 bits wide: overflowing a
-field into its neighbor would take 2**64 (~1.8e19) packets or bytes for
-a single victim, far beyond any real capture. Non-backscatter rows
-(which the sketch tier skips) pack to 0.
+``sketch_packed`` packs every per-row quantity the sketch accumulates
+(tcp count, icmp count, bytes, distinct destinations) into one integer
+with 64-bit fields, choosing the tcp/icmp field by the row's response
+protocol *here*, where the protocol is already known. The sketch's hot
+loop then does a single ``record[2] += packed`` per row — one add
+maintains all four running sums at once. Summing is safe because each
+field is non-negative and 64 bits wide: overflowing a field into its
+neighbor would take 2**64 (~1.8e19) packets or bytes for a single
+victim, far beyond any real capture. Non-backscatter rows (which the
+sketch skips) pack to 0.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 from repro.net.packet import PROTO_TCP, PacketBatch
-
-#: Bumped whenever the column layout changes; part of the stage-cache
-#: fingerprint so cached results never outlive their encoding.
-PACKET_COLUMNS_SCHEMA = 2
 
 # ``sketch_packed`` field layout (bit offsets of each 64-bit field).
 SKETCH_PACKED_TCP_SHIFT = 0
@@ -54,44 +35,16 @@ SKETCH_PACKED_FIELD_MASK = (1 << 64) - 1
 
 
 class PacketColumns:
-    """A packet-batch capture, one ``array`` column per field."""
+    """The sketch tier's view of a packet-batch capture, one column per field."""
 
-    __slots__ = (
-        "timestamps",
-        "srcs",
-        "protos",
-        "counts",
-        "sizes",
-        "distinct_dsts",
-        "tcp_flags",
-        "icmp_types",
-        "quoted_protos",
-        "ports",
-        "port_offsets",
-        "backscatter",
-        "attack_protos",
-        "sketch_packed",
-    )
+    __slots__ = ("timestamps", "srcs", "backscatter", "sketch_packed")
 
     def __init__(self) -> None:
         self.timestamps = array("d")
         self.srcs = array("I")
-        self.protos = array("B")
-        self.counts = array("Q")
-        self.sizes = array("Q")  # PacketBatch.bytes (name avoids builtin)
-        self.distinct_dsts = array("I")
-        self.tcp_flags = array("B")
-        self.icmp_types = array("h")  # -1..255
-        self.quoted_protos = array("h")  # -1 encodes None
-        self.ports = array("I")  # flattened per-row sorted port sets
-        self.port_offsets = array("Q", [0])
-        # Derived (not round-tripped): per-row backscatter verdict and
-        # attributed attack protocol, precomputed once at encode time.
         self.backscatter = array("B")
-        self.attack_protos = array("h")
-        # Derived: the sketch tier's per-row accumulator contributions
-        # packed into one integer (see module docstring). A plain list —
-        # packed values exceed 64 bits, so no array typecode fits.
+        # A plain list: packed values exceed 64 bits, so no array
+        # typecode fits.
         self.sketch_packed: List[int] = []
 
     def __len__(self) -> int:
@@ -99,91 +52,40 @@ class PacketColumns:
 
     @classmethod
     def from_batches(cls, batches: Iterable[PacketBatch]) -> "PacketColumns":
-        """Encode a capture list into columns (row order preserved)."""
+        """Encode a capture into columns (row order preserved)."""
         columns = cls()
         timestamps = columns.timestamps
         srcs = columns.srcs
-        protos = columns.protos
-        counts = columns.counts
-        sizes = columns.sizes
-        distinct_dsts = columns.distinct_dsts
-        tcp_flags = columns.tcp_flags
-        icmp_types = columns.icmp_types
-        quoted_protos = columns.quoted_protos
-        ports = columns.ports
-        port_offsets = columns.port_offsets
         backscatter = columns.backscatter
-        attack_protos = columns.attack_protos
-        sketch_packed = columns.sketch_packed
-        append_packed = sketch_packed.append
+        append_packed = columns.sketch_packed.append
         for batch in batches:
             timestamps.append(batch.timestamp)
             srcs.append(batch.src)
-            protos.append(batch.proto)
-            counts.append(batch.count)
-            sizes.append(batch.bytes)
-            distinct_dsts.append(batch.distinct_dsts)
-            tcp_flags.append(batch.tcp_flags)
-            icmp_types.append(batch.icmp_type)
-            quoted_protos.append(
-                -1 if batch.quoted_proto is None else batch.quoted_proto
-            )
-            if batch.src_ports:
-                ports.extend(sorted(batch.src_ports))
-            port_offsets.append(len(ports))
-            is_backscatter = batch.is_backscatter
-            backscatter.append(1 if is_backscatter else 0)
-            attack_protos.append(batch.attack_proto)
-            if is_backscatter:
+            if batch.is_backscatter:
+                backscatter.append(1)
                 append_packed(
                     (
                         batch.count
-                        << (0 if batch.proto == PROTO_TCP else 64)
+                        << (
+                            SKETCH_PACKED_TCP_SHIFT
+                            if batch.proto == PROTO_TCP
+                            else SKETCH_PACKED_ICMP_SHIFT
+                        )
                     )
                     | (batch.bytes << SKETCH_PACKED_BYTES_SHIFT)
                     | (batch.distinct_dsts << SKETCH_PACKED_DSTS_SHIFT)
                 )
             else:
+                backscatter.append(0)
                 append_packed(0)
         return columns
 
-    def row(self, index: int) -> PacketBatch:
-        """Materialize one row back into a :class:`PacketBatch`."""
-        quoted = self.quoted_protos[index]
-        lo = self.port_offsets[index]
-        hi = self.port_offsets[index + 1]
-        return PacketBatch(
-            timestamp=self.timestamps[index],
-            src=self.srcs[index],
-            proto=self.protos[index],
-            count=self.counts[index],
-            bytes=self.sizes[index],
-            distinct_dsts=self.distinct_dsts[index],
-            src_ports=frozenset(self.ports[lo:hi]),
-            tcp_flags=self.tcp_flags[index],
-            icmp_type=self.icmp_types[index],
-            quoted_proto=None if quoted < 0 else quoted,
-        )
-
-    def to_batches(self) -> List[PacketBatch]:
-        """Decode back into the object representation (exact inverse)."""
-        return [self.row(index) for index in range(len(self))]
-
-
-def encode_capture(capture: Sequence) -> PacketColumns:
-    """Encode unless already columnar (idempotent stage-side helper)."""
-    if isinstance(capture, PacketColumns):
-        return capture
-    return PacketColumns.from_batches(capture)
-
 
 __all__ = [
-    "PACKET_COLUMNS_SCHEMA",
     "SKETCH_PACKED_TCP_SHIFT",
     "SKETCH_PACKED_ICMP_SHIFT",
     "SKETCH_PACKED_BYTES_SHIFT",
     "SKETCH_PACKED_DSTS_SHIFT",
     "SKETCH_PACKED_FIELD_MASK",
     "PacketColumns",
-    "encode_capture",
 ]

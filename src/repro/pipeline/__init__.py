@@ -22,7 +22,6 @@ from repro.pipeline.runner import (
     RetryPolicy,
     StageFailedError,
     TransientStageError,
-    run_resilient,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "RetryPolicy",
     "StageFailedError",
     "TransientStageError",
-    "run_resilient",
 ]

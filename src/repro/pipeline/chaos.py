@@ -43,7 +43,7 @@ from repro.obs import Telemetry, get_telemetry
 from repro.pipeline.config import ScenarioConfig
 from repro.pipeline.datasets import event_to_dict
 from repro.pipeline.quality import STATUS_DOWN
-from repro.pipeline.runner import StageFailedError, run_resilient
+from repro.pipeline.runner import ResilientPipeline, StageFailedError
 
 log = get_logger("chaos")
 
@@ -145,7 +145,9 @@ def run_chaos_drill(
     )
     log.info("chaos drill baseline (serial, fault-free)")
     with telemetry.tracer.span("chaos-baseline"):
-        reference = _events_bytes(run_resilient(config, telemetry=telemetry))
+        reference = _events_bytes(
+            ResilientPipeline(config, telemetry=telemetry).run()
+        )
     results: List[ScenarioResult] = []
     for scenario in drill_scenarios(quick):
         log.info(
@@ -160,7 +162,7 @@ def run_chaos_drill(
             with telemetry.tracer.span(
                 "chaos-scenario", scenario=scenario.name
             ):
-                result = run_resilient(
+                result = ResilientPipeline(
                     config,
                     exec_config=ExecConfig(
                         workers=workers,
@@ -170,7 +172,7 @@ def run_chaos_drill(
                     exec_faults=scenario.faults,
                     deadline=scenario_budget,
                     telemetry=telemetry,
-                )
+                ).run()
         except RunDeadlineExceeded:
             failure = (
                 f"scenario exceeded its {scenario_budget:.0f}s budget"

@@ -1,8 +1,11 @@
-"""Resilient stage orchestration over the simulation pipeline.
+"""The pipeline's one runner: supervised stage orchestration.
 
-``run_simulation`` is the happy path: six stages chained directly, any
-exception fatal. :class:`ResilientPipeline` runs the same stage functions
-under supervision instead:
+:class:`ResilientPipeline` chains the stage functions of
+:mod:`repro.pipeline.simulation` under supervision;
+``run_simulation`` is this runner with its defaults (serial, in memory,
+fault-free). Stage functions are looked up on the simulation module at
+call time, so a wrapper installed there (a tracer, a test double) sees
+every stage. Supervision adds:
 
 * **timing** — every stage's wall time and attempt count is recorded in a
   :class:`~repro.pipeline.quality.StageReport`;
@@ -78,29 +81,8 @@ from repro.pipeline.quality import (
 )
 from repro.store.checkpoint import CheckpointIssue, CheckpointStore
 from repro.store.stagecache import CACHE_MISS, StageCache, stage_fingerprint
-from repro.pipeline.simulation import (
-    CAPTURE_CODECS,
-    DETECT_TIERS,
-    SimulationResult,
-    apply_dns_faults,
-    assemble_result,
-    build_internet,
-    detect_honeypot_shard,
-    detect_telescope_shard,
-    fuse_observations,
-    honeypot_capture,
-    measure_dns,
-    measure_dns_shard,
-    merge_dns_shards,
-    merge_honeypot_shards,
-    merge_telescope_shards,
-    observe_honeypots,
-    observe_telescope,
-    resolve_detect_tier,
-    run_migration,
-    schedule_attacks,
-    telescope_capture,
-)
+from repro.pipeline import simulation as sim
+from repro.pipeline.simulation import SimulationResult, check_detect_tier
 
 #: Orchestrated stage names, in execution order.
 STAGE_ORDER = (
@@ -261,24 +243,11 @@ class ResilientPipeline:
         interrupt: Optional[InterruptGuard] = None,
         breakers: Optional[Dict[str, CircuitBreaker]] = None,
         telemetry: Optional[Telemetry] = None,
-        capture_codec: str = "columnar",
-        detect_tier: Optional[str] = None,
+        detect_tier: str = "exact",
         stage_cache: Optional[Union[str, Path, StageCache]] = None,
     ) -> None:
         self.config = config
-        if capture_codec not in CAPTURE_CODECS:
-            raise ValueError(
-                f"unknown capture codec {capture_codec!r} "
-                f"(codecs: {', '.join(sorted(CAPTURE_CODECS))})"
-            )
-        self.capture_codec = capture_codec
-        if detect_tier is not None and detect_tier not in DETECT_TIERS:
-            raise ValueError(
-                f"unknown detect tier {detect_tier!r} "
-                f"(tiers: {', '.join(sorted(DETECT_TIERS))})"
-            )
-        # None means "match the capture codec" (resolved per stage call).
-        self.detect_tier = detect_tier
+        self.detect_tier = check_detect_tier(detect_tier)
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         self.plan = plan if plan is not None else FaultPlan.none(
             config.n_days, config.n_honeypots
@@ -532,13 +501,15 @@ class ResilientPipeline:
     ) -> SimulationResult:
         config = self.config
         self.stage_reports = []
-        internet = self._run_stage("internet", lambda: build_internet(config))
+        internet = self._run_stage(
+            "internet", lambda: sim.build_internet(config)
+        )
         ground_truth = self._run_stage(
-            "attacks", lambda: schedule_attacks(config, internet)
+            "attacks", lambda: sim.schedule_attacks(config, internet)
         )
 
         def _migrate():
-            diversion_log, ledger = run_migration(
+            diversion_log, ledger = sim.run_migration(
                 config, internet, ground_truth
             )
             # Migration mutates internet.zones in place, so the stage's
@@ -560,11 +531,11 @@ class ResilientPipeline:
         openintel, dps_usage = observations["measurement"]
         fused, web_index = self._run_stage(
             "fusion",
-            lambda: fuse_observations(
+            lambda: sim.fuse_observations(
                 internet, telescope_events, honeypot_events, openintel
             ),
         )
-        result = assemble_result(
+        result = sim.assemble_result(
             config,
             internet,
             diversion_log,
@@ -657,46 +628,38 @@ class ResilientPipeline:
 
     def _observe_telescope_supervised(self, ground_truth: Any) -> Any:
         config, fault = self.config, self.injectors.telescope
-        codec = self.capture_codec
         tier = self.detect_tier
         if not self.exec_config.parallel:
-            return observe_telescope(
-                config, ground_truth, fault=fault, codec=codec,
-                detect_tier=tier,
+            return sim.observe_telescope(
+                config, ground_truth, fault=fault, detect_tier=tier
             )
         # Capture consumes shared sequential RNG state and mutates the
         # injector's loss counters, so it runs here in the supervising
         # process; only the RNG-free detection fans out.
-        capture = telescope_capture(
-            config, ground_truth, fault=fault, codec=codec
-        )
+        capture = sim.telescope_capture(config, ground_truth, fault=fault)
         shards = self._run_shards(
             "telescope",
-            lambda i, n: lambda: detect_telescope_shard(
+            lambda i, n: lambda: sim.detect_telescope_shard(
                 config, capture, i, n, tier
             ),
         )
-        return merge_telescope_shards(shards)
+        return sim.merge_telescope_shards(shards)
 
     def _observe_honeypots_supervised(self, ground_truth: Any) -> Any:
         config, fault = self.config, self.injectors.honeypot
-        codec = self.capture_codec
         tier = self.detect_tier
         if not self.exec_config.parallel:
-            return observe_honeypots(
-                config, ground_truth, fault=fault, codec=codec,
-                detect_tier=tier,
+            return sim.observe_honeypots(
+                config, ground_truth, fault=fault, detect_tier=tier
             )
-        request_log = honeypot_capture(
-            config, ground_truth, fault=fault, codec=codec
-        )
+        request_log = sim.honeypot_capture(config, ground_truth, fault=fault)
         shards = self._run_shards(
             "honeypot",
-            lambda i, n: lambda: detect_honeypot_shard(
+            lambda i, n: lambda: sim.detect_honeypot_shard(
                 config, request_log, i, n, tier
             ),
         )
-        return merge_honeypot_shards(shards)
+        return sim.merge_honeypot_shards(shards)
 
     def _measure_dns_supervised(
         self, internet: Any, diversion_log: Any
@@ -705,7 +668,7 @@ class ResilientPipeline:
         openintel_fault = self.injectors.openintel
         dps_fault = self.injectors.dps
         if not self.exec_config.parallel:
-            return measure_dns(
+            return sim.measure_dns(
                 config,
                 internet,
                 diversion_log,
@@ -714,13 +677,13 @@ class ResilientPipeline:
             )
         parts = self._run_shards(
             "measurement",
-            lambda i, n: lambda: measure_dns_shard(
+            lambda i, n: lambda: sim.measure_dns_shard(
                 config, internet, diversion_log, i, n
             ),
         )
-        openintel, dps_usage = merge_dns_shards(config, parts)
+        openintel, dps_usage = sim.merge_dns_shards(config, parts)
         # Degradation mutates injector counters: parent process only.
-        return apply_dns_faults(
+        return sim.apply_dns_faults(
             openintel,
             dps_usage,
             openintel_fault=openintel_fault,
@@ -1019,10 +982,7 @@ class ResilientPipeline:
             n_shards=(
                 self.exec_config.n_shards if self.exec_config.parallel else 1
             ),
-            capture_codec=self.capture_codec,
-            detect_tier=resolve_detect_tier(
-                self.detect_tier, self.capture_codec
-            ),
+            detect_tier=self.detect_tier,
         )
 
     def _stage_cache_get(self, name: str) -> Any:
@@ -1172,36 +1132,3 @@ class ResilientPipeline:
             detail=detail,
         )
 
-
-def run_resilient(
-    config: ScenarioConfig,
-    plan: Optional[FaultPlan] = None,
-    baseline: Optional[HeadlineMetrics] = None,
-    retry: RetryPolicy = RetryPolicy(),
-    sleep: Optional[Callable[[float], None]] = None,
-    run_dir: Optional[Union[str, Path]] = None,
-    exec_config: Optional[ExecConfig] = None,
-    exec_faults: Optional[ExecFaultPlan] = None,
-    deadline: Optional[Union[float, RunDeadline]] = None,
-    interrupt: Optional[InterruptGuard] = None,
-    telemetry: Optional[Telemetry] = None,
-    capture_codec: str = "columnar",
-    detect_tier: Optional[str] = None,
-    stage_cache: Optional[Union[str, Path, StageCache]] = None,
-) -> SimulationResult:
-    """One-shot convenience wrapper around :class:`ResilientPipeline`."""
-    return ResilientPipeline(
-        config,
-        plan=plan,
-        retry=retry,
-        sleep=sleep,
-        run_dir=run_dir,
-        exec_config=exec_config,
-        exec_faults=exec_faults,
-        deadline=deadline,
-        interrupt=interrupt,
-        telemetry=telemetry,
-        capture_codec=capture_codec,
-        detect_tier=detect_tier,
-        stage_cache=stage_cache,
-    ).run(baseline=baseline)

@@ -10,12 +10,13 @@
 5. compile the OpenINTEL measurement and detect DPS usage from DNS;
 6. annotate and fuse the event data sets.
 
-Each step is a standalone stage function so the resilient orchestrator in
-:mod:`repro.pipeline.runner` can wrap every stage with timing, retries,
-checkpointing and fault injection while ``run_simulation`` stays the plain
-fast path. The observation/measurement stages accept optional fault
-injectors (see :mod:`repro.faults`) that degrade the feed the way the real
-lossy infrastructures would.
+Each step is a standalone stage function here; the one runner,
+:class:`repro.pipeline.runner.ResilientPipeline`, chains them and adds
+timing, retries, checkpointing and fault injection. ``run_simulation`` is
+that runner with its defaults: serial, in memory, fault-free. The
+observation/measurement stages accept optional fault injectors (see
+:mod:`repro.faults`) that degrade the feed the way the real lossy
+infrastructures would.
 
 The result object carries every layer so tests, examples and benchmarks can
 reach both ground truth and observations.
@@ -43,7 +44,6 @@ from repro.honeypot.detection import (
     AmpPotEvent,
     HoneypotDetector,
     HoneypotSketch,
-    detect_columns as detect_honeypot_columns,
     detect_sketch as detect_honeypot_sketch,
 )
 from repro.net.columnar import PacketColumns
@@ -59,31 +59,19 @@ from repro.telescope.rsdos import (
     RSDoSDetector,
     TelescopeEvent,
     TelescopeSketch,
-    detect_columns as detect_telescope_columns,
     detect_sketch as detect_telescope_sketch,
 )
 
 log = get_logger("simulation")
 
-#: Capture representations the observation stages accept. ``"object"`` is
-#: the reference per-batch path; ``"columnar"`` encodes captures into
-#: structure-of-arrays columns and detects over them (byte-identical
-#: events, several times faster).
-CAPTURE_CODECS = ("object", "columnar")
-
-#: Detection tiers the observation stages dispatch on. ``"exact"`` is the
-#: reference per-batch detector, ``"columnar"`` the inlined exact fast
-#: path, ``"sketch"`` the approximate bounded-memory engine
-#: (:mod:`repro.sketch`). ``None``/``"auto"`` matches the capture codec:
-#: object captures take the exact path, columnar captures the columnar
-#: path — the pre-tier behavior.
-DETECT_TIERS = ("exact", "columnar", "sketch")
+#: Detection tiers the observation stages dispatch on. ``"exact"`` runs
+#: the paper's flow detectors over the capture's batch lists; ``"sketch"``
+#: is the approximate bounded-memory engine (:mod:`repro.sketch`).
+DETECT_TIERS = ("exact", "sketch")
 
 
-def resolve_detect_tier(detect_tier, codec: str = "object") -> str:
-    """Map an optional tier request onto a concrete tier name."""
-    if detect_tier is None or detect_tier == "auto":
-        return "columnar" if codec == "columnar" else "exact"
+def check_detect_tier(detect_tier: str) -> str:
+    """Return *detect_tier* unchanged, or raise if it names no tier."""
     if detect_tier not in DETECT_TIERS:
         raise ValueError(
             f"unknown detect tier {detect_tier!r} "
@@ -112,7 +100,7 @@ class SimulationResult:
     openintel: OpenIntelDataset
     dps_usage: DPSUsageDataset
     web_index: WebHostingIndex
-    # Attached by the resilient runner; None for plain fault-free runs.
+    # Feed/stage quality report the runner attaches to every result.
     quality: Optional["DataQualityReport"] = None
 
     @property
@@ -216,8 +204,7 @@ def telescope_capture(
     config: ScenarioConfig,
     ground_truth: List[GroundTruthAttack],
     fault=None,
-    codec: str = "object",
-):
+) -> List:
     """The darknet capture (optionally degraded), materialized.
 
     Capture generation consumes a *shared sequential* RNG across attacks
@@ -226,17 +213,7 @@ def telescope_capture(
     downstream fans out. Fault filtering happens here too, so injector
     counters mutate in the calling process rather than in a fork child
     whose memory is thrown away.
-
-    ``codec="columnar"`` returns the capture as
-    :class:`~repro.net.columnar.PacketColumns` (encoded after fault
-    filtering), which the detection shards consume through the columnar
-    fast path.
     """
-    if codec not in CAPTURE_CODECS:
-        raise ValueError(
-            f"unknown capture codec {codec!r} "
-            f"(codecs: {', '.join(sorted(CAPTURE_CODECS))})"
-        )
     noise = (
         TelescopeNoise(config.telescope_noise_config())
         if config.telescope_noise
@@ -248,9 +225,7 @@ def telescope_capture(
     capture = telescope.capture(ground_truth, n_days=config.n_days)
     if fault is not None:
         capture = fault.filter(capture)
-    if codec == "columnar":
-        return PacketColumns.from_batches(capture)
-    return list(capture)
+    return capture
 
 
 def _telescope_order(events: List[TelescopeEvent]) -> List[TelescopeEvent]:
@@ -270,7 +245,7 @@ def detect_telescope_shard(
     capture: List,
     shard_index: int,
     n_shards: int,
-    detect_tier: Optional[str] = None,
+    detect_tier: str = "exact",
 ):
     """RSDoS over one victim-partition of the capture.
 
@@ -279,53 +254,30 @@ def detect_telescope_shard(
     re-sorting reproduces the serial result exactly. Day-based sharding
     would *not*: flows and gap timeouts cross day boundaries.
 
-    ``detect_tier`` selects the detector; ``None`` matches the capture
-    representation (the pre-tier behavior). The ``"sketch"`` tier
-    returns a mergeable :class:`~repro.telescope.rsdos.TelescopeSketch`
-    instead of an event list — :func:`merge_telescope_shards`
-    materializes events from it.
+    The ``"sketch"`` tier encodes this shard's batches into
+    :class:`~repro.net.columnar.PacketColumns` and returns a mergeable
+    :class:`~repro.telescope.rsdos.TelescopeSketch` instead of an event
+    list — :func:`merge_telescope_shards` materializes events from it.
     """
-    codec = "columnar" if isinstance(capture, PacketColumns) else "object"
-    tier = resolve_detect_tier(detect_tier, codec)
-    if tier == "sketch":
-        columns = (
-            capture
-            if isinstance(capture, PacketColumns)
-            else PacketColumns.from_batches(capture)
-        )
+    check_detect_tier(detect_tier)
+    batches = (b for b in capture if b.src % n_shards == shard_index)
+    if detect_tier == "sketch":
         return detect_telescope_sketch(
             config.rsdos_config(),
-            columns,
-            shard_index,
-            n_shards,
+            PacketColumns.from_batches(batches),
             sketch_config=config.sketch_config(),
         )
-    if tier == "columnar":
-        columns = (
-            capture
-            if isinstance(capture, PacketColumns)
-            else PacketColumns.from_batches(capture)
-        )
-        return detect_telescope_columns(
-            config.rsdos_config(), columns, shard_index, n_shards
-        )
-    batches = (
-        capture.to_batches() if isinstance(capture, PacketColumns) else capture
-    )
-    detector = RSDoSDetector(config.rsdos_config())
-    sharded = (b for b in batches if b.src % n_shards == shard_index)
-    return list(detector.run(sharded))
+    return list(RSDoSDetector(config.rsdos_config()).run(batches))
 
 
 def observe_telescope(
     config: ScenarioConfig,
     ground_truth: List[GroundTruthAttack],
     fault=None,
-    codec: str = "object",
-    detect_tier: Optional[str] = None,
+    detect_tier: str = "exact",
 ) -> List[TelescopeEvent]:
     """Stage 4: the darknet capture, optionally degraded, then RSDoS."""
-    capture = telescope_capture(config, ground_truth, fault=fault, codec=codec)
+    capture = telescope_capture(config, ground_truth, fault=fault)
     events = merge_telescope_shards(
         [detect_telescope_shard(config, capture, 0, 1, detect_tier)]
     )
@@ -340,10 +292,10 @@ def observe_telescope(
 def merge_telescope_shards(shards: List) -> List[TelescopeEvent]:
     """Merge per-shard detections into the canonical (serial) order.
 
-    Accepts either per-shard event lists (exact/columnar tiers) or
-    per-shard :class:`~repro.telescope.rsdos.TelescopeSketch` summaries,
-    which are merged structurally before approximate events are
-    materialized; fill/error gauges are exported for the merged sketch.
+    Accepts either per-shard event lists (exact tier) or per-shard
+    :class:`~repro.telescope.rsdos.TelescopeSketch` summaries, which are
+    merged structurally before approximate events are materialized;
+    fill/error gauges are exported for the merged sketch.
     """
     if shards and isinstance(shards[0], TelescopeSketch):
         summary = TelescopeSketch.merge_all(shards)
@@ -359,29 +311,20 @@ def honeypot_capture(
     config: ScenarioConfig,
     ground_truth: List[GroundTruthAttack],
     fault=None,
-    codec: str = "object",
-):
+) -> List:
     """The fleet's request log (optionally degraded), materialized.
 
     Like :func:`telescope_capture`: the fleet models draw from shared
     sequential RNG state, so capture is generated once and only the
-    detection shards fan out. ``codec="columnar"`` returns
-    :class:`~repro.honeypot.columnar.RequestColumns`.
+    detection shards fan out.
     """
-    if codec not in CAPTURE_CODECS:
-        raise ValueError(
-            f"unknown capture codec {codec!r} "
-            f"(codecs: {', '.join(sorted(CAPTURE_CODECS))})"
-        )
     fleet = AmpPotFleet(config.fleet_config())
     request_log = fleet.capture(
         ground_truth, n_days=config.n_days if config.honeypot_noise else 0
     )
     if fault is not None:
         request_log = fault.filter(request_log)
-    if codec == "columnar":
-        return RequestColumns.from_batches(request_log)
-    return list(request_log)
+    return request_log
 
 
 def _honeypot_order(events: List[AmpPotEvent]) -> List[AmpPotEvent]:
@@ -394,7 +337,7 @@ def detect_honeypot_shard(
     request_log: List,
     shard_index: int,
     n_shards: int,
-    detect_tier: Optional[str] = None,
+    detect_tier: str = "exact",
 ):
     """Honeypot event extraction over one victim-partition of the log.
 
@@ -402,55 +345,33 @@ def detect_honeypot_shard(
     flow whole, and closure content is gap-driven per key (sweep timing
     only changes *when* a flow closes, never what it contains).
 
-    ``detect_tier`` selects the detector; ``None`` matches the capture
-    representation. The ``"sketch"`` tier returns a mergeable
-    :class:`~repro.honeypot.detection.HoneypotSketch`.
+    The ``"sketch"`` tier encodes this shard's batches into
+    :class:`~repro.honeypot.columnar.RequestColumns` and returns a
+    mergeable :class:`~repro.honeypot.detection.HoneypotSketch`.
     """
-    codec = "columnar" if isinstance(request_log, RequestColumns) else "object"
-    tier = resolve_detect_tier(detect_tier, codec)
-    if tier == "sketch":
-        columns = (
-            request_log
-            if isinstance(request_log, RequestColumns)
-            else RequestColumns.from_batches(request_log)
-        )
+    check_detect_tier(detect_tier)
+    batches = (b for b in request_log if b.victim % n_shards == shard_index)
+    if detect_tier == "sketch":
+        # Every shard interns protocols in first-seen order over the
+        # whole log, so the shard summaries share one table and merge.
+        protocols = tuple(dict.fromkeys(b.protocol for b in request_log))
         return detect_honeypot_sketch(
             config.honeypot_detection_config(),
-            columns,
-            shard_index,
-            n_shards,
+            RequestColumns.from_batches(batches, protocols),
             sketch_config=config.sketch_config(),
         )
-    if tier == "columnar":
-        columns = (
-            request_log
-            if isinstance(request_log, RequestColumns)
-            else RequestColumns.from_batches(request_log)
-        )
-        return detect_honeypot_columns(
-            config.honeypot_detection_config(), columns, shard_index, n_shards
-        )
-    batches = (
-        request_log.to_batches()
-        if isinstance(request_log, RequestColumns)
-        else request_log
-    )
     detector = HoneypotDetector(config.honeypot_detection_config())
-    sharded = (b for b in batches if b.victim % n_shards == shard_index)
-    return list(detector.run(sharded))
+    return list(detector.run(batches))
 
 
 def observe_honeypots(
     config: ScenarioConfig,
     ground_truth: List[GroundTruthAttack],
     fault=None,
-    codec: str = "object",
-    detect_tier: Optional[str] = None,
+    detect_tier: str = "exact",
 ) -> List[AmpPotEvent]:
     """Stage 4b: the fleet's request log, optionally degraded, then events."""
-    request_log = honeypot_capture(
-        config, ground_truth, fault=fault, codec=codec
-    )
+    request_log = honeypot_capture(config, ground_truth, fault=fault)
     events = merge_honeypot_shards(
         [detect_honeypot_shard(config, request_log, 0, 1, detect_tier)]
     )
@@ -612,26 +533,7 @@ def assemble_result(
 
 
 def run_simulation(config: ScenarioConfig = ScenarioConfig()) -> SimulationResult:
-    """Run the full pipeline for one scenario (the healthy fast path)."""
-    internet = build_internet(config)
-    ground_truth = schedule_attacks(config, internet)
-    diversion_log, ledger = run_migration(config, internet, ground_truth)
-    telescope_events = observe_telescope(config, ground_truth)
-    honeypot_events = observe_honeypots(config, ground_truth)
-    openintel, dps_usage = measure_dns(config, internet, diversion_log)
-    fused, web_index = fuse_observations(
-        internet, telescope_events, honeypot_events, openintel
-    )
-    return assemble_result(
-        config,
-        internet,
-        diversion_log,
-        ledger,
-        ground_truth,
-        telescope_events,
-        honeypot_events,
-        fused,
-        openintel,
-        dps_usage,
-        web_index,
-    )
+    """Run the full pipeline for one scenario: serial, in memory, fault-free."""
+    from repro.pipeline.runner import ResilientPipeline  # imports this module
+
+    return ResilientPipeline(config).run()

@@ -104,6 +104,12 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Buffered: handle_one_request flushes each response in one write
+    # after the handler returns, so the request-log entry _instrumented
+    # records exists before the client sees the answer, and headers and
+    # body never go out as two writes, which on a keep-alive connection
+    # meet Nagle plus the client's delayed ACK (~40 ms per request).
+    wbufsize = -1
 
     @property
     def service(self) -> LiveIngestService:

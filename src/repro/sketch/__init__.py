@@ -1,9 +1,8 @@
 """Streaming-sketch engine: approximate detection in bounded space.
 
-The third detection tier. Where the exact tier keeps one object per
-flow and the columnar tier one list per live victim, the sketch tier
-bounds memory with three classic summaries, each seeded, mergeable, and
-fed straight from the columnar arrays:
+The second detection tier. Where the exact tier keeps one object per
+flow, the sketch tier bounds memory with three classic summaries, each
+seeded, mergeable, and fed straight from flat column arrays:
 
 * :class:`CountMinSketch` — per-key packet/request counts (plain and
   conservative-update variants).

@@ -1,7 +1,7 @@
 """Accuracy harness: sketch tier vs exact reference on seeded workloads.
 
-Replays one scenario's captures through both the exact (columnar) and
-sketch detection tiers and reports per-quantity error distributions:
+Replays one scenario's captures through both the exact and sketch
+detection tiers and reports per-quantity error distributions:
 
 * **count relative error** — per-victim backscatter packets (telescope)
   and per-(victim, protocol) requests (honeypot), sketch estimate vs
@@ -32,10 +32,12 @@ import json
 import sys
 from typing import Dict, List, Sequence, Tuple
 
+from repro.honeypot.columnar import RequestColumns
 from repro.honeypot.detection import (
-    detect_columns as detect_honeypot_columns,
+    HoneypotDetector,
     detect_sketch as detect_honeypot_sketch,
 )
+from repro.net.columnar import PacketColumns
 from repro.pipeline.config import ScenarioConfig
 from repro.pipeline.simulation import (
     build_internet,
@@ -45,7 +47,7 @@ from repro.pipeline.simulation import (
 )
 from repro.sketch.spacesaving import SpaceSaving
 from repro.telescope.rsdos import (
-    detect_columns as detect_telescope_columns,
+    RSDoSDetector,
     detect_sketch as detect_telescope_sketch,
 )
 
@@ -113,27 +115,28 @@ def _spacesaving_quality(
 def evaluate_telescope(
     config: ScenarioConfig, capture, top_n: int, top_k: int, asn_of=None
 ) -> Dict:
-    """Sketch-vs-exact report for one telescope capture (PacketColumns).
+    """Sketch-vs-exact report for one telescope capture (batch list).
 
     ``asn_of`` (an address -> origin-ASN callable, e.g.
     ``topology.routing.origin_asn``) enables the AS-level SpaceSaving
     heavy-hitter pass; without it only /24 prefixes are ranked.
     """
     rsdos = config.rsdos_config()
-    exact_events = detect_telescope_columns(rsdos, capture)
+    exact_events = list(RSDoSDetector(rsdos).run(capture))
     summary = detect_telescope_sketch(
-        rsdos, capture, sketch_config=config.sketch_config()
+        rsdos,
+        PacketColumns.from_batches(capture),
+        sketch_config=config.sketch_config(),
     )
     sketch_events = summary.events()
 
     exact_counts: Dict[int, int] = {}
     backscatter_victims: List[int] = []
     backscatter_packets: List[int] = []
-    for is_backscatter, victim, count in zip(
-        capture.backscatter, capture.srcs, capture.counts
-    ):
-        if not is_backscatter:
+    for batch in capture:
+        if not batch.is_backscatter:
             continue
+        victim, count = batch.src, batch.count
         exact_counts[victim] = exact_counts.get(victim, 0) + count
         backscatter_victims.append(victim)
         backscatter_packets.append(count)
@@ -183,18 +186,19 @@ def evaluate_telescope(
 def evaluate_honeypot(
     config: ScenarioConfig, request_log, top_n: int, top_k: int
 ) -> Dict:
-    """Sketch-vs-exact report for one request log (RequestColumns)."""
+    """Sketch-vs-exact report for one request log (batch list)."""
     detection = config.honeypot_detection_config()
-    exact_events = detect_honeypot_columns(detection, request_log)
+    exact_events = list(HoneypotDetector(detection).run(request_log))
+    columns = RequestColumns.from_batches(request_log)
     summary = detect_honeypot_sketch(
-        detection, request_log, sketch_config=config.sketch_config()
+        detection, columns, sketch_config=config.sketch_config()
     )
     sketch_events = summary.events()
 
-    n_protocols = max(1, len(request_log.protocols))
+    n_protocols = max(1, len(columns.protocols))
     exact_counts: Dict[int, int] = {}
     for victim, protocol_id, count in zip(
-        request_log.victims, request_log.protocol_ids, request_log.counts
+        columns.victims, columns.protocol_ids, columns.counts
     ):
         key = victim * n_protocols + protocol_id
         exact_counts[key] = exact_counts.get(key, 0) + count
@@ -245,14 +249,14 @@ def run_harness(
     ground_truth = schedule_attacks(config, internet)
     telescope = evaluate_telescope(
         config,
-        telescope_capture(config, ground_truth, codec="columnar"),
+        telescope_capture(config, ground_truth),
         top_n,
         top_k,
         asn_of=internet.topology.routing.origin_asn,
     )
     honeypot = evaluate_honeypot(
         config,
-        honeypot_capture(config, ground_truth, codec="columnar"),
+        honeypot_capture(config, ground_truth),
         top_n,
         top_k,
     )

@@ -9,8 +9,8 @@ everything the output is a function of:
 * the full scenario config (every field),
 * the stage name,
 * the shard count the observation stage fans out over,
-* the capture codec feeding the detectors, and
-* the store / columnar schema versions.
+* the detection tier, and
+* the store / cache schema versions.
 
 Because every pipeline stage is deterministic given those inputs (the
 property the crash-recovery drills already pin down), a fingerprint match
@@ -40,9 +40,7 @@ from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 from typing import Any, List, Optional, Tuple, Union
 
-from repro.honeypot.columnar import REQUEST_COLUMNS_SCHEMA
 from repro.log import get_logger
-from repro.net.columnar import PACKET_COLUMNS_SCHEMA
 from repro.obs.metrics import get_registry
 from repro.store.atomic import atomic_write_bytes, atomic_write_text
 from repro.store.checkpoint import STORE_SCHEMA_VERSION
@@ -64,16 +62,15 @@ def stage_fingerprint(
     config: Any,
     stage: str,
     n_shards: int = 1,
-    capture_codec: str = "object",
     detect_tier: str = "exact",
 ) -> str:
     """SHA-256 identity of one stage output.
 
     The fingerprint covers the scenario config (every dataclass field),
-    the stage name, the shard fan-out, the capture codec, the detection
-    tier, and the schema versions of the store and both columnar
-    encodings — any change to any of them must miss the cache (a
-    sketch-tier output must never be served to a columnar-tier run).
+    the stage name, the shard fan-out, the detection tier, and the
+    schema versions of the store and the cache — any change to any of
+    them must miss the cache (a sketch-tier output must never be served
+    to an exact-tier run).
     Canonical JSON (sorted keys, no whitespace variance) keeps the
     digest stable across processes.
     """
@@ -81,12 +78,9 @@ def stage_fingerprint(
         "scenario": asdict(config) if is_dataclass(config) else dict(config),
         "stage": stage,
         "n_shards": n_shards,
-        "capture_codec": capture_codec,
         "detect_tier": detect_tier,
         "store_schema": STORE_SCHEMA_VERSION,
         "cache_schema": STAGE_CACHE_SCHEMA,
-        "packet_columns_schema": PACKET_COLUMNS_SCHEMA,
-        "request_columns_schema": REQUEST_COLUMNS_SCHEMA,
     }
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

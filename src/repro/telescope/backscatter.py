@@ -30,6 +30,7 @@ from repro.attacks.attacker import (
     VECTOR_SYN_FLOOD,
     VECTOR_UDP_FLOOD,
 )
+from repro.core.distributions import poisson
 from repro.net.packet import (
     ICMP_DEST_UNREACH,
     ICMP_ECHO_REPLY,
@@ -103,7 +104,7 @@ class BackscatterModel:
         while minute * 60.0 < effective_duration:
             window = min(60.0, effective_duration - minute * 60.0)
             expected = telescope_rate * window
-            count = _poisson(rng, expected)
+            count = poisson(rng, expected)
             if count > 0:
                 timestamp = attack.start + minute * 60.0 + rng.uniform(0.0, 1.0)
                 yield PacketBatch(
@@ -146,17 +147,3 @@ def _distinct_spoofed(count: int, rng: Random) -> int:
     space = float(1 << 24)
     expected = space * (1.0 - math.exp(-count / space))
     return max(1, int(expected))
-
-
-def _poisson(rng: Random, lam: float) -> int:
-    if lam <= 0:
-        return 0
-    if lam > 500:
-        return max(0, int(rng.gauss(lam, lam**0.5) + 0.5))
-    limit = math.exp(-lam)
-    k, product = 0, 1.0
-    while True:
-        product *= rng.random()
-        if product <= limit:
-            return k
-        k += 1

@@ -19,7 +19,6 @@ an estimated 128 pps at the victim (multiply by 256 for a /8).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -155,149 +154,8 @@ class RSDoSDetector:
         )
 
 
-# Flow-record slots for the columnar fast path (plain lists instead of
-# FlowState instances; indices documented here once):
-# 0 victim, 1 first_ts, 2 last_ts, 3 packets, 4 bytes, 5 distinct_sources,
-# 6 ports set, 7 proto_packets dict, 8 minute_counts dict,
-# 9 tcp_responses, 10 icmp_responses, 11 creation seq.
-def detect_columns(
-    config: RSDoSConfig,
-    columns: PacketColumns,
-    shard_index: int = 0,
-    n_shards: int = 1,
-) -> List[TelescopeEvent]:
-    """RSDoS detection over a columnar capture — the object path inlined.
-
-    Produces the exact event list :class:`RSDoSDetector` yields over
-    ``columns.to_batches()`` (same events, same order): the backscatter
-    filter, sweep cadence, idle-timeout expiry, per-flow accumulators and
-    Moore et al. thresholds are all replicated against flat columns, with
-    flows held as plain lists and expiry driven by the same lazy min-heap
-    as :class:`~repro.telescope.flows.FlowTable`.
-    """
-    ports_flat = columns.ports
-
-    timeout = config.flow_timeout
-    min_packets = config.min_packets
-    min_duration = config.min_duration
-    min_ppm = config.min_max_pps * 60.0
-    heappush, heappop = heapq.heappush, heapq.heappop
-
-    flows: dict = {}
-    heap: List[Tuple[float, int]] = []
-    events: List[TelescopeEvent] = []
-    last_sweep = float("-inf")
-    next_seq = 0
-    sharded = n_shards > 1
-
-    def classify(record: list) -> None:
-        if record[3] < min_packets:
-            return
-        if record[2] - record[1] < min_duration:
-            return
-        minute_counts = record[8]
-        max_ppm = max(minute_counts.values()) if minute_counts else 0
-        if max_ppm < min_ppm:
-            return
-        proto_packets = record[7]
-        events.append(
-            TelescopeEvent(
-                victim=record[0],
-                start_ts=record[1],
-                end_ts=record[2],
-                packets=record[3],
-                bytes=record[4],
-                distinct_sources=record[5],
-                ports=tuple(sorted(record[6])),
-                ip_proto=max(proto_packets.items(), key=lambda kv: kv[1])[0],
-                max_ppm=max_ppm,
-                tcp_responses=record[9],
-                icmp_responses=record[10],
-            )
-        )
-
-    port_offsets = columns.port_offsets
-    for (
-        is_backscatter,
-        victim,
-        now,
-        proto,
-        count,
-        size,
-        dsts,
-        attack_proto,
-        lo,
-        hi,
-    ) in zip(
-        columns.backscatter,
-        columns.srcs,
-        columns.timestamps,
-        columns.protos,
-        columns.counts,
-        columns.sizes,
-        columns.distinct_dsts,
-        columns.attack_protos,
-        port_offsets,
-        port_offsets[1:],
-    ):
-        if not is_backscatter:
-            continue
-        if sharded and victim % n_shards != shard_index:
-            continue
-        if now - last_sweep >= 60.0:  # FlowTable's sweep_interval default
-            last_sweep = now
-            cutoff = now - timeout
-            swept: List[Tuple[int, list]] = []
-            while heap and heap[0][0] < cutoff:
-                _, entry_victim = heappop(heap)
-                record = flows.get(entry_victim)
-                if record is None:
-                    continue  # entry outlived its flow
-                if record[2] < cutoff:
-                    del flows[entry_victim]
-                    swept.append((record[11], record))
-                else:
-                    heappush(heap, (record[2], entry_victim))
-            if swept:
-                swept.sort(key=lambda pair: pair[0])
-                for _, record in swept:
-                    classify(record)
-        record = flows.get(victim)
-        if record is not None and now - record[2] > timeout:
-            del flows[victim]
-            classify(record)
-            record = None
-        if record is None:
-            record = [victim, now, now, 0, 0, 0, set(), {}, {}, 0, 0, next_seq]
-            next_seq += 1
-            flows[victim] = record
-            heappush(heap, (now, victim))
-        if now > record[2]:
-            record[2] = now
-        elif now < record[1]:
-            record[1] = now
-        record[3] += count
-        record[4] += size
-        record[5] += dsts
-        if hi > lo:
-            record[6].update(ports_flat[lo:hi])
-        if proto == PROTO_TCP:
-            record[9] += count
-        else:  # PROTO_ICMP (only backscatter protocols reach here)
-            record[10] += count
-        proto_packets = record[7]
-        proto_packets[attack_proto] = proto_packets.get(attack_proto, 0) + count
-        minute = int(now // 60)
-        minute_counts = record[8]
-        minute_counts[minute] = minute_counts.get(minute, 0) + count
-
-    for record in flows.values():
-        classify(record)
-    return events
-
-
 # Sketch-tier heavy-record slots (one record per victim, not per flow):
-# 0 first_ts, 1 last_ts, 2 packed counters. Slot 2 carries the codec's
+# 0 first_ts, 1 last_ts, 2 packed counters. Slot 2 carries the
 # precomputed ``sketch_packed`` sum — tcp responses, icmp responses,
 # bytes and distinct sources in 64-bit fields of a single integer (see
 # :mod:`repro.net.columnar`) — so the hot loop maintains all four
@@ -450,21 +308,18 @@ class TelescopeSketch:
 def detect_sketch(
     config: RSDoSConfig,
     columns: PacketColumns,
-    shard_index: int = 0,
-    n_shards: int = 1,
     sketch_config: Optional[SketchConfig] = None,
 ) -> TelescopeSketch:
-    """Sketch-tier ingestion of a columnar capture: one summary per shard.
+    """Sketch-tier ingestion of one (shard's) capture into a summary.
 
     The hot path is a single dict lookup plus two in-place mutations per
     backscatter row — no flow table, no expiry heap, no per-minute
-    dicts — which is what buys the >5x over :func:`detect_columns`.
-    Non-backscatter rows are skipped at C speed via
-    :func:`itertools.compress`, and the codec's precomputed
-    ``sketch_packed`` column collapses all four per-row counter updates
-    (tcp, icmp, bytes, distinct sources) into one integer add. Returns
-    the mergeable :class:`TelescopeSketch`; call ``events()`` on the
-    (merged) summary to materialize approximate events.
+    dicts. Non-backscatter rows are skipped at C speed via
+    :func:`itertools.compress`, and the precomputed ``sketch_packed``
+    column collapses all four per-row counter updates (tcp, icmp, bytes,
+    distinct sources) into one integer add. Returns the mergeable
+    :class:`TelescopeSketch`; call ``events()`` on the (merged) summary
+    to materialize approximate events.
     """
     summary = TelescopeSketch(config, sketch_config or SketchConfig())
     sketch = summary.sketch
@@ -474,23 +329,12 @@ def detect_sketch(
         zip(columns.srcs, columns.timestamps, columns.sketch_packed),
         columns.backscatter,
     )
-    if n_shards > 1:
-        for victim, now, packed in rows:
-            if victim % n_shards != shard_index:
-                continue
-            try:
-                record = heavy[victim]
-                record[1] = now
-                record[2] += packed
-            except KeyError:
-                admit(victim, [now, now, packed])
-    else:
-        for victim, now, packed in rows:
-            try:
-                record = heavy[victim]
-                record[1] = now
-                record[2] += packed
-            except KeyError:
-                admit(victim, [now, now, packed])
+    for victim, now, packed in rows:
+        try:
+            record = heavy[victim]
+            record[1] = now
+            record[2] += packed
+        except KeyError:
+            admit(victim, [now, now, packed])
     sketch.rows += len(columns)
     return summary

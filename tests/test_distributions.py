@@ -1,4 +1,6 @@
-"""Unit and property tests for empirical CDFs."""
+"""Unit and property tests for empirical CDFs and the Poisson sampler."""
+
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from repro.core.distributions import (
     duration_cdf,
     intensity_cdf,
     per_protocol_intensity_cdfs,
+    poisson,
 )
 from repro.core.events import AttackEvent, SOURCE_HONEYPOT, SOURCE_TELESCOPE
 
@@ -91,3 +94,19 @@ class TestEventCDFs:
     def test_per_protocol_ignores_telescope(self):
         telescope_event = AttackEvent(SOURCE_TELESCOPE, 1, 0, 1, 1.0)
         assert per_protocol_intensity_cdfs([telescope_event]) == {}
+
+
+class TestPoisson:
+    def test_nonpositive_rate_draws_zero(self):
+        rng = Random(1)
+        assert poisson(rng, 0.0) == 0
+        assert poisson(rng, -3.0) == 0
+
+    @pytest.mark.parametrize("lam", [0.5, 20.0, 800.0])
+    def test_sample_mean_tracks_rate(self, lam):
+        # 800 takes the normal-approximation branch; the bound is four
+        # standard errors of the mean.
+        rng = Random(7)
+        n = 4000
+        mean = sum(poisson(rng, lam) for _ in range(n)) / n
+        assert abs(mean - lam) < 4 * (lam / n) ** 0.5

@@ -53,7 +53,7 @@ from repro.pipeline.datasets import (
     event_to_dict,
     read_events_jsonl,
 )
-from repro.pipeline.runner import RetryPolicy, run_resilient
+from repro.pipeline.runner import ResilientPipeline, RetryPolicy
 
 
 class FakeClock:
@@ -315,7 +315,9 @@ class TestDeterministicArtifacts:
             cpu_clock=FakeClock(step=0.0005),
             rss_fn=lambda: 1024,
         )
-        run_resilient(small_config, telemetry=telemetry, sleep=no_sleep)
+        ResilientPipeline(
+            small_config, telemetry=telemetry, sleep=no_sleep
+        ).run()
         return (
             telemetry.metrics.to_json(),
             telemetry.tracer.to_chrome_json(),
@@ -349,13 +351,13 @@ class TestExactCountersUnderFaults:
             )
         )
         telemetry = Telemetry.create(clock=FakeClock())
-        result = run_resilient(
+        result = ResilientPipeline(
             small_config,
             plan=plan,
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
             sleep=no_sleep,
             telemetry=telemetry,
-        )
+        ).run()
         return result, telemetry.metrics
 
     def test_exact_counter_values(self, small_config):

@@ -1,10 +1,10 @@
 """Equivalence tests for the hot-path engine.
 
 Every fast path introduced by the performance layer must be a drop-in
-replacement: columnar detection, heap-indexed flow expiry, the packed
-LPM/hosting lookups, chunked JSONL serialization, the zlib checkpoint
-codec and the cross-run stage cache are each pinned against their
-reference implementation — identical events, identical lookups,
+replacement: victim-sharded detection, heap-indexed flow expiry, the
+packed LPM/hosting lookups, chunked JSONL serialization, the zlib
+checkpoint codec and the cross-run stage cache are each pinned against
+their reference implementation — identical events, identical lookups,
 identical bytes — across seeded scenarios, randomized streams and
 injected fault plans.
 """
@@ -23,13 +23,7 @@ import pytest
 from repro.faults.injectors import FaultInjectorSet
 from repro.faults.plan import FaultPlan
 from repro.honeypot.amppot import RequestBatch
-from repro.honeypot.columnar import RequestColumns
-from repro.honeypot.detection import (
-    DetectionConfig,
-    HoneypotDetector,
-    detect_columns as detect_honeypot_columns,
-)
-from repro.net.columnar import PacketColumns
+from repro.honeypot.detection import DetectionConfig, HoneypotDetector
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, PacketBatch
 from repro.net.protocols import REFLECTION_PROTOCOLS
 from repro.pipeline import datasets
@@ -40,13 +34,13 @@ from repro.pipeline.datasets import (
     write_quarantine_jsonl,
     _atomic_text_writer,
 )
-from repro.pipeline.runner import OBSERVATION_STAGES, run_resilient
+from repro.pipeline.runner import OBSERVATION_STAGES, ResilientPipeline
 from repro.pipeline.simulation import (
     detect_honeypot_shard,
     detect_telescope_shard,
     honeypot_capture,
-    observe_honeypots,
-    observe_telescope,
+    merge_honeypot_shards,
+    merge_telescope_shards,
     telescope_capture,
 )
 from repro.store.checkpoint import (
@@ -55,10 +49,7 @@ from repro.store.checkpoint import (
     CheckpointVersionError,
 )
 from repro.store.stagecache import CACHE_MISS, StageCache, stage_fingerprint
-from repro.telescope.rsdos import (
-    RSDoSDetector,
-    detect_columns as detect_telescope_columns,
-)
+from repro.telescope.rsdos import RSDoSDetector
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
@@ -77,52 +68,49 @@ def request_log(small_config, sim):
     return honeypot_capture(small_config, sim.ground_truth)
 
 
-# -- columnar codecs ----------------------------------------------------------
+# -- victim-sharded detection ------------------------------------------------
 
 
-class TestColumnarCodecs:
-    def test_packet_columns_round_trip(self, capture):
-        columns = PacketColumns.from_batches(capture)
-        assert columns.to_batches() == capture
-        assert len(columns) == len(capture)
+def _telescope_sharded(config, capture, n_shards):
+    return merge_telescope_shards(
+        [
+            detect_telescope_shard(config, capture, shard, n_shards)
+            for shard in range(n_shards)
+        ]
+    )
 
-    def test_request_columns_round_trip(self, request_log):
-        columns = RequestColumns.from_batches(request_log)
-        assert columns.to_batches() == request_log
-        assert len(columns) == len(request_log)
 
+def _honeypot_sharded(config, request_log, n_shards):
+    return merge_honeypot_shards(
+        [
+            detect_honeypot_shard(config, request_log, shard, n_shards)
+            for shard in range(n_shards)
+        ]
+    )
+
+
+class TestShardedDetection:
     @pytest.mark.parametrize("n_shards", [1, 3])
-    def test_telescope_detection_equivalent(
+    def test_telescope_shards_match_serial(
         self, small_config, capture, n_shards
     ):
-        columns = PacketColumns.from_batches(capture)
-        for shard in range(n_shards):
-            assert detect_telescope_shard(
-                small_config, columns, shard, n_shards
-            ) == detect_telescope_shard(small_config, capture, shard, n_shards)
+        serial = RSDoSDetector(small_config.rsdos_config()).run(capture)
+        assert _telescope_sharded(
+            small_config, capture, n_shards
+        ) == merge_telescope_shards([list(serial)])
 
     @pytest.mark.parametrize("n_shards", [1, 3])
-    def test_honeypot_detection_equivalent(
+    def test_honeypot_shards_match_serial(
         self, small_config, request_log, n_shards
     ):
-        columns = RequestColumns.from_batches(request_log)
-        for shard in range(n_shards):
-            assert detect_honeypot_shard(
-                small_config, columns, shard, n_shards
-            ) == detect_honeypot_shard(
-                small_config, request_log, shard, n_shards
-            )
+        serial = HoneypotDetector(
+            small_config.honeypot_detection_config()
+        ).run(request_log)
+        assert _honeypot_sharded(
+            small_config, request_log, n_shards
+        ) == merge_honeypot_shards([list(serial)])
 
-    def test_observation_stages_codec_identical(self, small_config, sim):
-        ground_truth = sim.ground_truth
-        assert observe_telescope(
-            small_config, ground_truth, codec="columnar"
-        ) == observe_telescope(small_config, ground_truth, codec="object")
-        assert observe_honeypots(
-            small_config, ground_truth, codec="columnar"
-        ) == observe_honeypots(small_config, ground_truth, codec="object")
-
-    def test_equivalent_under_fault_plan(self, small_config, sim):
+    def test_shards_match_serial_under_fault_plan(self, small_config, sim):
         plan = FaultPlan.standard(
             small_config.n_days, n_honeypots=small_config.n_honeypots
         )
@@ -130,29 +118,15 @@ class TestColumnarCodecs:
         degraded = telescope_capture(
             small_config, sim.ground_truth, fault=injectors.telescope
         )
-        columns = PacketColumns.from_batches(degraded)
-        assert detect_telescope_columns(
-            small_config.rsdos_config(), columns
-        ) == list(
-            RSDoSDetector(small_config.rsdos_config()).run(iter(degraded))
-        )
+        assert _telescope_sharded(
+            small_config, degraded, 3
+        ) == _telescope_sharded(small_config, degraded, 1)
         degraded_log = honeypot_capture(
             small_config, sim.ground_truth, fault=injectors.honeypot
         )
-        log_columns = RequestColumns.from_batches(degraded_log)
-        assert detect_honeypot_columns(
-            small_config.honeypot_detection_config(), log_columns
-        ) == list(
-            HoneypotDetector(
-                small_config.honeypot_detection_config()
-            ).run(iter(degraded_log))
-        )
-
-    def test_unknown_codec_rejected(self, small_config, sim):
-        with pytest.raises(ValueError, match="codec"):
-            telescope_capture(small_config, sim.ground_truth, codec="bogus")
-        with pytest.raises(ValueError, match="codec"):
-            honeypot_capture(small_config, sim.ground_truth, codec="bogus")
+        assert _honeypot_sharded(
+            small_config, degraded_log, 3
+        ) == _honeypot_sharded(small_config, degraded_log, 1)
 
 
 # -- heap-indexed expiry ------------------------------------------------------
@@ -407,9 +381,7 @@ class TestStageFingerprint:
         assert stage_fingerprint(small_config, "honeypot") != base
         assert stage_fingerprint(small_config, "telescope", n_shards=3) != base
         assert (
-            stage_fingerprint(
-                small_config, "telescope", capture_codec="columnar"
-            )
+            stage_fingerprint(small_config, "telescope", detect_tier="sketch")
             != base
         )
         reseeded = small_config.with_seed(small_config.seed + 1)
@@ -462,8 +434,8 @@ class TestStageCache:
 
     def test_warm_run_hits_and_matches(self, tmp_path, small_config):
         cache_dir = tmp_path / "cache"
-        cold = run_resilient(small_config, stage_cache=cache_dir)
-        warm = run_resilient(small_config, stage_cache=cache_dir)
+        cold = ResilientPipeline(small_config, stage_cache=cache_dir).run()
+        warm = ResilientPipeline(small_config, stage_cache=cache_dir).run()
         assert warm.fused.combined.events == cold.fused.combined.events
         warm_status = {
             s.name: s.status for s in warm.quality.stages
@@ -479,7 +451,9 @@ class TestStageCache:
             small_config.n_days, n_honeypots=small_config.n_honeypots
         )
         cache_dir = tmp_path / "cache"
-        run_resilient(small_config, plan=plan, stage_cache=cache_dir)
+        ResilientPipeline(
+            small_config, plan=plan, stage_cache=cache_dir
+        ).run()
         assert list(cache_dir.glob("*.manifest.json")) == []
 
 

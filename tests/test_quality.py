@@ -21,7 +21,7 @@ from repro.pipeline.quality import (
     STATUS_OK,
     StageReport,
 )
-from repro.pipeline.runner import RetryPolicy, run_resilient
+from repro.pipeline.runner import ResilientPipeline, RetryPolicy
 
 
 def no_sleep(_delay):
@@ -46,13 +46,12 @@ class TestRoundTrip:
                 transient_failures={"honeypot": 9},
             )
         )
-        result = run_resilient(
+        result = ResilientPipeline(
             small_config,
             plan=plan,
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0),
             sleep=no_sleep,
-            baseline=HeadlineMetrics(1, 1, 0.5, 0.5, 0.5),
-        )
+        ).run(HeadlineMetrics(1, 1, 0.5, 0.5, 0.5))
         original = result.quality
         restored = _roundtrip(original)
         assert restored.to_dict() == original.to_dict()

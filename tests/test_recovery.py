@@ -94,6 +94,41 @@ class TestCrashRecovery:
         again = run_cli("resume", str(drill["ok_dir"]), check_rc=0)
         assert again.stdout == drill["ok"].stdout
 
+    @pytest.mark.parametrize("detect_tier", [None, "columnar"])
+    def test_resume_of_run_dir_with_retired_codec_fields(
+        self, drill, tmp_path, detect_tier
+    ):
+        # Run dirs from before the columnar capture codec was retired
+        # record capture_codec, and a detect_tier of null or "columnar";
+        # both ran the exact detectors, so they resume to the same bytes.
+        run_dir = tmp_path / "older"
+        run_cli(
+            "simulate", "--run-dir", str(run_dir),
+            "--crash-after", "telescope", check_rc=137,
+        )
+        (run_dir / "meta.json").write_text(
+            json.dumps(
+                {
+                    "capture_codec": "columnar",
+                    "command": "simulate",
+                    "detect_tier": detect_tier,
+                    "exec_mode": "auto",
+                    "meta_version": 1,
+                    "preset": "small",
+                    "seed": 42,
+                    "shards": None,
+                    "stage_cache": None,
+                    "workers": 1,
+                },
+                sort_keys=True,
+                indent=2,
+            )
+        )
+        run_cli("resume", str(run_dir), check_rc=0)
+        assert (run_dir / "events.jsonl").read_bytes() == (
+            drill["ok_dir"] / "events.jsonl"
+        ).read_bytes()
+
 
 class TestResumeErrors:
     def test_nonexistent_directory(self, tmp_path):

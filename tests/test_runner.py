@@ -36,7 +36,6 @@ from repro.pipeline.runner import (
     StageFailedError,
     STAGE_ORDER,
     TransientStageError,
-    run_resilient,
 )
 from repro.store import CheckpointStore
 
@@ -180,7 +179,7 @@ class TestDecorrelatedJitter:
 
 class TestHealthyRun:
     def test_matches_plain_simulation(self, small_config, sim):
-        result = run_resilient(small_config, sleep=no_sleep)
+        result = ResilientPipeline(small_config, sleep=no_sleep).run()
         assert len(result.fused.combined) == len(sim.fused.combined)
         assert len(result.telescope_events) == len(sim.telescope_events)
         assert len(result.honeypot_events) == len(sim.honeypot_events)
@@ -288,9 +287,9 @@ class TestFeedDownSweep:
         plan = FaultPlan.feed_down(
             FEED_TELESCOPE, small_config.n_days, small_config.n_honeypots
         )
-        result = run_resilient(
-            small_config, plan=plan, baseline=baseline, sleep=no_sleep
-        )
+        result = ResilientPipeline(
+            small_config, plan=plan, sleep=no_sleep
+        ).run(baseline)
         assert result.telescope_events == []
         assert len(result.honeypot_events) > 0
         quality = result.quality.feed(FEED_TELESCOPE)
@@ -302,9 +301,9 @@ class TestFeedDownSweep:
         plan = FaultPlan.feed_down(
             FEED_HONEYPOT, small_config.n_days, small_config.n_honeypots
         )
-        result = run_resilient(
-            small_config, plan=plan, baseline=baseline, sleep=no_sleep
-        )
+        result = ResilientPipeline(
+            small_config, plan=plan, sleep=no_sleep
+        ).run(baseline)
         assert result.honeypot_events == []
         assert result.quality.feed(FEED_HONEYPOT).status == STATUS_DOWN
 
@@ -312,9 +311,9 @@ class TestFeedDownSweep:
         plan = FaultPlan.feed_down(
             FEED_OPENINTEL, small_config.n_days, small_config.n_honeypots
         )
-        result = run_resilient(
-            small_config, plan=plan, baseline=baseline, sleep=no_sleep
-        )
+        result = ResilientPipeline(
+            small_config, plan=plan, sleep=no_sleep
+        ).run(baseline)
         assert result.openintel.hosting_intervals == []
         assert result.openintel.first_seen == {}
         assert result.quality.feed(FEED_OPENINTEL).status == STATUS_DOWN
@@ -325,9 +324,9 @@ class TestFeedDownSweep:
         plan = FaultPlan.feed_down(
             FEED_DPS, small_config.n_days, small_config.n_honeypots
         )
-        result = run_resilient(
-            small_config, plan=plan, baseline=baseline, sleep=no_sleep
-        )
+        result = ResilientPipeline(
+            small_config, plan=plan, sleep=no_sleep
+        ).run(baseline)
         quality = result.quality.feed(FEED_DPS)
         assert quality.status == STATUS_DOWN
         assert len(result.dps_usage.usages) < quality.events_dropped + 1
@@ -340,7 +339,9 @@ class TestReportDeterminism:
         )
         renders = []
         for _ in range(2):
-            result = run_resilient(small_config, plan=plan, sleep=no_sleep)
+            result = ResilientPipeline(
+                small_config, plan=plan, sleep=no_sleep
+            ).run()
             renders.append(result.quality.render())
         assert renders[0] == renders[1]
 
@@ -417,9 +418,9 @@ class TestDurableRuns:
                 n_honeypots=small_config.n_honeypots,
             )
 
-        uninterrupted = run_resilient(
+        uninterrupted = ResilientPipeline(
             small_config, plan=plan(), sleep=no_sleep
-        )
+        ).run()
         run_dir = tmp_path / "run"
         self._run(small_config, run_dir, plan=plan()).run()
         # Drop everything after the honeypot stage, as a crash would.
@@ -473,11 +474,11 @@ class TestSupervisedExecution:
     """The executor tentpole, in process: sharding, breakers, deadlines."""
 
     def test_sharded_run_matches_serial(self, small_config, sim):
-        result = run_resilient(
+        result = ResilientPipeline(
             small_config,
             exec_config=ExecConfig(workers=2, shards=3),
             sleep=no_sleep,
-        )
+        ).run()
         assert result.fused.combined.events == sim.fused.combined.events
         assert result.openintel.zone_stats == sim.openintel.zone_stats
         assert all(s.status == STATUS_OK for s in result.quality.stages)
@@ -485,14 +486,14 @@ class TestSupervisedExecution:
     def test_poison_shard_degrades_feed_and_trips_breaker(
         self, small_config
     ):
-        result = run_resilient(
+        result = ResilientPipeline(
             small_config,
             exec_config=ExecConfig(shards=3),
             exec_faults=ExecFaultPlan.single(
                 KIND_POISON, "honeypot", shard=0
             ),
             sleep=no_sleep,
-        )
+        ).run()
         # The unprocessable shard fails every attempt; the stage must fall
         # back to the empty-typed feed, not crash the run.
         assert result.quality.feed("honeypot").status == STATUS_DOWN
@@ -505,14 +506,14 @@ class TestSupervisedExecution:
         assert "circuit breakers:" in result.quality.render()
 
     def test_crash_shard_recovers_byte_identical(self, small_config, sim):
-        result = run_resilient(
+        result = ResilientPipeline(
             small_config,
             exec_config=ExecConfig(workers=2, shards=3),
             exec_faults=ExecFaultPlan.single(
                 KIND_CRASH, "telescope", shard=1
             ),
             sleep=no_sleep,
-        )
+        ).run()
         assert result.fused.combined.events == sim.fused.combined.events
         telescope = next(
             s for s in result.quality.stages if s.name == "telescope"

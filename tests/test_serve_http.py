@@ -7,8 +7,10 @@ runs: boot ``python -m repro serve``, ingest, SIGKILL, restart, assert
 the recovered digest matches.
 """
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -146,6 +148,24 @@ class TestIngestAndQuery:
         assert status == 400
         status, _body, _r = get(port, "/domains?domain=never-seen.example")
         assert status == 404
+
+    def test_keep_alive_requests_do_not_stall(self, served):
+        # A response sent as two writes (headers, then body) meets Nagle
+        # and the client's delayed ACK on a reused connection: ~44 ms per
+        # request. One write per response leaves only the real work.
+        _service, port = served
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 20 * 0.044 / 4
 
 
 class TestShedding:

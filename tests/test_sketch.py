@@ -4,7 +4,7 @@ The streaming-sketch engine trades exactness for throughput; these tests
 pin the parts that must stay exact anyway — seeded determinism, merge
 algebra (disjoint / overlapping / empty shards), the sharded-equals-
 serial identity the pipeline relies on, zero-event edge cases, and the
-``exact | columnar | sketch`` tier dispatch plumbing.
+``exact | sketch`` tier dispatch plumbing.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from repro.honeypot.amppot import RequestBatch
 from repro.honeypot.columnar import RequestColumns
 from repro.honeypot.detection import (
     DetectionConfig,
+    HoneypotDetector,
     HoneypotSketch,
-    detect_columns as detect_honeypot_columns,
     detect_sketch as detect_honeypot_sketch,
 )
 from repro.net.columnar import PacketColumns
@@ -32,7 +32,6 @@ from repro.pipeline.simulation import (
     merge_telescope_shards,
     observe_honeypots,
     observe_telescope,
-    resolve_detect_tier,
     telescope_capture,
 )
 from repro.sketch import (
@@ -45,8 +44,8 @@ from repro.sketch import (
 )
 from repro.telescope.rsdos import (
     RSDoSConfig,
+    RSDoSDetector,
     TelescopeSketch,
-    detect_columns as detect_telescope_columns,
     detect_sketch as detect_telescope_sketch,
 )
 
@@ -340,15 +339,11 @@ def request_columns(batches):
 
 
 class TestZeroEventEdges:
-    def test_telescope_columns_empty(self):
-        assert detect_telescope_columns(
-            RSDoSConfig(), telescope_columns([])
-        ) == []
+    def test_telescope_exact_empty(self):
+        assert list(RSDoSDetector(RSDoSConfig()).run([])) == []
 
-    def test_honeypot_columns_empty(self):
-        assert detect_honeypot_columns(
-            DetectionConfig(), request_columns([])
-        ) == []
+    def test_honeypot_exact_empty(self):
+        assert list(HoneypotDetector(DetectionConfig()).run([])) == []
 
     def test_telescope_sketch_empty(self):
         summary = detect_telescope_sketch(
@@ -518,11 +513,12 @@ class TestShardIdentity:
 
     def test_telescope_sketch_recall_vs_exact(self, small_config, sim):
         capture = telescope_capture(small_config, sim.ground_truth)
-        columns = PacketColumns.from_batches(capture)
         rsdos = small_config.rsdos_config()
-        exact = detect_telescope_columns(rsdos, columns)
+        exact = list(RSDoSDetector(rsdos).run(capture))
         summary = detect_telescope_sketch(
-            rsdos, columns, sketch_config=small_config.sketch_config()
+            rsdos,
+            telescope_columns(capture),
+            sketch_config=small_config.sketch_config(),
         )
         exact_victims = {event.victim for event in exact}
         sketch_victims = {event.victim for event in summary.events()}
@@ -530,11 +526,12 @@ class TestShardIdentity:
 
     def test_honeypot_sketch_recall_vs_exact(self, small_config, sim):
         request_log = honeypot_capture(small_config, sim.ground_truth)
-        columns = RequestColumns.from_batches(request_log)
         detection = small_config.honeypot_detection_config()
-        exact = detect_honeypot_columns(detection, columns)
+        exact = list(HoneypotDetector(detection).run(request_log))
         summary = detect_honeypot_sketch(
-            detection, columns, sketch_config=small_config.sketch_config()
+            detection,
+            request_columns(request_log),
+            sketch_config=small_config.sketch_config(),
         )
         exact_pairs = {(e.victim, e.protocol) for e in exact}
         sketch_pairs = {(e.victim, e.protocol) for e in summary.events()}
@@ -546,34 +543,21 @@ class TestShardIdentity:
 
 class TestTierDispatch:
     def test_tiers_registry(self):
-        assert DETECT_TIERS == ("exact", "columnar", "sketch")
+        assert DETECT_TIERS == ("exact", "sketch")
 
-    def test_resolve_auto_follows_codec(self):
-        assert resolve_detect_tier(None, "object") == "exact"
-        assert resolve_detect_tier(None, "columnar") == "columnar"
-        assert resolve_detect_tier("auto", "columnar") == "columnar"
-        for tier in DETECT_TIERS:
-            assert resolve_detect_tier(tier, "object") == tier
-
-    def test_resolve_rejects_unknown_sorted(self):
+    def test_shard_rejects_unknown_tier_sorted(self, small_config):
         with pytest.raises(ValueError) as excinfo:
-            resolve_detect_tier("bogus")
+            detect_telescope_shard(small_config, [], 0, 1, "bogus")
         message = str(excinfo.value)
         assert "bogus" in message
-        assert "columnar, exact, sketch" in message
+        assert "exact, sketch" in message
 
     def test_observe_telescope_tiers_agree(self, small_config, sim):
         exact = observe_telescope(
             small_config, sim.ground_truth, detect_tier="exact"
         )
-        columnar = observe_telescope(
-            small_config, sim.ground_truth, codec="columnar",
-            detect_tier="columnar",
-        )
-        assert columnar == exact
         sketch = observe_telescope(
-            small_config, sim.ground_truth, codec="columnar",
-            detect_tier="sketch",
+            small_config, sim.ground_truth, detect_tier="sketch"
         )
         assert {e.victim for e in exact} <= {e.victim for e in sketch}
 
@@ -582,8 +566,7 @@ class TestTierDispatch:
             small_config, sim.ground_truth, detect_tier="exact"
         )
         sketch = observe_honeypots(
-            small_config, sim.ground_truth, codec="columnar",
-            detect_tier="sketch",
+            small_config, sim.ground_truth, detect_tier="sketch"
         )
         exact_pairs = {(e.victim, e.protocol) for e in exact}
         sketch_pairs = {(e.victim, e.protocol) for e in sketch}
@@ -596,4 +579,4 @@ class TestTierDispatch:
             ResilientPipeline(
                 small_config, tmp_path, detect_tier="bogus"
             )
-        assert "columnar, exact, sketch" in str(excinfo.value)
+        assert "exact, sketch" in str(excinfo.value)
