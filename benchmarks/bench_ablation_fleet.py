@@ -11,7 +11,7 @@ import pytest
 from repro.attacks.attacker import ATTACK_REFLECTION
 from repro.core.report import render_table
 from repro.honeypot.amppot import AmpPotFleet, FleetConfig
-from repro.honeypot.detection import HoneypotDetector
+from repro.honeypot.detection import detect_columns
 
 FLEET_SIZES = (2, 6, 12, 24)
 
@@ -29,11 +29,9 @@ def test_ablation_fleet_size(benchmark, sim, reflection_truth, write_report):
                 FleetConfig(seed=sim.config.fleet_config().seed,
                             n_instances=size)
             )
-            log = fleet.capture(reflection_truth)
-            events = list(
-                HoneypotDetector(
-                    sim.config.honeypot_detection_config()
-                ).run(log)
+            log = fleet.capture_columns(reflection_truth)
+            events = detect_columns(
+                sim.config.honeypot_detection_config(), log
             )
             observed = {(e.victim, e.protocol) for e in events}
             truth = {

@@ -11,7 +11,7 @@ import pytest
 from repro.core.report import render_table
 from repro.telescope.backscatter import BackscatterModel
 from repro.telescope.darknet import NetworkTelescope
-from repro.telescope.rsdos import RSDoSConfig, RSDoSDetector
+from repro.telescope.rsdos import RSDoSConfig, detect_columns
 
 TIMEOUTS = (60.0, 300.0, 1200.0)
 
@@ -22,15 +22,14 @@ def capture(sim):
         backscatter=BackscatterModel(sim.config.backscatter_config()),
         noise=None,
     )
-    return telescope.capture(sim.ground_truth)
+    return telescope.capture_columns(sim.ground_truth)
 
 
 def test_ablation_flow_timeout(benchmark, capture, write_report):
     def detect_all():
         results = {}
         for timeout in TIMEOUTS:
-            detector = RSDoSDetector(RSDoSConfig(flow_timeout=timeout))
-            events = list(detector.run(iter(capture)))
+            events = detect_columns(RSDoSConfig(flow_timeout=timeout), capture)
             durations = sorted(e.duration for e in events)
             median = durations[len(durations) // 2] if durations else 0.0
             results[timeout] = (len(events), median)

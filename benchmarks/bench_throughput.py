@@ -3,11 +3,10 @@
 Not a paper table — these benches characterize the reproduction itself.
 Each measured substrate runs twice over identical input:
 
-* ``rsdos_sketch``   — the exact tier vs. the sketch tier
-                       (heavy-dict + count-min/HLL engine); reference
-                       here is the exact batch detector, so the speedup
-                       reads "sketch over exact"
-* ``honeypot_sketch``— exact tier vs. sketch tier on the request log
+* ``rsdos``          — the streaming RSDoS detector over the capture's
+                       batch objects vs. the columnar segmentation
+                       engine over the capture's columns
+* ``honeypot``       — the same pair for AmpPot event extraction
 * ``lpm``            — linear longest-prefix probing vs. the packed
                        per-length binary search
 * ``hosting``        — linear interval scan vs. the packed
@@ -16,10 +15,7 @@ Each measured substrate runs twice over identical input:
 
 Equivalence is asserted in the same run that is timed: events, lookups
 and bytes must match exactly before a speedup is reported, so the bench
-doubles as an end-to-end equivalence check. The sketch arms are
-approximate by design, so they assert accuracy floors instead of
-identity: event-victim recall >= 0.95 against the exact tier and
-top-100 per-victim count relative error <= 5%. Results land in
+doubles as an end-to-end equivalence check. Results land in
 ``benchmarks/out/throughput.json`` (schema: :mod:`bench_util`, with a
 ``substrates`` map of reference/fast rates and speedups) and a rendered
 ``throughput.txt``; ``tools/perf_compare.py`` gates CI on the committed
@@ -50,10 +46,8 @@ from bench_util import write_bench_json
 
 from repro.honeypot.detection import (
     HoneypotDetector,
-    detect_sketch as detect_honeypot_sketch,
+    detect_columns as detect_honeypot_columns,
 )
-from repro.honeypot.columnar import RequestColumns
-from repro.net.columnar import PacketColumns
 from repro.pipeline.config import ScenarioConfig
 from repro.pipeline.datasets import (
     event_to_dict,
@@ -67,42 +61,8 @@ from repro.pipeline.simulation import (
 )
 from repro.telescope.rsdos import (
     RSDoSDetector,
-    detect_sketch as detect_telescope_sketch,
+    detect_columns as detect_telescope_columns,
 )
-
-#: Accuracy floors asserted on the sketch arms (ISSUE acceptance gates).
-SKETCH_MIN_RECALL = 0.95
-SKETCH_MAX_COUNT_ERROR = 0.05
-SKETCH_ERROR_TOP_N = 100
-
-
-def _assert_sketch_accuracy(
-    name: str, exact_events, sketch_summary, sketch_events, exact_counts
-) -> None:
-    """Gate the sketch arm on recall + count error before reporting speed."""
-    exact_keys = {event.victim for event in exact_events}
-    sketch_keys = {event.victim for event in sketch_events}
-    recall = (
-        len(exact_keys & sketch_keys) / len(exact_keys) if exact_keys else 1.0
-    )
-    assert recall >= SKETCH_MIN_RECALL, (
-        f"{name}: sketch event recall {recall:.3f} < {SKETCH_MIN_RECALL}"
-    )
-    ranked = sorted(
-        exact_counts.items(), key=lambda kv: (-kv[1], kv[0])
-    )[:SKETCH_ERROR_TOP_N]
-    worst = max(
-        (
-            abs(sketch_summary.sketch.estimate(key) - true) / true
-            for key, true in ranked
-            if true > 0
-        ),
-        default=0.0,
-    )
-    assert worst <= SKETCH_MAX_COUNT_ERROR, (
-        f"{name}: sketch count relative error {worst:.4f} "
-        f"> {SKETCH_MAX_COUNT_ERROR}"
-    )
 
 #: Random address / query volumes per profile.
 PROFILES = {
@@ -164,67 +124,35 @@ def measure_substrates(
             "speedup": round(ref_s / fast_s, 3),
         }
 
-    # -- RSDoS sketch tier (reference = the exact tier) ---------------------
+    # -- RSDoS: streaming detector vs. columnar engine ---------------------
     capture = telescope_capture(config, sim.ground_truth)
-    columns = PacketColumns.from_batches(capture)
+    batches = capture.batches()
     rsdos_config = sim.config.rsdos_config()
-    sketch_config = sim.config.sketch_config()
-    exact_s, exact_events = _best_of(
-        repeats, lambda: list(RSDoSDetector(rsdos_config).run(capture))
+    ref_s, streamed = _best_of(
+        repeats, lambda: list(RSDoSDetector(rsdos_config).run(batches))
     )
-    sketch_s, sketch_summary = _best_of(
-        repeats,
-        lambda: detect_telescope_sketch(
-            rsdos_config, columns, sketch_config=sketch_config
-        ),
+    fast_s, events = _best_of(
+        repeats, lambda: detect_telescope_columns(rsdos_config, capture)
     )
-    exact_counts: Dict[int, int] = {}
-    for batch in capture:
-        if batch.is_backscatter:
-            exact_counts[batch.src] = (
-                exact_counts.get(batch.src, 0) + batch.count
-            )
-    _assert_sketch_accuracy(
-        "rsdos_sketch",
-        exact_events,
-        sketch_summary,
-        sketch_summary.events(),
-        exact_counts,
-    )
-    record("rsdos_sketch", "batches/s", len(capture), exact_s, sketch_s)
+    assert events == sorted(
+        streamed, key=lambda e: (e.start_ts, e.victim)
+    ), "columnar RSDoS diverged from the streaming detector"
+    record("rsdos", "rows/s", len(capture), ref_s, fast_s)
 
-    # -- honeypot sketch tier ------------------------------------------------
+    # -- honeypot: streaming detector vs. columnar engine ------------------
     request_log = honeypot_capture(config, sim.ground_truth)
-    request_columns = RequestColumns.from_batches(request_log)
+    batches = request_log.batches()
     hp_config = sim.config.honeypot_detection_config()
-    exact_s, exact_events = _best_of(
-        repeats, lambda: list(HoneypotDetector(hp_config).run(request_log))
+    ref_s, streamed = _best_of(
+        repeats, lambda: list(HoneypotDetector(hp_config).run(batches))
     )
-    sketch_s, sketch_summary = _best_of(
-        repeats,
-        lambda: detect_honeypot_sketch(
-            hp_config, request_columns, sketch_config=sketch_config
-        ),
+    fast_s, events = _best_of(
+        repeats, lambda: detect_honeypot_columns(hp_config, request_log)
     )
-    n_protocols = max(1, len(request_columns.protocols))
-    request_counts: Dict[int, int] = {}
-    for victim, protocol_id, count in zip(
-        request_columns.victims,
-        request_columns.protocol_ids,
-        request_columns.counts,
-    ):
-        key = victim * n_protocols + protocol_id
-        request_counts[key] = request_counts.get(key, 0) + count
-    _assert_sketch_accuracy(
-        "honeypot_sketch",
-        exact_events,
-        sketch_summary,
-        sketch_summary.events(),
-        request_counts,
-    )
-    record(
-        "honeypot_sketch", "batches/s", len(request_log), exact_s, sketch_s
-    )
+    assert events == sorted(
+        streamed, key=lambda e: (e.start_ts, e.victim, e.protocol)
+    ), "columnar honeypot extraction diverged from the streaming detector"
+    record("honeypot", "rows/s", len(request_log), ref_s, fast_s)
 
     # -- longest-prefix match ------------------------------------------------
     routing = sim.topology.routing
@@ -289,9 +217,8 @@ def measure_substrates(
 def render(substrates: Dict[str, Dict[str, Any]], title: str) -> str:
     lines = [
         title,
-        "(reference = seed implementation; fast = packed/chunked path; "
-        "identical output asserted; *_sketch arms: reference = exact "
-        "tier, accuracy floors asserted)",
+        "(reference = seed implementation or streaming detector; fast = "
+        "packed/chunked path or columnar engine; identical output asserted)",
         "",
         f"{'substrate':<14} {'unit':<10} {'reference/s':>12} "
         f"{'fast/s':>12} {'speedup':>8}",

@@ -3,9 +3,9 @@
 
 Shows the library-level API: hand-craft a capture for the telescope's RSDoS
 detector (backscatter vs scan noise, the Moore et al. filters) and a request
-log for the AmpPot event extractor (attack floods vs reflector scans), then
-inspect the classified events. Useful as a template for plugging in your own
-traffic sources.
+log for the AmpPot event extractor (attack floods vs reflector scans), encode
+them as columns, then inspect the classified events. Useful as a template for
+plugging in your own traffic sources.
 
 Usage::
 
@@ -13,10 +13,12 @@ Usage::
 """
 
 from repro.honeypot.amppot import RequestBatch
-from repro.honeypot.detection import DetectionConfig, HoneypotDetector
+from repro.honeypot.columnar import RequestColumns
+from repro.honeypot.detection import DetectionConfig, detect_columns as amppot_events
 from repro.net.addressing import format_ipv4, parse_ipv4
+from repro.net.columnar import PacketColumns
 from repro.net.packet import PROTO_TCP, PacketBatch, TCP_ACK, TCP_SYN
-from repro.telescope.rsdos import RSDoSConfig, RSDoSDetector
+from repro.telescope.rsdos import RSDoSConfig, detect_columns as rsdos_events
 
 VICTIM = parse_ipv4("203.0.113.7")
 SCANNER = parse_ipv4("198.51.100.99")
@@ -53,19 +55,17 @@ def telescope_demo() -> None:
             tcp_flags=TCP_SYN,
         )
     )
-    capture.sort(key=lambda b: b.timestamp)
+    columns = PacketColumns.from_batches(capture).time_sorted()
 
-    detector = RSDoSDetector(RSDoSConfig())
-    events = list(detector.run(capture))
+    events = rsdos_events(RSDoSConfig(), columns)
     for event in events:
         print(f"  attack on {format_ipv4(event.victim)}: "
               f"{event.packets} packets over {event.duration:.0f}s, "
               f"max {event.max_pps:.1f} pps at the telescope "
               f"(~{event.estimated_victim_pps:.0f} pps at the victim), "
               f"ports {event.ports}")
-    print(f"  batches seen: {detector.batches_seen}, "
-          f"backscatter: {detector.backscatter_batches}, "
-          f"flows discarded: {detector.flows_discarded}")
+    print(f"  batches seen: {len(columns)}, "
+          f"backscatter: {int(columns.backscatter().sum())}")
 
 
 def honeypot_demo() -> None:
@@ -90,16 +90,17 @@ def honeypot_demo() -> None:
             protocol="CharGen", count=4,
         )
     )
-    log.sort(key=lambda b: b.timestamp)
+    columns = RequestColumns.from_batches(log).time_sorted()
 
-    detector = HoneypotDetector(DetectionConfig())
-    events = list(detector.run(log))
+    events = amppot_events(DetectionConfig(), columns)
     for event in events:
         print(f"  {event.protocol} attack on {format_ipv4(event.victim)}: "
               f"{event.requests} requests via {event.honeypots} honeypots, "
               f"avg {event.avg_rps:.0f} req/s per reflector, "
               f"{event.duration:.0f}s")
-    print(f"  flows discarded as scans/dribble: {detector.flows_discarded}")
+    floods = {(e.victim, e.protocol) for e in events}
+    scans = {(b.victim, b.protocol) for b in log} - floods
+    print(f"  sources dropped as scans/dribble: {len(scans)}")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Export a simulated telescope capture as a pcap and re-detect from it.
 
-Demonstrates the wire-format layer: the darknet's count-compressed batch
-capture expands to real IPv4 frames in a classic libpcap file (linktype
-RAW, readable by tcpdump/Wireshark), and the RSDoS detector replayed over
-that file reproduces the same attack events — collection, storage and
-analysis fully decoupled, as with real telescope archives.
+Demonstrates the wire-format layer: the darknet's columnar capture
+expands, batch by batch, to real IPv4 frames in a classic libpcap file
+(linktype RAW, readable by tcpdump/Wireshark), and RSDoS detection over
+the frames read back reproduces the same attacks — collection, storage
+and analysis fully decoupled, as with real telescope archives.
 
 Usage::
 
@@ -17,11 +17,12 @@ import tempfile
 from pathlib import Path
 
 from repro.attacks.attacker import ATTACK_DIRECT, GroundTruthAttack
+from repro.net.columnar import PacketColumns
 from repro.net.packet import PROTO_TCP
 from repro.net.pcap import read_pcap_as_batches, write_batches_pcap
 from repro.telescope.backscatter import BackscatterConfig, BackscatterModel
 from repro.telescope.darknet import NetworkTelescope
-from repro.telescope.rsdos import RSDoSDetector
+from repro.telescope.rsdos import RSDoSConfig, detect_columns
 from repro.net.addressing import format_ipv4, parse_ipv4
 
 
@@ -44,14 +45,17 @@ def main() -> None:
     telescope = NetworkTelescope(
         backscatter=BackscatterModel(BackscatterConfig(seed=12)), noise=None
     )
-    capture = telescope.capture(attacks)
+    capture = telescope.capture_columns(attacks)
 
-    direct_events = list(RSDoSDetector().run(iter(capture)))
-    written = write_batches_pcap(capture, path)
+    direct_events = detect_columns(RSDoSConfig(), capture)
+    written = write_batches_pcap(capture.batches(), path)
     print(f"wrote {written} raw-IP frames to {path} "
           f"(open with: tcpdump -nn -r {path})")
 
-    replayed_events = list(RSDoSDetector().run(read_pcap_as_batches(path)))
+    # Each frame comes back as a one-packet batch; expanded batches of
+    # different victims interleave, so restore time order first.
+    replayed = PacketColumns.from_batches(read_pcap_as_batches(path))
+    replayed_events = detect_columns(RSDoSConfig(), replayed.time_sorted())
     print(f"events detected from live capture : {len(direct_events)}")
     print(f"events detected from pcap replay  : {len(replayed_events)}")
     for live, replayed in zip(direct_events, replayed_events):

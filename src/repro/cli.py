@@ -93,7 +93,7 @@ from repro.pipeline.datasets import (
 from repro.pipeline.fullreport import REPORT_ORDER, generate_full_report
 from repro.pipeline.quality import HeadlineMetrics
 from repro.pipeline.runner import ResilientPipeline, STAGE_ORDER
-from repro.pipeline.simulation import DETECT_TIERS, run_simulation
+from repro.pipeline.simulation import run_simulation
 from repro.serve.chaos import run_serve_chaos_drill
 from repro.serve.http import run_service
 from repro.serve.service import ServeConfig
@@ -114,7 +114,9 @@ _PRESETS = {
 #: Run-dir document recording how a durable run was started, so ``resume``
 #: can rebuild the exact scenario without the original command line.
 META_FILE = "meta.json"
-META_VERSION = 1
+#: v2: captures draw from per-attack random streams, so a v1 run dir's
+#: checkpoints come from other streams and must not be resumed.
+META_VERSION = 2
 
 #: The fused event data set a completed durable run leaves in its run dir.
 EVENTS_FILE = "events.jsonl"
@@ -159,13 +161,6 @@ def _add_exec_args(
         help="inject an execution fault, kind:stage[:shard[:attempts]] "
              "with kind one of hung/slow/crash/poison (repeatable; "
              "fault drills)",
-    )
-    sub.add_argument(
-        "--detect-tier", choices=DETECT_TIERS,
-        default=None if resumable else "exact",
-        help="detection tier for the observation stages: 'exact' (the "
-             "paper's flow detectors, default) or 'sketch' (approximate "
-             "bounded-memory streaming sketches)",
     )
     sub.add_argument(
         "--stage-cache", type=Path, default=None, metavar="DIR",
@@ -616,7 +611,6 @@ def _run_pipeline(
     exec_faults: Optional[ExecFaultPlan] = None,
     deadline: Optional[float] = None,
     interrupt: Optional[InterruptGuard] = None,
-    detect_tier: str = "exact",
     stage_cache: Optional[Path] = None,
 ):
     """Run the pipeline; a durable run leaves the fused events in its dir."""
@@ -628,7 +622,6 @@ def _run_pipeline(
         exec_faults=exec_faults,
         deadline=deadline,
         interrupt=interrupt,
-        detect_tier=detect_tier,
         stage_cache=stage_cache,
     )
     result = pipeline.run()
@@ -676,7 +669,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     "workers": exec_config.workers,
                     "shards": exec_config.shards,
                     "exec_mode": exec_config.mode,
-                    "detect_tier": args.detect_tier,
                     "stage_cache": (
                         str(args.stage_cache)
                         if args.stage_cache is not None
@@ -692,7 +684,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             exec_faults=exec_faults,
             deadline=args.deadline,
             interrupt=guard,
-            detect_tier=args.detect_tier,
             stage_cache=args.stage_cache,
         )
     except RunDeadlineExceeded as exc:
@@ -761,11 +752,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
         ),
         task_deadline=args.task_deadline,
     )
-    detect_tier = args.detect_tier or meta.get("detect_tier")
-    if detect_tier in (None, "columnar"):
-        # Older run dirs record no tier, or the retired columnar tier;
-        # both ran the exact detectors.
-        detect_tier = "exact"
     stage_cache = (
         args.stage_cache
         if args.stage_cache is not None
@@ -789,7 +775,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
             exec_faults=_exec_faults(args),
             deadline=args.deadline,
             interrupt=guard,
-            detect_tier=detect_tier,
             stage_cache=stage_cache,
         )
     except RunDeadlineExceeded as exc:

@@ -4,9 +4,9 @@ Each injector sits at the point where a feed's raw data enters the
 pipeline and removes, corrupts or delays exactly what the plan says the
 real-world failure would have removed, corrupted or delayed:
 
-* telescope downtime drops packet batches before RSDoS detection (the
+* telescope downtime drops capture rows before RSDoS detection (the
   attack's backscatter never reached a collector);
-* honeypot churn drops request batches per instance (a down AmpPot logs
+* honeypot churn drops request-log rows per instance (a down AmpPot logs
   nothing, but the rest of the fleet still sees the attack);
 * OpenINTEL missed snapshots punch day-holes into the compiled hosting /
   mail / NS intervals and postpone first-seen dates;
@@ -23,45 +23,56 @@ from __future__ import annotations
 
 import bisect
 from random import Random
+
+import numpy as np
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.events import AttackEvent
 from repro.dns.openintel import OpenIntelDataset
 from repro.dps.detection import DPSUsage, DPSUsageDataset
 from repro.faults.plan import DAY, FaultPlan, OutageWindow
-from repro.honeypot.amppot import RequestBatch
-from repro.net.packet import PacketBatch
+from repro.honeypot.columnar import RequestColumns
+from repro.net.columnar import PacketColumns
 
 
-def _in_windows(windows: Sequence[OutageWindow], ts: float) -> bool:
-    return any(w.covers_ts(ts) for w in windows)
+def _covered(windows: Sequence[OutageWindow], ts: np.ndarray) -> np.ndarray:
+    """Boolean mask: which timestamps fall inside any of *windows*."""
+    day = ts // DAY
+    mask = np.zeros(len(ts), dtype=bool)
+    for window in windows:
+        mask |= (day >= window.start_day) & (day < window.end_day)
+    return mask
 
 
 class TelescopeFaultInjector:
-    """Drops packet batches captured during telescope downtime windows."""
+    """Drops capture rows recorded during telescope downtime windows."""
 
     def __init__(self, plan: FaultPlan) -> None:
         self.windows = plan.telescope_outages
         self.dropped_batches = 0
         self.dropped_packets = 0
 
-    def filter(self, batches: Iterable[PacketBatch]) -> List[PacketBatch]:
-        if not self.windows:
-            # A fault-free plan, which every plain run has: skip the
-            # per-batch window test.
-            return list(batches)
-        kept: List[PacketBatch] = []
-        for batch in batches:
-            if _in_windows(self.windows, batch.timestamp):
-                self.dropped_batches += 1
-                self.dropped_packets += batch.count
-            else:
-                kept.append(batch)
-        return kept
+    def filter(self, capture):
+        """*capture* without its outage rows.
+
+        Takes :class:`~repro.net.columnar.PacketColumns` and returns
+        columns, or takes :class:`PacketBatch` objects and returns a list.
+        """
+        columns = (
+            capture
+            if isinstance(capture, PacketColumns)
+            else PacketColumns.from_batches(capture)
+        )
+        if self.windows:
+            dropped = _covered(self.windows, columns.ts)
+            self.dropped_batches += int(dropped.sum())
+            self.dropped_packets += int(columns.count[dropped].sum())
+            columns = columns.take(~dropped)
+        return columns if isinstance(capture, PacketColumns) else columns.batches()
 
 
 class HoneypotFaultInjector:
-    """Drops request batches logged by instances while they were down."""
+    """Drops request rows logged by instances while they were down."""
 
     def __init__(self, plan: FaultPlan) -> None:
         self.schedule: Dict[int, Tuple[OutageWindow, ...]] = (
@@ -70,18 +81,28 @@ class HoneypotFaultInjector:
         self.dropped_batches = 0
         self.dropped_requests = 0
 
-    def filter(self, batches: Iterable[RequestBatch]) -> List[RequestBatch]:
-        if not any(self.schedule.values()):
-            return list(batches)
-        kept: List[RequestBatch] = []
-        for batch in batches:
-            windows = self.schedule.get(batch.honeypot_id, ())
-            if windows and _in_windows(windows, batch.timestamp):
-                self.dropped_batches += 1
-                self.dropped_requests += batch.count
-            else:
-                kept.append(batch)
-        return kept
+    def filter(self, log):
+        """*log* without the rows of down instances.
+
+        Takes :class:`~repro.honeypot.columnar.RequestColumns` and returns
+        columns, or takes :class:`RequestBatch` objects and returns a list.
+        """
+        columns = (
+            log
+            if isinstance(log, RequestColumns)
+            else RequestColumns.from_batches(log)
+        )
+        dropped = np.zeros(len(columns), dtype=bool)
+        for honeypot_id, windows in self.schedule.items():
+            if windows:
+                dropped |= (columns.honeypot_id == honeypot_id) & _covered(
+                    windows, columns.ts
+                )
+        if dropped.any():
+            self.dropped_batches += int(dropped.sum())
+            self.dropped_requests += int(columns.count[dropped].sum())
+            columns = columns.take(~dropped)
+        return columns if isinstance(log, RequestColumns) else columns.batches()
 
 
 class OpenIntelFaultInjector:

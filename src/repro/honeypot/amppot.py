@@ -14,13 +14,20 @@ providers and volunteer-operated machines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
+
+import numpy as np
 
 from repro.attacks.attacker import ATTACK_REFLECTION, GroundTruthAttack
-from repro.core.distributions import poisson
+from repro.attacks.streams import (
+    attack_rng,
+    by_attack_id,
+    minute_windows,
+    noise_rng,
+)
+from repro.honeypot.columnar import PROTOCOLS, RequestColumns, protocol_id
 from repro.net.protocols import REFLECTION_PROTOCOLS
 
 _REGION_PLAN: Tuple[Tuple[str, int], ...] = (
@@ -83,7 +90,7 @@ class FleetConfig:
 
 
 class AmpPotFleet:
-    """Builds the fleet and converts attacks into logged request batches."""
+    """Builds the fleet and converts attacks into its request log."""
 
     def __init__(self, config: FleetConfig = FleetConfig()) -> None:
         if config.n_instances <= 0:
@@ -122,64 +129,102 @@ class AmpPotFleet:
         probability = self.config.instance_abuse_probability
         return [i for i in self.instances if rng.random() < probability]
 
-    def observe(self, attack: GroundTruthAttack) -> Iterator[RequestBatch]:
-        """Yield per-minute request batches for one reflection attack."""
-        if attack.kind != ATTACK_REFLECTION:
-            return
-        rng = self._rng
-        abused = self.abused_instances(rng)
-        if not abused:
-            return
-        protocol = attack.reflector_protocol
-        for instance in abused:
-            # Per-honeypot rate varies around the per-reflector average.
-            rate = attack.rate * math.exp(
-                rng.gauss(0.0, self.config.rate_jitter_sigma)
-            )
-            minute = 0
-            while minute * 60.0 < attack.duration:
-                window = min(60.0, attack.duration - minute * 60.0)
-                count = poisson(rng, rate * window)
-                if count > 0:
-                    yield RequestBatch(
-                        timestamp=attack.start + minute * 60.0 + rng.uniform(0.0, 1.0),
-                        victim=attack.target,
-                        honeypot_id=instance.instance_id,
-                        protocol=protocol,
-                        count=count,
-                    )
-                minute += 1
+    def observe(self, attack: GroundTruthAttack) -> List[RequestBatch]:
+        """One attack's per-minute request batches, as objects."""
+        return self.capture_columns([attack]).batches()
 
-    def scanner_noise(self, n_days: int) -> Iterator[RequestBatch]:
+    def scanner_noise(self, n_days: int) -> List[RequestBatch]:
+        """Reflector scans over *n_days*, as objects (unsorted)."""
+        return RequestColumns(*self._scanner_rows(n_days)).batches()
+
+    def capture_columns(
+        self, attacks: Iterable[GroundTruthAttack], n_days: int = 0
+    ) -> RequestColumns:
+        """Full time-sorted request log for the window.
+
+        Ties keep attack rows in attack-id order ahead of scanner rows,
+        so the log is a function of the attack set, not its order.
+        """
+        drawn = [
+            rows
+            for attack in by_attack_id(attacks)
+            if (rows := self._draw(attack)) is not None
+        ]
+        parts = []
+        if drawn:
+            ts, honeypot_id, count, keys = zip(*drawn)
+            lengths = [len(column) for column in ts]
+            victim, protocol = (
+                np.repeat(np.array(values), lengths) for values in zip(*keys)
+            )
+            parts.append(
+                (
+                    np.concatenate(ts),
+                    victim,
+                    np.concatenate(honeypot_id),
+                    protocol,
+                    np.concatenate(count),
+                )
+            )
+        if n_days > 0:
+            parts.append(self._scanner_rows(n_days))
+        if not parts:
+            return RequestColumns.empty()
+        return RequestColumns(
+            *(np.concatenate(column) for column in zip(*parts))
+        ).time_sorted()
+
+    def capture(
+        self, attacks: Iterable[GroundTruthAttack], n_days: int = 0
+    ) -> List[RequestBatch]:
+        """:meth:`capture_columns` as :class:`RequestBatch` objects."""
+        return self.capture_columns(attacks, n_days).batches()
+
+    def _draw(self, attack: GroundTruthAttack):
+        """One attack's rows, instance by instance: (ts, honeypot_id,
+        count, (victim, protocol id)).
+
+        Each abused honeypot sees the attack at its own rate, jittered
+        log-normally around the per-reflector average, and logs a
+        Poisson count of requests per minute at a random second.
+        """
+        if attack.kind != ATTACK_REFLECTION:
+            return None
+        rng = attack_rng(self.config.seed, attack)
+        abused = np.flatnonzero(
+            rng.random(len(self.instances))
+            < self.config.instance_abuse_probability
+        )
+        if not len(abused):
+            return None
+        rates = attack.rate * np.exp(
+            rng.normal(0.0, self.config.rate_jitter_sigma, len(abused))
+        )
+        minutes, windows = minute_windows(attack.duration)
+        counts = rng.poisson(np.outer(rates, windows))
+        jitter = rng.random(counts.shape)
+        sent = counts > 0
+        return (
+            (attack.start + minutes * 60.0 + jitter)[sent],
+            abused[np.nonzero(sent)[0]],
+            counts[sent],
+            (attack.target, protocol_id(attack.reflector_protocol)),
+        )
+
+    def _scanner_rows(self, n_days: int) -> Tuple[np.ndarray, ...]:
         """Reflector scans: short, low-volume probes from real sources.
 
         These are *not* spoofed attacks — the "victim" is the scanner
         itself — and must be dropped by the 100-request event threshold.
         """
-        rng = self._rng
-        protocols = list(REFLECTION_PROTOCOLS)
-        for day in range(n_days):
-            for _ in range(self.config.scans_per_day):
-                scanner = 0x50000000 + rng.randrange(1 << 26)
-                start = day * 86400.0 + rng.uniform(0.0, 86400.0)
-                protocol = rng.choice(protocols)
-                instance = rng.choice(self.instances)
-                yield RequestBatch(
-                    timestamp=start,
-                    victim=scanner,
-                    honeypot_id=instance.instance_id,
-                    protocol=protocol,
-                    count=rng.randint(1, self.config.scan_max_requests),
-                )
+        cfg = self.config
+        rng = noise_rng(cfg.seed)
+        n = cfg.scans_per_day * n_days
+        day = np.repeat(np.arange(n_days, dtype=np.float64), cfg.scans_per_day)
+        victim = 0x50000000 + rng.integers(1 << 26, size=n)
+        ts = day * 86400.0 + rng.uniform(0.0, 86400.0, n)
+        protocol = rng.integers(len(PROTOCOLS), size=n)
+        honeypot_id = rng.integers(len(self.instances), size=n)
+        count = rng.integers(1, cfg.scan_max_requests + 1, n)
+        return ts, victim, honeypot_id, protocol, count
 
-    def capture(
-        self, attacks: Iterable[GroundTruthAttack], n_days: int = 0
-    ) -> List[RequestBatch]:
-        """Full time-sorted request log for the window."""
-        batches: List[RequestBatch] = []
-        for attack in attacks:
-            batches.extend(self.observe(attack))
-        if n_days > 0:
-            batches.extend(self.scanner_noise(n_days))
-        batches.sort(key=lambda b: b.timestamp)
-        return batches

@@ -5,6 +5,11 @@ attack events. A gap longer than the aggregation timeout closes the event;
 events shorter than the 100-request threshold are dropped (scans and
 dribble), and — matching how AmpPot operates — event durations are capped at
 24 hours by closing and reopening the flow.
+
+:func:`detect_columns` applies these rules to a whole
+:class:`~repro.honeypot.columnar.RequestColumns` log at once and is what
+the pipeline runs; :class:`HoneypotDetector` is the streaming form for
+library use and the reference the columnar engine is tested against.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.honeypot.amppot import RequestBatch
-from repro.honeypot.columnar import RequestColumns
-from repro.sketch.engine import FlowSketch, SketchConfig
+from repro.honeypot.columnar import PROTOCOLS, RequestColumns
 
 DAY_SECONDS = 86400.0
 
@@ -73,6 +79,8 @@ class _OpenFlow:
 
 class HoneypotDetector:
     """Streaming aggregation of request batches into attack events.
+
+    The reference for :func:`detect_columns`, which the pipeline runs.
 
     Idle-flow expiry mirrors :class:`repro.telescope.flows.FlowTable`: a
     lazy min-heap of ``(last_ts, key)`` entries (pushed at flow creation,
@@ -202,149 +210,97 @@ class HoneypotDetector:
         )
 
 
-# Sketch-tier heavy-record slots (one record per victim/protocol pair):
-# 0 first_ts, 1 last_ts, 2 requests, 3 honeypot-id bitmask.
-# Slot 2 is the eviction count.
-_SKETCH_COUNT_SLOT = 2
+def detect_columns(
+    config: DetectionConfig, log: RequestColumns
+) -> List[AmpPotEvent]:
+    """Event extraction over a whole time-sorted log, as one segmentation.
 
-
-def _combine_honeypot_records(mine: list, theirs: list) -> None:
-    """Fold two per-pair records (shard merge): min/max stamps, sums, unions."""
-    if theirs[0] < mine[0]:
-        mine[0] = theirs[0]
-    if theirs[1] > mine[1]:
-        mine[1] = theirs[1]
-    mine[2] += theirs[2]
-    mine[3] |= theirs[3]
-
-
-class HoneypotSketch:
-    """Mergeable sketch-tier summary of one request-log shard.
-
-    Keys are packed ``victim * n_protocols + protocol_id`` integers
-    (cheaper to hash than tuples); the protocol interning table rides
-    along so a merged summary can unpack them. Merging requires the
-    same table on both sides (always true for shards of one capture);
-    a summary of an empty capture merges with anything.
+    Returns exactly the events :class:`HoneypotDetector` emits for
+    ``log.batches()``, in canonical ``(start_ts, victim, protocol)``
+    order. Rows are stable-sorted by (victim, protocol, timestamp); a
+    flow ends where the key changes or the gap to the key's previous
+    row is strictly greater than the gap timeout. Only flows spanning
+    more than the 24 h cap get a sequential pass, which closes the flow
+    at the first row more than the cap after the flow's first row and
+    reopens it there, as the streaming detector does.
     """
+    order = np.lexsort((log.ts, log.protocol, log.victim))
+    victim = log.victim[order]
+    protocol = log.protocol[order]
+    ts = log.ts[order]
+    count = log.count[order]
+    n = len(order)
+    if not n:
+        return []
 
-    def __init__(
-        self,
-        config: DetectionConfig,
-        sketch_config: SketchConfig,
-        protocols: Tuple[str, ...],
-    ) -> None:
-        self.config = config
-        self.protocols = protocols
-        self.sketch = FlowSketch(sketch_config, count_slot=_SKETCH_COUNT_SLOT)
-
-    def merge(self, other: "HoneypotSketch") -> "HoneypotSketch":
-        if self.config != other.config:
-            raise ValueError(
-                f"cannot merge honeypot sketches with different detection "
-                f"configs: {self.config} vs {other.config}"
-            )
-        if self.protocols != other.protocols:
-            if not self.protocols and not self.sketch.heavy:
-                self.protocols = other.protocols
-            elif other.protocols or other.sketch.heavy:
-                raise ValueError(
-                    "cannot merge honeypot sketches with different protocol "
-                    f"tables: {self.protocols!r} vs {other.protocols!r}"
-                )
-        self.sketch.merge(other.sketch, _combine_honeypot_records)
-        return self
-
-    @classmethod
-    def merge_all(
-        cls, summaries: Iterable["HoneypotSketch"]
-    ) -> "HoneypotSketch":
-        merged = None
-        for summary in summaries:
-            merged = summary if merged is None else merged.merge(summary)
-        if merged is None:
-            raise ValueError("merge_all needs at least one summary")
-        return merged
-
-    def cardinality(self) -> float:
-        """Approximate distinct (victim, protocol) pairs observed."""
-        return self.sketch.cardinality()
-
-    def estimate(self, victim: int, protocol_id: int) -> int:
-        """Upper-bound request count for one victim/protocol pair."""
-        n_protocols = max(1, len(self.protocols))
-        return self.sketch.estimate(victim * n_protocols + protocol_id)
-
-    def events(self) -> List[AmpPotEvent]:
-        """Classify per-pair aggregates into approximate events.
-
-        One event per (victim, protocol) — neither idle-gap splitting
-        nor the 24h duration cap is applied at this tier, so a long
-        intermittent attack surfaces as one spanning event instead of
-        several. The request-count filter matches the exact tier's
-        strict ``> min_requests``.
-        """
-        min_requests = self.config.min_requests
-        protocols = self.protocols
-        n_protocols = max(1, len(protocols))
-        sketch = self.sketch
-        spilled = sketch.evictions > 0
-        spill_estimate = sketch.spill.estimate
-        events: List[AmpPotEvent] = []
-        for key, record in sketch.heavy.items():
-            requests = record[2]
-            if spilled:
-                requests += spill_estimate(key)
-            if requests <= min_requests:
-                continue
-            events.append(
-                AmpPotEvent(
-                    victim=key // n_protocols,
-                    start_ts=record[0],
-                    end_ts=record[1],
-                    protocol=protocols[key % n_protocols],
-                    requests=requests,
-                    honeypots=bin(record[3]).count("1"),
-                )
-            )
-        events.sort(
-            key=lambda event: (event.start_ts, event.victim, event.protocol)
-        )
-        return events
-
-
-def detect_sketch(
-    config: DetectionConfig,
-    columns: RequestColumns,
-    sketch_config: Optional[SketchConfig] = None,
-) -> HoneypotSketch:
-    """Sketch-tier ingestion of one (shard's) request log into a summary.
-
-    Per-row work is one dict hit plus three in-place mutations — no
-    expiry heap, no gap/cap bookkeeping. Returns the mergeable
-    :class:`HoneypotSketch`; call ``events()`` on the (merged) summary.
-    """
-    protocols = columns.protocols
-    n_protocols = max(1, len(protocols))
-    summary = HoneypotSketch(config, sketch_config or SketchConfig(), protocols)
-    sketch = summary.sketch
-    heavy = sketch.heavy
-    admit = sketch.admit
-    rows = zip(
-        columns.timestamps,
-        columns.victims,
-        columns.honeypot_ids,
-        columns.protocol_ids,
-        columns.counts,
+    new_flow = np.ones(n, dtype=bool)
+    new_flow[1:] = (
+        (victim[1:] != victim[:-1])
+        | (protocol[1:] != protocol[:-1])
+        | (ts[1:] - ts[:-1] > config.gap_timeout)
     )
-    for now, victim, honeypot_id, protocol_id, count in rows:
-        key = victim * n_protocols + protocol_id
-        try:
-            record = heavy[key]
-            record[1] = now
-            record[2] += count
-            record[3] |= 1 << honeypot_id
-        except KeyError:
-            admit(key, [now, now, count, 1 << honeypot_id])
-    sketch.rows += len(columns)
-    return summary
+    starts = np.flatnonzero(new_flow)
+    ends = np.append(starts[1:], n)
+    cap = config.max_event_duration
+    cap_splits: List[int] = []
+    for start, end in _over_cap(starts, ends, ts, cap):
+        first = start
+        while True:
+            over = np.flatnonzero(ts[first:end] - ts[first] > cap)
+            if not len(over):
+                break
+            first += int(over[0])
+            cap_splits.append(first)
+    if cap_splits:
+        new_flow[cap_splits] = True
+        starts = np.flatnonzero(new_flow)
+        ends = np.append(starts[1:], n)
+
+    requests = np.add.reduceat(count, starts)
+    kept = np.flatnonzero(requests > config.min_requests)
+    if not len(kept):
+        return []
+    first_ts = ts[starts]
+    end_ts = ts[ends - 1]
+    if cap_splits:
+        # A flow the cap closed ends at most one cap after it began.
+        capped = np.searchsorted(starts, cap_splits) - 1
+        end_ts[capped] = np.minimum(end_ts[capped], first_ts[capped] + cap)
+
+    flow_of_row = np.cumsum(new_flow) - 1
+    keep = np.zeros(len(starts), dtype=bool)
+    keep[kept] = True
+    kept_rows = np.flatnonzero(keep[flow_of_row])
+    n_ids = int(log.honeypot_id.max()) + 1
+    pairs = np.unique(
+        flow_of_row[kept_rows] * n_ids + log.honeypot_id[order[kept_rows]]
+    )
+    honeypots = np.bincount(pairs // n_ids, minlength=len(starts))
+
+    events = [
+        AmpPotEvent(
+            victim=flow_victim,
+            start_ts=start,
+            end_ts=end,
+            protocol=PROTOCOLS[protocol_id],
+            requests=flow_requests,
+            honeypots=flow_honeypots,
+        )
+        for flow_victim, start, end, protocol_id, flow_requests, flow_honeypots
+        in zip(
+            victim[starts[kept]].tolist(),
+            first_ts[kept].tolist(),
+            end_ts[kept].tolist(),
+            protocol[starts[kept]].tolist(),
+            requests[kept].tolist(),
+            honeypots[kept].tolist(),
+        )
+    ]
+    events.sort(key=lambda event: (event.start_ts, event.victim, event.protocol))
+    return events
+
+
+def _over_cap(starts, ends, ts, cap) -> List[Tuple[int, int]]:
+    """(start, end) row ranges of the flows spanning more than *cap*."""
+    long = np.flatnonzero(ts[ends - 1] - ts[starts] > cap)
+    return list(zip(starts[long].tolist(), ends[long].tolist()))

@@ -1,91 +1,258 @@
-"""Structure-of-arrays input for the sketch detection tier.
+"""The telescope capture as numpy columns.
 
-The sketch tier (:func:`repro.telescope.rsdos.detect_sketch`) reads four
-quantities per packet batch. :class:`PacketColumns` stores exactly those
-as flat columns, so its hot loop indexes machine-typed buffers instead of
-touching a Python object per batch: the victim (``srcs``), the
-timestamp, the backscatter verdict (:attr:`PacketBatch.is_backscatter`
-as 0/1) and ``sketch_packed``.
+A capture is millions of count-compressed packet batches. Holding each
+as a :class:`~repro.net.packet.PacketBatch` object costs a Python object
+per row at synthesis time and a Python call per row at detection time.
+:class:`PacketColumns` stores the same rows as one numpy array per field
+instead, so backscatter synthesis (:mod:`repro.telescope.backscatter`)
+writes whole attacks at once and RSDoS detection
+(:func:`repro.telescope.rsdos.detect_columns`) runs as a vectorized
+segmentation.
 
-``sketch_packed`` packs every per-row quantity the sketch accumulates
-(tcp count, icmp count, bytes, distinct destinations) into one integer
-with 64-bit fields, choosing the tcp/icmp field by the row's response
-protocol *here*, where the protocol is already known. The sketch's hot
-loop then does a single ``record[2] += packed`` per row — one add
-maintains all four running sums at once. Summing is safe because each
-field is non-negative and 64 bits wide: overflowing a field into its
-neighbor would take 2**64 (~1.8e19) packets or bytes for a single
-victim, far beyond any real capture. Non-backscatter rows (which the
-sketch skips) pack to 0.
+Two fields need a representation change:
+
+* ``src_ports`` is a set per row. Rows carry an interned id
+  (``port_set``) into the capture's ``port_sets`` table instead; one
+  attack's batches all share one id.
+* ``quoted_proto`` is ``None`` for most rows; the column stores -1 for
+  "no quoted packet".
+
+The invariants :class:`PacketBatch` enforces per object are checked
+column-wide on construction and raise the same ``ValueError``. The
+object form stays available: :meth:`PacketColumns.batches` for pcap
+export and the streaming reference detector, and
+:meth:`PacketColumns.from_batches` for pcap replay and hand-built
+captures.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterable, List
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from repro.net.packet import PROTO_TCP, PacketBatch
+import numpy as np
 
-# ``sketch_packed`` field layout (bit offsets of each 64-bit field).
-SKETCH_PACKED_TCP_SHIFT = 0
-SKETCH_PACKED_ICMP_SHIFT = 64
-SKETCH_PACKED_BYTES_SHIFT = 128
-SKETCH_PACKED_DSTS_SHIFT = 192
-SKETCH_PACKED_FIELD_MASK = (1 << 64) - 1
+from repro.net.packet import (
+    BACKSCATTER_ICMP_TYPES,
+    PROTO_ICMP,
+    PROTO_TCP,
+    PacketBatch,
+    TCP_ACK,
+    TCP_RST,
+    TCP_SYN,
+)
+
+_BACKSCATTER_ICMP = np.array(sorted(BACKSCATTER_ICMP_TYPES), dtype=np.int16)
+
+#: Column name -> dtype, in constructor order.
+PACKET_COLUMNS: Tuple[Tuple[str, type], ...] = (
+    ("ts", np.float64),
+    ("src", np.uint32),
+    ("proto", np.uint8),
+    ("count", np.int64),
+    ("bytes", np.int64),
+    ("distinct_dsts", np.int64),
+    ("port_set", np.int32),
+    ("tcp_flags", np.uint8),
+    ("icmp_type", np.int16),
+    ("quoted_proto", np.int16),
+)
+
+
+def columns_equal(left, right, names: Sequence[str]) -> bool:
+    """Whether two column structs hold identical arrays for *names*."""
+    return all(
+        np.array_equal(getattr(left, name), getattr(right, name))
+        for name in names
+    )
+
+
+class PortSetTable:
+    """Interns port sets to small integer ids, in first-seen order."""
+
+    def __init__(self) -> None:
+        self._ids: Dict[FrozenSet[int], int] = {}
+
+    def intern(self, ports: FrozenSet[int]) -> int:
+        port_id = self._ids.get(ports)
+        if port_id is None:
+            port_id = self._ids[ports] = len(self._ids)
+        return port_id
+
+    def intern_single(self, ports: np.ndarray) -> np.ndarray:
+        """Ids of the one-port sets ``{p}`` for every *p* in *ports*."""
+        values, inverse = np.unique(ports, return_inverse=True)
+        ids = self._ids
+        table = np.array(
+            [
+                ids.setdefault(single, len(ids))
+                for single in map(frozenset, zip(values.tolist()))
+            ],
+            dtype=np.int32,
+        )
+        return table[inverse]
+
+    def table(self) -> Tuple[FrozenSet[int], ...]:
+        return tuple(self._ids)
 
 
 class PacketColumns:
-    """The sketch tier's view of a packet-batch capture, one column per field."""
+    """A telescope capture: one numpy array per :class:`PacketBatch` field."""
 
-    __slots__ = ("timestamps", "srcs", "backscatter", "sketch_packed")
+    __slots__ = tuple(name for name, _ in PACKET_COLUMNS) + ("port_sets",)
 
-    def __init__(self) -> None:
-        self.timestamps = array("d")
-        self.srcs = array("I")
-        self.backscatter = array("B")
-        # A plain list: packed values exceed 64 bits, so no array
-        # typecode fits.
-        self.sketch_packed: List[int] = []
+    def __init__(
+        self,
+        ts,
+        src,
+        proto,
+        count,
+        bytes,
+        distinct_dsts,
+        port_set,
+        tcp_flags,
+        icmp_type,
+        quoted_proto,
+        port_sets: Sequence[FrozenSet[int]] = (),
+    ) -> None:
+        values = (
+            ts, src, proto, count, bytes, distinct_dsts, port_set,
+            tcp_flags, icmp_type, quoted_proto,
+        )
+        n = len(ts)
+        for (name, dtype), value in zip(PACKET_COLUMNS, values):
+            column = np.asarray(value, dtype=dtype)
+            if column.shape != (n,):
+                raise ValueError(f"column {name!r} has {column.shape}, not ({n},)")
+            setattr(self, name, column)
+        #: Interning table: ``port_set`` id -> the row's source ports.
+        self.port_sets: Tuple[FrozenSet[int], ...] = tuple(port_sets)
+        if n:
+            if self.count.min() <= 0:
+                raise ValueError("batch count must be positive")
+            if self.distinct_dsts.min() <= 0:
+                raise ValueError("batch must hit at least one destination")
+            if self.port_set.min() < 0 or self.port_set.max() >= len(
+                self.port_sets
+            ):
+                raise ValueError("port-set id outside the port-set table")
+
+    @classmethod
+    def empty(cls) -> "PacketColumns":
+        return cls(*([()] * len(PACKET_COLUMNS)))
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.ts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PacketColumns):
+            return NotImplemented
+        return self.port_sets == other.port_sets and columns_equal(
+            self, other, [name for name, _ in PACKET_COLUMNS]
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"PacketColumns(rows={len(self)}, port_sets={len(self.port_sets)})"
+
+    def take(self, selector) -> "PacketColumns":
+        """The rows *selector* picks (boolean mask or index array)."""
+        return PacketColumns(
+            *(getattr(self, name)[selector] for name, _ in PACKET_COLUMNS),
+            port_sets=self.port_sets,
+        )
+
+    @classmethod
+    def concat(
+        cls,
+        parts: Sequence["PacketColumns"],
+        port_sets: Sequence[FrozenSet[int]],
+    ) -> "PacketColumns":
+        """Rows of *parts* in order, sharing the table *port_sets*.
+
+        Every part's table must be a prefix of *port_sets* (parts
+        interned into one growing :class:`PortSetTable`).
+        """
+        port_sets = tuple(port_sets)
+        for part in parts:
+            if port_sets[: len(part.port_sets)] != part.port_sets:
+                raise ValueError("part was interned into another port-set table")
+        return cls(
+            *(
+                np.concatenate([getattr(part, name) for part in parts])
+                for name, _ in PACKET_COLUMNS
+            ),
+            port_sets=port_sets,
+        )
+
+    def time_sorted(self) -> "PacketColumns":
+        """Rows in timestamp order; ties keep their current order."""
+        return self.take(np.argsort(self.ts, kind="stable"))
+
+    # -- vectorized PacketBatch properties ------------------------------------
+
+    def backscatter(self) -> np.ndarray:
+        """Boolean mask: :attr:`PacketBatch.is_backscatter` per row."""
+        flags = self.tcp_flags
+        syn_ack = (flags & (TCP_SYN | TCP_ACK)) == (TCP_SYN | TCP_ACK)
+        tcp = (self.proto == PROTO_TCP) & (syn_ack | ((flags & TCP_RST) != 0))
+        icmp = (self.proto == PROTO_ICMP) & np.isin(
+            self.icmp_type, _BACKSCATTER_ICMP
+        )
+        return tcp | icmp
+
+    def attack_proto(self) -> np.ndarray:
+        """:attr:`PacketBatch.attack_proto` per row."""
+        proto = self.proto.astype(np.int16)
+        quoted = (proto == PROTO_ICMP) & (self.quoted_proto >= 0)
+        return np.where(quoted, self.quoted_proto, proto)
+
+    # -- object form ----------------------------------------------------------
+
+    def batches(self) -> List[PacketBatch]:
+        """The rows as :class:`PacketBatch` objects, in row order."""
+        port_sets = self.port_sets
+        return [
+            PacketBatch(
+                timestamp=ts,
+                src=src,
+                proto=proto,
+                count=count,
+                bytes=size,
+                distinct_dsts=dsts,
+                src_ports=port_sets[port_set],
+                tcp_flags=flags,
+                icmp_type=icmp_type,
+                quoted_proto=None if quoted < 0 else quoted,
+            )
+            for (
+                ts, src, proto, count, size, dsts, port_set, flags,
+                icmp_type, quoted,
+            ) in zip(*(getattr(self, name).tolist() for name, _ in PACKET_COLUMNS))
+        ]
 
     @classmethod
     def from_batches(cls, batches: Iterable[PacketBatch]) -> "PacketColumns":
-        """Encode a capture into columns (row order preserved)."""
-        columns = cls()
-        timestamps = columns.timestamps
-        srcs = columns.srcs
-        backscatter = columns.backscatter
-        append_packed = columns.sketch_packed.append
-        for batch in batches:
-            timestamps.append(batch.timestamp)
-            srcs.append(batch.src)
-            if batch.is_backscatter:
-                backscatter.append(1)
-                append_packed(
-                    (
-                        batch.count
-                        << (
-                            SKETCH_PACKED_TCP_SHIFT
-                            if batch.proto == PROTO_TCP
-                            else SKETCH_PACKED_ICMP_SHIFT
-                        )
-                    )
-                    | (batch.bytes << SKETCH_PACKED_BYTES_SHIFT)
-                    | (batch.distinct_dsts << SKETCH_PACKED_DSTS_SHIFT)
-                )
-            else:
-                backscatter.append(0)
-                append_packed(0)
-        return columns
+        """Encode batch objects into columns (row order preserved)."""
+        table = PortSetTable()
+        rows = [
+            (
+                b.timestamp,
+                b.src,
+                b.proto,
+                b.count,
+                b.bytes,
+                b.distinct_dsts,
+                table.intern(frozenset(b.src_ports)),
+                b.tcp_flags,
+                b.icmp_type,
+                -1 if b.quoted_proto is None else b.quoted_proto,
+            )
+            for b in batches
+        ]
+        if not rows:
+            return cls.empty()
+        return cls(*zip(*rows), port_sets=table.table())
 
 
-__all__ = [
-    "SKETCH_PACKED_TCP_SHIFT",
-    "SKETCH_PACKED_ICMP_SHIFT",
-    "SKETCH_PACKED_BYTES_SHIFT",
-    "SKETCH_PACKED_DSTS_SHIFT",
-    "SKETCH_PACKED_FIELD_MASK",
-    "PacketColumns",
-]
+__all__ = ["PACKET_COLUMNS", "PacketColumns", "PortSetTable", "columns_equal"]

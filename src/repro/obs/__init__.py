@@ -87,6 +87,7 @@ class Telemetry:
         clock: Optional[Callable[[], float]] = None,
         cpu_clock: Optional[Callable[[], float]] = None,
         rss_fn: Optional[Callable[[], int]] = None,
+        current_rss_fn: Optional[Callable[[], int]] = None,
     ) -> "Telemetry":
         """Live telemetry; pass a fake *clock* for deterministic artifacts.
 
@@ -100,7 +101,12 @@ class Telemetry:
         return cls(
             metrics=MetricsRegistry(clock=wall),
             tracer=SpanTracer(clock=wall),
-            profiler=StageProfiler(clock=wall, cpu_clock=cpu, rss_fn=rss),
+            profiler=StageProfiler(
+                clock=wall,
+                cpu_clock=cpu,
+                rss_fn=rss,
+                current_rss_fn=current_rss_fn,
+            ),
             clock=wall,
         )
 

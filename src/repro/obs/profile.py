@@ -10,17 +10,23 @@ shard) and records:
 * **peak RSS** — the high-water resident set, via ``getrusage`` (kilobytes
   on Linux); monotone per process, so the per-stage value is "peak so
   far", which is exactly what a memory budget cares about;
+* **current RSS before and after** — the resident set read from
+  ``/proc/self/statm`` as the stage starts and ends, so a stage's own
+  footprint shows even after an earlier stage set the peak;
 * **events/sec** — the stage's output record count over its wall time,
-  the steering number for the ROADMAP's performance work.
+  the steering number for the ROADMAP's performance work;
+* **rows/sec** — for layers that consume a capture (synthesis output,
+  detection input), the capture's row count over the wall time.
 
-All three probes are injectable, so deterministic tests substitute fake
-clocks and a constant RSS function and get byte-identical ``profile.json``
+All probes are injectable, so deterministic tests substitute fake
+clocks and constant RSS functions and get byte-identical ``profile.json``
 artifacts. The disabled default is :class:`NullProfiler`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -45,6 +51,19 @@ def peak_rss_kb() -> int:
     return int(usage)
 
 
+_PAGE_KB = os.sysconf("SC_PAGE_SIZE") // 1024 if hasattr(os, "sysconf") else 4
+
+
+def current_rss_kb() -> int:
+    """Resident set size of this process now, in kilobytes (0: unknown)."""
+    try:
+        with open("/proc/self/statm", "rb") as handle:
+            pages = int(handle.read().split()[1])
+    except (OSError, IndexError, ValueError):
+        return 0
+    return pages * _PAGE_KB
+
+
 @dataclass
 class StageProfile:
     """Measured cost of one stage (or one shard of one stage)."""
@@ -54,11 +73,18 @@ class StageProfile:
     wall_s: float = 0.0
     cpu_s: float = 0.0
     peak_rss_kb: int = 0
+    rss_before_kb: int = 0
+    rss_after_kb: int = 0
     events: int = 0
+    rows: int = 0
 
     @property
     def events_per_s(self) -> float:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
+
+    @property
+    def rows_per_s(self) -> float:
+        return self.rows / self.wall_s if self.wall_s > 0 else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -67,8 +93,12 @@ class StageProfile:
             "wall_s": round(self.wall_s, 6),
             "cpu_s": round(self.cpu_s, 6),
             "peak_rss_kb": self.peak_rss_kb,
+            "rss_before_kb": self.rss_before_kb,
+            "rss_after_kb": self.rss_after_kb,
             "events": self.events,
             "events_per_s": round(self.events_per_s, 3),
+            "rows": self.rows,
+            "rows_per_s": round(self.rows_per_s, 3),
         }
 
 
@@ -81,6 +111,9 @@ class _ProfileHandle:
     def set_events(self, count: int) -> None:
         self._profile.events = int(count)
 
+    def set_rows(self, count: int) -> None:
+        self._profile.rows = int(count)
+
 
 class StageProfiler:
     """Collects :class:`StageProfile` records for a run."""
@@ -92,10 +125,16 @@ class StageProfiler:
         clock: Callable[[], float] = time.perf_counter,
         cpu_clock: Callable[[], float] = time.process_time,
         rss_fn: Callable[[], int] = peak_rss_kb,
+        current_rss_fn: Optional[Callable[[], int]] = None,
     ) -> None:
         self._clock = clock
         self._cpu_clock = cpu_clock
         self._rss_fn = rss_fn
+        # One injected fake RSS probe serves both readings unless a
+        # separate current-RSS probe is given.
+        if current_rss_fn is None:
+            current_rss_fn = current_rss_kb if rss_fn is peak_rss_kb else rss_fn
+        self._current_rss_fn = current_rss_fn
         self._lock = threading.Lock()
         self.profiles: List[StageProfile] = []
 
@@ -105,6 +144,7 @@ class StageProfiler:
     ) -> Iterator[_ProfileHandle]:
         record = StageProfile(stage=stage, shard=shard)
         handle = _ProfileHandle(record)
+        record.rss_before_kb = self._current_rss_fn()
         wall0 = self._clock()
         cpu0 = self._cpu_clock()
         try:
@@ -113,6 +153,7 @@ class StageProfiler:
             record.wall_s = self._clock() - wall0
             record.cpu_s = self._cpu_clock() - cpu0
             record.peak_rss_kb = self._rss_fn()
+            record.rss_after_kb = self._current_rss_fn()
             with self._lock:
                 self.profiles.append(record)
 
@@ -173,6 +214,9 @@ class _NullHandle:
     def set_events(self, count: int) -> None:
         pass
 
+    def set_rows(self, count: int) -> None:
+        pass
+
 
 _NULL_HANDLE = _NullHandle()
 
@@ -184,5 +228,6 @@ __all__ = [
     "NullProfiler",
     "StageProfile",
     "StageProfiler",
+    "current_rss_kb",
     "peak_rss_kb",
 ]

@@ -122,7 +122,7 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
             shard_counts[entry["stage"]] = (
                 shard_counts.get(entry["stage"], 0) + 1
             )
-        else:
+        elif "." not in entry["stage"]:  # layers are listed separately
             profiles_by_stage[entry["stage"]] = entry
     stage_rows = (quality or {}).get("stages", [])
     if stage_rows or profiles_by_stage:
@@ -149,6 +149,29 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
             if shard_counts.get(name):
                 rendered += f"  [{shard_counts[name]} shard(s)]"
             lines.append(rendered)
+        lines.append("")
+
+    # -- layers inside stages (synthesize / detect), from profile -----------
+    layers = [
+        entry
+        for entry in (profile or {}).get("profiles", [])
+        if "." in entry["stage"] and not entry.get("shard")
+    ]
+    if layers:
+        lines.append(
+            f"{'layer':<22} {'wall_s':>8} {'cpu_s':>8} {'rows':>10} "
+            f"{'rows/s':>12} {'rss_mb before->after':>22}"
+        )
+        for entry in layers:
+            rss = (
+                f"{entry.get('rss_before_kb', 0) / 1024:.1f}->"
+                f"{entry.get('rss_after_kb', 0) / 1024:.1f}"
+            )
+            lines.append(
+                f"{entry['stage']:<22} {entry['wall_s']:>8.3f} "
+                f"{entry.get('cpu_s', 0.0):>8.3f} {entry.get('rows', 0):>10} "
+                f"{entry.get('rows_per_s', 0.0):>12.1f} {rss:>22}"
+            )
         lines.append("")
 
     # -- supervision: retries, breaker trips, worker kills -------------------

@@ -23,7 +23,6 @@ from repro.honeypot.amppot import FleetConfig
 from repro.honeypot.detection import DetectionConfig
 from repro.internet.hosting import HostingConfig
 from repro.internet.topology import TopologyConfig
-from repro.sketch.engine import SketchConfig
 from repro.telescope.backscatter import BackscatterConfig
 from repro.telescope.darknet import NoiseConfig
 from repro.telescope.rsdos import RSDoSConfig
@@ -133,17 +132,6 @@ class ScenarioConfig:
 
     def honeypot_detection_config(self) -> DetectionConfig:
         return DetectionConfig()
-
-    def sketch_config(self) -> SketchConfig:
-        """Geometry for the sketch detection tier.
-
-        The hash seed derives from the master seed so sketch register
-        states are reproducible per scenario; the default capacity is
-        deliberately above the distinct-victim counts of every preset so
-        sharded sketch detection stays result-identical to single-shard
-        (no eviction, exact heavy-table union).
-        """
-        return SketchConfig(seed=_derive(self.seed, "sketch"))
 
     def migration_config(self) -> MigrationConfig:
         return MigrationConfig(seed=_derive(self.seed, "migration"))

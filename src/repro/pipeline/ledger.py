@@ -1,0 +1,64 @@
+"""The science ledger: numbers a scenario must reproduce exactly.
+
+A ledger records, for one scenario, the paper-facing numbers a code
+change is most likely to move without anyone noticing: the Table 1 rows
+(events, targets, /24s, /16s, ASNs per source), the detection-coverage
+rows of Section 3.1.3 (ground-truth attacks per category and how many
+the sensors detected), and the detection thresholds that produced them.
+A refactor must leave the ledger byte-identical; a change that moves a
+number on purpose regenerates it and shows the diff. Regenerate with::
+
+    PYTHONPATH=src python -c "from repro.pipeline.ledger import write_ledger; \\
+        write_ledger('benchmarks/out/ledger_small.json')"
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import asdict
+from pathlib import Path
+from typing import Any, Dict, Optional, Union
+
+from repro.core.coverage import detection_coverage
+from repro.pipeline.config import ScenarioConfig
+from repro.pipeline.simulation import SimulationResult, run_simulation
+
+
+def science_ledger(result: SimulationResult) -> Dict[str, Any]:
+    """The ledger document of one simulation result (JSON-ready)."""
+    config = result.config
+    return {
+        "scenario": asdict(config),
+        "thresholds": {
+            "telescope": asdict(config.rsdos_config()),
+            "honeypot": asdict(config.honeypot_detection_config()),
+        },
+        "table1": result.fused.summary_rows(),
+        "coverage": [
+            {
+                "category": row.category,
+                "ground_truth": row.ground_truth,
+                "detected": row.detected,
+                "coverage": row.coverage,
+            }
+            for row in detection_coverage(
+                result.ground_truth, result.fused.combined.events
+            )
+        ],
+    }
+
+
+def render_ledger(ledger: Dict[str, Any]) -> str:
+    return json.dumps(ledger, indent=2, sort_keys=True) + "\n"
+
+
+def write_ledger(
+    path: Union[str, Path], config: Optional[ScenarioConfig] = None
+) -> Dict[str, Any]:
+    """Simulate *config* (default: the small preset) and write its ledger."""
+    ledger = science_ledger(run_simulation(config or ScenarioConfig.small()))
+    Path(path).write_text(render_ledger(ledger), encoding="utf-8")
+    return ledger
+
+
+__all__ = ["render_ledger", "science_ledger", "write_ledger"]

@@ -42,9 +42,10 @@ import os
 import random
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from repro.dns.openintel import OpenIntelDataset
 from repro.dps.detection import DPSUsageDataset
@@ -82,7 +83,7 @@ from repro.pipeline.quality import (
 from repro.store.checkpoint import CheckpointIssue, CheckpointStore
 from repro.store.stagecache import CACHE_MISS, StageCache, stage_fingerprint
 from repro.pipeline import simulation as sim
-from repro.pipeline.simulation import SimulationResult, check_detect_tier
+from repro.pipeline.simulation import SimulationResult
 
 #: Orchestrated stage names, in execution order.
 STAGE_ORDER = (
@@ -243,11 +244,9 @@ class ResilientPipeline:
         interrupt: Optional[InterruptGuard] = None,
         breakers: Optional[Dict[str, CircuitBreaker]] = None,
         telemetry: Optional[Telemetry] = None,
-        detect_tier: str = "exact",
         stage_cache: Optional[Union[str, Path, StageCache]] = None,
     ) -> None:
         self.config = config
-        self.detect_tier = check_detect_tier(detect_tier)
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         self.plan = plan if plan is not None else FaultPlan.none(
             config.n_days, config.n_honeypots
@@ -628,38 +627,64 @@ class ResilientPipeline:
 
     def _observe_telescope_supervised(self, ground_truth: Any) -> Any:
         config, fault = self.config, self.injectors.telescope
-        tier = self.detect_tier
-        if not self.exec_config.parallel:
-            return sim.observe_telescope(
-                config, ground_truth, fault=fault, detect_tier=tier
-            )
-        # Capture consumes shared sequential RNG state and mutates the
-        # injector's loss counters, so it runs here in the supervising
-        # process; only the RNG-free detection fans out.
-        capture = sim.telescope_capture(config, ground_truth, fault=fault)
-        shards = self._run_shards(
+        return self._observe_feed(
             "telescope",
-            lambda i, n: lambda: sim.detect_telescope_shard(
-                config, capture, i, n, tier
-            ),
+            lambda: sim.telescope_capture(config, ground_truth, fault=fault),
+            sim.detect_telescope_shard,
+            sim.merge_telescope_shards,
         )
-        return sim.merge_telescope_shards(shards)
 
     def _observe_honeypots_supervised(self, ground_truth: Any) -> Any:
         config, fault = self.config, self.injectors.honeypot
-        tier = self.detect_tier
-        if not self.exec_config.parallel:
-            return sim.observe_honeypots(
-                config, ground_truth, fault=fault, detect_tier=tier
-            )
-        request_log = sim.honeypot_capture(config, ground_truth, fault=fault)
-        shards = self._run_shards(
+        return self._observe_feed(
             "honeypot",
-            lambda i, n: lambda: sim.detect_honeypot_shard(
-                config, request_log, i, n, tier
-            ),
+            lambda: sim.honeypot_capture(config, ground_truth, fault=fault),
+            sim.detect_honeypot_shard,
+            sim.merge_honeypot_shards,
         )
-        return sim.merge_honeypot_shards(shards)
+
+    def _observe_feed(
+        self,
+        stage: str,
+        synthesize: Callable[[], Any],
+        detect_shard: Callable[..., Any],
+        merge: Callable[[List[Any]], Any],
+    ) -> Any:
+        """Synthesize one feed's capture, detect over it, merge the shards.
+
+        Synthesis runs here in the supervising process: it mutates the
+        injector's loss counters, which a fork child would lose. Only
+        detection fans out over the pool, by victim partition. Both
+        layers get a child span and a profile entry carrying the
+        capture's row count.
+        """
+        config = self.config
+        with self._layer(stage, "synthesize") as set_rows:
+            capture = synthesize()
+            set_rows(len(capture))
+        with self._layer(stage, "detect") as set_rows:
+            set_rows(len(capture))
+            if self.exec_config.parallel:
+                shards = self._run_shards(
+                    stage,
+                    lambda i, n: lambda: detect_shard(config, capture, i, n),
+                )
+            else:
+                shards = [detect_shard(config, capture, 0, 1)]
+        return merge(shards)
+
+    @contextmanager
+    def _layer(self, stage: str, layer: str) -> Iterator[Callable[[int], None]]:
+        """A stage's child span + ``stage.layer`` profile entry; yields a
+        setter for the layer's input row count."""
+        with self._tracer.span(layer, stage=stage) as span:
+            with self._profiler.profile(f"{stage}.{layer}") as prof:
+
+                def set_rows(count: int) -> None:
+                    span.set_attr(rows=count)
+                    prof.set_rows(count)
+
+                yield set_rows
 
     def _measure_dns_supervised(
         self, internet: Any, diversion_log: Any
@@ -982,7 +1007,6 @@ class ResilientPipeline:
             n_shards=(
                 self.exec_config.n_shards if self.exec_config.parallel else 1
             ),
-            detect_tier=self.detect_tier,
         )
 
     def _stage_cache_get(self, name: str) -> Any:

@@ -42,9 +42,7 @@ from repro.honeypot.amppot import AmpPotFleet
 from repro.honeypot.columnar import RequestColumns
 from repro.honeypot.detection import (
     AmpPotEvent,
-    HoneypotDetector,
-    HoneypotSketch,
-    detect_sketch as detect_honeypot_sketch,
+    detect_columns as detect_honeypot_columns,
 )
 from repro.net.columnar import PacketColumns
 from repro.internet.hosting import HostingEcosystem
@@ -54,30 +52,12 @@ from repro.log import get_logger
 from repro.pipeline.config import ScenarioConfig
 from repro.telescope.backscatter import BackscatterModel
 from repro.telescope.darknet import NetworkTelescope, TelescopeNoise
-from repro.sketch.engine import export_sketch_metrics
 from repro.telescope.rsdos import (
-    RSDoSDetector,
     TelescopeEvent,
-    TelescopeSketch,
-    detect_sketch as detect_telescope_sketch,
+    detect_columns as detect_telescope_columns,
 )
 
 log = get_logger("simulation")
-
-#: Detection tiers the observation stages dispatch on. ``"exact"`` runs
-#: the paper's flow detectors over the capture's batch lists; ``"sketch"``
-#: is the approximate bounded-memory engine (:mod:`repro.sketch`).
-DETECT_TIERS = ("exact", "sketch")
-
-
-def check_detect_tier(detect_tier: str) -> str:
-    """Return *detect_tier* unchanged, or raise if it names no tier."""
-    if detect_tier not in DETECT_TIERS:
-        raise ValueError(
-            f"unknown detect tier {detect_tier!r} "
-            f"(tiers: {', '.join(sorted(DETECT_TIERS))})"
-        )
-    return detect_tier
 
 
 @dataclass
@@ -204,15 +184,15 @@ def telescope_capture(
     config: ScenarioConfig,
     ground_truth: List[GroundTruthAttack],
     fault=None,
-) -> List:
-    """The darknet capture (optionally degraded), materialized.
+) -> PacketColumns:
+    """The darknet capture (optionally degraded), as columns.
 
-    Capture generation consumes a *shared sequential* RNG across attacks
-    (backscatter and noise models), so it cannot be sharded without
-    changing the stream; it runs once, and only the RNG-free detection
-    downstream fans out. Fault filtering happens here too, so injector
-    counters mutate in the calling process rather than in a fork child
-    whose memory is thrown away.
+    Every attack's backscatter comes from its own random stream (see
+    :mod:`repro.attacks.streams`) and noise from a disjoint one, so the
+    capture depends on the attack set, not on the order of
+    *ground_truth*. Fault filtering happens here, so injector counters
+    mutate in the calling process rather than in a fork child whose
+    memory is thrown away.
     """
     noise = (
         TelescopeNoise(config.telescope_noise_config())
@@ -222,64 +202,40 @@ def telescope_capture(
     telescope = NetworkTelescope(
         backscatter=BackscatterModel(config.backscatter_config()), noise=noise
     )
-    capture = telescope.capture(ground_truth, n_days=config.n_days)
+    capture = telescope.capture_columns(ground_truth, n_days=config.n_days)
     if fault is not None:
         capture = fault.filter(capture)
     return capture
 
 
-def _telescope_order(events: List[TelescopeEvent]) -> List[TelescopeEvent]:
-    """Canonical event order: (start_ts, victim) is unique per event.
-
-    The detector emits events in flow-expiry order, which depends on the
-    interleaving of *other* victims' traffic — exactly the thing victim
-    sharding changes. The flow content itself is a function of each
-    victim's own batches only, so sorting both the serial and the merged
-    sharded output into this canonical order makes them identical lists.
-    """
-    return sorted(events, key=lambda e: (e.start_ts, e.victim))
-
-
 def detect_telescope_shard(
     config: ScenarioConfig,
-    capture: List,
+    capture: PacketColumns,
     shard_index: int,
     n_shards: int,
-    detect_tier: str = "exact",
-):
+) -> List[TelescopeEvent]:
     """RSDoS over one victim-partition of the capture.
 
-    Flows are keyed by victim (``batch.src``) and their content depends
-    only on that victim's batches, so partitioning by ``victim % n`` and
-    re-sorting reproduces the serial result exactly. Day-based sharding
-    would *not*: flows and gap timeouts cross day boundaries.
-
-    The ``"sketch"`` tier encodes this shard's batches into
-    :class:`~repro.net.columnar.PacketColumns` and returns a mergeable
-    :class:`~repro.telescope.rsdos.TelescopeSketch` instead of an event
-    list — :func:`merge_telescope_shards` materializes events from it.
+    Flows are keyed by victim (the backscatter source) and their content
+    depends only on that victim's rows, so partitioning by
+    ``victim % n`` and merging into canonical order reproduces the
+    serial result exactly. Day-based sharding would *not*: flows and gap
+    timeouts cross day boundaries.
     """
-    check_detect_tier(detect_tier)
-    batches = (b for b in capture if b.src % n_shards == shard_index)
-    if detect_tier == "sketch":
-        return detect_telescope_sketch(
-            config.rsdos_config(),
-            PacketColumns.from_batches(batches),
-            sketch_config=config.sketch_config(),
-        )
-    return list(RSDoSDetector(config.rsdos_config()).run(batches))
+    if n_shards > 1:
+        capture = capture.take(capture.src % n_shards == shard_index)
+    return detect_telescope_columns(config.rsdos_config(), capture)
 
 
 def observe_telescope(
     config: ScenarioConfig,
     ground_truth: List[GroundTruthAttack],
     fault=None,
-    detect_tier: str = "exact",
 ) -> List[TelescopeEvent]:
     """Stage 4: the darknet capture, optionally degraded, then RSDoS."""
     capture = telescope_capture(config, ground_truth, fault=fault)
     events = merge_telescope_shards(
-        [detect_telescope_shard(config, capture, 0, 1, detect_tier)]
+        [detect_telescope_shard(config, capture, 0, 1)]
     )
     log.debug(
         "telescope observed",
@@ -289,37 +245,27 @@ def observe_telescope(
     return events
 
 
-def merge_telescope_shards(shards: List) -> List[TelescopeEvent]:
-    """Merge per-shard detections into the canonical (serial) order.
-
-    Accepts either per-shard event lists (exact tier) or per-shard
-    :class:`~repro.telescope.rsdos.TelescopeSketch` summaries, which are
-    merged structurally before approximate events are materialized;
-    fill/error gauges are exported for the merged sketch.
-    """
-    if shards and isinstance(shards[0], TelescopeSketch):
-        summary = TelescopeSketch.merge_all(shards)
-        export_sketch_metrics("telescope", summary.sketch)
-        return _telescope_order(summary.events())
-    merged: List[TelescopeEvent] = []
-    for shard in shards:
-        merged.extend(shard)
-    return _telescope_order(merged)
+def merge_telescope_shards(
+    shards: List[List[TelescopeEvent]],
+) -> List[TelescopeEvent]:
+    """Merge per-shard detections into the canonical (serial) order:
+    ``(start_ts, victim)`` is unique per event."""
+    merged = [event for shard in shards for event in shard]
+    return sorted(merged, key=lambda e: (e.start_ts, e.victim))
 
 
 def honeypot_capture(
     config: ScenarioConfig,
     ground_truth: List[GroundTruthAttack],
     fault=None,
-) -> List:
-    """The fleet's request log (optionally degraded), materialized.
+) -> RequestColumns:
+    """The fleet's request log (optionally degraded), as columns.
 
-    Like :func:`telescope_capture`: the fleet models draw from shared
-    sequential RNG state, so capture is generated once and only the
-    detection shards fan out.
+    Like :func:`telescope_capture`: per-attack random streams, so the
+    log depends on the attack set, not its order.
     """
     fleet = AmpPotFleet(config.fleet_config())
-    request_log = fleet.capture(
+    request_log = fleet.capture_columns(
         ground_truth, n_days=config.n_days if config.honeypot_noise else 0
     )
     if fault is not None:
@@ -327,74 +273,47 @@ def honeypot_capture(
     return request_log
 
 
-def _honeypot_order(events: List[AmpPotEvent]) -> List[AmpPotEvent]:
-    """Canonical order: (start_ts, victim, protocol) is unique per event."""
-    return sorted(events, key=lambda e: (e.start_ts, e.victim, e.protocol))
-
-
 def detect_honeypot_shard(
     config: ScenarioConfig,
-    request_log: List,
+    request_log: RequestColumns,
     shard_index: int,
     n_shards: int,
-    detect_tier: str = "exact",
-):
+) -> List[AmpPotEvent]:
     """Honeypot event extraction over one victim-partition of the log.
 
     Flows are keyed by (victim, protocol); a victim partition keeps every
-    flow whole, and closure content is gap-driven per key (sweep timing
-    only changes *when* a flow closes, never what it contains).
-
-    The ``"sketch"`` tier encodes this shard's batches into
-    :class:`~repro.honeypot.columnar.RequestColumns` and returns a
-    mergeable :class:`~repro.honeypot.detection.HoneypotSketch`.
+    flow whole, so merging the shards reproduces the serial result.
     """
-    check_detect_tier(detect_tier)
-    batches = (b for b in request_log if b.victim % n_shards == shard_index)
-    if detect_tier == "sketch":
-        # Every shard interns protocols in first-seen order over the
-        # whole log, so the shard summaries share one table and merge.
-        protocols = tuple(dict.fromkeys(b.protocol for b in request_log))
-        return detect_honeypot_sketch(
-            config.honeypot_detection_config(),
-            RequestColumns.from_batches(batches, protocols),
-            sketch_config=config.sketch_config(),
+    if n_shards > 1:
+        request_log = request_log.take(
+            request_log.victim % n_shards == shard_index
         )
-    detector = HoneypotDetector(config.honeypot_detection_config())
-    return list(detector.run(batches))
+    return detect_honeypot_columns(
+        config.honeypot_detection_config(), request_log
+    )
 
 
 def observe_honeypots(
     config: ScenarioConfig,
     ground_truth: List[GroundTruthAttack],
     fault=None,
-    detect_tier: str = "exact",
 ) -> List[AmpPotEvent]:
     """Stage 4b: the fleet's request log, optionally degraded, then events."""
     request_log = honeypot_capture(config, ground_truth, fault=fault)
     events = merge_honeypot_shards(
-        [detect_honeypot_shard(config, request_log, 0, 1, detect_tier)]
+        [detect_honeypot_shard(config, request_log, 0, 1)]
     )
     log.debug("honeypots observed", events=len(events))
     return events
 
 
-def merge_honeypot_shards(shards: List) -> List[AmpPotEvent]:
-    """Merge per-shard detections into the canonical (serial) order.
-
-    Accepts either per-shard event lists or per-shard
-    :class:`~repro.honeypot.detection.HoneypotSketch` summaries (sketch
-    tier), which are merged structurally before approximate events are
-    materialized; fill/error gauges are exported for the merged sketch.
-    """
-    if shards and isinstance(shards[0], HoneypotSketch):
-        summary = HoneypotSketch.merge_all(shards)
-        export_sketch_metrics("honeypot", summary.sketch)
-        return _honeypot_order(summary.events())
-    merged: List[AmpPotEvent] = []
-    for shard in shards:
-        merged.extend(shard)
-    return _honeypot_order(merged)
+def merge_honeypot_shards(
+    shards: List[List[AmpPotEvent]],
+) -> List[AmpPotEvent]:
+    """Merge per-shard detections into the canonical (serial) order:
+    ``(start_ts, victim, protocol)`` is unique per event."""
+    merged = [event for shard in shards for event in shard]
+    return sorted(merged, key=lambda e: (e.start_ts, e.victim, e.protocol))
 
 
 def measure_dns_shard(

@@ -8,8 +8,7 @@ everything the output is a function of:
 
 * the full scenario config (every field),
 * the stage name,
-* the shard count the observation stage fans out over,
-* the detection tier, and
+* the shard count the observation stage fans out over, and
 * the store / cache schema versions.
 
 Because every pipeline stage is deterministic given those inputs (the
@@ -47,8 +46,9 @@ from repro.store.checkpoint import STORE_SCHEMA_VERSION
 
 log = get_logger("stagecache")
 
-#: Bump when the cache entry layout (not the payloads) changes.
-STAGE_CACHE_SCHEMA = 1
+#: Bump when the cache entry layout changes, or when the same scenario
+#: starts producing different payloads (v2: per-attack random streams).
+STAGE_CACHE_SCHEMA = 2
 
 #: How many fingerprint hex digits go into the entry filename. The full
 #: fingerprint is still verified from the manifest at load time.
@@ -62,15 +62,12 @@ def stage_fingerprint(
     config: Any,
     stage: str,
     n_shards: int = 1,
-    detect_tier: str = "exact",
 ) -> str:
     """SHA-256 identity of one stage output.
 
     The fingerprint covers the scenario config (every dataclass field),
-    the stage name, the shard fan-out, the detection tier, and the
-    schema versions of the store and the cache — any change to any of
-    them must miss the cache (a sketch-tier output must never be served
-    to an exact-tier run).
+    the stage name, the shard fan-out, and the schema versions of the
+    store and the cache — any change to any of them must miss the cache.
     Canonical JSON (sorted keys, no whitespace variance) keeps the
     digest stable across processes.
     """
@@ -78,7 +75,6 @@ def stage_fingerprint(
         "scenario": asdict(config) if is_dataclass(config) else dict(config),
         "stage": stage,
         "n_shards": n_shards,
-        "detect_tier": detect_tier,
         "store_schema": STORE_SCHEMA_VERSION,
         "cache_schema": STAGE_CACHE_SCHEMA,
     }

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from random import Random
-from typing import Iterator
+from typing import Iterable, List, Optional
+
+import numpy as np
 
 from repro.attacks.attacker import (
     ATTACK_DIRECT,
@@ -30,7 +31,8 @@ from repro.attacks.attacker import (
     VECTOR_SYN_FLOOD,
     VECTOR_UDP_FLOOD,
 )
-from repro.core.distributions import poisson
+from repro.attacks.streams import attack_rng, by_attack_id, minute_windows
+from repro.net.columnar import PacketColumns, PortSetTable
 from repro.net.packet import (
     ICMP_DEST_UNREACH,
     ICMP_ECHO_REPLY,
@@ -41,7 +43,6 @@ from repro.net.packet import (
     TCP_RST,
     TCP_SYN,
 )
-
 
 @dataclass(frozen=True)
 class BackscatterConfig:
@@ -63,23 +64,64 @@ class BackscatterConfig:
 
 
 class BackscatterModel:
-    """Turns ground-truth direct attacks into telescope packet batches."""
+    """Turns ground-truth direct attacks into telescope capture rows."""
 
     def __init__(self, config: BackscatterConfig = BackscatterConfig()) -> None:
         self.config = config
-        self._rng = Random(config.seed)
 
-    def observe(self, attack: GroundTruthAttack) -> Iterator[PacketBatch]:
-        """Yield per-minute backscatter batches the telescope captures.
+    def observe(self, attack: GroundTruthAttack) -> List[PacketBatch]:
+        """One attack's per-minute backscatter batches, as objects.
 
         Non-direct attacks yield nothing: reflection attacks spoof only the
         victim's address. Unspoofed direct attacks also yield nothing — the
         victim answers the real (botnet) sources, so no backscatter reaches
         unused space; this is the telescope's structural blind spot.
         """
+        return self.columns([attack]).batches()
+
+    def columns(
+        self,
+        attacks: Iterable[GroundTruthAttack],
+        port_sets: Optional[PortSetTable] = None,
+    ) -> PacketColumns:
+        """Every attack's backscatter rows, attack by attack in id order.
+
+        Port sets are interned into *port_sets* (a fresh table if None),
+        so callers assembling a larger capture can share one table.
+        """
+        table = port_sets if port_sets is not None else PortSetTable()
+        drawn = [
+            rows
+            for attack in by_attack_id(attacks)
+            if (rows := self._draw(attack, table)) is not None
+        ]
+        if not drawn:
+            return PacketColumns.empty()
+        ts, count, scalars = zip(*drawn)
+        lengths = [len(column) for column in ts]
+        src, proto, flags, icmp_type, quoted, port_set = (
+            np.repeat(np.array(values), lengths) for values in zip(*scalars)
+        )
+        count = np.concatenate(count)
+        return PacketColumns(
+            ts=np.concatenate(ts),
+            src=src,
+            proto=proto,
+            count=count,
+            bytes=count * self.config.backscatter_packet_bytes,
+            distinct_dsts=_distinct_spoofed(count),
+            port_set=port_set,
+            tcp_flags=flags,
+            icmp_type=icmp_type,
+            quoted_proto=quoted,
+            port_sets=table.table(),
+        )
+
+    def _draw(self, attack: GroundTruthAttack, table: PortSetTable):
+        """One attack's rows: (ts, count, per-attack scalars)."""
         if attack.kind != ATTACK_DIRECT or not attack.spoofed:
-            return
-        rng = self._rng
+            return None
+        rng = attack_rng(self.config.seed, attack)
         cfg = self.config
 
         response_prob = (
@@ -87,42 +129,35 @@ class BackscatterModel:
             if attack.vector in (VECTOR_UDP_FLOOD, VECTOR_OTHER_FLOOD)
             else cfg.response_probability
         )
-        capacity = rng.lognormvariate(cfg.capacity_mu, cfg.capacity_sigma)
+        capacity = rng.lognormal(cfg.capacity_mu, cfg.capacity_sigma)
         response_rate = min(attack.rate, capacity) * response_prob
         telescope_rate = response_rate * cfg.telescope_fraction
         if telescope_rate <= 0:
-            return
+            return None
 
         effective_duration = attack.duration
         if attack.rate > capacity * cfg.collapse_load_factor:
             effective_duration = attack.duration * cfg.collapse_after_fraction
 
         flags, icmp_type, quoted, proto = _response_shape(attack, rng, cfg)
-        ports = frozenset(attack.ports)
-
-        minute = 0
-        while minute * 60.0 < effective_duration:
-            window = min(60.0, effective_duration - minute * 60.0)
-            expected = telescope_rate * window
-            count = poisson(rng, expected)
-            if count > 0:
-                timestamp = attack.start + minute * 60.0 + rng.uniform(0.0, 1.0)
-                yield PacketBatch(
-                    timestamp=timestamp,
-                    src=attack.target,
-                    proto=proto,
-                    count=count,
-                    bytes=count * cfg.backscatter_packet_bytes,
-                    distinct_dsts=_distinct_spoofed(count, rng),
-                    src_ports=ports,
-                    tcp_flags=flags,
-                    icmp_type=icmp_type,
-                    quoted_proto=quoted,
-                )
-            minute += 1
+        minutes, windows = minute_windows(effective_duration)
+        counts = rng.poisson(telescope_rate * windows)
+        jitter = rng.random(len(minutes))
+        sent = counts > 0
+        counts = counts[sent]
+        ts = attack.start + minutes[sent] * 60.0 + jitter[sent]
+        scalars = (
+            attack.target,
+            proto,
+            flags,
+            icmp_type,
+            -1 if quoted is None else quoted,
+            table.intern(frozenset(attack.ports)),
+        )
+        return ts, counts, scalars
 
 
-def _response_shape(attack, rng: Random, cfg: BackscatterConfig):
+def _response_shape(attack, rng: np.random.Generator, cfg: BackscatterConfig):
     """(tcp_flags, icmp_type, quoted_proto, ip_proto) of the response."""
     if attack.vector == VECTOR_SYN_FLOOD:
         if rng.random() < cfg.syn_ack_probability:
@@ -136,14 +171,12 @@ def _response_shape(attack, rng: Random, cfg: BackscatterConfig):
     return 0, ICMP_DEST_UNREACH, attack.ip_proto, PROTO_ICMP
 
 
-def _distinct_spoofed(count: int, rng: Random) -> int:
-    """Distinct telescope addresses hit by *count* uniformly spoofed packets.
+def _distinct_spoofed(counts: np.ndarray) -> np.ndarray:
+    """Distinct telescope addresses hit by *counts* uniformly spoofed packets.
 
     With 2^24 telescope addresses, collisions are negligible at per-minute
     batch sizes; model a small collision loss for very large counts.
     """
-    if count < 1000:
-        return count
     space = float(1 << 24)
-    expected = space * (1.0 - math.exp(-count / space))
-    return max(1, int(expected))
+    expected = (space * (1.0 - np.exp(-counts / space))).astype(np.int64)
+    return np.where(counts < 1000, counts, np.maximum(1, expected))

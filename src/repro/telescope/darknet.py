@@ -11,11 +11,14 @@ must discard via the Moore et al. filters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
-from typing import Iterable, Iterator, List
+from typing import Iterable, List, Optional
+
+import numpy as np
 
 from repro.attacks.attacker import GroundTruthAttack
+from repro.attacks.streams import noise_rng
 from repro.net.addressing import Prefix
+from repro.net.columnar import PacketColumns, PortSetTable
 from repro.net.packet import (
     ICMP_ECHO_REPLY,
     PROTO_ICMP,
@@ -28,6 +31,8 @@ from repro.net.packet import (
 from repro.telescope.backscatter import BackscatterConfig, BackscatterModel
 
 DEFAULT_TELESCOPE_PREFIX = Prefix.from_string("44.0.0.0/8")
+
+DAY_SECONDS = 86400.0
 
 
 @dataclass(frozen=True)
@@ -42,105 +47,164 @@ class NoiseConfig:
     noise_source_space: int = 1 << 28  # sources drawn outside victim pools
 
 
+def _noise_starts(rng: np.random.Generator, per_day: int, n_days: int):
+    """(n, noise sources, start times) for *per_day* events on each day."""
+    n = per_day * n_days
+    day = np.repeat(np.arange(n_days, dtype=np.float64), per_day)
+    return n, day * DAY_SECONDS + rng.uniform(0.0, DAY_SECONDS, n)
+
+
 class TelescopeNoise:
-    """Generates scan / misconfiguration / sub-threshold noise batches."""
+    """Generates scan / misconfiguration / sub-threshold noise rows."""
 
     def __init__(self, config: NoiseConfig = NoiseConfig()) -> None:
         self.config = config
-        self._rng = Random(config.seed)
 
-    def generate(self, n_days: int) -> Iterator[PacketBatch]:
-        """Yield noise batches covering *n_days* of capture (time-sorted
-        within each day only; callers sort the merged capture)."""
-        for day in range(n_days):
-            yield from self._scan_batches(day)
-            yield from self._misconfig_batches(day)
-            yield from self._subthreshold_batches(day)
+    def generate(self, n_days: int) -> List[PacketBatch]:
+        """Noise batches covering *n_days* of capture, as objects
+        (unsorted; callers sort the merged capture)."""
+        return self.columns(n_days).batches()
 
-    def _noise_source(self) -> int:
-        return 0x60000000 + self._rng.randrange(self.config.noise_source_space)
+    def columns(
+        self, n_days: int, port_sets: Optional[PortSetTable] = None
+    ) -> PacketColumns:
+        """Noise rows covering *n_days* of capture (not time-sorted)."""
+        cfg = self.config
+        table = port_sets if port_sets is not None else PortSetTable()
+        rng = noise_rng(cfg.seed)
+        parts = [
+            self._scans(rng, n_days, table),
+            self._misconfigs(rng, n_days, table),
+            self._subthreshold(rng, n_days, table),
+        ]
+        return PacketColumns.concat(parts, table.table())
 
-    def _scan_batches(self, day: int) -> Iterator[PacketBatch]:
-        rng = self._rng
-        for _ in range(self.config.scans_per_day):
-            src = self._noise_source()
-            start = day * 86400.0 + rng.uniform(0.0, 86400.0)
-            # A scanner sweeps the telescope: SYN packets, which are NOT a
-            # response signature and must be ignored by the classifier.
-            for minute in range(rng.randint(1, 10)):
-                count = rng.randint(20, 400)
-                yield PacketBatch(
-                    timestamp=start + minute * 60.0,
-                    src=src,
-                    proto=PROTO_TCP,
-                    count=count,
-                    bytes=count * 40,
-                    distinct_dsts=count,
-                    src_ports=frozenset({rng.randrange(1024, 65536)}),
-                    tcp_flags=TCP_SYN,
-                )
+    def _sources(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return 0x60000000 + rng.integers(self.config.noise_source_space, size=n)
 
-    def _misconfig_batches(self, day: int) -> Iterator[PacketBatch]:
-        rng = self._rng
-        for _ in range(self.config.misconfig_per_day):
-            src = self._noise_source()
-            start = day * 86400.0 + rng.uniform(0.0, 86400.0)
-            count = rng.randint(1, 50)
-            yield PacketBatch(
-                timestamp=start,
-                src=src,
-                proto=PROTO_UDP,
-                count=count,
-                bytes=count * 120,
-                distinct_dsts=min(count, 4),
-                src_ports=frozenset({rng.randrange(1024, 65536)}),
-            )
+    def _scans(self, rng, n_days: int, table: PortSetTable) -> PacketColumns:
+        """A scanner sweeps the telescope for 1-10 minutes: SYN packets,
+        which are NOT a response signature and must be ignored by the
+        classifier."""
+        n, starts = _noise_starts(rng, self.config.scans_per_day, n_days)
+        sources = self._sources(rng, n)
+        minutes = rng.integers(1, 11, n)
+        scan = np.repeat(np.arange(n), minutes)
+        minute = np.arange(len(scan)) - np.repeat(np.cumsum(minutes) - minutes, minutes)
+        count = rng.integers(20, 401, len(scan))
+        ports = rng.integers(1024, 65536, len(scan))
+        return _rows(
+            table,
+            ts=starts[scan] + minute * 60.0,
+            src=sources[scan],
+            proto=PROTO_TCP,
+            count=count,
+            packet_bytes=40,
+            distinct_dsts=count,
+            port_set=table.intern_single(ports),
+            tcp_flags=TCP_SYN,
+        )
 
-    def _subthreshold_batches(self, day: int) -> Iterator[PacketBatch]:
+    def _misconfigs(self, rng, n_days: int, table: PortSetTable) -> PacketColumns:
+        """Misconfigured UDP senders: one short burst each."""
+        n, starts = _noise_starts(rng, self.config.misconfig_per_day, n_days)
+        sources = self._sources(rng, n)
+        count = rng.integers(1, 51, n)
+        ports = rng.integers(1024, 65536, n)
+        return _rows(
+            table,
+            ts=starts,
+            src=sources,
+            proto=PROTO_UDP,
+            count=count,
+            packet_bytes=120,
+            distinct_dsts=np.minimum(count, 4),
+            port_set=table.intern_single(ports),
+        )
+
+    def _subthreshold(self, rng, n_days: int, table: PortSetTable) -> PacketColumns:
         """Legit-looking backscatter that fails the Moore et al. filters."""
-        rng = self._rng
-        for _ in range(self.config.subthreshold_per_day):
-            src = self._noise_source()
-            start = day * 86400.0 + rng.uniform(0.0, 86400.0)
-            style = rng.random()
-            if style < 0.5:
-                # Too few packets in total (< 25).
-                count = rng.randint(1, 20)
-                yield PacketBatch(
-                    timestamp=start,
-                    src=src,
+        n, starts = _noise_starts(rng, self.config.subthreshold_per_day, n_days)
+        sources = self._sources(rng, n)
+        style = rng.random(n)
+        few = style < 0.5  # too few packets in total (< 25)
+        short = ~few & (style < 0.8)  # enough packets, but one dense burst
+        slow = ~(few | short)  # long, but far too slow (max rate < 0.5 pps)
+        few_count = rng.integers(1, 21, n)[few]
+        short_count = rng.integers(25, 29, n)[short]
+        steps = np.arange(0, 10, 3)
+        slow_starts = (starts[slow][:, None] + steps * 60.0).ravel()
+        return PacketColumns.concat(
+            [
+                _rows(
+                    table,
+                    ts=starts[few],
+                    src=sources[few],
                     proto=PROTO_TCP,
-                    count=count,
-                    bytes=count * 54,
-                    distinct_dsts=count,
-                    src_ports=frozenset({80}),
+                    count=few_count,
+                    packet_bytes=54,
+                    distinct_dsts=few_count,
+                    port_set=table.intern(frozenset({80})),
                     tcp_flags=TCP_SYN | TCP_ACK,
-                )
-            elif style < 0.8:
-                # Enough packets but too short (< 60 s): one dense burst.
-                count = rng.randint(25, 28)
-                yield PacketBatch(
-                    timestamp=start,
-                    src=src,
+                ),
+                _rows(
+                    table,
+                    ts=starts[short],
+                    src=sources[short],
                     proto=PROTO_ICMP,
-                    count=count,
-                    bytes=count * 54,
-                    distinct_dsts=count,
+                    count=short_count,
+                    packet_bytes=54,
+                    distinct_dsts=short_count,
+                    port_set=table.intern(frozenset()),
                     icmp_type=ICMP_ECHO_REPLY,
-                )
-            else:
-                # Long but far too slow (max rate < 0.5 pps).
-                for minute in range(0, 10, 3):
-                    yield PacketBatch(
-                        timestamp=start + minute * 60.0,
-                        src=src,
-                        proto=PROTO_TCP,
-                        count=3,
-                        bytes=3 * 54,
-                        distinct_dsts=3,
-                        src_ports=frozenset({443}),
-                        tcp_flags=TCP_SYN | TCP_ACK,
-                    )
+                ),
+                _rows(
+                    table,
+                    ts=slow_starts,
+                    src=np.repeat(sources[slow], len(steps)),
+                    proto=PROTO_TCP,
+                    count=np.full(len(slow_starts), 3),
+                    packet_bytes=54,
+                    distinct_dsts=np.full(len(slow_starts), 3),
+                    port_set=table.intern(frozenset({443})),
+                    tcp_flags=TCP_SYN | TCP_ACK,
+                ),
+            ],
+            table.table(),
+        )
+
+
+def _rows(
+    table: PortSetTable,
+    ts: np.ndarray,
+    src: np.ndarray,
+    proto: int,
+    count: np.ndarray,
+    packet_bytes: int,
+    distinct_dsts: np.ndarray,
+    port_set,
+    tcp_flags: int = 0,
+    icmp_type: int = -1,
+) -> PacketColumns:
+    """Noise rows sharing one shape; scalars broadcast to every row."""
+    n = len(ts)
+
+    def full(value):
+        return np.broadcast_to(value, (n,))
+
+    return PacketColumns(
+        ts=ts,
+        src=src,
+        proto=full(proto),
+        count=count,
+        bytes=count * packet_bytes,
+        distinct_dsts=distinct_dsts,
+        port_set=full(port_set),
+        tcp_flags=full(tcp_flags),
+        icmp_type=full(icmp_type),
+        quoted_proto=full(-1),
+        port_sets=table.table(),
+    )
 
 
 class NetworkTelescope:
@@ -161,14 +225,22 @@ class NetworkTelescope:
         self.backscatter = backscatter
         self.noise = noise
 
+    def capture_columns(
+        self, attacks: Iterable[GroundTruthAttack], n_days: int = 0
+    ) -> PacketColumns:
+        """Observe *attacks* (plus noise when configured), time-sorted.
+
+        Ties keep backscatter rows in attack-id order ahead of noise, so
+        the capture is a function of the attack set, not its order.
+        """
+        table = PortSetTable()
+        parts = [self.backscatter.columns(attacks, table)]
+        if self.noise is not None and n_days > 0:
+            parts.append(self.noise.columns(n_days, table))
+        return PacketColumns.concat(parts, table.table()).time_sorted()
+
     def capture(
         self, attacks: Iterable[GroundTruthAttack], n_days: int = 0
     ) -> List[PacketBatch]:
-        """Observe *attacks* (plus noise when configured), time-sorted."""
-        batches: List[PacketBatch] = []
-        for attack in attacks:
-            batches.extend(self.backscatter.observe(attack))
-        if self.noise is not None and n_days > 0:
-            batches.extend(self.noise.generate(n_days))
-        batches.sort(key=lambda b: b.timestamp)
-        return batches
+        """:meth:`capture_columns` as :class:`PacketBatch` objects."""
+        return self.capture_columns(attacks, n_days).batches()

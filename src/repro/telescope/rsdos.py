@@ -13,25 +13,26 @@ The three-step process from the paper:
    0.5 packets per second.
 
 The emitted :class:`TelescopeEvent` corresponds to one row of the paper's
-telescope data set. A max rate of 0.5 pps *at the telescope* corresponds to
+telescope data set.
+
+Two engines implement the same contract. :func:`detect_columns` runs it
+over a whole :class:`~repro.net.columnar.PacketColumns` capture as one
+vectorized segmentation; it is what the pipeline uses.
+:class:`RSDoSDetector` is the streaming form, one batch at a time, for
+library use and pcap replay, and it is the reference the columnar
+engine is tested against. A max rate of 0.5 pps *at the telescope* corresponds to
 an estimated 128 pps at the victim (multiply by 256 for a /8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.net.columnar import (
-    SKETCH_PACKED_BYTES_SHIFT,
-    SKETCH_PACKED_DSTS_SHIFT,
-    SKETCH_PACKED_FIELD_MASK,
-    SKETCH_PACKED_ICMP_SHIFT,
-    PacketColumns,
-)
+import numpy as np
+
+from repro.net.columnar import PacketColumns
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PacketBatch
-from repro.sketch.engine import FlowSketch, SketchConfig
 from repro.telescope.flows import FlowState, FlowTable
 
 #: Factor converting /8-telescope packet rates to estimated victim rates.
@@ -86,6 +87,8 @@ class TelescopeEvent:
 
 class RSDoSDetector:
     """Streaming detector over a time-sorted batch capture.
+
+    The reference for :func:`detect_columns`, which the pipeline runs.
 
     ``indexed=False`` runs the flow table's reference full-scan expiry
     instead of the lazy min-heap — the original seed behavior, kept for
@@ -154,187 +157,144 @@ class RSDoSDetector:
         )
 
 
-# Sketch-tier heavy-record slots (one record per victim, not per flow):
-# 0 first_ts, 1 last_ts, 2 packed counters. Slot 2 carries the
-# precomputed ``sketch_packed`` sum — tcp responses, icmp responses,
-# bytes and distinct sources in 64-bit fields of a single integer (see
-# :mod:`repro.net.columnar`) — so the hot loop maintains all four
-# running sums with one add.
+def detect_columns(
+    config: RSDoSConfig, capture: PacketColumns
+) -> List[TelescopeEvent]:
+    """RSDoS over a whole time-sorted capture, as one segmentation.
 
+    Returns exactly the events :class:`RSDoSDetector` emits for
+    ``capture.batches()``, in canonical ``(start_ts, victim)`` order:
 
-class _PackedPackets:
-    """Eviction-count reader for the packed record: tcp + icmp fields.
-
-    A module-level class (not a lambda) so sketches survive the pickle
-    hop between supervised pool shards; value-equal by type so the merge
-    guard accepts two telescope sketches.
+    * backscatter rows are stable-sorted by (victim, timestamp), and a
+      flow ends where the victim changes or the gap to the victim's
+      previous row is strictly greater than the flow timeout — the
+      same ``>`` :class:`~repro.telescope.flows.FlowTable` applies;
+    * per-flow packets, bytes, distinct sources and TCP/ICMP counts are
+      ``np.add.reduceat`` sums over the flow's rows, and ``max_ppm`` is
+      the largest of its per-``ts // 60`` sums;
+    * only flows that pass the three filters get the per-row work the
+      event needs beyond the filters: the dominant attack protocol
+      (most packets; ties go to the protocol seen first) and the
+      union of the rows' port sets.
     """
+    rows = np.flatnonzero(capture.backscatter())
+    if not len(rows):
+        return []
+    rows = rows[np.lexsort((capture.ts[rows], capture.src[rows]))]
+    victim = capture.src[rows]
+    ts = capture.ts[rows]
+    count = capture.count[rows]
 
-    __slots__ = ()
-
-    def __call__(self, record: list) -> int:
-        packed = record[2]
-        return (packed & SKETCH_PACKED_FIELD_MASK) + (
-            (packed >> SKETCH_PACKED_ICMP_SHIFT) & SKETCH_PACKED_FIELD_MASK
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is _PackedPackets
-
-    def __hash__(self) -> int:
-        return hash(_PackedPackets)
-
-
-def _combine_telescope_records(mine: list, theirs: list) -> None:
-    """Fold two per-victim records (shard merge): min/max stamps, sum stats."""
-    if theirs[0] < mine[0]:
-        mine[0] = theirs[0]
-    if theirs[1] > mine[1]:
-        mine[1] = theirs[1]
-    # One add folds all four packed counter fields (non-negative, 64-bit
-    # headroom each — same soundness argument as the hot loop's add).
-    mine[2] += theirs[2]
-
-
-class TelescopeSketch:
-    """Mergeable sketch-tier summary of one telescope capture shard.
-
-    Holds the detection config alongside the :class:`FlowSketch` so a
-    merged summary can classify itself into approximate
-    :class:`TelescopeEvent` rows without re-plumbing thresholds.
-    """
-
-    def __init__(
-        self, config: RSDoSConfig, sketch_config: SketchConfig
-    ) -> None:
-        self.config = config
-        self.sketch = FlowSketch(sketch_config, count_slot=_PackedPackets())
-
-    def merge(self, other: "TelescopeSketch") -> "TelescopeSketch":
-        if self.config != other.config:
-            raise ValueError(
-                f"cannot merge telescope sketches with different detection "
-                f"configs: {self.config} vs {other.config}"
-            )
-        self.sketch.merge(other.sketch, _combine_telescope_records)
-        return self
-
-    @classmethod
-    def merge_all(
-        cls, summaries: Iterable["TelescopeSketch"]
-    ) -> "TelescopeSketch":
-        merged = None
-        for summary in summaries:
-            merged = summary if merged is None else merged.merge(summary)
-        if merged is None:
-            raise ValueError("merge_all needs at least one summary")
-        return merged
-
-    def cardinality(self) -> float:
-        """Approximate distinct victims observed (HLL estimate)."""
-        return self.sketch.cardinality()
-
-    def estimate(self, victim: int) -> int:
-        """Upper-bound backscatter packet count for one victim."""
-        return self.sketch.estimate(victim)
-
-    def top_victims(self, k: int) -> List[Tuple[int, int]]:
-        """Top-``k`` victims by estimated packets, count-desc, key tiebreak."""
-        ranked = sorted(
-            (
-                (victim, self.sketch.estimate(victim))
-                for victim in self.sketch.heavy
-            ),
-            key=lambda pair: (-pair[1], pair[0]),
-        )
-        return ranked[:k]
-
-    def events(self) -> List[TelescopeEvent]:
-        """Classify the per-victim aggregates into approximate events.
-
-        One event per victim (no idle-gap splitting). The rate filter
-        uses the sound upper bound ``max_ppm <= packets``, so at victim
-        granularity the sketch tier never drops a victim the exact tier
-        reports (as long as no eviction occurred); the reported
-        ``max_ppm`` is the honest per-minute average. ``ports`` are not
-        tracked at this tier and ``ip_proto`` is inferred from the
-        response-protocol majority.
-        """
-        cfg = self.config
-        min_packets = cfg.min_packets
-        min_duration = cfg.min_duration
-        min_ppm = cfg.min_max_pps * 60.0
-        sketch = self.sketch
-        spilled = sketch.evictions > 0
-        spill_estimate = sketch.spill.estimate
-        mask = SKETCH_PACKED_FIELD_MASK
-        events: List[TelescopeEvent] = []
-        for victim, record in sketch.heavy.items():
-            packed = record[2]
-            tcp = packed & mask
-            icmp = (packed >> SKETCH_PACKED_ICMP_SHIFT) & mask
-            packets = tcp + icmp
-            if spilled:
-                packets += spill_estimate(victim)
-            # max_ppm <= packets always, so `packets < min_ppm` soundly
-            # rejects anything the exact rate filter would reject.
-            if packets < min_packets or packets < min_ppm:
-                continue
-            first_ts = record[0]
-            last_ts = record[1]
-            duration = last_ts - first_ts
-            if duration < min_duration:
-                continue
-            approx_ppm = int(round(packets * 60.0 / max(60.0, duration)))
-            events.append(
-                TelescopeEvent(
-                    victim=victim,
-                    start_ts=first_ts,
-                    end_ts=last_ts,
-                    packets=packets,
-                    bytes=(packed >> SKETCH_PACKED_BYTES_SHIFT) & mask,
-                    distinct_sources=packed >> SKETCH_PACKED_DSTS_SHIFT,
-                    ports=(),
-                    ip_proto=PROTO_TCP if tcp >= icmp else PROTO_ICMP,
-                    max_ppm=approx_ppm,
-                    tcp_responses=tcp,
-                    icmp_responses=icmp,
-                )
-            )
-        events.sort(key=lambda event: (event.start_ts, event.victim))
-        return events
-
-
-def detect_sketch(
-    config: RSDoSConfig,
-    columns: PacketColumns,
-    sketch_config: Optional[SketchConfig] = None,
-) -> TelescopeSketch:
-    """Sketch-tier ingestion of one (shard's) capture into a summary.
-
-    The hot path is a single dict lookup plus two in-place mutations per
-    backscatter row — no flow table, no expiry heap, no per-minute
-    dicts. Non-backscatter rows are skipped at C speed via
-    :func:`itertools.compress`, and the precomputed ``sketch_packed``
-    column collapses all four per-row counter updates (tcp, icmp, bytes,
-    distinct sources) into one integer add. Returns the mergeable
-    :class:`TelescopeSketch`; call ``events()`` on the (merged) summary
-    to materialize approximate events.
-    """
-    summary = TelescopeSketch(config, sketch_config or SketchConfig())
-    sketch = summary.sketch
-    heavy = sketch.heavy
-    admit = sketch.admit
-    rows = compress(
-        zip(columns.srcs, columns.timestamps, columns.sketch_packed),
-        columns.backscatter,
+    new_flow = np.ones(len(rows), dtype=bool)
+    new_flow[1:] = (victim[1:] != victim[:-1]) | (
+        ts[1:] - ts[:-1] > config.flow_timeout
     )
-    for victim, now, packed in rows:
-        try:
-            record = heavy[victim]
-            record[1] = now
-            record[2] += packed
-        except KeyError:
-            admit(victim, [now, now, packed])
-    sketch.rows += len(columns)
-    return summary
+    starts = np.flatnonzero(new_flow)
+    ends = np.append(starts[1:], len(rows))
+    packets = np.add.reduceat(count, starts)
+    first_ts = ts[starts]
+    last_ts = ts[ends - 1]
+
+    # Rows are time-ordered inside a flow, so each (flow, minute) is one
+    # run of rows; a flow's first run starts where the flow does.
+    minute = ts // 60.0
+    new_minute = new_flow.copy()
+    new_minute[1:] |= minute[1:] != minute[:-1]
+    minute_starts = np.flatnonzero(new_minute)
+    per_minute = np.add.reduceat(count, minute_starts)
+    max_ppm = np.maximum.reduceat(
+        per_minute, np.flatnonzero(new_flow[minute_starts])
+    )
+
+    kept = np.flatnonzero(
+        (packets >= config.min_packets)
+        & ~(last_ts - first_ts < config.min_duration)
+        & ~(max_ppm / 60.0 < config.min_max_pps)
+    )
+    if not len(kept):
+        return []
+    flow_of_row = np.cumsum(new_flow) - 1
+    keep = np.zeros(len(starts), dtype=bool)
+    keep[kept] = True
+    kept_rows = np.flatnonzero(keep[flow_of_row])
+    dominant = _dominant_protos(
+        flow_of_row[kept_rows],
+        capture.attack_proto()[rows[kept_rows]],
+        count[kept_rows],
+    )
+    ports = _port_unions(
+        flow_of_row[kept_rows],
+        capture.port_set[rows[kept_rows]],
+        capture.port_sets,
+    )
+
+    def kept_sums(values: np.ndarray) -> list:
+        return np.add.reduceat(values, starts)[kept].tolist()
+
+    proto = capture.proto[rows]
+    events = [
+        TelescopeEvent(
+            victim=flow_victim,
+            start_ts=start,
+            end_ts=end,
+            packets=flow_packets,
+            bytes=flow_bytes,
+            distinct_sources=sources,
+            ports=ports[flow],
+            ip_proto=dominant[flow],
+            max_ppm=ppm,
+            tcp_responses=tcp,
+            icmp_responses=icmp,
+        )
+        for (
+            flow, flow_victim, start, end, flow_packets, flow_bytes, sources,
+            ppm, tcp, icmp,
+        ) in zip(
+            kept.tolist(),
+            victim[starts[kept]].tolist(),
+            first_ts[kept].tolist(),
+            last_ts[kept].tolist(),
+            packets[kept].tolist(),
+            kept_sums(capture.bytes[rows]),
+            kept_sums(capture.distinct_dsts[rows]),
+            max_ppm[kept].tolist(),
+            kept_sums(np.where(proto == PROTO_TCP, count, 0)),
+            kept_sums(np.where(proto == PROTO_ICMP, count, 0)),
+        )
+    ]
+    events.sort(key=lambda event: (event.start_ts, event.victim))
+    return events
+
+
+def _dominant_protos(
+    flow: np.ndarray, attack_proto: np.ndarray, count: np.ndarray
+) -> Dict[int, int]:
+    """Flow -> attack protocol with the most packets (first seen on ties).
+
+    *flow* is non-decreasing and rows are in arrival order within a flow.
+    """
+    order = np.lexsort((attack_proto, flow))  # stable: arrival order kept
+    flow = flow[order]
+    attack_proto = attack_proto[order]
+    runs = np.flatnonzero(
+        np.r_[True, (flow[1:] != flow[:-1]) | (attack_proto[1:] != attack_proto[:-1])]
+    )
+    totals = np.add.reduceat(count[order], runs)
+    first_seen = order[runs]  # each (flow, protocol) run starts at its first row
+    best = np.lexsort((first_seen, -totals, flow[runs]))
+    best_flow = flow[runs][best]
+    leaders = runs[best[np.r_[True, best_flow[1:] != best_flow[:-1]]]]
+    return dict(zip(flow[leaders].tolist(), attack_proto[leaders].tolist()))
+
+
+def _port_unions(
+    flow: np.ndarray, port_set: np.ndarray, port_sets
+) -> Dict[int, Tuple[int, ...]]:
+    """Flow -> sorted union of the port sets its rows carry."""
+    pairs = np.unique(flow.astype(np.int64) * len(port_sets) + port_set)
+    unions: Dict[int, Set[int]] = {}
+    for pair_flow, set_id in zip(
+        (pairs // len(port_sets)).tolist(), (pairs % len(port_sets)).tolist()
+    ):
+        unions.setdefault(pair_flow, set()).update(port_sets[set_id])
+    return {key: tuple(sorted(ports)) for key, ports in unions.items()}

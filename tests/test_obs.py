@@ -268,6 +268,90 @@ class TestStageProfiler:
         assert NULL_PROFILER.snapshot() == {"profiles": []}
 
 
+class TestObservationLayers:
+    """The telescope and honeypot stages split into synthesize + detect."""
+
+    def test_layer_spans_and_profiles_carry_rows_and_rss(self, small_config):
+        readings = iter(range(1000, 10**6, 8))
+        telemetry = Telemetry.create(
+            clock=FakeClock(),
+            cpu_clock=FakeClock(step=0.0005),
+            rss_fn=lambda: 4096,
+            current_rss_fn=lambda: next(readings),
+        )
+        ResilientPipeline(
+            small_config, telemetry=telemetry, sleep=no_sleep
+        ).run()
+        spans = {s.span_id: s for s in telemetry.tracer.spans}
+        profiles = {
+            p.stage: p for p in telemetry.profiler.profiles if p.shard is None
+        }
+        for stage in ("telescope", "honeypot"):
+            layers = [
+                s for s in spans.values()
+                if s.attrs.get("stage") == stage
+                and s.name in ("synthesize", "detect")
+            ]
+            assert [s.name for s in layers] == ["synthesize", "detect"]
+            synthesize, detect = layers
+            rows = synthesize.attrs["rows"]
+            assert rows > 0 and detect.attrs["rows"] == rows
+            # Both are children of the stage's attempt span.
+            parent = spans[synthesize.parent_id]
+            assert parent.name == "attempt" and parent.attrs["stage"] == stage
+            assert detect.parent_id == synthesize.parent_id
+            for layer in ("synthesize", "detect"):
+                profile = profiles[f"{stage}.{layer}"]
+                assert profile.rows == rows
+                assert profile.rows_per_s == pytest.approx(
+                    rows / profile.wall_s
+                )
+                assert profile.peak_rss_kb == 4096
+                # Injected probe: one reading before, one after.
+                assert profile.rss_after_kb == profile.rss_before_kb + 8
+            assert profiles[stage].rss_before_kb < profiles[
+                f"{stage}.synthesize"
+            ].rss_before_kb
+
+    def test_one_fake_rss_probe_serves_both_readings(self):
+        profiler = StageProfiler(rss_fn=lambda: 7)
+        with profiler.profile("x"):
+            pass
+        (profile,) = profiler.profiles
+        assert (profile.rss_before_kb, profile.rss_after_kb) == (7, 7)
+        snapshot = profiler.snapshot()["profiles"][0]
+        assert snapshot["rss_before_kb"] == snapshot["rss_after_kb"] == 7
+
+    def test_current_rss_reads_the_live_process(self):
+        from repro.obs.profile import current_rss_kb, peak_rss_kb
+
+        assert 0 < current_rss_kb() <= peak_rss_kb()
+        profiler = StageProfiler()
+        with profiler.profile("alloc"):
+            block = bytearray(64 * 1024 * 1024)
+            block[::4096] = b"x" * len(block[::4096])
+        (profile,) = profiler.profiles
+        assert profile.rss_after_kb - profile.rss_before_kb > 32 * 1024
+        del block
+
+    def test_flight_report_lists_the_layers(self, tmp_path):
+        from repro.obs.report import render_flight_report
+
+        run_dir = tmp_path / "run"
+        profiler = StageProfiler(
+            clock=FakeClock(step=0.5), rss_fn=lambda: 2048
+        )
+        with profiler.profile("telescope"):
+            with profiler.profile("telescope.synthesize") as handle:
+                handle.set_rows(1000)
+        run_dir.mkdir()
+        (run_dir / PROFILE_FILE).write_text(profiler.to_json())
+        report = render_flight_report(run_dir)
+        assert "telescope.synthesize" in report
+        assert "2000.0" in report  # rows/s: 1000 rows over 0.5 s
+        assert "2.0->2.0" in report
+
+
 class TestTelemetryBundle:
     def test_disabled_is_shared_singleton(self):
         assert Telemetry.disabled() is Telemetry.disabled()

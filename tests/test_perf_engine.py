@@ -94,7 +94,9 @@ class TestShardedDetection:
     def test_telescope_shards_match_serial(
         self, small_config, capture, n_shards
     ):
-        serial = RSDoSDetector(small_config.rsdos_config()).run(capture)
+        serial = RSDoSDetector(small_config.rsdos_config()).run(
+            capture.batches()
+        )
         assert _telescope_sharded(
             small_config, capture, n_shards
         ) == merge_telescope_shards([list(serial)])
@@ -105,7 +107,7 @@ class TestShardedDetection:
     ):
         serial = HoneypotDetector(
             small_config.honeypot_detection_config()
-        ).run(request_log)
+        ).run(request_log.batches())
         assert _honeypot_sharded(
             small_config, request_log, n_shards
         ) == merge_honeypot_shards([list(serial)])
@@ -215,17 +217,17 @@ class TestIndexedExpiry:
     ):
         config = small_config.rsdos_config()
         assert list(
-            RSDoSDetector(config, indexed=True).run(iter(capture))
-        ) == list(RSDoSDetector(config, indexed=False).run(iter(capture)))
+            RSDoSDetector(config, indexed=True).run(iter(capture.batches()))
+        ) == list(RSDoSDetector(config, indexed=False).run(iter(capture.batches())))
 
     def test_honeypot_heap_matches_scan_scenario(
         self, small_config, request_log
     ):
         config = small_config.honeypot_detection_config()
         assert list(
-            HoneypotDetector(config, indexed=True).run(iter(request_log))
+            HoneypotDetector(config, indexed=True).run(iter(request_log.batches()))
         ) == list(
-            HoneypotDetector(config, indexed=False).run(iter(request_log))
+            HoneypotDetector(config, indexed=False).run(iter(request_log.batches()))
         )
 
 
@@ -380,10 +382,6 @@ class TestStageFingerprint:
         assert stage_fingerprint(small_config, "telescope") == base
         assert stage_fingerprint(small_config, "honeypot") != base
         assert stage_fingerprint(small_config, "telescope", n_shards=3) != base
-        assert (
-            stage_fingerprint(small_config, "telescope", detect_tier="sketch")
-            != base
-        )
         reseeded = small_config.with_seed(small_config.seed + 1)
         assert stage_fingerprint(reseeded, "telescope") != base
 

@@ -96,11 +96,13 @@ class TestCrashRecovery:
 
     @pytest.mark.parametrize("detect_tier", [None, "columnar"])
     def test_resume_of_run_dir_with_retired_codec_fields(
-        self, drill, tmp_path, detect_tier
+        self, tmp_path, detect_tier
     ):
-        # Run dirs from before the columnar capture codec was retired
-        # record capture_codec, and a detect_tier of null or "columnar";
-        # both ran the exact detectors, so they resume to the same bytes.
+        # Run dirs written before the per-attack random streams record
+        # meta v1, with capture_codec and a detect_tier of null or
+        # "columnar". Their checkpoints hold captures from the retired
+        # shared streams, so resume refuses them rather than mapping the
+        # old fields onto the current options.
         run_dir = tmp_path / "older"
         run_cli(
             "simulate", "--run-dir", str(run_dir),
@@ -124,10 +126,10 @@ class TestCrashRecovery:
                 indent=2,
             )
         )
-        run_cli("resume", str(run_dir), check_rc=0)
-        assert (run_dir / "events.jsonl").read_bytes() == (
-            drill["ok_dir"] / "events.jsonl"
-        ).read_bytes()
+        proc = run_cli("resume", str(run_dir))
+        assert proc.returncode == 2
+        assert "incompatible version (meta v1, expected v2)" in proc.stderr
+        assert not (run_dir / "events.jsonl").exists()
 
 
 class TestResumeErrors:
@@ -142,6 +144,25 @@ class TestResumeErrors:
         proc = run_cli("resume", str(plain))
         assert proc.returncode == 2
         assert "not a durable run directory" in proc.stderr
+
+    def test_run_dir_from_an_older_meta_version_is_refused(self, tmp_path):
+        # A v1 run dir checkpointed captures drawn from the retired
+        # shared random streams; resuming would splice them onto stages
+        # drawn from the per-attack streams.
+        run_dir = tmp_path / "v1"
+        run_cli(
+            "simulate", "--run-dir", str(run_dir),
+            "--crash-after", "attacks", check_rc=137,
+        )
+        meta_path = run_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["meta_version"] == 2
+        meta["meta_version"] = 1
+        meta_path.write_text(json.dumps(meta))
+        proc = run_cli("resume", str(run_dir))
+        assert proc.returncode == 2
+        assert "incompatible version (meta v1, expected v2)" in proc.stderr
+        assert not (run_dir / "events.jsonl").exists()
 
     def test_crash_after_requires_run_dir(self):
         proc = run_cli("simulate", "--crash-after", "attacks")

@@ -32,7 +32,6 @@ from pathlib import Path
 ALLOWLIST = frozenset({
     "src/repro/cli.py",
     "src/repro/__main__.py",
-    "src/repro/sketch/accuracy.py",
 })
 
 #: Trees where wall-clock reads must go through an injectable seam.

@@ -17,16 +17,16 @@ passing bench). Prints a comparison table either way; exits 1 on any
 regression.
 
 ``--require NAME:FLOOR`` (repeatable) additionally pins an **absolute**
-speedup floor on the *baseline* number — e.g. ``rsdos_sketch:5.0``
-asserts the committed baseline still claims the sketch tier is at least
-5x the columnar tier. The relative rule above tolerates slow CI runners;
+speedup floor on the *baseline* number — e.g. ``rsdos:5.0`` asserts
+the committed baseline still claims the columnar RSDoS engine is at
+least 5x the streaming detector. The relative rule above tolerates slow CI runners;
 the absolute rule guards the committed claim itself from quietly eroding
 across baseline refreshes.
 
 Usage::
 
     python tools/perf_compare.py benchmarks/out/throughput.json \
-        candidate.json [--tolerance 1.5] [--require rsdos_sketch:5.0]
+        candidate.json [--tolerance 1.5] [--require rsdos:5.0]
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--require", action="append", default=[], metavar="NAME:FLOOR",
         help="absolute speedup floor the committed baseline must meet "
-             "(repeatable, e.g. rsdos_sketch:5.0)",
+             "(repeatable, e.g. rsdos:5.0)",
     )
     args = parser.parse_args(argv)
     if args.tolerance < 1.0:
