@@ -7,6 +7,10 @@ Each measured substrate runs twice over identical input:
                        batch objects vs. the columnar segmentation
                        engine over the capture's columns
 * ``honeypot``       — the same pair for AmpPot event extraction
+* ``synthesis``      — backscatter and request-log synthesis over the
+                       scenario's attacks: the per-attack path (one
+                       ``SeedSequence`` per attack, ``tests/
+                       synthesis_oracle.py``) vs. the batch-seeded engine
 * ``lpm``            — linear longest-prefix probing vs. the packed
                        per-length binary search
 * ``hosting``        — linear interval scan vs. the packed
@@ -42,8 +46,10 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
 
 sys.path.insert(0, str(Path(__file__).parent))  # direct execution
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # tests/ oracle
 from bench_util import write_bench_json
 
+from repro.honeypot.amppot import AmpPotFleet
 from repro.honeypot.detection import (
     HoneypotDetector,
     detect_columns as detect_honeypot_columns,
@@ -59,10 +65,12 @@ from repro.pipeline.simulation import (
     run_simulation,
     telescope_capture,
 )
+from repro.telescope.backscatter import BackscatterModel
 from repro.telescope.rsdos import (
     RSDoSDetector,
     detect_columns as detect_telescope_columns,
 )
+from tests import synthesis_oracle
 
 #: Random address / query volumes per profile.
 PROFILES = {
@@ -153,6 +161,24 @@ def measure_substrates(
         streamed, key=lambda e: (e.start_ts, e.victim, e.protocol)
     ), "columnar honeypot extraction diverged from the streaming detector"
     record("honeypot", "rows/s", len(request_log), ref_s, fast_s)
+
+    # -- synthesis: per-attack seeding vs. batch-seeded streams --------------
+    attacks = sim.ground_truth
+    backscatter = BackscatterModel(config.backscatter_config())
+    fleet = AmpPotFleet(config.fleet_config())
+    ref_s, expected = _best_of(
+        repeats,
+        lambda: (
+            synthesis_oracle.backscatter_columns(backscatter, attacks),
+            synthesis_oracle.request_columns(fleet, attacks),
+        ),
+    )
+    fast_s, got = _best_of(
+        repeats,
+        lambda: (backscatter.columns(attacks), fleet.capture_columns(attacks)),
+    )
+    assert got == expected, "batched synthesis diverged from the per-attack path"
+    record("synthesis", "attacks/s", len(attacks), ref_s, fast_s)
 
     # -- longest-prefix match ------------------------------------------------
     routing = sim.topology.routing

@@ -17,6 +17,7 @@ against one victim. The actor population gives the schedule's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from random import Random
 from typing import Dict, List, Sequence
 
@@ -64,8 +65,8 @@ class ActorPopulation:
         self._by_kind: Dict[str, List[Actor]] = {}
         for actor in self.actors:
             self._by_kind.setdefault(actor.kind, []).append(actor)
-        self._weights: Dict[str, List[float]] = {
-            kind: [a.activity for a in members]
+        self._cum_weights: Dict[str, List[float]] = {
+            kind: list(accumulate(a.activity for a in members))
             for kind, members in self._by_kind.items()
         }
 
@@ -83,7 +84,9 @@ class ActorPopulation:
         members = self._by_kind.get(kind)
         if not members:
             raise ValueError(f"no actors of kind {kind!r}")
-        return rng.choices(members, weights=self._weights[kind], k=1)[0]
+        return rng.choices(
+            members, cum_weights=self._cum_weights[kind], k=1
+        )[0]
 
     @classmethod
     def generate(

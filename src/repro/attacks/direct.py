@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from random import Random
 from typing import Dict, Tuple
 
@@ -86,7 +87,9 @@ class DirectAttackGenerator:
         self.config = config
         self._rng = rng
         self._protos = list(config.proto_weights)
-        self._proto_weights = [config.proto_weights[p] for p in self._protos]
+        self._proto_cum_weights = list(
+            accumulate(config.proto_weights[p] for p in self._protos)
+        )
 
     def generate(
         self,
@@ -101,7 +104,7 @@ class DirectAttackGenerator:
         """Draw one attack against *target* starting at *start* seconds."""
         rng = self._rng
         proto = force_proto if force_proto is not None else rng.choices(
-            self._protos, weights=self._proto_weights, k=1
+            self._protos, cum_weights=self._proto_cum_weights, k=1
         )[0]
         if force_ports is not None:
             ports = force_ports

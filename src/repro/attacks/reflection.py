@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from random import Random
 from typing import Dict, Optional
 
@@ -72,7 +73,9 @@ class ReflectionAttackGenerator:
         self.config = config
         self._rng = rng
         self._protocols = list(config.protocol_weights)
-        self._weights = [config.protocol_weights[p] for p in self._protocols]
+        self._cum_weights = list(
+            accumulate(config.protocol_weights[p] for p in self._protocols)
+        )
 
     def generate(
         self,
@@ -87,7 +90,7 @@ class ReflectionAttackGenerator:
         """Draw one reflection attack against *target*."""
         rng, cfg = self._rng, self.config
         protocol = force_protocol or rng.choices(
-            self._protocols, weights=self._weights, k=1
+            self._protocols, cum_weights=self._cum_weights, k=1
         )[0]
         duration = rng.lognormvariate(cfg.duration_mu, cfg.duration_sigma)
         duration = min(max(duration, cfg.min_duration), cfg.max_duration)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from random import Random
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -150,9 +151,13 @@ class TargetPools:
         # Space-weighted AS selection: eyeball victims are distributed like
         # address-space usage, which is what makes the per-country rankings
         # track space-usage statistics (paper Section 4).
-        self._eyeball_weights = [a.address_count for a in self._eyeball_ases]
+        # Cumulative weights, the list ``Random.choices`` would build
+        # from plain weights on every draw.
+        self._eyeball_cum_weights = list(
+            accumulate(a.address_count for a in self._eyeball_ases)
+        )
         self._shared_ips = [ip for ip, _ in self.web_shared]
-        self._shared_weights = [w for _, w in self.web_shared]
+        self._shared_cum_weights = list(accumulate(w for _, w in self.web_shared))
 
     @classmethod
     def build(
@@ -198,7 +203,9 @@ class TargetPools:
     def draw(self, category: str, rng: Random) -> int:
         """Draw a target address from one category."""
         if category == CAT_WEB_SHARED:
-            return rng.choices(self._shared_ips, weights=self._shared_weights, k=1)[0]
+            return rng.choices(
+                self._shared_ips, cum_weights=self._shared_cum_weights, k=1
+            )[0]
         if category == CAT_WEB_SELF and self.web_self:
             return rng.choice(self.web_self)
         if category == CAT_MAIL and self.mail:
@@ -206,7 +213,7 @@ class TargetPools:
         if category == CAT_DPS_INFRA and self.dps_infra:
             return rng.choice(self.dps_infra)
         autonomous_system = rng.choices(
-            self._eyeball_ases, weights=self._eyeball_weights, k=1
+            self._eyeball_ases, cum_weights=self._eyeball_cum_weights, k=1
         )[0]
         return autonomous_system.random_address(rng)
 
@@ -241,9 +248,9 @@ class AttackSchedule:
         self._recent_direct: Deque[int] = deque(maxlen=config.hot_pool_size)
         self._recent_reflection: Deque[int] = deque(maxlen=config.hot_pool_size)
         self._categories = list(config.category_weights)
-        self._category_weights = [
-            config.category_weights[c] for c in self._categories
-        ]
+        self._category_cum_weights = list(
+            accumulate(config.category_weights[c] for c in self._categories)
+        )
 
     def generate(self) -> List[GroundTruthAttack]:
         """Generate all attacks for the window, sorted by start time."""
@@ -304,7 +311,7 @@ class AttackSchedule:
                 return rng.choice(self._recent_direct)
         for _ in range(64):
             category = rng.choices(
-                self._categories, weights=self._category_weights, k=1
+                self._categories, cum_weights=self._category_cum_weights, k=1
             )[0]
             target = self.pools.draw(category, rng)
             bias = cfg.country_bias.get(self._geo.country(target), 1.0)

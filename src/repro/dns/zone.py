@@ -15,6 +15,7 @@ the way the real data sets are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from random import Random
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -77,9 +78,9 @@ class ZoneGenerator:
         rng, cfg = self._rng, self.config
         zones = {tld: Zone(tld) for tld in cfg.tld_shares}
         tlds = list(cfg.tld_shares)
-        tld_weights = [cfg.tld_shares[t] for t in tlds]
+        tld_cum_weights = list(accumulate(cfg.tld_shares[t] for t in tlds))
         for index in range(cfg.n_domains):
-            tld = rng.choices(tlds, weights=tld_weights, k=1)[0]
+            tld = rng.choices(tlds, cum_weights=tld_cum_weights, k=1)[0]
             domain = self._generate_domain(index, tld)
             zones[tld].domains.append(domain)
         return [zones[t] for t in tlds]

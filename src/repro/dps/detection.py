@@ -89,11 +89,30 @@ class DPSDetector:
             raise ValueError("need at least one provider signature")
         self.providers = list(providers)
         self.diversion_log = diversion_log
+        # (cname, ns, ip) -> provider whose signature matches, or None.
+        # Signatures do not change with the day, so each distinct state
+        # is matched once; the diversion log does, and is never cached.
+        self._signature_verdicts: Dict[
+            Tuple[Optional[str], Tuple[str, ...], int], Optional[str]
+        ] = {}
 
     def classify_state(
         self, state: HostingState, day: int = 0
     ) -> Optional[str]:
         """Provider protecting a hosting state, or None."""
+        key = (state.cname, state.ns, state.ip)
+        try:
+            provider = self._signature_verdicts[key]
+        except KeyError:
+            provider = self._signature_verdicts[key] = self._match_signatures(
+                state
+            )
+        if provider is None and self.diversion_log is not None:
+            return self.diversion_log.provider_for(state.ip, day)
+        return provider
+
+    def _match_signatures(self, state: HostingState) -> Optional[str]:
+        """The first provider whose CNAME, NS or prefix signature matches."""
         for provider in self.providers:
             if provider.matches_cname(state.cname):
                 return provider.name
@@ -101,8 +120,6 @@ class DPSDetector:
                 return provider.name
             if provider.matches_address(state.ip):
                 return provider.name
-        if self.diversion_log is not None:
-            return self.diversion_log.provider_for(state.ip, day)
         return None
 
     def classify_records(

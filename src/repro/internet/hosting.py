@@ -17,6 +17,8 @@ and DPS layers can reproduce the paper's CNAME-based attribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
 from random import Random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -61,6 +63,12 @@ _NAMED_PLATFORMS: Sequence[Tuple[str, str, str, Optional[str], float]] = (
 )
 
 
+@lru_cache(maxsize=None)
+def _zipf_cum_weights(n: int) -> Tuple[float, ...]:
+    """Cumulative :meth:`Hoster.ip_weights` of an *n*-address pool."""
+    return tuple(accumulate(1.0 / (index + 1) for index in range(n)))
+
+
 @dataclass
 class Hoster:
     """A Web hosting platform (or the synthetic self-hosting pseudo-hoster)."""
@@ -83,7 +91,9 @@ class Hoster:
 
     def pick_ip(self, rng: Random) -> int:
         """Choose a shared hosting IP for a new customer site."""
-        return rng.choices(self.ips, weights=self.ip_weights(), k=1)[0]
+        return rng.choices(
+            self.ips, cum_weights=_zipf_cum_weights(len(self.ips)), k=1
+        )[0]
 
 
 @dataclass(frozen=True)
@@ -117,6 +127,8 @@ class HostingEcosystem:
             raise ValueError("topology has no ISP/enterprise space to self-host in")
         self._names = {h.name: h for h in hosters}
         self._weights = [h.popularity for h in hosters]
+        self._total_hosted = sum(self._weights)
+        self._cum_weights = list(accumulate(self._weights))
 
     def hoster_by_name(self, name: str) -> Optional[Hoster]:
         return self._names.get(name)
@@ -128,11 +140,12 @@ class HostingEcosystem:
         ``config.self_hosting_weight`` against the summed hoster
         popularities.
         """
-        total_hosted = sum(self._weights)
-        pick = rng.uniform(0.0, total_hosted + self.config.self_hosting_weight)
-        if pick >= total_hosted:
+        pick = rng.uniform(
+            0.0, self._total_hosted + self.config.self_hosting_weight
+        )
+        if pick >= self._total_hosted:
             return None
-        return rng.choices(self.hosters, weights=self._weights, k=1)[0]
+        return rng.choices(self.hosters, cum_weights=self._cum_weights, k=1)[0]
 
     def allocate_self_hosted_ip(self, rng: Random) -> int:
         """A fresh, unique IP in ISP/enterprise space for a self-hosted site."""

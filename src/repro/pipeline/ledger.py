@@ -4,17 +4,23 @@ A ledger records, for one scenario, the paper-facing numbers a code
 change is most likely to move without anyone noticing: the Table 1 rows
 (events, targets, /24s, /16s, ASNs per source), the detection-coverage
 rows of Section 3.1.3 (ground-truth attacks per category and how many
-the sensors detected), and the detection thresholds that produced them.
+the sensors detected), the detection thresholds that produced them, DPS
+adoption (Web sites whose first detected protection is each provider,
+the Table 3 counts) and the migration model's totals.
 A refactor must leave the ledger byte-identical; a change that moves a
 number on purpose regenerates it and shows the diff. Regenerate with::
 
     PYTHONPATH=src python -c "from repro.pipeline.ledger import write_ledger; \\
         write_ledger('benchmarks/out/ledger_small.json')"
+    PYTHONPATH=src python -c "from repro.pipeline.ledger import write_ledger; \\
+        from repro.pipeline.config import ScenarioConfig; \\
+        write_ledger('benchmarks/out/ledger_default.json', ScenarioConfig.default())"
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
@@ -45,6 +51,18 @@ def science_ledger(result: SimulationResult) -> Dict[str, Any]:
                 result.ground_truth, result.fused.combined.events
             )
         ],
+        "dps_adoption": dict(
+            Counter(usage.provider for usage in result.dps_usage.usages)
+        ),
+        "migration": {
+            "preexisting": len(result.ledger.preexisting),
+            "migrations": len(result.ledger.migrations),
+            "attack_triggered": sum(
+                record.trigger_attack_id is not None
+                for record in result.ledger.migrations
+            ),
+            "bgp_diversions": len(result.diversion_log),
+        },
     }
 
 

@@ -31,7 +31,7 @@ from repro.attacks.attacker import (
     VECTOR_SYN_FLOOD,
     VECTOR_UDP_FLOOD,
 )
-from repro.attacks.streams import attack_rng, by_attack_id, minute_windows
+from repro.attacks.streams import attack_streams, by_attack_id, minute_spans
 from repro.net.columnar import PacketColumns, PortSetTable
 from repro.net.packet import (
     ICMP_DEST_UNREACH,
@@ -88,27 +88,89 @@ class BackscatterModel:
 
         Port sets are interned into *port_sets* (a fresh table if None),
         so callers assembling a larger capture can share one table.
+
+        Per attack, in stream order: the victim's capacity (log-normal),
+        the SYN-ACK-or-RST coin for SYN floods, one Poisson count per
+        covered minute and one jitter second per minute. Only those
+        draws, and what they depend on, run per attack; everything else
+        is whole-array work.
         """
+        cfg = self.config
         table = port_sets if port_sets is not None else PortSetTable()
-        drawn = [
-            rows
+        spoofed = [
+            attack
             for attack in by_attack_id(attacks)
-            if (rows := self._draw(attack, table)) is not None
+            if attack.kind == ATTACK_DIRECT and attack.spoofed
         ]
-        if not drawn:
+        duration = np.array([attack.duration for attack in spoofed])
+        full = [column.tolist() for column in minute_spans(duration)]
+        collapsed = [
+            column.tolist()
+            for column in minute_spans(duration * cfg.collapse_after_fraction)
+        ]
+        response_probs = [
+            (
+                cfg.udp_response_probability
+                if attack.vector in (VECTOR_UDP_FLOOD, VECTOR_OTHER_FLOOD)
+                else cfg.response_probability
+            )
+            for attack in spoofed
+        ]
+        observed, coins, widths, counts, jitters = [], [], [], [], []
+        streams = attack_streams(cfg.seed, [a.attack_id for a in spoofed])
+        for attack, rng, response_prob, n_full, last_full, n_short, last_short in zip(
+            spoofed, streams, response_probs, *full, *collapsed
+        ):
+            capacity = rng.lognormal(cfg.capacity_mu, cfg.capacity_sigma)
+            coin = rng.random() if attack.vector == VECTOR_SYN_FLOOD else None
+            rate = min(attack.rate, capacity) * response_prob * cfg.telescope_fraction
+            if rate <= 0:
+                continue
+            n, last = (
+                (n_short, last_short)
+                if attack.rate > capacity * cfg.collapse_load_factor
+                else (n_full, last_full)
+            )
+            observed.append(attack)
+            coins.append(coin)
+            widths.append(n)
+            if n > 0:
+                # Scalar-rate calls consume the stream exactly like one
+                # array-valued call over the minutes, minus its argument
+                # scan: the whole minutes, then the last one.
+                counts.append(rng.poisson(rate * 60.0, n - 1))
+                counts.append(rng.poisson(rate * last, 1))
+                jitters.append(rng.random(n))
+        if not observed:
             return PacketColumns.empty()
-        ts, count, scalars = zip(*drawn)
-        lengths = [len(column) for column in ts]
+
+        # Every observed attack's minute cells, back to back. Zero cells
+        # are rare (~2% on the default preset), so they are dropped once
+        # over the whole array rather than attack by attack.
+        count = np.concatenate(counts) if counts else _NO_COUNTS
+        sent = count.nonzero()[0]
+        count = count[sent]
+        attack_of = np.repeat(np.arange(len(observed)), widths)[sent]
+        minute = sent - (np.cumsum(widths) - widths)[attack_of]
         src, proto, flags, icmp_type, quoted, port_set = (
-            np.repeat(np.array(values), lengths) for values in zip(*scalars)
+            np.array(values)[attack_of]
+            for values in zip(
+                *(
+                    (attack.target,)
+                    + _response_shape(attack, coin, cfg)
+                    + (table.intern(frozenset(attack.ports)),)
+                    for attack, coin in zip(observed, coins)
+                )
+            )
         )
-        count = np.concatenate(count)
+        start = np.array([attack.start for attack in observed])[attack_of]
+        jitter = np.concatenate(jitters)[sent] if jitters else _NO_SECONDS
         return PacketColumns(
-            ts=np.concatenate(ts),
+            ts=start + minute * 60.0 + jitter,
             src=src,
             proto=proto,
             count=count,
-            bytes=count * self.config.backscatter_packet_bytes,
+            bytes=count * cfg.backscatter_packet_bytes,
             distinct_dsts=_distinct_spoofed(count),
             port_set=port_set,
             tcp_flags=flags,
@@ -117,58 +179,25 @@ class BackscatterModel:
             port_sets=table.table(),
         )
 
-    def _draw(self, attack: GroundTruthAttack, table: PortSetTable):
-        """One attack's rows: (ts, count, per-attack scalars)."""
-        if attack.kind != ATTACK_DIRECT or not attack.spoofed:
-            return None
-        rng = attack_rng(self.config.seed, attack)
-        cfg = self.config
 
-        response_prob = (
-            cfg.udp_response_probability
-            if attack.vector in (VECTOR_UDP_FLOOD, VECTOR_OTHER_FLOOD)
-            else cfg.response_probability
-        )
-        capacity = rng.lognormal(cfg.capacity_mu, cfg.capacity_sigma)
-        response_rate = min(attack.rate, capacity) * response_prob
-        telescope_rate = response_rate * cfg.telescope_fraction
-        if telescope_rate <= 0:
-            return None
-
-        effective_duration = attack.duration
-        if attack.rate > capacity * cfg.collapse_load_factor:
-            effective_duration = attack.duration * cfg.collapse_after_fraction
-
-        flags, icmp_type, quoted, proto = _response_shape(attack, rng, cfg)
-        minutes, windows = minute_windows(effective_duration)
-        counts = rng.poisson(telescope_rate * windows)
-        jitter = rng.random(len(minutes))
-        sent = counts > 0
-        counts = counts[sent]
-        ts = attack.start + minutes[sent] * 60.0 + jitter[sent]
-        scalars = (
-            attack.target,
-            proto,
-            flags,
-            icmp_type,
-            -1 if quoted is None else quoted,
-            table.intern(frozenset(attack.ports)),
-        )
-        return ts, counts, scalars
+_NO_COUNTS = np.zeros(0, dtype=np.int64)
+_NO_SECONDS = np.zeros(0, dtype=np.float64)
 
 
-def _response_shape(attack, rng: np.random.Generator, cfg: BackscatterConfig):
-    """(tcp_flags, icmp_type, quoted_proto, ip_proto) of the response."""
+def _response_shape(attack, coin: Optional[float], cfg: BackscatterConfig):
+    """(ip_proto, tcp_flags, icmp_type, quoted_proto) of the response.
+
+    *coin* is the SYN flood's uniform draw (None for other vectors).
+    """
     if attack.vector == VECTOR_SYN_FLOOD:
-        if rng.random() < cfg.syn_ack_probability:
-            return TCP_SYN | TCP_ACK, -1, None, PROTO_TCP
-        return TCP_RST, -1, None, PROTO_TCP
-    if attack.vector == VECTOR_UDP_FLOOD:
-        return 0, ICMP_DEST_UNREACH, attack.ip_proto, PROTO_ICMP
+        if coin < cfg.syn_ack_probability:
+            return PROTO_TCP, TCP_SYN | TCP_ACK, -1, -1
+        return PROTO_TCP, TCP_RST, -1, -1
     if attack.vector == VECTOR_ICMP_FLOOD:
-        return 0, ICMP_ECHO_REPLY, None, PROTO_ICMP
-    # Other protocols elicit ICMP protocol-unreachable quoting them.
-    return 0, ICMP_DEST_UNREACH, attack.ip_proto, PROTO_ICMP
+        return PROTO_ICMP, 0, ICMP_ECHO_REPLY, -1
+    # UDP floods elicit port-unreachable, other protocols
+    # protocol-unreachable; both quote the offending datagram.
+    return PROTO_ICMP, 0, ICMP_DEST_UNREACH, attack.ip_proto
 
 
 def _distinct_spoofed(counts: np.ndarray) -> np.ndarray:

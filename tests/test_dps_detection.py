@@ -161,3 +161,61 @@ class TestScan:
     def test_detector_requires_providers(self):
         with pytest.raises(ValueError):
             DPSDetector([])
+
+
+def _uncached_classify(detector, state, day):
+    """The provider scan classify_state memoizes, run afresh every call."""
+    for provider in detector.providers:
+        if provider.matches_cname(state.cname):
+            return provider.name
+        if state.ns and provider.matches_ns(state.ns):
+            return provider.name
+        if provider.matches_address(state.ip):
+            return provider.name
+    if detector.diversion_log is not None:
+        return detector.diversion_log.provider_for(state.ip, day)
+    return None
+
+
+class TestMemoizedVerdicts:
+    def test_diversion_is_looked_up_per_day_not_cached(self, world):
+        _, providers = world
+        log = BGPDiversionLog()
+        log.divert(Prefix(0x0C0C0C00, 24), "CenturyLink", from_day=20)
+        detector = DPSDetector(providers, diversion_log=log)
+        state = HostingState(ip=0x0C0C0C09)
+        # The same state, probed before, inside, and again outside the
+        # diversion: each answer follows the day, not the first verdict.
+        for day, expected in ((5, None), (20, "CenturyLink"), (30, "CenturyLink"),
+                              (19, None), (0, None)):
+            assert detector.classify_state(state, day) == expected
+            assert _uncached_classify(detector, state, day) == expected
+
+    def test_signature_verdicts_survive_repeated_probes(self, world):
+        _, providers = world
+        akamai = provider_by_name(providers, "Akamai")
+        log = BGPDiversionLog()
+        log.divert(Prefix(akamai.prefix.network, 24), "Level3", from_day=0)
+        detector = DPSDetector(providers, diversion_log=log)
+        state = HostingState(ip=99, cname=akamai.protection_cname("shop.com"))
+        assert [detector.classify_state(state, day) for day in (0, 5, 0)] == [
+            "Akamai"
+        ] * 3
+
+    def test_memoized_scan_equals_uncached_scan(self, sim):
+        detector = DPSDetector(sim.providers, diversion_log=sim.diversion_log)
+        days = sorted({day for _, _, day in sim.diversion_log._entries} | {0})
+        probes = 0
+        for zone in sim.zones:
+            for domain in zone.domains:
+                for day in sorted(set(domain.change_days()) | set(days)):
+                    state = domain.state_on(day)
+                    if state is None:
+                        continue
+                    probes += 1
+                    assert detector.classify_state(state, day) == (
+                        _uncached_classify(detector, state, day)
+                    )
+        assert probes > len(detector._signature_verdicts)
+        fresh = DPSDetector(sim.providers, diversion_log=sim.diversion_log)
+        assert fresh.scan(sim.zones, sim.config.n_days) == sim.dps_usage
