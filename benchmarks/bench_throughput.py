@@ -1,20 +1,23 @@
 """Substrate throughput: reference vs. fast path for each hot loop.
 
 Not a paper table — these benches characterize the reproduction itself.
-Each measured substrate runs twice over identical input:
+Each measured substrate runs twice over identical input. Every reference
+but the serializer's is a test oracle, not library code:
 
-* ``rsdos``          — the streaming RSDoS detector over the capture's
-                       batch objects vs. the columnar segmentation
-                       engine over the capture's columns
+* ``rsdos``          — the streaming RSDoS detector of ``tests/
+                       detection_oracle.py`` over the capture's batch
+                       objects vs. the columnar segmentation engine over
+                       the capture's columns
 * ``honeypot``       — the same pair for AmpPot event extraction
 * ``synthesis``      — backscatter and request-log synthesis over the
                        scenario's attacks: the per-attack path (one
                        ``SeedSequence`` per attack, ``tests/
                        synthesis_oracle.py``) vs. the batch-seeded engine
-* ``lpm``            — linear longest-prefix probing vs. the packed
-                       per-length binary search
-* ``hosting``        — linear interval scan vs. the packed
-                       interval-stabbing counters
+* ``lpm``            — the linear longest-prefix scan of ``tests/
+                       detection_oracle.py`` vs. the packed per-length
+                       binary search
+* ``hosting``        — ``len(sites_on(ip, day))``, a linear interval
+                       scan, vs. the packed interval-stabbing counters
 * ``serialization``  — one ``write()`` per JSONL line vs. chunked joins
 
 Equivalence is asserted in the same run that is timed: events, lookups
@@ -50,10 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # tests/ oracle
 from bench_util import write_bench_json
 
 from repro.honeypot.amppot import AmpPotFleet
-from repro.honeypot.detection import (
-    HoneypotDetector,
-    detect_columns as detect_honeypot_columns,
-)
+from repro.honeypot.detection import detect_columns as detect_honeypot_columns
 from repro.pipeline.config import ScenarioConfig
 from repro.pipeline.datasets import (
     event_to_dict,
@@ -66,11 +66,9 @@ from repro.pipeline.simulation import (
     telescope_capture,
 )
 from repro.telescope.backscatter import BackscatterModel
-from repro.telescope.rsdos import (
-    RSDoSDetector,
-    detect_columns as detect_telescope_columns,
-)
+from repro.telescope.rsdos import detect_columns as detect_telescope_columns
 from tests import synthesis_oracle
+from tests.detection_oracle import HoneypotDetector, RSDoSDetector, lpm_reference
 
 #: Random address / query volumes per profile.
 PROFILES = {
@@ -182,16 +180,15 @@ def measure_substrates(
 
     # -- longest-prefix match ------------------------------------------------
     routing = sim.topology.routing
+    reference = lpm_reference(routing)
     rng = random.Random(1)
     addresses = [rng.randrange(1 << 32) for _ in range(lookups)]
     assert [routing.lookup(a) for a in addresses] == [
-        routing.lookup_reference(a) for a in addresses
+        reference(a) for a in addresses
     ], "packed LPM diverged from linear reference"
     ref_s, _ = _best_of(
         repeats,
-        lambda: sum(
-            1 for a in addresses if routing.lookup_reference(a) is not None
-        ),
+        lambda: sum(1 for a in addresses if reference(a) is not None),
     )
     fast_s, _ = _best_of(
         repeats,
@@ -208,13 +205,11 @@ def measure_substrates(
         for _ in range(queries)
     ]
     assert [index.count_on(ip, d) for ip, d in query_set] == [
-        index.count_on_reference(ip, d) for ip, d in query_set
+        len(index.sites_on(ip, d)) for ip, d in query_set
     ], "packed hosting index diverged from linear reference"
     ref_s, _ = _best_of(
         repeats,
-        lambda: sum(
-            index.count_on_reference(ip, d) for ip, d in query_set
-        ),
+        lambda: sum(len(index.sites_on(ip, d)) for ip, d in query_set),
     )
     fast_s, _ = _best_of(
         repeats, lambda: sum(index.count_on(ip, d) for ip, d in query_set)
@@ -243,8 +238,8 @@ def measure_substrates(
 def render(substrates: Dict[str, Dict[str, Any]], title: str) -> str:
     lines = [
         title,
-        "(reference = seed implementation or streaming detector; fast = "
-        "packed/chunked path or columnar engine; identical output asserted)",
+        "(reference = test oracle or seed serializer; fast = packed/chunked "
+        "path or columnar engine; identical output asserted)",
         "",
         f"{'substrate':<14} {'unit':<10} {'reference/s':>12} "
         f"{'fast/s':>12} {'speedup':>8}",

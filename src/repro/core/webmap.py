@@ -75,13 +75,6 @@ class WebHostingIndex:
             ends, day
         )
 
-    def count_on_reference(self, ip: int, day: int) -> int:
-        """Reference linear scan (verification path for ``count_on``)."""
-        segments = self._by_ip.get(ip)
-        if not segments:
-            return 0
-        return sum(1 for start, end, _ in segments if start <= day < end)
-
     def hosts_anything(self, ip: int) -> bool:
         return ip in self._by_ip
 

@@ -4,10 +4,13 @@ Each injector sits at the point where a feed's raw data enters the
 pipeline and removes, corrupts or delays exactly what the plan says the
 real-world failure would have removed, corrupted or delayed:
 
-* telescope downtime drops capture rows before RSDoS detection (the
-  attack's backscatter never reached a collector);
-* honeypot churn drops request-log rows per instance (a down AmpPot logs
-  nothing, but the rest of the fleet still sees the attack);
+* telescope downtime drops rows of the
+  :class:`~repro.net.columnar.PacketColumns` capture before RSDoS
+  detection (the attack's backscatter never reached a collector);
+* honeypot churn drops rows of the
+  :class:`~repro.honeypot.columnar.RequestColumns` log per instance (a
+  down AmpPot logs nothing, but the rest of the fleet still sees the
+  attack);
 * OpenINTEL missed snapshots punch day-holes into the compiled hosting /
   mail / NS intervals and postpone first-seen dates;
 * DPS record corruption drops or day-jitters usage records;
@@ -52,23 +55,14 @@ class TelescopeFaultInjector:
         self.dropped_batches = 0
         self.dropped_packets = 0
 
-    def filter(self, capture):
-        """*capture* without its outage rows.
-
-        Takes :class:`~repro.net.columnar.PacketColumns` and returns
-        columns, or takes :class:`PacketBatch` objects and returns a list.
-        """
-        columns = (
-            capture
-            if isinstance(capture, PacketColumns)
-            else PacketColumns.from_batches(capture)
-        )
+    def filter(self, capture: PacketColumns) -> PacketColumns:
+        """*capture* without its outage rows."""
         if self.windows:
-            dropped = _covered(self.windows, columns.ts)
+            dropped = _covered(self.windows, capture.ts)
             self.dropped_batches += int(dropped.sum())
-            self.dropped_packets += int(columns.count[dropped].sum())
-            columns = columns.take(~dropped)
-        return columns if isinstance(capture, PacketColumns) else columns.batches()
+            self.dropped_packets += int(capture.count[dropped].sum())
+            capture = capture.take(~dropped)
+        return capture
 
 
 class HoneypotFaultInjector:
@@ -81,28 +75,19 @@ class HoneypotFaultInjector:
         self.dropped_batches = 0
         self.dropped_requests = 0
 
-    def filter(self, log):
-        """*log* without the rows of down instances.
-
-        Takes :class:`~repro.honeypot.columnar.RequestColumns` and returns
-        columns, or takes :class:`RequestBatch` objects and returns a list.
-        """
-        columns = (
-            log
-            if isinstance(log, RequestColumns)
-            else RequestColumns.from_batches(log)
-        )
-        dropped = np.zeros(len(columns), dtype=bool)
+    def filter(self, log: RequestColumns) -> RequestColumns:
+        """*log* without the rows of down instances."""
+        dropped = np.zeros(len(log), dtype=bool)
         for honeypot_id, windows in self.schedule.items():
             if windows:
-                dropped |= (columns.honeypot_id == honeypot_id) & _covered(
-                    windows, columns.ts
+                dropped |= (log.honeypot_id == honeypot_id) & _covered(
+                    windows, log.ts
                 )
         if dropped.any():
             self.dropped_batches += int(dropped.sum())
-            self.dropped_requests += int(columns.count[dropped].sum())
-            columns = columns.take(~dropped)
-        return columns if isinstance(log, RequestColumns) else columns.batches()
+            self.dropped_requests += int(log.count[dropped].sum())
+            log = log.take(~dropped)
+        return log
 
 
 class OpenIntelFaultInjector:

@@ -15,7 +15,7 @@ from repro.honeypot.amppot import (
     HoneypotInstance,
     RequestBatch,
 )
-from repro.honeypot.detection import AmpPotEvent, HoneypotDetector, DetectionConfig
+from repro.honeypot.detection import AmpPotEvent, DetectionConfig
 
 __all__ = [
     "AmpPotFleet",
@@ -23,6 +23,5 @@ __all__ = [
     "HoneypotInstance",
     "RequestBatch",
     "AmpPotEvent",
-    "HoneypotDetector",
     "DetectionConfig",
 ]

@@ -7,20 +7,18 @@ dribble), and — matching how AmpPot operates — event durations are capped at
 24 hours by closing and reopening the flow.
 
 :func:`detect_columns` applies these rules to a whole
-:class:`~repro.honeypot.columnar.RequestColumns` log at once and is what
-the pipeline runs; :class:`HoneypotDetector` is the streaming form for
-library use and the reference the columnar engine is tested against.
+:class:`~repro.honeypot.columnar.RequestColumns` log at once. The tests
+pin it to a streaming, one-batch-at-a-time detector
+(``tests/detection_oracle.py``).
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.honeypot.amppot import RequestBatch
 from repro.honeypot.columnar import PROTOCOLS, RequestColumns
 
 DAY_SECONDS = 86400.0
@@ -62,167 +60,19 @@ class AmpPotEvent:
         return self.requests / duration / max(self.honeypots, 1)
 
 
-@dataclass
-class _OpenFlow:
-    victim: int
-    protocol: str
-    first_ts: float
-    last_ts: float
-    requests: int = 0
-    honeypot_ids: Set[int] = field(default_factory=set)
-
-    def add(self, batch: RequestBatch) -> None:
-        self.last_ts = max(self.last_ts, batch.timestamp)
-        self.requests += batch.count
-        self.honeypot_ids.add(batch.honeypot_id)
-
-
-class HoneypotDetector:
-    """Streaming aggregation of request batches into attack events.
-
-    The reference for :func:`detect_columns`, which the pipeline runs.
-
-    Idle-flow expiry mirrors :class:`repro.telescope.flows.FlowTable`: a
-    lazy min-heap of ``(last_ts, key)`` entries (pushed at flow creation,
-    re-pushed on a stale pop) replaces the full scan over every open flow.
-    ``indexed=False`` keeps the reference scan for equivalence testing.
-    """
-
-    def __init__(
-        self,
-        config: DetectionConfig = DetectionConfig(),
-        indexed: bool = True,
-    ) -> None:
-        self.config = config
-        self._flows: Dict[Tuple[int, str], _OpenFlow] = {}
-        self._last_sweep = float("-inf")
-        self.batches_seen = 0
-        self.flows_discarded = 0
-        self._indexed = indexed
-        self._heap: List[Tuple[float, Tuple[int, str]]] = []
-        self._seq: Dict[Tuple[int, str], int] = {}
-        self._next_seq = 0
-
-    def process(self, batch: RequestBatch) -> List[AmpPotEvent]:
-        """Feed one batch (time-sorted input); return closed events."""
-        self.batches_seen += 1
-        closed = self._maybe_sweep(batch.timestamp)
-        key = (batch.victim, batch.protocol)
-        flow = self._flows.get(key)
-        if flow is not None:
-            gap_exceeded = batch.timestamp - flow.last_ts > self.config.gap_timeout
-            cap_exceeded = (
-                batch.timestamp - flow.first_ts > self.config.max_event_duration
-            )
-            if gap_exceeded or cap_exceeded:
-                event = self._close(self._flows.pop(key), capped=cap_exceeded)
-                self._seq.pop(key, None)
-                if event is not None:
-                    closed.append(event)
-                flow = None
-        if flow is None:
-            flow = _OpenFlow(
-                victim=batch.victim,
-                protocol=batch.protocol,
-                first_ts=batch.timestamp,
-                last_ts=batch.timestamp,
-            )
-            self._flows[key] = flow
-            if self._indexed:
-                self._seq[key] = self._next_seq
-                self._next_seq += 1
-                heapq.heappush(self._heap, (flow.last_ts, key))
-        flow.add(batch)
-        return closed
-
-    def run(self, batches: Iterable[RequestBatch]) -> Iterator[AmpPotEvent]:
-        """Process a full capture, including the final flush."""
-        for batch in batches:
-            yield from self.process(batch)
-        yield from self.flush()
-
-    def flush(self) -> List[AmpPotEvent]:
-        """Close every open flow at end of capture."""
-        events = []
-        for flow in self._flows.values():
-            event = self._close(flow)
-            if event is not None:
-                events.append(event)
-        self._flows.clear()
-        self._heap.clear()
-        self._seq.clear()
-        return events
-
-    def _maybe_sweep(self, now: float) -> List[AmpPotEvent]:
-        """Expire idle flows periodically so memory stays bounded."""
-        if now - self._last_sweep < self.config.gap_timeout / 4:
-            return []
-        self._last_sweep = now
-        cutoff = now - self.config.gap_timeout
-        if not self._indexed:
-            expired_keys = [
-                k for k, f in self._flows.items() if f.last_ts < cutoff
-            ]
-            events = []
-            for key in expired_keys:
-                event = self._close(self._flows.pop(key))
-                if event is not None:
-                    events.append(event)
-            return events
-        # Lazy-heap sweep: pop entries past the cutoff, re-pushing flows
-        # that were refreshed since their entry was pushed; re-sorted by
-        # flow creation order so the closed events come out exactly as the
-        # reference scan produces them.
-        ordered: List[Tuple[int, _OpenFlow]] = []
-        heap = self._heap
-        flows = self._flows
-        while heap and heap[0][0] < cutoff:
-            _, key = heapq.heappop(heap)
-            flow = flows.get(key)
-            if flow is None:
-                continue  # entry outlived its flow
-            if flow.last_ts < cutoff:
-                ordered.append((self._seq.pop(key), flows.pop(key)))
-            else:
-                heapq.heappush(heap, (flow.last_ts, key))
-        ordered.sort(key=lambda pair: pair[0])
-        events = []
-        for _, flow in ordered:
-            event = self._close(flow)
-            if event is not None:
-                events.append(event)
-        return events
-
-    def _close(self, flow: _OpenFlow, capped: bool = False) -> Optional[AmpPotEvent]:
-        if flow.requests <= self.config.min_requests:
-            self.flows_discarded += 1
-            return None
-        end_ts = flow.last_ts
-        if capped:
-            end_ts = min(end_ts, flow.first_ts + self.config.max_event_duration)
-        return AmpPotEvent(
-            victim=flow.victim,
-            start_ts=flow.first_ts,
-            end_ts=end_ts,
-            protocol=flow.protocol,
-            requests=flow.requests,
-            honeypots=len(flow.honeypot_ids),
-        )
-
-
 def detect_columns(
     config: DetectionConfig, log: RequestColumns
 ) -> List[AmpPotEvent]:
     """Event extraction over a whole time-sorted log, as one segmentation.
 
-    Returns exactly the events :class:`HoneypotDetector` emits for
-    ``log.batches()``, in canonical ``(start_ts, victim, protocol)``
-    order. Rows are stable-sorted by (victim, protocol, timestamp); a
-    flow ends where the key changes or the gap to the key's previous
-    row is strictly greater than the gap timeout. Only flows spanning
-    more than the 24 h cap get a sequential pass, which closes the flow
-    at the first row more than the cap after the flow's first row and
-    reopens it there, as the streaming detector does.
+    Returns one event per flow of more than ``min_requests`` requests,
+    in canonical ``(start_ts, victim, protocol)`` order. Rows are
+    stable-sorted by (victim, protocol, timestamp); a flow ends where
+    the key changes or the gap to the key's previous row is strictly
+    greater than the gap timeout. Only flows spanning more than the
+    24 h cap get a sequential pass, which closes the flow at the first
+    row more than the cap after the flow's first row and reopens it
+    there.
     """
     order = np.lexsort((log.ts, log.protocol, log.victim))
     victim = log.victim[order]

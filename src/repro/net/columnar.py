@@ -20,7 +20,7 @@ Two fields need a representation change:
 The invariants :class:`PacketBatch` enforces per object are checked
 column-wide on construction and raise the same ``ValueError``. The
 object form stays available: :meth:`PacketColumns.batches` for pcap
-export and the streaming reference detector, and
+export and the tests' streaming oracle detector, and
 :meth:`PacketColumns.from_batches` for pcap replay and hand-built
 captures.
 """

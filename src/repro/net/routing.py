@@ -101,17 +101,6 @@ class RoutingTable:
                 return level.entries[index]
         return None
 
-    def lookup_reference(self, address: int) -> Optional[Tuple[Prefix, int]]:
-        """Reference linear scan over every announcement (verification
-        path for the packed index; O(announcements) per call)."""
-        best: Optional[Tuple[Prefix, int]] = None
-        for prefix, asn in self._announcements.items():
-            if prefix.contains(address) and (
-                best is None or prefix.length > best[0].length
-            ):
-                best = (prefix, asn)
-        return best
-
     def origin_asn(self, address: int) -> Optional[int]:
         """Origin ASN for *address*, or ``None`` if unrouted."""
         match = self.lookup(address)

@@ -12,7 +12,7 @@ from repro.store.atomic import (
     fsync_directory,
 )
 from repro.store.checkpoint import (
-    CHECKPOINT_CODECS,
+    CHECKPOINT_CODEC,
     STORE_SCHEMA_VERSION,
     CheckpointCorruptionError,
     CheckpointError,
@@ -32,7 +32,7 @@ from repro.store.stagecache import (
 
 __all__ = [
     "CACHE_MISS",
-    "CHECKPOINT_CODECS",
+    "CHECKPOINT_CODEC",
     "STAGE_CACHE_SCHEMA",
     "STORE_SCHEMA_VERSION",
     "StageCache",

@@ -8,7 +8,7 @@ resumed by a fresh one (``python -m repro resume <run_dir>``). Layout::
         meta.json                  # how the run was started (CLI resume)
         state.json                 # injector counters etc. (runner-owned)
         checkpoints/
-            <stage>.pkl            # stage payload (pickle or zlib codec)
+            <stage>.pkl            # stage payload (pickle)
             <stage>.manifest.json  # schema version, codec, bytes, sha256
 
 Every file is written with the atomic temp-file + rename + directory
@@ -19,7 +19,7 @@ SHA-256 checksum before unpickling, so corruption and version skew are
 detected at the store boundary, not three stages downstream:
 
 * wrong/absent manifest        -> :class:`CheckpointMissingError`
-* schema version skew          -> :class:`CheckpointVersionError`
+* schema version/codec skew    -> :class:`CheckpointVersionError`
 * size/checksum/unpickle fail  -> :class:`CheckpointCorruptionError`
 
 :meth:`CheckpointStore.load_valid_prefix` implements the resume policy:
@@ -35,7 +35,6 @@ import hashlib
 import json
 import pickle
 import time
-import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -52,29 +51,10 @@ STORE_SCHEMA_VERSION = 1
 #: Record count for payloads without a length.
 UNSIZED = -1
 
-#: Payload codecs a manifest may name. "pickle" is the historical
-#: encoding (and the default, so old run dirs keep loading); "zlib"
-#: wraps the same pickle bytes in DEFLATE for a compact binary
-#: checkpoint. The manifest's size/checksum always describe the bytes
-#: on disk, so corruption checks run before any decompress/unpickle.
-CHECKPOINT_CODECS = ("pickle", "zlib")
-
-#: Compression level for the "zlib" codec: 6 is zlib's own default —
-#: measurably smaller checkpoints without the level-9 CPU cliff.
-_ZLIB_LEVEL = 6
-
-
-def _encode_payload(payload: Any, codec: str) -> bytes:
-    data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    if codec == "zlib":
-        return zlib.compress(data, _ZLIB_LEVEL)
-    return data
-
-
-def _decode_payload(data: bytes, codec: str) -> Any:
-    if codec == "zlib":
-        data = zlib.decompress(data)
-    return pickle.loads(data)
+#: The payload encoding every manifest names. A manifest without a
+#: codec field predates it and means the same; any other codec was
+#: written by a build this one cannot read.
+CHECKPOINT_CODEC = "pickle"
 
 
 class CheckpointError(RuntimeError):
@@ -108,7 +88,7 @@ class CheckpointManifest:
     sha256: str
     record_count: int = UNSIZED
     created_ts: float = 0.0
-    codec: str = "pickle"
+    codec: str = CHECKPOINT_CODEC
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -123,7 +103,7 @@ class CheckpointManifest:
             sha256=data["sha256"],
             record_count=data.get("record_count", UNSIZED),
             created_ts=data.get("created_ts", 0.0),
-            codec=data.get("codec", "pickle"),
+            codec=data.get("codec", CHECKPOINT_CODEC),
         )
 
 
@@ -145,14 +125,7 @@ class CheckpointStore:
         self,
         run_dir: Union[str, Path],
         metrics: Optional[Any] = None,
-        codec: str = "pickle",
     ) -> None:
-        if codec not in CHECKPOINT_CODECS:
-            raise ValueError(
-                f"unknown checkpoint codec {codec!r} "
-                f"(codecs: {', '.join(CHECKPOINT_CODECS)})"
-            )
-        self.codec = codec
         self.run_dir = Path(run_dir)
         self.checkpoint_dir = self.run_dir / self.CHECKPOINT_DIR
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
@@ -182,7 +155,7 @@ class CheckpointStore:
 
     def save(self, stage: str, payload: Any) -> CheckpointManifest:
         """Persist one stage output; payload first, manifest second."""
-        data = _encode_payload(payload, self.codec)
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         manifest = CheckpointManifest(
             stage=stage,
             schema_version=STORE_SCHEMA_VERSION,
@@ -190,7 +163,6 @@ class CheckpointStore:
             sha256=hashlib.sha256(data).hexdigest(),
             record_count=_record_count(payload),
             created_ts=time.time(),
-            codec=self.codec,
         )
         atomic_write_bytes(self.payload_path(stage), data)
         atomic_write_text(self.manifest_path(stage), manifest.to_json())
@@ -248,11 +220,11 @@ class CheckpointStore:
                 f"store schema v{manifest.schema_version}, "
                 f"this build reads v{STORE_SCHEMA_VERSION}",
             )
-        if manifest.codec not in CHECKPOINT_CODECS:
+        if manifest.codec != CHECKPOINT_CODEC:
             raise CheckpointVersionError(
                 stage,
                 f"payload codec {manifest.codec!r} unknown to this build "
-                f"(codecs: {', '.join(CHECKPOINT_CODECS)})",
+                f"(reads {CHECKPOINT_CODEC!r})",
             )
         payload_path = self.payload_path(stage)
         if not payload_path.exists():
@@ -272,7 +244,7 @@ class CheckpointStore:
                 f"{manifest.sha256[:12]}..)",
             )
         try:
-            return _decode_payload(data, manifest.codec)
+            return pickle.loads(data)
         except Exception as exc:  # corrupt-but-right-checksum can't happen;
             # this guards a manifest forged around a broken payload.
             raise CheckpointCorruptionError(
@@ -445,7 +417,7 @@ def _record_count(payload: Any) -> int:
 
 
 __all__ = [
-    "CHECKPOINT_CODECS",
+    "CHECKPOINT_CODEC",
     "STORE_SCHEMA_VERSION",
     "UNSIZED",
     "CheckpointError",

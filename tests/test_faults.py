@@ -20,6 +20,8 @@ from repro.faults.plan import (
     OutageWindow,
 )
 from repro.honeypot.amppot import RequestBatch
+from repro.honeypot.columnar import RequestColumns
+from repro.net.columnar import PacketColumns
 from repro.net.packet import PacketBatch
 
 DAY = 86400.0
@@ -111,7 +113,7 @@ class TestTelescopeInjector:
         )
         injector = TelescopeFaultInjector(plan)
         batches = [packet(d) for d in range(6)]
-        kept = injector.filter(batches)
+        kept = injector.filter(PacketColumns.from_batches(batches)).batches()
         assert [int(b.timestamp // DAY) for b in kept] == [0, 1, 4, 5]
         assert injector.dropped_batches == 2
         assert injector.dropped_packets == 20
@@ -125,7 +127,7 @@ class TestHoneypotInjector:
         )
         injector = HoneypotFaultInjector(plan)
         batches = [request(3, hp) for hp in (0, 1, 2)]
-        kept = injector.filter(batches)
+        kept = injector.filter(RequestColumns.from_batches(batches)).batches()
         assert [b.honeypot_id for b in kept] == [0, 2]
         assert injector.dropped_batches == 1
         assert injector.dropped_requests == 50

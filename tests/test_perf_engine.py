@@ -1,12 +1,11 @@
 """Equivalence tests for the hot-path engine.
 
 Every fast path introduced by the performance layer must be a drop-in
-replacement: victim-sharded detection, heap-indexed flow expiry, the
-packed LPM/hosting lookups, chunked JSONL serialization, the zlib
-checkpoint codec and the cross-run stage cache are each pinned against
-their reference implementation — identical events, identical lookups,
-identical bytes — across seeded scenarios, randomized streams and
-injected fault plans.
+replacement: victim-sharded detection, the packed LPM/hosting lookups,
+chunked JSONL serialization and the cross-run stage cache are each
+pinned against their reference — identical events, identical lookups,
+identical bytes — across seeded scenarios and injected fault plans.
+The checkpoint manifest's codec field is checked here too.
 """
 
 from __future__ import annotations
@@ -22,10 +21,6 @@ import pytest
 
 from repro.faults.injectors import FaultInjectorSet
 from repro.faults.plan import FaultPlan
-from repro.honeypot.amppot import RequestBatch
-from repro.honeypot.detection import DetectionConfig, HoneypotDetector
-from repro.net.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP, PacketBatch
-from repro.net.protocols import REFLECTION_PROTOCOLS
 from repro.pipeline import datasets
 from repro.pipeline.datasets import (
     QuarantinedRecord,
@@ -43,13 +38,9 @@ from repro.pipeline.simulation import (
     merge_telescope_shards,
     telescope_capture,
 )
-from repro.store.checkpoint import (
-    CheckpointCorruptionError,
-    CheckpointStore,
-    CheckpointVersionError,
-)
+from repro.store.checkpoint import CheckpointStore, CheckpointVersionError
 from repro.store.stagecache import CACHE_MISS, StageCache, stage_fingerprint
-from repro.telescope.rsdos import RSDoSDetector
+from tests.detection_oracle import HoneypotDetector, RSDoSDetector, lpm_reference
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
@@ -131,118 +122,17 @@ class TestShardedDetection:
         ) == _honeypot_sharded(small_config, degraded_log, 1)
 
 
-# -- heap-indexed expiry ------------------------------------------------------
-
-
-def _random_backscatter(seed: int, n: int = 4000):
-    """A time-sorted stream of synthetic backscatter batches."""
-    rng = random.Random(seed)
-    ts = 0.0
-    batches = []
-    for _ in range(n):
-        ts += rng.expovariate(1 / 5.0)
-        proto = rng.choice((PROTO_TCP, PROTO_ICMP, PROTO_UDP))
-        batches.append(
-            PacketBatch(
-                timestamp=ts,
-                src=rng.randrange(12),
-                proto=proto,
-                count=rng.randrange(1, 50),
-                bytes=rng.randrange(40, 4000),
-                distinct_dsts=rng.randrange(1, 8),
-                src_ports=frozenset(
-                    rng.sample(range(1024), rng.randrange(1, 4))
-                ),
-                tcp_flags=0x12 if proto == PROTO_TCP else 0,
-                icmp_type=0 if proto == PROTO_ICMP else -1,
-            )
-        )
-    return batches
-
-
-def _random_requests(seed: int, n: int = 4000):
-    rng = random.Random(seed)
-    protocols = sorted(REFLECTION_PROTOCOLS)
-    ts = 0.0
-    batches = []
-    for _ in range(n):
-        ts += rng.expovariate(1 / 300.0)
-        batches.append(
-            RequestBatch(
-                timestamp=ts,
-                victim=rng.randrange(30),
-                honeypot_id=rng.randrange(24),
-                protocol=rng.choice(protocols),
-                count=rng.randrange(1, 400),
-            )
-        )
-    return batches
-
-
-class TestIndexedExpiry:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_telescope_heap_matches_scan_random(self, seed):
-        from repro.telescope.rsdos import RSDoSConfig
-
-        # Permissive thresholds so the randomized flows actually emit
-        # events — otherwise both paths trivially agree on nothing.
-        config = RSDoSConfig(
-            min_packets=3, min_duration=10.0, min_max_pps=0.01
-        )
-        batches = _random_backscatter(seed)
-        indexed = list(
-            RSDoSDetector(config, indexed=True).run(iter(batches))
-        )
-        reference = list(
-            RSDoSDetector(config, indexed=False).run(iter(batches))
-        )
-        assert indexed
-        assert indexed == reference
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_honeypot_heap_matches_scan_random(self, seed):
-        config = DetectionConfig(gap_timeout=1800.0, min_requests=10)
-        batches = _random_requests(seed)
-        indexed = list(
-            HoneypotDetector(config, indexed=True).run(iter(batches))
-        )
-        reference = list(
-            HoneypotDetector(config, indexed=False).run(iter(batches))
-        )
-        assert indexed
-        assert indexed == reference
-
-    def test_telescope_heap_matches_scan_scenario(
-        self, small_config, capture
-    ):
-        config = small_config.rsdos_config()
-        assert list(
-            RSDoSDetector(config, indexed=True).run(iter(capture.batches()))
-        ) == list(RSDoSDetector(config, indexed=False).run(iter(capture.batches())))
-
-    def test_honeypot_heap_matches_scan_scenario(
-        self, small_config, request_log
-    ):
-        config = small_config.honeypot_detection_config()
-        assert list(
-            HoneypotDetector(config, indexed=True).run(iter(request_log.batches()))
-        ) == list(
-            HoneypotDetector(config, indexed=False).run(iter(request_log.batches()))
-        )
-
-
 # -- packed lookups -----------------------------------------------------------
 
 
 class TestPackedLookups:
     def test_lpm_matches_reference(self, sim):
         routing = sim.topology.routing
+        reference = lpm_reference(routing)
         rng = random.Random(11)
         for _ in range(5000):
             address = rng.randrange(1 << 32)
-            assert routing.lookup(address) == routing.lookup_reference(
-                address
-            )
+            assert routing.lookup(address) == reference(address)
 
     def test_lpm_rebuilds_after_withdraw(self, sim):
         routing = sim.topology.routing
@@ -250,9 +140,9 @@ class TestPackedLookups:
         address = prefix.network
         assert routing.lookup(address) is not None
         routing.withdraw(prefix)
-        assert routing.lookup(address) == routing.lookup_reference(address)
+        assert routing.lookup(address) == lpm_reference(routing)(address)
         routing.announce(prefix, asn)
-        assert routing.lookup(address) == routing.lookup_reference(address)
+        assert routing.lookup(address) == lpm_reference(routing)(address)
 
     def test_hosting_count_matches_reference(self, sim, small_config):
         index = sim.web_index
@@ -261,9 +151,7 @@ class TestPackedLookups:
         for _ in range(5000):
             ip = rng.choice(targets)
             day = rng.randrange(small_config.n_days)
-            assert index.count_on(ip, day) == index.count_on_reference(
-                ip, day
-            )
+            assert index.count_on(ip, day) == len(index.sites_on(ip, day))
 
 
 # -- chunked serialization ----------------------------------------------------
@@ -318,26 +206,11 @@ class TestChunkedSerialization:
         assert (tmp_path / "q.jsonl").read_bytes() == b""
 
 
-# -- zlib checkpoint codec ----------------------------------------------------
+# -- checkpoint codec field ---------------------------------------------------
 
 
 class TestCheckpointCodec:
     PAYLOAD = {"events": list(range(3000)), "tag": "x" * 500}
-
-    def test_zlib_round_trip_and_compression(self, tmp_path):
-        plain = CheckpointStore(tmp_path / "plain")
-        packed = CheckpointStore(tmp_path / "zlib", codec="zlib")
-        m_plain = plain.save("attacks", self.PAYLOAD)
-        m_packed = packed.save("attacks", self.PAYLOAD)
-        assert m_packed.codec == "zlib"
-        assert m_packed.payload_bytes < m_plain.payload_bytes
-        assert packed.load("attacks") == self.PAYLOAD
-
-    def test_codec_read_from_manifest_not_store(self, tmp_path):
-        # A store constructed with the default codec must still read a
-        # zlib entry: the manifest, not the reader, names the encoding.
-        CheckpointStore(tmp_path, codec="zlib").save("attacks", self.PAYLOAD)
-        assert CheckpointStore(tmp_path).load("attacks") == self.PAYLOAD
 
     def test_legacy_manifest_defaults_to_pickle(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -349,7 +222,7 @@ class TestCheckpointCodec:
         assert store.load("attacks") == self.PAYLOAD
 
     def test_unknown_codec_is_version_skew(self, tmp_path):
-        store = CheckpointStore(tmp_path, codec="zlib")
+        store = CheckpointStore(tmp_path)
         store.save("attacks", self.PAYLOAD)
         manifest_path = store.manifest_path("attacks")
         document = json.loads(manifest_path.read_text())
@@ -357,20 +230,6 @@ class TestCheckpointCodec:
         manifest_path.write_text(json.dumps(document))
         with pytest.raises(CheckpointVersionError, match="lz4"):
             store.load("attacks")
-
-    def test_corrupt_compressed_payload_detected(self, tmp_path):
-        store = CheckpointStore(tmp_path, codec="zlib")
-        store.save("attacks", self.PAYLOAD)
-        payload_path = store.payload_path("attacks")
-        data = bytearray(payload_path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        payload_path.write_bytes(bytes(data))
-        with pytest.raises(CheckpointCorruptionError):
-            store.load("attacks")
-
-    def test_unknown_store_codec_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="codec"):
-            CheckpointStore(tmp_path, codec="gzip")
 
 
 # -- cross-run stage cache ----------------------------------------------------

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.events import AttackEvent, SOURCE_HONEYPOT, SOURCE_TELESCOPE
 from repro.dns.records import DomainTimeline, HostingState
 from repro.honeypot.amppot import RequestBatch
-from repro.honeypot.detection import DetectionConfig, HoneypotDetector
+from repro.honeypot.detection import DetectionConfig
 from repro.net.packet import PROTO_TCP, PacketBatch, TCP_ACK, TCP_SYN
 from repro.pipeline.datasets import event_from_dict, event_to_dict
-from repro.telescope.flows import FlowTable
-from repro.telescope.rsdos import RSDoSConfig, RSDoSDetector
+from repro.telescope.rsdos import RSDoSConfig
+from tests.detection_oracle import FlowTable, HoneypotDetector, RSDoSDetector
 
 # -- strategies ---------------------------------------------------------------
 

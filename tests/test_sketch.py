@@ -19,7 +19,6 @@ from repro.honeypot.amppot import RequestBatch
 from repro.honeypot.columnar import RequestColumns
 from repro.honeypot.detection import (
     DetectionConfig,
-    HoneypotDetector,
     detect_columns as detect_honeypot_columns,
 )
 from repro.net.columnar import PacketColumns
@@ -34,9 +33,9 @@ from repro.pipeline.simulation import (
 )
 from repro.telescope.rsdos import (
     RSDoSConfig,
-    RSDoSDetector,
     detect_columns as detect_telescope_columns,
 )
+from tests.detection_oracle import HoneypotDetector, RSDoSDetector
 
 
 # -- synthetic captures -------------------------------------------------------

