@@ -3,8 +3,7 @@
 The tentpole's contract is *zero-cost when disabled*: every counter
 increment and span enter/exit in the hot path resolves to a shared
 null-object no-op unless ``--metrics`` installed a live registry. This
-bench quantifies both sides on the same serial pipeline the parallel
-bench uses as its baseline:
+bench quantifies both sides on the same serial pipeline:
 
 * **disabled** — the default: instrumented code paths against the null
   registry/tracer/profiler;

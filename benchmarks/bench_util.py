@@ -6,7 +6,7 @@ compared mechanically instead of by eyeballing rendered text. One schema
 for all benches::
 
     {
-      "name":           "parallel",        # benchmark id (file name stem)
+      "name":           "store",           # benchmark id (file name stem)
       "params":         {...},             # knobs the number depends on
       "wall_s":         1.234,             # headline wall-clock seconds
       "events_per_s":   5678.9,            # throughput (null: not event-shaped)

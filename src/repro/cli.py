@@ -21,10 +21,11 @@ Commands:
   dead-letter file with reason codes;
 * ``chaos``    — run the executor's chaos drill: a full pipeline under each
   injected execution fault (hung worker, slow worker, worker crash,
-  poison shard) must recover byte-identically or degrade visibly, never
-  hang (``--quick`` is the CI smoke variant). With ``--serve`` the drill
-  targets the live service instead: ingest burst, slow consumer, and a
-  kill -9 of a real serve subprocess with a state-equivalence verdict.
+  poisoned stage input) must recover byte-identically or degrade
+  visibly, never hang (``--quick`` is the CI smoke variant). With
+  ``--serve`` the drill targets the live service instead: ingest burst,
+  slow consumer, and a kill -9 of a real serve subprocess with a
+  state-equivalence verdict.
   With ``--serve-cluster`` it drills the replication cluster: the
   primary is SIGKILLed mid-burst, a follower is promoted, and the
   verdict checks zero acked-record loss, digest equivalence against a
@@ -39,12 +40,14 @@ Commands:
   node's ``/status`` and the primary's ``/metrics/history`` and renders
   a dashboard frame per interval (``--once`` for CI and scripts).
 
-``simulate`` and ``resume`` accept the parallel-execution knobs
-(``--workers``, ``--shards``, ``--exec-mode``, ``--task-deadline``) — a
-sharded run is byte-identical to a serial one — plus ``--deadline``,
-which aborts the run cleanly once the budget is spent: checkpoints are
-already flushed, the run dir stays resumable, and the process exits with
-code 124 (the ``timeout(1)`` convention, distinct from a crash).
+``simulate`` and ``resume`` accept the supervision knobs:
+``--task-deadline`` runs each observation stage's compute as a watched
+fork child that is killed and retried when it overruns (the output is
+byte-identical either way), and ``--deadline`` aborts the run cleanly
+once the budget is spent: checkpoints are already flushed, the run dir
+stays resumable, and the process exits with code 124 (the ``timeout(1)``
+convention, distinct from a crash). Bad supervision input (a malformed
+``--exec-fault`` spec, a non-positive deadline) exits 2.
 
 Durable runs also handle SIGINT/SIGTERM deliberately: the first signal
 stops the run at the next stage boundary (the in-progress stage either
@@ -69,7 +72,6 @@ from typing import Optional, Sequence
 from repro.core.report import render_table1
 from repro.exec.deadline import RunDeadline, RunDeadlineExceeded
 from repro.exec.interrupt import InterruptGuard, RunInterrupted
-from repro.exec.pool import ALL_MODES, ExecConfig, MODE_AUTO
 from repro.faults.exec import ExecFaultPlan
 from repro.faults.plan import ALL_FEEDS, FaultPlan
 from repro.log import configure_logging, get_logger
@@ -122,34 +124,13 @@ META_VERSION = 2
 EVENTS_FILE = "events.jsonl"
 
 
-def _add_exec_args(
-    sub: argparse.ArgumentParser, resumable: bool = False
-) -> None:
-    """Parallel-execution knobs shared by ``simulate`` and ``resume``.
-
-    On ``resume`` the workers/shards/mode defaults are ``None`` so the
-    values recorded in ``meta.json`` win unless explicitly overridden —
-    sharding is an execution choice, not part of the scenario, and the
-    output is byte-identical either way.
-    """
-    sub.add_argument(
-        "--workers", type=int, default=None if resumable else 1, metavar="N",
-        help="worker processes for the observation stages (default: 1)",
-    )
-    sub.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="shards per observation stage (default: --workers)",
-    )
-    sub.add_argument(
-        "--exec-mode", choices=ALL_MODES,
-        default=None if resumable else MODE_AUTO,
-        help="worker isolation: fork processes, threads, or serial "
-             "(default: auto)",
-    )
+def _add_exec_args(sub: argparse.ArgumentParser) -> None:
+    """Supervision knobs shared by ``simulate`` and ``resume``."""
     sub.add_argument(
         "--task-deadline", type=float, default=None, metavar="SECONDS",
-        help="per-shard watchdog deadline; a hung worker is killed and "
-             "the shard retried",
+        help="run each observation stage's compute as a watched worker; "
+             "one still running after SECONDS is killed and the stage "
+             "retried",
     )
     sub.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -158,9 +139,8 @@ def _add_exec_args(
     )
     sub.add_argument(
         "--exec-fault", action="append", default=None, metavar="SPEC",
-        help="inject an execution fault, kind:stage[:shard[:attempts]] "
-             "with kind one of hung/slow/crash/poison (repeatable; "
-             "fault drills)",
+        help="inject an execution fault, kind:stage[:attempts] with kind "
+             "one of hung/slow/crash/poison (repeatable; fault drills)",
     )
     sub.add_argument(
         "--stage-cache", type=Path, default=None, metavar="DIR",
@@ -228,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "run_dir", type=Path, metavar="RUN_DIR",
         help="run directory of an interrupted 'simulate --run-dir' run",
     )
-    _add_exec_args(resume, resumable=True)
+    _add_exec_args(resume)
 
     validate = subparsers.add_parser(
         "validate",
@@ -299,19 +279,11 @@ def _build_parser() -> argparse.ArgumentParser:
     chaos = subparsers.add_parser(
         "chaos",
         help="drill the executor's failure envelope (hung/slow/crashed "
-             "workers, poison shards) against a serial baseline",
+             "workers, poisoned stage input) against a serial baseline",
     )
     chaos.add_argument(
         "--quick", action="store_true",
         help="CI smoke variant: skip the slow-worker soak scenario",
-    )
-    chaos.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker processes per drill run (default: 2)",
-    )
-    chaos.add_argument(
-        "--shards", type=int, default=3, metavar="N",
-        help="shards per observation stage per drill run (default: 3)",
     )
     chaos.add_argument(
         "--scenario-budget", type=float, default=120.0, metavar="SECONDS",
@@ -560,20 +532,18 @@ def _config(args: argparse.Namespace) -> ScenarioConfig:
     return _PRESETS[args.preset]().with_seed(args.seed)
 
 
-def _exec_config(args: argparse.Namespace) -> ExecConfig:
-    """Build the executor config from CLI flags (None: flag not given)."""
-    return ExecConfig(
-        workers=args.workers if args.workers is not None else 1,
-        shards=args.shards,
-        mode=args.exec_mode if args.exec_mode is not None else MODE_AUTO,
-        task_deadline=args.task_deadline,
-    )
+def _exec_faults(args: argparse.Namespace) -> ExecFaultPlan:
+    """The execution-fault plan, after checking the supervision flags.
 
-
-def _exec_faults(args: argparse.Namespace) -> Optional[ExecFaultPlan]:
-    if not args.exec_fault:
-        return None
-    return ExecFaultPlan.parse(tuple(args.exec_fault))
+    Raises :class:`ValueError` naming the bad flag or spec.
+    """
+    for flag, value in (
+        ("--task-deadline", args.task_deadline),
+        ("--deadline", args.deadline),
+    ):
+        if value is not None and not value > 0:
+            raise ValueError(f"{flag} must be positive, got {value:g}")
+    return ExecFaultPlan.parse(tuple(args.exec_fault or ()))
 
 
 def _enable_metrics(args: argparse.Namespace) -> Optional[Telemetry]:
@@ -607,7 +577,7 @@ def _run_pipeline(
     config: ScenarioConfig,
     run_dir: Optional[Path],
     crash_after: Optional[str] = None,
-    exec_config: Optional[ExecConfig] = None,
+    task_deadline: Optional[float] = None,
     exec_faults: Optional[ExecFaultPlan] = None,
     deadline: Optional[float] = None,
     interrupt: Optional[InterruptGuard] = None,
@@ -618,7 +588,7 @@ def _run_pipeline(
         config,
         run_dir=run_dir,
         crash_after=crash_after,
-        exec_config=exec_config,
+        task_deadline=task_deadline,
         exec_faults=exec_faults,
         deadline=deadline,
         interrupt=interrupt,
@@ -649,9 +619,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.crash_after is not None and args.run_dir is None:
         print("--crash-after requires --run-dir", file=sys.stderr)
         return 2
+    try:
+        exec_faults = _exec_faults(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = _config(args)
-    exec_config = _exec_config(args)
-    exec_faults = _exec_faults(args)
     telemetry = _enable_metrics(args)
     # Runs stop at stage boundaries on SIGINT or SIGTERM: checkpoints
     # stay coherent, a run dir stays resumable, and the exit code says
@@ -666,9 +639,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     "command": "simulate",
                     "preset": args.preset,
                     "seed": args.seed,
-                    "workers": exec_config.workers,
-                    "shards": exec_config.shards,
-                    "exec_mode": exec_config.mode,
                     "stage_cache": (
                         str(args.stage_cache)
                         if args.stage_cache is not None
@@ -680,7 +650,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             config,
             args.run_dir,
             args.crash_after,
-            exec_config=exec_config,
+            task_deadline=args.task_deadline,
             exec_faults=exec_faults,
             deadline=args.deadline,
             interrupt=guard,
@@ -710,6 +680,11 @@ def cmd_resume(args: argparse.Namespace) -> int:
     if not args.run_dir.is_dir():
         print(f"no such run directory: {args.run_dir}", file=sys.stderr)
         return 2
+    try:
+        exec_faults = _exec_faults(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     store = CheckpointStore(args.run_dir)
     meta = store.read_json(META_FILE)
     if meta is None:
@@ -732,26 +707,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     config = _PRESETS[preset]().with_seed(int(meta.get("seed", 42)))
-    # Execution knobs: explicit flags win, then the recorded meta values;
-    # either way the output is byte-identical, sharding is not scenario.
-    exec_config = ExecConfig(
-        workers=(
-            args.workers
-            if args.workers is not None
-            else int(meta.get("workers", 1))
-        ),
-        shards=(
-            args.shards
-            if args.shards is not None
-            else meta.get("shards")
-        ),
-        mode=(
-            args.exec_mode
-            if args.exec_mode is not None
-            else meta.get("exec_mode", MODE_AUTO)
-        ),
-        task_deadline=args.task_deadline,
-    )
     stage_cache = (
         args.stage_cache
         if args.stage_cache is not None
@@ -763,7 +718,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
     )
     log.info(
         "resuming run", run_dir=str(args.run_dir), preset=preset,
-        seed=config.seed, workers=exec_config.workers,
+        seed=config.seed,
     )
     telemetry = _enable_metrics(args)
     guard = InterruptGuard().install()
@@ -771,8 +726,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
         result = _run_pipeline(
             config,
             args.run_dir,
-            exec_config=exec_config,
-            exec_faults=_exec_faults(args),
+            task_deadline=args.task_deadline,
+            exec_faults=exec_faults,
             deadline=args.deadline,
             interrupt=guard,
             stage_cache=stage_cache,
@@ -948,8 +903,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     results = run_chaos_drill(
         config=_config(args),
         quick=args.quick,
-        workers=args.workers,
-        shards=args.shards,
         scenario_budget=args.scenario_budget,
     )
     print("=== Chaos drill ===")

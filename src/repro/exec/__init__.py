@@ -1,24 +1,23 @@
-"""Supervised parallel execution: worker pools, breakers, deadlines, shards.
+"""Supervised execution: a watchdog pool, breakers and deadlines.
 
-The pipeline's three observation stages (telescope, honeypot, DNS
-measurement) are mutually independent, and parts of each stage are
-internally shardable, so the natural execution model is a supervised
-fan-out — which is also exactly the shape of workload that hangs or dies
-partway when one feed misbehaves. This package provides the supervision:
+The pipeline runs its stages serially in one process. What this package
+adds is supervision for the stages that talk to lossy collectors — the
+three observation stages (telescope, honeypot, DNS measurement), which
+are exactly the work that hangs or dies partway when one feed
+misbehaves:
 
 * :mod:`repro.exec.pool` — a worker pool (forked processes where the
   platform allows, threads otherwise) with per-task deadlines and a
-  heartbeat watchdog that detects and kills hung workers;
+  heartbeat watchdog that detects and kills hung workers. With a task
+  deadline armed, the runner hands each observation stage's compute to
+  it as one watched task;
 * :mod:`repro.exec.breaker` — per-feed circuit breakers (closed → open →
   half-open) that stop retrying a persistently failing feed;
-* :mod:`repro.exec.shard` — deterministic shard planning and the
-  checkpoint naming that lets a sharded stage resume mid-stage;
 * :mod:`repro.exec.deadline` — a whole-run deadline that aborts cleanly,
   leaving a resumable run directory.
 
-Everything here is policy-free about *what* runs: stage-specific shard
-functions and their byte-identical merges live with the stages in
-:mod:`repro.pipeline.simulation`.
+Everything here is policy-free about *what* runs: the stage functions
+live in :mod:`repro.pipeline.simulation`.
 """
 
 from repro.exec.breaker import (
@@ -31,7 +30,6 @@ from repro.exec.breaker import (
 )
 from repro.exec.deadline import RunDeadline, RunDeadlineExceeded
 from repro.exec.pool import (
-    ExecConfig,
     MODE_AUTO,
     MODE_FORK,
     MODE_SERIAL,
@@ -44,7 +42,6 @@ from repro.exec.pool import (
     TaskOutcome,
     TaskSpec,
 )
-from repro.exec.shard import ShardPlan, shard_checkpoint_name, split_even
 
 __all__ = [
     "BREAKER_CLOSED",
@@ -53,7 +50,6 @@ __all__ = [
     "BreakerReport",
     "BreakerTransition",
     "CircuitBreaker",
-    "ExecConfig",
     "MODE_AUTO",
     "MODE_FORK",
     "MODE_SERIAL",
@@ -64,10 +60,7 @@ __all__ = [
     "STATUS_DEADLINE",
     "STATUS_ERROR",
     "STATUS_OK",
-    "ShardPlan",
     "SupervisedPool",
     "TaskOutcome",
     "TaskSpec",
-    "shard_checkpoint_name",
-    "split_even",
 ]

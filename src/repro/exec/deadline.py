@@ -1,7 +1,7 @@
 """Whole-run deadline: abort cleanly instead of running forever.
 
-``RunDeadline`` is checked at stage and shard boundaries by the pipeline
-runner. When it expires the runner raises :class:`RunDeadlineExceeded`,
+``RunDeadline`` is checked at stage and attempt boundaries by the
+pipeline runner, and bounds each supervised task's watchdog deadline. When it expires the runner raises :class:`RunDeadlineExceeded`,
 which the CLI turns into a *clean* abort: checkpoints already persisted
 stay on disk, the run directory stays resumable, and the process exits
 with a dedicated code (124, after the ``timeout(1)`` convention) that is

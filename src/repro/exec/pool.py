@@ -17,11 +17,13 @@ child inherits the parent's memory, so closures over large pipeline
 objects cost nothing to dispatch, and only the (small) result is pickled
 back through a pipe. Thread mode is the portable fallback; hung threads
 cannot be killed, only abandoned, which the outcome records honestly.
-Serial mode runs tasks inline with no preemption — the reference
-behaviour sharded executions are compared against.
+Serial mode runs tasks inline with no preemption.
 
-The pool is safe to share between supervisor threads (one per pipeline
-stage): a semaphore caps total in-flight workers across all callers.
+The pipeline runner uses one single-worker pool, and only when a task
+deadline is armed: each observation stage's compute becomes one watched
+task, so a hung stage is killed at its deadline and a crashed child is
+retried. A semaphore caps in-flight workers across concurrent
+:meth:`SupervisedPool.run` callers.
 """
 
 from __future__ import annotations
@@ -57,45 +59,6 @@ def resolve_mode(mode: str) -> str:
     if "fork" in multiprocessing.get_all_start_methods():
         return MODE_FORK
     return MODE_THREAD
-
-
-@dataclass(frozen=True)
-class ExecConfig:
-    """How much supervised parallelism a pipeline run gets.
-
-    The defaults describe the historical serial pipeline: one worker, one
-    shard per stage, no deadlines. ``shards`` defaults to ``workers`` so
-    asking for parallelism automatically shards the work to feed it.
-    """
-
-    workers: int = 1
-    shards: Optional[int] = None
-    mode: str = MODE_AUTO
-    #: Per shard-task deadline in seconds (None: no watchdog kill).
-    task_deadline: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError("need at least one shard")
-        if self.mode not in ALL_MODES:
-            raise ValueError(
-                f"unknown pool mode: {self.mode!r} (modes: {ALL_MODES})"
-            )
-        if self.task_deadline is not None and self.task_deadline <= 0:
-            raise ValueError("task deadline must be positive")
-
-    @property
-    def n_shards(self) -> int:
-        return self.shards if self.shards is not None else self.workers
-
-    @property
-    def parallel(self) -> bool:
-        """Whether this config changes anything vs. the serial pipeline."""
-        return self.workers > 1 or self.n_shards > 1 or (
-            self.task_deadline is not None
-        )
 
 
 @dataclass(frozen=True)
@@ -141,6 +104,10 @@ class _ForkWorker:
 
     def poll(self) -> Optional[TaskOutcome]:
         """Non-blocking check; an outcome means the task is finished."""
+        # Liveness is read before the pipe is drained: a child that sends
+        # its result and exits between the two reads must not be taken
+        # for one that died without delivering.
+        alive = self.process.is_alive()
         while self.recv_conn.poll(0):
             try:
                 kind, payload = self.recv_conn.recv()
@@ -152,7 +119,7 @@ class _ForkWorker:
             status = STATUS_OK if kind == "ok" else STATUS_ERROR
             return self._finish(status, value=payload if kind == "ok" else None,
                                 error=None if kind == "ok" else payload)
-        if not self.process.is_alive():
+        if not alive:
             return self._finish(
                 STATUS_CRASHED,
                 error=f"worker exited with code {self.process.exitcode} "
@@ -259,7 +226,7 @@ class _ThreadWorker:
 
 
 class SupervisedPool:
-    """Deadline-enforcing worker pool shared by the stage supervisors."""
+    """Deadline-enforcing worker pool."""
 
     def __init__(
         self,
@@ -277,8 +244,8 @@ class SupervisedPool:
         self.start_timeout = start_timeout
         # Caps in-flight workers across concurrent run() callers.
         self._slots = threading.Semaphore(max_workers)
-        # Forking while another supervisor thread forks is safe but
-        # serializing spawns keeps the child's inherited state coherent.
+        # Serializing spawns keeps a forked child's inherited state
+        # coherent when several threads share the pool.
         self._spawn_lock = threading.Lock()
         self._log = get_logger("exec")
         registry = metrics if metrics is not None else get_registry()
@@ -306,14 +273,6 @@ class SupervisedPool:
         )
         self._m_task_seconds = registry.histogram(
             "exec_task_seconds", "task wall time by status", ("status",)
-        )
-
-    @classmethod
-    def from_config(
-        cls, config: ExecConfig, metrics: Optional[Any] = None
-    ) -> "SupervisedPool":
-        return cls(
-            max_workers=config.workers, mode=config.mode, metrics=metrics
         )
 
     def run(self, tasks: Sequence[TaskSpec]) -> List[TaskOutcome]:
@@ -411,7 +370,6 @@ class SupervisedPool:
 
 __all__ = [
     "ALL_MODES",
-    "ExecConfig",
     "MODE_AUTO",
     "MODE_FORK",
     "MODE_SERIAL",

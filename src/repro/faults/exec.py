@@ -12,13 +12,13 @@ contain:
 * ``crash``  — the worker process dies without delivering a result
   (``os._exit`` in a forked child; a :class:`WorkerCrashError` where
   there is no separate process to kill);
-* ``poison`` — the shard's input is deterministically unprocessable and
+* ``poison`` — the stage's input is deterministically unprocessable and
   raises :class:`PoisonShardError` on *every* attempt, the canonical
   persistent failure that must trip a circuit breaker.
 
-An :class:`ExecFaultPlan` pins each fault to a (stage, shard, attempt)
-coordinate so drills are exactly reproducible: "shard 1 of the honeypot
-stage hangs on its first attempt" is a plan, not a probability.
+An :class:`ExecFaultPlan` pins each fault to a (stage, attempt)
+coordinate so drills are exactly reproducible: "the honeypot stage
+hangs on its first attempt" is a plan, not a probability.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ HUNG_SLEEP = 3600.0
 
 
 class PoisonShardError(RuntimeError):
-    """A shard whose input can never be processed, on any attempt."""
+    """A stage whose input can never be processed, on any attempt."""
 
 
 class WorkerCrashError(RuntimeError):
@@ -50,16 +50,13 @@ class WorkerCrashError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExecFault:
-    """One execution fault pinned to a (stage, shard, attempt) coordinate."""
+    """One execution fault pinned to a (stage, attempt) coordinate."""
 
     kind: str
     stage: str
-    #: Shard index the fault applies to; ``None`` means every shard
-    #: (including the unsharded whole-stage task, which is shard 0).
-    shard: Optional[int] = None
     #: The fault fires on attempts 1..attempts; the default 1 makes it
-    #: transient (a retry succeeds). Poison shards ignore this and fire
-    #: on every attempt — that is what poison *means*.
+    #: transient (a retry succeeds). Poison ignores this and fires on
+    #: every attempt — that is what poison *means*.
     attempts: int = 1
     #: Extra seconds for ``slow`` faults.
     delay: float = 1.0
@@ -69,33 +66,24 @@ class ExecFault:
             raise ValueError(
                 f"unknown exec fault kind: {self.kind!r} (kinds: {ALL_KINDS})"
             )
-        if self.shard is not None and self.shard < 0:
-            raise ValueError("shard index must be non-negative")
         if self.attempts < 1:
             raise ValueError("fault must fire on at least one attempt")
         if self.delay <= 0:
             raise ValueError("slow-fault delay must be positive")
 
-    def matches(self, stage: str, shard: int, attempt: int) -> bool:
+    def matches(self, stage: str, attempt: int) -> bool:
         if stage != self.stage:
             return False
-        if self.shard is not None and shard != self.shard:
-            return False
-        if self.kind == KIND_POISON:
-            return True
-        return attempt <= self.attempts
+        return self.kind == KIND_POISON or attempt <= self.attempts
 
     def describe(self) -> str:
-        where = f"{self.stage}" + (
-            f"[shard {self.shard}]" if self.shard is not None else ""
-        )
         when = (
             "every attempt"
             if self.kind == KIND_POISON
             else f"attempt(s) 1..{self.attempts}"
         )
         extra = f", +{self.delay:.1f}s" if self.kind == KIND_SLOW else ""
-        return f"{self.kind} @ {where} on {when}{extra}"
+        return f"{self.kind} @ {self.stage} on {when}{extra}"
 
 
 @dataclass(frozen=True)
@@ -114,28 +102,47 @@ class ExecFaultPlan:
 
     @classmethod
     def parse(cls, specs: Tuple[str, ...]) -> "ExecFaultPlan":
-        """Parse CLI specs of the form ``kind:stage[:shard[:attempts]]``."""
+        """Parse CLI specs of the form ``kind:stage[:attempts]``.
+
+        The stage must be one the runner executes; a misspelt one would
+        otherwise arm nothing and the drill would pass fault-free.
+        """
+        from repro.pipeline.runner import STAGE_ORDER  # imports this module
+
         faults = []
         for spec in specs:
             parts = spec.split(":")
-            if not 2 <= len(parts) <= 4:
+            if not 2 <= len(parts) <= 3:
                 raise ValueError(
-                    f"bad exec-fault spec {spec!r}; "
-                    f"expected kind:stage[:shard[:attempts]]"
+                    f"bad exec-fault spec {spec!r}; expected "
+                    f"kind:stage[:attempts] (a stage has no shard field)"
                 )
             kind, stage = parts[0], parts[1]
-            shard = int(parts[2]) if len(parts) > 2 and parts[2] != "*" else None
-            attempts = int(parts[3]) if len(parts) > 3 else 1
-            faults.append(
-                ExecFault(kind=kind, stage=stage, shard=shard, attempts=attempts)
-            )
+            if stage not in STAGE_ORDER:
+                raise ValueError(
+                    f"bad exec-fault spec {spec!r}: unknown stage "
+                    f"{stage!r} (stages: {', '.join(STAGE_ORDER)})"
+                )
+            try:
+                attempts = int(parts[2]) if len(parts) > 2 else 1
+            except ValueError:
+                raise ValueError(
+                    f"bad exec-fault spec {spec!r}: attempts must be an "
+                    f"integer, got {parts[2]!r}"
+                ) from None
+            try:
+                faults.append(
+                    ExecFault(kind=kind, stage=stage, attempts=attempts)
+                )
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad exec-fault spec {spec!r}: {exc}"
+                ) from None
         return cls(tuple(faults))
 
-    def lookup(
-        self, stage: str, shard: int, attempt: int
-    ) -> Optional[ExecFault]:
+    def lookup(self, stage: str, attempt: int) -> Optional[ExecFault]:
         for fault in self.faults:
-            if fault.matches(stage, shard, attempt):
+            if fault.matches(stage, attempt):
                 return fault
         return None
 
@@ -146,7 +153,7 @@ class ExecFaultPlan:
 
 
 def apply_exec_fault(fault: Optional[ExecFault]) -> None:
-    """Enact a fault inside the worker; call at the top of a shard task.
+    """Enact a fault inside the worker; call at the top of a stage task.
 
     ``crash`` kills the current process outright when it runs in a
     forked worker (the supervisor sees a dead child and reports
@@ -168,8 +175,7 @@ def apply_exec_fault(fault: Optional[ExecFault]) -> None:
         )
     elif fault.kind == KIND_POISON:
         raise PoisonShardError(
-            f"poison shard: {fault.stage} shard "
-            f"{'*' if fault.shard is None else fault.shard} is unprocessable"
+            f"poison: {fault.stage} input is unprocessable"
         )
 
 

@@ -6,7 +6,7 @@ model (:meth:`repro.honeypot.amppot.AmpPotFleet.capture_columns`) writes
 whole attacks at once and event extraction
 (:func:`repro.honeypot.detection.detect_columns`) runs as a vectorized
 segmentation. Protocol names are stored as ids into the fixed
-:data:`PROTOCOLS` table, so the logs of different shards and runs share
+:data:`PROTOCOLS` table, so the logs of different partitions and runs share
 ids and concatenate without re-interning.
 """
 

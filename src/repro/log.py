@@ -102,8 +102,8 @@ class StructuredLogger:
     def bind(self, **fields: Any) -> "StructuredLogger":
         """A child logger that stamps *fields* onto every record.
 
-        The worker/shard machinery logs many lines that all belong to one
-        (stage, shard, attempt) coordinate; binding once beats repeating
+        The supervision machinery logs many lines that all belong to one
+        (stage, attempt) coordinate; binding once beats repeating
         the coordinate at every call site — and makes it impossible to
         forget on the error path, where it matters most.
         """

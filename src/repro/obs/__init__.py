@@ -7,9 +7,9 @@ the pipeline reports into:
   and histograms (retries, breaker trips, worker kills, quarantine
   drops, checkpoint bytes, queue depth);
 * :class:`~repro.obs.trace.SpanTracer` — parent/child spans for stages,
-  attempts and shard batches;
+  attempts, layers and supervised tasks;
 * :class:`~repro.obs.profile.StageProfiler` — wall/CPU/RSS/throughput
-  per stage and shard.
+  per stage and layer.
 
 Telemetry is **disabled by default**: :meth:`Telemetry.disabled` bundles
 the shared null observers, so instrumented hot paths cost a no-op method

@@ -1,6 +1,6 @@
 """Process-wide metrics registry: labeled counters, gauges, histograms.
 
-Every runtime decision the resilient pipeline makes — a retry, a shard
+Every runtime decision the resilient pipeline makes — a retry, a worker
 kill, a breaker trip, a quarantined record — currently leaves only a log
 line behind. A :class:`MetricsRegistry` turns those decisions into
 *numbers* that a chaos drill can assert exactly and a flight report can

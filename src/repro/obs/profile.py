@@ -1,12 +1,12 @@
 """Stage profiling: wall time, CPU time, peak RSS and throughput.
 
 Tracing says *when* a stage ran; profiling says *what it cost*. A
-:class:`StageProfiler` wraps each pipeline stage (and, when sharded, each
-shard) and records:
+:class:`StageProfiler` wraps each pipeline stage (and the synthesize and
+detect layers inside the observation stages) and records:
 
 * **wall time** — from the injectable wall clock;
-* **CPU time** — process CPU seconds consumed while the stage ran (an
-  approximation under concurrent stages, stated as such in the report);
+* **CPU time** — CPU seconds this process consumed while the stage ran
+  (a supervised worker's own CPU is not included);
 * **peak RSS** — the high-water resident set, via ``getrusage`` (kilobytes
   on Linux); monotone per process, so the per-stage value is "peak so
   far", which is exactly what a memory budget cares about;
@@ -66,10 +66,9 @@ def current_rss_kb() -> int:
 
 @dataclass
 class StageProfile:
-    """Measured cost of one stage (or one shard of one stage)."""
+    """Measured cost of one stage (or one layer of one stage)."""
 
     stage: str
-    shard: Optional[str] = None
     wall_s: float = 0.0
     cpu_s: float = 0.0
     peak_rss_kb: int = 0
@@ -89,7 +88,6 @@ class StageProfile:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "stage": self.stage,
-            "shard": self.shard,
             "wall_s": round(self.wall_s, 6),
             "cpu_s": round(self.cpu_s, 6),
             "peak_rss_kb": self.peak_rss_kb,
@@ -139,10 +137,8 @@ class StageProfiler:
         self.profiles: List[StageProfile] = []
 
     @contextmanager
-    def profile(
-        self, stage: str, shard: Optional[str] = None
-    ) -> Iterator[_ProfileHandle]:
-        record = StageProfile(stage=stage, shard=shard)
+    def profile(self, stage: str) -> Iterator[_ProfileHandle]:
+        record = StageProfile(stage=stage)
         handle = _ProfileHandle(record)
         record.rss_before_kb = self._current_rss_fn()
         wall0 = self._clock()
@@ -156,27 +152,6 @@ class StageProfiler:
             record.rss_after_kb = self._current_rss_fn()
             with self._lock:
                 self.profiles.append(record)
-
-    def note(
-        self,
-        stage: str,
-        wall_s: float,
-        events: int = 0,
-        shard: Optional[str] = None,
-        cpu_s: float = 0.0,
-    ) -> None:
-        """Record a cost measured elsewhere (e.g. a worker's task outcome)."""
-        with self._lock:
-            self.profiles.append(
-                StageProfile(
-                    stage=stage,
-                    shard=shard,
-                    wall_s=wall_s,
-                    cpu_s=cpu_s,
-                    peak_rss_kb=self._rss_fn(),
-                    events=int(events),
-                )
-            )
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
@@ -194,14 +169,8 @@ class NullProfiler:
     profiles: tuple = ()
 
     @contextmanager
-    def profile(
-        self, stage: str, shard: Optional[str] = None
-    ) -> Iterator[_ProfileHandle]:
+    def profile(self, stage: str) -> Iterator[_ProfileHandle]:
         yield _NULL_HANDLE
-
-    def note(self, stage: str, wall_s: float, events: int = 0,
-             shard: Optional[str] = None, cpu_s: float = 0.0) -> None:
-        pass
 
     def snapshot(self) -> Dict[str, Any]:
         return {"profiles": []}

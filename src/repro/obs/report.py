@@ -108,7 +108,7 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
             "run: "
             + ", ".join(
                 f"{key}={meta[key]}"
-                for key in ("command", "preset", "seed", "workers", "shards")
+                for key in ("command", "preset", "seed")
                 if meta.get(key) is not None
             )
         )
@@ -116,13 +116,8 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
 
     # -- stages: status/attempts from quality, cost from profile ------------
     profiles_by_stage: Dict[str, Dict[str, Any]] = {}
-    shard_counts: Dict[str, int] = {}
     for entry in (profile or {}).get("profiles", []):
-        if entry.get("shard"):
-            shard_counts[entry["stage"]] = (
-                shard_counts.get(entry["stage"], 0) + 1
-            )
-        elif "." not in entry["stage"]:  # layers are listed separately
+        if "." not in entry["stage"]:  # layers are listed separately
             profiles_by_stage[entry["stage"]] = entry
     stage_rows = (quality or {}).get("stages", [])
     if stage_rows or profiles_by_stage:
@@ -138,7 +133,7 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
             row = rows_by_name.get(name, {})
             prof = profiles_by_stage.get(name, {})
             wall = prof.get("wall_s", row.get("elapsed", 0.0)) or 0.0
-            rendered = (
+            lines.append(
                 f"{name:<12} {row.get('status', '-'):<9} "
                 f"{row.get('attempts', 0):>8} {wall:>8.3f} "
                 f"{prof.get('cpu_s', 0.0):>8.3f} "
@@ -146,16 +141,13 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
                 f"{prof.get('events', 0):>9} "
                 f"{prof.get('events_per_s', 0.0):>10.1f}"
             )
-            if shard_counts.get(name):
-                rendered += f"  [{shard_counts[name]} shard(s)]"
-            lines.append(rendered)
         lines.append("")
 
     # -- layers inside stages (synthesize / detect), from profile -----------
     layers = [
         entry
         for entry in (profile or {}).get("profiles", [])
-        if "." in entry["stage"] and not entry.get("shard")
+        if "." in entry["stage"]
     ]
     if layers:
         lines.append(

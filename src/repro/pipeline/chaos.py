@@ -1,25 +1,27 @@
 """Chaos drill: exercise the executor's failure envelope end to end.
 
-Unit tests prove each supervision mechanism (watchdog, breaker, shard
-checkpoints) in isolation; the drill proves the *composition*: a full
-pipeline run under each injected execution fault must either recover to
+Unit tests prove each supervision mechanism (watchdog, breaker, retry)
+in isolation; the drill proves the *composition*: a full pipeline run
+under each injected execution fault must either recover to
 byte-identical output or complete visibly degraded — and must never hang
 past its time budget. ``python -m repro chaos`` runs it from the CLI and
 CI runs ``chaos --quick`` as a smoke job.
 
-Each scenario runs the sharded pipeline with one
-:class:`~repro.faults.exec.ExecFaultPlan` armed and checks the outcome
-against a serial fault-free baseline:
+Each scenario runs the pipeline with a task deadline armed, so every
+observation stage's compute is one watched worker task, and with one
+:class:`~repro.faults.exec.ExecFaultPlan` armed; it checks the outcome
+against a fault-free baseline run without supervision:
 
-* ``hung-worker``  — a shard sleeps forever; the watchdog must kill it at
-  the task deadline and the retry must recover byte-identically;
-* ``slow-worker``  — a shard is delayed but finishes inside its deadline;
+* ``hung-worker``  — a stage's task sleeps forever; the watchdog must
+  kill it at the task deadline and the retry must recover
+  byte-identically;
+* ``slow-worker``  — a task is delayed but finishes inside its deadline;
   output must be byte-identical (skipped under ``--quick``);
-* ``worker-crash`` — a forked worker dies mid-shard; the retry recomputes
-  only the failed shard and output must be byte-identical;
-* ``poison-shard`` — a shard fails on every attempt; the feed must degrade
-  through the empty-typed path with the breaker trip visible in the
-  :class:`~repro.pipeline.quality.DataQualityReport`.
+* ``worker-crash`` — a forked worker dies mid-task; the retry recomputes
+  the stage and output must be byte-identical;
+* ``poison-shard`` — a stage's input fails on every attempt; the feed
+  must degrade through the empty-typed path with the breaker trip
+  visible in the :class:`~repro.pipeline.quality.DataQualityReport`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.exec.deadline import RunDeadlineExceeded
-from repro.exec.pool import ExecConfig
 from repro.faults.exec import (
     ExecFaultPlan,
     KIND_CRASH,
@@ -59,8 +60,8 @@ class ChaosScenario:
     name: str
     faults: ExecFaultPlan
     expect: str
-    #: Per-shard watchdog deadline for this scenario (None: no watchdog).
-    task_deadline: Optional[float] = None
+    #: Watchdog deadline of each observation task in this scenario.
+    task_deadline: float = 60.0
     #: Feed that must show up degraded (EXPECT_DEGRADED scenarios only).
     degraded_feed: str = ""
 
@@ -81,18 +82,18 @@ def drill_scenarios(quick: bool = False) -> List[ChaosScenario]:
     scenarios = [
         ChaosScenario(
             name="hung-worker",
-            faults=ExecFaultPlan.single(KIND_HUNG, "honeypot", shard=0),
+            faults=ExecFaultPlan.single(KIND_HUNG, "honeypot"),
             expect=EXPECT_IDENTICAL,
             task_deadline=2.0,
         ),
         ChaosScenario(
             name="worker-crash",
-            faults=ExecFaultPlan.single(KIND_CRASH, "telescope", shard=1),
+            faults=ExecFaultPlan.single(KIND_CRASH, "telescope"),
             expect=EXPECT_IDENTICAL,
         ),
         ChaosScenario(
             name="poison-shard",
-            faults=ExecFaultPlan.single(KIND_POISON, "honeypot", shard=0),
+            faults=ExecFaultPlan.single(KIND_POISON, "honeypot"),
             expect=EXPECT_DEGRADED,
             degraded_feed="honeypot",
         ),
@@ -103,10 +104,9 @@ def drill_scenarios(quick: bool = False) -> List[ChaosScenario]:
             ChaosScenario(
                 name="slow-worker",
                 faults=ExecFaultPlan.single(
-                    KIND_SLOW, "measurement", shard=0, delay=0.5
+                    KIND_SLOW, "measurement", delay=0.5
                 ),
                 expect=EXPECT_IDENTICAL,
-                task_deadline=30.0,
             ),
         )
     return scenarios
@@ -123,12 +123,10 @@ def _events_bytes(result) -> bytes:
 def run_chaos_drill(
     config: Optional[ScenarioConfig] = None,
     quick: bool = False,
-    workers: int = 2,
-    shards: int = 3,
     scenario_budget: float = 120.0,
     telemetry: Optional[Telemetry] = None,
 ) -> List[ScenarioResult]:
-    """Run every drill scenario against a serial fault-free baseline.
+    """Run every drill scenario against a fault-free baseline.
 
     Each scenario's pipeline run carries *scenario_budget* as a hard
     run deadline, so "no scenario hangs past its deadline" is enforced
@@ -143,7 +141,7 @@ def run_chaos_drill(
         "chaos drill scenario verdicts",
         ("scenario", "verdict"),
     )
-    log.info("chaos drill baseline (serial, fault-free)")
+    log.info("chaos drill baseline (fault-free, unsupervised)")
     with telemetry.tracer.span("chaos-baseline"):
         reference = _events_bytes(
             ResilientPipeline(config, telemetry=telemetry).run()
@@ -164,11 +162,7 @@ def run_chaos_drill(
             ):
                 result = ResilientPipeline(
                     config,
-                    exec_config=ExecConfig(
-                        workers=workers,
-                        shards=shards,
-                        task_deadline=scenario.task_deadline,
-                    ),
+                    task_deadline=scenario.task_deadline,
                     exec_faults=scenario.faults,
                     deadline=scenario_budget,
                     telemetry=telemetry,
@@ -185,10 +179,10 @@ def run_chaos_drill(
         elif scenario.expect == EXPECT_IDENTICAL:
             if _events_bytes(result) == reference:
                 passed = True
-                detail = "recovered; fused events byte-identical to serial"
+                detail = "recovered; fused events byte-identical to baseline"
             else:
                 passed = False
-                detail = "completed but fused events diverged from serial"
+                detail = "completed but fused events diverged from baseline"
         else:
             feed = result.quality.feed(scenario.degraded_feed)
             tripped = [

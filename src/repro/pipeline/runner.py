@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import os
 import random
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -50,10 +49,9 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 from repro.dns.openintel import OpenIntelDataset
 from repro.dps.detection import DPSUsageDataset
 from repro.exec.breaker import CircuitBreaker
-from repro.exec.deadline import RunDeadline, RunDeadlineExceeded
-from repro.exec.interrupt import InterruptGuard, RunInterrupted
-from repro.exec.pool import ExecConfig, SupervisedPool, TaskSpec
-from repro.exec.shard import is_shard_checkpoint, shard_checkpoint_name
+from repro.exec.deadline import RunDeadline
+from repro.exec.interrupt import InterruptGuard
+from repro.exec.pool import SupervisedPool, TaskSpec
 from repro.faults.exec import (
     ExecFaultPlan,
     PoisonShardError,
@@ -96,15 +94,16 @@ STAGE_ORDER = (
     "fusion",
 )
 
-#: The mutually independent observation stages the executor may run
-#: concurrently and shard internally.
+#: The observation stages: supervised by breakers, degradable to an
+#: empty feed, cacheable, and run as watched pool tasks when a task
+#: deadline is armed.
 OBSERVATION_STAGES = ("telescope", "honeypot", "measurement")
 
 #: Actual data dependencies between stages. The sequential STAGE_ORDER
 #: overstates them: the three observation stages only need the attack /
-#: migration layers, not each other — which matters the moment they run
-#: concurrently and one of them checkpoints before an earlier-ordered
-#: sibling (see :meth:`CheckpointStore.load_valid_graph`).
+#: migration layers, not each other, so a corrupt telescope checkpoint
+#: does not cost a valid honeypot one on resume (see
+#: :meth:`CheckpointStore.load_valid_graph`).
 STAGE_DEPS: Dict[str, tuple] = {
     "internet": (),
     "attacks": ("internet",),
@@ -117,8 +116,7 @@ STAGE_DEPS: Dict[str, tuple] = {
 
 #: Injector-counter prefixes each stage's own execution mutates; used to
 #: snapshot/restore exactly the counters a retried attempt regenerates,
-#: and to persist per-stage counter deltas that merge correctly no
-#: matter which order concurrent stages complete in.
+#: and to persist each stage's own counters with its checkpoint.
 STAGE_COUNTER_PREFIXES: Dict[str, tuple] = {
     "telescope": ("telescope.",),
     "honeypot": ("honeypot.",),
@@ -238,7 +236,7 @@ class ResilientPipeline:
         sleep: Optional[Callable[[float], None]] = None,
         run_dir: Optional[Union[str, Path]] = None,
         crash_after: Optional[str] = None,
-        exec_config: Optional[ExecConfig] = None,
+        task_deadline: Optional[float] = None,
         exec_faults: Optional[ExecFaultPlan] = None,
         deadline: Optional[Union[float, RunDeadline]] = None,
         interrupt: Optional[InterruptGuard] = None,
@@ -260,6 +258,10 @@ class ResilientPipeline:
                 f"unknown crash_after stage: {crash_after!r} "
                 f"(stages: {', '.join(STAGE_ORDER)})"
             )
+        if task_deadline is not None and not task_deadline > 0:
+            raise ValueError(
+                f"task deadline must be positive, got {task_deadline!r}"
+            )
         self.retry = retry
         self.injectors = FaultInjectorSet(self.plan)
         self.stage_reports: List[StageReport] = []
@@ -271,7 +273,8 @@ class ResilientPipeline:
         self._sleep = sleep if sleep is not None else time.sleep
         self._log = get_logger("runner")
         self.crash_after = crash_after
-        self.exec_config = exec_config if exec_config is not None else ExecConfig()
+        #: Watchdog deadline per observation task (None: run in process).
+        self.task_deadline = task_deadline
         self.exec_faults = (
             exec_faults if exec_faults is not None else ExecFaultPlan.none()
         )
@@ -304,14 +307,6 @@ class ResilientPipeline:
             "pipeline_stage_seconds", "stage wall time (telemetry clock)",
             ("stage",),
         )
-        self._m_shards_reused = metrics.counter(
-            "pipeline_shards_reused_total",
-            "shards served from a prior checkpoint", ("stage",),
-        )
-        self._m_shards_computed = metrics.counter(
-            "pipeline_shards_computed_total",
-            "shards computed by the pool", ("stage",),
-        )
         # Cross-run stage cache: only consulted for fault-free plans
         # (outputs are then pure functions of the scenario config) and
         # only for the expensive observation stages.
@@ -341,15 +336,11 @@ class ResilientPipeline:
             }
         )
         self._pool: Optional[SupervisedPool] = (
-            SupervisedPool.from_config(self.exec_config, metrics=metrics)
-            if self.exec_config.parallel
+            SupervisedPool(metrics=metrics)
+            if task_deadline is not None
             else None
         )
-        # Guards checkpoint/state persistence and report lists when the
-        # observation stages run under concurrent supervisor threads.
-        self._state_lock = threading.RLock()
         self._attempt_now: Dict[str, int] = {}
-        self._shard_cache: Dict[str, Any] = {}
         self.store: Optional[CheckpointStore] = None
         if run_dir is not None:
             self.store = CheckpointStore(run_dir, metrics=metrics)
@@ -364,45 +355,20 @@ class ResilientPipeline:
         )
         self._checkpoints.update(payloads)
         self.checkpoint_issues = issues
-        # Runner state is snapshotted per completed stage. Newer state
-        # files carry each stage's *own* counter deltas, which merge
-        # correctly regardless of the order concurrent stages completed
-        # in; older ones carry a single global snapshot, adopted from the
-        # last restored stage (correct for the serial runs that wrote
-        # them). Counters of discarded checkpoints are dropped either way
-        # and regenerated deterministically by the re-run.
-        state = self.store.read_json(self.STATE_FILE) or {}
-        snapshots = state.get("stage_state", {})
-        restored = [stage for stage in STAGE_ORDER if stage in payloads]
-        own_counter_stages = [
-            stage
-            for stage in restored
-            if "own_counters" in (snapshots.get(stage) or {})
-        ]
-        if own_counter_stages:
-            merged: Dict[str, int] = {}
-            degraded: set = set()
-            for stage in own_counter_stages:
-                snapshot = snapshots[stage]
-                merged.update(snapshot["own_counters"])
-                degraded.update(snapshot.get("degraded_stages", []))
-            self.injectors.restore_counters(merged)
-            self._degraded_stages.update(
-                stage for stage in degraded if stage in payloads
-            )
-        elif restored:
-            snapshot = snapshots.get(restored[-1])
-            if snapshot:
-                self.injectors.restore_counters(
-                    snapshot.get("injector_counters", {})
-                )
-                self._degraded_stages.update(
-                    stage
-                    for stage in snapshot.get("degraded_stages", [])
-                    if stage in payloads
-                )
-        self._restore_shard_checkpoints(payloads)
+        # Each completed stage's own injector counters and the degraded
+        # stages are persisted with its checkpoint. Those of discarded
+        # checkpoints are dropped and regenerated by the re-run.
+        snapshots = (
+            self.store.read_json(self.STATE_FILE) or {}
+        ).get("stage_state", {})
         for stage in payloads:
+            snapshot = snapshots.get(stage) or {}
+            self.injectors.restore_counters(snapshot.get("own_counters", {}))
+            self._degraded_stages.update(
+                name
+                for name in snapshot.get("degraded_stages", [])
+                if name in payloads
+            )
             self._log.info("stage restored from checkpoint", stage=stage)
         for issue in self.checkpoint_issues:
             self._log.warning(
@@ -412,75 +378,27 @@ class ResilientPipeline:
                 detail=issue.detail,
             )
 
-    def _restore_shard_checkpoints(self, payloads: Dict[str, Any]) -> None:
-        """Adopt per-shard partials of incomplete stages; drop stale ones.
-
-        A shard checkpoint is only reusable when the whole stage is still
-        incomplete, the shard count matches the current plan (the name
-        bakes it in), and the stage's dependencies were restored — shard
-        outputs derive from them just like the full stage output does.
-        """
-        n = self.exec_config.n_shards
-        valid_names = {
-            shard_checkpoint_name(stage, i, n)
-            for stage in OBSERVATION_STAGES
-            if stage not in payloads
-            and all(dep in payloads for dep in STAGE_DEPS[stage])
-            for i in range(n)
-        }
-        for name in self.store.stages():
-            if not is_shard_checkpoint(name):
-                continue
-            if name not in valid_names:
-                self.store.discard(name)
-                continue
-            try:
-                self._shard_cache[name] = self.store.load(name)
-                self._log.info("shard restored from checkpoint", shard=name)
-            except Exception as exc:
-                self.checkpoint_issues.append(
-                    CheckpointIssue(name, "corrupt", str(exc))
-                )
-                self.store.discard(name)
-
     def _persist_stage(self, name: str) -> None:
         """Checkpoint a completed stage and the resumable runner state."""
         if self.store is None:
-            self._drop_shards(name)
             return
-        with self._state_lock:
-            self.store.save(name, self._checkpoints[name])
-            state = self.store.read_json(self.STATE_FILE) or {}
-            snapshots = state.setdefault("stage_state", {})
-            counters = self.injectors.counters()
-            prefixes = STAGE_COUNTER_PREFIXES.get(name, ())
-            snapshots[name] = {
-                # Full snapshot kept for older readers; own_counters is
-                # what current restores merge.
-                "injector_counters": counters,
-                "own_counters": {
-                    key: value
-                    for key, value in counters.items()
-                    if key.startswith(prefixes)
-                },
-                "degraded_stages": sorted(self._degraded_stages),
-            }
-            self.store.write_json(self.STATE_FILE, state)
-            self._drop_shards(name)
+        self.store.save(name, self._checkpoints[name])
+        state = self.store.read_json(self.STATE_FILE) or {}
+        prefixes = STAGE_COUNTER_PREFIXES.get(name, ())
+        state.setdefault("stage_state", {})[name] = {
+            "own_counters": {
+                key: value
+                for key, value in self.injectors.counters().items()
+                if key.startswith(prefixes)
+            },
+            "degraded_stages": sorted(self._degraded_stages),
+        }
+        self.store.write_json(self.STATE_FILE, state)
         if self.crash_after == name:
             self._log.error(
                 "simulated hard crash (recovery drill)", stage=name
             )
             os._exit(137)  # SIGKILL semantics: no cleanup, no atexit
-
-    def _drop_shards(self, stage: str) -> None:
-        """Retire a completed stage's per-shard partials."""
-        n = self.exec_config.n_shards
-        for index in range(n):
-            name = shard_checkpoint_name(stage, index, n)
-            self._shard_cache.pop(name, None)
-            if self.store is not None:
-                self.store.discard(name)
 
     def attach_record_report(self, report: Any) -> None:
         """Surface a :class:`FeedLoadReport` in this run's quality report."""
@@ -522,12 +440,35 @@ class ResilientPipeline:
         diversion_log, ledger, internet = self._run_stage(
             "migration", _migrate
         )
-        observations = self._run_observations(
-            ground_truth, internet, diversion_log
+        telescope_events = self._run_stage(
+            "telescope",
+            lambda: self._observe_feed(
+                "telescope",
+                lambda: sim.telescope_capture(
+                    config, ground_truth, fault=self.injectors.telescope
+                ),
+                sim.detect_telescope_shard,
+                sim.merge_telescope_shards,
+            ),
+            degraded_factory=list,
         )
-        telescope_events = observations["telescope"]
-        honeypot_events = observations["honeypot"]
-        openintel, dps_usage = observations["measurement"]
+        honeypot_events = self._run_stage(
+            "honeypot",
+            lambda: self._observe_feed(
+                "honeypot",
+                lambda: sim.honeypot_capture(
+                    config, ground_truth, fault=self.injectors.honeypot
+                ),
+                sim.detect_honeypot_shard,
+                sim.merge_honeypot_shards,
+            ),
+            degraded_factory=list,
+        )
+        openintel, dps_usage = self._run_stage(
+            "measurement",
+            lambda: self._measure(internet, diversion_log),
+            degraded_factory=self._empty_measurement,
+        )
         fused, web_index = self._run_stage(
             "fusion",
             lambda: sim.fuse_observations(
@@ -550,111 +491,19 @@ class ResilientPipeline:
         result.quality = self._build_quality(result, baseline)
         return result
 
-    # -- supervised observation phase -----------------------------------------
-
-    def _run_observations(
-        self,
-        ground_truth: Any,
-        internet: Any,
-        diversion_log: Any,
-    ) -> Dict[str, Any]:
-        """Run the three independent observation stages, possibly at once.
-
-        With the default serial :class:`ExecConfig` this is exactly the
-        historical sequential path. With parallelism enabled, each stage
-        runs under its own supervisor thread and its inner work fans out
-        over the shared :class:`SupervisedPool`; stage ordering of
-        reports and checkpoints is canonicalized elsewhere, so the
-        completion order does not matter.
-        """
-        stages: Dict[str, tuple] = {
-            "telescope": (
-                lambda: self._observe_telescope_supervised(ground_truth),
-                list,
-            ),
-            "honeypot": (
-                lambda: self._observe_honeypots_supervised(ground_truth),
-                list,
-            ),
-            "measurement": (
-                lambda: self._measure_dns_supervised(internet, diversion_log),
-                self._empty_measurement,
-            ),
-        }
-        concurrent = (
-            self.exec_config.parallel
-            and self.exec_config.workers > 1
-            and sum(1 for s in stages if s not in self._checkpoints) > 1
-        )
-        if not concurrent:
-            return {
-                name: self._run_stage(name, fn, degraded_factory=degraded)
-                for name, (fn, degraded) in stages.items()
-            }
-        results: Dict[str, Any] = {}
-        errors: Dict[str, BaseException] = {}
-
-        def _supervise(name: str, fn, degraded) -> None:
-            try:
-                results[name] = self._run_stage(
-                    name, fn, degraded_factory=degraded
-                )
-            except BaseException as exc:  # noqa: BLE001 - rethrown below
-                errors[name] = exc
-
-        threads = [
-            threading.Thread(
-                target=_supervise,
-                args=(name, fn, degraded),
-                name=f"repro-stage-{name}",
-            )
-            for name, (fn, degraded) in stages.items()
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            # Deterministic choice when several stages failed together:
-            # a run-deadline or interrupt abort outranks stage failures
-            # (it explains them), then canonical stage order.
-            for error in errors.values():
-                if isinstance(error, (RunDeadlineExceeded, RunInterrupted)):
-                    raise error
-            first = min(errors, key=OBSERVATION_STAGES.index)
-            raise errors[first]
-        return results
-
-    def _observe_telescope_supervised(self, ground_truth: Any) -> Any:
-        config, fault = self.config, self.injectors.telescope
-        return self._observe_feed(
-            "telescope",
-            lambda: sim.telescope_capture(config, ground_truth, fault=fault),
-            sim.detect_telescope_shard,
-            sim.merge_telescope_shards,
-        )
-
-    def _observe_honeypots_supervised(self, ground_truth: Any) -> Any:
-        config, fault = self.config, self.injectors.honeypot
-        return self._observe_feed(
-            "honeypot",
-            lambda: sim.honeypot_capture(config, ground_truth, fault=fault),
-            sim.detect_honeypot_shard,
-            sim.merge_honeypot_shards,
-        )
+    # -- observation stages ---------------------------------------------------
 
     def _observe_feed(
         self,
         stage: str,
         synthesize: Callable[[], Any],
-        detect_shard: Callable[..., Any],
+        detect: Callable[..., Any],
         merge: Callable[[List[Any]], Any],
     ) -> Any:
-        """Synthesize one feed's capture, detect over it, merge the shards.
+        """Synthesize one feed's capture, detect over it, merge.
 
-        Synthesis runs here in the supervising process: it mutates the
-        injector's loss counters, which a fork child would lose. Only
-        detection fans out over the pool, by victim partition. Both
+        Synthesis runs here in the runner's process: it mutates the
+        injector's loss counters, which a fork child would lose. Both
         layers get a child span and a profile entry carrying the
         capture's row count.
         """
@@ -664,14 +513,8 @@ class ResilientPipeline:
             set_rows(len(capture))
         with self._layer(stage, "detect") as set_rows:
             set_rows(len(capture))
-            if self.exec_config.parallel:
-                shards = self._run_shards(
-                    stage,
-                    lambda i, n: lambda: detect_shard(config, capture, i, n),
-                )
-            else:
-                shards = [detect_shard(config, capture, 0, 1)]
-        return merge(shards)
+            events = self._supervised(stage, lambda: detect(config, capture))
+        return merge([events])
 
     @contextmanager
     def _layer(self, stage: str, layer: str) -> Iterator[Callable[[int], None]]:
@@ -686,123 +529,63 @@ class ResilientPipeline:
 
                 yield set_rows
 
-    def _measure_dns_supervised(
-        self, internet: Any, diversion_log: Any
-    ) -> Any:
+    def _measure(self, internet: Any, diversion_log: Any) -> Any:
+        """DNS measurement (supervised), then its faults in this process:
+        degradation mutates injector counters."""
         config = self.config
-        openintel_fault = self.injectors.openintel
-        dps_fault = self.injectors.dps
-        if not self.exec_config.parallel:
-            return sim.measure_dns(
-                config,
-                internet,
-                diversion_log,
-                openintel_fault=openintel_fault,
-                dps_fault=dps_fault,
-            )
-        parts = self._run_shards(
+        openintel, dps_usage = self._supervised(
             "measurement",
-            lambda i, n: lambda: sim.measure_dns_shard(
-                config, internet, diversion_log, i, n
-            ),
+            lambda: sim.measure_dns(config, internet, diversion_log),
         )
-        openintel, dps_usage = sim.merge_dns_shards(config, parts)
-        # Degradation mutates injector counters: parent process only.
         return sim.apply_dns_faults(
             openintel,
             dps_usage,
-            openintel_fault=openintel_fault,
-            dps_fault=dps_fault,
+            openintel_fault=self.injectors.openintel,
+            dps_fault=self.injectors.dps,
         )
 
-    def _run_shards(
-        self,
-        stage: str,
-        make_fn: Callable[[int, int], Callable[[], Any]],
-    ) -> List[Any]:
-        """Fan one stage's shard tasks out over the pool; merge-ready list.
+    def _supervised(self, stage: str, fn: Callable[[], Any]) -> Any:
+        """Run a stage's compute; with a task deadline armed, as one
+        watched pool task.
 
-        Completed shards are checkpointed (and cached) individually, so a
-        retry after a partial failure — or a resumed process — only
-        recomputes the shards that never finished. Any shard failure
-        surfaces as a :class:`TransientStageError` for the stage retry
-        loop; a shard that fails on every attempt (poison) therefore
-        drives the stage down the breaker/degrade path.
+        The task runs in a fork child where the platform allows, so the
+        watchdog can kill it at the deadline, and a child that hangs,
+        crashes or fails surfaces as a :class:`TransientStageError` for
+        the stage's retry loop. The stage's execution fault fires inside
+        the task.
         """
-        n = self.exec_config.n_shards
-        attempt = self._attempt_now.get(stage, 1)
-        shard_log = self._log.bind(stage=stage, attempt=attempt, shards=n)
-        names = [shard_checkpoint_name(stage, i, n) for i in range(n)]
-        todo = [i for i in range(n) if names[i] not in self._shard_cache]
-        if len(todo) < n:
-            shard_log.info(
-                "shards reused from checkpoint", reused=n - len(todo)
+        if self._pool is None:
+            return fn()
+        attempt = self._attempt_now[stage]
+        fault = self.exec_faults.lookup(stage, attempt)
+        if fault is not None:
+            self._log.warning(
+                "exec fault armed", stage=stage, attempt=attempt,
+                fault=fault.kind,
             )
-            self._m_shards_reused.inc(n - len(todo), stage=stage)
-        if todo:
-            deadline = self._task_deadline()
-            tasks = []
-            for i in todo:
-                fn = make_fn(i, n)
-                fault = self.exec_faults.lookup(stage, i, attempt)
-                if fault is not None:
-                    shard_log.warning(
-                        "exec fault armed", shard=i, fault=fault.kind
-                    )
 
-                def task(fn=fn, fault=fault):
-                    apply_exec_fault(fault)
-                    return fn()
+        def task():
+            apply_exec_fault(fault)
+            return fn()
 
-                tasks.append(
-                    TaskSpec(
-                        name=f"{stage}[{i}/{n}]", fn=task, deadline=deadline
-                    )
-                )
-            with self._tracer.span(
-                "shards", stage=stage, attempt=attempt, shards=len(todo)
-            ):
-                outcomes = self._pool.run(tasks)
-            failures = []
-            for i, outcome in zip(todo, outcomes):
-                if outcome.ok:
-                    self._m_shards_computed.inc(stage=stage)
-                    self._profiler.note(
-                        stage,
-                        wall_s=outcome.elapsed,
-                        events=_payload_events(outcome.value),
-                        shard=f"{i}/{n}",
-                    )
-                    self._shard_cache[names[i]] = outcome.value
-                    if self.store is not None:
-                        with self._state_lock:
-                            self.store.save(names[i], outcome.value)
-                else:
-                    failures.append((i, outcome))
-            if failures:
-                detail = "; ".join(
-                    f"shard {i}: {o.status} ({o.error})" for i, o in failures
-                )
-                raise TransientStageError(
-                    f"{len(failures)}/{n} shard(s) of {stage} failed: {detail}"
-                )
-        return [self._shard_cache[name] for name in names]
+        with self._tracer.span("task", stage=stage, attempt=attempt):
+            (outcome,) = self._pool.run(
+                [TaskSpec(name=stage, fn=task, deadline=self._task_deadline())]
+            )
+        if not outcome.ok:
+            raise TransientStageError(
+                f"{stage} task {outcome.status}: {outcome.error}"
+            )
+        return outcome.value
 
-    def _task_deadline(self) -> Optional[float]:
-        """Per-shard watchdog deadline: the task cap, bounded by what is
-        left of the whole-run deadline so a hung shard cannot out-sleep
+    def _task_deadline(self) -> float:
+        """Watchdog deadline of one task: the task cap, bounded by what is
+        left of the whole-run deadline so a hung task cannot out-sleep
         the run-level abort."""
-        candidates = [
-            value
-            for value in (
-                self.exec_config.task_deadline,
-                self.deadline.remaining(),
-            )
-            if value is not None
-        ]
-        if not candidates:
-            return None
-        return max(0.01, min(candidates))
+        remaining = self.deadline.remaining()
+        if remaining is None:
+            return self.task_deadline
+        return max(0.01, min(self.task_deadline, remaining))
 
     def _run_stage(
         self,
@@ -812,7 +595,7 @@ class ResilientPipeline:
     ) -> Any:
         if name in self._checkpoints:
             self._m_outcomes.inc(stage=name, status="cached")
-            self._add_report(
+            self.stage_reports.append(
                 StageReport(name=name, status="cached", attempts=0)
             )
             self._log.debug("stage served from checkpoint", stage=name)
@@ -824,7 +607,7 @@ class ResilientPipeline:
             # behave identically to an uncached run.
             self._checkpoints[name] = payload
             self._m_outcomes.inc(stage=name, status="cache-hit")
-            self._add_report(
+            self.stage_reports.append(
                 StageReport(name=name, status="cache-hit", attempts=0)
             )
             self._log.info("stage served from stage cache", stage=name)
@@ -853,7 +636,9 @@ class ResilientPipeline:
         last_error: Optional[Exception] = None
         breaker = self.breakers.get(name)
         prefixes = STAGE_COUNTER_PREFIXES.get(name, ())
-        serial_exec = not self.exec_config.parallel
+        # A stage that runs as a pool task takes its execution fault
+        # inside the task (see _supervised); every other stage here.
+        fault_in_task = self._pool is not None and name in OBSERVATION_STAGES
 
         def _finish(status: str) -> None:
             self._m_outcomes.inc(stage=name, status=status)
@@ -880,8 +665,8 @@ class ResilientPipeline:
                     breaker_state=breaker.state,
                 )
                 continue
-            # An attempt that fails after partially running (a shard
-            # crash, say) has already folded losses into the injector
+            # An attempt that fails after partially running (a crashed
+            # detection task, say) has already folded losses into the injector
             # counters; the retry regenerates them, so the failed
             # attempt's contribution must be rolled back first.
             counter_baseline = {
@@ -892,12 +677,11 @@ class ResilientPipeline:
             try:
                 with self._tracer.span("attempt", stage=name, attempt=attempts):
                     self._maybe_inject_failure(name)
-                    if serial_exec:
-                        # With no pool, exec faults hit the stage body itself
-                        # (shard 0): crash/poison surface as stage failures,
-                        # hung genuinely hangs — serial mode has no watchdog.
+                    if not fault_in_task:
+                        # Crash/poison surface as stage failures; hung
+                        # genuinely hangs, as there is no watchdog here.
                         apply_exec_fault(
-                            self.exec_faults.lookup(name, 0, attempts)
+                            self.exec_faults.lookup(name, attempts)
                         )
                     output = fn()
             except (
@@ -928,7 +712,7 @@ class ResilientPipeline:
             elapsed = time.perf_counter() - start
             _finish("ok")
             prof.set_events(_payload_events(output))
-            self._add_report(
+            self.stage_reports.append(
                 StageReport(
                     name=name,
                     status="ok",
@@ -949,7 +733,7 @@ class ResilientPipeline:
             self._checkpoints[name] = output
             self._degraded_stages.add(name)
             _finish("degraded")
-            self._add_report(
+            self.stage_reports.append(
                 StageReport(
                     name=name,
                     status="degraded",
@@ -967,7 +751,7 @@ class ResilientPipeline:
             self._persist_stage(name)
             return output
         _finish("failed")
-        self._add_report(
+        self.stage_reports.append(
             StageReport(
                 name=name,
                 status="failed",
@@ -984,10 +768,6 @@ class ResilientPipeline:
         )
         raise StageFailedError(name, last_error)
 
-    def _add_report(self, report: StageReport) -> None:
-        with self._state_lock:
-            self.stage_reports.append(report)
-
     # -- cross-run stage cache ------------------------------------------------
 
     def _stage_cacheable(self, name: str) -> bool:
@@ -1000,26 +780,17 @@ class ResilientPipeline:
             and name in OBSERVATION_STAGES
         )
 
-    def _stage_fingerprint(self, name: str) -> str:
-        return stage_fingerprint(
-            self.config,
-            name,
-            n_shards=(
-                self.exec_config.n_shards if self.exec_config.parallel else 1
-            ),
-        )
-
     def _stage_cache_get(self, name: str) -> Any:
         if not self._stage_cacheable(name):
             return CACHE_MISS
-        return self.stage_cache.get(name, self._stage_fingerprint(name))
+        return self.stage_cache.get(name, stage_fingerprint(self.config, name))
 
     def _stage_cache_put(self, name: str, output: Any) -> None:
         # Only "ok" outcomes reach here; degraded outputs never enter
         # the cache (they reflect a failure, not the scenario).
         if not self._stage_cacheable(name):
             return
-        self.stage_cache.put(name, self._stage_fingerprint(name), output)
+        self.stage_cache.put(name, stage_fingerprint(self.config, name), output)
 
     def _maybe_inject_failure(self, name: str) -> None:
         remaining = self._pending_failures.get(name, 0)
@@ -1100,20 +871,9 @@ class ResilientPipeline:
             ),
         ]
         headline = HeadlineMetrics.from_result(result)
-        # Concurrent supervisors append stage reports in completion
-        # order; canonicalize to pipeline order so the rendered report
-        # is deterministic regardless of worker timing.
-        stages = sorted(
-            self.stage_reports,
-            key=lambda report: (
-                STAGE_ORDER.index(report.name)
-                if report.name in STAGE_ORDER
-                else len(STAGE_ORDER)
-            ),
-        )
         return DataQualityReport(
             feeds=feeds,
-            stages=stages,
+            stages=list(self.stage_reports),
             records=[
                 RecordQuality.from_load_report(report)
                 for report in self.record_reports

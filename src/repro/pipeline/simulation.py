@@ -14,9 +14,9 @@ Each step is a standalone stage function here; the one runner,
 :class:`repro.pipeline.runner.ResilientPipeline`, chains them and adds
 timing, retries, checkpointing and fault injection. ``run_simulation`` is
 that runner with its defaults: serial, in memory, fault-free. The
-observation/measurement stages accept optional fault injectors (see
-:mod:`repro.faults`) that degrade the feed the way the real lossy
-infrastructures would.
+capture functions and :func:`apply_dns_faults` take optional fault
+injectors (see :mod:`repro.faults`) that degrade a feed the way the real
+lossy infrastructures would.
 
 The result object carries every layer so tests, examples and benchmarks can
 reach both ground truth and observations.
@@ -191,8 +191,8 @@ def telescope_capture(
     :mod:`repro.attacks.streams`) and noise from a disjoint one, so the
     capture depends on the attack set, not on the order of
     *ground_truth*. Fault filtering happens here, so injector counters
-    mutate in the calling process rather than in a fork child whose
-    memory is thrown away.
+    mutate in the calling process, never in a supervised fork child
+    whose memory is thrown away.
     """
     noise = (
         TelescopeNoise(config.telescope_noise_config())
@@ -209,21 +209,15 @@ def telescope_capture(
 
 
 def detect_telescope_shard(
-    config: ScenarioConfig,
-    capture: PacketColumns,
-    shard_index: int,
-    n_shards: int,
+    config: ScenarioConfig, capture: PacketColumns
 ) -> List[TelescopeEvent]:
-    """RSDoS over one victim-partition of the capture.
+    """RSDoS over a capture.
 
     Flows are keyed by victim (the backscatter source) and their content
-    depends only on that victim's rows, so partitioning by
-    ``victim % n`` and merging into canonical order reproduces the
-    serial result exactly. Day-based sharding would *not*: flows and gap
-    timeouts cross day boundaries.
+    depends only on that victim's rows, so any victim partition of the
+    capture, detected part by part and merged with
+    :func:`merge_telescope_shards`, gives the same events.
     """
-    if n_shards > 1:
-        capture = capture.take(capture.src % n_shards == shard_index)
     return detect_telescope_columns(config.rsdos_config(), capture)
 
 
@@ -234,9 +228,7 @@ def observe_telescope(
 ) -> List[TelescopeEvent]:
     """Stage 4: the darknet capture, optionally degraded, then RSDoS."""
     capture = telescope_capture(config, ground_truth, fault=fault)
-    events = merge_telescope_shards(
-        [detect_telescope_shard(config, capture, 0, 1)]
-    )
+    events = merge_telescope_shards([detect_telescope_shard(config, capture)])
     log.debug(
         "telescope observed",
         events=len(events),
@@ -248,7 +240,7 @@ def observe_telescope(
 def merge_telescope_shards(
     shards: List[List[TelescopeEvent]],
 ) -> List[TelescopeEvent]:
-    """Merge per-shard detections into the canonical (serial) order:
+    """Merge per-partition detections into the canonical order:
     ``(start_ts, victim)`` is unique per event."""
     merged = [event for shard in shards for event in shard]
     return sorted(merged, key=lambda e: (e.start_ts, e.victim))
@@ -274,20 +266,14 @@ def honeypot_capture(
 
 
 def detect_honeypot_shard(
-    config: ScenarioConfig,
-    request_log: RequestColumns,
-    shard_index: int,
-    n_shards: int,
+    config: ScenarioConfig, request_log: RequestColumns
 ) -> List[AmpPotEvent]:
-    """Honeypot event extraction over one victim-partition of the log.
+    """Honeypot event extraction over a request log.
 
-    Flows are keyed by (victim, protocol); a victim partition keeps every
-    flow whole, so merging the shards reproduces the serial result.
+    Flows are keyed by (victim, protocol), so, as for the telescope, any
+    victim partition merged with :func:`merge_honeypot_shards` gives the
+    same events.
     """
-    if n_shards > 1:
-        request_log = request_log.take(
-            request_log.victim % n_shards == shard_index
-        )
     return detect_honeypot_columns(
         config.honeypot_detection_config(), request_log
     )
@@ -300,9 +286,7 @@ def observe_honeypots(
 ) -> List[AmpPotEvent]:
     """Stage 4b: the fleet's request log, optionally degraded, then events."""
     request_log = honeypot_capture(config, ground_truth, fault=fault)
-    events = merge_honeypot_shards(
-        [detect_honeypot_shard(config, request_log, 0, 1)]
-    )
+    events = merge_honeypot_shards([detect_honeypot_shard(config, request_log)])
     log.debug("honeypots observed", events=len(events))
     return events
 
@@ -310,62 +294,10 @@ def observe_honeypots(
 def merge_honeypot_shards(
     shards: List[List[AmpPotEvent]],
 ) -> List[AmpPotEvent]:
-    """Merge per-shard detections into the canonical (serial) order:
+    """Merge per-partition detections into the canonical order:
     ``(start_ts, victim, protocol)`` is unique per event."""
     merged = [event for shard in shards for event in shard]
     return sorted(merged, key=lambda e: (e.start_ts, e.victim, e.protocol))
-
-
-def measure_dns_shard(
-    config: ScenarioConfig,
-    internet: InternetLayer,
-    diversion_log: BGPDiversionLog,
-    shard_index: int,
-    n_shards: int,
-) -> Tuple[OpenIntelDataset, DPSUsageDataset]:
-    """Stage 5 over one contiguous chunk of the zone list.
-
-    Both the OpenINTEL compilation and the DPS scan iterate zones
-    independently and append in zone order, so measuring contiguous
-    chunks and concatenating in chunk order reproduces the serial
-    output exactly — including ``first_seen`` dict insertion order.
-    """
-    from repro.exec.shard import split_even
-
-    zones = split_even(internet.zones, n_shards)[shard_index]
-    platform = OpenIntelPlatform(list(zones), config.n_days)
-    openintel = platform.measure(ns_directory=internet.ns_directory)
-    detector = DPSDetector(internet.providers, diversion_log=diversion_log)
-    dps_usage = detector.scan(zones, config.n_days)
-    return openintel, dps_usage
-
-
-def merge_dns_shards(
-    config: ScenarioConfig,
-    parts: List[Tuple[OpenIntelDataset, DPSUsageDataset]],
-) -> Tuple[OpenIntelDataset, DPSUsageDataset]:
-    """Concatenate zone-chunk measurements back into the serial datasets."""
-    openintel = OpenIntelDataset(
-        n_days=config.n_days,
-        zone_stats=[z for part, _ in parts for z in part.zone_stats],
-        hosting_intervals=[
-            iv for part, _ in parts for iv in part.hosting_intervals
-        ],
-        first_seen={
-            name: day
-            for part, _ in parts
-            for name, day in part.first_seen.items()
-        },
-        mail_intervals=[
-            iv for part, _ in parts for iv in part.mail_intervals
-        ],
-        ns_intervals=[iv for part, _ in parts for iv in part.ns_intervals],
-    )
-    dps_usage = DPSUsageDataset(
-        usages=[u for _, part in parts for u in part.usages],
-        n_days=config.n_days,
-    )
-    return openintel, dps_usage
 
 
 def apply_dns_faults(
@@ -374,7 +306,7 @@ def apply_dns_faults(
     openintel_fault=None,
     dps_fault=None,
 ) -> Tuple[OpenIntelDataset, DPSUsageDataset]:
-    """Degrade the merged measurement; runs in the supervising process
+    """Degrade the measurement; the runner calls this in its own process
     so injector counters are not lost in a fork child."""
     if openintel_fault is not None:
         openintel = openintel_fault.degrade(openintel)
@@ -387,17 +319,14 @@ def measure_dns(
     config: ScenarioConfig,
     internet: InternetLayer,
     diversion_log: BGPDiversionLog,
-    openintel_fault=None,
-    dps_fault=None,
 ) -> Tuple[OpenIntelDataset, DPSUsageDataset]:
-    """Stage 5: daily DNS measurement and DPS-signature detection."""
-    openintel, dps_usage = measure_dns_shard(
-        config, internet, diversion_log, 0, 1
-    )
-    return apply_dns_faults(
-        openintel, dps_usage, openintel_fault=openintel_fault,
-        dps_fault=dps_fault,
-    )
+    """Stage 5: daily DNS measurement and DPS-signature detection
+    (fault-free; :func:`apply_dns_faults` degrades the result)."""
+    platform = OpenIntelPlatform(internet.zones, config.n_days)
+    openintel = platform.measure(ns_directory=internet.ns_directory)
+    detector = DPSDetector(internet.providers, diversion_log=diversion_log)
+    dps_usage = detector.scan(internet.zones, config.n_days)
+    return openintel, dps_usage
 
 
 def fuse_observations(

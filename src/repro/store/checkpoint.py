@@ -326,18 +326,17 @@ class CheckpointStore:
     ) -> Tuple[Dict[str, Any], List[CheckpointIssue]]:
         """Restore every checkpoint whose dependencies were restored.
 
-        The prefix policy of :meth:`load_valid_prefix` assumes strictly
-        sequential stages; once independent stages run concurrently, one
-        of them can complete while an *earlier-ordered* sibling has not,
-        and a prefix walk would throw the finished one away. Here *deps*
+        The prefix policy of :meth:`load_valid_prefix` treats every stage
+        as depending on all earlier ones, so a missing or corrupt
+        checkpoint also throws away later, independent siblings that
+        never read it. Here *deps*
         names each stage's actual data dependencies: a stage is restored
         when its own checkpoint validates and every dependency was
         restored; otherwise it is discarded (its inputs can no longer be
         trusted), and the discard cascades to dependents naturally.
 
-        Names on disk that are not in *order* (e.g. per-shard partial
-        checkpoints) are left untouched — their lifecycle belongs to the
-        caller.
+        Names on disk that are not in *order* are left untouched — their
+        lifecycle belongs to the caller.
         """
         payloads: Dict[str, Any] = {}
         issues: List[CheckpointIssue] = []

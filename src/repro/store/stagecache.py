@@ -7,8 +7,7 @@ shared by many runs — of stage outputs keyed by a **fingerprint** of
 everything the output is a function of:
 
 * the full scenario config (every field),
-* the stage name,
-* the shard count the observation stage fans out over, and
+* the stage name, and
 * the store / cache schema versions.
 
 Because every pipeline stage is deterministic given those inputs (the
@@ -58,23 +57,18 @@ FINGERPRINT_PREFIX = 16
 CACHE_MISS = object()
 
 
-def stage_fingerprint(
-    config: Any,
-    stage: str,
-    n_shards: int = 1,
-) -> str:
+def stage_fingerprint(config: Any, stage: str) -> str:
     """SHA-256 identity of one stage output.
 
     The fingerprint covers the scenario config (every dataclass field),
-    the stage name, the shard fan-out, and the schema versions of the
-    store and the cache — any change to any of them must miss the cache.
+    the stage name, and the schema versions of the store and the cache —
+    any change to any of them must miss the cache.
     Canonical JSON (sorted keys, no whitespace variance) keeps the
     digest stable across processes.
     """
     document = {
         "scenario": asdict(config) if is_dataclass(config) else dict(config),
         "stage": stage,
-        "n_shards": n_shards,
         "store_schema": STORE_SCHEMA_VERSION,
         "cache_schema": STAGE_CACHE_SCHEMA,
     }

@@ -17,6 +17,11 @@ This module keeps the one-batch-at-a-time form of the same contract:
 Run on ``capture.batches()`` and sorted into canonical order, their
 events must equal the columnar engines' exactly.
 
+:func:`telescope_partitioned` and :func:`honeypot_partitioned` detect a
+capture one victim partition (``victim % n``) at a time and merge. Flows
+are keyed on the victim, so any partition count must give the events of
+one partition.
+
 :func:`lpm_reference` is the linear longest-prefix scan that
 :meth:`repro.net.routing.RoutingTable.lookup` must agree with. The
 hosting-index oracle needs no code here: ``len(index.sites_on(ip,
@@ -33,6 +38,12 @@ from repro.honeypot.detection import AmpPotEvent, DetectionConfig
 from repro.net.addressing import Prefix
 from repro.net.packet import PROTO_ICMP, PROTO_TCP, PacketBatch
 from repro.net.routing import RoutingTable
+from repro.pipeline.simulation import (
+    detect_honeypot_shard,
+    detect_telescope_shard,
+    merge_honeypot_shards,
+    merge_telescope_shards,
+)
 from repro.telescope.rsdos import RSDoSConfig, TelescopeEvent
 
 
@@ -334,3 +345,31 @@ def lpm_reference(
         return best
 
     return lookup
+
+
+# -- victim partitions ------------------------------------------------------------
+
+
+def telescope_partitioned(config, capture, n_partitions: int):
+    """RSDoS over ``n_partitions`` victim partitions of *capture*, merged."""
+    return merge_telescope_shards(
+        [
+            detect_telescope_shard(
+                config, capture.take(capture.src % n_partitions == index)
+            )
+            for index in range(n_partitions)
+        ]
+    )
+
+
+def honeypot_partitioned(config, request_log, n_partitions: int):
+    """AmpPot events over ``n_partitions`` victim partitions, merged."""
+    return merge_honeypot_shards(
+        [
+            detect_honeypot_shard(
+                config,
+                request_log.take(request_log.victim % n_partitions == index),
+            )
+            for index in range(n_partitions)
+        ]
+    )

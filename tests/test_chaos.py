@@ -1,10 +1,14 @@
-"""End-to-end drills for the supervised parallel executor, via the CLI.
+"""End-to-end drills for the supervised executor, via the CLI.
 
-Three contracts from the issue's acceptance criteria are exercised
-through real subprocesses (the same way an operator would hit them):
+These contracts are exercised through real subprocesses (the same way
+an operator would hit them):
 
-* a sharded run's saved event data set is byte-identical to a serial
-  run's for the same seed and config;
+* a run under ``--task-deadline``, whose observation stages compute in
+  watched worker tasks, saves an event data set byte-identical to an
+  unsupervised run's for the same seed and config, in memory and
+  durable;
+* bad supervision input (``--exec-fault`` specs, deadlines) exits 2
+  with a message on both ``simulate`` and ``resume``;
 * ``--deadline`` aborts cleanly with exit code 124 (distinct from the
   crash drill's 137), leaving a resumable run directory that ``resume``
   completes to byte-identical output;
@@ -49,30 +53,70 @@ def serial_events(tmp_path_factory):
     return path.read_bytes()
 
 
-class TestShardedByteIdentity:
-    def test_sharded_run_is_byte_identical_to_serial(
+class TestSupervisedByteIdentity:
+    def test_task_deadline_run_is_byte_identical_to_serial(
         self, serial_events, tmp_path
     ):
-        sharded = tmp_path / "sharded.jsonl"
+        supervised = tmp_path / "supervised.jsonl"
         proc = run_cli(
             "simulate",
-            "--workers", "2",
-            "--shards", "3",
-            "--save-events", str(sharded),
+            "--task-deadline", "600",
+            "--save-events", str(supervised),
         )
         assert proc.returncode == 0, proc.stderr
-        assert sharded.read_bytes() == serial_events
+        assert supervised.read_bytes() == serial_events
 
-    def test_single_worker_many_shards_also_identical(
+    def test_durable_task_deadline_run_is_byte_identical(
         self, serial_events, tmp_path
     ):
-        # Shard count alone must not change output either.
-        sharded = tmp_path / "sharded.jsonl"
+        run_dir = tmp_path / "run"
         proc = run_cli(
-            "simulate", "--shards", "4", "--save-events", str(sharded)
+            "simulate", "--task-deadline", "600", "--run-dir", str(run_dir)
         )
         assert proc.returncode == 0, proc.stderr
-        assert sharded.read_bytes() == serial_events
+        assert (run_dir / "events.jsonl").read_bytes() == serial_events
+
+
+@pytest.fixture(scope="module")
+def finished_run_dir(tmp_path_factory):
+    """A completed durable run: every stage of a resume is cached."""
+    run_dir = tmp_path_factory.mktemp("finished") / "run"
+    proc = run_cli("simulate", "--run-dir", str(run_dir))
+    assert proc.returncode == 0, proc.stderr
+    return run_dir
+
+
+class TestSupervisionInput:
+    @pytest.mark.parametrize("command", ["simulate", "resume"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--exec-fault", "poison:telscope"), "unknown stage 'telscope'"),
+            (("--exec-fault", "crash:telescope:x"), "attempts must be"),
+            (("--exec-fault", "bogus:telescope"), "unknown exec fault kind"),
+            (("--exec-fault", "hung:honeypot:0:1"), "kind:stage[:attempts]"),
+            (("--task-deadline", "-1"), "--task-deadline must be positive"),
+            (("--deadline", "0"), "--deadline must be positive"),
+        ],
+        ids=[
+            "misspelt-stage",
+            "non-integer-attempts",
+            "unknown-kind",
+            "retired-shard-field",
+            "negative-task-deadline",
+            "zero-deadline",
+        ],
+    )
+    def test_bad_input_exits_2_with_message(
+        self, finished_run_dir, command, flags, message
+    ):
+        target = (str(finished_run_dir),) if command == "resume" else ()
+        # A short timeout: a spec that is wrongly accepted may arm a
+        # fault that hangs.
+        proc = run_cli(command, *target, *flags, timeout=120)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestRunDeadlineCli:

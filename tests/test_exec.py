@@ -3,8 +3,8 @@
 Covers the worker pool (result ordering, error capture, the watchdog
 killing hung workers, crash reporting), the per-feed circuit breaker's
 closed → open → half-open life cycle under an injected clock, the
-run-level deadline, deterministic shard planning, execution-fault plans,
-and the bounded streaming-fusion hand-off (backpressure).
+run-level deadline, execution-fault plans, and the bounded
+streaming-fusion hand-off (backpressure).
 """
 
 import time
@@ -21,7 +21,6 @@ from repro.exec.breaker import (
 )
 from repro.exec.deadline import RunDeadline, RunDeadlineExceeded
 from repro.exec.pool import (
-    ExecConfig,
     MODE_FORK,
     MODE_SERIAL,
     MODE_THREAD,
@@ -30,13 +29,8 @@ from repro.exec.pool import (
     STATUS_OK,
     SupervisedPool,
     TaskSpec,
+    _ForkWorker,
     resolve_mode,
-)
-from repro.exec.shard import (
-    ShardPlan,
-    is_shard_checkpoint,
-    shard_checkpoint_name,
-    split_even,
 )
 from repro.faults.exec import (
     ExecFault,
@@ -60,37 +54,6 @@ class FakeClock:
 
     def __call__(self) -> float:
         return self.now
-
-
-# -- ExecConfig ---------------------------------------------------------------
-
-
-class TestExecConfig:
-    def test_defaults_are_the_serial_pipeline(self):
-        config = ExecConfig()
-        assert not config.parallel
-        assert config.n_shards == 1
-
-    def test_shards_default_to_workers(self):
-        assert ExecConfig(workers=4).n_shards == 4
-        assert ExecConfig(workers=4, shards=2).n_shards == 2
-
-    def test_task_deadline_alone_counts_as_parallel(self):
-        # A watchdog needs the supervised path even with one worker.
-        assert ExecConfig(task_deadline=5.0).parallel
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"workers": 0},
-            {"shards": 0},
-            {"mode": "warp"},
-            {"task_deadline": 0.0},
-        ],
-    )
-    def test_rejects_nonsense(self, kwargs):
-        with pytest.raises(ValueError):
-            ExecConfig(**kwargs)
 
 
 # -- SupervisedPool -----------------------------------------------------------
@@ -163,6 +126,32 @@ class TestSupervisedPool:
         (outcome,) = pool.run([TaskSpec("dies", lambda: os._exit(13))])
         assert outcome.status == "crashed"
         assert "13" in outcome.error
+
+    @pytest.mark.skipif(not HAVE_FORK, reason="fork start method required")
+    def test_result_delivered_just_before_exit_is_not_a_crash(
+        self, tmp_path
+    ):
+        # The child sends its result and exits between the supervisor's
+        # two reads (pipe, then liveness): the result must still count.
+        go = tmp_path / "go"
+
+        def task():
+            while not go.exists():
+                time.sleep(0.001)
+            return "delivered"
+
+        worker = _ForkWorker(TaskSpec("racy", task))
+        really_alive = worker.process.is_alive
+
+        def is_alive():
+            go.touch()
+            worker.process.join(timeout=30)
+            return really_alive()
+
+        worker.process.is_alive = is_alive
+        outcome = worker.poll()
+        assert outcome is not None and outcome.ok, outcome
+        assert outcome.value == "delivered"
 
     def test_serial_mode_runs_inline(self):
         pool = SupervisedPool(max_workers=1, mode=MODE_SERIAL)
@@ -287,67 +276,26 @@ class TestRunDeadline:
             RunDeadline(0.0)
 
 
-# -- shard planning -----------------------------------------------------------
-
-
-class TestSharding:
-    def test_split_even_covers_everything_in_order(self):
-        items = list(range(10))
-        chunks = split_even(items, 3)
-        assert [len(c) for c in chunks] == [4, 3, 3]
-        assert [x for chunk in chunks for x in chunk] == items
-
-    def test_split_even_keeps_empty_shards(self):
-        chunks = split_even([1, 2], 4)
-        assert len(chunks) == 4
-        assert [list(c) for c in chunks] == [[1], [2], [], []]
-
-    def test_checkpoint_names_bake_in_shard_count(self):
-        # A resume with a different --shards must not see these names.
-        assert shard_checkpoint_name("telescope", 0, 4) == (
-            "telescope.shard0of4"
-        )
-        assert shard_checkpoint_name("telescope", 0, 2) != (
-            shard_checkpoint_name("telescope", 0, 4)
-        )
-        with pytest.raises(ValueError):
-            shard_checkpoint_name("telescope", 4, 4)
-
-    def test_is_shard_checkpoint(self):
-        assert is_shard_checkpoint("honeypot.shard1of3")
-        assert not is_shard_checkpoint("honeypot")
-
-    def test_plan_names_align_with_indices(self):
-        plan = ShardPlan("measurement", 3)
-        assert plan.sharded
-        assert plan.checkpoint_names() == (
-            "measurement.shard0of3",
-            "measurement.shard1of3",
-            "measurement.shard2of3",
-        )
-        assert plan.task_name(1) == "measurement[1/3]"
-
-
 # -- execution-fault plans ----------------------------------------------------
 
 
 class TestExecFaultPlan:
     def test_parse_round_trips(self):
         plan = ExecFaultPlan.parse(
-            ("hung:honeypot:0", "poison:telescope", "crash:measurement:1:2")
+            ("hung:honeypot", "poison:telescope", "crash:measurement:2")
         )
-        assert plan.lookup("honeypot", 0, 1).kind == KIND_HUNG
-        assert plan.lookup("honeypot", 1, 1) is None
-        # No shard given: matches every shard of the stage.
-        assert plan.lookup("telescope", 2, 1).kind == KIND_POISON
+        assert plan.lookup("honeypot", 1).kind == KIND_HUNG
+        assert plan.lookup("honeypot", 2) is None
+        assert plan.lookup("telescope", 1).kind == KIND_POISON
+        assert plan.lookup("attacks", 1) is None
         # attempts=2: fires on attempts 1 and 2, clean from attempt 3.
-        assert plan.lookup("measurement", 1, 2).kind == KIND_CRASH
-        assert plan.lookup("measurement", 1, 3) is None
+        assert plan.lookup("measurement", 2).kind == KIND_CRASH
+        assert plan.lookup("measurement", 3) is None
 
     def test_poison_fires_on_every_attempt(self):
-        fault = ExecFault(kind=KIND_POISON, stage="honeypot", shard=0)
-        assert fault.matches("honeypot", 0, 1)
-        assert fault.matches("honeypot", 0, 99)
+        fault = ExecFault(kind=KIND_POISON, stage="honeypot")
+        assert fault.matches("honeypot", 1)
+        assert fault.matches("honeypot", 99)
 
     def test_parse_rejects_bad_spec(self):
         with pytest.raises(ValueError):
@@ -355,15 +303,13 @@ class TestExecFaultPlan:
 
     def test_apply_poison_raises(self):
         with pytest.raises(PoisonShardError):
-            apply_exec_fault(
-                ExecFault(kind=KIND_POISON, stage="honeypot", shard=0)
-            )
+            apply_exec_fault(ExecFault(kind=KIND_POISON, stage="honeypot"))
 
     def test_apply_none_is_noop(self):
         apply_exec_fault(None)
 
     def test_describe_is_stable(self):
-        plan = ExecFaultPlan.parse(("hung:honeypot:0",))
+        plan = ExecFaultPlan.parse(("hung:honeypot",))
         assert "hung" in plan.describe()
         assert "honeypot" in plan.describe()
 

@@ -254,17 +254,9 @@ class TestStageProfiler:
         assert profile.events == 500
         assert profile.events_per_s == pytest.approx(500.0)
 
-    def test_note_records_externally_measured_cost(self):
-        profiler = StageProfiler(rss_fn=lambda: 1)
-        profiler.note("telescope", wall_s=2.0, events=100, shard="0/3")
-        snapshot = profiler.snapshot()["profiles"][0]
-        assert snapshot["shard"] == "0/3"
-        assert snapshot["events_per_s"] == pytest.approx(50.0)
-
     def test_null_profiler_noop(self):
         with NULL_PROFILER.profile("x") as handle:
             handle.set_events(9)
-        NULL_PROFILER.note("x", wall_s=1.0)
         assert NULL_PROFILER.snapshot() == {"profiles": []}
 
 
@@ -283,9 +275,7 @@ class TestObservationLayers:
             small_config, telemetry=telemetry, sleep=no_sleep
         ).run()
         spans = {s.span_id: s for s in telemetry.tracer.spans}
-        profiles = {
-            p.stage: p for p in telemetry.profiler.profiles if p.shard is None
-        }
+        profiles = {p.stage: p for p in telemetry.profiler.profiles}
         for stage in ("telescope", "honeypot"):
             layers = [
                 s for s in spans.values()

@@ -1,7 +1,7 @@
 """Equivalence tests for the hot-path engine.
 
 Every fast path introduced by the performance layer must be a drop-in
-replacement: victim-sharded detection, the packed LPM/hosting lookups,
+replacement: victim-partitioned detection, the packed LPM/hosting lookups,
 chunked JSONL serialization and the cross-run stage cache are each
 pinned against their reference — identical events, identical lookups,
 identical bytes — across seeded scenarios and injected fault plans.
@@ -31,8 +31,6 @@ from repro.pipeline.datasets import (
 )
 from repro.pipeline.runner import OBSERVATION_STAGES, ResilientPipeline
 from repro.pipeline.simulation import (
-    detect_honeypot_shard,
-    detect_telescope_shard,
     honeypot_capture,
     merge_honeypot_shards,
     merge_telescope_shards,
@@ -40,7 +38,13 @@ from repro.pipeline.simulation import (
 )
 from repro.store.checkpoint import CheckpointStore, CheckpointVersionError
 from repro.store.stagecache import CACHE_MISS, StageCache, stage_fingerprint
-from tests.detection_oracle import HoneypotDetector, RSDoSDetector, lpm_reference
+from tests.detection_oracle import (
+    HoneypotDetector,
+    RSDoSDetector,
+    honeypot_partitioned,
+    lpm_reference,
+    telescope_partitioned,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
@@ -59,25 +63,7 @@ def request_log(small_config, sim):
     return honeypot_capture(small_config, sim.ground_truth)
 
 
-# -- victim-sharded detection ------------------------------------------------
-
-
-def _telescope_sharded(config, capture, n_shards):
-    return merge_telescope_shards(
-        [
-            detect_telescope_shard(config, capture, shard, n_shards)
-            for shard in range(n_shards)
-        ]
-    )
-
-
-def _honeypot_sharded(config, request_log, n_shards):
-    return merge_honeypot_shards(
-        [
-            detect_honeypot_shard(config, request_log, shard, n_shards)
-            for shard in range(n_shards)
-        ]
-    )
+# -- victim-partitioned detection ---------------------------------------------
 
 
 class TestShardedDetection:
@@ -88,7 +74,7 @@ class TestShardedDetection:
         serial = RSDoSDetector(small_config.rsdos_config()).run(
             capture.batches()
         )
-        assert _telescope_sharded(
+        assert telescope_partitioned(
             small_config, capture, n_shards
         ) == merge_telescope_shards([list(serial)])
 
@@ -99,7 +85,7 @@ class TestShardedDetection:
         serial = HoneypotDetector(
             small_config.honeypot_detection_config()
         ).run(request_log.batches())
-        assert _honeypot_sharded(
+        assert honeypot_partitioned(
             small_config, request_log, n_shards
         ) == merge_honeypot_shards([list(serial)])
 
@@ -111,15 +97,15 @@ class TestShardedDetection:
         degraded = telescope_capture(
             small_config, sim.ground_truth, fault=injectors.telescope
         )
-        assert _telescope_sharded(
+        assert telescope_partitioned(
             small_config, degraded, 3
-        ) == _telescope_sharded(small_config, degraded, 1)
+        ) == telescope_partitioned(small_config, degraded, 1)
         degraded_log = honeypot_capture(
             small_config, sim.ground_truth, fault=injectors.honeypot
         )
-        assert _honeypot_sharded(
+        assert honeypot_partitioned(
             small_config, degraded_log, 3
-        ) == _honeypot_sharded(small_config, degraded_log, 1)
+        ) == honeypot_partitioned(small_config, degraded_log, 1)
 
 
 # -- packed lookups -----------------------------------------------------------
@@ -240,7 +226,6 @@ class TestStageFingerprint:
         base = stage_fingerprint(small_config, "telescope")
         assert stage_fingerprint(small_config, "telescope") == base
         assert stage_fingerprint(small_config, "honeypot") != base
-        assert stage_fingerprint(small_config, "telescope", n_shards=3) != base
         reseeded = small_config.with_seed(small_config.seed + 1)
         assert stage_fingerprint(reseeded, "telescope") != base
 

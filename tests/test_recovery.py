@@ -94,6 +94,30 @@ class TestCrashRecovery:
         again = run_cli("resume", str(drill["ok_dir"]), check_rc=0)
         assert again.stdout == drill["ok"].stdout
 
+    def test_resume_of_run_dir_with_retired_shard_fields(
+        self, drill, tmp_path
+    ):
+        # Run dirs of sharded runs record workers/shards/exec_mode in
+        # meta.json and may hold per-shard partial checkpoints. Resume
+        # ignores both: the run finishes on the one serial path, and the
+        # leftover partial (deliberately wrong here) is never adopted.
+        from repro.store import CheckpointStore
+
+        run_dir = tmp_path / "sharded"
+        run_cli(
+            "simulate", "--run-dir", str(run_dir),
+            "--crash-after", "migration", check_rc=137,
+        )
+        meta_path = run_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta.update(workers=2, shards=3, exec_mode="fork")
+        meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2))
+        CheckpointStore(run_dir).save("telescope.shard0of3", [])
+        run_cli("resume", str(run_dir), check_rc=0)
+        assert (run_dir / "events.jsonl").read_bytes() == (
+            drill["ok_dir"] / "events.jsonl"
+        ).read_bytes()
+
     @pytest.mark.parametrize("detect_tier", [None, "columnar"])
     def test_resume_of_run_dir_with_retired_codec_fields(
         self, tmp_path, detect_tier

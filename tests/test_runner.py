@@ -11,8 +11,6 @@ from repro.core.events import AttackEvent, SOURCE_TELESCOPE
 from repro.exec.breaker import BREAKER_OPEN
 from repro.exec.deadline import RunDeadline, RunDeadlineExceeded
 from repro.exec.interrupt import InterruptGuard, RunInterrupted
-from repro.exec.pool import ExecConfig
-from repro.exec.shard import shard_checkpoint_name
 from repro.faults.exec import ExecFaultPlan, KIND_CRASH, KIND_HUNG, KIND_POISON
 from repro.faults.fileio import flip_bits
 from repro.faults.plan import (
@@ -471,30 +469,31 @@ class TestDurableRuns:
 
 
 class TestSupervisedExecution:
-    """The executor tentpole, in process: sharding, breakers, deadlines."""
+    """The watchdog path, in process: a task deadline runs each
+    observation stage's compute as one watched worker task."""
 
-    def test_sharded_run_matches_serial(self, small_config, sim):
+    def test_supervised_run_matches_serial(self, small_config, sim):
         result = ResilientPipeline(
-            small_config,
-            exec_config=ExecConfig(workers=2, shards=3),
-            sleep=no_sleep,
+            small_config, task_deadline=60.0, sleep=no_sleep
         ).run()
         assert result.fused.combined.events == sim.fused.combined.events
         assert result.openintel.zone_stats == sim.openintel.zone_stats
         assert all(s.status == STATUS_OK for s in result.quality.stages)
+
+    def test_task_deadline_must_be_positive(self, small_config):
+        with pytest.raises(ValueError, match="task deadline"):
+            ResilientPipeline(small_config, task_deadline=0.0)
 
     def test_poison_shard_degrades_feed_and_trips_breaker(
         self, small_config
     ):
         result = ResilientPipeline(
             small_config,
-            exec_config=ExecConfig(shards=3),
-            exec_faults=ExecFaultPlan.single(
-                KIND_POISON, "honeypot", shard=0
-            ),
+            task_deadline=60.0,
+            exec_faults=ExecFaultPlan.single(KIND_POISON, "honeypot"),
             sleep=no_sleep,
         ).run()
-        # The unprocessable shard fails every attempt; the stage must fall
+        # The unprocessable input fails every attempt; the stage must fall
         # back to the empty-typed feed, not crash the run.
         assert result.quality.feed("honeypot").status == STATUS_DOWN
         assert result.quality.feed("telescope").status == STATUS_OK
@@ -508,10 +507,8 @@ class TestSupervisedExecution:
     def test_crash_shard_recovers_byte_identical(self, small_config, sim):
         result = ResilientPipeline(
             small_config,
-            exec_config=ExecConfig(workers=2, shards=3),
-            exec_faults=ExecFaultPlan.single(
-                KIND_CRASH, "telescope", shard=1
-            ),
+            task_deadline=60.0,
+            exec_faults=ExecFaultPlan.single(KIND_CRASH, "telescope"),
             sleep=no_sleep,
         ).run()
         assert result.fused.combined.events == sim.fused.combined.events
@@ -523,12 +520,12 @@ class TestSupervisedExecution:
     def test_deadline_aborts_mid_stage_and_resumes_identically(
         self, small_config, sim, tmp_path
     ):
-        """Kill a run between shard attempts; resume must finish the stage.
+        """Abort a run after a hung task is killed; resume must finish.
 
         The run deadline uses an injected clock advanced only by the
         retry backoff sleep, so expiry lands deterministically right
-        after telescope's first (hung-shard) attempt — when two of three
-        shard checkpoints are already on disk.
+        after telescope's first attempt, whose task hangs until the
+        watchdog kills it at the task deadline.
         """
         run_dir = tmp_path / "run"
         fake_now = [0.0]
@@ -543,66 +540,22 @@ class TestSupervisedExecution:
             ResilientPipeline(
                 small_config,
                 run_dir=run_dir,
-                exec_config=ExecConfig(shards=3, task_deadline=0.5),
-                exec_faults=ExecFaultPlan.single(
-                    KIND_HUNG, "telescope", shard=1
-                ),
+                task_deadline=0.5,
+                exec_faults=ExecFaultPlan.single(KIND_HUNG, "telescope"),
                 deadline=RunDeadline(5.0, clock=clock),
                 sleep=sleep_advancing,
             ).run()
         on_disk = set(CheckpointStore(run_dir).stages())
+        assert "migration" in on_disk
         assert "telescope" not in on_disk
-        assert shard_checkpoint_name("telescope", 0, 3) in on_disk
-        assert shard_checkpoint_name("telescope", 2, 3) in on_disk
 
-        resumed = ResilientPipeline(
-            small_config,
-            run_dir=run_dir,
-            exec_config=ExecConfig(shards=3),
-            sleep=no_sleep,
-        )
-        # The surviving shard partials were adopted before the run.
-        assert shard_checkpoint_name("telescope", 0, 3) in resumed._shard_cache
-        result = resumed.run()
+        result = ResilientPipeline(
+            small_config, run_dir=run_dir, sleep=no_sleep
+        ).run()
         assert result.fused.combined.events == sim.fused.combined.events
-        # Completed stages retire their shard partials.
-        assert not any(
-            ".shard" in name
-            for name in CheckpointStore(run_dir).stages()
-        )
-
-    def test_mismatched_shard_count_partials_are_discarded(
-        self, small_config, sim, tmp_path
-    ):
-        run_dir = tmp_path / "run"
-        fake_now = [0.0]
-        with pytest.raises(RunDeadlineExceeded):
-            ResilientPipeline(
-                small_config,
-                run_dir=run_dir,
-                exec_config=ExecConfig(shards=3, task_deadline=0.5),
-                exec_faults=ExecFaultPlan.single(
-                    KIND_HUNG, "telescope", shard=1
-                ),
-                deadline=RunDeadline(
-                    5.0, clock=lambda: fake_now[0]
-                ),
-                sleep=lambda _d: fake_now.__setitem__(
-                    0, fake_now[0] + 10.0
-                ),
-            ).run()
-        # Resume under a different partition: the 3-shard partials must
-        # not be reused (the name bakes the count in), and the run must
-        # still come out byte-identical.
-        resumed = ResilientPipeline(
-            small_config,
-            run_dir=run_dir,
-            exec_config=ExecConfig(shards=2),
-            sleep=no_sleep,
-        )
-        assert not resumed._shard_cache
-        result = resumed.run()
-        assert result.fused.combined.events == sim.fused.combined.events
+        statuses = {s.name: s.status for s in result.quality.stages}
+        assert statuses["migration"] == "cached"
+        assert statuses["telescope"] == "ok"
 
 
 class TestPerFeedQuarantineCounts:
@@ -666,7 +619,7 @@ class TestInterruptGuard:
         pipeline = ResilientPipeline(
             small_config,
             interrupt=guard,
-            exec_config=ExecConfig(workers=2, mode="thread"),
+            task_deadline=30.0,
             sleep=no_sleep,
         )
         with pytest.raises(RunInterrupted):

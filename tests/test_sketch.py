@@ -6,8 +6,8 @@ segmentation engine (``detect_columns`` in :mod:`repro.telescope.rsdos`
 and :mod:`repro.honeypot.detection`), and the same contracts hold for
 it, exactly rather than within error bounds: zero-event edge cases,
 merge algebra over disjoint / overlapping / empty shards, the dominant
-protocol of a mixed flow, and the sharded-equals-serial identity the
-pipeline relies on.
+protocol of a mixed flow, and the identity of victim-partitioned and
+whole-capture detection.
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ from repro.telescope.rsdos import (
     RSDoSConfig,
     detect_columns as detect_telescope_columns,
 )
-from tests.detection_oracle import HoneypotDetector, RSDoSDetector
+from tests.detection_oracle import (
+    HoneypotDetector,
+    RSDoSDetector,
+    honeypot_partitioned,
+    telescope_partitioned,
+)
 
 
 # -- synthetic captures -------------------------------------------------------
@@ -200,7 +205,7 @@ class TestSketchMerge:
         assert events[0].ip_proto == PROTO_ICMP
 
 
-# -- sharded == serial over real scenario captures ----------------------------
+# -- partitioned == whole capture, over real scenario captures ----------------
 
 
 class TestShardIdentity:
@@ -210,14 +215,9 @@ class TestShardIdentity:
     ):
         capture = telescope_capture(small_config, sim.ground_truth)
         serial = merge_telescope_shards(
-            [detect_telescope_shard(small_config, capture, 0, 1)]
+            [detect_telescope_shard(small_config, capture)]
         )
-        sharded = merge_telescope_shards(
-            [
-                detect_telescope_shard(small_config, capture, shard, n_shards)
-                for shard in range(n_shards)
-            ]
-        )
+        sharded = telescope_partitioned(small_config, capture, n_shards)
         assert serial
         assert sharded == serial
 
@@ -227,14 +227,9 @@ class TestShardIdentity:
     ):
         request_log = honeypot_capture(small_config, sim.ground_truth)
         serial = merge_honeypot_shards(
-            [detect_honeypot_shard(small_config, request_log, 0, 1)]
+            [detect_honeypot_shard(small_config, request_log)]
         )
-        sharded = merge_honeypot_shards(
-            [
-                detect_honeypot_shard(small_config, request_log, shard, n_shards)
-                for shard in range(n_shards)
-            ]
-        )
+        sharded = honeypot_partitioned(small_config, request_log, n_shards)
         assert serial
         assert sharded == serial
 
