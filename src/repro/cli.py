@@ -41,9 +41,10 @@ Commands:
   a dashboard frame per interval (``--once`` for CI and scripts).
 
 ``simulate`` and ``resume`` accept the supervision knobs:
-``--task-deadline`` runs each observation stage's compute as a watched
-fork child that is killed and retried when it overruns (the output is
-byte-identical either way), and ``--deadline`` aborts the run cleanly
+``--task-deadline`` runs the observation compute as watched fork
+children (each victim partition's telescope or honeypot detection, and
+the DNS measurement) that are killed and their stage retried when one
+overruns (the output is byte-identical either way), and ``--deadline`` aborts the run cleanly
 once the budget is spent: checkpoints are already flushed, the run dir
 stays resumable, and the process exits with code 124 (the ``timeout(1)``
 convention, distinct from a crash). Bad supervision input (a malformed
@@ -128,9 +129,9 @@ def _add_exec_args(sub: argparse.ArgumentParser) -> None:
     """Supervision knobs shared by ``simulate`` and ``resume``."""
     sub.add_argument(
         "--task-deadline", type=float, default=None, metavar="SECONDS",
-        help="run each observation stage's compute as a watched worker; "
-             "one still running after SECONDS is killed and the stage "
-             "retried",
+        help="run observation compute (per-partition detection, DNS "
+             "measurement) as watched workers; one still running after "
+             "SECONDS is killed and its stage retried",
     )
     sub.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",

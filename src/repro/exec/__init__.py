@@ -9,8 +9,8 @@ misbehaves:
 * :mod:`repro.exec.pool` — a worker pool (forked processes where the
   platform allows, threads otherwise) with per-task deadlines and a
   heartbeat watchdog that detects and kills hung workers. With a task
-  deadline armed, the runner hands each observation stage's compute to
-  it as one watched task;
+  deadline armed, the runner hands it each victim partition's detection
+  and the DNS measurement as watched tasks;
 * :mod:`repro.exec.breaker` — per-feed circuit breakers (closed → open →
   half-open) that stop retrying a persistently failing feed;
 * :mod:`repro.exec.deadline` — a whole-run deadline that aborts cleanly,

@@ -20,9 +20,9 @@ cannot be killed, only abandoned, which the outcome records honestly.
 Serial mode runs tasks inline with no preemption.
 
 The pipeline runner uses one single-worker pool, and only when a task
-deadline is armed: each observation stage's compute becomes one watched
-task, so a hung stage is killed at its deadline and a crashed child is
-retried. A semaphore caps in-flight workers across concurrent
+deadline is armed: each victim partition's telescope or honeypot
+detection, and the DNS measurement, becomes one watched task, so a hung
+task is killed at its deadline and its stage retried. A semaphore caps in-flight workers across concurrent
 :meth:`SupervisedPool.run` callers.
 """
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,12 @@ from repro.attacks.streams import (
     minute_spans,
     noise_rng,
 )
-from repro.honeypot.columnar import PROTOCOLS, RequestColumns, protocol_id
+from repro.honeypot.columnar import (
+    PROTOCOLS,
+    REQUEST_COLUMNS,
+    RequestColumns,
+    protocol_id,
+)
 from repro.net.protocols import REFLECTION_PROTOCOLS
 
 _REGION_PLAN: Tuple[Tuple[str, int], ...] = (
@@ -135,26 +140,39 @@ class AmpPotFleet:
 
     def scanner_noise(self, n_days: int) -> List[RequestBatch]:
         """Reflector scans over *n_days*, as objects (unsorted)."""
-        return RequestColumns(*self._scanner_rows(n_days)).batches()
+        return self.noise_columns(n_days).batches()
+
+    def noise_columns(self, n_days: int) -> RequestColumns:
+        """Reflector scans over *n_days* (unsorted; none without days)."""
+        if n_days <= 0:
+            return RequestColumns.empty()
+        return RequestColumns(*self._scanner_rows(n_days))
 
     def capture_columns(
-        self, attacks: Iterable[GroundTruthAttack], n_days: int = 0
+        self,
+        attacks: Iterable[GroundTruthAttack],
+        n_days: int = 0,
+        noise: Optional[RequestColumns] = None,
     ) -> RequestColumns:
-        """Full time-sorted request log for the window.
+        """Time-sorted request log of *attacks* plus *noise*.
 
-        Ties keep attack rows in attack-id order ahead of scanner rows,
-        so the log is a function of the attack set, not its order.
+        *noise* is one victim partition's slice of :meth:`noise_columns`
+        when the pipeline synthesizes partition by partition; None
+        draws the whole window's scanner rows, which makes the whole
+        log the one-partition case. Ties keep attack rows in attack-id
+        order ahead of scanner rows, so the log is a function of the
+        attack set, not its order.
         """
-        parts = []
+        if noise is None:
+            noise = self.noise_columns(n_days)
         attack_rows = self._attack_rows(attacks)
-        if attack_rows is not None:
-            parts.append(attack_rows)
-        if n_days > 0:
-            parts.append(self._scanner_rows(n_days))
-        if not parts:
-            return RequestColumns.empty()
+        if attack_rows is None:
+            return noise.time_sorted()
         return RequestColumns(
-            *(np.concatenate(column) for column in zip(*parts))
+            *(
+                np.concatenate((rows, getattr(noise, name)))
+                for rows, name in zip(attack_rows, RequestColumns.__slots__)
+            )
         ).time_sorted()
 
     def capture(
@@ -177,7 +195,8 @@ class AmpPotFleet:
         are dropped per attack, and the kept cells' timestamps and
         instance ids are derived there too: on the default preset,
         capture-wide versions of those steps left ~45 MB more resident
-        after the stage.
+        after the stage. The columns come out in the log's dtypes, so
+        building the log copies none of them again.
         """
         cfg = self.config
         reflections = [
@@ -222,17 +241,17 @@ class AmpPotFleet:
             return None
 
         lengths = [len(count) for count in counts]
-        victim, protocol = (
-            np.repeat(np.array(values), lengths)
-            for values in zip(
-                *((a.target, protocol_id(a.reflector_protocol)) for a in observed)
-            )
+        dtype = dict(REQUEST_COLUMNS)
+        victims = np.array([a.target for a in observed], dtype=dtype["victim"])
+        protocols = np.array(
+            [protocol_id(a.reflector_protocol) for a in observed],
+            dtype=dtype["protocol"],
         )
         return (
             np.concatenate(ts),
-            victim,
-            np.concatenate(instances),
-            protocol,
+            np.repeat(victims, lengths),
+            np.concatenate(instances, dtype=dtype["honeypot_id"]),
+            np.repeat(protocols, lengths),
             np.concatenate(counts),
         )
 

@@ -71,6 +71,7 @@ class PortSetTable:
 
     def __init__(self) -> None:
         self._ids: Dict[FrozenSet[int], int] = {}
+        self._table: Tuple[FrozenSet[int], ...] = ()
 
     def intern(self, ports: FrozenSet[int]) -> int:
         port_id = self._ids.get(ports)
@@ -92,7 +93,10 @@ class PortSetTable:
         return table[inverse]
 
     def table(self) -> Tuple[FrozenSet[int], ...]:
-        return tuple(self._ids)
+        """The sets in id order (one tuple per size: ids only grow)."""
+        if len(self._table) != len(self._ids):
+            self._table = tuple(self._ids)
+        return self._table
 
 
 class PacketColumns:
@@ -175,7 +179,10 @@ class PacketColumns:
         """
         port_sets = tuple(port_sets)
         for part in parts:
-            if port_sets[: len(part.port_sets)] != part.port_sets:
+            if (
+                part.port_sets is not port_sets
+                and port_sets[: len(part.port_sets)] != part.port_sets
+            ):
                 raise ValueError("part was interned into another port-set table")
         return cls(
             *(

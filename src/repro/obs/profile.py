@@ -18,6 +18,12 @@ detect layers inside the observation stages) and records:
 * **rows/sec** — for layers that consume a capture (synthesis output,
   detection input), the capture's row count over the wall time.
 
+A layer that runs many times inside one stage (synthesize and detect run
+once per victim partition) is profiled with ``accumulate=True``: its
+readings fold into one entry per enclosing stage profile, with wall,
+CPU, rows and events summed, ``rss_before_kb`` from the first reading
+and ``rss_after_kb`` and the peak from the last.
+
 All probes are injectable, so deterministic tests substitute fake
 clocks and constant RSS functions and get byte-identical ``profile.json``
 artifacts. The disabled default is :class:`NullProfiler`.
@@ -85,6 +91,15 @@ class StageProfile:
     def rows_per_s(self) -> float:
         return self.rows / self.wall_s if self.wall_s > 0 else 0.0
 
+    def add(self, reading: "StageProfile") -> None:
+        """Fold a later *reading* of the same layer into this one."""
+        self.wall_s += reading.wall_s
+        self.cpu_s += reading.cpu_s
+        self.events += reading.events
+        self.rows += reading.rows
+        self.peak_rss_kb = reading.peak_rss_kb
+        self.rss_after_kb = reading.rss_after_kb
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "stage": self.stage,
@@ -135,14 +150,23 @@ class StageProfiler:
         self._current_rss_fn = current_rss_fn
         self._lock = threading.Lock()
         self.profiles: List[StageProfile] = []
+        # Accumulated entries by name, one scope per open profile.
+        self._scopes: List[Dict[str, StageProfile]] = [{}]
 
     @contextmanager
-    def profile(self, stage: str) -> Iterator[_ProfileHandle]:
+    def profile(
+        self, stage: str, accumulate: bool = False
+    ) -> Iterator[_ProfileHandle]:
+        """Measure the body as one *stage* entry; with *accumulate*, fold
+        it into the entry of the same name already recorded inside the
+        enclosing profile, if any."""
         record = StageProfile(stage=stage)
         handle = _ProfileHandle(record)
         record.rss_before_kb = self._current_rss_fn()
         wall0 = self._clock()
         cpu0 = self._cpu_clock()
+        if not accumulate:
+            self._scopes.append({})
         try:
             yield handle
         finally:
@@ -151,7 +175,14 @@ class StageProfiler:
             record.peak_rss_kb = self._rss_fn()
             record.rss_after_kb = self._current_rss_fn()
             with self._lock:
-                self.profiles.append(record)
+                if not accumulate:
+                    self._scopes.pop()
+                    self.profiles.append(record)
+                elif stage in self._scopes[-1]:
+                    self._scopes[-1][stage].add(record)
+                else:
+                    self._scopes[-1][stage] = record
+                    self.profiles.append(record)
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
@@ -169,7 +200,9 @@ class NullProfiler:
     profiles: tuple = ()
 
     @contextmanager
-    def profile(self, stage: str) -> Iterator[_ProfileHandle]:
+    def profile(
+        self, stage: str, accumulate: bool = False
+    ) -> Iterator[_ProfileHandle]:
         yield _NULL_HANDLE
 
     def snapshot(self) -> Dict[str, Any]:

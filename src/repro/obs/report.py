@@ -150,17 +150,25 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
         if "." in entry["stage"]
     ]
     if layers:
+        # Victim partitions per stage, from the stage spans' attributes.
+        partitions = {
+            span["attrs"]["stage"]: span["attrs"]["partitions"]
+            for span in trace or []
+            if span.get("name") == "stage"
+            and "partitions" in span.get("attrs", {})
+        }
         lines.append(
-            f"{'layer':<22} {'wall_s':>8} {'cpu_s':>8} {'rows':>10} "
-            f"{'rows/s':>12} {'rss_mb before->after':>22}"
+            f"{'layer':<22} {'parts':>5} {'wall_s':>8} {'cpu_s':>8} "
+            f"{'rows':>10} {'rows/s':>12} {'rss_mb before->after':>22}"
         )
         for entry in layers:
             rss = (
                 f"{entry.get('rss_before_kb', 0) / 1024:.1f}->"
                 f"{entry.get('rss_after_kb', 0) / 1024:.1f}"
             )
+            parts = partitions.get(entry["stage"].split(".")[0], "-")
             lines.append(
-                f"{entry['stage']:<22} {entry['wall_s']:>8.3f} "
+                f"{entry['stage']:<22} {parts:>5} {entry['wall_s']:>8.3f} "
                 f"{entry.get('cpu_s', 0.0):>8.3f} {entry.get('rows', 0):>10} "
                 f"{entry.get('rows_per_s', 0.0):>12.1f} {rss:>22}"
             )

@@ -8,7 +8,8 @@ past its time budget. ``python -m repro chaos`` runs it from the CLI and
 CI runs ``chaos --quick`` as a smoke job.
 
 Each scenario runs the pipeline with a task deadline armed, so every
-observation stage's compute is one watched worker task, and with one
+partition's detection and the DNS measurement run as watched worker
+tasks, and with one
 :class:`~repro.faults.exec.ExecFaultPlan` armed; it checks the outcome
 against a fault-free baseline run without supervision:
 

@@ -67,6 +67,7 @@ from repro.faults.plan import (
     FaultPlan,
 )
 from repro.log import get_logger
+from repro.net.columnar import PortSetTable
 from repro.obs import Telemetry, get_telemetry
 from repro.pipeline.config import ScenarioConfig
 from repro.pipeline.quality import (
@@ -440,29 +441,22 @@ class ResilientPipeline:
         diversion_log, ledger, internet = self._run_stage(
             "migration", _migrate
         )
+        # Bucketed once for both feeds: partition k holds the attacks on
+        # victims v with v % n == k.
+        partitions = sim.partition_attacks(
+            ground_truth, sim.partition_count(len(ground_truth))
+        )
         telescope_events = self._run_stage(
             "telescope",
-            lambda: self._observe_feed(
-                "telescope",
-                lambda: sim.telescope_capture(
-                    config, ground_truth, fault=self.injectors.telescope
-                ),
-                sim.detect_telescope_shard,
-                sim.merge_telescope_shards,
-            ),
+            lambda: self._observe_telescope(partitions),
             degraded_factory=list,
+            partitions=len(partitions),
         )
         honeypot_events = self._run_stage(
             "honeypot",
-            lambda: self._observe_feed(
-                "honeypot",
-                lambda: sim.honeypot_capture(
-                    config, ground_truth, fault=self.injectors.honeypot
-                ),
-                sim.detect_honeypot_shard,
-                sim.merge_honeypot_shards,
-            ),
+            lambda: self._observe_honeypot(partitions),
             degraded_factory=list,
+            partitions=len(partitions),
         )
         openintel, dps_usage = self._run_stage(
             "measurement",
@@ -493,35 +487,92 @@ class ResilientPipeline:
 
     # -- observation stages ---------------------------------------------------
 
+    def _observe_telescope(self, partitions: List[list]) -> list:
+        config = self.config
+        # One interning table per attempt: every partition's port-set
+        # ids index the same table.
+        port_sets = PortSetTable()
+        return self._observe_feed(
+            "telescope",
+            partitions,
+            lambda: sim.telescope_noise(config, len(partitions), port_sets),
+            lambda attacks, noise: sim.telescope_capture(
+                config,
+                attacks,
+                noise=noise,
+                port_sets=port_sets,
+                fault=self.injectors.telescope,
+            ),
+            sim.detect_telescope_shard,
+            sim.merge_telescope_shards,
+        )
+
+    def _observe_honeypot(self, partitions: List[list]) -> list:
+        config = self.config
+        return self._observe_feed(
+            "honeypot",
+            partitions,
+            lambda: sim.honeypot_noise(config, len(partitions)),
+            lambda attacks, noise: sim.honeypot_capture(
+                config, attacks, noise=noise, fault=self.injectors.honeypot
+            ),
+            sim.detect_honeypot_shard,
+            sim.merge_honeypot_shards,
+        )
+
     def _observe_feed(
         self,
         stage: str,
-        synthesize: Callable[[], Any],
+        partitions: List[list],
+        draw_noise: Callable[[], List[Any]],
+        synthesize: Callable[[list, Any], Any],
         detect: Callable[..., Any],
         merge: Callable[[List[Any]], Any],
     ) -> Any:
-        """Synthesize one feed's capture, detect over it, merge.
+        """Synthesize, fault-filter and detect one feed a victim
+        partition at a time, then merge once.
 
-        Synthesis runs here in the runner's process: it mutates the
-        injector's loss counters, which a fork child would lose. Both
-        layers get a child span and a profile entry carrying the
-        capture's row count.
+        The whole capture is never built: partition ``k`` is the
+        capture of the attacks in ``partitions[k]`` plus its slice of
+        the feed's noise, which is drawn once per attempt. Flows are
+        keyed on the victim and every attack has its own random stream,
+        so each partition is exactly the whole capture's rows of its
+        victims and the merged events equal one whole-capture detection
+        (DESIGN.md section 6). Synthesis and fault filtering run here in
+        the runner's process, so the injector's loss counters add up
+        across partitions (a fork child would lose them); with a task
+        deadline armed, each partition's detection is one watched task.
+        Each layer gets one child span per partition and one profile
+        entry per stage, summed over the partitions.
         """
         config = self.config
-        with self._layer(stage, "synthesize") as set_rows:
-            capture = synthesize()
-            set_rows(len(capture))
-        with self._layer(stage, "detect") as set_rows:
-            set_rows(len(capture))
-            events = self._supervised(stage, lambda: detect(config, capture))
-        return merge([events])
+        noise = None
+        shards = []
+        for index, attacks in enumerate(partitions):
+            with self._layer(stage, "synthesize", index) as set_rows:
+                if noise is None:  # synthesis too: the first layer's cost
+                    noise = draw_noise()
+                capture = synthesize(attacks, noise[index])
+                set_rows(len(capture))
+            with self._layer(stage, "detect", index) as set_rows:
+                set_rows(len(capture))
+                shards.append(
+                    self._supervised(stage, lambda: detect(config, capture))
+                )
+            del capture  # before the next partition's synthesis allocates
+        return merge(shards)
 
     @contextmanager
-    def _layer(self, stage: str, layer: str) -> Iterator[Callable[[int], None]]:
-        """A stage's child span + ``stage.layer`` profile entry; yields a
-        setter for the layer's input row count."""
-        with self._tracer.span(layer, stage=stage) as span:
-            with self._profiler.profile(f"{stage}.{layer}") as prof:
+    def _layer(
+        self, stage: str, layer: str, partition: int
+    ) -> Iterator[Callable[[int], None]]:
+        """One partition's child span of a stage layer, folded into the
+        stage's ``stage.layer`` profile entry; yields a setter for the
+        layer's input row count."""
+        with self._tracer.span(layer, stage=stage, partition=partition) as span:
+            with self._profiler.profile(
+                f"{stage}.{layer}", accumulate=True
+            ) as prof:
 
                 def set_rows(count: int) -> None:
                     span.set_attr(rows=count)
@@ -545,14 +596,16 @@ class ResilientPipeline:
         )
 
     def _supervised(self, stage: str, fn: Callable[[], Any]) -> Any:
-        """Run a stage's compute; with a task deadline armed, as one
+        """Run a piece of a stage's compute (one partition's detection,
+        or the DNS measurement); with a task deadline armed, as one
         watched pool task.
 
         The task runs in a fork child where the platform allows, so the
         watchdog can kill it at the deadline, and a child that hangs,
         crashes or fails surfaces as a :class:`TransientStageError` for
         the stage's retry loop. The stage's execution fault fires inside
-        the task.
+        each of its tasks: a hung, crashed or poisoned attempt fails at
+        its first task.
         """
         if self._pool is None:
             return fn()
@@ -592,6 +645,7 @@ class ResilientPipeline:
         name: str,
         fn: Callable[[], Any],
         degraded_factory: Optional[Callable[[], Any]] = None,
+        **span_attrs: Any,
     ) -> Any:
         if name in self._checkpoints:
             self._m_outcomes.inc(stage=name, status="cached")
@@ -613,7 +667,7 @@ class ResilientPipeline:
             self._log.info("stage served from stage cache", stage=name)
             self._persist_stage(name)
             return payload
-        with self._tracer.span("stage", stage=name) as span:
+        with self._tracer.span("stage", stage=name, **span_attrs) as span:
             with self._profiler.profile(name) as prof:
                 return self._run_stage_attempts(
                     name, fn, degraded_factory, span, prof

@@ -18,6 +18,17 @@ capture functions and :func:`apply_dns_faults` take optional fault
 injectors (see :mod:`repro.faults`) that degrade a feed the way the real
 lossy infrastructures would.
 
+Step 4 runs one victim partition at a time, so no whole capture is ever
+held: :func:`partition_attacks` buckets the attacks by ``target % n``
+(``n`` from :func:`partition_count`), :func:`telescope_noise` and
+:func:`honeypot_noise` draw each feed's noise once and split it by the
+same key, and :func:`telescope_capture` / :func:`honeypot_capture` build
+one partition's capture from its attacks and noise slice. Detection
+over each partition is merged with :func:`merge_telescope_shards` /
+:func:`merge_honeypot_shards`. Flows are keyed on the victim, so the
+merged events equal those of the whole capture, which is what the
+capture functions build when called without a noise slice.
+
 The result object carries every layer so tests, examples and benchmarks can
 reach both ground truth and observations.
 """
@@ -26,6 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.attacks.attacker import GroundTruthAttack
 from repro.attacks.schedule import AttackSchedule, TargetPools
@@ -44,7 +57,7 @@ from repro.honeypot.detection import (
     AmpPotEvent,
     detect_columns as detect_honeypot_columns,
 )
-from repro.net.columnar import PacketColumns
+from repro.net.columnar import PacketColumns, PortSetTable
 from repro.internet.hosting import HostingEcosystem
 from repro.internet.population import ActiveAddressCensus
 from repro.internet.topology import InternetTopology
@@ -180,29 +193,86 @@ def run_migration(
     return diversion_log, ledger
 
 
-def telescope_capture(
-    config: ScenarioConfig,
-    ground_truth: List[GroundTruthAttack],
-    fault=None,
-) -> PacketColumns:
-    """The darknet capture (optionally degraded), as columns.
+#: Attacks per victim partition of the telescope and honeypot stages.
+#: The pipeline synthesizes and detects one partition at a time, so this
+#: bounds the capture held at once: 10 partitions on the default preset,
+#: 116 on the paper preset. DESIGN.md section 6 has the peak-RSS sweep
+#: that sized it.
+ATTACKS_PER_PARTITION = 1024
 
-    Every attack's backscatter comes from its own random stream (see
-    :mod:`repro.attacks.streams`) and noise from a disjoint one, so the
-    capture depends on the attack set, not on the order of
-    *ground_truth*. Fault filtering happens here, so injector counters
-    mutate in the calling process, never in a supervised fork child
-    whose memory is thrown away.
-    """
+
+def partition_count(n_attacks: int) -> int:
+    """Victim partitions of an observation stage over *n_attacks*."""
+    return max(1, -(-n_attacks // ATTACKS_PER_PARTITION))
+
+
+def partition_attacks(
+    ground_truth: List[GroundTruthAttack], n_partitions: int
+) -> List[List[GroundTruthAttack]]:
+    """*ground_truth* bucketed in one pass: partition ``k`` holds the
+    attacks with ``attack.target % n_partitions == k``."""
+    buckets: List[List[GroundTruthAttack]] = [[] for _ in range(n_partitions)]
+    for attack in ground_truth:
+        buckets[attack.target % n_partitions].append(attack)
+    return buckets
+
+
+def split_partitions(rows, victims: np.ndarray, n_partitions: int) -> list:
+    """*rows* (columns whose victim key is *victims*) split into victim
+    partitions, each keeping its rows in their original order."""
+    key = victims % n_partitions
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(n_partitions + 1))
+    grouped = rows.take(order)
+    return [
+        grouped.take(slice(lo, hi))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
+
+
+def _telescope(config: ScenarioConfig) -> NetworkTelescope:
     noise = (
         TelescopeNoise(config.telescope_noise_config())
         if config.telescope_noise
         else None
     )
-    telescope = NetworkTelescope(
+    return NetworkTelescope(
         backscatter=BackscatterModel(config.backscatter_config()), noise=noise
     )
-    capture = telescope.capture_columns(ground_truth, n_days=config.n_days)
+
+
+def telescope_noise(
+    config: ScenarioConfig, n_partitions: int, port_sets: PortSetTable
+) -> List[PacketColumns]:
+    """The window's telescope noise, drawn once from its one stream and
+    split into victim partitions by source address."""
+    noise = _telescope(config).noise_columns(config.n_days, port_sets)
+    return split_partitions(noise, noise.src, n_partitions)
+
+
+def telescope_capture(
+    config: ScenarioConfig,
+    attacks: List[GroundTruthAttack],
+    noise: Optional[PacketColumns] = None,
+    port_sets: Optional[PortSetTable] = None,
+    fault=None,
+) -> PacketColumns:
+    """The darknet capture of *attacks* plus *noise* (optionally
+    degraded), as columns.
+
+    The runner calls this once per victim partition, with the
+    partition's attacks and its slice of :func:`telescope_noise`, all
+    interned into one *port_sets* table per stage. Without *noise* it
+    is the whole window's capture. Every attack's backscatter comes from
+    its own random stream (see :mod:`repro.attacks.streams`), so the
+    capture depends on the attack set, not on its order. Fault
+    filtering happens here, so injector counters mutate in the calling
+    process, never in a supervised fork child whose memory is thrown
+    away.
+    """
+    capture = _telescope(config).capture_columns(
+        attacks, n_days=config.n_days, noise=noise, port_sets=port_sets
+    )
     if fault is not None:
         capture = fault.filter(capture)
     return capture
@@ -246,19 +316,36 @@ def merge_telescope_shards(
     return sorted(merged, key=lambda e: (e.start_ts, e.victim))
 
 
+def _fleet_noise_days(config: ScenarioConfig) -> int:
+    return config.n_days if config.honeypot_noise else 0
+
+
+def honeypot_noise(
+    config: ScenarioConfig, n_partitions: int
+) -> List[RequestColumns]:
+    """The window's scanner rows, drawn once from their one stream and
+    split into victim partitions."""
+    noise = AmpPotFleet(config.fleet_config()).noise_columns(
+        _fleet_noise_days(config)
+    )
+    return split_partitions(noise, noise.victim, n_partitions)
+
+
 def honeypot_capture(
     config: ScenarioConfig,
-    ground_truth: List[GroundTruthAttack],
+    attacks: List[GroundTruthAttack],
+    noise: Optional[RequestColumns] = None,
     fault=None,
 ) -> RequestColumns:
-    """The fleet's request log (optionally degraded), as columns.
+    """The fleet's request log of *attacks* plus *noise* (optionally
+    degraded), as columns.
 
-    Like :func:`telescope_capture`: per-attack random streams, so the
-    log depends on the attack set, not its order.
+    Like :func:`telescope_capture`: called once per victim partition
+    with a slice of :func:`honeypot_noise`, or without *noise* for the
+    whole window's log.
     """
-    fleet = AmpPotFleet(config.fleet_config())
-    request_log = fleet.capture_columns(
-        ground_truth, n_days=config.n_days if config.honeypot_noise else 0
+    request_log = AmpPotFleet(config.fleet_config()).capture_columns(
+        attacks, n_days=_fleet_noise_days(config), noise=noise
     )
     if fault is not None:
         request_log = fault.filter(request_log)

@@ -225,18 +225,36 @@ class NetworkTelescope:
         self.backscatter = backscatter
         self.noise = noise
 
-    def capture_columns(
-        self, attacks: Iterable[GroundTruthAttack], n_days: int = 0
+    def noise_columns(
+        self, n_days: int, port_sets: Optional[PortSetTable] = None
     ) -> PacketColumns:
-        """Observe *attacks* (plus noise when configured), time-sorted.
+        """The window's noise rows (none without a noise model or days),
+        interned into *port_sets*."""
+        if self.noise is None or n_days <= 0:
+            return PacketColumns.empty()
+        return self.noise.columns(n_days, port_sets)
 
-        Ties keep backscatter rows in attack-id order ahead of noise, so
-        the capture is a function of the attack set, not its order.
+    def capture_columns(
+        self,
+        attacks: Iterable[GroundTruthAttack],
+        n_days: int = 0,
+        noise: Optional[PacketColumns] = None,
+        port_sets: Optional[PortSetTable] = None,
+    ) -> PacketColumns:
+        """Observe *attacks* plus *noise*, time-sorted.
+
+        *noise* holds rows interned into *port_sets*: one victim
+        partition's slice of :meth:`noise_columns` when the pipeline
+        synthesizes partition by partition. None draws the whole
+        window's noise, which makes the whole capture the one-partition
+        case. Ties keep backscatter rows in attack-id order ahead of
+        noise, so the capture is a function of the attack set, not its
+        order.
         """
-        table = PortSetTable()
-        parts = [self.backscatter.columns(attacks, table)]
-        if self.noise is not None and n_days > 0:
-            parts.append(self.noise.columns(n_days, table))
+        table = port_sets if port_sets is not None else PortSetTable()
+        if noise is None:
+            noise = self.noise_columns(n_days, table)
+        parts = [self.backscatter.columns(attacks, table), noise]
         return PacketColumns.concat(parts, table.table()).time_sorted()
 
     def capture(

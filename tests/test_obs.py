@@ -275,33 +275,78 @@ class TestObservationLayers:
             small_config, telemetry=telemetry, sleep=no_sleep
         ).run()
         spans = {s.span_id: s for s in telemetry.tracer.spans}
-        profiles = {p.stage: p for p in telemetry.profiler.profiles}
+        names = [p.stage for p in telemetry.profiler.profiles]
+        by_name = {p.stage: p for p in telemetry.profiler.profiles}
         for stage in ("telescope", "honeypot"):
+            (stage_span,) = [
+                s for s in spans.values()
+                if s.name == "stage" and s.attrs["stage"] == stage
+            ]
+            n = stage_span.attrs["partitions"]
+            assert n > 1
             layers = [
                 s for s in spans.values()
                 if s.attrs.get("stage") == stage
                 and s.name in ("synthesize", "detect")
             ]
-            assert [s.name for s in layers] == ["synthesize", "detect"]
-            synthesize, detect = layers
-            rows = synthesize.attrs["rows"]
-            assert rows > 0 and detect.attrs["rows"] == rows
-            # Both are children of the stage's attempt span.
-            parent = spans[synthesize.parent_id]
-            assert parent.name == "attempt" and parent.attrs["stage"] == stage
-            assert detect.parent_id == synthesize.parent_id
+            # One synthesize and one detect span per partition, in order.
+            assert [(s.name, s.attrs["partition"]) for s in layers] == [
+                (name, index)
+                for index in range(n)
+                for name in ("synthesize", "detect")
+            ]
+            for synthesize, detect in zip(layers[::2], layers[1::2]):
+                assert detect.attrs["rows"] == synthesize.attrs["rows"]
+                # Both are children of the stage's attempt span.
+                parent = spans[synthesize.parent_id]
+                assert parent.name == "attempt"
+                assert parent.attrs["stage"] == stage
+                assert parent.parent_id == stage_span.span_id
+                assert detect.parent_id == synthesize.parent_id
+            rows = sum(s.attrs["rows"] for s in layers[::2])
+            assert rows > 0
             for layer in ("synthesize", "detect"):
-                profile = profiles[f"{stage}.{layer}"]
+                # Exactly one profile entry per layer, summed over the
+                # partitions.
+                assert names.count(f"{stage}.{layer}") == 1
+                profile = by_name[f"{stage}.{layer}"]
                 assert profile.rows == rows
                 assert profile.rows_per_s == pytest.approx(
                     rows / profile.wall_s
                 )
                 assert profile.peak_rss_kb == 4096
-                # Injected probe: one reading before, one after.
-                assert profile.rss_after_kb == profile.rss_before_kb + 8
-            assert profiles[stage].rss_before_kb < profiles[
+                # Injected probe: each of the 2n layer readings takes one
+                # value before and one after, so the first partition's
+                # "before" and the last one's "after" are 4n - 3 steps
+                # apart.
+                assert profile.rss_after_kb == (
+                    profile.rss_before_kb + 8 * (4 * n - 3)
+                )
+            assert (
+                by_name[f"{stage}.detect"].rss_before_kb
+                == by_name[f"{stage}.synthesize"].rss_before_kb + 16
+            )
+            assert by_name[stage].rss_before_kb < by_name[
                 f"{stage}.synthesize"
             ].rss_before_kb
+
+    def test_layer_readings_fold_into_one_entry_per_stage(self):
+        profiler = StageProfiler(
+            clock=FakeClock(step=0.5), cpu_clock=FakeClock(step=0.25),
+            rss_fn=iter(range(100, 200)).__next__,
+        )
+        for _ in range(2):  # two runs of the same stage
+            with profiler.profile("stage"):
+                for rows in (3, 4):
+                    with profiler.profile("stage.layer", accumulate=True) as h:
+                        h.set_rows(rows)
+        names = [p.stage for p in profiler.profiles]
+        assert names == ["stage.layer", "stage", "stage.layer", "stage"]
+        first = profiler.profiles[0].to_dict()
+        assert (first["rows"], first["wall_s"], first["cpu_s"]) == (7, 1.0, 0.5)
+        # Before: the first reading's; after and peak: the last one's.
+        assert (first["rss_before_kb"], first["rss_after_kb"]) == (101, 106)
+        assert first["peak_rss_kb"] == 105
 
     def test_one_fake_rss_probe_serves_both_readings(self):
         profiler = StageProfiler(rss_fn=lambda: 7)
@@ -340,6 +385,31 @@ class TestObservationLayers:
         assert "telescope.synthesize" in report
         assert "2000.0" in report  # rows/s: 1000 rows over 0.5 s
         assert "2.0->2.0" in report
+
+    def test_flight_report_prints_stage_partitions(self, tmp_path):
+        from repro.obs.report import render_flight_report
+
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        profiler = StageProfiler(rss_fn=lambda: 2048)
+        tracer = SpanTracer()
+        with tracer.span("stage", stage="telescope", partitions=7):
+            with profiler.profile("telescope"):
+                for _ in range(7):
+                    with profiler.profile(
+                        "telescope.detect", accumulate=True
+                    ) as handle:
+                        handle.set_rows(10)
+        (run_dir / PROFILE_FILE).write_text(profiler.to_json())
+        (run_dir / TRACE_JSONL_FILE).write_text(tracer.to_jsonl())
+        report = render_flight_report(run_dir)
+        assert " parts " in report
+        (line,) = [
+            line for line in report.splitlines()
+            if line.startswith("telescope.detect")
+        ]
+        assert line.split()[1:2] == ["7"]
+        assert line.split()[4] == "70"  # rows summed over partitions
 
 
 class TestTelemetryBundle:
