@@ -16,15 +16,18 @@ Quickstart::
         print(row)
 """
 
-from repro.core.events import (
-    AttackDataset,
-    AttackEvent,
-    SOURCE_HONEYPOT,
-    SOURCE_TELESCOPE,
-)
-from repro.core.fusion import FusedDataset
-from repro.pipeline.config import ScenarioConfig
-from repro.pipeline.simulation import SimulationResult, run_simulation
+from repro._lazy import lazy_exports
+
+# Resolved on first access, so importing a submodule (the live service,
+# say) does not import the simulation pipeline.
+__getattr__ = lazy_exports(__name__, {
+    "repro.core.events": (
+        "AttackDataset", "AttackEvent", "SOURCE_HONEYPOT", "SOURCE_TELESCOPE",
+    ),
+    "repro.core.fusion": ("FusedDataset",),
+    "repro.pipeline.config": ("ScenarioConfig",),
+    "repro.pipeline.simulation": ("SimulationResult", "run_simulation"),
+})
 
 __version__ = "1.0.0"
 

@@ -68,51 +68,26 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core.report import render_table1
-from repro.exec.deadline import RunDeadline, RunDeadlineExceeded
-from repro.exec.interrupt import InterruptGuard, RunInterrupted
-from repro.faults.exec import ExecFaultPlan
-from repro.faults.plan import ALL_FEEDS, FaultPlan
+# Only what building the parser needs is imported here; each command
+# imports what it runs, so `serve` and `--help` never load the batch
+# pipeline (or numpy).
+from repro.catalog import PRESETS, REPORT_ORDER, STAGE_ORDER
+from repro.faults.plan import ALL_FEEDS
 from repro.log import configure_logging, get_logger
-from repro.obs import (
-    METRICS_FILE,
-    TRACE_FILE,
-    TRACE_JSONL_FILE,
-    Telemetry,
-    prometheus_from_snapshot,
-    set_telemetry,
-)
-from repro.obs.report import QUALITY_FILE, render_flight_report
-from repro.pipeline.chaos import run_chaos_drill
-from repro.pipeline.config import ScenarioConfig
-from repro.pipeline.datasets import (
-    MalformedRecordError,
-    quarantine_path_for,
-    read_events_jsonl,
-    save_events_jsonl,
-)
-from repro.pipeline.fullreport import REPORT_ORDER, generate_full_report
-from repro.pipeline.quality import HeadlineMetrics
-from repro.pipeline.runner import ResilientPipeline, STAGE_ORDER
-from repro.pipeline.simulation import run_simulation
-from repro.serve.chaos import run_serve_chaos_drill
-from repro.serve.http import run_service
-from repro.serve.service import ServeConfig
-from repro.store.checkpoint import CheckpointStore
+
+if TYPE_CHECKING:
+    from repro.exec.interrupt import InterruptGuard
+    from repro.faults.exec import ExecFaultPlan
+    from repro.obs import Telemetry
+    from repro.pipeline.config import ScenarioConfig
 
 log = get_logger("cli")
 
 #: Exit code when ``--deadline`` expires: the ``timeout(1)`` convention,
 #: distinguishable from a crash (137) and an ordinary failure (1).
 EXIT_DEADLINE = 124
-
-_PRESETS = {
-    "small": ScenarioConfig.small,
-    "default": ScenarioConfig.default,
-    "paper": ScenarioConfig.paper,
-}
 
 #: Run-dir document recording how a durable run was started, so ``resume``
 #: can rebuild the exact scenario without the original command line.
@@ -167,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reproduce 'Millions of Targets Under Attack' (IMC 2017)",
     )
     parser.add_argument(
-        "--preset", choices=sorted(_PRESETS), default="small",
+        "--preset", choices=sorted(PRESETS), default="small",
         help="scenario scale (default: small)",
     )
     parser.add_argument("--seed", type=int, default=42)
@@ -529,8 +504,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _preset_config(preset: str, seed: int) -> ScenarioConfig:
+    from repro.pipeline.config import ScenarioConfig
+
+    return getattr(ScenarioConfig, preset)().with_seed(seed)
+
+
 def _config(args: argparse.Namespace) -> ScenarioConfig:
-    return _PRESETS[args.preset]().with_seed(args.seed)
+    return _preset_config(args.preset, args.seed)
 
 
 def _exec_faults(args: argparse.Namespace) -> ExecFaultPlan:
@@ -544,6 +525,8 @@ def _exec_faults(args: argparse.Namespace) -> ExecFaultPlan:
     ):
         if value is not None and not value > 0:
             raise ValueError(f"{flag} must be positive, got {value:g}")
+    from repro.faults.exec import ExecFaultPlan
+
     return ExecFaultPlan.parse(tuple(args.exec_fault or ()))
 
 
@@ -551,6 +534,8 @@ def _enable_metrics(args: argparse.Namespace) -> Optional[Telemetry]:
     """Install process-wide telemetry when ``--metrics`` was given."""
     if not getattr(args, "metrics", False):
         return None
+    from repro.obs import Telemetry, set_telemetry
+
     telemetry = Telemetry.create()
     set_telemetry(telemetry)
     return telemetry
@@ -585,6 +570,10 @@ def _run_pipeline(
     stage_cache: Optional[Path] = None,
 ):
     """Run the pipeline; a durable run leaves the fused events in its dir."""
+    from repro.obs.report import QUALITY_FILE
+    from repro.pipeline.datasets import save_events_jsonl
+    from repro.pipeline.runner import ResilientPipeline
+
     pipeline = ResilientPipeline(
         config,
         run_dir=run_dir,
@@ -617,6 +606,12 @@ def _run_pipeline(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.core.report import render_table1
+    from repro.exec.deadline import RunDeadlineExceeded
+    from repro.exec.interrupt import InterruptGuard, RunInterrupted
+    from repro.pipeline.datasets import save_events_jsonl
+    from repro.store.checkpoint import CheckpointStore
+
     if args.crash_after is not None and args.run_dir is None:
         print("--crash-after requires --run-dir", file=sys.stderr)
         return 2
@@ -678,6 +673,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
+    from repro.core.report import render_table1
+    from repro.exec.deadline import RunDeadlineExceeded
+    from repro.exec.interrupt import InterruptGuard, RunInterrupted
+    from repro.store.checkpoint import CheckpointStore
+
     if not args.run_dir.is_dir():
         print(f"no such run directory: {args.run_dir}", file=sys.stderr)
         return 2
@@ -703,11 +703,11 @@ def cmd_resume(args: argparse.Namespace) -> int:
         )
         return 2
     preset = meta.get("preset")
-    if preset not in _PRESETS:
+    if preset not in PRESETS:
         print(f"run metadata names unknown preset: {preset!r}",
               file=sys.stderr)
         return 2
-    config = _PRESETS[preset]().with_seed(int(meta.get("seed", 42)))
+    config = _preset_config(preset, int(meta.get("seed", 42)))
     stage_cache = (
         args.stage_cache
         if args.stage_cache is not None
@@ -749,6 +749,12 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from repro.pipeline.datasets import (
+        MalformedRecordError,
+        quarantine_path_for,
+        read_events_jsonl,
+    )
+
     if not args.events_file.exists():
         print(f"no such file: {args.events_file}", file=sys.stderr)
         return 2
@@ -779,8 +785,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not args.run_dir.is_dir():
             print(f"no such run directory: {args.run_dir}", file=sys.stderr)
             return 2
+        from repro.obs.report import render_flight_report
+
         print(render_flight_report(args.run_dir))
         return 0
+    from repro.pipeline.fullreport import generate_full_report
+    from repro.pipeline.simulation import run_simulation
+
     result = run_simulation(_config(args))
     report = generate_full_report(result)
     wanted = args.only if args.only else list(REPORT_ORDER)
@@ -803,6 +814,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_headline(args: argparse.Namespace) -> int:
+    from repro.pipeline.quality import HeadlineMetrics
+    from repro.pipeline.simulation import run_simulation
+
     result = run_simulation(_config(args))
     metrics = HeadlineMetrics.from_result(result)
     print(f"attacks observed:            {metrics.attacks}")
@@ -817,6 +831,11 @@ def cmd_headline(args: argparse.Namespace) -> int:
 
 
 def cmd_robustness(args: argparse.Namespace) -> int:
+    from repro.faults.plan import FaultPlan
+    from repro.pipeline.quality import HeadlineMetrics
+    from repro.pipeline.runner import ResilientPipeline
+    from repro.pipeline.simulation import run_simulation
+
     config = _config(args)
     result = run_simulation(config)
     baseline = HeadlineMetrics.from_result(result)
@@ -882,6 +901,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.serve:
         import tempfile
 
+        from repro.serve.chaos import run_serve_chaos_drill
+
         work_dir = args.serve_dir
         if work_dir is None:
             work_dir = Path(tempfile.mkdtemp(prefix="repro-serve-chaos-"))
@@ -901,6 +922,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"{len(results) - failed}/{len(results)} scenarios passed")
         _finish_metrics(telemetry, args.run_dir)
         return 0 if failed == 0 else 1
+    from repro.pipeline.chaos import run_chaos_drill
+
     results = run_chaos_drill(
         config=_config(args),
         quick=args.quick,
@@ -920,6 +943,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serve.http import run_service
+    from repro.serve.service import ServeConfig
+
     telemetry = _enable_metrics(args)
     config = ServeConfig(
         data_dir=args.data_dir,
@@ -1065,6 +1091,8 @@ def cmd_top(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    from repro.obs import METRICS_FILE, prometheus_from_snapshot
+
     path = args.run_dir / METRICS_FILE
     if not path.exists():
         print(
@@ -1082,6 +1110,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.obs import TRACE_FILE, TRACE_JSONL_FILE
+
     name = TRACE_FILE if args.format == "chrome" else TRACE_JSONL_FILE
     path = args.run_dir / name
     if not path.exists():
@@ -1107,8 +1137,6 @@ def _parse_seed_range(text: str) -> range:
 
 
 def cmd_simtest(args: argparse.Namespace) -> int:
-    # Imported lazily: the simulation harness pulls in the whole serve
-    # layer, which the analytics subcommands never need.
     from repro.simtest import (
         default_spec, run_sim, run_trace, trace_to_json,
     )

@@ -11,13 +11,15 @@ the way the paper does with NetAcuity and Routeviews.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Set, Tuple
 
-from repro.honeypot.detection import AmpPotEvent
 from repro.net.addressing import slash16, slash24
 from repro.net.geo import GeoDatabase, UNKNOWN_COUNTRY
 from repro.net.routing import RoutingTable
-from repro.telescope.rsdos import TelescopeEvent
+
+if TYPE_CHECKING:
+    from repro.honeypot.detection import AmpPotEvent
+    from repro.telescope.rsdos import TelescopeEvent
 
 SOURCE_TELESCOPE = "telescope"
 SOURCE_HONEYPOT = "honeypot"
@@ -178,6 +180,40 @@ class AttackEvent:
             country=geo.country(self.target),
             asn=routing.origin_asn(self.target),
         )
+
+
+# The JSON record codec of the schema: JSONL feeds, the serve WAL and its
+# snapshots all encode events with it.
+def event_to_dict(event: AttackEvent) -> dict:
+    return {
+        "source": event.source,
+        "target": event.target,
+        "start_ts": event.start_ts,
+        "end_ts": event.end_ts,
+        "intensity": event.intensity,
+        "ip_proto": event.ip_proto,
+        "ports": list(event.ports),
+        "reflector_protocol": event.reflector_protocol,
+        "packets": event.packets,
+        "country": event.country,
+        "asn": event.asn,
+    }
+
+
+def event_from_dict(data: dict) -> AttackEvent:
+    return AttackEvent(
+        source=data["source"],
+        target=data["target"],
+        start_ts=data["start_ts"],
+        end_ts=data["end_ts"],
+        intensity=data["intensity"],
+        ip_proto=data.get("ip_proto", 0),
+        ports=tuple(data.get("ports", ())),
+        reflector_protocol=data.get("reflector_protocol"),
+        packets=data.get("packets", 0),
+        country=data.get("country", "??"),
+        asn=data.get("asn"),
+    )
 
 
 class AttackDataset:

@@ -17,12 +17,14 @@ import queue
 import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Set
 
 from repro.core.events import AttackEvent, SOURCE_HONEYPOT, SOURCE_TELESCOPE
-from repro.core.webmap import WebHostingIndex
 from repro.net.addressing import slash16, slash24
 from repro.obs.metrics import get_registry
+
+if TYPE_CHECKING:
+    from repro.core.webmap import WebHostingIndex
 
 DAY = 86400.0
 

@@ -14,34 +14,43 @@ misbehaves:
 * :mod:`repro.exec.breaker` — per-feed circuit breakers (closed → open →
   half-open) that stop retrying a persistently failing feed;
 * :mod:`repro.exec.deadline` — a whole-run deadline that aborts cleanly,
-  leaving a resumable run directory.
+  leaving a resumable run directory;
+* :mod:`repro.exec.retry` — the capped-backoff retry policy shared by
+  the runner's stage retries and the serve client and follower.
 
 Everything here is policy-free about *what* runs: the stage functions
 live in :mod:`repro.pipeline.simulation`.
 """
 
-from repro.exec.breaker import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    BreakerReport,
-    BreakerTransition,
-    CircuitBreaker,
-)
-from repro.exec.deadline import RunDeadline, RunDeadlineExceeded
-from repro.exec.pool import (
-    MODE_AUTO,
-    MODE_FORK,
-    MODE_SERIAL,
-    MODE_THREAD,
-    STATUS_CRASHED,
-    STATUS_DEADLINE,
-    STATUS_ERROR,
-    STATUS_OK,
-    SupervisedPool,
-    TaskOutcome,
-    TaskSpec,
-)
+from repro._lazy import lazy_exports
+
+# Resolved on first access: the live service takes the breaker and the
+# retry policy without importing the pool (and multiprocessing).
+__getattr__ = lazy_exports(__name__, {
+    "repro.exec.breaker": (
+        "BREAKER_CLOSED",
+        "BREAKER_HALF_OPEN",
+        "BREAKER_OPEN",
+        "BreakerReport",
+        "BreakerTransition",
+        "CircuitBreaker",
+    ),
+    "repro.exec.deadline": ("RunDeadline", "RunDeadlineExceeded"),
+    "repro.exec.pool": (
+        "MODE_AUTO",
+        "MODE_FORK",
+        "MODE_SERIAL",
+        "MODE_THREAD",
+        "STATUS_CRASHED",
+        "STATUS_DEADLINE",
+        "STATUS_ERROR",
+        "STATUS_OK",
+        "SupervisedPool",
+        "TaskOutcome",
+        "TaskSpec",
+    ),
+    "repro.exec.retry": ("RetryPolicy",),
+})
 
 __all__ = [
     "BREAKER_CLOSED",
@@ -56,6 +65,7 @@ __all__ = [
     "MODE_THREAD",
     "RunDeadline",
     "RunDeadlineExceeded",
+    "RetryPolicy",
     "STATUS_CRASHED",
     "STATUS_DEADLINE",
     "STATUS_ERROR",

@@ -10,37 +10,43 @@ crashed, poisoned workers) that the supervised executor in
 :mod:`repro.exec` must contain.
 """
 
-from repro.faults.exec import (
-    ExecFault,
-    ExecFaultPlan,
-    PoisonShardError,
-    WorkerCrashError,
-    apply_exec_fault,
-)
-from repro.faults.fileio import (
-    drift_schema,
-    duplicate_records,
-    flip_bits,
-    truncate_file,
-)
-from repro.faults.injectors import (
-    DPSFaultInjector,
-    FaultInjectorSet,
-    HoneypotFaultInjector,
-    OpenIntelFaultInjector,
-    StreamFaultInjector,
-    TelescopeFaultInjector,
-)
-from repro.faults.plan import (
-    ALL_FEEDS,
-    FEED_DPS,
-    FEED_HONEYPOT,
-    FEED_OPENINTEL,
-    FEED_TELESCOPE,
-    FaultPlan,
-    FaultPlanConfig,
-    OutageWindow,
-)
+from repro._lazy import lazy_exports
+
+# Resolved on first access: the command line reads the feed names from
+# the plan without importing the numpy-backed injectors.
+__getattr__ = lazy_exports(__name__, {
+    "repro.faults.exec": (
+        "ExecFault",
+        "ExecFaultPlan",
+        "PoisonShardError",
+        "WorkerCrashError",
+        "apply_exec_fault",
+    ),
+    "repro.faults.fileio": (
+        "drift_schema",
+        "duplicate_records",
+        "flip_bits",
+        "truncate_file",
+    ),
+    "repro.faults.injectors": (
+        "DPSFaultInjector",
+        "FaultInjectorSet",
+        "HoneypotFaultInjector",
+        "OpenIntelFaultInjector",
+        "StreamFaultInjector",
+        "TelescopeFaultInjector",
+    ),
+    "repro.faults.plan": (
+        "ALL_FEEDS",
+        "FEED_DPS",
+        "FEED_HONEYPOT",
+        "FEED_OPENINTEL",
+        "FEED_TELESCOPE",
+        "FaultPlan",
+        "FaultPlanConfig",
+        "OutageWindow",
+    ),
+})
 
 __all__ = [
     "ALL_FEEDS",

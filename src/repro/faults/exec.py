@@ -29,6 +29,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.catalog import STAGE_ORDER
+
 KIND_HUNG = "hung"
 KIND_SLOW = "slow"
 KIND_CRASH = "crash"
@@ -107,8 +109,6 @@ class ExecFaultPlan:
         The stage must be one the runner executes; a misspelt one would
         otherwise arm nothing and the drill would pass fault-free.
         """
-        from repro.pipeline.runner import STAGE_ORDER  # imports this module
-
         faults = []
         for spec in specs:
             parts = spec.split(":")

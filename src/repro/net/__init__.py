@@ -8,26 +8,34 @@ table (Routeviews substitute), and a range-based geolocation database
 (NetAcuity substitute).
 """
 
-from repro.net.addressing import (
-    IPv4_MAX,
-    Prefix,
-    format_ipv4,
-    parse_ipv4,
-    slash8,
-    slash16,
-    slash24,
-)
-from repro.net.packet import Packet, PacketBatch, ip_proto_name
-from repro.net.protocols import (
-    PORT_SERVICES,
-    REFLECTION_PROTOCOLS,
-    ReflectionProtocol,
-    service_for_port,
-)
-from repro.net.routing import RoutingTable
-from repro.net.geo import GeoDatabase, GeoRange
-from repro.net.wire import decode_packet, encode_packet
-from repro.net.pcap import read_pcap, read_pcap_as_batches, write_pcap, write_batches_pcap
+from repro._lazy import lazy_exports
+
+# Resolved on first access: code that needs addressing alone does not
+# import the packet codecs.
+__getattr__ = lazy_exports(__name__, {
+    "repro.net.addressing": (
+        "IPv4_MAX",
+        "Prefix",
+        "format_ipv4",
+        "parse_ipv4",
+        "slash8",
+        "slash16",
+        "slash24",
+    ),
+    "repro.net.packet": ("Packet", "PacketBatch", "ip_proto_name"),
+    "repro.net.protocols": (
+        "PORT_SERVICES",
+        "REFLECTION_PROTOCOLS",
+        "ReflectionProtocol",
+        "service_for_port",
+    ),
+    "repro.net.routing": ("RoutingTable",),
+    "repro.net.geo": ("GeoDatabase", "GeoRange"),
+    "repro.net.wire": ("decode_packet", "encode_packet"),
+    "repro.net.pcap": (
+        "read_pcap", "read_pcap_as_batches", "write_pcap", "write_batches_pcap",
+    ),
+})
 
 __all__ = [
     "IPv4_MAX",

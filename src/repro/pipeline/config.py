@@ -39,7 +39,11 @@ def _derive(seed: int, tag: str) -> int:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Master scenario parameters."""
+    """Master scenario parameters.
+
+    The classmethod constructors are the presets; :data:`repro.catalog.PRESETS`
+    names them for the command line.
+    """
 
     seed: int = 42
     n_days: int = 120

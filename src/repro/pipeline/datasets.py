@@ -23,6 +23,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 from repro.core.events import (
     AttackEvent,
     EVENT_SCHEMA_VERSION,
+    event_from_dict,
+    event_to_dict,
     validate_event_dict,
 )
 from repro.log import get_logger
@@ -59,38 +61,6 @@ def quarantine_path_for(
     base = Path(directory) if directory is not None else events_path.parent
     middle = f".{feed}" if feed else ""
     return base / f"{events_path.name}{middle}{QUARANTINE_SUFFIX}"
-
-
-def event_to_dict(event: AttackEvent) -> dict:
-    return {
-        "source": event.source,
-        "target": event.target,
-        "start_ts": event.start_ts,
-        "end_ts": event.end_ts,
-        "intensity": event.intensity,
-        "ip_proto": event.ip_proto,
-        "ports": list(event.ports),
-        "reflector_protocol": event.reflector_protocol,
-        "packets": event.packets,
-        "country": event.country,
-        "asn": event.asn,
-    }
-
-
-def event_from_dict(data: dict) -> AttackEvent:
-    return AttackEvent(
-        source=data["source"],
-        target=data["target"],
-        start_ts=data["start_ts"],
-        end_ts=data["end_ts"],
-        intensity=data["intensity"],
-        ip_proto=data.get("ip_proto", 0),
-        ports=tuple(data.get("ports", ())),
-        reflector_protocol=data.get("reflector_protocol"),
-        packets=data.get("packets", 0),
-        country=data.get("country", "??"),
-        asn=data.get("asn"),
-    )
 
 
 def save_events_jsonl(

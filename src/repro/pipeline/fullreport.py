@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.catalog import REPORT_ORDER  # noqa: F401 - re-exported
 from repro.core.cohosting import cohosting_bins
 from repro.core.distributions import (
     duration_cdf,
@@ -208,11 +209,3 @@ def generate_full_report(result) -> Dict[str, str]:
     )
     return report
 
-
-#: Print order for CLI / example output.
-REPORT_ORDER = (
-    "table1", "table2", "table3", "table4", "table5", "table6", "table7",
-    "table8", "table9", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-    "fig7", "fig8", "fig9", "fig10", "fig11", "joint", "webports",
-    "extensions",
-)

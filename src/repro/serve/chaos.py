@@ -49,7 +49,7 @@ from typing import List, Optional, Tuple
 
 from repro.log import get_logger
 from repro.pipeline.chaos import ScenarioResult
-from repro.pipeline.runner import RetryPolicy
+from repro.exec.retry import RetryPolicy
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.http import ENDPOINT_FILE
 from repro.serve.service import LiveIngestService, ServeConfig, WAL_DIR

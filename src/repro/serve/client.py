@@ -7,7 +7,7 @@ live here once instead of as scattered ``urllib`` calls:
 * **503 + Retry-After**: an overloaded (or sync-replication-starved)
   node answers 503 with the seconds to wait. The client honors the
   header and adds decorrelated jitter from the existing
-  :class:`~repro.pipeline.runner.RetryPolicy` — seeded, so tests and
+  :class:`~repro.exec.retry.RetryPolicy` — seeded, so tests and
   drills replay the same schedule — because a fleet of clients all
   sleeping exactly ``Retry-After`` reconverges as a thundering herd.
 * **409 + primary hint**: a replica or fenced node refuses writes and
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.log import get_logger
-from repro.pipeline.runner import RetryPolicy
+from repro.exec.retry import RetryPolicy
 from repro.serve.transport import HttpTransport, TransportError
 
 log = get_logger("serve.client")

@@ -64,7 +64,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.log import get_logger
 from repro.obs.metrics import get_registry
-from repro.pipeline.runner import RetryPolicy
+from repro.exec.retry import RetryPolicy
 from repro.serve.transport import HttpTransport, TransportError
 from repro.serve.wal import KIND_SHED, WAL_KINDS, WalRecord
 from repro.store.atomic import atomic_write_text

@@ -43,7 +43,6 @@ from repro.log import get_logger
 from repro.obs.metrics import MetricsRegistry, NullRegistry, get_registry
 from repro.obs.timeseries import MetricsHistory, RequestLog
 from repro.obs.trace import NULL_TRACER
-from repro.pipeline.datasets import event_from_dict, event_to_dict
 from repro.serve.admission import AdmissionQueue, QueueEntry, SubmitResult
 from repro.serve.replication import (
     ClusterState,

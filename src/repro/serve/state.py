@@ -22,14 +22,15 @@ import hashlib
 import json
 import threading
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set
 
-from repro.core.events import AttackEvent
+from repro.core.events import AttackEvent, event_from_dict, event_to_dict
 from repro.core.streaming import FUSION_STATE_VERSION, StreamingFusion
-from repro.core.webmap import WebHostingIndex
 from repro.net.addressing import slash16, slash24
 from repro.obs.metrics import get_registry
-from repro.pipeline.datasets import event_from_dict, event_to_dict
+
+if TYPE_CHECKING:
+    from repro.core.webmap import WebHostingIndex
 
 #: Version of the serialized LiveFusedStore state (snapshot payloads).
 STORE_STATE_VERSION = 1

@@ -41,6 +41,7 @@ compare a promoted follower against.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -61,6 +62,13 @@ KIND_DPS = "dps"
 KIND_SHED = "shed"
 
 WAL_KINDS = (KIND_ATTACK, KIND_DPS, KIND_SHED)
+
+#: ``serve_wal_fsync_seconds`` buckets: an idle-disk fsync takes a
+#: fraction of a millisecond, one queued behind a snapshot save ~100 ms.
+FSYNC_BUCKETS = (
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+    0.1, 0.25, 0.5, 1.0,
+)
 
 
 def segment_name(first_seq: int) -> str:
@@ -139,6 +147,10 @@ class WriteAheadLog:
         )
         self._m_fsyncs = registry.counter(
             "serve_wal_fsyncs_total", "WAL fsync calls"
+        )
+        self._m_fsync_seconds = registry.histogram(
+            "serve_wal_fsync_seconds", "WAL fsync wall time",
+            buckets=FSYNC_BUCKETS,
         )
 
     # -- segments -------------------------------------------------------------
@@ -299,7 +311,9 @@ class WriteAheadLog:
     def _fsync(self) -> None:
         if self._handle is None or self._appends_since_fsync == 0:
             return
+        started = time.perf_counter()
         self.disk.fsync(self._handle)
+        self._m_fsync_seconds.observe(time.perf_counter() - started)
         self._m_fsyncs.inc()
         self._appends_since_fsync = 0
 

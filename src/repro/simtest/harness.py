@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline.runner import RetryPolicy
+from repro.exec.retry import RetryPolicy
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.replication import (
     CLUSTER_FILE,

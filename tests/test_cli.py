@@ -1,9 +1,67 @@
 """Unit tests for the command-line interface and the full-report generator."""
 
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+from repro.faults.plan import ALL_FEEDS
+from repro.pipeline.config import ScenarioConfig
 from repro.pipeline.fullreport import REPORT_ORDER, generate_full_report
+from repro.pipeline.runner import STAGE_ORDER
+
+#: ``--help`` of the parser and of every subcommand at 80 columns.
+HELP_GOLDEN = Path(__file__).with_name("cli_help.json")
+
+
+def _commands(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def _option(parser, flag):
+    return next(a for a in parser._actions if flag in a.option_strings)
+
+
+class TestParserParity:
+    def test_help_is_byte_identical_to_golden(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = _build_parser()
+        helps = {"": parser.format_help()}
+        helps.update(
+            (name, sub.format_help())
+            for name, sub in _commands(parser).items()
+        )
+        if sys.version_info < (3, 10):
+            # argparse titled the section "optional arguments" before 3.10.
+            helps = {
+                name: text.replace("optional arguments:", "options:")
+                for name, text in helps.items()
+            }
+        golden = json.loads(HELP_GOLDEN.read_text(encoding="utf-8"))
+        assert sorted(helps) == sorted(golden)
+        for name in golden:
+            assert helps[name] == golden[name], name
+
+    def test_choices_are_the_runtime_definitions(self):
+        parser = _build_parser()
+        commands = _commands(parser)
+        presets = sorted(
+            name for name, value in vars(ScenarioConfig).items()
+            if isinstance(value, classmethod)
+        )
+        assert _option(parser, "--preset").choices == presets
+        for name in presets:
+            assert isinstance(getattr(ScenarioConfig, name)(), ScenarioConfig)
+        crash_after = _option(commands["simulate"], "--crash-after")
+        assert tuple(crash_after.choices) == STAGE_ORDER
+        feed = _option(commands["robustness"], "--feed")
+        assert feed.choices == sorted(ALL_FEEDS) + ["all"]
+        only = _option(commands["report"], "--only")
+        assert only.help == (
+            f"subset of artifacts (ids: {', '.join(REPORT_ORDER)})"
+        )
 
 
 class TestFullReport:

@@ -20,6 +20,7 @@ from repro.serve.state import (
     validate_dps_record,
 )
 from repro.serve.wal import (
+    FSYNC_BUCKETS,
     KIND_ATTACK,
     KIND_DPS,
     KIND_SHED,
@@ -47,6 +48,26 @@ def entry(seq, feed="telescope"):
 
 
 class TestWriteAheadLog:
+    def test_fsync_histogram_counts_every_fsync(self, tmp_path):
+        registry = MetricsRegistry()
+        wal = WriteAheadLog(tmp_path, fsync_every=4, metrics=registry)
+        for seq in range(1, 11):
+            wal.append(seq, KIND_ATTACK, attack(seq))
+        wal.rotate(11)
+        wal.append(11, KIND_ATTACK, attack(11))
+        wal.close()
+        fsyncs = registry.value("serve_wal_fsyncs_total")
+        # Two batches of four, the rotation's partial batch, the close.
+        assert fsyncs == 4
+        seconds = registry.histogram(
+            "serve_wal_fsync_seconds", buckets=FSYNC_BUCKETS
+        )
+        assert seconds.count() == fsyncs
+        assert seconds.sum() >= 0.0
+        assert "serve_wal_fsync_seconds_count 4" in (
+            registry.render_prometheus()
+        )
+
     def test_append_replay_roundtrip(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
         for seq in range(1, 6):
