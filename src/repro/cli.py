@@ -78,7 +78,6 @@ from repro.faults.plan import ALL_FEEDS
 from repro.log import configure_logging, get_logger
 
 if TYPE_CHECKING:
-    from repro.exec.interrupt import InterruptGuard
     from repro.faults.exec import ExecFaultPlan
     from repro.obs import Telemetry
     from repro.pipeline.config import ScenarioConfig
@@ -560,58 +559,85 @@ def _finish_metrics(
 
 
 def _run_pipeline(
+    args: argparse.Namespace,
     config: ScenarioConfig,
-    run_dir: Optional[Path],
+    exec_faults: ExecFaultPlan,
+    stage_cache: Optional[Path],
     crash_after: Optional[str] = None,
-    task_deadline: Optional[float] = None,
-    exec_faults: Optional[ExecFaultPlan] = None,
-    deadline: Optional[float] = None,
-    interrupt: Optional[InterruptGuard] = None,
-    stage_cache: Optional[Path] = None,
-):
-    """Run the pipeline; a durable run leaves the fused events in its dir."""
-    from repro.obs.report import QUALITY_FILE
-    from repro.pipeline.datasets import save_events_jsonl
-    from repro.pipeline.runner import ResilientPipeline
+    save_events: Optional[Path] = None,
+    meta: Optional[dict] = None,
+) -> int:
+    """Run the pipeline and print Table 1; returns the exit code.
 
-    pipeline = ResilientPipeline(
-        config,
-        run_dir=run_dir,
-        crash_after=crash_after,
-        task_deadline=task_deadline,
-        exec_faults=exec_faults,
-        deadline=deadline,
-        interrupt=interrupt,
-        stage_cache=stage_cache,
-    )
-    result = pipeline.run()
-    if run_dir is None:
-        return result
-    written = save_events_jsonl(
-        result.fused.combined.events, run_dir / EVENTS_FILE
-    )
-    pipeline.store.write_json(QUALITY_FILE, result.quality.to_dict())
-    log.info(
-        "durable run complete",
-        run_dir=str(run_dir),
-        events=written,
-        cached_stages=sum(
-            1 for s in result.quality.stages if s.status == "cached"
-        ),
-        cache_hit_stages=sum(
-            1 for s in result.quality.stages if s.status == "cache-hit"
-        ),
-    )
-    return result
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
+    A durable run (``args.run_dir``) first records *meta* there, when
+    given, and leaves the fused events in its dir.
+    """
     from repro.core.report import render_table1
     from repro.exec.deadline import RunDeadlineExceeded
     from repro.exec.interrupt import InterruptGuard, RunInterrupted
+    from repro.obs.report import QUALITY_FILE
     from repro.pipeline.datasets import save_events_jsonl
+    from repro.pipeline.runner import ResilientPipeline
     from repro.store.checkpoint import CheckpointStore
 
+    run_dir = args.run_dir
+    telemetry = _enable_metrics(args)
+    # Runs stop at stage boundaries on SIGINT or SIGTERM: checkpoints
+    # stay coherent, a run dir stays resumable, and the exit code says
+    # which signal it was.
+    guard = InterruptGuard().install()
+    try:
+        if meta is not None:
+            CheckpointStore(run_dir).write_json(META_FILE, meta)
+        pipeline = ResilientPipeline(
+            config,
+            run_dir=run_dir,
+            crash_after=crash_after,
+            task_deadline=args.task_deadline,
+            exec_faults=exec_faults,
+            deadline=args.deadline,
+            interrupt=guard,
+            stage_cache=stage_cache,
+        )
+        result = pipeline.run()
+        if run_dir is not None:
+            written = save_events_jsonl(
+                result.fused.combined.events, run_dir / EVENTS_FILE
+            )
+            pipeline.store.write_json(
+                QUALITY_FILE, result.quality.to_dict()
+            )
+            log.info(
+                "durable run complete",
+                run_dir=str(run_dir),
+                events=written,
+                cached_stages=sum(
+                    1 for s in result.quality.stages if s.status == "cached"
+                ),
+                cache_hit_stages=sum(
+                    1 for s in result.quality.stages
+                    if s.status == "cache-hit"
+                ),
+            )
+    except RunDeadlineExceeded as exc:
+        _finish_metrics(telemetry, run_dir)
+        print(f"deadline exceeded: {exc}", file=sys.stderr)
+        return EXIT_DEADLINE
+    except RunInterrupted as exc:
+        _finish_metrics(telemetry, run_dir)
+        print(f"interrupted: {exc}", file=sys.stderr)
+        return exc.exit_code
+    finally:
+        guard.restore()
+    print(render_table1(result.fused.summary_rows()))
+    if save_events is not None:
+        written = save_events_jsonl(result.fused.combined.events, save_events)
+        print(f"\nwrote {written} events to {save_events}")
+    _finish_metrics(telemetry, run_dir)
+    return 0
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
     if args.crash_after is not None and args.run_dir is None:
         print("--crash-after requires --run-dir", file=sys.stderr)
         return 2
@@ -620,62 +646,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = _config(args)
-    telemetry = _enable_metrics(args)
-    # Runs stop at stage boundaries on SIGINT or SIGTERM: checkpoints
-    # stay coherent, a run dir stays resumable, and the exit code says
-    # which signal it was.
-    guard = InterruptGuard().install()
-    try:
-        if args.run_dir is not None:
-            CheckpointStore(args.run_dir).write_json(
-                META_FILE,
-                {
-                    "meta_version": META_VERSION,
-                    "command": "simulate",
-                    "preset": args.preset,
-                    "seed": args.seed,
-                    "stage_cache": (
-                        str(args.stage_cache)
-                        if args.stage_cache is not None
-                        else None
-                    ),
-                },
-            )
-        result = _run_pipeline(
-            config,
-            args.run_dir,
-            args.crash_after,
-            task_deadline=args.task_deadline,
-            exec_faults=exec_faults,
-            deadline=args.deadline,
-            interrupt=guard,
-            stage_cache=args.stage_cache,
-        )
-    except RunDeadlineExceeded as exc:
-        _finish_metrics(telemetry, args.run_dir)
-        print(f"deadline exceeded: {exc}", file=sys.stderr)
-        return EXIT_DEADLINE
-    except RunInterrupted as exc:
-        _finish_metrics(telemetry, args.run_dir)
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return exc.exit_code
-    finally:
-        guard.restore()
-    print(render_table1(result.fused.summary_rows()))
-    if args.save_events is not None:
-        written = save_events_jsonl(
-            result.fused.combined.events, args.save_events
-        )
-        print(f"\nwrote {written} events to {args.save_events}")
-    _finish_metrics(telemetry, args.run_dir)
-    return 0
+    return _run_pipeline(
+        args,
+        _config(args),
+        exec_faults,
+        args.stage_cache,
+        crash_after=args.crash_after,
+        save_events=args.save_events,
+        meta=None if args.run_dir is None else {
+            "meta_version": META_VERSION,
+            "command": "simulate",
+            "preset": args.preset,
+            "seed": args.seed,
+            "stage_cache": (
+                str(args.stage_cache)
+                if args.stage_cache is not None
+                else None
+            ),
+        },
+    )
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    from repro.core.report import render_table1
-    from repro.exec.deadline import RunDeadlineExceeded
-    from repro.exec.interrupt import InterruptGuard, RunInterrupted
     from repro.store.checkpoint import CheckpointStore
 
     if not args.run_dir.is_dir():
@@ -721,31 +713,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
         "resuming run", run_dir=str(args.run_dir), preset=preset,
         seed=config.seed,
     )
-    telemetry = _enable_metrics(args)
-    guard = InterruptGuard().install()
-    try:
-        result = _run_pipeline(
-            config,
-            args.run_dir,
-            task_deadline=args.task_deadline,
-            exec_faults=exec_faults,
-            deadline=args.deadline,
-            interrupt=guard,
-            stage_cache=stage_cache,
-        )
-    except RunDeadlineExceeded as exc:
-        _finish_metrics(telemetry, args.run_dir)
-        print(f"deadline exceeded: {exc}", file=sys.stderr)
-        return EXIT_DEADLINE
-    except RunInterrupted as exc:
-        _finish_metrics(telemetry, args.run_dir)
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return exc.exit_code
-    finally:
-        guard.restore()
-    print(render_table1(result.fused.summary_rows()))
-    _finish_metrics(telemetry, args.run_dir)
-    return 0
+    return _run_pipeline(args, config, exec_faults, stage_cache)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -871,73 +839,55 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    telemetry = _enable_metrics(args)
-    if args.serve_cluster:
-        import tempfile
-
-        from repro.serve.chaos import run_cluster_failover
-
-        work_dir = args.serve_dir
-        if work_dir is None:
-            work_dir = Path(tempfile.mkdtemp(prefix="repro-cluster-chaos-"))
-        results = [
-            run_cluster_failover(
-                work_dir, quick=args.quick,
-                scenario_budget=args.scenario_budget,
-            )
-        ]
-        print("=== Serve cluster drill ===")
-        for result in results:
-            verdict = "PASS" if result.passed else "FAIL"
-            print(
-                f"{verdict} {result.name:<16} [{result.expect}] "
-                f"({result.elapsed:.1f}s): {result.detail}"
-            )
-        failed = sum(1 for r in results if not r.passed)
-        print(f"{len(results) - failed}/{len(results)} scenarios passed")
-        _finish_metrics(telemetry, args.run_dir)
-        return 0 if failed == 0 else 1
-    if args.serve:
-        import tempfile
-
-        from repro.serve.chaos import run_serve_chaos_drill
-
-        work_dir = args.serve_dir
-        if work_dir is None:
-            work_dir = Path(tempfile.mkdtemp(prefix="repro-serve-chaos-"))
-        results = run_serve_chaos_drill(
-            work_dir,
-            quick=args.quick,
-            scenario_budget=args.scenario_budget,
-        )
-        print("=== Serve chaos drill ===")
-        for result in results:
-            verdict = "PASS" if result.passed else "FAIL"
-            print(
-                f"{verdict} {result.name:<14} [{result.expect}] "
-                f"({result.elapsed:.1f}s): {result.detail}"
-            )
-        failed = sum(1 for r in results if not r.passed)
-        print(f"{len(results) - failed}/{len(results)} scenarios passed")
-        _finish_metrics(telemetry, args.run_dir)
-        return 0 if failed == 0 else 1
-    from repro.pipeline.chaos import run_chaos_drill
-
-    results = run_chaos_drill(
-        config=_config(args),
-        quick=args.quick,
-        scenario_budget=args.scenario_budget,
-    )
-    print("=== Chaos drill ===")
+def _print_verdicts(title: str, results: list, width: int) -> int:
+    """Print a drill's verdict lines; returns how many failed."""
+    print(f"=== {title} ===")
     for result in results:
         verdict = "PASS" if result.passed else "FAIL"
         print(
-            f"{verdict} {result.name:<14} [{result.expect}] "
+            f"{verdict} {result.name:<{width}} [{result.expect}] "
             f"({result.elapsed:.1f}s): {result.detail}"
         )
     failed = sum(1 for r in results if not r.passed)
     print(f"{len(results) - failed}/{len(results)} scenarios passed")
+    return failed
+
+
+def cmd_chaos(args: argparse.Namespace) -> int:
+    telemetry = _enable_metrics(args)
+    if args.serve_cluster or args.serve:
+        import tempfile
+
+        from repro.serve import chaos
+
+        work_dir = args.serve_dir
+        if work_dir is None:
+            kind = "cluster" if args.serve_cluster else "serve"
+            work_dir = Path(tempfile.mkdtemp(prefix=f"repro-{kind}-chaos-"))
+        if args.serve_cluster:
+            results = [
+                chaos.run_cluster_failover(
+                    work_dir, quick=args.quick,
+                    scenario_budget=args.scenario_budget,
+                )
+            ]
+            failed = _print_verdicts("Serve cluster drill", results, 16)
+        else:
+            results = chaos.run_serve_chaos_drill(
+                work_dir,
+                quick=args.quick,
+                scenario_budget=args.scenario_budget,
+            )
+            failed = _print_verdicts("Serve chaos drill", results, 14)
+    else:
+        from repro.pipeline.chaos import run_chaos_drill
+
+        results = run_chaos_drill(
+            config=_config(args),
+            quick=args.quick,
+            scenario_budget=args.scenario_budget,
+        )
+        failed = _print_verdicts("Chaos drill", results, 14)
     _finish_metrics(telemetry, args.run_dir)
     return 0 if failed == 0 else 1
 

@@ -1,31 +1,36 @@
-"""The pipeline's one runner: supervised stage orchestration.
+"""The pipeline's one runner: a stage table and its executor.
 
-:class:`ResilientPipeline` chains the stage functions of
-:mod:`repro.pipeline.simulation` under supervision;
-``run_simulation`` is this runner with its defaults (serial, in memory,
-fault-free). Stage functions are looked up on the simulation module at
-call time, so a wrapper installed there (a tracer, a test double) sees
-every stage. Supervision adds:
+:data:`STAGES` is the pipeline, one :class:`Stage` row per step of
+:data:`~repro.catalog.STAGE_ORDER`: its name, the stages whose outputs it
+reads, how it runs, the injector counters it owns and, for an
+observation stage, its typed empty output. :class:`ResilientPipeline`
+runs the rows in order through one executor and builds the
+:class:`~repro.pipeline.simulation.SimulationResult` from their outputs
+by name; ``run_simulation`` is this runner with its defaults (serial, in
+memory, fault-free). Rows look stage functions up on the simulation
+module when they run (``sim.<fn>``), never at import, so a wrapper
+installed there (a tracer, a test double) sees every stage. The executor
+adds:
 
 * **timing** — every stage's wall time and attempt count is recorded in a
   :class:`~repro.pipeline.quality.StageReport`;
 * **retry with backoff** — :class:`TransientStageError` (the injectable
   stand-in for a flaky collector, full disk, or dropped connection) is
   retried up to ``RetryPolicy.max_attempts`` times with exponential
-  backoff;
+  backoff, rolling back the counters the stage owns;
 * **checkpointing** — completed stage outputs are kept, so a run that died
-  mid-pipeline resumes from the first incomplete stage instead of
-  regenerating the Internet. With a ``run_dir`` the checkpoints are also
-  persisted to disk through :class:`~repro.store.CheckpointStore`
-  (atomic, checksummed, schema-versioned), so even a SIGKILLed *process*
-  resumes from the last valid checkpoint — ``python -m repro resume`` —
-  with corrupt checkpoints detected at load and discarded back to the
-  previous trustworthy stage;
-* **graceful degradation** — an observation/measurement stage that stays
-  broken yields an *empty but correctly typed* feed plus a quality flag,
-  and the pipeline completes with honest, quantified losses. Core stages
-  (internet, attacks, migration, fusion) have no meaningful degraded
-  output and still fail the run.
+  mid-pipeline resumes from the first incomplete stage. With a
+  ``run_dir`` they are persisted through
+  :class:`~repro.store.CheckpointStore` (atomic, checksummed,
+  schema-versioned), so even a SIGKILLed *process* resumes
+  (``python -m repro resume``) from every checkpoint whose row ``deps``
+  validated;
+* **graceful degradation** — an observation stage (a row with ``empty``)
+  that stays broken yields its *empty but correctly typed* output plus a
+  quality flag, and the run completes with honest, quantified losses.
+  Observation stages also get circuit breakers and the cross-run stage
+  cache, and run as watched pool tasks when a task deadline is armed.
+  Core stages (internet, attacks, migration, fusion) still fail the run.
 
 A :class:`~repro.faults.plan.FaultPlan` wires per-feed injectors into the
 observation stages and can schedule transient stage failures, which makes
@@ -41,8 +46,9 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.catalog import STAGE_ORDER
 from repro.dns.openintel import OpenIntelDataset
@@ -84,38 +90,111 @@ from repro.store.stagecache import CACHE_MISS, StageCache, stage_fingerprint
 from repro.pipeline import simulation as sim
 from repro.pipeline.simulation import SimulationResult
 
+#: A stage's outputs so far, keyed by stage name.
+Outputs = Dict[str, Any]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the pipeline table.
+
+    ``run(pipeline, outputs)`` binds the stage's inputs, read from the
+    outputs of its ``deps`` by name, and returns one attempt: a
+    zero-argument callable computing the stage's output, called once
+    per attempt. ``counters`` are the injector-counter prefixes the
+    stage owns: a failed attempt rolls them back and its checkpoint
+    persists them. ``empty(config)`` is the typed output of a stage
+    that stayed down; a row with one is an *observation* stage.
+    """
+
+    name: str
+    deps: Tuple[str, ...]
+    run: Callable[["ResilientPipeline", Outputs], Callable[[], Any]]
+    counters: Tuple[str, ...] = ()
+    empty: Optional[Callable[[ScenarioConfig], Any]] = None
+
+
+def _migrate(pipeline: "ResilientPipeline", out: Outputs) -> Callable[[], Any]:
+    internet = out["internet"]
+    # Migration mutates internet.zones in place, so the stage's checkpoint
+    # must carry the *post-migration* internet: a resumed process
+    # restoring this stage would otherwise hand later stages the stale
+    # pre-migration snapshot. Bundling all three into one payload also
+    # keeps the references diversion_log and ledger share with the zones
+    # consistent across the pickle round-trip.
+    return lambda: (
+        *sim.run_migration(pipeline.config, internet, out["attacks"]),
+        internet,
+    )
+
+
+#: The pipeline, in :data:`~repro.catalog.STAGE_ORDER`. ``deps`` are the
+#: actual data dependencies, which the sequential order overstates: the
+#: three observation stages read only the attack / migration layers, not
+#: each other, so a corrupt telescope checkpoint does not cost a valid
+#: honeypot one on resume (see :meth:`CheckpointStore.load_valid_graph`).
+STAGES: Tuple[Stage, ...] = (
+    Stage(
+        "internet", (),
+        lambda p, out: lambda: sim.build_internet(p.config),
+    ),
+    Stage(
+        "attacks", ("internet",),
+        lambda p, out: lambda: sim.schedule_attacks(p.config, out["internet"]),
+    ),
+    Stage("migration", ("internet", "attacks"), _migrate),
+    Stage(
+        "telescope", ("attacks",),
+        lambda p, out: p._observe(out, p._observe_telescope),
+        counters=("telescope.",),
+        empty=lambda config: [],
+    ),
+    Stage(
+        "honeypot", ("attacks",),
+        lambda p, out: p._observe(out, p._observe_honeypot),
+        counters=("honeypot.",),
+        empty=lambda config: [],
+    ),
+    Stage(
+        "measurement", ("migration",),
+        lambda p, out: lambda: p._measure(out["migration"]),
+        counters=("openintel.", "dps."),
+        empty=lambda config: (
+            OpenIntelDataset(
+                n_days=config.n_days,
+                zone_stats=[],
+                hosting_intervals=[],
+                first_seen={},
+            ),
+            DPSUsageDataset(usages=[], n_days=config.n_days),
+        ),
+    ),
+    Stage(
+        "fusion", ("migration", "telescope", "honeypot", "measurement"),
+        lambda p, out: lambda: sim.fuse_observations(
+            out["migration"][2],  # the post-migration internet
+            out["telescope"],
+            out["honeypot"],
+            out["measurement"][0],
+        ),
+    ),
+)
+
 #: The observation stages: supervised by breakers, degradable to an
 #: empty feed, cacheable, and run as watched pool tasks when a task
 #: deadline is armed.
-OBSERVATION_STAGES = ("telescope", "honeypot", "measurement")
+OBSERVATION_STAGES = tuple(
+    row.name for row in STAGES if row.empty is not None
+)
 
-#: Actual data dependencies between stages. The sequential STAGE_ORDER
-#: overstates them: the three observation stages only need the attack /
-#: migration layers, not each other, so a corrupt telescope checkpoint
-#: does not cost a valid honeypot one on resume (see
-#: :meth:`CheckpointStore.load_valid_graph`).
-STAGE_DEPS: Dict[str, tuple] = {
-    "internet": (),
-    "attacks": ("internet",),
-    "migration": ("internet", "attacks"),
-    "telescope": ("attacks",),
-    "honeypot": ("attacks",),
-    "measurement": ("migration",),
-    "fusion": ("migration", "telescope", "honeypot", "measurement"),
+#: How each stage outcome is logged.
+_OUTCOME_LOG = {
+    "cached": ("debug", "stage served from checkpoint"),
+    "cache-hit": ("info", "stage served from stage cache"),
+    "ok": ("info", "stage completed"),
+    "degraded": ("error", "stage degraded to empty feed"),
+    "failed": ("error", "stage failed permanently"),
 }
-
-#: Injector-counter prefixes each stage's own execution mutates; used to
-#: snapshot/restore exactly the counters a retried attempt regenerates,
-#: and to persist each stage's own counters with its checkpoint.
-STAGE_COUNTER_PREFIXES: Dict[str, tuple] = {
-    "telescope": ("telescope.",),
-    "honeypot": ("honeypot.",),
-    "measurement": ("openintel.", "dps."),
-}
-
-def _payload_events(output: Any) -> int:
-    """Record count of a stage payload (event lists; 0 for composites)."""
-    return len(output) if isinstance(output, list) else 0
 
 
 class TransientStageError(RuntimeError):
@@ -136,9 +215,9 @@ class ResilientPipeline:
 
     With a ``run_dir`` the pipeline is *durable*: every completed stage is
     checkpointed to disk and a fresh process pointed at the same directory
-    (``python -m repro resume``) restores the longest valid prefix —
-    verifying the checksum of each checkpoint and falling back to the
-    previous stage when one fails validation. ``crash_after`` is the
+    (``python -m repro resume``) restores every checkpoint whose checksum
+    verifies and whose dependencies were restored, and reruns the rest.
+    ``crash_after`` is the
     recovery-drill hook: the process dies with ``os._exit`` (no cleanup,
     the moral equivalent of SIGKILL) immediately after that stage's
     checkpoint reaches disk.
@@ -228,15 +307,13 @@ class ResilientPipeline:
         )
         # Cross-run stage cache: only consulted for fault-free plans
         # (outputs are then pure functions of the scenario config) and
-        # only for the expensive observation stages.
-        if isinstance(stage_cache, StageCache):
-            self.stage_cache: Optional[StageCache] = stage_cache
-        elif stage_cache is not None:
-            self.stage_cache = StageCache(stage_cache, metrics=metrics)
-        else:
-            self.stage_cache = None
-        self._cache_eligible = (
-            self.plan.is_benign() and not self.exec_faults.faults
+        # only for the observation stages.
+        if stage_cache is not None and not isinstance(stage_cache, StageCache):
+            stage_cache = StageCache(stage_cache, metrics=metrics)
+        self.stage_cache: Optional[StageCache] = (
+            stage_cache
+            if self.plan.is_benign() and not self.exec_faults.faults
+            else None
         )
         # Default breaker threshold matches the retry budget: a feed that
         # fails every attempt trips its breaker exactly as the stage
@@ -260,6 +337,10 @@ class ResilientPipeline:
             else None
         )
         self._attempt_now: Dict[str, int] = {}
+        #: The victim partitions of the running pipeline, once bucketed.
+        self._partitions: Optional[List[list]] = None
+        #: The span of the stage the executor is running.
+        self._stage_span: Any = None
         self.store: Optional[CheckpointStore] = None
         if run_dir is not None:
             self.store = CheckpointStore(run_dir, metrics=metrics)
@@ -270,7 +351,7 @@ class ResilientPipeline:
     def _restore_from_store(self) -> None:
         """Adopt every checkpoint whose dependencies survived validation."""
         payloads, issues = self.store.load_valid_graph(
-            STAGE_ORDER, STAGE_DEPS
+            STAGE_ORDER, {row.name: row.deps for row in STAGES}
         )
         self._checkpoints.update(payloads)
         self.checkpoint_issues = issues
@@ -297,19 +378,23 @@ class ResilientPipeline:
                 detail=issue.detail,
             )
 
-    def _persist_stage(self, name: str) -> None:
+    def _own_counters(self, row: Stage) -> Dict[str, Any]:
+        """The injector counters *row* owns, by key."""
+        return {
+            key: value
+            for key, value in self.injectors.counters().items()
+            if key.startswith(row.counters)
+        }
+
+    def _persist_stage(self, row: Stage) -> None:
         """Checkpoint a completed stage and the resumable runner state."""
         if self.store is None:
             return
+        name = row.name
         self.store.save(name, self._checkpoints[name])
         state = self.store.read_json(self.STATE_FILE) or {}
-        prefixes = STAGE_COUNTER_PREFIXES.get(name, ())
         state.setdefault("stage_state", {})[name] = {
-            "own_counters": {
-                key: value
-                for key, value in self.injectors.counters().items()
-                if key.startswith(prefixes)
-            },
+            "own_counters": self._own_counters(row),
             "degraded_stages": sorted(self._degraded_stages),
         }
         self.store.write_json(self.STATE_FILE, state)
@@ -330,80 +415,212 @@ class ResilientPipeline:
     ) -> SimulationResult:
         """Run (or resume) the pipeline; returns a result with ``quality``."""
         with self._tracer.span("run", n_days=self.config.n_days):
-            return self._run_pipeline(baseline)
+            self.stage_reports = []
+            try:
+                for row in STAGES:
+                    self._execute(row, self._checkpoints)
+            finally:
+                self._partitions = None
+            result = self._result(self._checkpoints)
+            result.quality = self._build_quality(result, baseline)
+            return result
 
-    def _run_pipeline(
-        self, baseline: Optional[HeadlineMetrics]
-    ) -> SimulationResult:
-        config = self.config
-        self.stage_reports = []
-        internet = self._run_stage(
-            "internet", lambda: sim.build_internet(config)
-        )
-        ground_truth = self._run_stage(
-            "attacks", lambda: sim.schedule_attacks(config, internet)
+    def _result(self, out: Outputs) -> SimulationResult:
+        """The run's result, from the stage outputs by name."""
+        diversion_log, ledger, internet = out["migration"]
+        openintel, dps_usage = out["measurement"]
+        fused, web_index = out["fusion"]
+        return SimulationResult(
+            config=self.config,
+            topology=internet.topology,
+            census=internet.census,
+            ecosystem=internet.ecosystem,
+            zones=internet.zones,
+            providers=internet.providers,
+            ns_directory=internet.ns_directory,
+            diversion_log=diversion_log,
+            ledger=ledger,
+            ground_truth=out["attacks"],
+            telescope_events=out["telescope"],
+            honeypot_events=out["honeypot"],
+            fused=fused,
+            openintel=openintel,
+            dps_usage=dps_usage,
+            web_index=web_index,
         )
 
-        def _migrate():
-            diversion_log, ledger = sim.run_migration(
-                config, internet, ground_truth
+    def _execute(self, row: Stage, out: Outputs) -> None:
+        """Run one stage row into *out*: serve it from a checkpoint or the
+        stage cache, or attempt it under retry, breaker and faults, then
+        degrade (observation stages) or fail the run."""
+        name = row.name
+        if name in out:
+            self._settle(row, "cached")
+            return
+        cacheable = row.empty is not None and self.stage_cache is not None
+        if cacheable:
+            output = self.stage_cache.get(
+                name, stage_fingerprint(self.config, name)
             )
-            # Migration mutates internet.zones in place, so the stage's
-            # checkpoint must carry the *post-migration* internet: a resumed
-            # process restoring this stage would otherwise hand later stages
-            # the stale pre-migration snapshot. Bundling all three into one
-            # payload also keeps the references diversion_log and ledger
-            # share with the zones consistent across the pickle round-trip.
-            return diversion_log, ledger, internet
+            if output is not CACHE_MISS:
+                # Adopted exactly like a computed output, so resume
+                # checkpoints (and crash drills) behave as uncached.
+                out[name] = output
+                self._settle(row, "cache-hit")
+                return
+        breaker = self.breakers.get(name)
+        # A stage that runs as a pool task takes its execution fault
+        # inside the task (see _supervised); every other stage here.
+        fault_in_task = self._pool is not None and row.empty is not None
+        with self._tracer.span("stage", stage=name) as span:
+            with self._profiler.profile(name) as prof:
+                self.deadline.check(f"stage {name!r}")
+                self.interrupt.check(f"stage {name!r}")
+                self._log.debug("stage starting", stage=name)
+                start = time.perf_counter()
+                obs_start = self._obs_clock()
+                self._stage_span = span
+                attempt = row.run(self, out)
+                status = "failed" if row.empty is None else "degraded"
+                attempts = 0
+                error: Optional[Exception] = None
+                while attempts < self.retry.max_attempts:
+                    label = f"stage {name!r} attempt {attempts + 1}"
+                    self.deadline.check(label)
+                    self.interrupt.check(label)
+                    attempts += 1
+                    self._attempt_now[name] = attempts
+                    self._m_attempts.inc(stage=name)
+                    if breaker is not None and not breaker.allow():
+                        error = TransientStageError(
+                            f"circuit breaker for {name!r} is "
+                            f"{breaker.state}; attempt refused"
+                        )
+                        self._log.warning(
+                            "stage attempt refused by circuit breaker",
+                            stage=name,
+                            attempt=attempts,
+                            breaker_state=breaker.state,
+                        )
+                        continue
+                    # An attempt that fails after partially running (a
+                    # crashed detection task, say) has already folded
+                    # losses into the injector counters; the retry
+                    # regenerates them, so they are rolled back first.
+                    counter_baseline = self._own_counters(row)
+                    try:
+                        with self._tracer.span(
+                            "attempt", stage=name, attempt=attempts
+                        ):
+                            self._maybe_inject_failure(name)
+                            if not fault_in_task:
+                                # Crash/poison surface as stage failures;
+                                # hung genuinely hangs (no watchdog here).
+                                apply_exec_fault(
+                                    self.exec_faults.lookup(name, attempts)
+                                )
+                            output = attempt()
+                    except (
+                        TransientStageError,
+                        PoisonShardError,
+                        WorkerCrashError,
+                    ) as exc:
+                        error = exc
+                        self._m_attempt_failures.inc(stage=name)
+                        if breaker is not None:
+                            breaker.record_failure(str(exc))
+                        if counter_baseline:
+                            self.injectors.restore_counters(counter_baseline)
+                        self._log.warning(
+                            "stage attempt failed",
+                            stage=name,
+                            attempt=attempts,
+                            max_attempts=self.retry.max_attempts,
+                            error=str(exc),
+                        )
+                        if attempts < self.retry.max_attempts:
+                            self._sleep(self.retry.delay(attempts))
+                        continue
+                    if breaker is not None:
+                        breaker.record_success()
+                    status, error = "ok", None
+                    break
+                if status == "ok":
+                    # Event lists count their records; composites 0.
+                    prof.set_events(
+                        len(output) if isinstance(output, list) else 0
+                    )
+                    if cacheable:
+                        # Degraded outputs never enter the cache: they
+                        # reflect a failure, not the scenario.
+                        self.stage_cache.put(
+                            name, stage_fingerprint(self.config, name), output
+                        )
+                elif status == "degraded":
+                    output = row.empty(self.config)
+                    self._degraded_stages.add(name)
+                self._m_stage_seconds.observe(
+                    self._obs_clock() - obs_start, stage=name
+                )
+                span.set_attr(status=status, attempts=attempts)
+                if status != "failed":
+                    out[name] = output
+                self._settle(
+                    row, status, attempts, time.perf_counter() - start, error
+                )
+                if status == "failed":
+                    raise StageFailedError(name, error)
 
-        diversion_log, ledger, internet = self._run_stage(
-            "migration", _migrate
+    def _settle(
+        self,
+        row: Stage,
+        status: str,
+        attempts: int = 0,
+        elapsed: float = 0.0,
+        error: Optional[Exception] = None,
+    ) -> None:
+        """Every stage outcome's one ending: outcome metric, report, log,
+        and a checkpoint for each newly adopted output."""
+        name = row.name
+        self._m_outcomes.inc(stage=name, status=status)
+        self.stage_reports.append(
+            StageReport(
+                name=name,
+                status=status,
+                attempts=attempts,
+                elapsed=elapsed,
+                error=None if error is None else str(error),
+            )
         )
-        # Bucketed once for both feeds: partition k holds the attacks on
-        # victims v with v % n == k.
-        partitions = sim.partition_attacks(
-            ground_truth, sim.partition_count(len(ground_truth))
-        )
-        telescope_events = self._run_stage(
-            "telescope",
-            lambda: self._observe_telescope(partitions),
-            degraded_factory=list,
-            partitions=len(partitions),
-        )
-        honeypot_events = self._run_stage(
-            "honeypot",
-            lambda: self._observe_honeypot(partitions),
-            degraded_factory=list,
-            partitions=len(partitions),
-        )
-        openintel, dps_usage = self._run_stage(
-            "measurement",
-            lambda: self._measure(internet, diversion_log),
-            degraded_factory=self._empty_measurement,
-        )
-        fused, web_index = self._run_stage(
-            "fusion",
-            lambda: sim.fuse_observations(
-                internet, telescope_events, honeypot_events, openintel
-            ),
-        )
-        result = sim.assemble_result(
-            config,
-            internet,
-            diversion_log,
-            ledger,
-            ground_truth,
-            telescope_events,
-            honeypot_events,
-            fused,
-            openintel,
-            dps_usage,
-            web_index,
-        )
-        result.quality = self._build_quality(result, baseline)
-        return result
+        fields: Dict[str, Any] = {"stage": name}
+        if attempts:
+            fields["attempts"] = attempts
+            if error is None:
+                fields["elapsed"] = round(elapsed, 3)
+            else:
+                fields["error"] = str(error)
+        level, event = _OUTCOME_LOG[status]
+        getattr(self._log, level)(event, **fields)
+        if status not in ("cached", "failed"):
+            self._persist_stage(row)
 
     # -- observation stages ---------------------------------------------------
+
+    def _observe(
+        self, out: Outputs, observe: Callable[[List[list]], Any]
+    ) -> Callable[[], Any]:
+        """Bind a feed stage to the victim partitions: bucketed once per
+        run, by the first feed stage that runs (a feed restored from a
+        checkpoint or the stage cache needs none)."""
+        if self._partitions is None:
+            # Partition k holds the attacks on victims v with v % n == k.
+            attacks = out["attacks"]
+            self._partitions = sim.partition_attacks(
+                attacks, sim.partition_count(len(attacks))
+            )
+        partitions = self._partitions
+        self._stage_span.set_attr(partitions=len(partitions))
+        return lambda: observe(partitions)
 
     def _observe_telescope(self, partitions: List[list]) -> list:
         config = self.config
@@ -498,10 +715,12 @@ class ResilientPipeline:
 
                 yield set_rows
 
-    def _measure(self, internet: Any, diversion_log: Any) -> Any:
-        """DNS measurement (supervised), then its faults in this process:
-        degradation mutates injector counters."""
+    def _measure(self, migration: Any) -> Any:
+        """DNS measurement of the post-migration Internet (supervised),
+        then its faults in this process: degradation mutates injector
+        counters."""
         config = self.config
+        diversion_log, _, internet = migration
         openintel, dps_usage = self._supervised(
             "measurement",
             lambda: sim.measure_dns(config, internet, diversion_log),
@@ -558,212 +777,6 @@ class ResilientPipeline:
             return self.task_deadline
         return max(0.01, min(self.task_deadline, remaining))
 
-    def _run_stage(
-        self,
-        name: str,
-        fn: Callable[[], Any],
-        degraded_factory: Optional[Callable[[], Any]] = None,
-        **span_attrs: Any,
-    ) -> Any:
-        if name in self._checkpoints:
-            self._m_outcomes.inc(stage=name, status="cached")
-            self.stage_reports.append(
-                StageReport(name=name, status="cached", attempts=0)
-            )
-            self._log.debug("stage served from checkpoint", stage=name)
-            return self._checkpoints[name]
-        payload = self._stage_cache_get(name)
-        if payload is not CACHE_MISS:
-            # Served from the cross-run cache: adopt it exactly like a
-            # computed output so resume checkpoints (and crash drills)
-            # behave identically to an uncached run.
-            self._checkpoints[name] = payload
-            self._m_outcomes.inc(stage=name, status="cache-hit")
-            self.stage_reports.append(
-                StageReport(name=name, status="cache-hit", attempts=0)
-            )
-            self._log.info("stage served from stage cache", stage=name)
-            self._persist_stage(name)
-            return payload
-        with self._tracer.span("stage", stage=name, **span_attrs) as span:
-            with self._profiler.profile(name) as prof:
-                return self._run_stage_attempts(
-                    name, fn, degraded_factory, span, prof
-                )
-
-    def _run_stage_attempts(
-        self,
-        name: str,
-        fn: Callable[[], Any],
-        degraded_factory: Optional[Callable[[], Any]],
-        span: Any,
-        prof: Any,
-    ) -> Any:
-        self.deadline.check(f"stage {name!r}")
-        self.interrupt.check(f"stage {name!r}")
-        self._log.debug("stage starting", stage=name)
-        start = time.perf_counter()
-        obs_start = self._obs_clock()
-        attempts = 0
-        last_error: Optional[Exception] = None
-        breaker = self.breakers.get(name)
-        prefixes = STAGE_COUNTER_PREFIXES.get(name, ())
-        # A stage that runs as a pool task takes its execution fault
-        # inside the task (see _supervised); every other stage here.
-        fault_in_task = self._pool is not None and name in OBSERVATION_STAGES
-
-        def _finish(status: str) -> None:
-            self._m_outcomes.inc(stage=name, status=status)
-            self._m_stage_seconds.observe(
-                self._obs_clock() - obs_start, stage=name
-            )
-            span.set_attr(status=status, attempts=attempts)
-
-        while attempts < self.retry.max_attempts:
-            self.deadline.check(f"stage {name!r} attempt {attempts + 1}")
-            self.interrupt.check(f"stage {name!r} attempt {attempts + 1}")
-            attempts += 1
-            self._attempt_now[name] = attempts
-            self._m_attempts.inc(stage=name)
-            if breaker is not None and not breaker.allow():
-                last_error = TransientStageError(
-                    f"circuit breaker for {name!r} is {breaker.state}; "
-                    f"attempt refused"
-                )
-                self._log.warning(
-                    "stage attempt refused by circuit breaker",
-                    stage=name,
-                    attempt=attempts,
-                    breaker_state=breaker.state,
-                )
-                continue
-            # An attempt that fails after partially running (a crashed
-            # detection task, say) has already folded losses into the injector
-            # counters; the retry regenerates them, so the failed
-            # attempt's contribution must be rolled back first.
-            counter_baseline = {
-                key: value
-                for key, value in self.injectors.counters().items()
-                if key.startswith(prefixes)
-            } if prefixes else {}
-            try:
-                with self._tracer.span("attempt", stage=name, attempt=attempts):
-                    self._maybe_inject_failure(name)
-                    if not fault_in_task:
-                        # Crash/poison surface as stage failures; hung
-                        # genuinely hangs, as there is no watchdog here.
-                        apply_exec_fault(
-                            self.exec_faults.lookup(name, attempts)
-                        )
-                    output = fn()
-            except (
-                TransientStageError,
-                PoisonShardError,
-                WorkerCrashError,
-            ) as exc:
-                last_error = exc
-                self._m_attempt_failures.inc(stage=name)
-                if breaker is not None:
-                    breaker.record_failure(str(exc))
-                if counter_baseline:
-                    self.injectors.restore_counters(counter_baseline)
-                self._log.warning(
-                    "stage attempt failed",
-                    stage=name,
-                    attempt=attempts,
-                    max_attempts=self.retry.max_attempts,
-                    error=str(exc),
-                )
-                if attempts < self.retry.max_attempts:
-                    self._sleep(self.retry.delay(attempts))
-                continue
-            if breaker is not None:
-                breaker.record_success()
-            self._checkpoints[name] = output
-            self._stage_cache_put(name, output)
-            elapsed = time.perf_counter() - start
-            _finish("ok")
-            prof.set_events(_payload_events(output))
-            self.stage_reports.append(
-                StageReport(
-                    name=name,
-                    status="ok",
-                    attempts=attempts,
-                    elapsed=elapsed,
-                )
-            )
-            self._log.info(
-                "stage completed",
-                stage=name,
-                attempts=attempts,
-                elapsed=round(elapsed, 3),
-            )
-            self._persist_stage(name)
-            return output
-        if degraded_factory is not None:
-            output = degraded_factory()
-            self._checkpoints[name] = output
-            self._degraded_stages.add(name)
-            _finish("degraded")
-            self.stage_reports.append(
-                StageReport(
-                    name=name,
-                    status="degraded",
-                    attempts=attempts,
-                    elapsed=time.perf_counter() - start,
-                    error=str(last_error),
-                )
-            )
-            self._log.error(
-                "stage degraded to empty feed",
-                stage=name,
-                attempts=attempts,
-                error=str(last_error),
-            )
-            self._persist_stage(name)
-            return output
-        _finish("failed")
-        self.stage_reports.append(
-            StageReport(
-                name=name,
-                status="failed",
-                attempts=attempts,
-                elapsed=time.perf_counter() - start,
-                error=str(last_error),
-            )
-        )
-        self._log.error(
-            "stage failed permanently",
-            stage=name,
-            attempts=attempts,
-            error=str(last_error),
-        )
-        raise StageFailedError(name, last_error)
-
-    # -- cross-run stage cache ------------------------------------------------
-
-    def _stage_cacheable(self, name: str) -> bool:
-        """Only the expensive observation stages, and only when no fault
-        plan (data or exec) can make the output diverge from the pure
-        function of the scenario config the fingerprint describes."""
-        return (
-            self.stage_cache is not None
-            and self._cache_eligible
-            and name in OBSERVATION_STAGES
-        )
-
-    def _stage_cache_get(self, name: str) -> Any:
-        if not self._stage_cacheable(name):
-            return CACHE_MISS
-        return self.stage_cache.get(name, stage_fingerprint(self.config, name))
-
-    def _stage_cache_put(self, name: str, output: Any) -> None:
-        # Only "ok" outcomes reach here; degraded outputs never enter
-        # the cache (they reflect a failure, not the scenario).
-        if not self._stage_cacheable(name):
-            return
-        self.stage_cache.put(name, stage_fingerprint(self.config, name), output)
-
     def _maybe_inject_failure(self, name: str) -> None:
         remaining = self._pending_failures.get(name, 0)
         if remaining > 0:
@@ -771,16 +784,6 @@ class ResilientPipeline:
             raise TransientStageError(
                 f"injected transient failure in stage {name!r}"
             )
-
-    def _empty_measurement(self):
-        """Typed empty outputs for a measurement feed that stayed down."""
-        openintel = OpenIntelDataset(
-            n_days=self.config.n_days,
-            zone_stats=[],
-            hosting_intervals=[],
-            first_seen={},
-        )
-        return openintel, DPSUsageDataset(usages=[], n_days=self.config.n_days)
 
     # -- quality accounting ---------------------------------------------------
 
@@ -869,22 +872,18 @@ class ResilientPipeline:
         dropped: int,
         detail: str,
     ) -> FeedQuality:
-        if stage in self._degraded_stages:
-            # The stage itself died: whatever the plan says, the feed is out.
-            return FeedQuality(
-                feed=feed,
-                uptime=0.0,
-                events_observed=observed,
-                events_dropped=dropped,
-                status=STATUS_DOWN,
-                detail="stage failed permanently; empty feed substituted",
-            )
+        # A stage that died takes its feed out, whatever the plan says.
+        down = stage in self._degraded_stages
         return FeedQuality(
             feed=feed,
-            uptime=uptime,
+            uptime=0.0 if down else uptime,
             events_observed=observed,
             events_dropped=dropped,
-            status=feed_status(uptime, dropped),
-            detail=detail,
+            status=STATUS_DOWN if down else feed_status(uptime, dropped),
+            detail=(
+                "stage failed permanently; empty feed substituted"
+                if down
+                else detail
+            ),
         )
 

@@ -434,39 +434,6 @@ def fuse_observations(
     return fused, web_index
 
 
-def assemble_result(
-    config: ScenarioConfig,
-    internet: InternetLayer,
-    diversion_log: BGPDiversionLog,
-    ledger: MigrationLedger,
-    ground_truth: List[GroundTruthAttack],
-    telescope_events: List[TelescopeEvent],
-    honeypot_events: List[AmpPotEvent],
-    fused: FusedDataset,
-    openintel: OpenIntelDataset,
-    dps_usage: DPSUsageDataset,
-    web_index: WebHostingIndex,
-) -> SimulationResult:
-    return SimulationResult(
-        config=config,
-        topology=internet.topology,
-        census=internet.census,
-        ecosystem=internet.ecosystem,
-        zones=internet.zones,
-        providers=internet.providers,
-        ns_directory=internet.ns_directory,
-        diversion_log=diversion_log,
-        ledger=ledger,
-        ground_truth=ground_truth,
-        telescope_events=telescope_events,
-        honeypot_events=honeypot_events,
-        fused=fused,
-        openintel=openintel,
-        dps_usage=dps_usage,
-        web_index=web_index,
-    )
-
-
 def run_simulation(config: ScenarioConfig = ScenarioConfig()) -> SimulationResult:
     """Run the full pipeline for one scenario: serial, in memory, fault-free."""
     from repro.pipeline.runner import ResilientPipeline  # imports this module

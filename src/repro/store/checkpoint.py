@@ -22,11 +22,12 @@ detected at the store boundary, not three stages downstream:
 * schema version/codec skew    -> :class:`CheckpointVersionError`
 * size/checksum/unpickle fail  -> :class:`CheckpointCorruptionError`
 
-:meth:`CheckpointStore.load_valid_prefix` implements the resume policy:
-walk the stage order, keep the longest prefix of valid checkpoints, and
-on the first invalid one discard it *and everything after it* (later
-stages were computed from data we can no longer trust), falling back to
-the previous stage.
+:meth:`CheckpointStore.load_valid_graph` implements the resume policy:
+walk the stage order and restore each checkpoint that validates and
+whose dependencies were restored. An invalid checkpoint is discarded,
+and so is every checkpoint that depends on it, directly or not (it was
+computed from data we can no longer trust); independent siblings are
+kept.
 """
 
 from __future__ import annotations
@@ -266,74 +267,18 @@ class CheckpointStore:
             for path in self.checkpoint_dir.glob("*.manifest.json")
         )
 
-    def load_valid_prefix(
-        self, order: Sequence[str]
-    ) -> Tuple[Dict[str, Any], List[CheckpointIssue]]:
-        """Restore the longest trustworthy prefix of *order*.
-
-        Returns ``(payloads, issues)``. The first missing or invalid
-        checkpoint ends the prefix; an invalid one is discarded along
-        with every later checkpoint (they derive from it), which is the
-        "fall back to the previous stage" policy.
-        """
-        payloads: Dict[str, Any] = {}
-        issues: List[CheckpointIssue] = []
-        broke_at: Optional[int] = None
-        for index, stage in enumerate(order):
-            if not self.has(stage):
-                broke_at = index
-                break
-            try:
-                payloads[stage] = self.load(stage)
-            except CheckpointError as exc:
-                kind = (
-                    "version"
-                    if isinstance(exc, CheckpointVersionError)
-                    else "corrupt"
-                    if isinstance(exc, CheckpointCorruptionError)
-                    else "missing"
-                )
-                issues.append(CheckpointIssue(stage, kind, exc.reason))
-                log.warning(
-                    "checkpoint rejected", stage=stage, kind=kind,
-                    reason=exc.reason,
-                )
-                self.discard(stage)
-                broke_at = index
-                break
-        if broke_at is not None:
-            for stage in order[broke_at + 1:]:
-                if self.has(stage):
-                    issues.append(
-                        CheckpointIssue(
-                            stage,
-                            "orphaned",
-                            "discarded: follows an invalid or missing "
-                            "checkpoint",
-                        )
-                    )
-                    self.discard(stage)
-        if payloads:
-            log.info(
-                "checkpoints restored",
-                stages=",".join(payloads),
-                rejected=len(issues),
-            )
-        return payloads, issues
-
     def load_valid_graph(
         self, order: Sequence[str], deps: Dict[str, Sequence[str]]
     ) -> Tuple[Dict[str, Any], List[CheckpointIssue]]:
         """Restore every checkpoint whose dependencies were restored.
 
-        The prefix policy of :meth:`load_valid_prefix` treats every stage
-        as depending on all earlier ones, so a missing or corrupt
-        checkpoint also throws away later, independent siblings that
-        never read it. Here *deps*
-        names each stage's actual data dependencies: a stage is restored
-        when its own checkpoint validates and every dependency was
-        restored; otherwise it is discarded (its inputs can no longer be
-        trusted), and the discard cascades to dependents naturally.
+        Returns ``(payloads, issues)``. *deps* names each stage's actual
+        data dependencies, so a missing or corrupt checkpoint costs only
+        the stages that read it, not later, independent siblings. A stage
+        is restored when its own checkpoint validates and every
+        dependency was restored; otherwise it is discarded (its inputs
+        can no longer be trusted), and the discard cascades to
+        dependents naturally.
 
         Names on disk that are not in *order* are left untouched — their
         lifecycle belongs to the caller.

@@ -28,11 +28,14 @@ from repro.pipeline.quality import (
     STATUS_DOWN,
     STATUS_OK,
 )
+from repro.pipeline import simulation as sim_module
 from repro.pipeline.runner import (
+    OBSERVATION_STAGES,
     ResilientPipeline,
     RetryPolicy,
     StageFailedError,
     STAGE_ORDER,
+    STAGES,
     TransientStageError,
 )
 from repro.store import CheckpointStore
@@ -194,6 +197,72 @@ class TestHealthyRun:
                 small_config,
                 plan=FaultPlan.none(small_config.n_days + 1),
             )
+
+
+#: Stage functions the table must look up on the simulation module when
+#: it runs: perfbench's per-layer tracing wraps them there.
+LATE_BOUND = (
+    "build_internet",
+    "schedule_attacks",
+    "run_migration",
+    "telescope_noise",
+    "telescope_capture",
+    "detect_telescope_shard",
+    "merge_telescope_shards",
+    "honeypot_noise",
+    "honeypot_capture",
+    "detect_honeypot_shard",
+    "merge_honeypot_shards",
+    "measure_dns",
+    "fuse_observations",
+)
+
+
+def _count_calls(monkeypatch, names):
+    """Counting wrappers on simulation-module functions; the counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(sim_module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sim_module, name, counting)
+    return calls
+
+
+class TestStageTable:
+    def test_table_order_is_the_catalog_order(self):
+        assert [row.name for row in STAGES] == list(STAGE_ORDER)
+        for index, row in enumerate(STAGES):
+            assert set(row.deps) <= set(STAGE_ORDER[:index])
+        assert OBSERVATION_STAGES == ("telescope", "honeypot", "measurement")
+
+    def test_stage_functions_are_looked_up_at_call_time(
+        self, small_config, monkeypatch
+    ):
+        # The runner is imported above, before the wrappers go in.
+        calls = _count_calls(monkeypatch, LATE_BOUND)
+        ResilientPipeline(small_config).run()
+        assert [name for name, n in calls.items() if n == 0] == []
+
+    def test_partitions_bucketed_only_when_a_feed_runs(
+        self, small_config, monkeypatch, tmp_path
+    ):
+        ResilientPipeline(small_config, run_dir=tmp_path).run()
+        calls = _count_calls(monkeypatch, ("partition_attacks",))
+        store = CheckpointStore(tmp_path)
+        store.discard("fusion")
+        ResilientPipeline(small_config, run_dir=tmp_path).run()
+        assert calls["partition_attacks"] == 0  # both feeds restored
+        store.discard("fusion")
+        store.discard("telescope")
+        store.discard("honeypot")
+        result = ResilientPipeline(small_config, run_dir=tmp_path).run()
+        assert calls["partition_attacks"] == 1  # once for both feeds
+        statuses = {s.name: s.status for s in result.quality.stages}
+        assert statuses["telescope"] == statuses["honeypot"] == "ok"
 
 
 class TestTransientFailures:

@@ -17,6 +17,8 @@ from repro.store.checkpoint import (
 )
 
 ORDER = ("alpha", "beta", "gamma")
+#: A linear dependency chain: alpha <- beta <- gamma.
+CHAIN = {"alpha": (), "beta": ("alpha",), "gamma": ("beta",)}
 
 
 @pytest.fixture
@@ -142,18 +144,27 @@ class TestCorruptionDetection:
             store.load("alpha")
 
 
+def _corrupt(store, stage):
+    path = store.payload_path(stage)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
 class TestValidPrefix:
+    """``load_valid_graph`` over a linear chain restores a valid prefix."""
+
     def test_full_prefix(self, store):
         for i, stage in enumerate(ORDER):
             store.save(stage, [i])
-        payloads, issues = store.load_valid_prefix(ORDER)
+        payloads, issues = store.load_valid_graph(ORDER, CHAIN)
         assert list(payloads) == list(ORDER)
         assert issues == []
 
     def test_stops_at_first_gap_and_discards_orphans(self, store):
         store.save("alpha", [0])
         store.save("gamma", [2])  # beta missing: gamma is untrustworthy
-        payloads, issues = store.load_valid_prefix(ORDER)
+        payloads, issues = store.load_valid_graph(ORDER, CHAIN)
         assert list(payloads) == ["alpha"]
         assert [(i.stage, i.kind) for i in issues] == [("gamma", "orphaned")]
         assert not store.has("gamma")
@@ -161,11 +172,8 @@ class TestValidPrefix:
     def test_corrupt_checkpoint_falls_back_to_previous_stage(self, store):
         for i, stage in enumerate(ORDER):
             store.save(stage, [i])
-        path = store.payload_path("beta")
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
-        payloads, issues = store.load_valid_prefix(ORDER)
+        _corrupt(store, "beta")
+        payloads, issues = store.load_valid_graph(ORDER, CHAIN)
         assert list(payloads) == ["alpha"]
         kinds = {issue.stage: issue.kind for issue in issues}
         assert kinds == {"beta": "corrupt", "gamma": "orphaned"}
@@ -173,8 +181,20 @@ class TestValidPrefix:
         assert store.stages() == ["alpha"]
 
     def test_empty_store(self, store):
-        payloads, issues = store.load_valid_prefix(ORDER)
+        payloads, issues = store.load_valid_graph(ORDER, CHAIN)
         assert payloads == {} and issues == []
+
+    def test_corrupt_stage_spares_independent_sibling(self, store):
+        order = ORDER + ("delta",)
+        deps = dict(CHAIN, delta=("alpha",))  # delta never reads beta
+        for i, stage in enumerate(order):
+            store.save(stage, [i])
+        _corrupt(store, "beta")
+        payloads, issues = store.load_valid_graph(order, deps)
+        assert payloads == {"alpha": [0], "delta": [3]}
+        kinds = {issue.stage: issue.kind for issue in issues}
+        assert kinds == {"beta": "corrupt", "gamma": "orphaned"}
+        assert store.stages() == ["alpha", "delta"]
 
 
 class TestRunDocuments:
