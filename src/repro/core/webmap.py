@@ -144,6 +144,17 @@ class WebImpactAnalysis:
                 history.events.append(event)
         return histories
 
+    def first_attack_days(self, events: Iterable[AttackEvent]) -> Dict[str, int]:
+        """domain -> the earliest start day of its associated events
+        (what :meth:`site_histories` gives, without the event lists)."""
+        first: Dict[str, int] = {}
+        for event in events:
+            day = event.start_day
+            for domain in self.index.sites_on(event.target, day):
+                if first.get(domain, day) >= day:
+                    first[domain] = day
+        return first
+
     def unique_affected_sites(self, events: Iterable[AttackEvent]) -> Set[str]:
         affected: Set[str] = set()
         for event in events:

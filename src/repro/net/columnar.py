@@ -11,9 +11,13 @@ segmentation.
 
 Two fields need a representation change:
 
-* ``src_ports`` is a set per row. Rows carry an interned id
-  (``port_set``) into the capture's ``port_sets`` table instead; one
-  attack's batches all share one id.
+* ``src_ports`` is a set per row. The ``port_set`` column holds a code
+  instead: a one-port set is its port (0-65535), ``-1`` is the empty
+  set, and a set of two or more ports is ``-2 - id`` for its id in the
+  capture's small ``port_sets`` table. Telescope noise (one port or
+  none per row) never touches the table; only backscatter attacks
+  that target several ports add to it, and one attack's rows all share
+  one code.
 * ``quoted_proto`` is ``None`` for most rows; the column stores -1 for
   "no quoted packet".
 
@@ -66,37 +70,40 @@ def columns_equal(left, right, names: Sequence[str]) -> bool:
     )
 
 
-class PortSetTable:
-    """Interns port sets to small integer ids, in first-seen order."""
+#: ``port_set`` code of the empty port set; codes 0..MAX_PORT are
+#: one-port sets and codes below -1 index the multi-port table.
+NO_PORTS = -1
+MAX_PORT = 65535
 
-    def __init__(self) -> None:
-        self._ids: Dict[FrozenSet[int], int] = {}
-        self._table: Tuple[FrozenSet[int], ...] = ()
 
-    def intern(self, ports: FrozenSet[int]) -> int:
-        port_id = self._ids.get(ports)
-        if port_id is None:
-            port_id = self._ids[ports] = len(self._ids)
-        return port_id
+def encode_port_sets(
+    sets: Iterable[Iterable[int]],
+) -> Tuple[List[int], Tuple[FrozenSet[int], ...]]:
+    """The ``port_set`` code of each of *sets*, and the table of
+    multi-port sets the codes index (in first-seen order)."""
+    ids: Dict[FrozenSet[int], int] = {}
+    codes = []
+    for ports in sets:
+        ports = frozenset(ports)
+        if len(ports) > 1:
+            codes.append(-2 - ids.setdefault(ports, len(ids)))
+        elif not ports:
+            codes.append(NO_PORTS)
+        else:
+            (port,) = ports
+            if not 0 <= port <= MAX_PORT:
+                raise ValueError(f"source port {port} outside 0-{MAX_PORT}")
+            codes.append(port)
+    return codes, tuple(ids)
 
-    def intern_single(self, ports: np.ndarray) -> np.ndarray:
-        """Ids of the one-port sets ``{p}`` for every *p* in *ports*."""
-        values, inverse = np.unique(ports, return_inverse=True)
-        ids = self._ids
-        table = np.array(
-            [
-                ids.setdefault(single, len(ids))
-                for single in map(frozenset, zip(values.tolist()))
-            ],
-            dtype=np.int32,
-        )
-        return table[inverse]
 
-    def table(self) -> Tuple[FrozenSet[int], ...]:
-        """The sets in id order (one tuple per size: ids only grow)."""
-        if len(self._table) != len(self._ids):
-            self._table = tuple(self._ids)
-        return self._table
+def decode_port_set(code: int, port_sets) -> FrozenSet[int]:
+    """The port set a ``port_set`` *code* stands for."""
+    if code >= 0:
+        return frozenset((code,))
+    if code == NO_PORTS:
+        return frozenset()
+    return port_sets[-2 - code]
 
 
 class PacketColumns:
@@ -128,17 +135,20 @@ class PacketColumns:
             if column.shape != (n,):
                 raise ValueError(f"column {name!r} has {column.shape}, not ({n},)")
             setattr(self, name, column)
-        #: Interning table: ``port_set`` id -> the row's source ports.
+        #: Multi-port table: ``port_set`` code ``-2 - id`` -> its ports.
         self.port_sets: Tuple[FrozenSet[int], ...] = tuple(port_sets)
+        for ports in self.port_sets:
+            if len(ports) < 2 or not all(0 <= p <= MAX_PORT for p in ports):
+                raise ValueError(f"not a multi-port set: {sorted(ports)}")
         if n:
             if self.count.min() <= 0:
                 raise ValueError("batch count must be positive")
             if self.distinct_dsts.min() <= 0:
                 raise ValueError("batch must hit at least one destination")
-            if self.port_set.min() < 0 or self.port_set.max() >= len(
-                self.port_sets
-            ):
-                raise ValueError("port-set id outside the port-set table")
+            if self.port_set.max() > MAX_PORT:
+                raise ValueError(f"port-set code above port {MAX_PORT}")
+            if self.port_set.min() < -1 - len(self.port_sets):
+                raise ValueError("port-set code past the multi-port table")
 
     @classmethod
     def empty(cls) -> "PacketColumns":
@@ -174,8 +184,8 @@ class PacketColumns:
     ) -> "PacketColumns":
         """Rows of *parts* in order, sharing the table *port_sets*.
 
-        Every part's table must be a prefix of *port_sets* (parts
-        interned into one growing :class:`PortSetTable`).
+        Every part's table must be a prefix of *port_sets* (noise, with
+        no table, joins any capture).
         """
         port_sets = tuple(port_sets)
         for part in parts:
@@ -183,7 +193,7 @@ class PacketColumns:
                 part.port_sets is not port_sets
                 and port_sets[: len(part.port_sets)] != part.port_sets
             ):
-                raise ValueError("part was interned into another port-set table")
+                raise ValueError("part indexes another multi-port table")
         return cls(
             *(
                 np.concatenate([getattr(part, name) for part in parts])
@@ -218,7 +228,10 @@ class PacketColumns:
 
     def batches(self) -> List[PacketBatch]:
         """The rows as :class:`PacketBatch` objects, in row order."""
-        port_sets = self.port_sets
+        src_ports = {
+            code: decode_port_set(code, self.port_sets)
+            for code in np.unique(self.port_set).tolist()
+        }
         return [
             PacketBatch(
                 timestamp=ts,
@@ -227,7 +240,7 @@ class PacketColumns:
                 count=count,
                 bytes=size,
                 distinct_dsts=dsts,
-                src_ports=port_sets[port_set],
+                src_ports=src_ports[port_set],
                 tcp_flags=flags,
                 icmp_type=icmp_type,
                 quoted_proto=None if quoted < 0 else quoted,
@@ -241,7 +254,10 @@ class PacketColumns:
     @classmethod
     def from_batches(cls, batches: Iterable[PacketBatch]) -> "PacketColumns":
         """Encode batch objects into columns (row order preserved)."""
-        table = PortSetTable()
+        batches = list(batches)
+        if not batches:
+            return cls.empty()
+        codes, port_sets = encode_port_sets(b.src_ports for b in batches)
         rows = [
             (
                 b.timestamp,
@@ -250,16 +266,22 @@ class PacketColumns:
                 b.count,
                 b.bytes,
                 b.distinct_dsts,
-                table.intern(frozenset(b.src_ports)),
+                code,
                 b.tcp_flags,
                 b.icmp_type,
                 -1 if b.quoted_proto is None else b.quoted_proto,
             )
-            for b in batches
+            for b, code in zip(batches, codes)
         ]
-        if not rows:
-            return cls.empty()
-        return cls(*zip(*rows), port_sets=table.table())
+        return cls(*zip(*rows), port_sets=port_sets)
 
 
-__all__ = ["PACKET_COLUMNS", "PacketColumns", "PortSetTable", "columns_equal"]
+__all__ = [
+    "MAX_PORT",
+    "NO_PORTS",
+    "PACKET_COLUMNS",
+    "PacketColumns",
+    "columns_equal",
+    "decode_port_set",
+    "encode_port_sets",
+]

@@ -8,8 +8,10 @@ detect layers inside the observation stages) and records:
 * **CPU time** — CPU seconds this process consumed while the stage ran
   (a supervised worker's own CPU is not included);
 * **peak RSS** — the high-water resident set, via ``getrusage`` (kilobytes
-  on Linux); monotone per process, so the per-stage value is "peak so
-  far", which is exactly what a memory budget cares about;
+  on Linux), as the stage starts and ends; monotone per process, so the
+  end value is "peak so far", which is exactly what a memory budget
+  cares about, and a stage raised the peak exactly when its end value
+  is above its start value;
 * **current RSS before and after** — the resident set read from
   ``/proc/self/statm`` as the stage starts and ends, so a stage's own
   footprint shows even after an earlier stage set the peak;
@@ -21,8 +23,9 @@ detect layers inside the observation stages) and records:
 A layer that runs many times inside one stage (synthesize and detect run
 once per victim partition) is profiled with ``accumulate=True``: its
 readings fold into one entry per enclosing stage profile, with wall,
-CPU, rows and events summed, ``rss_before_kb`` from the first reading
-and ``rss_after_kb`` and the peak from the last.
+CPU, rows and events summed, ``rss_before_kb`` and
+``peak_rss_before_kb`` from the first reading and ``rss_after_kb`` and
+the peak from the last.
 
 All probes are injectable, so deterministic tests substitute fake
 clocks and constant RSS functions and get byte-identical ``profile.json``
@@ -78,6 +81,7 @@ class StageProfile:
     wall_s: float = 0.0
     cpu_s: float = 0.0
     peak_rss_kb: int = 0
+    peak_rss_before_kb: int = 0
     rss_before_kb: int = 0
     rss_after_kb: int = 0
     events: int = 0
@@ -106,6 +110,7 @@ class StageProfile:
             "wall_s": round(self.wall_s, 6),
             "cpu_s": round(self.cpu_s, 6),
             "peak_rss_kb": self.peak_rss_kb,
+            "peak_rss_before_kb": self.peak_rss_before_kb,
             "rss_before_kb": self.rss_before_kb,
             "rss_after_kb": self.rss_after_kb,
             "events": self.events,
@@ -162,6 +167,7 @@ class StageProfiler:
         enclosing profile, if any."""
         record = StageProfile(stage=stage)
         handle = _ProfileHandle(record)
+        record.peak_rss_before_kb = self._rss_fn()
         record.rss_before_kb = self._current_rss_fn()
         wall0 = self._clock()
         cpu0 = self._cpu_clock()

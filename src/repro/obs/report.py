@@ -116,9 +116,14 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
 
     # -- stages: status/attempts from quality, cost from profile ------------
     profiles_by_stage: Dict[str, Dict[str, Any]] = {}
+    # The stage that last raised the process high-water mark set it.
+    peak_stage = None
     for entry in (profile or {}).get("profiles", []):
         if "." not in entry["stage"]:  # layers are listed separately
             profiles_by_stage[entry["stage"]] = entry
+            before = entry.get("peak_rss_before_kb")  # absent in older profiles
+            if before is not None and entry.get("peak_rss_kb", 0) > before:
+                peak_stage = entry["stage"]
     stage_rows = (quality or {}).get("stages", [])
     if stage_rows or profiles_by_stage:
         lines.append(
@@ -140,6 +145,7 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
                 f"{prof.get('peak_rss_kb', 0) / 1024:>8.1f} "
                 f"{prof.get('events', 0):>9} "
                 f"{prof.get('events_per_s', 0.0):>10.1f}"
+                + ("  <- set the peak" if name == peak_stage else "")
             )
         lines.append("")
 

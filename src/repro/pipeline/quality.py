@@ -41,11 +41,10 @@ class HeadlineMetrics:
             result.fused.combined.unique_slash24s()
         )
         impact = WebImpactAnalysis(result.web_index)
-        histories = impact.site_histories(result.fused.combined.events)
         counts = taxonomy_counts(
             classify_sites(
                 result.openintel.first_seen,
-                {d: h.first_attack_day() for d, h in histories.items()},
+                impact.first_attack_days(result.fused.combined.events),
                 result.dps_usage.first_day_by_domain(),
             )
         )

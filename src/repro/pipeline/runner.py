@@ -73,7 +73,6 @@ from repro.faults.plan import (
     FaultPlan,
 )
 from repro.log import get_logger
-from repro.net.columnar import PortSetTable
 from repro.obs import Telemetry, get_telemetry
 from repro.pipeline.config import ScenarioConfig
 from repro.pipeline.quality import (
@@ -624,19 +623,12 @@ class ResilientPipeline:
 
     def _observe_telescope(self, partitions: List[list]) -> list:
         config = self.config
-        # One interning table per attempt: every partition's port-set
-        # ids index the same table.
-        port_sets = PortSetTable()
         return self._observe_feed(
             "telescope",
             partitions,
-            lambda: sim.telescope_noise(config, len(partitions), port_sets),
+            lambda: sim.telescope_noise(config, len(partitions)),
             lambda attacks, noise: sim.telescope_capture(
-                config,
-                attacks,
-                noise=noise,
-                port_sets=port_sets,
-                fault=self.injectors.telescope,
+                config, attacks, noise=noise, fault=self.injectors.telescope
             ),
             sim.detect_telescope_shard,
             sim.merge_telescope_shards,

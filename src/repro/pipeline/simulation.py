@@ -57,7 +57,7 @@ from repro.honeypot.detection import (
     AmpPotEvent,
     detect_columns as detect_honeypot_columns,
 )
-from repro.net.columnar import PacketColumns, PortSetTable
+from repro.net.columnar import PacketColumns
 from repro.internet.hosting import HostingEcosystem
 from repro.internet.population import ActiveAddressCensus
 from repro.internet.topology import InternetTopology
@@ -242,11 +242,11 @@ def _telescope(config: ScenarioConfig) -> NetworkTelescope:
 
 
 def telescope_noise(
-    config: ScenarioConfig, n_partitions: int, port_sets: PortSetTable
+    config: ScenarioConfig, n_partitions: int
 ) -> List[PacketColumns]:
     """The window's telescope noise, drawn once from its one stream and
     split into victim partitions by source address."""
-    noise = _telescope(config).noise_columns(config.n_days, port_sets)
+    noise = _telescope(config).noise_columns(config.n_days)
     return split_partitions(noise, noise.src, n_partitions)
 
 
@@ -254,24 +254,22 @@ def telescope_capture(
     config: ScenarioConfig,
     attacks: List[GroundTruthAttack],
     noise: Optional[PacketColumns] = None,
-    port_sets: Optional[PortSetTable] = None,
     fault=None,
 ) -> PacketColumns:
     """The darknet capture of *attacks* plus *noise* (optionally
     degraded), as columns.
 
     The runner calls this once per victim partition, with the
-    partition's attacks and its slice of :func:`telescope_noise`, all
-    interned into one *port_sets* table per stage. Without *noise* it
-    is the whole window's capture. Every attack's backscatter comes from
-    its own random stream (see :mod:`repro.attacks.streams`), so the
-    capture depends on the attack set, not on its order. Fault
-    filtering happens here, so injector counters mutate in the calling
-    process, never in a supervised fork child whose memory is thrown
-    away.
+    partition's attacks and its slice of :func:`telescope_noise`.
+    Without *noise* it is the whole window's capture. Every attack's
+    backscatter comes from its own random stream (see
+    :mod:`repro.attacks.streams`), so the capture depends on the attack
+    set, not on its order. Fault filtering happens here, so injector
+    counters mutate in the calling process, never in a supervised fork
+    child whose memory is thrown away.
     """
     capture = _telescope(config).capture_columns(
-        attacks, n_days=config.n_days, noise=noise, port_sets=port_sets
+        attacks, n_days=config.n_days, noise=noise
     )
     if fault is not None:
         capture = fault.filter(capture)

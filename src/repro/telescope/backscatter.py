@@ -32,7 +32,7 @@ from repro.attacks.attacker import (
     VECTOR_UDP_FLOOD,
 )
 from repro.attacks.streams import attack_streams, by_attack_id, minute_spans
-from repro.net.columnar import PacketColumns, PortSetTable
+from repro.net.columnar import PacketColumns, encode_port_sets
 from repro.net.packet import (
     ICMP_DEST_UNREACH,
     ICMP_ECHO_REPLY,
@@ -79,15 +79,11 @@ class BackscatterModel:
         """
         return self.columns([attack]).batches()
 
-    def columns(
-        self,
-        attacks: Iterable[GroundTruthAttack],
-        port_sets: Optional[PortSetTable] = None,
-    ) -> PacketColumns:
+    def columns(self, attacks: Iterable[GroundTruthAttack]) -> PacketColumns:
         """Every attack's backscatter rows, attack by attack in id order.
 
-        Port sets are interned into *port_sets* (a fresh table if None),
-        so callers assembling a larger capture can share one table.
+        The capture's multi-port table holds the port sets of the
+        attacks that target several ports, in attack-id order.
 
         Per attack, in stream order: the victim's capacity (log-normal),
         the SYN-ACK-or-RST coin for SYN floods, one Poisson count per
@@ -96,7 +92,6 @@ class BackscatterModel:
         is whole-array work.
         """
         cfg = self.config
-        table = port_sets if port_sets is not None else PortSetTable()
         spoofed = [
             attack
             for attack in by_attack_id(attacks)
@@ -152,14 +147,15 @@ class BackscatterModel:
         count = count[sent]
         attack_of = np.repeat(np.arange(len(observed)), widths)[sent]
         minute = sent - (np.cumsum(widths) - widths)[attack_of]
+        codes, port_sets = encode_port_sets(a.ports for a in observed)
         src, proto, flags, icmp_type, quoted, port_set = (
             np.array(values)[attack_of]
             for values in zip(
                 *(
                     (attack.target,)
                     + _response_shape(attack, coin, cfg)
-                    + (table.intern(frozenset(attack.ports)),)
-                    for attack, coin in zip(observed, coins)
+                    + (code,)
+                    for attack, coin, code in zip(observed, coins, codes)
                 )
             )
         )
@@ -176,7 +172,7 @@ class BackscatterModel:
             tcp_flags=flags,
             icmp_type=icmp_type,
             quoted_proto=quoted,
-            port_sets=table.table(),
+            port_sets=port_sets,
         )
 
 

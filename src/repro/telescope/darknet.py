@@ -18,7 +18,7 @@ import numpy as np
 from repro.attacks.attacker import GroundTruthAttack
 from repro.attacks.streams import noise_rng
 from repro.net.addressing import Prefix
-from repro.net.columnar import PacketColumns, PortSetTable
+from repro.net.columnar import NO_PORTS, PacketColumns
 from repro.net.packet import (
     ICMP_ECHO_REPLY,
     PROTO_ICMP,
@@ -65,24 +65,24 @@ class TelescopeNoise:
         (unsorted; callers sort the merged capture)."""
         return self.columns(n_days).batches()
 
-    def columns(
-        self, n_days: int, port_sets: Optional[PortSetTable] = None
-    ) -> PacketColumns:
-        """Noise rows covering *n_days* of capture (not time-sorted)."""
-        cfg = self.config
-        table = port_sets if port_sets is not None else PortSetTable()
-        rng = noise_rng(cfg.seed)
+    def columns(self, n_days: int) -> PacketColumns:
+        """Noise rows covering *n_days* of capture (not time-sorted).
+
+        Every row carries one source port or none, so the noise has no
+        multi-port table.
+        """
+        rng = noise_rng(self.config.seed)
         parts = [
-            self._scans(rng, n_days, table),
-            self._misconfigs(rng, n_days, table),
-            self._subthreshold(rng, n_days, table),
+            self._scans(rng, n_days),
+            self._misconfigs(rng, n_days),
+            self._subthreshold(rng, n_days),
         ]
-        return PacketColumns.concat(parts, table.table())
+        return PacketColumns.concat(parts, ())
 
     def _sources(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return 0x60000000 + rng.integers(self.config.noise_source_space, size=n)
 
-    def _scans(self, rng, n_days: int, table: PortSetTable) -> PacketColumns:
+    def _scans(self, rng, n_days: int) -> PacketColumns:
         """A scanner sweeps the telescope for 1-10 minutes: SYN packets,
         which are NOT a response signature and must be ignored by the
         classifier."""
@@ -94,35 +94,33 @@ class TelescopeNoise:
         count = rng.integers(20, 401, len(scan))
         ports = rng.integers(1024, 65536, len(scan))
         return _rows(
-            table,
             ts=starts[scan] + minute * 60.0,
             src=sources[scan],
             proto=PROTO_TCP,
             count=count,
             packet_bytes=40,
             distinct_dsts=count,
-            port_set=table.intern_single(ports),
+            port_set=ports,
             tcp_flags=TCP_SYN,
         )
 
-    def _misconfigs(self, rng, n_days: int, table: PortSetTable) -> PacketColumns:
+    def _misconfigs(self, rng, n_days: int) -> PacketColumns:
         """Misconfigured UDP senders: one short burst each."""
         n, starts = _noise_starts(rng, self.config.misconfig_per_day, n_days)
         sources = self._sources(rng, n)
         count = rng.integers(1, 51, n)
         ports = rng.integers(1024, 65536, n)
         return _rows(
-            table,
             ts=starts,
             src=sources,
             proto=PROTO_UDP,
             count=count,
             packet_bytes=120,
             distinct_dsts=np.minimum(count, 4),
-            port_set=table.intern_single(ports),
+            port_set=ports,
         )
 
-    def _subthreshold(self, rng, n_days: int, table: PortSetTable) -> PacketColumns:
+    def _subthreshold(self, rng, n_days: int) -> PacketColumns:
         """Legit-looking backscatter that fails the Moore et al. filters."""
         n, starts = _noise_starts(rng, self.config.subthreshold_per_day, n_days)
         sources = self._sources(rng, n)
@@ -137,45 +135,41 @@ class TelescopeNoise:
         return PacketColumns.concat(
             [
                 _rows(
-                    table,
                     ts=starts[few],
                     src=sources[few],
                     proto=PROTO_TCP,
                     count=few_count,
                     packet_bytes=54,
                     distinct_dsts=few_count,
-                    port_set=table.intern(frozenset({80})),
+                    port_set=80,
                     tcp_flags=TCP_SYN | TCP_ACK,
                 ),
                 _rows(
-                    table,
                     ts=starts[short],
                     src=sources[short],
                     proto=PROTO_ICMP,
                     count=short_count,
                     packet_bytes=54,
                     distinct_dsts=short_count,
-                    port_set=table.intern(frozenset()),
+                    port_set=NO_PORTS,
                     icmp_type=ICMP_ECHO_REPLY,
                 ),
                 _rows(
-                    table,
                     ts=slow_starts,
                     src=np.repeat(sources[slow], len(steps)),
                     proto=PROTO_TCP,
                     count=np.full(len(slow_starts), 3),
                     packet_bytes=54,
                     distinct_dsts=np.full(len(slow_starts), 3),
-                    port_set=table.intern(frozenset({443})),
+                    port_set=443,
                     tcp_flags=TCP_SYN | TCP_ACK,
                 ),
             ],
-            table.table(),
+            (),
         )
 
 
 def _rows(
-    table: PortSetTable,
     ts: np.ndarray,
     src: np.ndarray,
     proto: int,
@@ -203,7 +197,6 @@ def _rows(
         tcp_flags=full(tcp_flags),
         icmp_type=full(icmp_type),
         quoted_proto=full(-1),
-        port_sets=table.table(),
     )
 
 
@@ -225,37 +218,33 @@ class NetworkTelescope:
         self.backscatter = backscatter
         self.noise = noise
 
-    def noise_columns(
-        self, n_days: int, port_sets: Optional[PortSetTable] = None
-    ) -> PacketColumns:
-        """The window's noise rows (none without a noise model or days),
-        interned into *port_sets*."""
+    def noise_columns(self, n_days: int) -> PacketColumns:
+        """The window's noise rows (none without a noise model or days)."""
         if self.noise is None or n_days <= 0:
             return PacketColumns.empty()
-        return self.noise.columns(n_days, port_sets)
+        return self.noise.columns(n_days)
 
     def capture_columns(
         self,
         attacks: Iterable[GroundTruthAttack],
         n_days: int = 0,
         noise: Optional[PacketColumns] = None,
-        port_sets: Optional[PortSetTable] = None,
     ) -> PacketColumns:
         """Observe *attacks* plus *noise*, time-sorted.
 
-        *noise* holds rows interned into *port_sets*: one victim
-        partition's slice of :meth:`noise_columns` when the pipeline
-        synthesizes partition by partition. None draws the whole
-        window's noise, which makes the whole capture the one-partition
-        case. Ties keep backscatter rows in attack-id order ahead of
-        noise, so the capture is a function of the attack set, not its
-        order.
+        *noise* is one victim partition's slice of :meth:`noise_columns`
+        when the pipeline synthesizes partition by partition. None draws
+        the whole window's noise, which makes the whole capture the
+        one-partition case. Ties keep backscatter rows in attack-id
+        order ahead of noise, so the capture is a function of the attack
+        set, not its order.
         """
-        table = port_sets if port_sets is not None else PortSetTable()
         if noise is None:
-            noise = self.noise_columns(n_days, table)
-        parts = [self.backscatter.columns(attacks, table), noise]
-        return PacketColumns.concat(parts, table.table()).time_sorted()
+            noise = self.noise_columns(n_days)
+        attacked = self.backscatter.columns(attacks)
+        return PacketColumns.concat(
+            [attacked, noise], attacked.port_sets
+        ).time_sorted()
 
     def capture(
         self, attacks: Iterable[GroundTruthAttack], n_days: int = 0

@@ -32,7 +32,7 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.net.columnar import PacketColumns
+from repro.net.columnar import MAX_PORT, PacketColumns, decode_port_set
 from repro.net.packet import PROTO_ICMP, PROTO_TCP
 
 #: Factor converting /8-telescope packet rates to estimated victim rates.
@@ -218,11 +218,17 @@ def _dominant_protos(
 def _port_unions(
     flow: np.ndarray, port_set: np.ndarray, port_sets
 ) -> Dict[int, Tuple[int, ...]]:
-    """Flow -> sorted union of the port sets its rows carry."""
-    pairs = np.unique(flow.astype(np.int64) * len(port_sets) + port_set)
+    """Flow -> sorted union of the port sets its rows' codes stand for."""
+    # Codes run from -1 - len(port_sets) up to MAX_PORT: shifted to start
+    # at 0, each is the low digit of one key per (flow, code) pair.
+    low = -1 - len(port_sets)
+    span = MAX_PORT + 1 - low
+    pairs = np.unique(flow.astype(np.int64) * span + (port_set - low))
     unions: Dict[int, Set[int]] = {}
-    for pair_flow, set_id in zip(
-        (pairs // len(port_sets)).tolist(), (pairs % len(port_sets)).tolist()
+    for pair_flow, code in zip(
+        (pairs // span).tolist(), (pairs % span + low).tolist()
     ):
-        unions.setdefault(pair_flow, set()).update(port_sets[set_id])
+        unions.setdefault(pair_flow, set()).update(
+            decode_port_set(code, port_sets)
+        )
     return {key: tuple(sorted(ports)) for key, ports in unions.items()}

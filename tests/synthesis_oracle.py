@@ -11,7 +11,7 @@ keeps that path verbatim: :func:`backscatter_columns` and
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.attacks.attacker import (
 from repro.attacks.streams import ATTACK_STREAM, by_attack_id
 from repro.honeypot.amppot import AmpPotFleet
 from repro.honeypot.columnar import RequestColumns, protocol_id
-from repro.net.columnar import PacketColumns, PortSetTable
+from repro.net.columnar import PacketColumns, encode_port_sets
 from repro.net.packet import (
     ICMP_DEST_UNREACH,
     ICMP_ECHO_REPLY,
@@ -67,23 +67,22 @@ def minute_windows(duration: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def backscatter_columns(
-    model: BackscatterModel,
-    attacks: Iterable[GroundTruthAttack],
-    port_sets: Optional[PortSetTable] = None,
+    model: BackscatterModel, attacks: Iterable[GroundTruthAttack]
 ) -> PacketColumns:
-    """``model.columns(attacks, port_sets)``, one attack at a time."""
-    table = port_sets if port_sets is not None else PortSetTable()
+    """``model.columns(attacks)``, one attack at a time."""
     drawn = [
         rows
         for attack in by_attack_id(attacks)
-        if (rows := _draw_backscatter(model, attack, table)) is not None
+        if (rows := _draw_backscatter(model, attack)) is not None
     ]
     if not drawn:
         return PacketColumns.empty()
-    ts, count, scalars = zip(*drawn)
+    ts, count, scalars, ports = zip(*drawn)
+    codes, port_sets = encode_port_sets(ports)
     lengths = [len(column) for column in ts]
     src, proto, flags, icmp_type, quoted, port_set = (
-        np.repeat(np.array(values), lengths) for values in zip(*scalars)
+        np.repeat(np.array(values), lengths)
+        for values in (*zip(*scalars), codes)
     )
     count = np.concatenate(count)
     return PacketColumns(
@@ -97,12 +96,12 @@ def backscatter_columns(
         tcp_flags=flags,
         icmp_type=icmp_type,
         quoted_proto=quoted,
-        port_sets=table.table(),
+        port_sets=port_sets,
     )
 
 
-def _draw_backscatter(model, attack: GroundTruthAttack, table: PortSetTable):
-    """One attack's rows: (ts, count, per-attack scalars)."""
+def _draw_backscatter(model, attack: GroundTruthAttack):
+    """One attack's rows: (ts, count, per-attack scalars, ports)."""
     if attack.kind != ATTACK_DIRECT or not attack.spoofed:
         return None
     cfg = model.config
@@ -136,9 +135,8 @@ def _draw_backscatter(model, attack: GroundTruthAttack, table: PortSetTable):
         flags,
         icmp_type,
         -1 if quoted is None else quoted,
-        table.intern(frozenset(attack.ports)),
     )
-    return ts, counts, scalars
+    return ts, counts, scalars, attack.ports
 
 
 def _response_shape(attack, rng: np.random.Generator, cfg):

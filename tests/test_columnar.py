@@ -51,6 +51,7 @@ from repro.net.protocols import REFLECTION_PROTOCOLS
 from repro.pipeline import simulation as sim_module
 from repro.pipeline.config import ScenarioConfig
 from repro.telescope.backscatter import BackscatterConfig, BackscatterModel
+from repro.telescope.darknet import NoiseConfig, TelescopeNoise
 from repro.telescope.rsdos import (
     RSDoSConfig,
     detect_columns as detect_telescope_columns,
@@ -162,11 +163,75 @@ class TestColumns:
 
     def test_take_keeps_the_port_set_table(self):
         columns = PacketColumns.from_batches(
-            [syn_ack(0.0, ports=(22,)), syn_ack(1.0, ports=(80,))]
+            [syn_ack(0.0, ports=(22, 23)), syn_ack(1.0, ports=(80, 443))]
         )
         second = columns.take(np.array([False, True]))
-        assert second.batches() == [syn_ack(1.0, ports=(80,))]
+        assert second.batches() == [syn_ack(1.0, ports=(80, 443))]
         assert second.port_sets == columns.port_sets
+
+
+_port_sets = st.one_of(
+    st.sampled_from([frozenset(), frozenset({0}), frozenset({65535})]),
+    st.frozensets(st.integers(0, 65535), min_size=1, max_size=4),
+    st.frozensets(st.sampled_from([0, 22, 80, 65535]), min_size=2),
+)
+
+
+class TestPortSetCodes:
+    """One port is its own code, -1 the empty set, -2 - id a multi-port
+    set in the capture's table."""
+
+    @given(st.lists(_port_sets, max_size=40))
+    @example([frozenset(), frozenset({0}), frozenset({65535}),
+              frozenset({80, 443}), frozenset({0, 65535}),
+              frozenset({443, 80})])
+    @settings(max_examples=200, deadline=None)
+    def test_batches_round_trip(self, sets):
+        batches = [syn_ack(float(ts), ports=ports) for ts, ports in enumerate(sets)]
+        columns = PacketColumns.from_batches(batches)
+        assert columns.batches() == batches
+        assert PacketColumns.from_batches(columns.batches()) == columns
+        for ports, code in zip(sets, columns.port_set.tolist()):
+            if not ports:
+                assert code == -1
+            elif len(ports) == 1:
+                assert code == min(ports)
+            else:
+                assert columns.port_sets[-2 - code] == ports
+        # Only multi-port sets enter the table, each once.
+        assert all(len(ports) > 1 for ports in columns.port_sets)
+        assert len(set(columns.port_sets)) == len(columns.port_sets)
+
+    def test_codes_outside_the_ports_and_the_table_raise(self):
+        columns = PacketColumns.from_batches(
+            [syn_ack(0.0, ports=(80, 443)), syn_ack(1.0, ports=(65535,))]
+        )
+        assert columns.port_set.tolist() == [-2, 65535]
+        fields = {
+            name: getattr(columns, name).copy()
+            for name in columns.__slots__
+            if name != "port_sets"
+        }
+        with pytest.raises(ValueError, match="above port 65535"):
+            PacketColumns(**{**fields, "port_set": [-2, 65536]},
+                          port_sets=columns.port_sets)
+        with pytest.raises(ValueError, match="past the multi-port table"):
+            PacketColumns(**{**fields, "port_set": [-3, 80]},
+                          port_sets=columns.port_sets)
+        with pytest.raises(ValueError, match="past the multi-port table"):
+            PacketColumns(**fields)  # code -2 with no table at all
+        with pytest.raises(ValueError, match="not a multi-port set"):
+            PacketColumns(**fields, port_sets=[frozenset({22})])
+        with pytest.raises(ValueError, match="outside 0-65535"):
+            PacketColumns.from_batches([syn_ack(0.0, ports=(65536,))])
+
+    @pytest.mark.parametrize("n_days", [1, 120])
+    def test_telescope_noise_carries_an_empty_table(self, n_days):
+        noise = TelescopeNoise(NoiseConfig()).columns(n_days)
+        assert len(noise) > 0
+        assert noise.port_sets == ()
+        assert noise.port_set.min() == -1
+        assert set(map(len, (b.src_ports for b in noise.batches()))) == {0, 1}
 
 
 def _unchecked_request(protocol):

@@ -344,9 +344,13 @@ class TestObservationLayers:
         assert names == ["stage.layer", "stage", "stage.layer", "stage"]
         first = profiler.profiles[0].to_dict()
         assert (first["rows"], first["wall_s"], first["cpu_s"]) == (7, 1.0, 0.5)
+        # The one fake probe is read twice as each reading starts (peak,
+        # then current) and twice as it ends (peak, then current).
         # Before: the first reading's; after and peak: the last one's.
-        assert (first["rss_before_kb"], first["rss_after_kb"]) == (101, 106)
-        assert first["peak_rss_kb"] == 105
+        assert (first["peak_rss_before_kb"], first["rss_before_kb"]) == (
+            102, 103
+        )
+        assert (first["peak_rss_kb"], first["rss_after_kb"]) == (108, 109)
 
     def test_one_fake_rss_probe_serves_both_readings(self):
         profiler = StageProfiler(rss_fn=lambda: 7)
@@ -385,6 +389,49 @@ class TestObservationLayers:
         assert "telescope.synthesize" in report
         assert "2000.0" in report  # rows/s: 1000 rows over 0.5 s
         assert "2.0->2.0" in report
+
+    def test_flight_report_marks_the_stage_that_last_raised_the_peak(
+        self, tmp_path
+    ):
+        from repro.obs.report import render_flight_report
+
+        # High-water mark as each entry starts and ends: "attacks" and
+        # "fusion" raise it, the others do not.
+        peaks = iter(
+            [100, 100, 100, 300, 300, 300, 300, 300, 300, 400, 400, 400]
+        )
+        profiler = StageProfiler(
+            rss_fn=peaks.__next__, current_rss_fn=lambda: 50
+        )
+        for stage in ("internet", "attacks", "measurement", "fusion", "x"):
+            with profiler.profile(stage):
+                if stage == "measurement":
+                    with profiler.profile("measurement.crawl", accumulate=True):
+                        pass
+        entries = {
+            entry["stage"]: entry
+            for entry in profiler.snapshot()["profiles"]
+        }
+        assert [
+            (entry["peak_rss_before_kb"], entry["peak_rss_kb"])
+            for entry in entries.values()
+        ] == [(100, 100), (100, 300), (300, 300), (300, 300), (300, 400),
+              (400, 400)]
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / PROFILE_FILE).write_text(profiler.to_json())
+        marked = [
+            line.split()[0]
+            for line in render_flight_report(run_dir).splitlines()
+            if line.endswith("<- set the peak")
+        ]
+        assert marked == ["fusion"]
+        # Profiles written before the start reading existed mark nothing.
+        old = profiler.snapshot()
+        for entry in old["profiles"]:
+            del entry["peak_rss_before_kb"]
+        (run_dir / PROFILE_FILE).write_text(json.dumps(old))
+        assert "<- set the peak" not in render_flight_report(run_dir)
 
     def test_flight_report_prints_stage_partitions(self, tmp_path):
         from repro.obs.report import render_flight_report

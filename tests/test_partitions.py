@@ -18,7 +18,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.faults.injectors import FaultInjectorSet
 from repro.faults.plan import FaultPlan, FaultPlanConfig
 from repro.honeypot.amppot import AmpPotFleet
-from repro.net.columnar import PortSetTable
 from repro.pipeline import simulation as sim_module
 from repro.pipeline.config import ScenarioConfig
 from repro.pipeline.runner import ResilientPipeline, TransientStageError
@@ -162,11 +161,8 @@ class TestPartitionedObservation:
 
     def test_noise_is_split_by_victim_in_row_order(self):
         config, _ = _ground_truth(SEEDS[0])
-        table = PortSetTable()
-        parts = sim_module.telescope_noise(config, 4, table)
-        whole = sim_module._telescope(config).noise_columns(
-            config.n_days, PortSetTable()
-        )
+        parts = sim_module.telescope_noise(config, 4)
+        whole = sim_module._telescope(config).noise_columns(config.n_days)
         assert sum(map(len, parts)) == len(whole) > 0
         for index, part in enumerate(parts):
             assert part == whole.take(whole.src % 4 == index)

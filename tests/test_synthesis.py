@@ -33,7 +33,6 @@ from repro.attacks.attacker import (
 from repro.attacks.streams import ATTACK_STREAM, attack_states, attack_streams
 from repro.honeypot.amppot import AmpPotFleet, FleetConfig
 from repro.honeypot.columnar import PROTOCOLS
-from repro.net.columnar import PortSetTable
 from repro.net.packet import (
     PROTO_GRE,
     PROTO_ICMP,
@@ -127,14 +126,10 @@ fleet_configs = st.builds(
 
 def _assert_backscatter_matches(config, attacks):
     model = BackscatterModel(config)
-    table, expected_table = PortSetTable(), PortSetTable()
-    table.intern(frozenset({7}))
-    expected_table.intern(frozenset({7}))
-    got = model.columns(attacks, table)
-    expected = oracle.backscatter_columns(model, attacks, expected_table)
+    got = model.columns(attacks)
+    expected = oracle.backscatter_columns(model, attacks)
     assert got == expected
     assert got.port_sets == expected.port_sets
-    assert table.table() == expected_table.table()
     return got
 
 

@@ -70,6 +70,30 @@ class TestAssociation:
         assert histories["www.c.com"].n_attacks == 1
         assert histories["www.a.com"].first_attack_day() == 0
 
+    def test_first_attack_days_match_the_histories(self, index):
+        analysis = WebImpactAnalysis(index)
+        # Out of day order, repeated, after a move and on unknown IPs.
+        events = [event(100, 15), event(300, 6), event(100, 0),
+                  event(200, 12), event(100, 20), event(999, 1),
+                  event(300, 3), event(300, 5)]
+        first = analysis.first_attack_days(events)
+        assert first == {"www.a.com": 0, "www.c.com": 5, "www.b.com": 0}
+        assert first == {
+            domain: history.first_attack_day()
+            for domain, history in analysis.site_histories(events).items()
+        }
+        assert analysis.first_attack_days([]) == {}
+
+    def test_first_attack_days_on_a_full_run(self, sim):
+        analysis = WebImpactAnalysis(sim.web_index)
+        events = sim.fused.combined.events
+        first = analysis.first_attack_days(events)
+        assert first
+        assert first == {
+            domain: history.first_attack_day()
+            for domain, history in analysis.site_histories(events).items()
+        }
+
     def test_migrated_site_not_associated_after_move(self, index):
         """Attacks on the old IP after a move no longer touch the site."""
         analysis = WebImpactAnalysis(index)
