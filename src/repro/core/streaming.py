@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import queue
-import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Set
 
 from repro.core.events import AttackEvent, SOURCE_HONEYPOT, SOURCE_TELESCOPE
 from repro.net.addressing import slash16, slash24
-from repro.obs.metrics import get_registry
 
 if TYPE_CHECKING:
     from repro.core.webmap import WebHostingIndex
@@ -349,131 +346,3 @@ class StreamingFusion:
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-
-class BoundedStreamingFusion:
-    """A :class:`StreamingFusion` behind a bounded queue with backpressure.
-
-    In the near-realtime deployment the producers (the feed collectors)
-    and the consumer (the fusion) run at different speeds. An unbounded
-    hand-off queue lets a slow consumer grow memory without limit — the
-    classic way a streaming pipeline dies hours into an incident, which
-    is precisely when the paper's operators need it. Here the hand-off is
-    a ``queue.Queue(maxsize=...)``: when the consumer falls behind,
-    :meth:`ingest` *blocks* the producer (backpressure) instead of
-    buffering, so memory stays bounded at ``maxsize`` events no matter
-    how lopsided the speeds are.
-
-    The consumer runs on a daemon thread owned by this object; call
-    :meth:`close` to flush and join it. An exception inside the consumer
-    (e.g. an out-of-order stream) is captured and re-raised to the
-    producer on the next :meth:`ingest`/:meth:`close`, so errors are not
-    silently swallowed by the thread boundary.
-    """
-
-    _SENTINEL = object()
-
-    def __init__(
-        self,
-        fusion: Optional[StreamingFusion] = None,
-        maxsize: int = 1024,
-        metrics=None,
-        **fusion_kwargs,
-    ) -> None:
-        if maxsize < 1:
-            raise ValueError("queue bound must be at least one event")
-        self.fusion = (
-            fusion if fusion is not None else StreamingFusion(**fusion_kwargs)
-        )
-        self.maxsize = maxsize
-        self._queue: "queue.Queue" = queue.Queue(maxsize=maxsize)
-        self._error: Optional[BaseException] = None
-        self._closed = False
-        #: Producer-observed backpressure: ingest calls that had to wait.
-        self.blocked_puts = 0
-        registry = metrics if metrics is not None else get_registry()
-        self._m_ingested = registry.counter(
-            "stream_events_ingested_total", "events handed to the fusion queue"
-        )
-        self._m_blocked = registry.counter(
-            "stream_backpressure_waits_total",
-            "ingest calls that blocked on a full queue",
-        )
-        self._m_depth = registry.gauge(
-            "stream_queue_depth", "events currently queued for fusion"
-        )
-        self._consumer = threading.Thread(
-            target=self._drain, name="repro-stream-fusion", daemon=True
-        )
-        self._consumer.start()
-
-    def _drain(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is self._SENTINEL:
-                    self.fusion.finish()
-                    return
-                if self._error is None:
-                    self.fusion.ingest(item)
-            except BaseException as exc:  # noqa: BLE001 - re-raised to producer
-                self._error = exc
-            finally:
-                self._queue.task_done()
-                self._m_depth.set(self._queue.qsize())
-
-    def _check_error(self) -> None:
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-
-    def ingest(self, event: AttackEvent) -> None:
-        """Enqueue one event; blocks when the consumer is ``maxsize`` behind."""
-        if self._closed:
-            raise RuntimeError("stream already closed")
-        self._check_error()
-        if self._queue.full():
-            self.blocked_puts += 1
-            self._m_blocked.inc()
-        self._queue.put(event)
-        self._m_ingested.inc()
-        self._m_depth.set(self._queue.qsize())
-
-    def offer(self, event: AttackEvent) -> bool:
-        """Non-blocking ingest: ``False`` when the queue is full.
-
-        The overload-safe alternative to :meth:`ingest` for callers that
-        must not block (a network intake answering clients): instead of
-        exerting backpressure on the producer thread, a full queue is
-        reported to the caller, who decides to shed (and tell the client
-        to retry) rather than stall.
-        """
-        if self._closed:
-            raise RuntimeError("stream already closed")
-        self._check_error()
-        try:
-            self._queue.put_nowait(event)
-        except queue.Full:
-            self.blocked_puts += 1
-            self._m_blocked.inc()
-            return False
-        self._m_ingested.inc()
-        self._m_depth.set(self._queue.qsize())
-        return True
-
-    def ingest_many(self, events: Iterable[AttackEvent]) -> None:
-        for event in events:
-            self.ingest(event)
-
-    @property
-    def depth(self) -> int:
-        """Events currently queued (never exceeds ``maxsize``)."""
-        return self._queue.qsize()
-
-    def close(self) -> StreamingFusion:
-        """Flush, stop the consumer, and hand back the fused state."""
-        if not self._closed:
-            self._closed = True
-            self._queue.put(self._SENTINEL)
-            self._consumer.join()
-        self._check_error()
-        return self.fusion

@@ -255,7 +255,7 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
             line += f" [{', '.join(hit_stages)}]"
         lines.append(line)
 
-    # -- storage and streaming ----------------------------------------------
+    # -- storage -------------------------------------------------------------
     saves = _metric_total(metrics, "checkpoint_saves_total")
     if saves:
         mb = _metric_total(metrics, "checkpoint_bytes_written_total") / 1e6
@@ -263,15 +263,6 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
         lines.append(
             f"checkpoints: {_fmt_count(saves)} saved, {mb:.2f} MB written, "
             f"{_fmt_count(fsyncs)} fsync(s)"
-        )
-    backpressure = _metric_total(
-        metrics, "stream_backpressure_waits_total"
-    )
-    ingested = _metric_total(metrics, "stream_events_ingested_total")
-    if ingested:
-        lines.append(
-            f"streaming: {_fmt_count(ingested)} events ingested, "
-            f"{_fmt_count(backpressure)} backpressure wait(s)"
         )
 
     # -- live service (serve data dirs double as run dirs) -------------------

@@ -1,4 +1,6 @@
-"""The query and ingest API over :class:`LiveIngestService` (stdlib HTTP).
+"""The query and ingest API over :class:`LiveIngestService`.
+
+One route table, one socket-free request path, thin HTTP framing.
 
 Endpoints::
 
@@ -40,6 +42,13 @@ or fenced node answers **409** with ``primary_url`` naming where writes
 go — read-only enforcement, not backpressure, so retrying here is
 pointless and redirecting is right.
 
+:func:`handle` is the whole request path without a socket: method,
+request target, headers and body bytes in, a
+:class:`~repro.serve.transport.TransportResponse` out. ``ROUTES`` is
+the one route table. The HTTP handler and the simulation transport
+(:mod:`repro.simtest.transport`) both call :func:`handle`, so the
+simulated cluster answers exactly as the deployed one does.
+
 Every request carries a trace ID: an incoming ``X-Repro-Trace-Id``
 header is honored (so a client's ID follows its write into the WAL and
 across replication), otherwise the node mints one. The ID is echoed in
@@ -47,6 +56,13 @@ the response header, recorded in the service's bounded request log
 (with a slow-request capture ring), timed into the
 ``serve_http_request_seconds`` histogram, and — when tracing is on —
 attached to a ``serve.http`` span.
+
+:class:`ServeRequestHandler` only frames. It reads the declared body of
+every request before routing, so no unread body is ever parsed as the
+next request on a keep-alive connection. A request without
+``Content-Length`` has an empty body (RFC 9112 §6.3). A length that is
+not an integer from 0 to ``MAX_BODY_BYTES``, or a ``Transfer-Encoding``,
+cannot be framed: the answer is 400 with ``Connection: close``.
 
 The server is a ``ThreadingHTTPServer``: handler threads only validate
 and append (WAL + queue), the single applier thread owns all state
@@ -64,8 +80,8 @@ import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Optional, Tuple
-from urllib.parse import parse_qs, urlparse
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from urllib.parse import parse_qs, urlsplit
 
 from repro.log import get_logger
 from repro.net.addressing import parse_ipv4
@@ -77,6 +93,7 @@ from repro.serve.service import (
     LiveIngestService,
     ServeConfig,
 )
+from repro.serve.transport import TransportResponse
 from repro.serve.wal import KIND_ATTACK, KIND_DPS
 
 log = get_logger("serve.http")
@@ -86,6 +103,55 @@ log = get_logger("serve.http")
 ENDPOINT_FILE = "endpoint.json"
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+TRACE_HEADER = "X-Repro-Trace-Id"
+
+FRAMING_ERROR = (
+    f"Content-Length must be an integer from 0 to {MAX_BODY_BYTES} "
+    "and Transfer-Encoding is not supported"
+)
+
+
+class Request(NamedTuple):
+    """What a route sees of one request."""
+
+    service: LiveIngestService
+    query: Dict[str, str]
+    body: bytes
+    trace_id: str
+
+
+def _content_length(headers) -> Optional[int]:
+    """The declared body length: 0 when absent, None when unframeable."""
+    if headers is None:
+        return 0
+    if headers.get("Transfer-Encoding") is not None:
+        return None
+    text = headers.get("Content-Length")
+    if text is None:
+        return 0
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        return None
+    length = int(text)
+    return length if length <= MAX_BODY_BYTES else None
+
+
+def _json(status: int, body) -> TransportResponse:
+    return TransportResponse(
+        status,
+        json.dumps(body, sort_keys=True).encode("utf-8"),
+        {"Content-Type": "application/json"},
+    )
+
+
+def _json_body(request: Request, missing: str):
+    if not request.body:
+        raise ValueError(missing)
+    try:
+        return json.loads(request.body.decode("utf-8"))
+    except ValueError:
+        raise ValueError("body is not valid JSON") from None
 
 
 def _parse_prefix(text: str) -> Tuple[int, int]:
@@ -99,404 +165,379 @@ def _parse_prefix(text: str) -> Tuple[int, int]:
     return parse_ipv4(base_text), length
 
 
+def _int_param(query: dict, name: str) -> Optional[int]:
+    if name not in query:
+        return None
+    try:
+        return int(query[name])
+    except ValueError:
+        raise ValueError(f"?{name}= must be an integer") from None
+
+
+def _limit(query: dict, default: int = 50) -> int:
+    try:
+        return max(1, min(1000, int(query.get("limit", default))))
+    except ValueError:
+        return default
+
+
+# -- GET ----------------------------------------------------------------------
+
+
+def _get_healthz(request: Request) -> TransportResponse:
+    service = request.service
+    seg_count, wal_bytes = service._update_wal_gauges()
+    return _json(
+        200,
+        {
+            "ok": True,
+            "draining": service._draining.is_set(),
+            "degraded": service.degraded,
+            "role": service.cluster.role,
+            "epoch": service.cluster.epoch,
+            "primary_url": service.cluster.primary_url,
+            "wal_segments": seg_count,
+            "wal_bytes": wal_bytes,
+            "snapshot_age_s": round(
+                service._clock() - service._last_snapshot_at, 3
+            ),
+        },
+    )
+
+
+def _get_summary(request: Request) -> TransportResponse:
+    return _json(200, request.service.store.summary())
+
+
+def _get_attacks(request: Request) -> TransportResponse:
+    query, store = request.query, request.service.store
+    limit = _limit(query)
+    if "ip" in query:
+        events = store.events_for_ip(parse_ipv4(query["ip"]), limit=limit)
+        return _json(
+            200, {"ip": query["ip"], "count": len(events), "events": events}
+        )
+    if "prefix" in query:
+        base, length = _parse_prefix(query["prefix"])
+        events = store.events_for_prefix(base, length, limit=limit)
+        return _json(
+            200,
+            {
+                "prefix": query["prefix"],
+                "count": len(events),
+                "events": events,
+            },
+        )
+    raise ValueError("need ?ip= or ?prefix=")
+
+
+def _get_victims(request: Request) -> TransportResponse:
+    query = request.query
+    base, length = _parse_prefix(query.get("prefix", ""))
+    victims = request.service.store.victims_in_prefix(base, length)
+    return _json(
+        200,
+        {"prefix": query["prefix"], "count": len(victims), "victims": victims},
+    )
+
+
+def _get_domains(request: Request) -> TransportResponse:
+    query, store = request.query, request.service.store
+    if "domain" not in query:
+        return _json(
+            200,
+            {
+                "domains": len(store._dps),
+                "protected": store.protected_domains(),
+            },
+        )
+    status = store.domain_status(query["domain"])
+    if status is None:
+        return _json(404, {"error": f"domain not seen: {query['domain']}"})
+    return _json(200, status)
+
+
+def _get_stats(request: Request) -> TransportResponse:
+    return _json(200, request.service.stats())
+
+
+def _get_digest(request: Request) -> TransportResponse:
+    service = request.service
+    return _json(
+        200,
+        {
+            "digest": service.store.state_digest(),
+            "applied_seq": service.applied_seq,
+        },
+    )
+
+
+def _get_metrics(request: Request) -> TransportResponse:
+    return TransportResponse(
+        200,
+        request.service.metrics.render_prometheus().encode("utf-8"),
+        {"Content-Type": "text/plain; version=0.0.4"},
+    )
+
+
+def _get_metrics_history(request: Request) -> TransportResponse:
+    last = _int_param(request.query, "last")
+    return _json(
+        200,
+        request.service.history.history_doc(
+            None if last is None else max(0, last)
+        ),
+    )
+
+
+def _get_status(request: Request) -> TransportResponse:
+    return _json(200, request.service.status_doc())
+
+
+def _get_replication_status(request: Request) -> TransportResponse:
+    committed = _int_param(request.query, "committed")
+    return _json(
+        200,
+        request.service.replication_status(
+            request.query.get("follower"), committed
+        ),
+    )
+
+
+def _get_segment(request: Request) -> TransportResponse:
+    query, service = request.query, request.service
+    try:
+        first = int(query["first"])
+        offset = int(query.get("offset", 0))
+        limit = int(query.get("limit", 1 << 20))
+    except (KeyError, ValueError):
+        raise ValueError("need ?first=N&offset=M[&limit=K]") from None
+    chunk = service.wal.read_chunk(first, offset, max(1, min(limit, 8 << 20)))
+    if chunk is None:
+        # Pruned (or never existed): the follower's next status poll
+        # sees the new oldest_seq and bootstraps if it must.
+        return _json(404, {"error": f"no WAL segment starting at seq {first}"})
+    return TransportResponse(
+        200,
+        chunk,
+        {
+            "Content-Type": "application/octet-stream",
+            "X-Repro-Epoch": str(service.cluster.epoch),
+            "X-Repro-Role": service.cluster.role,
+        },
+    )
+
+
+def _get_snapshot(request: Request) -> TransportResponse:
+    loaded = request.service.snapshots.load_newest_valid()
+    if not loaded.found:
+        return _json(404, {"error": "no valid snapshot yet"})
+    return _json(200, loaded.payload)
+
+
+# -- POST ---------------------------------------------------------------------
+
+
+def _post_promote(request: Request) -> TransportResponse:
+    return _json(200, request.service.promote())
+
+
+def _post_fence(request: Request) -> TransportResponse:
+    body = _json_body(request, "JSON body required")
+    if not isinstance(body, dict):
+        raise ValueError("expected a JSON object")
+    epoch = body.get("epoch")
+    if not isinstance(epoch, int) or isinstance(epoch, bool):
+        raise ValueError('"epoch" must be an integer')
+    primary_url = body.get("primary_url")
+    if primary_url is not None and not isinstance(primary_url, str):
+        raise ValueError('"primary_url" must be a string')
+    service = request.service
+    if service.fence(epoch, primary_url):
+        return _json(
+            200,
+            {
+                "fenced": True,
+                "role": service.cluster.role,
+                "epoch": service.cluster.epoch,
+            },
+        )
+    return _json(
+        409,
+        {
+            "fenced": False,
+            "error": "stale epoch",
+            "epoch": service.cluster.epoch,
+        },
+    )
+
+
+def _ingest(request: Request, feed: str, kind: str) -> TransportResponse:
+    data = _json_body(request, "body required (JSON records)")
+    if isinstance(data, dict) and isinstance(data.get("records"), list):
+        records = data["records"]
+    elif isinstance(data, list):
+        records = data
+    else:
+        raise ValueError('expected a JSON array or {"records": [...]}')
+    result = request.service.submit(
+        feed, kind, records, trace=request.trace_id
+    )
+    response = _json(result.http_status(), result.to_dict())
+    if response.status == 503:
+        response.headers["Retry-After"] = f"{result.retry_after:g}"
+    return response
+
+
+def _post_ingest_attacks(request: Request) -> TransportResponse:
+    feed = request.query.get("feed", ATTACK_FEEDS[0])
+    if feed not in ATTACK_FEEDS:
+        raise ValueError(
+            f"unknown feed {feed!r} (feeds: {', '.join(ATTACK_FEEDS)})"
+        )
+    return _ingest(request, feed, KIND_ATTACK)
+
+
+def _post_ingest_dps(request: Request) -> TransportResponse:
+    return _ingest(request, FEED_DPS, KIND_DPS)
+
+
+#: The one route table: (method, path) -> route. A route answers a
+#: response or raises ``ValueError``, which becomes a 400 naming it.
+ROUTES: Dict[Tuple[str, str], Callable[[Request], TransportResponse]] = {
+    ("GET", "/healthz"): _get_healthz,
+    ("GET", "/summary"): _get_summary,
+    ("GET", "/attacks"): _get_attacks,
+    ("GET", "/victims"): _get_victims,
+    ("GET", "/domains"): _get_domains,
+    ("GET", "/stats"): _get_stats,
+    ("GET", "/digest"): _get_digest,
+    ("GET", "/metrics"): _get_metrics,
+    ("GET", "/metrics/history"): _get_metrics_history,
+    ("GET", "/status"): _get_status,
+    ("GET", "/replication/status"): _get_replication_status,
+    ("GET", "/replication/segment"): _get_segment,
+    ("GET", "/replication/snapshot"): _get_snapshot,
+    ("POST", "/promote"): _post_promote,
+    ("POST", "/replication/fence"): _post_fence,
+    ("POST", "/ingest/attacks"): _post_ingest_attacks,
+    ("POST", "/ingest/dps"): _post_ingest_dps,
+}
+
+
+def _route(
+    service: LiveIngestService,
+    method: str,
+    endpoint: str,
+    query_text: str,
+    headers,
+    body: bytes,
+    trace_id: str,
+) -> TransportResponse:
+    if _content_length(headers) is None or len(body) > MAX_BODY_BYTES:
+        response = _json(400, {"error": FRAMING_ERROR})
+        response.headers["Connection"] = "close"
+        return response
+    route = ROUTES.get((method, endpoint))
+    if route is None:
+        return _json(404, {"error": f"no such endpoint: {endpoint}"})
+    query = {key: values[-1] for key, values in parse_qs(query_text).items()}
+    try:
+        return route(Request(service, query, body, trace_id))
+    except ValueError as exc:
+        return _json(400, {"error": str(exc)})
+
+
+def handle(
+    service: LiveIngestService,
+    method: str,
+    target: str,
+    headers,
+    body: bytes,
+) -> TransportResponse:
+    """Answer one request: trace, span, request log, latency, route.
+
+    *target* is the request target (path plus query string); *headers*
+    is any mapping with ``get`` (``None`` for none); *body* is the whole
+    request body.
+    """
+    request_seconds = service.metrics.histogram(
+        "serve_http_request_seconds",
+        "HTTP request wall time by endpoint/method/status",
+        ("endpoint", "method", "status"),
+    )
+    parsed = urlsplit(target)
+    endpoint = parsed.path
+    incoming = headers.get(TRACE_HEADER) if headers is not None else None
+    trace_id = incoming if incoming else service.mint_trace_id()
+    started = service._clock()
+    with service.tracer.span(
+        "serve.http",
+        trace_id=trace_id,
+        endpoint=endpoint,
+        method=method,
+        node=service.node_name,
+        role=service.cluster.role,
+        epoch=service.cluster.epoch,
+    ) as span:
+        response = _route(
+            service, method, endpoint, parsed.query, headers, body, trace_id
+        )
+        span.set_attr(status=response.status)
+    duration_s = service._clock() - started
+    service.requests.record(
+        trace_id,
+        endpoint,
+        method,
+        response.status,
+        duration_s,
+        node=service.node_name,
+        role=service.cluster.role,
+    )
+    request_seconds.observe(
+        duration_s,
+        endpoint=endpoint,
+        method=method,
+        status=str(response.status),
+    )
+    response.headers[TRACE_HEADER] = trace_id
+    return response
+
+
 class ServeRequestHandler(BaseHTTPRequestHandler):
-    """Routes requests to the service; JSON in, JSON out."""
+    """Framing only: read the declared body, :func:`handle`, write."""
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
     # Buffered: handle_one_request flushes each response in one write
-    # after the handler returns, so the request-log entry _instrumented
+    # after the handler returns, so the request-log entry handle()
     # records exists before the client sees the answer, and headers and
     # body never go out as two writes, which on a keep-alive connection
     # meet Nagle plus the client's delayed ACK (~40 ms per request).
     wbufsize = -1
 
-    @property
-    def service(self) -> LiveIngestService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    # -- plumbing -------------------------------------------------------------
-
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         log.debug("http", request=format % args)
 
-    def send_response(self, code: int, message: Optional[str] = None) -> None:
-        # First (and only) place every handler passes through on its way
-        # out: remember the status for the request log and echo the
-        # trace ID so callers can correlate their request with spans.
-        self._status_code = code
-        super().send_response(code, message)
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header("X-Repro-Trace-Id", trace_id)
-
-    def _instrumented(self, method: str, route) -> None:
-        """Wrap one request in trace/span/request-log/latency plumbing."""
-        service = self.service
-        endpoint = urlparse(self.path).path
-        incoming = self.headers.get("X-Repro-Trace-Id")
-        self._trace_id = incoming if incoming else service.mint_trace_id()
-        self._status_code = 0
-        started = service._clock()
-        with service.tracer.span(
-            "serve.http",
-            trace_id=self._trace_id,
-            endpoint=endpoint,
-            method=method,
-            node=service.node_name,
-            role=service.cluster.role,
-            epoch=service.cluster.epoch,
-        ) as span:
-            route()
-            span.set_attr(status=self._status_code)
-        duration_s = service._clock() - started
-        service.requests.record(
-            self._trace_id,
-            endpoint,
-            method,
-            self._status_code,
-            duration_s,
-            node=service.node_name,
-            role=service.cluster.role,
+    def _serve(self) -> None:
+        length = _content_length(self.headers)
+        body = self.rfile.read(length) if length else b""
+        response = handle(
+            self.server.service,  # type: ignore[attr-defined]
+            self.command,
+            self.path,
+            self.headers,
+            body,
         )
-        self.server.request_seconds.observe(  # type: ignore[attr-defined]
-            duration_s,
-            endpoint=endpoint,
-            method=method,
-            status=str(self._status_code),
-        )
-
-    def _send_json(
-        self,
-        status: int,
-        body: dict,
-        retry_after: Optional[float] = None,
-        close: bool = False,
-    ) -> None:
-        payload = json.dumps(body, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        if retry_after is not None:
-            self.send_header("Retry-After", f"{retry_after:g}")
-        if close:
-            # Used when the request body was left unread: on a
-            # keep-alive connection those bytes would otherwise be
-            # parsed as the next request.
-            self.send_header("Connection", "close")
-            self.close_connection = True
+        self.send_response(response.status)
+        for name, value in response.headers.items():
+            # send_header("Connection", "close") also ends keep-alive.
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(response.data)))
         self.end_headers()
-        self.wfile.write(payload)
+        self.wfile.write(response.data)
 
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        payload = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _send_bytes(self, payload: bytes) -> None:
-        """Raw bytes with cluster headers (the WAL segment fetch path)."""
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(payload)))
-        self.send_header("X-Repro-Epoch", str(self.service.cluster.epoch))
-        self.send_header("X-Repro-Role", self.service.cluster.role)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _read_json_object(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0 or length > MAX_BODY_BYTES:
-            self._send_json(400, {"error": "JSON body required"}, close=True)
-            return None
-        try:
-            data = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self._send_json(400, {"error": "body is not valid JSON"})
-            return None
-        if not isinstance(data, dict):
-            self._send_json(400, {"error": "expected a JSON object"})
-            return None
-        return data
-
-    def _read_records(self) -> Optional[list]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0 or length > MAX_BODY_BYTES:
-            # The body (oversized, or pending with no declared length)
-            # stays unread, so this connection cannot be reused.
-            self._send_json(
-                400, {"error": "body required (JSON records)"}, close=True
-            )
-            return None
-        try:
-            data = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self._send_json(400, {"error": "body is not valid JSON"})
-            return None
-        if isinstance(data, dict) and isinstance(data.get("records"), list):
-            return data["records"]
-        if isinstance(data, list):
-            return data
-        self._send_json(
-            400, {"error": 'expected a JSON array or {"records": [...]}'}
-        )
-        return None
-
-    def _query(self) -> dict:
-        return {
-            key: values[-1]
-            for key, values in parse_qs(urlparse(self.path).query).items()
-        }
-
-    def _limit(self, query: dict, default: int = 50) -> int:
-        try:
-            return max(1, min(1000, int(query.get("limit", default))))
-        except ValueError:
-            return default
-
-    # -- GET ------------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802
-        self._instrumented("GET", self._route_get)
-
-    def _route_get(self) -> None:
-        path = urlparse(self.path).path
-        query = self._query()
-        try:
-            if path == "/healthz":
-                self._get_healthz()
-            elif path == "/summary":
-                self._send_json(200, self.service.store.summary())
-            elif path == "/attacks":
-                self._get_attacks(query)
-            elif path == "/victims":
-                base, length = _parse_prefix(query.get("prefix", ""))
-                victims = self.service.store.victims_in_prefix(base, length)
-                self._send_json(
-                    200,
-                    {
-                        "prefix": query["prefix"],
-                        "count": len(victims),
-                        "victims": victims,
-                    },
-                )
-            elif path == "/domains":
-                self._get_domains(query)
-            elif path == "/stats":
-                self._send_json(200, self.service.stats())
-            elif path == "/digest":
-                self._send_json(
-                    200,
-                    {
-                        "digest": self.service.store.state_digest(),
-                        "applied_seq": self.service._applied_seq,
-                    },
-                )
-            elif path == "/metrics":
-                self._send_text(
-                    200,
-                    self.service.metrics.render_prometheus(),
-                    "text/plain; version=0.0.4",
-                )
-            elif path == "/metrics/history":
-                self._get_metrics_history(query)
-            elif path == "/status":
-                self._send_json(200, self.service.status_doc())
-            elif path == "/replication/status":
-                self._get_replication_status(query)
-            elif path == "/replication/segment":
-                self._get_segment(query)
-            elif path == "/replication/snapshot":
-                self._get_snapshot()
-            else:
-                self._send_json(404, {"error": f"no such endpoint: {path}"})
-        except ValueError as exc:
-            self._send_json(400, {"error": str(exc)})
-
-    def _get_healthz(self) -> None:
-        service = self.service
-        seg_count, wal_bytes = service._update_wal_gauges()
-        self._send_json(
-            200,
-            {
-                "ok": True,
-                "draining": service._draining.is_set(),
-                "degraded": service.degraded,
-                "role": service.cluster.role,
-                "epoch": service.cluster.epoch,
-                "primary_url": service.cluster.primary_url,
-                "wal_segments": seg_count,
-                "wal_bytes": wal_bytes,
-                "snapshot_age_s": round(
-                    service._clock() - service._last_snapshot_at, 3
-                ),
-            },
-        )
-
-    def _get_metrics_history(self, query: dict) -> None:
-        last: Optional[int] = None
-        if "last" in query:
-            try:
-                last = max(0, int(query["last"]))
-            except ValueError:
-                raise ValueError("?last= must be an integer")
-        self._send_json(200, self.service.history.history_doc(last))
-
-    def _get_attacks(self, query: dict) -> None:
-        limit = self._limit(query)
-        if "ip" in query:
-            victim = parse_ipv4(query["ip"])
-            events = self.service.store.events_for_ip(victim, limit=limit)
-            self._send_json(
-                200, {"ip": query["ip"], "count": len(events), "events": events}
-            )
-        elif "prefix" in query:
-            base, length = _parse_prefix(query["prefix"])
-            events = self.service.store.events_for_prefix(
-                base, length, limit=limit
-            )
-            self._send_json(
-                200,
-                {
-                    "prefix": query["prefix"],
-                    "count": len(events),
-                    "events": events,
-                },
-            )
-        else:
-            raise ValueError("need ?ip= or ?prefix=")
-
-    def _get_domains(self, query: dict) -> None:
-        store = self.service.store
-        if "domain" in query:
-            status = store.domain_status(query["domain"])
-            if status is None:
-                self._send_json(
-                    404, {"error": f"domain not seen: {query['domain']}"}
-                )
-            else:
-                self._send_json(200, status)
-        else:
-            self._send_json(
-                200,
-                {
-                    "domains": len(store._dps),
-                    "protected": store.protected_domains(),
-                },
-            )
-
-    # -- replication ----------------------------------------------------------
-
-    def _get_replication_status(self, query: dict) -> None:
-        follower = query.get("follower")
-        committed: Optional[int] = None
-        if "committed" in query:
-            try:
-                committed = int(query["committed"])
-            except ValueError:
-                raise ValueError("?committed= must be an integer")
-        self._send_json(
-            200, self.service.replication_status(follower, committed)
-        )
-
-    def _get_segment(self, query: dict) -> None:
-        try:
-            first = int(query["first"])
-            offset = int(query.get("offset", 0))
-            limit = int(query.get("limit", 1 << 20))
-        except (KeyError, ValueError):
-            raise ValueError("need ?first=N&offset=M[&limit=K]")
-        limit = max(1, min(limit, 8 << 20))
-        chunk = self.service.wal.read_chunk(first, offset, limit)
-        if chunk is None:
-            # Pruned (or never existed): the follower's next status poll
-            # sees the new oldest_seq and bootstraps if it must.
-            self._send_json(
-                404, {"error": f"no WAL segment starting at seq {first}"}
-            )
-            return
-        self._send_bytes(chunk)
-
-    def _get_snapshot(self) -> None:
-        loaded = self.service.snapshots.load_newest_valid()
-        if not loaded.found:
-            self._send_json(404, {"error": "no valid snapshot yet"})
-            return
-        self._send_json(200, loaded.payload)
-
-    # -- POST -----------------------------------------------------------------
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._instrumented("POST", self._route_post)
-
-    def _route_post(self) -> None:
-        path = urlparse(self.path).path
-        query = self._query()
-        if path == "/promote":
-            self._send_json(200, self.service.promote())
-        elif path == "/replication/fence":
-            self._post_fence()
-        elif path == "/ingest/attacks":
-            feed = query.get("feed", ATTACK_FEEDS[0])
-            if feed not in ATTACK_FEEDS:
-                self._send_json(
-                    400,
-                    {
-                        "error": f"unknown feed {feed!r} "
-                        f"(feeds: {', '.join(ATTACK_FEEDS)})"
-                    },
-                )
-                return
-            self._ingest(feed, KIND_ATTACK)
-        elif path == "/ingest/dps":
-            self._ingest(FEED_DPS, KIND_DPS)
-        else:
-            self._send_json(404, {"error": f"no such endpoint: {path}"})
-
-    def _post_fence(self) -> None:
-        body = self._read_json_object()
-        if body is None:
-            return
-        epoch = body.get("epoch")
-        if not isinstance(epoch, int) or isinstance(epoch, bool):
-            self._send_json(400, {"error": '"epoch" must be an integer'})
-            return
-        primary_url = body.get("primary_url")
-        if primary_url is not None and not isinstance(primary_url, str):
-            self._send_json(400, {"error": '"primary_url" must be a string'})
-            return
-        if self.service.fence(epoch, primary_url):
-            self._send_json(
-                200,
-                {
-                    "fenced": True,
-                    "role": self.service.cluster.role,
-                    "epoch": self.service.cluster.epoch,
-                },
-            )
-        else:
-            self._send_json(
-                409,
-                {
-                    "fenced": False,
-                    "error": "stale epoch",
-                    "epoch": self.service.cluster.epoch,
-                },
-            )
-
-    def _ingest(self, feed: str, kind: str) -> None:
-        records = self._read_records()
-        if records is None:
-            return
-        result = self.service.submit(feed, kind, records, trace=self._trace_id)
-        status = result.http_status()
-        self._send_json(
-            status,
-            result.to_dict(),
-            retry_after=result.retry_after if status == 503 else None,
-        )
+    do_GET = do_POST = _serve  # noqa: N815
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -507,11 +548,6 @@ class ServeHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, service: LiveIngestService) -> None:
         super().__init__(address, ServeRequestHandler)
         self.service = service
-        self.request_seconds = service.metrics.histogram(
-            "serve_http_request_seconds",
-            "HTTP request wall time by endpoint/method/status",
-            ("endpoint", "method", "status"),
-        )
 
 
 def write_endpoint_file(
@@ -604,8 +640,11 @@ def run_service(
 
 __all__ = [
     "ENDPOINT_FILE",
+    "MAX_BODY_BYTES",
+    "ROUTES",
     "ServeHTTPServer",
     "ServeRequestHandler",
+    "handle",
     "read_endpoint_file",
     "run_service",
     "write_endpoint_file",

@@ -612,7 +612,6 @@ class WalShipper:
             if not isinstance(seq, int) or not isinstance(state, dict):
                 raise ReplicationError("bootstrap snapshot payload malformed")
             self.service.bootstrap_from_snapshot(seq, state)
-        self.committed_seq = seq
         self._buffers.clear()
         self._fetched.clear()
         self._stable_offsets.clear()
@@ -622,6 +621,10 @@ class WalShipper:
         self._max_parsed_seq = seq
         self.bootstraps += 1
         self._m_bootstraps.inc()
+        # The cursor moves last: a reader on another thread that sees
+        # committed_seq at seq also sees the bootstrap counted (the
+        # service published its applied_seq inside the call above).
+        self.committed_seq = seq
         self._cursor_dirty = True
         log.info(
             "bootstrapped from primary snapshot",

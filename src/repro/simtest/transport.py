@@ -9,213 +9,22 @@ through the same code path they use against real HTTP — except the
 deliveries, serve a stale cached reply (reordering; stale epochs), add
 latency on the simulated clock, and enforce partitions.
 
-:func:`dispatch` mirrors the :mod:`repro.serve.http` handler mapping for
-the endpoints the shipper and client exercise, minus the socket layer:
-same paths, same status codes, same JSON bodies.
+A delivered request is answered by :func:`repro.serve.http.handle`, the
+production router the HTTP handler calls too: the simulation checks
+the request path that ships. This module keeps only the network: the
+fault schedule, the partitions and the reply cache.
 """
 
 from __future__ import annotations
 
-import json
-import urllib.parse
+import random
 from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
 
-import random
-
-from repro.serve.admission import SubmitResult
+from repro.serve.http import handle
 from repro.serve.transport import TransportError, TransportResponse
-from repro.serve.wal import KIND_ATTACK, KIND_DPS
 from repro.simtest.clock import SimClock
 
 SCHEME = "sim://"
-
-
-def _json_response(status: int, body: dict,
-                   retry_after: Optional[float] = None) -> TransportResponse:
-    headers = {"Content-Type": "application/json"}
-    if retry_after is not None:
-        headers["Retry-After"] = f"{retry_after:g}"
-    return TransportResponse(
-        status=status,
-        data=json.dumps(body, sort_keys=True).encode("utf-8"),
-        headers=headers,
-    )
-
-
-def _parse_records(body: Optional[bytes]):
-    if not body:
-        return None
-    try:
-        data = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if isinstance(data, dict) and isinstance(data.get("records"), list):
-        return data["records"]
-    if isinstance(data, list):
-        return data
-    return None
-
-
-def _ingest_response(result: SubmitResult) -> TransportResponse:
-    status = result.http_status()
-    return _json_response(
-        status,
-        result.to_dict(),
-        retry_after=result.retry_after if status == 503 else None,
-    )
-
-
-def dispatch(service, method: str, path: str,
-             body: Optional[bytes] = None,
-             headers=None) -> TransportResponse:
-    """Route one request to a live service object, http.py-compatibly.
-
-    Mirrors the real handler's flight-recorder plumbing too: an incoming
-    ``X-Repro-Trace-Id`` is honored (else the node mints one,
-    deterministically — node name + counter), the request lands in the
-    service's bounded request log, a ``serve.http`` span wraps the
-    route, and the trace ID is echoed in the response headers.
-    """
-    parsed = urllib.parse.urlsplit(path)
-    route = parsed.path
-    query = {
-        key: values[-1]
-        for key, values in urllib.parse.parse_qs(parsed.query).items()
-    }
-    trace = None
-    if headers:
-        trace = headers.get("X-Repro-Trace-Id")
-    if not trace:
-        trace = service.mint_trace_id()
-    started = service._clock()
-    with service.tracer.span(
-        "serve.http",
-        trace_id=trace,
-        endpoint=route,
-        method=method,
-        node=service.node_name,
-        role=service.cluster.role,
-        epoch=service.cluster.epoch,
-    ) as span:
-        response = _route(service, method, route, query, body, trace)
-        span.set_attr(status=response.status)
-    service.requests.record(
-        trace, route, method, response.status,
-        max(0.0, service._clock() - started),
-        node=service.node_name, role=service.cluster.role,
-    )
-    response.headers["X-Repro-Trace-Id"] = trace
-    return response
-
-
-def _route(service, method: str, route: str, query: dict,
-           body: Optional[bytes], trace: str) -> TransportResponse:
-    if method == "GET":
-        if route == "/healthz":
-            seg_count, wal_bytes = service._update_wal_gauges()
-            return _json_response(200, {
-                "ok": True,
-                "draining": service._draining.is_set(),
-                "degraded": service.degraded,
-                "role": service.cluster.role,
-                "epoch": service.cluster.epoch,
-                "primary_url": service.cluster.primary_url,
-                "wal_segments": seg_count,
-                "wal_bytes": wal_bytes,
-                "snapshot_age_s": round(
-                    service._clock() - service._last_snapshot_at, 3
-                ),
-            })
-        if route == "/status":
-            return _json_response(200, service.status_doc())
-        if route == "/metrics/history":
-            last = None
-            if "last" in query:
-                try:
-                    last = max(0, int(query["last"]))
-                except ValueError:
-                    return _json_response(
-                        400, {"error": "?last= must be an integer"}
-                    )
-            return _json_response(200, service.history.history_doc(last))
-        if route == "/stats":
-            return _json_response(200, service.stats())
-        if route == "/digest":
-            return _json_response(200, {
-                "digest": service.store.state_digest(),
-                "applied_seq": service.applied_seq,
-            })
-        if route == "/replication/status":
-            committed = None
-            if "committed" in query:
-                try:
-                    committed = int(query["committed"])
-                except ValueError:
-                    return _json_response(
-                        400, {"error": "?committed= must be an integer"}
-                    )
-            return _json_response(200, service.replication_status(
-                query.get("follower"), committed
-            ))
-        if route == "/replication/segment":
-            try:
-                first = int(query["first"])
-                offset = int(query.get("offset", 0))
-                limit = int(query.get("limit", 1 << 20))
-            except (KeyError, ValueError):
-                return _json_response(
-                    400, {"error": "need ?first=N&offset=M[&limit=K]"}
-                )
-            chunk = service.wal.read_chunk(first, offset, max(1, limit))
-            if chunk is None:
-                return _json_response(404, {
-                    "error": f"no WAL segment starting at seq {first}"
-                })
-            return TransportResponse(
-                status=200, data=chunk,
-                headers={"Content-Type": "application/octet-stream"},
-            )
-        if route == "/replication/snapshot":
-            loaded = service.snapshots.load_newest_valid()
-            if not loaded.found:
-                return _json_response(404, {"error": "no valid snapshot yet"})
-            return _json_response(200, loaded.payload)
-        return _json_response(404, {"error": f"no such endpoint: {route}"})
-    if method == "POST":
-        if route == "/promote":
-            return _json_response(200, service.promote())
-        if route == "/replication/fence":
-            data = json.loads((body or b"{}").decode("utf-8"))
-            epoch = data.get("epoch")
-            if not isinstance(epoch, int) or isinstance(epoch, bool):
-                return _json_response(
-                    400, {"error": '"epoch" must be an integer'}
-                )
-            if service.fence(epoch, data.get("primary_url")):
-                return _json_response(200, {
-                    "fenced": True,
-                    "role": service.cluster.role,
-                    "epoch": service.cluster.epoch,
-                })
-            return _json_response(409, {
-                "fenced": False,
-                "error": "stale epoch",
-                "epoch": service.cluster.epoch,
-            })
-        if route in ("/ingest/attacks", "/ingest/dps"):
-            records = _parse_records(body)
-            if records is None:
-                return _json_response(
-                    400, {"error": "body required (JSON records)"}
-                )
-            if route == "/ingest/dps":
-                feed, kind = "dps", KIND_DPS
-            else:
-                feed, kind = query.get("feed", "telescope"), KIND_ATTACK
-            result = service.submit(feed, kind, records, trace=trace)
-            return _ingest_response(result)
-        return _json_response(404, {"error": f"no such endpoint: {route}"})
-    return _json_response(405, {"error": f"method {method} not supported"})
 
 
 class _BoundTransport:
@@ -251,7 +60,7 @@ class SimTransport:
         self.exchanges = 0
         self.faults: Dict[str, int] = {}
         #: Observer called as ``on_response(target, method, path,
-        #: response)`` after every *delivered* dispatch (duplicates
+        #: response)`` after every *delivered* request (duplicates
         #: included) — the harness hooks its write-attribution oracle
         #: here, since every accepted write crosses this chokepoint.
         self.on_response: Optional[Callable] = None
@@ -345,14 +154,14 @@ class SimTransport:
             # instead of a fresh one — reordering, stale epochs included.
             self._count("stale_reply")
             return self._reply_cache[cache_key]
-        response = dispatch(service, method, path, body, headers)
+        response = handle(service, method, path, headers, body or b"")
         if self.on_response is not None:
             self.on_response(target, method, path, response)
         if duplicate:
             # The request was delivered twice; the second delivery's
             # side effects happen, the second response wins.
             self._count("duplicate")
-            response = dispatch(service, method, path, body, headers)
+            response = handle(service, method, path, headers, body or b"")
             if self.on_response is not None:
                 self.on_response(target, method, path, response)
         self._reply_cache[cache_key] = response
@@ -365,4 +174,4 @@ class SimTransport:
         return response
 
 
-__all__ = ["SCHEME", "SimTransport", "dispatch"]
+__all__ = ["SCHEME", "SimTransport"]

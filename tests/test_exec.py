@@ -3,16 +3,13 @@
 Covers the worker pool (result ordering, error capture, the watchdog
 killing hung workers, crash reporting), the per-feed circuit breaker's
 closed → open → half-open life cycle under an injected clock, the
-run-level deadline, execution-fault plans, and the bounded
-streaming-fusion hand-off (backpressure).
+run-level deadline and execution-fault plans.
 """
 
 import time
 
 import pytest
 
-from repro.core.events import AttackEvent, SOURCE_TELESCOPE
-from repro.core.streaming import BoundedStreamingFusion, StreamingFusion
 from repro.exec.breaker import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -312,60 +309,3 @@ class TestExecFaultPlan:
         plan = ExecFaultPlan.parse(("hung:honeypot",))
         assert "hung" in plan.describe()
         assert "honeypot" in plan.describe()
-
-
-# -- bounded streaming fusion -------------------------------------------------
-
-
-def _event(ts: float, target: int) -> AttackEvent:
-    return AttackEvent(
-        source=SOURCE_TELESCOPE,
-        target=target,
-        start_ts=ts,
-        end_ts=ts + 60.0,
-        intensity=100.0,
-    )
-
-
-class TestBoundedStreamingFusion:
-    def test_matches_unbounded_fusion(self):
-        events = [_event(i * 3600.0, 1000 + i) for i in range(50)]
-        plain = StreamingFusion()
-        for event in events:
-            plain.ingest(event)
-        plain.finish()
-
-        bounded = BoundedStreamingFusion(maxsize=4)
-        bounded.ingest_many(events)
-        fused = bounded.close()
-        assert fused.running_summary() == plain.running_summary()
-        assert len(fused.summaries) == len(plain.summaries)
-
-    def test_backpressure_is_observable(self):
-        bounded = BoundedStreamingFusion(maxsize=1)
-        bounded.ingest_many(
-            _event(i * 60.0, 2000 + i) for i in range(200)
-        )
-        bounded.close()
-        # With a one-slot queue and a consumer doing real work, some puts
-        # must have found the queue full; memory stayed at maxsize.
-        assert bounded.blocked_puts > 0
-        assert bounded.depth == 0
-
-    def test_consumer_error_reaches_producer(self):
-        bounded = BoundedStreamingFusion(maxsize=8)
-        bounded.ingest(_event(10 * 86400.0, 1))
-        with pytest.raises(ValueError, match="out of order"):
-            # Two days backwards: beyond the fusion's disorder tolerance.
-            bounded.ingest(_event(8 * 86400.0 - 1.0, 2))
-            bounded.close()
-
-    def test_ingest_after_close_rejected(self):
-        bounded = BoundedStreamingFusion(maxsize=2)
-        bounded.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            bounded.ingest(_event(0.0, 1))
-
-    def test_rejects_zero_bound(self):
-        with pytest.raises(ValueError):
-            BoundedStreamingFusion(maxsize=0)

@@ -376,7 +376,12 @@ def test_late_follower_bootstraps_from_snapshot(tmp_path):
         )
         follower.start()
         try:
-            wait_until(lambda: follower.applied_seq >= primary.applied_seq)
+            # Wait on the shipper's cursor, not the service's applied_seq:
+            # a bootstrap publishes applied_seq before the shipper has
+            # counted it, and the cursor is the shipper's last step.
+            wait_until(
+                lambda: follower.shipper.committed_seq >= primary.applied_seq
+            )
             assert follower.shipper.bootstraps >= 1
             assert (
                 follower.store.state_digest() == primary.store.state_digest()

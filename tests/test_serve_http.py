@@ -9,6 +9,7 @@ the recovered digest matches.
 
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -18,7 +19,11 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.chaos import run_kill9_recover
-from repro.serve.http import ServeHTTPServer, read_endpoint_file
+from repro.serve.http import (
+    MAX_BODY_BYTES,
+    ServeHTTPServer,
+    read_endpoint_file,
+)
 from repro.serve.service import LiveIngestService, ServeConfig
 from repro.serve.wal import KIND_ATTACK
 
@@ -72,6 +77,36 @@ def post(port, path, body, raw=False):
             return response.status, json.loads(response.read()), response
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read()), error
+
+
+def raw_exchange(port, data):
+    """Send raw bytes on one connection and read until the server closes.
+
+    Returns ``(status, headers, body)`` for every response, in order;
+    header names are lower-cased.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    responses = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers.get("content-length", 0))
+        responses.append(
+            (int(status_line.split()[1]), headers, rest[:length])
+        )
+        received = rest[length:]
+    return responses
 
 
 class TestIngestAndQuery:
@@ -302,3 +337,78 @@ class TestFlightRecorderEndpoints:
         assert "# TYPE serve_http_request_seconds histogram" in text
         assert 'endpoint="/healthz"' in text
         assert 'method="GET"' in text and 'status="200"' in text
+
+
+class TestFraming:
+    """Raw-socket requests whose body framing is missing or broken."""
+
+    @pytest.mark.parametrize(
+        "length", ["abc", "-1", str(MAX_BODY_BYTES + 1), "1_0"]
+    )
+    def test_bad_content_length_answers_400_and_closes(self, served, length):
+        service, port = served
+        responses = raw_exchange(
+            port,
+            b"POST /ingest/attacks HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + length.encode() + b"\r\n\r\n[]",
+        )
+        assert len(responses) == 1
+        status, headers, body = responses[0]
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert "Content-Length" in json.loads(body)["error"]
+        entry = service.requests.recent()[-1]
+        assert entry["endpoint"] == "/ingest/attacks"
+        assert entry["status"] == 400
+        # The server itself is fine: a fresh connection is served.
+        status, _body, _r = get(port, "/healthz")
+        assert status == 200
+
+    def test_chunked_body_answers_400_and_closes(self, served):
+        _service, port = served
+        responses = raw_exchange(
+            port,
+            b"POST /promote HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+        )
+        assert [(status, headers["connection"])
+                for status, headers, _body in responses] == [(400, "close")]
+
+    @pytest.mark.parametrize("path", ["/promote", "/no/such"])
+    def test_unread_body_is_not_parsed_as_the_next_request(
+        self, served, path
+    ):
+        _service, port = served
+        responses = raw_exchange(
+            port,
+            b"POST " + path.encode() + b" HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 5\r\n\r\nhello"
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+            b"Connection: close\r\n\r\n",
+        )
+        assert len(responses) == 2
+        assert responses[0][0] == (200 if path == "/promote" else 404)
+        status, _headers, body = responses[1]
+        assert status == 200 and json.loads(body)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "path,error",
+        [
+            ("/ingest/attacks", "body required (JSON records)"),
+            ("/ingest/dps", "body required (JSON records)"),
+            ("/replication/fence", "JSON body required"),
+        ],
+    )
+    def test_post_without_content_length_has_an_empty_body(
+        self, served, path, error
+    ):
+        _service, port = served
+        responses = raw_exchange(
+            port,
+            b"POST " + path.encode() + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+            b"Connection: close\r\n\r\n",
+        )
+        assert [status for status, _h, _b in responses] == [400, 200]
+        assert json.loads(responses[0][2]) == {"error": error}
+        assert "connection" not in responses[0][1]
