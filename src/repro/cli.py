@@ -224,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--run-dir", type=Path, default=None, metavar="DIR",
         help="flight report: summarize a finished run's telemetry "
-             "artifacts (stages, retries, breaker trips, kills, drops)",
+             "artifacts (stages, retries, kills, drops)",
     )
 
     subparsers.add_parser("headline", help="print the headline ratios")

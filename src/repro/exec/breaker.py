@@ -1,10 +1,10 @@
 """Per-feed circuit breakers: stop hammering a feed that keeps failing.
 
-Retry-with-backoff (PR 1) is the right reflex for a transient fault and
-the wrong one for a persistent outage: every retry of a down feed burns
-a full attempt's wall time, and with deadlines attached (this PR) that
-means paying the whole deadline per retry. A :class:`CircuitBreaker`
-caps the damage with the classic three states:
+Retry-with-backoff is the right reflex for a transient fault and the
+wrong one for a persistent outage. The live service keeps one
+:class:`CircuitBreaker` per feed, shared across requests, so a feed
+whose records keep failing to apply is refused outright for a while
+instead of charging every request. The classic three states:
 
 * **closed** — healthy; failures are counted;
 * **open** — ``failure_threshold`` consecutive failures tripped it;
@@ -15,16 +15,16 @@ caps the damage with the classic three states:
   for another cooldown.
 
 The clock is injectable so state transitions are unit-testable without
-sleeping, and every transition is recorded without wall-clock content so
-a :class:`~repro.pipeline.quality.DataQualityReport` carrying breaker
-history renders deterministically.
+sleeping, and every transition is recorded without wall-clock content
+(and counted in the ``breaker_*`` metric series the flight report
+renders).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.log import get_logger
 from repro.obs.metrics import get_registry
@@ -48,63 +48,6 @@ class BreakerTransition:
     from_state: str
     to_state: str
     reason: str
-
-    def to_dict(self) -> dict:
-        return {
-            "from_state": self.from_state,
-            "to_state": self.to_state,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BreakerTransition":
-        return cls(
-            from_state=data["from_state"],
-            to_state=data["to_state"],
-            reason=data["reason"],
-        )
-
-
-@dataclass(frozen=True)
-class BreakerReport:
-    """Summary of one breaker's life over a run, for the quality report."""
-
-    name: str
-    state: str
-    failures_seen: int
-    refusals: int
-    transitions: Tuple[BreakerTransition, ...] = ()
-
-    def describe(self) -> str:
-        path = " -> ".join(
-            [BREAKER_CLOSED] + [t.to_state for t in self.transitions]
-        )
-        return (
-            f"{self.name}: {self.state} ({self.failures_seen} failure(s), "
-            f"{self.refusals} refused attempt(s); {path})"
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "state": self.state,
-            "failures_seen": self.failures_seen,
-            "refusals": self.refusals,
-            "transitions": [t.to_dict() for t in self.transitions],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BreakerReport":
-        return cls(
-            name=data["name"],
-            state=data["state"],
-            failures_seen=data["failures_seen"],
-            refusals=data["refusals"],
-            transitions=tuple(
-                BreakerTransition.from_dict(t)
-                for t in data.get("transitions", ())
-            ),
-        )
 
 
 class CircuitBreaker:
@@ -220,22 +163,12 @@ class CircuitBreaker:
         )
         self._state = to_state
 
-    def report(self) -> BreakerReport:
-        return BreakerReport(
-            name=self.name,
-            state=self._state,
-            failures_seen=self.failures_seen,
-            refusals=self.refusals,
-            transitions=tuple(self.transitions),
-        )
-
 
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "BREAKER_STATE_CODES",
-    "BreakerReport",
     "BreakerTransition",
     "CircuitBreaker",
 ]

@@ -1,64 +1,48 @@
-"""A worker pool that assumes its workers will misbehave.
+"""A fork watchdog that assumes its task will misbehave.
 
-``SupervisedPool`` runs tasks under a watchdog instead of trusting them:
+``SupervisedPool`` runs one task at a time in a forked child under a
+watchdog instead of trusting it:
 
-* every task carries a **deadline**; a worker still running past it is
-  killed (fork mode) or abandoned (thread mode) and the task reported as
-  ``deadline`` instead of blocking the run forever;
-* fork workers send a **heartbeat** the moment they start; a worker that
-  never heartbeats within ``start_timeout`` is hung at spawn and killed;
-* a worker that dies without delivering a result (``os._exit``, signal,
+* every task carries a **deadline**; a child still running past it is
+  killed and the task reported as ``deadline`` instead of blocking the
+  run forever;
+* the child sends a **heartbeat** the moment it starts; one that never
+  heartbeats within :data:`START_TIMEOUT` is hung at spawn and killed;
+* a child that dies without delivering a result (``os._exit``, signal,
   OOM kill) is reported as ``crashed``, with its exit code;
 * an exception inside the task is reported as ``error`` with the message
   — never re-raised across the process boundary.
 
-Fork mode is the default where available (Linux/macOS ``fork``): the
-child inherits the parent's memory, so closures over large pipeline
+The child inherits the parent's memory, so closures over large pipeline
 objects cost nothing to dispatch, and only the (small) result is pickled
-back through a pipe. Thread mode is the portable fallback; hung threads
-cannot be killed, only abandoned, which the outcome records honestly.
-Serial mode runs tasks inline with no preemption.
+back through a pipe.
 
-The pipeline runner uses one single-worker pool, and only when a task
-deadline is armed: each victim partition's telescope or honeypot
-detection, and the DNS measurement, becomes one watched task, so a hung
-task is killed at its deadline and its stage retried. A semaphore caps in-flight workers across concurrent
-:meth:`SupervisedPool.run` callers.
+The pipeline runner uses the pool only when a task deadline is armed:
+each victim partition's telescope or honeypot detection, and the DNS
+measurement, becomes one watched task, so a hung task is killed at its
+deadline and its stage retried.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from repro.log import get_logger
 from repro.obs.metrics import get_registry
 
-MODE_AUTO = "auto"
-MODE_FORK = "fork"
-MODE_THREAD = "thread"
-MODE_SERIAL = "serial"
-ALL_MODES = (MODE_AUTO, MODE_FORK, MODE_THREAD, MODE_SERIAL)
-
 STATUS_OK = "ok"
 STATUS_ERROR = "error"  # task raised; message captured
-STATUS_DEADLINE = "deadline"  # hung past its deadline; killed/abandoned
+STATUS_DEADLINE = "deadline"  # hung past its deadline; killed
 STATUS_CRASHED = "crashed"  # worker died without delivering a result
 
-
-def resolve_mode(mode: str) -> str:
-    """Resolve ``auto`` to the best supported mode on this platform."""
-    if mode not in ALL_MODES:
-        raise ValueError(f"unknown pool mode: {mode!r} (modes: {ALL_MODES})")
-    if mode != MODE_AUTO:
-        return mode
-    if "fork" in multiprocessing.get_all_start_methods():
-        return MODE_FORK
-    return MODE_THREAD
+#: Seconds between the watchdog's checks on a running child.
+POLL_INTERVAL = 0.01
+#: Seconds a child may take to send its first heartbeat.
+START_TIMEOUT = 30.0
 
 
 @dataclass(frozen=True)
@@ -127,13 +111,13 @@ class _ForkWorker:
             )
         return None
 
-    def expired(self, start_timeout: float) -> Optional[str]:
+    def expired(self) -> Optional[str]:
         """Why the watchdog should kill this worker now, if it should."""
         elapsed = time.monotonic() - self.started_at
         if self.spec.deadline is not None and elapsed > self.spec.deadline:
             return f"deadline ({self.spec.deadline:.1f}s) exceeded"
-        if not self.heartbeat_seen and elapsed > start_timeout:
-            return f"no heartbeat within {start_timeout:.1f}s of spawn"
+        if not self.heartbeat_seen and elapsed > START_TIMEOUT:
+            return f"no heartbeat within {START_TIMEOUT:.1f}s of spawn"
         return None
 
     def kill(self, reason: str) -> TaskOutcome:
@@ -175,78 +159,10 @@ def _fork_entry(conn, fn) -> None:
         os._exit(0)
 
 
-@dataclass
-class _ThreadWorker:
-    """One daemon thread computing one task (abandonable, not killable)."""
-
-    spec: TaskSpec
-    started_at: float = field(default_factory=time.monotonic)
-    result: Dict[str, Any] = field(default_factory=dict)
-    thread: Optional[threading.Thread] = None
-
-    def start(self) -> "_ThreadWorker":
-        def _run() -> None:
-            try:
-                self.result["outcome"] = (STATUS_OK, self.spec.fn(), None)
-            except BaseException as exc:  # noqa: BLE001
-                self.result["outcome"] = (
-                    STATUS_ERROR, None, f"{type(exc).__name__}: {exc}"
-                )
-
-        self.thread = threading.Thread(
-            target=_run, name=f"repro-exec-{self.spec.name}", daemon=True
-        )
-        self.thread.start()
-        return self
-
-    def poll(self) -> Optional[TaskOutcome]:
-        if "outcome" in self.result:
-            status, value, error = self.result["outcome"]
-            return TaskOutcome(
-                self.spec.name, status, value=value, error=error,
-                elapsed=time.monotonic() - self.started_at,
-            )
-        return None
-
-    def expired(self, start_timeout: float) -> Optional[str]:
-        elapsed = time.monotonic() - self.started_at
-        if self.spec.deadline is not None and elapsed > self.spec.deadline:
-            return f"deadline ({self.spec.deadline:.1f}s) exceeded"
-        return None
-
-    def kill(self, reason: str) -> TaskOutcome:
-        # Threads cannot be killed; the daemon thread is abandoned and its
-        # eventual result (if any) discarded. The outcome says so.
-        return TaskOutcome(
-            self.spec.name,
-            STATUS_DEADLINE,
-            error=f"abandoned (threads cannot be killed): {reason}",
-            elapsed=time.monotonic() - self.started_at,
-        )
-
-
 class SupervisedPool:
-    """Deadline-enforcing worker pool."""
+    """Deadline-enforcing fork watchdog, one task at a time."""
 
-    def __init__(
-        self,
-        max_workers: int = 1,
-        mode: str = MODE_AUTO,
-        poll_interval: float = 0.01,
-        start_timeout: float = 30.0,
-        metrics: Optional[Any] = None,
-    ) -> None:
-        if max_workers < 1:
-            raise ValueError("need at least one worker")
-        self.max_workers = max_workers
-        self.mode = resolve_mode(mode)
-        self.poll_interval = poll_interval
-        self.start_timeout = start_timeout
-        # Caps in-flight workers across concurrent run() callers.
-        self._slots = threading.Semaphore(max_workers)
-        # Serializing spawns keeps a forked child's inherited state
-        # coherent when several threads share the pool.
-        self._spawn_lock = threading.Lock()
+    def __init__(self, metrics: Optional[Any] = None) -> None:
         self._log = get_logger("exec")
         registry = metrics if metrics is not None else get_registry()
         self._m_queued = registry.counter(
@@ -262,7 +178,7 @@ class SupervisedPool:
         )
         self._m_killed = registry.counter(
             "exec_workers_killed_total",
-            "workers killed/abandoned by the watchdog",
+            "workers killed by the watchdog",
         )
         self._m_heartbeats = registry.counter(
             "exec_worker_heartbeats_total",
@@ -275,105 +191,52 @@ class SupervisedPool:
             "exec_task_seconds", "task wall time by status", ("status",)
         )
 
-    def run(self, tasks: Sequence[TaskSpec]) -> List[TaskOutcome]:
-        """Run tasks under supervision; outcomes in task order."""
-        self._m_queued.inc(len(tasks))
-        if self.mode == MODE_SERIAL:
-            return [self._run_inline(spec) for spec in tasks]
-        outcomes: Dict[int, TaskOutcome] = {}
-        pending = list(enumerate(tasks))
-        active: Dict[int, Any] = {}
+    def run(self, spec: TaskSpec) -> TaskOutcome:
+        """Run one task in a watched fork child; never raises its error."""
+        self._m_queued.inc()
+        worker = _ForkWorker(spec)
+        self._m_started.inc()
+        self._m_inflight.inc()
+        outcome: Optional[TaskOutcome] = None
+        heartbeat_counted = False
         try:
-            while pending or active:
-                while pending and self._slots.acquire(blocking=not active):
-                    index, spec = pending.pop(0)
-                    active[index] = self._spawn(spec)
-                    self._m_started.inc()
-                    self._m_inflight.inc()
-                finished = []
-                for index, worker in active.items():
-                    outcome = worker.poll()
-                    if (
-                        getattr(worker, "heartbeat_seen", False)
-                        and not getattr(worker, "_hb_counted", False)
-                    ):
-                        worker._hb_counted = True
-                        self._m_heartbeats.inc()
-                    if outcome is None:
-                        reason = worker.expired(self.start_timeout)
-                        if reason is not None:
-                            outcome = worker.kill(reason)
-                            self._m_killed.inc()
-                            self._log.warning(
-                                "hung worker killed",
-                                task=worker.spec.name,
-                                reason=reason,
-                            )
-                    if outcome is not None:
-                        finished.append(index)
-                        outcomes[index] = outcome
-                        self._slots.release()
-                        self._m_inflight.dec()
-                        self._record_outcome(outcome)
-                        if not outcome.ok:
-                            self._log.warning(
-                                "task failed",
-                                task=outcome.name,
-                                status=outcome.status,
-                                error=outcome.error,
-                            )
-                for index in finished:
-                    del active[index]
-                if active and not finished:
-                    time.sleep(self.poll_interval)
+            while outcome is None:
+                outcome = worker.poll()
+                if worker.heartbeat_seen and not heartbeat_counted:
+                    heartbeat_counted = True
+                    self._m_heartbeats.inc()
+                if outcome is None:
+                    reason = worker.expired()
+                    if reason is not None:
+                        outcome = self._kill(worker, reason)
+                    else:
+                        time.sleep(POLL_INTERVAL)
         finally:
-            for worker in active.values():  # unwind on error paths only
-                worker.kill("pool shutting down")
-                self._slots.release()
-                self._m_inflight.dec()
-                self._m_killed.inc()
-        return [outcomes[index] for index in range(len(tasks))]
-
-    def _record_outcome(self, outcome: TaskOutcome) -> None:
+            self._m_inflight.dec()
+            if outcome is None:  # unwinding on an error path
+                self._kill(worker, "pool shutting down")
         self._m_outcomes.inc(status=outcome.status)
         self._m_task_seconds.observe(outcome.elapsed, status=outcome.status)
-
-    def _spawn(self, spec: TaskSpec):
-        with self._spawn_lock:
-            if self.mode == MODE_FORK:
-                return _ForkWorker(spec)
-            return _ThreadWorker(spec).start()
-
-    def _run_inline(self, spec: TaskSpec) -> TaskOutcome:
-        start = time.monotonic()
-        self._m_started.inc()
-        try:
-            value = spec.fn()
-        except KeyboardInterrupt:
-            raise
-        except BaseException as exc:  # noqa: BLE001
-            outcome = TaskOutcome(
-                spec.name,
-                STATUS_ERROR,
-                error=f"{type(exc).__name__}: {exc}",
-                elapsed=time.monotonic() - start,
+        if not outcome.ok:
+            self._log.warning(
+                "task failed",
+                task=outcome.name,
+                status=outcome.status,
+                error=outcome.error,
             )
-            self._record_outcome(outcome)
-            return outcome
-        outcome = TaskOutcome(
-            spec.name, STATUS_OK, value=value,
-            elapsed=time.monotonic() - start,
-        )
-        self._record_outcome(outcome)
         return outcome
+
+    def _kill(self, worker: _ForkWorker, reason: str) -> TaskOutcome:
+        self._m_killed.inc()
+        self._log.warning(
+            "hung worker killed", task=worker.spec.name, reason=reason
+        )
+        return worker.kill(reason)
 
 
 __all__ = [
-    "ALL_MODES",
-    "MODE_AUTO",
-    "MODE_FORK",
-    "MODE_SERIAL",
-    "MODE_THREAD",
+    "POLL_INTERVAL",
+    "START_TIMEOUT",
     "STATUS_CRASHED",
     "STATUS_DEADLINE",
     "STATUS_ERROR",
@@ -381,5 +244,4 @@ __all__ = [
     "SupervisedPool",
     "TaskOutcome",
     "TaskSpec",
-    "resolve_mode",
 ]

@@ -14,7 +14,7 @@ contain:
   there is no separate process to kill);
 * ``poison`` — the stage's input is deterministically unprocessable and
   raises :class:`PoisonShardError` on *every* attempt, the canonical
-  persistent failure that must trip a circuit breaker.
+  persistent failure that must degrade its stage once retries run out.
 
 An :class:`ExecFaultPlan` pins each fault to a (stage, attempt)
 coordinate so drills are exactly reproducible: "the honeypot stage
@@ -157,8 +157,9 @@ def apply_exec_fault(fault: Optional[ExecFault]) -> None:
 
     ``crash`` kills the current process outright when it runs in a
     forked worker (the supervisor sees a dead child and reports
-    ``crashed``); where there is no separate process to kill (thread or
-    serial mode) it raises :class:`WorkerCrashError` instead, because
+    ``crashed``); where there is no separate process to kill (a stage
+    run in the runner's own process, without a task deadline) it raises
+    :class:`WorkerCrashError` instead, because
     ``os._exit`` would take the whole interpreter down with it.
     """
     if fault is None:

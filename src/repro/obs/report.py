@@ -5,8 +5,9 @@ telemetry (``metrics.json``, ``profile.json``, ``trace.jsonl``), the
 runner's ``quality.json`` and the ``meta.json`` the CLI wrote at launch.
 :func:`render_flight_report` fuses whatever subset of those exists into
 the table an operator reads first after a chaos drill: per-stage timings
-and attempts, retries, breaker trips, worker kills, drop counts and
-throughput. ``python -m repro report --run-dir DIR`` prints it.
+and attempts, retries, worker kills, drop counts and throughput, plus
+breaker trips for a run that had breakers (a serve run).
+``python -m repro report --run-dir DIR`` prints it.
 
 Everything here reads plain JSON from disk — no live registry needed —
 so the report works on a run dir copied off another machine.
@@ -180,7 +181,7 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
             )
         lines.append("")
 
-    # -- supervision: retries, breaker trips, worker kills -------------------
+    # -- supervision: retries, worker kills, serve breaker trips ------------
     supervision: List[str] = []
     retries = _metric_total(metrics, "pipeline_stage_attempt_failures_total")
     if metrics is not None:
@@ -191,7 +192,7 @@ def render_flight_report(run_dir: Union[str, Path]) -> str:
         s["value"] for s in trips
         if s.get("labels", {}).get("to_state") == "open"
     )
-    if trips or metrics is not None:
+    if trips:  # only runs with breakers (serve) have the series
         supervision.append(f"  breaker trips (-> open): {_fmt_count(opened)}")
     refused = _metric_total(metrics, "breaker_refusals_total")
     if refused:

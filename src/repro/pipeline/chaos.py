@@ -1,6 +1,6 @@
 """Chaos drill: exercise the executor's failure envelope end to end.
 
-Unit tests prove each supervision mechanism (watchdog, breaker, retry)
+Unit tests prove each supervision mechanism (watchdog, retry)
 in isolation; the drill proves the *composition*: a full pipeline run
 under each injected execution fault must either recover to
 byte-identical output or complete visibly degraded — and must never hang
@@ -20,9 +20,10 @@ against a fault-free baseline run without supervision:
   output must be byte-identical (skipped under ``--quick``);
 * ``worker-crash`` — a forked worker dies mid-task; the retry recomputes
   the stage and output must be byte-identical;
-* ``poison-shard`` — a stage's input fails on every attempt; the feed
-  must degrade through the empty-typed path with the breaker trip
-  visible in the :class:`~repro.pipeline.quality.DataQualityReport`.
+* ``poison-shard`` — a stage's input fails on every attempt; the stage
+  must degrade through the empty-typed path, reported in the
+  :class:`~repro.pipeline.quality.DataQualityReport` as its feed
+  ``down`` and the stage ``degraded`` after its last attempt.
 """
 
 from __future__ import annotations
@@ -186,20 +187,20 @@ def run_chaos_drill(
                 detail = "completed but fused events diverged from baseline"
         else:
             feed = result.quality.feed(scenario.degraded_feed)
-            tripped = [
-                b.name for b in result.quality.breakers if b.transitions
-            ]
-            if feed.status == STATUS_DOWN and tripped:
-                passed = True
+            (fault,) = scenario.faults.faults
+            stage = next(
+                s for s in result.quality.stages if s.name == fault.stage
+            )
+            passed = feed.status == STATUS_DOWN and stage.status == "degraded"
+            if passed:
                 detail = (
-                    f"feed {scenario.degraded_feed!r} down, breaker(s) "
-                    f"tripped: {', '.join(tripped)}"
+                    f"feed {feed.feed!r} down, stage {stage.name!r} "
+                    f"degraded after {stage.attempts} attempt(s)"
                 )
             else:
-                passed = False
                 detail = (
                     f"degradation not visible (feed status "
-                    f"{feed.status!r}, tripped breakers: {tripped})"
+                    f"{feed.status!r}, stage {stage.name!r} {stage.status})"
                 )
         scenario_outcomes.inc(
             scenario=scenario.name,

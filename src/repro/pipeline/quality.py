@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.taxonomy import classify_sites, taxonomy_counts
 from repro.core.webmap import WebImpactAnalysis
-from repro.exec.breaker import BreakerReport
 from repro.faults.plan import ALL_FEEDS
 
 #: Feed health states, in decreasing order of trust.
@@ -219,7 +218,6 @@ class DataQualityReport:
     headline: Optional[HeadlineMetrics] = None
     baseline: Optional[HeadlineMetrics] = None
     plan_description: str = ""
-    breakers: List[BreakerReport] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         """JSON-safe form (the ``quality.json`` run artifact)."""
@@ -228,13 +226,14 @@ class DataQualityReport:
             "feeds": [f.to_dict() for f in self.feeds],
             "stages": [s.to_dict() for s in self.stages],
             "records": [r.to_dict() for r in self.records],
-            "breakers": [b.to_dict() for b in self.breakers],
             "headline": self.headline.to_dict() if self.headline else None,
             "baseline": self.baseline.to_dict() if self.baseline else None,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DataQualityReport":
+        # Unknown keys are ignored: quality.json files from older
+        # versions carry a "breakers" list that nothing reads now.
         headline = data.get("headline")
         baseline = data.get("baseline")
         return cls(
@@ -246,9 +245,6 @@ class DataQualityReport:
             headline=HeadlineMetrics.from_dict(headline) if headline else None,
             baseline=HeadlineMetrics.from_dict(baseline) if baseline else None,
             plan_description=data.get("plan_description", ""),
-            breakers=[
-                BreakerReport.from_dict(b) for b in data.get("breakers", ())
-            ],
         )
 
     def per_feed_quarantine_counts(self) -> Dict[str, int]:
@@ -321,12 +317,6 @@ class DataQualityReport:
                         for feed, count in sorted(per_feed.items())
                     )
                 )
-        tripped = [b for b in self.breakers if b.transitions]
-        if tripped:
-            lines.append("")
-            lines.append("circuit breakers:")
-            for breaker in tripped:
-                lines.append(f"  {breaker.describe()}")
         if self.stages:
             lines.append("")
             lines.append("stages:")
@@ -379,7 +369,6 @@ def feed_status(uptime: float, dropped: int) -> str:
 
 __all__ = [
     "ALL_FEEDS",
-    "BreakerReport",
     "STATUS_OK",
     "STATUS_DEGRADED",
     "STATUS_DOWN",

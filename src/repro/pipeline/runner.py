@@ -28,8 +28,8 @@ adds:
 * **graceful degradation** — an observation stage (a row with ``empty``)
   that stays broken yields its *empty but correctly typed* output plus a
   quality flag, and the run completes with honest, quantified losses.
-  Observation stages also get circuit breakers and the cross-run stage
-  cache, and run as watched pool tasks when a task deadline is armed.
+  Observation stages also get the cross-run stage cache, and run as
+  watched fork tasks when a task deadline is armed.
   Core stages (internet, attacks, migration, fusion) still fail the run.
 
 A :class:`~repro.faults.plan.FaultPlan` wires per-feed injectors into the
@@ -53,7 +53,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 from repro.catalog import STAGE_ORDER
 from repro.dns.openintel import OpenIntelDataset
 from repro.dps.detection import DPSUsageDataset
-from repro.exec.breaker import CircuitBreaker
 from repro.exec.deadline import RunDeadline
 from repro.exec.interrupt import InterruptGuard
 from repro.exec.pool import SupervisedPool, TaskSpec
@@ -179,9 +178,8 @@ STAGES: Tuple[Stage, ...] = (
     ),
 )
 
-#: The observation stages: supervised by breakers, degradable to an
-#: empty feed, cacheable, and run as watched pool tasks when a task
-#: deadline is armed.
+#: The observation stages: degradable to an empty feed, cacheable, and
+#: run as watched fork tasks when a task deadline is armed.
 OBSERVATION_STAGES = tuple(
     row.name for row in STAGES if row.empty is not None
 )
@@ -237,7 +235,6 @@ class ResilientPipeline:
         exec_faults: Optional[ExecFaultPlan] = None,
         deadline: Optional[Union[float, RunDeadline]] = None,
         interrupt: Optional[InterruptGuard] = None,
-        breakers: Optional[Dict[str, CircuitBreaker]] = None,
         telemetry: Optional[Telemetry] = None,
         stage_cache: Optional[Union[str, Path, StageCache]] = None,
     ) -> None:
@@ -313,22 +310,6 @@ class ResilientPipeline:
             stage_cache
             if self.plan.is_benign() and not self.exec_faults.faults
             else None
-        )
-        # Default breaker threshold matches the retry budget: a feed that
-        # fails every attempt trips its breaker exactly as the stage
-        # degrades, while a feed that recovers within the budget (the
-        # retry contract) is never refused its final attempt.
-        self.breakers: Dict[str, CircuitBreaker] = (
-            breakers
-            if breakers is not None
-            else {
-                stage: CircuitBreaker(
-                    stage,
-                    failure_threshold=self.retry.max_attempts,
-                    metrics=metrics,
-                )
-                for stage in OBSERVATION_STAGES
-            }
         )
         self._pool: Optional[SupervisedPool] = (
             SupervisedPool(metrics=metrics)
@@ -450,7 +431,7 @@ class ResilientPipeline:
 
     def _execute(self, row: Stage, out: Outputs) -> None:
         """Run one stage row into *out*: serve it from a checkpoint or the
-        stage cache, or attempt it under retry, breaker and faults, then
+        stage cache, or attempt it under retry and faults, then
         degrade (observation stages) or fail the run."""
         name = row.name
         if name in out:
@@ -467,7 +448,6 @@ class ResilientPipeline:
                 out[name] = output
                 self._settle(row, "cache-hit")
                 return
-        breaker = self.breakers.get(name)
         # A stage that runs as a pool task takes its execution fault
         # inside the task (see _supervised); every other stage here.
         fault_in_task = self._pool is not None and row.empty is not None
@@ -490,18 +470,6 @@ class ResilientPipeline:
                     attempts += 1
                     self._attempt_now[name] = attempts
                     self._m_attempts.inc(stage=name)
-                    if breaker is not None and not breaker.allow():
-                        error = TransientStageError(
-                            f"circuit breaker for {name!r} is "
-                            f"{breaker.state}; attempt refused"
-                        )
-                        self._log.warning(
-                            "stage attempt refused by circuit breaker",
-                            stage=name,
-                            attempt=attempts,
-                            breaker_state=breaker.state,
-                        )
-                        continue
                     # An attempt that fails after partially running (a
                     # crashed detection task, say) has already folded
                     # losses into the injector counters; the retry
@@ -526,8 +494,6 @@ class ResilientPipeline:
                     ) as exc:
                         error = exc
                         self._m_attempt_failures.inc(stage=name)
-                        if breaker is not None:
-                            breaker.record_failure(str(exc))
                         if counter_baseline:
                             self.injectors.restore_counters(counter_baseline)
                         self._log.warning(
@@ -540,8 +506,6 @@ class ResilientPipeline:
                         if attempts < self.retry.max_attempts:
                             self._sleep(self.retry.delay(attempts))
                         continue
-                    if breaker is not None:
-                        breaker.record_success()
                     status, error = "ok", None
                     break
                 if status == "ok":
@@ -727,14 +691,13 @@ class ResilientPipeline:
     def _supervised(self, stage: str, fn: Callable[[], Any]) -> Any:
         """Run a piece of a stage's compute (one partition's detection,
         or the DNS measurement); with a task deadline armed, as one
-        watched pool task.
+        watched fork task.
 
-        The task runs in a fork child where the platform allows, so the
-        watchdog can kill it at the deadline, and a child that hangs,
-        crashes or fails surfaces as a :class:`TransientStageError` for
-        the stage's retry loop. The stage's execution fault fires inside
-        each of its tasks: a hung, crashed or poisoned attempt fails at
-        its first task.
+        The task runs in a fork child, so the watchdog can kill it at
+        the deadline, and a child that hangs, crashes or fails surfaces
+        as a :class:`TransientStageError` for the stage's retry loop.
+        The stage's execution fault fires inside each of its tasks: a
+        hung, crashed or poisoned attempt fails at its first task.
         """
         if self._pool is None:
             return fn()
@@ -751,8 +714,8 @@ class ResilientPipeline:
             return fn()
 
         with self._tracer.span("task", stage=stage, attempt=attempt):
-            (outcome,) = self._pool.run(
-                [TaskSpec(name=stage, fn=task, deadline=self._task_deadline())]
+            outcome = self._pool.run(
+                TaskSpec(name=stage, fn=task, deadline=self._task_deadline())
             )
         if not outcome.ok:
             raise TransientStageError(
@@ -848,11 +811,6 @@ class ResilientPipeline:
             headline=headline,
             baseline=baseline,
             plan_description=plan.describe(),
-            breakers=[
-                self.breakers[stage].report()
-                for stage in OBSERVATION_STAGES
-                if stage in self.breakers
-            ],
         )
 
     def _feed_quality(

@@ -535,9 +535,16 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.send_header("Content-Length", str(len(response.data)))
         self.end_headers()
-        self.wfile.write(response.data)
+        if self.command != "HEAD":  # a HEAD reply is headers only
+            self.wfile.write(response.data)
 
-    do_GET = do_POST = _serve  # noqa: N815
+    def __getattr__(self, name: str):
+        # handle_one_request dispatches to do_<METHOD>: every method is
+        # answered by handle(), so one the route table lacks gets its
+        # JSON 404, trace ID and request-log entry like any other.
+        if name.startswith("do_"):
+            return self._serve
+        raise AttributeError(name)
 
 
 class ServeHTTPServer(ThreadingHTTPServer):

@@ -335,13 +335,17 @@ class CheckpointStore:
         )
 
     def read_json(self, name: str) -> Optional[Dict[str, Any]]:
+        """A JSON object from the run dir: ``None`` when the file is
+        missing, is not UTF-8 JSON or holds something other than an
+        object."""
         path = self.run_dir / name
         if not path.exists():
             return None
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
             return None
+        return data if isinstance(data, dict) else None
 
 
 def _record_count(payload: Any) -> int:

@@ -1,6 +1,6 @@
 """Unit tests for the supervised executor building blocks.
 
-Covers the worker pool (result ordering, error capture, the watchdog
+Covers the fork watchdog (value delivery, error capture, the watchdog
 killing hung workers, crash reporting), the per-feed circuit breaker's
 closed → open → half-open life cycle under an injected clock, the
 run-level deadline and execution-fault plans.
@@ -18,16 +18,12 @@ from repro.exec.breaker import (
 )
 from repro.exec.deadline import RunDeadline, RunDeadlineExceeded
 from repro.exec.pool import (
-    MODE_FORK,
-    MODE_SERIAL,
-    MODE_THREAD,
     STATUS_DEADLINE,
     STATUS_ERROR,
     STATUS_OK,
     SupervisedPool,
     TaskSpec,
     _ForkWorker,
-    resolve_mode,
 )
 from repro.faults.exec import (
     ExecFault,
@@ -38,8 +34,8 @@ from repro.faults.exec import (
     PoisonShardError,
     apply_exec_fault,
 )
-
-HAVE_FORK = resolve_mode("auto") == MODE_FORK
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import render_flight_report
 
 
 class FakeClock:
@@ -57,74 +53,45 @@ class FakeClock:
 
 
 class TestSupervisedPool:
-    @pytest.mark.parametrize(
-        "mode",
-        [MODE_SERIAL, MODE_THREAD]
-        + ([MODE_FORK] if HAVE_FORK else []),
-    )
-    def test_outcomes_in_task_order(self, mode):
-        pool = SupervisedPool(max_workers=2, mode=mode)
-        tasks = [
-            TaskSpec(name=f"t{i}", fn=(lambda i=i: i * i))
-            for i in range(5)
-        ]
-        outcomes = pool.run(tasks)
-        assert [o.name for o in outcomes] == [f"t{i}" for i in range(5)]
-        assert all(o.status == STATUS_OK for o in outcomes)
-        assert [o.value for o in outcomes] == [0, 1, 4, 9, 16]
+    def test_value_delivered_from_fork_child(self):
+        pool = SupervisedPool()
+        outcome = pool.run(TaskSpec(name="square", fn=lambda: 7 * 7))
+        assert outcome.name == "square"
+        assert outcome.status == STATUS_OK
+        assert outcome.value == 49
 
-    @pytest.mark.parametrize(
-        "mode",
-        [MODE_SERIAL, MODE_THREAD]
-        + ([MODE_FORK] if HAVE_FORK else []),
-    )
-    def test_task_exception_is_captured_not_raised(self, mode):
-        pool = SupervisedPool(max_workers=1, mode=mode)
+    def test_task_exception_is_captured_not_raised(self):
+        pool = SupervisedPool()
 
         def boom():
             raise RuntimeError("shard is cursed")
 
-        good, bad = pool.run(
-            [TaskSpec("good", lambda: 7), TaskSpec("bad", boom)]
-        )
-        assert good.ok and good.value == 7
-        assert bad.status == STATUS_ERROR
-        assert "shard is cursed" in bad.error
+        outcome = pool.run(TaskSpec("bad", boom))
+        assert outcome.status == STATUS_ERROR
+        assert "shard is cursed" in outcome.error
 
-    @pytest.mark.skipif(not HAVE_FORK, reason="fork start method required")
     def test_watchdog_kills_hung_fork_worker(self):
-        pool = SupervisedPool(max_workers=2, mode=MODE_FORK)
+        pool = SupervisedPool()
         started = time.monotonic()
-        hung, fine = pool.run(
-            [
-                TaskSpec("hung", lambda: time.sleep(120), deadline=0.5),
-                TaskSpec("fine", lambda: "done", deadline=30.0),
-            ]
+        hung = pool.run(
+            TaskSpec("hung", lambda: time.sleep(120), deadline=0.5)
         )
         elapsed = time.monotonic() - started
         assert hung.status == STATUS_DEADLINE
         assert "killed" in hung.error
-        assert fine.ok and fine.value == "done"
         assert elapsed < 30, "watchdog did not fire anywhere near the deadline"
+        # The pool is reusable after a kill.
+        fine = pool.run(TaskSpec("fine", lambda: "done", deadline=30.0))
+        assert fine.ok and fine.value == "done"
 
-    def test_watchdog_abandons_hung_thread_worker(self):
-        pool = SupervisedPool(max_workers=1, mode=MODE_THREAD)
-        (outcome,) = pool.run(
-            [TaskSpec("hung", lambda: time.sleep(120), deadline=0.2)]
-        )
-        assert outcome.status == STATUS_DEADLINE
-        assert "abandoned" in outcome.error
-
-    @pytest.mark.skipif(not HAVE_FORK, reason="fork start method required")
     def test_crashed_worker_reported_with_exit_code(self):
         import os
 
-        pool = SupervisedPool(max_workers=1, mode=MODE_FORK)
-        (outcome,) = pool.run([TaskSpec("dies", lambda: os._exit(13))])
+        pool = SupervisedPool()
+        outcome = pool.run(TaskSpec("dies", lambda: os._exit(13)))
         assert outcome.status == "crashed"
         assert "13" in outcome.error
 
-    @pytest.mark.skipif(not HAVE_FORK, reason="fork start method required")
     def test_result_delivered_just_before_exit_is_not_a_crash(
         self, tmp_path
     ):
@@ -149,14 +116,6 @@ class TestSupervisedPool:
         outcome = worker.poll()
         assert outcome is not None and outcome.ok, outcome
         assert outcome.value == "delivered"
-
-    def test_serial_mode_runs_inline(self):
-        pool = SupervisedPool(max_workers=1, mode=MODE_SERIAL)
-        marker = []
-        pool.run([TaskSpec("inline", lambda: marker.append(1))])
-        # Inline execution mutates the caller's state directly — the
-        # property the fork workers deliberately do NOT have.
-        assert marker == [1]
 
 
 # -- CircuitBreaker -----------------------------------------------------------
@@ -224,22 +183,30 @@ class TestCircuitBreaker:
         clock.advance(5.0)
         assert breaker.allow()
 
-    def test_report_is_deterministic_and_renders(self):
+    def test_report_is_deterministic_and_renders(self, tmp_path):
+        # A breaker's history is its transition list (no timestamps) and
+        # its breaker_* series, which the flight report renders.
         clock = FakeClock()
+        registry = MetricsRegistry()
         breaker = CircuitBreaker(
-            "honeypot", failure_threshold=1, cooldown=1.0, clock=clock
+            "feed", failure_threshold=1, cooldown=1.0, clock=clock,
+            metrics=registry,
         )
         breaker.record_failure("poison shard")
         clock.advance(1.0)
         breaker.allow()
         breaker.record_success()
-        report = breaker.report()
-        assert [t.to_state for t in report.transitions] == [
-            BREAKER_OPEN, BREAKER_HALF_OPEN, BREAKER_CLOSED,
+        assert [
+            (t.from_state, t.to_state) for t in breaker.transitions
+        ] == [
+            (BREAKER_CLOSED, BREAKER_OPEN),
+            (BREAKER_OPEN, BREAKER_HALF_OPEN),
+            (BREAKER_HALF_OPEN, BREAKER_CLOSED),
         ]
-        text = report.describe()
-        assert "honeypot" in text
-        assert "closed -> open -> half-open -> closed" in text
+        (tmp_path / "metrics.json").write_text(
+            registry.to_json(), encoding="utf-8"
+        )
+        assert "breaker trips (-> open): 1" in render_flight_report(tmp_path)
 
 
 # -- RunDeadline --------------------------------------------------------------

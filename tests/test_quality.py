@@ -3,8 +3,8 @@
 The report became a durable run artifact (``quality.json``) alongside
 the telemetry exports, so its dict round-trip is now a contract: a
 flight report rendered from disk must see exactly what the live run
-saw — including degraded feeds, breaker trips and quarantine reasons
-the validator has never heard of.
+saw — including degraded feeds, degraded stages with their attempts
+and errors, and quarantine reasons the validator has never heard of.
 """
 
 import json
@@ -59,9 +59,48 @@ class TestRoundTrip:
         assert restored.degraded == original.degraded
         assert restored.headline_drift() == original.headline_drift()
         assert restored.render() == original.render()
-        assert [b.name for b in restored.breakers] == [
-            b.name for b in original.breakers
-        ]
+        honeypot = next(s for s in restored.stages if s.name == "honeypot")
+        assert honeypot.status == "degraded"
+        assert honeypot.attempts == 2
+        assert "injected transient failure" in honeypot.error
+        assert restored.stages == original.stages
+
+    def test_reads_document_with_breakers_key(self):
+        """quality.json files written while the runner still kept stage
+        breakers carry a "breakers" list; they still load and render."""
+        data = {
+            "plan_description": "fault plan (seed=1, 60 days)",
+            "feeds": [{
+                "feed": "honeypot", "uptime": 0.0, "events_observed": 0,
+                "events_dropped": 0, "status": "down",
+                "detail": "stage failed permanently; empty feed substituted",
+            }],
+            "stages": [{
+                "name": "honeypot", "status": "degraded", "attempts": 2,
+                "elapsed": 0.0005,
+                "error": "injected transient failure in stage 'honeypot'",
+            }],
+            "records": [],
+            "breakers": [{
+                "name": "honeypot", "state": "open", "failures_seen": 2,
+                "refusals": 0,
+                "transitions": [{
+                    "from_state": "closed", "to_state": "open",
+                    "reason": "2 consecutive failure(s): injected transient "
+                              "failure in stage 'honeypot'",
+                }],
+            }],
+            "headline": None,
+            "baseline": None,
+        }
+        report = DataQualityReport.from_dict(data)
+        assert report.feed("honeypot").status == "down"
+        (stage,) = report.stages
+        assert (stage.name, stage.status, stage.attempts) == (
+            "honeypot", "degraded", 2,
+        )
+        assert "breakers" not in report.to_dict()
+        assert "honeypot     degraded after 2 attempts" in report.render()
 
     def test_empty_report_roundtrips(self):
         report = DataQualityReport()

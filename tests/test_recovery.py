@@ -169,6 +169,20 @@ class TestResumeErrors:
         assert proc.returncode == 2
         assert "not a durable run directory" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe not utf-8", b"[2, \"small\"]"],
+        ids=["not-utf8", "json-array"],
+    )
+    def test_unreadable_metadata_is_refused(self, tmp_path, content):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "meta.json").write_bytes(content)
+        proc = run_cli("resume", str(run_dir))
+        assert proc.returncode == 2, proc.stderr
+        assert "missing or unreadable meta.json" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_run_dir_from_an_older_meta_version_is_refused(self, tmp_path):
         # A v1 run dir checkpointed captures drawn from the retired
         # shared random streams; resuming would splice them onto stages

@@ -8,7 +8,6 @@ fault-free reference and run the small scenario through
 import pytest
 
 from repro.core.events import AttackEvent, SOURCE_TELESCOPE
-from repro.exec.breaker import BREAKER_OPEN
 from repro.exec.deadline import RunDeadline, RunDeadlineExceeded
 from repro.exec.interrupt import InterruptGuard, RunInterrupted
 from repro.faults.exec import ExecFaultPlan, KIND_CRASH, KIND_HUNG, KIND_POISON
@@ -553,9 +552,7 @@ class TestSupervisedExecution:
         with pytest.raises(ValueError, match="task deadline"):
             ResilientPipeline(small_config, task_deadline=0.0)
 
-    def test_poison_shard_degrades_feed_and_trips_breaker(
-        self, small_config
-    ):
+    def test_poison_shard_degrades_feed_and_stage(self, small_config):
         result = ResilientPipeline(
             small_config,
             task_deadline=60.0,
@@ -566,12 +563,15 @@ class TestSupervisedExecution:
         # back to the empty-typed feed, not crash the run.
         assert result.quality.feed("honeypot").status == STATUS_DOWN
         assert result.quality.feed("telescope").status == STATUS_OK
-        breaker = next(
-            b for b in result.quality.breakers if b.name == "honeypot"
+        # Every attempt ran (none refused) and the report says why.
+        stage = next(s for s in result.quality.stages if s.name == "honeypot")
+        assert stage.status == "degraded"
+        assert stage.attempts == RetryPolicy().max_attempts
+        assert "PoisonShardError" in stage.error
+        assert (
+            f"honeypot     degraded after {stage.attempts} attempts"
+            in result.quality.render()
         )
-        assert breaker.state == BREAKER_OPEN
-        assert any(t.to_state == BREAKER_OPEN for t in breaker.transitions)
-        assert "circuit breakers:" in result.quality.render()
 
     def test_crash_shard_recovers_byte_identical(self, small_config, sim):
         result = ResilientPipeline(

@@ -93,6 +93,11 @@ def raw_exchange(port, data):
             if not chunk:
                 break
             received += chunk
+    return raw_parse(received)
+
+
+def raw_parse(received):
+    """Split received bytes into ``(status, headers, body)`` responses."""
     responses = []
     while received:
         head, _, rest = received.partition(b"\r\n\r\n")
@@ -412,3 +417,40 @@ class TestFraming:
         assert [status for status, _h, _b in responses] == [400, 200]
         assert json.loads(responses[0][2]) == {"error": error}
         assert "connection" not in responses[0][1]
+
+    @pytest.mark.parametrize("method", ["PUT", "DELETE", "PATCH"])
+    def test_unrouted_method_answers_json_404(self, served, method):
+        service, port = served
+        responses = raw_exchange(
+            port,
+            method.encode() + b" /healthz HTTP/1.1\r\nHost: x\r\n"
+            b"X-Repro-Trace-Id: t-method\r\nConnection: close\r\n\r\n",
+        )
+        assert len(responses) == 1
+        status, headers, body = responses[0]
+        assert status == 404
+        assert headers["content-type"] == "application/json"
+        assert headers["x-repro-trace-id"] == "t-method"
+        assert json.loads(body) == {"error": "no such endpoint: /healthz"}
+        entry = service.requests.recent()[-1]
+        assert (entry["trace_id"], entry["method"], entry["status"]) == (
+            "t-method", method, 404,
+        )
+
+    def test_head_reply_is_headers_only(self, served):
+        _service, port = served
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(
+                b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                b"Connection: close\r\n\r\n"
+            )
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        head, _, rest = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 404 ")
+        assert b"X-Repro-Trace-Id: " in head
+        # The next bytes are the GET's answer, not the HEAD's body.
+        ((status, _headers, body),) = raw_parse(rest)
+        assert status == 200 and json.loads(body)["ok"] is True

@@ -84,6 +84,8 @@ REQUESTS = [
     ("snapshot", "GET", "/replication/snapshot", None, {}, None),
     ("unknown-get", "GET", "/no/such", None, {}, None),
     ("post-only-path-by-get", "GET", "/promote", None, {}, None),
+    ("put-healthz", "PUT", "/healthz", None, {}, None),
+    ("delete-ingest", "DELETE", "/ingest/attacks", ATTACKS, {}, None),
     ("ingest", "POST", "/ingest/attacks?feed=telescope", ATTACKS, {}, None),
     ("ingest-default-feed", "POST", "/ingest/attacks", ATTACKS, {}, None),
     ("ingest-honeypot", "POST", "/ingest/attacks?feed=honeypot",
