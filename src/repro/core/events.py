@@ -10,8 +10,10 @@ the way the paper does with NetAcuity and Routeviews.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, List, Optional, Set, Tuple
+import heapq
+import operator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.net.addressing import slash16, slash24
 from repro.net.geo import GeoDatabase, UNKNOWN_COUNTRY
@@ -175,10 +177,24 @@ class AttackEvent:
         self, geo: GeoDatabase, routing: RoutingTable
     ) -> "AttackEvent":
         """Copy with country and origin-AS metadata attached."""
-        return replace(
-            self,
-            country=geo.country(self.target),
-            asn=routing.origin_asn(self.target),
+        return self.with_origin(
+            geo.country(self.target), routing.origin_asn(self.target)
+        )
+
+    def with_origin(self, country: str, asn: Optional[int]) -> "AttackEvent":
+        """Copy with the given country and origin AS."""
+        return AttackEvent(
+            self.source,
+            self.target,
+            self.start_ts,
+            self.end_ts,
+            self.intensity,
+            self.ip_proto,
+            self.ports,
+            self.reflector_protocol,
+            self.packets,
+            country,
+            asn,
         )
 
 
@@ -216,14 +232,38 @@ def event_from_dict(data: dict) -> AttackEvent:
     )
 
 
+#: The canonical order of a data set's events: ``(start_ts, target)``.
+event_order = operator.attrgetter("start_ts", "target")
+
+
 class AttackDataset:
     """An ordered collection of events from one source (or combined)."""
 
     def __init__(self, events: Iterable[AttackEvent], label: str = "") -> None:
-        self.events: List[AttackEvent] = sorted(
-            events, key=lambda e: (e.start_ts, e.target)
-        )
+        self.events: List[AttackEvent] = sorted(events, key=event_order)
         self.label = label
+
+    @classmethod
+    def _in_order(
+        cls, events: List[AttackEvent], label: str
+    ) -> "AttackDataset":
+        """A data set over *events*, already in :func:`event_order`."""
+        dataset = cls.__new__(cls)
+        dataset.events = events
+        dataset.label = label
+        return dataset
+
+    @classmethod
+    def merged(
+        cls, first: "AttackDataset", second: "AttackDataset", label: str = ""
+    ) -> "AttackDataset":
+        """The data set of both sets' events: one merge of the two sorted
+        lists, *first*'s event ahead on a tie, which is the order sorting
+        their concatenation gives."""
+        return cls._in_order(
+            list(heapq.merge(first.events, second.events, key=event_order)),
+            label,
+        )
 
     def __len__(self) -> int:
         return len(self.events)
@@ -259,10 +299,23 @@ class AttackDataset:
     def annotated(
         self, geo: GeoDatabase, routing: RoutingTable
     ) -> "AttackDataset":
-        return AttackDataset(
-            (event.annotated(geo, routing) for event in self.events),
-            label=self.label,
-        )
+        """Copy with country and origin-AS metadata on every event.
+
+        The metadata is a function of the target alone, so it is looked
+        up once per distinct victim; the order is unchanged, so the copy
+        is not sorted again.
+        """
+        origins: Dict[int, Tuple[str, Optional[int]]] = {}
+        events = []
+        for event in self.events:
+            origin = origins.get(event.target)
+            if origin is None:
+                origin = origins[event.target] = (
+                    geo.country(event.target),
+                    routing.origin_asn(event.target),
+                )
+            events.append(event.with_origin(*origin))
+        return AttackDataset._in_order(events, self.label)
 
     def filter(self, predicate) -> "AttackDataset":
         return AttackDataset(

@@ -52,8 +52,8 @@ class FusedDataset:
     ) -> None:
         self.telescope = telescope
         self.honeypot = honeypot
-        self.combined = AttackDataset(
-            list(telescope.events) + list(honeypot.events), label="Combined"
+        self.combined = AttackDataset.merged(
+            telescope, honeypot, label="Combined"
         )
 
     # -- Table 1 -------------------------------------------------------------

@@ -28,8 +28,9 @@ class WebHostingIndex:
     days are kept as two independently sorted lists, and the number of
     segments covering *day* is ``(# starts <= day) - (# ends <= day)``,
     i.e. two :func:`bisect.bisect_right` probes instead of a linear scan.
-    ``sites_on`` keeps the scan because it must return the domains in
-    segment order.
+    An IP's lists are built when it is first counted: a pipeline run
+    never counts, only the Figure 6 analyses do. ``sites_on`` keeps the
+    scan because it must return the domains in segment order.
     """
 
     def __init__(
@@ -43,17 +44,17 @@ class WebHostingIndex:
                 continue
             self._by_ip[ip].append((start, end, domain))
             count += 1
-        self._stabs: Dict[int, Tuple[List[int], List[int]]] = {}
-        for ip, segments in self._by_ip.items():
+        for segments in self._by_ip.values():
             segments.sort()
-            self._stabs[ip] = (
-                [start for start, _, _ in segments],
-                sorted(end for _, end, _ in segments),
-            )
+        self._stabs: Dict[int, Tuple[List[int], List[int]]] = {}
         self.n_intervals = count
 
     def __len__(self) -> int:
         return len(self._by_ip)
+
+    def segments(self, ip: int) -> Sequence[Tuple[int, int, str]]:
+        """(start_day, end_day_exclusive, domain) of *ip*, by start."""
+        return self._by_ip.get(ip, ())
 
     def sites_on(self, ip: int, day: int) -> List[str]:
         """Domains whose `www` resolved to *ip* on *day*."""
@@ -69,7 +70,13 @@ class WebHostingIndex:
     def count_on(self, ip: int, day: int) -> int:
         stabs = self._stabs.get(ip)
         if stabs is None:
-            return 0
+            segments = self._by_ip.get(ip)
+            if not segments:
+                return 0
+            stabs = self._stabs[ip] = (
+                [start for start, _, _ in segments],
+                sorted(end for _, end, _ in segments),
+            )
         starts, ends = stabs
         return bisect.bisect_right(starts, day) - bisect.bisect_right(
             ends, day
@@ -146,13 +153,27 @@ class WebImpactAnalysis:
 
     def first_attack_days(self, events: Iterable[AttackEvent]) -> Dict[str, int]:
         """domain -> the earliest start day of its associated events
-        (what :meth:`site_histories` gives, without the event lists)."""
-        first: Dict[str, int] = {}
+        (what :meth:`site_histories` gives, without the event lists).
+
+        Each target's start days are sorted once; a hosting segment
+        ``[start, end)`` of the target's IP is then associated first on
+        the earliest of those days inside it, one bisect per segment.
+        """
+        days_by_target: Dict[int, List[int]] = defaultdict(list)
         for event in events:
-            day = event.start_day
-            for domain in self.index.sites_on(event.target, day):
-                if first.get(domain, day) >= day:
-                    first[domain] = day
+            days_by_target[event.target].append(event.start_day)
+        first: Dict[str, int] = {}
+        for target, days in days_by_target.items():
+            segments = self.index.segments(target)
+            if not segments:
+                continue
+            days.sort()
+            for start, end, domain in segments:
+                position = bisect.bisect_left(days, start)
+                if position < len(days) and days[position] < end:
+                    day = days[position]
+                    if first.get(domain, day) >= day:
+                        first[domain] = day
         return first
 
     def unique_affected_sites(self, events: Iterable[AttackEvent]) -> Set[str]:

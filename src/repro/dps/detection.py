@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.dns.records import DomainTimeline, HostingState, ResourceRecord, RRTYPE_A, RRTYPE_CNAME, RRTYPE_NS
 from repro.dns.zone import Zone
 from repro.dps.providers import DPSProvider
-from repro.net.addressing import Prefix
+from repro.net.addressing import Prefix, mask_for, slash24
 
 
 @dataclass(frozen=True)
@@ -32,23 +32,77 @@ class DPSUsage:
     first_day: int
 
 
+#: One indexed diversion: (insertion order, prefix, provider, from_day).
+_Diversion = Tuple[int, Prefix, str, int]
+
+
 @dataclass
 class BGPDiversionLog:
-    """Customer prefixes announced by a DPS from a given day onward."""
+    """Customer prefixes announced by a DPS from a given day onward.
+
+    Entries are indexed by the /24 they cover: a prefix of length 24 or
+    more lies inside one /24 and is filed under it, and a shorter one
+    (an aggregate, which the migration model never announces) goes on a
+    short side list. Finding the entries that cover an address is then
+    one dict probe plus that list, not a scan of the whole log.
+    """
 
     _entries: List[Tuple[Prefix, str, int]] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        entries, self._entries = self._entries, []
+        self._by_slash24: Dict[int, List[_Diversion]] = {}
+        self._short: List[_Diversion] = []
+        for prefix, provider, from_day in entries:
+            self.divert(prefix, provider, from_day)
+
+    # Pickles (checkpoints, fork results) carry the entries alone; the
+    # index is rebuilt from them.
+    def __getstate__(self) -> Dict[str, object]:
+        return {"_entries": self._entries}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self._entries = state["_entries"]
+        self.__post_init__()
+
     def divert(self, prefix: Prefix, provider: str, from_day: int) -> None:
+        entry = (len(self._entries), prefix, provider, from_day)
         self._entries.append((prefix, provider, from_day))
+        if prefix.length >= 24:
+            self._by_slash24.setdefault(slash24(prefix.network), []).append(
+                entry
+            )
+        else:
+            self._short.append(entry)
+
+    def _covering(self, address: int) -> Sequence[_Diversion]:
+        """The entries whose prefix contains *address*."""
+        candidates = self._by_slash24.get(slash24(address), ())
+        if self._short:
+            candidates = [*candidates, *self._short]
+        elif not candidates:
+            return ()
+        return [entry for entry in candidates if entry[1].contains(address)]
 
     def provider_for(self, address: int, day: int) -> Optional[str]:
-        """Provider diverting *address* on *day*, most-specific match."""
-        best: Optional[Tuple[int, str]] = None
-        for prefix, provider, from_day in self._entries:
-            if day >= from_day and prefix.contains(address):
-                if best is None or prefix.length > best[0]:
-                    best = (prefix.length, provider)
+        """Provider diverting *address* on *day*: the most specific
+        match, the first diverted on a tie."""
+        best: Optional[Tuple[Tuple[int, int], str]] = None
+        for order, prefix, provider, from_day in self._covering(address):
+            if day >= from_day:
+                rank = (prefix.length, -order)
+                if best is None or rank > best[0]:
+                    best = (rank, provider)
         return best[1] if best else None
+
+    def days_covering(self, address: int) -> List[int]:
+        """The from-days of the entries whose prefix contains *address*:
+        the only days its diversion verdict can change."""
+        return [entry[3] for entry in self._covering(address)]
+
+    def entries(self) -> List[Tuple[Prefix, str, int]]:
+        """(prefix, provider, from_day) of every diversion, in order."""
+        return list(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -95,6 +149,17 @@ class DPSDetector:
         self._signature_verdicts: Dict[
             Tuple[Optional[str], Tuple[str, ...], int], Optional[str]
         ] = {}
+        # Signatures in provider priority order (a provider's priority is
+        # its index; the first provider wins a tie): the suffixes, and
+        # prefix netmask -> {network: priority}.
+        self._cname_suffixes = tuple(p.cname_suffix for p in self.providers)
+        self._ns_suffixes = tuple(p.ns_suffix for p in self.providers)
+        self._networks: Dict[int, Dict[int, int]] = {}
+        for priority, provider in enumerate(self.providers):
+            prefix = provider.prefix
+            self._networks.setdefault(mask_for(prefix.length), {}).setdefault(
+                prefix.network, priority
+            )
 
     def classify_state(
         self, state: HostingState, day: int = 0
@@ -105,22 +170,32 @@ class DPSDetector:
             provider = self._signature_verdicts[key]
         except KeyError:
             provider = self._signature_verdicts[key] = self._match_signatures(
-                state
+                state.cname, state.ns, state.ip
             )
         if provider is None and self.diversion_log is not None:
             return self.diversion_log.provider_for(state.ip, day)
         return provider
 
-    def _match_signatures(self, state: HostingState) -> Optional[str]:
-        """The first provider whose CNAME, NS or prefix signature matches."""
-        for provider in self.providers:
-            if provider.matches_cname(state.cname):
-                return provider.name
-            if state.ns and provider.matches_ns(state.ns):
-                return provider.name
-            if provider.matches_address(state.ip):
-                return provider.name
-        return None
+    def _match_signatures(
+        self,
+        cname: Optional[str],
+        ns_names: Sequence[str],
+        address: Optional[int],
+    ) -> Optional[str]:
+        """The highest-priority provider any signature matches: the
+        first in :attr:`providers` whose CNAME suffix ends *cname*, whose
+        NS suffix ends one of *ns_names*, or whose prefix holds
+        *address*."""
+        matches = []
+        if cname:
+            matches.append(_suffix_priority(self._cname_suffixes, cname))
+        for name in ns_names:
+            matches.append(_suffix_priority(self._ns_suffixes, name))
+        if address is not None:
+            for mask, networks in self._networks.items():
+                matches.append(networks.get(address & mask))
+        found = [priority for priority in matches if priority is not None]
+        return self.providers[min(found)].name if found else None
 
     def classify_records(
         self, www_name: str, records: Iterable[ResourceRecord], day: int = 0
@@ -137,50 +212,52 @@ class DPSDetector:
                     address = record.address
             elif record.rtype == RRTYPE_NS:
                 ns_names.append(record.value)
-        for provider in self.providers:
-            if provider.matches_cname(cname):
-                return provider.name
-            if provider.matches_ns(ns_names):
-                return provider.name
-            if address is not None and provider.matches_address(address):
-                return provider.name
-        if self.diversion_log is not None and address is not None:
+        provider = self._match_signatures(cname, ns_names, address)
+        if provider is None and self.diversion_log is not None and address is not None:
             return self.diversion_log.provider_for(address, day)
-        return None
+        return provider
 
     def scan(self, zones: Sequence[Zone], n_days: int) -> DPSUsageDataset:
         """Detect first protection for every Web site over the window.
 
         Evaluates each domain at its hosting-change days only — equivalent
         to, but far cheaper than, classifying all daily snapshots. BGP
-        diversions can begin between change days, so when a diversion log is
-        present its entry days are also probed.
+        diversions can begin between change days, so the day a diversion
+        covering one of the domain's addresses begins is also probed.
         """
-        probe_days_extra: List[int] = []
-        if self.diversion_log is not None:
-            probe_days_extra = sorted(
-                {day for _, _, day in self.diversion_log._entries}
-            )
         usages: List[DPSUsage] = []
         for zone in zones:
             for domain in zone.domains:
                 if not domain.has_www:
                     continue
-                usage = self._first_usage(domain, n_days, probe_days_extra)
+                usage = self._first_usage(domain, n_days)
                 if usage is not None:
                     usages.append(usage)
         return DPSUsageDataset(usages=usages, n_days=n_days)
 
     def _first_usage(
-        self,
-        domain: DomainTimeline,
-        n_days: int,
-        probe_days_extra: Sequence[int],
+        self, domain: DomainTimeline, n_days: int
     ) -> Optional[DPSUsage]:
-        probe_days = sorted(
-            set(domain.change_days())
-            | {d for d in probe_days_extra if d >= domain.registered_day}
-        )
+        """The first probe day on which *domain* is protected.
+
+        A state's verdict changes only on its own change day or when a
+        diversion covering its address begins, so those are the only
+        days probed. (A diversion of another address cannot change the
+        verdict: the state in force that day was already probed on its
+        change day, which is earlier, as change days fall on or after
+        registration.)
+        """
+        probe_days: Sequence[int] = domain.change_days()
+        if self.diversion_log is not None:
+            registered = domain.registered_day
+            diversion_days = {
+                day
+                for state in domain.states()
+                for day in self.diversion_log.days_covering(state.ip)
+                if day >= registered
+            }
+            if diversion_days:
+                probe_days = sorted(diversion_days.union(probe_days))
         for day in probe_days:
             if not 0 <= day < n_days:
                 continue
@@ -192,3 +269,15 @@ class DPSDetector:
                 first_day = max(day, domain.registered_day)
                 return DPSUsage(domain.www_name, provider, first_day)
         return None
+
+
+def _suffix_priority(suffixes: Tuple[str, ...], name: str) -> Optional[int]:
+    """Priority of the first provider whose suffix ends *name*: one
+    ``endswith`` over all of them rules out the usual non-match."""
+    if not name.endswith(suffixes):
+        return None
+    return next(
+        priority
+        for priority, suffix in enumerate(suffixes)
+        if name.endswith(suffix)
+    )

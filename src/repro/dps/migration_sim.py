@@ -47,6 +47,9 @@ from repro.net.addressing import Prefix, slash24
 
 DAY = 86400.0
 
+#: A Web domain and its ``www`` name, computed once per run.
+WebDomain = Tuple[DomainTimeline, str]
+
 
 @dataclass(frozen=True)
 class HosterStoryline:
@@ -165,11 +168,19 @@ class MigrationSimulator:
         self._ledger = MigrationLedger()
         # domain name -> scheduled (day, provider, record); blocks re-migration.
         self._scheduled: Dict[str, Tuple[int, DPSProvider, MigrationRecord]] = {}
+        # Every Web domain with its www name, built once per run.
+        self._web: List[WebDomain] = []
 
     def run(
         self, attacks: Sequence[GroundTruthAttack], n_days: int
     ) -> MigrationLedger:
         """Assign preexisting customers, react to attacks, apply timelines."""
+        self._web = [
+            (domain, domain.www_name)
+            for zone in self.zones
+            for domain in zone.domains
+            if domain.has_www
+        ]
         self._assign_preexisting()
         index = self._build_ip_index()
         ordered = sorted(attacks, key=lambda a: a.start)
@@ -192,8 +203,8 @@ class MigrationSimulator:
         rng, cfg = self._rng, self.config
         if cfg.ambient_migration_prob <= 0:
             return
-        for domain in self._all_web_domains():
-            if domain.www_name in self._scheduled:
+        for domain, name in self._web:
+            if name in self._scheduled:
                 continue
             state = domain.states()[0]
             if state.dps_provider is not None:
@@ -209,7 +220,7 @@ class MigrationSimulator:
             day = rng.randrange(first_possible, n_days)
             provider = self._choose_provider_for(state)
             record = MigrationRecord(
-                domain=domain.www_name,
+                domain=name,
                 migration_day=day,
                 provider=provider.name,
                 trigger_attack_id=None,
@@ -217,38 +228,58 @@ class MigrationSimulator:
                 delay_days=0,
                 storyline="ambient",
             )
-            self._scheduled[domain.www_name] = (day, provider, record)
+            self._scheduled[name] = (day, provider, record)
 
     # -- preexisting customers ----------------------------------------------
 
     def _assign_preexisting(self) -> None:
         rng, cfg = self._rng, self.config
-        for domain in self._all_web_domains():
-            tier = self._tier_of(domain)
-            if rng.random() >= cfg.preexisting_by_tier.get(tier, 0.0):
-                continue
+        # Adoption probability by hoster name; self-hosted domains, and
+        # any hoster the ecosystem does not know, adopt at TIER_SELF's.
+        self_hosted = cfg.preexisting_by_tier.get(TIER_SELF, 0.0)
+        by_hoster = {
+            hoster.name: cfg.preexisting_by_tier.get(hoster.tier, 0.0)
+            for hoster in self.ecosystem.hosters
+        }
+        for domain, name in self._web:
             state = domain.states()[0]
+            if rng.random() >= by_hoster.get(state.hoster, self_hosted):
+                continue
             # _choose_provider_for keeps BGP providers away from
             # shared-hosting customers: diverting a shared /24 would
             # otherwise "protect" every co-hosted site at once.
             provider = self._choose_provider_for(state)
             protected = self._protected_state(domain, state, provider, day=domain.registered_day)
             domain.set_state(domain.registered_day, protected)
-            self._ledger.preexisting.append((domain.www_name, provider.name))
+            self._ledger.preexisting.append((name, provider.name))
 
     # -- per-attack migration -----------------------------------------------
 
     def _react_to_attacks(
         self,
         attacks: Sequence[GroundTruthAttack],
-        index: Dict[int, List[DomainTimeline]],
+        index: Dict[int, List[WebDomain]],
         n_days: int,
     ) -> None:
+        """Each attack on a domain's origin IP may schedule its migration.
+
+        *index* holds each IP's live domains, the only ones an attack can
+        still act on; it is pruned in place as domains settle. A domain
+        settles once it is scheduled, has used ``max_migration_trials``,
+        or is protected by the last segment of its timeline. Timelines do
+        not change in this loop and *attacks* arrive sorted by start, so
+        a settled domain would be skipped by every later attack too, and
+        skipped domains draw nothing from the RNG: pruning leaves the
+        ``Random`` sequence, and so every decision, unchanged. A domain
+        not registered yet on the attack day stays live.
+        """
         rng, cfg = self._rng, self.config
+        scheduled = self._scheduled
+        max_trials = cfg.max_migration_trials
         trials: Dict[str, int] = {}
         for attack in attacks:
-            domains = index.get(attack.target)
-            if not domains:
+            live = index.get(attack.target)
+            if not live:
                 continue
             day = int(attack.start // DAY)
             z = self._standardized_intensity(attack)
@@ -256,37 +287,53 @@ class MigrationSimulator:
                 cfg.intensity_prob_cap,
                 math.exp(cfg.intensity_prob_slope * max(0.0, z)),
             )
-            for domain in domains:
-                name = domain.www_name
-                if name in self._scheduled:
+            p_self_hosted = min(0.9, cfg.migrate_prob_self_hosted * prob_scale)
+            p_shared = min(0.9, cfg.migrate_prob_shared * prob_scale)
+            still_live: List[WebDomain] = []
+            for entry in live:
+                domain, name = entry
+                if name in scheduled:
                     continue
-                if trials.get(name, 0) >= cfg.max_migration_trials:
+                tried = trials.get(name, 0)
+                if tried >= max_trials:
+                    continue
+                if day < domain.registered_day:
+                    still_live.append(entry)
                     continue
                 state = domain.state_on(day)
-                if state is None or state.dps_provider is not None:
+                if state is None:
+                    still_live.append(entry)
                     continue
-                trials[name] = trials.get(name, 0) + 1
-                base = (
-                    cfg.migrate_prob_self_hosted
-                    if state.hoster is None
-                    else cfg.migrate_prob_shared
-                )
-                if rng.random() >= min(0.9, base * prob_scale):
+                if state.dps_provider is not None:
+                    if day < domain.change_days()[-1]:
+                        # Protected only until a later segment starts.
+                        still_live.append(entry)
                     continue
-                delay = self._draw_delay(z)
-                migration_day = day + delay
-                if migration_day >= n_days:
-                    continue
-                provider = self._choose_provider_for(state)
-                record = MigrationRecord(
-                    domain=domain.www_name,
-                    migration_day=migration_day,
-                    provider=provider.name,
-                    trigger_attack_id=attack.attack_id,
-                    trigger_day=day,
-                    delay_days=delay,
-                )
-                self._scheduled[domain.www_name] = (migration_day, provider, record)
+                tried += 1
+                trials[name] = tried
+                if rng.random() < (
+                    p_self_hosted if state.hoster is None else p_shared
+                ):
+                    delay = self._draw_delay(z)
+                    migration_day = day + delay
+                    if migration_day < n_days:
+                        provider = self._choose_provider_for(state)
+                        scheduled[name] = (
+                            migration_day,
+                            provider,
+                            MigrationRecord(
+                                domain=name,
+                                migration_day=migration_day,
+                                provider=provider.name,
+                                trigger_attack_id=attack.attack_id,
+                                trigger_day=day,
+                                delay_days=delay,
+                            ),
+                        )
+                        continue
+                if tried < max_trials:
+                    still_live.append(entry)
+            index[attack.target] = still_live
 
     def _standardized_intensity(self, attack: GroundTruthAttack) -> float:
         cfg = self.config
@@ -318,7 +365,7 @@ class MigrationSimulator:
     def _apply_storylines(
         self,
         attacks: Sequence[GroundTruthAttack],
-        index: Dict[int, List[DomainTimeline]],
+        index: Dict[int, List[WebDomain]],
         n_days: int,
     ) -> None:
         for storyline in self.config.storylines:
@@ -344,14 +391,14 @@ class MigrationSimulator:
             if migration_day >= n_days:
                 continue
             for ip in hoster_ips:
-                for domain in index.get(ip, ()):  # all platform customers
-                    if domain.www_name in self._scheduled:
+                for domain, name in index.get(ip, ()):  # all platform customers
+                    if name in self._scheduled:
                         continue
                     state = domain.state_on(trigger_day)
                     if state is None or state.dps_provider is not None:
                         continue
                     record = MigrationRecord(
-                        domain=domain.www_name,
+                        domain=name,
                         migration_day=migration_day,
                         provider=provider.name,
                         trigger_attack_id=trigger.attack_id,
@@ -359,7 +406,7 @@ class MigrationSimulator:
                         delay_days=storyline.delay_days,
                         storyline=storyline.label,
                     )
-                    self._scheduled[domain.www_name] = (
+                    self._scheduled[name] = (
                         migration_day,
                         provider,
                         record,
@@ -368,7 +415,7 @@ class MigrationSimulator:
     # -- apply ---------------------------------------------------------------
 
     def _apply_scheduled(self) -> None:
-        by_name = {d.www_name: d for d in self._all_web_domains()}
+        by_name = {name: domain for domain, name in self._web}
         for www_name, (day, provider, record) in sorted(self._scheduled.items()):
             domain = by_name[www_name]
             state = domain.state_on(day)
@@ -413,20 +460,9 @@ class MigrationSimulator:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _all_web_domains(self) -> List[DomainTimeline]:
-        return [d for zone in self.zones for d in zone.domains if d.has_www]
-
-    def _tier_of(self, domain: DomainTimeline) -> str:
-        state = domain.states()[0]
-        if state.hoster is None:
-            return TIER_SELF
-        hoster = self.ecosystem.hoster_by_name(state.hoster)
-        return hoster.tier if hoster else TIER_SELF
-
-    def _build_ip_index(self) -> Dict[int, List[DomainTimeline]]:
+    def _build_ip_index(self) -> Dict[int, List[WebDomain]]:
         """Initial-state IP -> domains (decisions react to origin attacks)."""
-        index: Dict[int, List[DomainTimeline]] = {}
-        for domain in self._all_web_domains():
-            state = domain.states()[0]
-            index.setdefault(state.ip, []).append(domain)
+        index: Dict[int, List[WebDomain]] = {}
+        for entry in self._web:
+            index.setdefault(entry[0].states()[0].ip, []).append(entry)
         return index

@@ -32,7 +32,6 @@ __getattr__ = lazy_exports(__name__, {
         "BREAKER_CLOSED",
         "BREAKER_HALF_OPEN",
         "BREAKER_OPEN",
-        "BreakerTransition",
         "CircuitBreaker",
     ),
     "repro.exec.deadline": ("RunDeadline", "RunDeadlineExceeded"),
@@ -52,7 +51,6 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
-    "BreakerTransition",
     "CircuitBreaker",
     "RunDeadline",
     "RunDeadlineExceeded",

@@ -15,16 +15,15 @@ instead of charging every request. The classic three states:
   for another cooldown.
 
 The clock is injectable so state transitions are unit-testable without
-sleeping, and every transition is recorded without wall-clock content
-(and counted in the ``breaker_*`` metric series the flight report
-renders).
+sleeping. Every transition is logged and counted in the ``breaker_*``
+metric series the flight report renders; those series are the
+breaker's history.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.log import get_logger
 from repro.obs.metrics import get_registry
@@ -39,15 +38,6 @@ BREAKER_STATE_CODES = {
     BREAKER_OPEN: 1,
     BREAKER_HALF_OPEN: 2,
 }
-
-
-@dataclass(frozen=True)
-class BreakerTransition:
-    """One recorded state change (deterministic: no timestamps)."""
-
-    from_state: str
-    to_state: str
-    reason: str
 
 
 class CircuitBreaker:
@@ -72,9 +62,7 @@ class CircuitBreaker:
         self._state = BREAKER_CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self.failures_seen = 0
         self.refusals = 0
-        self.transitions: List[BreakerTransition] = []
         self._log = get_logger("exec.breaker")
         registry = metrics if metrics is not None else get_registry()
         self._m_state = registry.gauge(
@@ -129,7 +117,6 @@ class CircuitBreaker:
             self._transition(BREAKER_CLOSED, "probe succeeded")
 
     def record_failure(self, reason: str = "") -> None:
-        self.failures_seen += 1
         self._consecutive_failures += 1
         self._m_failures.inc(breaker=self.name)
         if self._state == BREAKER_HALF_OPEN:
@@ -148,9 +135,6 @@ class CircuitBreaker:
         self._transition(BREAKER_OPEN, reason)
 
     def _transition(self, to_state: str, reason: str) -> None:
-        self.transitions.append(
-            BreakerTransition(self._state, to_state, reason)
-        )
         self._m_transitions.inc(breaker=self.name, to_state=to_state)
         self._m_state.set(BREAKER_STATE_CODES[to_state], breaker=self.name)
         level = self._log.info if to_state == BREAKER_CLOSED else self._log.warning
@@ -169,6 +153,5 @@ __all__ = [
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
     "BREAKER_STATE_CODES",
-    "BreakerTransition",
     "CircuitBreaker",
 ]

@@ -31,16 +31,21 @@ META_FILE = "meta.json"
 
 
 def _read_json(run_dir: Path, name: str) -> Optional[Dict[str, Any]]:
+    """A JSON object from the run dir: ``None`` when the file is missing,
+    unreadable, not UTF-8 JSON or something other than an object."""
     path = run_dir / name
     if not path.exists():
         return None
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, OSError):
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, OSError):
         return None
+    return data if isinstance(data, dict) else None
 
 
 def _read_jsonl(run_dir: Path, name: str) -> Optional[List[Dict[str, Any]]]:
+    """One JSON object per line: ``None`` when the file is missing,
+    unreadable, not UTF-8 JSON or has a line that is not an object."""
     path = run_dir / name
     if not path.exists():
         return None
@@ -49,7 +54,9 @@ def _read_jsonl(run_dir: Path, name: str) -> Optional[List[Dict[str, Any]]]:
         for line in path.read_text(encoding="utf-8").splitlines():
             if line.strip():
                 records.append(json.loads(line))
-    except (json.JSONDecodeError, OSError):
+    except (UnicodeDecodeError, json.JSONDecodeError, OSError):
+        return None
+    if not all(isinstance(record, dict) for record in records):
         return None
     return records
 

@@ -15,6 +15,10 @@ number on purpose regenerates it and shows the diff. Regenerate with::
     PYTHONPATH=src python -c "from repro.pipeline.ledger import write_ledger; \\
         from repro.pipeline.config import ScenarioConfig; \\
         write_ledger('benchmarks/out/ledger_default.json', ScenarioConfig.default())"
+
+``ledger_paper.json`` is the paper preset's (``ScenarioConfig.paper()``),
+written the same way. It takes about half a minute, so tier-1 tests
+leave it to CI's ``paper-ledger`` job, which rebuilds and diffs it.
 """
 
 from __future__ import annotations

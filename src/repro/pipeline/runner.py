@@ -174,6 +174,7 @@ STAGES: Tuple[Stage, ...] = (
             out["telescope"],
             out["honeypot"],
             out["measurement"][0],
+            layer=p._layers("fusion"),
         ),
     ),
 )
@@ -655,12 +656,15 @@ class ResilientPipeline:
 
     @contextmanager
     def _layer(
-        self, stage: str, layer: str, partition: int
+        self, stage: str, layer: str, partition: Optional[int] = None
     ) -> Iterator[Callable[[int], None]]:
-        """One partition's child span of a stage layer, folded into the
-        stage's ``stage.layer`` profile entry; yields a setter for the
-        layer's input row count."""
-        with self._tracer.span(layer, stage=stage, partition=partition) as span:
+        """One child span of a stage layer (one per victim partition in
+        an observation stage), folded into the stage's ``stage.layer``
+        profile entry; yields a setter for the layer's input row count."""
+        attrs: Dict[str, Any] = {"stage": stage}
+        if partition is not None:
+            attrs["partition"] = partition
+        with self._tracer.span(layer, **attrs) as span:
             with self._profiler.profile(
                 f"{stage}.{layer}", accumulate=True
             ) as prof:
@@ -671,15 +675,25 @@ class ResilientPipeline:
 
                 yield set_rows
 
+    def _layers(self, stage: str) -> "sim.LayerHook":
+        """The layer hook a stage function takes: its named pieces become
+        ``stage.<layer>`` profile entries and child spans."""
+        return lambda layer: self._layer(stage, layer)
+
     def _measure(self, migration: Any) -> Any:
         """DNS measurement of the post-migration Internet (supervised),
         then its faults in this process: degradation mutates injector
-        counters."""
+        counters. Its ``crawl`` and ``classify`` layers are recorded
+        when it runs in this process; a watched fork task's records die
+        with the child, leaving the stage's own entry."""
         config = self.config
         diversion_log, _, internet = migration
         openintel, dps_usage = self._supervised(
             "measurement",
-            lambda: sim.measure_dns(config, internet, diversion_log),
+            lambda: sim.measure_dns(
+                config, internet, diversion_log,
+                layer=self._layers("measurement"),
+            ),
         )
         return sim.apply_dns_faults(
             openintel,

@@ -35,8 +35,9 @@ reach both ground truth and observations.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, ContextManager, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -400,17 +401,36 @@ def apply_dns_faults(
     return openintel, dps_usage
 
 
+#: A stage's layer hook: ``layer(name)`` is a context manager around
+#: one named piece of the stage, yielding a setter for its input row
+#: count. The runner's hook profiles and traces each piece.
+LayerHook = Callable[[str], ContextManager[Callable[[int], None]]]
+
+
+@contextmanager
+def untimed(layer: str) -> Iterator[Callable[[int], None]]:
+    """The default layer hook: records nothing."""
+    yield lambda rows: None
+
+
 def measure_dns(
     config: ScenarioConfig,
     internet: InternetLayer,
     diversion_log: BGPDiversionLog,
+    layer: LayerHook = untimed,
 ) -> Tuple[OpenIntelDataset, DPSUsageDataset]:
-    """Stage 5: daily DNS measurement and DPS-signature detection
-    (fault-free; :func:`apply_dns_faults` degrades the result)."""
-    platform = OpenIntelPlatform(internet.zones, config.n_days)
-    openintel = platform.measure(ns_directory=internet.ns_directory)
-    detector = DPSDetector(internet.providers, diversion_log=diversion_log)
-    dps_usage = detector.scan(internet.zones, config.n_days)
+    """Stage 5: daily DNS measurement (layer ``crawl``) and
+    DPS-signature detection (``classify``), fault-free;
+    :func:`apply_dns_faults` degrades the result."""
+    n_domains = sum(len(zone.domains) for zone in internet.zones)
+    with layer("crawl") as set_rows:
+        set_rows(n_domains)
+        platform = OpenIntelPlatform(internet.zones, config.n_days)
+        openintel = platform.measure(ns_directory=internet.ns_directory)
+    with layer("classify") as set_rows:
+        set_rows(n_domains)
+        detector = DPSDetector(internet.providers, diversion_log=diversion_log)
+        dps_usage = detector.scan(internet.zones, config.n_days)
     return openintel, dps_usage
 
 
@@ -419,16 +439,25 @@ def fuse_observations(
     telescope_events: List[TelescopeEvent],
     honeypot_events: List[AmpPotEvent],
     openintel: OpenIntelDataset,
+    layer: LayerHook = untimed,
 ) -> Tuple[FusedDataset, WebHostingIndex]:
-    """Stage 6: annotate, fuse, and index the Web hosting intervals."""
-    telescope_dataset = AttackDataset.from_telescope_events(
-        telescope_events
-    ).annotated(internet.topology.geo, internet.topology.routing)
-    honeypot_dataset = AttackDataset.from_honeypot_events(
-        honeypot_events
-    ).annotated(internet.topology.geo, internet.topology.routing)
-    fused = FusedDataset(telescope_dataset, honeypot_dataset)
-    web_index = WebHostingIndex(openintel.hosting_intervals)
+    """Stage 6: annotate each feed (layer ``annotate``), fuse them
+    (``fuse``) and index the Web hosting intervals (``index``)."""
+    geo, routing = internet.topology.geo, internet.topology.routing
+    with layer("annotate") as set_rows:
+        set_rows(len(telescope_events) + len(honeypot_events))
+        telescope_dataset = AttackDataset.from_telescope_events(
+            telescope_events
+        ).annotated(geo, routing)
+        honeypot_dataset = AttackDataset.from_honeypot_events(
+            honeypot_events
+        ).annotated(geo, routing)
+    with layer("fuse") as set_rows:
+        set_rows(len(telescope_dataset) + len(honeypot_dataset))
+        fused = FusedDataset(telescope_dataset, honeypot_dataset)
+    with layer("index") as set_rows:
+        set_rows(len(openintel.hosting_intervals))
+        web_index = WebHostingIndex(openintel.hosting_intervals)
     return fused, web_index
 
 

@@ -204,7 +204,7 @@ class TestMemoizedVerdicts:
 
     def test_memoized_scan_equals_uncached_scan(self, sim):
         detector = DPSDetector(sim.providers, diversion_log=sim.diversion_log)
-        days = sorted({day for _, _, day in sim.diversion_log._entries} | {0})
+        days = sorted({day for _, _, day in sim.diversion_log.entries()} | {0})
         probes = 0
         for zone in sim.zones:
             for domain in zone.domains:

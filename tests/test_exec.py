@@ -6,6 +6,7 @@ closed → open → half-open life cycle under an injected clock, the
 run-level deadline and execution-fault plans.
 """
 
+import json
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from repro.exec.breaker import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
+    BREAKER_STATE_CODES,
     CircuitBreaker,
 )
 from repro.exec.deadline import RunDeadline, RunDeadlineExceeded
@@ -184,8 +186,8 @@ class TestCircuitBreaker:
         assert breaker.allow()
 
     def test_report_is_deterministic_and_renders(self, tmp_path):
-        # A breaker's history is its transition list (no timestamps) and
-        # its breaker_* series, which the flight report renders.
+        # A breaker's history is its breaker_* series (no timestamps),
+        # which the flight report renders.
         clock = FakeClock()
         registry = MetricsRegistry()
         breaker = CircuitBreaker(
@@ -193,20 +195,33 @@ class TestCircuitBreaker:
             metrics=registry,
         )
         breaker.record_failure("poison shard")
+        assert not breaker.allow()  # refused during the cooldown
         clock.advance(1.0)
         breaker.allow()
         breaker.record_success()
-        assert [
-            (t.from_state, t.to_state) for t in breaker.transitions
-        ] == [
-            (BREAKER_CLOSED, BREAKER_OPEN),
-            (BREAKER_OPEN, BREAKER_HALF_OPEN),
-            (BREAKER_HALF_OPEN, BREAKER_CLOSED),
-        ]
+        metrics = json.loads(registry.to_json())["metrics"]
+
+        def series(name):
+            return {
+                tuple(sorted(s["labels"].items())): s["value"]
+                for s in metrics[name]["series"]
+            }
+
+        assert series("breaker_transitions_total") == {
+            (("breaker", "feed"), ("to_state", state)): 1
+            for state in (BREAKER_OPEN, BREAKER_HALF_OPEN, BREAKER_CLOSED)
+        }
+        assert series("breaker_failures_total") == {(("breaker", "feed"),): 1}
+        assert series("breaker_refusals_total") == {(("breaker", "feed"),): 1}
+        assert series("breaker_state") == {
+            (("breaker", "feed"),): BREAKER_STATE_CODES[BREAKER_CLOSED]
+        }
         (tmp_path / "metrics.json").write_text(
             registry.to_json(), encoding="utf-8"
         )
-        assert "breaker trips (-> open): 1" in render_flight_report(tmp_path)
+        report = render_flight_report(tmp_path)
+        assert "breaker trips (-> open): 1" in report
+        assert "attempts refused by breakers: 1" in report
 
 
 # -- RunDeadline --------------------------------------------------------------

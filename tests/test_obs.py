@@ -458,6 +458,84 @@ class TestObservationLayers:
         assert line.split()[4] == "70"  # rows summed over partitions
 
 
+    def test_measurement_and_fusion_split_into_child_layers(
+        self, small_config, tmp_path
+    ):
+        from repro.obs.report import render_flight_report
+
+        telemetry = Telemetry.create(
+            clock=FakeClock(), cpu_clock=FakeClock(), rss_fn=lambda: 4096
+        )
+        result = ResilientPipeline(
+            small_config, telemetry=telemetry, sleep=no_sleep
+        ).run()
+        spans = {s.span_id: s for s in telemetry.tracer.spans}
+        names = [p.stage for p in telemetry.profiler.profiles]
+        by_name = {p.stage: p for p in telemetry.profiler.profiles}
+        n_domains = sum(len(zone.domains) for zone in result.zones)
+        n_events = len(result.telescope_events) + len(result.honeypot_events)
+        expected_rows = {
+            "measurement": {"crawl": n_domains, "classify": n_domains},
+            "fusion": {
+                "annotate": n_events,
+                "fuse": len(result.fused.combined),
+                "index": len(result.openintel.hosting_intervals),
+            },
+        }
+        for stage, rows in expected_rows.items():
+            layers = [
+                s for s in spans.values()
+                if s.attrs.get("stage") == stage and s.name in rows
+            ]
+            # One span per layer, in order, each a child of the stage's
+            # attempt span, and one profile entry per layer.
+            assert [s.name for s in layers] == list(rows)
+            for span in layers:
+                assert "partition" not in span.attrs
+                assert span.attrs["rows"] == rows[span.name]
+                parent = spans[span.parent_id]
+                assert (parent.name, parent.attrs["stage"]) == (
+                    "attempt", stage
+                )
+                entry = f"{stage}.{span.name}"
+                assert names.count(entry) == 1
+                assert by_name[entry].rows == rows[span.name]
+        run_dir = tmp_path / "run"
+        telemetry.write_artifacts(run_dir)
+        report = render_flight_report(run_dir)
+        for stage, rows in expected_rows.items():
+            for layer in rows:
+                (line,) = [
+                    line for line in report.splitlines()
+                    if line.startswith(f"{stage}.{layer} ")
+                ]
+                assert line.split()[1] == "-"  # no victim partitions
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[1, 2]", b"\"text\""],
+        ids=["not-utf8", "array", "string"],
+    )
+    def test_flight_report_skips_an_unreadable_artifact(
+        self, tmp_path, content
+    ):
+        from repro.obs.report import META_FILE, render_flight_report
+
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        profiler = StageProfiler(rss_fn=lambda: 2048)
+        with profiler.profile("attacks"):
+            pass
+        (run_dir / PROFILE_FILE).write_text(profiler.to_json())
+        (run_dir / META_FILE).write_bytes(content)
+        (run_dir / TRACE_JSONL_FILE).write_bytes(content + b"\n")
+        report = render_flight_report(run_dir)
+        assert "attacks" in report
+        assert "run:" not in report  # meta.json unreadable
+        assert "trace:" not in report  # trace.jsonl unreadable
+        assert main(["report", "--run-dir", str(run_dir)]) == 0
+
+
 class TestTelemetryBundle:
     def test_disabled_is_shared_singleton(self):
         assert Telemetry.disabled() is Telemetry.disabled()
