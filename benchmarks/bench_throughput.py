@@ -55,16 +55,13 @@ from bench_util import write_bench_json
 from repro.honeypot.amppot import AmpPotFleet
 from repro.honeypot.detection import detect_columns as detect_honeypot_columns
 from repro.pipeline.config import ScenarioConfig
-from repro.pipeline.datasets import (
-    event_to_dict,
-    save_events_jsonl,
-    _atomic_text_writer,
-)
+from repro.pipeline.datasets import event_to_dict, save_events_jsonl
 from repro.pipeline.simulation import (
     honeypot_capture,
     run_simulation,
     telescope_capture,
 )
+from repro.store.atomic import atomic_writer
 from repro.telescope.backscatter import BackscatterModel
 from repro.telescope.rsdos import detect_columns as detect_telescope_columns
 from tests import synthesis_oracle
@@ -98,7 +95,7 @@ def _best_of(repeats: int, fn: Callable[[], Any]) -> Tuple[float, Any]:
 def _write_reference_jsonl(events, path: Path) -> int:
     """The seed serializer: one ``write()`` per event line."""
     count = 0
-    with _atomic_text_writer(path) as handle:
+    with atomic_writer(path, text=True) as handle:
         for event in events:
             handle.write(json.dumps(event_to_dict(event)) + "\n")
             count += 1

@@ -33,7 +33,6 @@ __getattr__ = lazy_exports(__name__, {
         "FaultInjectorSet",
         "HoneypotFaultInjector",
         "OpenIntelFaultInjector",
-        "StreamFaultInjector",
         "TelescopeFaultInjector",
     ),
     "repro.faults.plan": (
@@ -67,7 +66,6 @@ __all__ = [
     "HoneypotFaultInjector",
     "OpenIntelFaultInjector",
     "DPSFaultInjector",
-    "StreamFaultInjector",
     "drift_schema",
     "duplicate_records",
     "flip_bits",

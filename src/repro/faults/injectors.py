@@ -1,8 +1,8 @@
 """Feed degraders: apply a :class:`~repro.faults.plan.FaultPlan` to data.
 
 Each injector sits at the point where a feed's raw data enters the
-pipeline and removes, corrupts or delays exactly what the plan says the
-real-world failure would have removed, corrupted or delayed:
+pipeline and removes or corrupts exactly what the plan says the
+real-world failure would have removed or corrupted:
 
 * telescope downtime drops rows of the
   :class:`~repro.net.columnar.PacketColumns` capture before RSDoS
@@ -13,9 +13,7 @@ real-world failure would have removed, corrupted or delayed:
   attack);
 * OpenINTEL missed snapshots punch day-holes into the compiled hosting /
   mail / NS intervals and postpone first-seen dates;
-* DPS record corruption drops or day-jitters usage records;
-* stream delivery faults reorder a unified event stream the way late
-  feeds would, within the fusion engine's one-day disorder tolerance.
+* DPS record corruption drops or day-jitters usage records.
 
 Every injector counts what it removed so the
 :class:`~repro.pipeline.quality.DataQualityReport` can state losses
@@ -30,7 +28,6 @@ from random import Random
 import numpy as np
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.events import AttackEvent
 from repro.dns.openintel import OpenIntelDataset
 from repro.dps.detection import DPSUsage, DPSUsageDataset
 from repro.faults.plan import DAY, FaultPlan, OutageWindow
@@ -197,40 +194,6 @@ class DPSFaultInjector:
         return DPSUsageDataset(usages=kept, n_days=dataset.n_days)
 
 
-class StreamFaultInjector:
-    """Delays a fraction of a unified event stream (late feed delivery).
-
-    Events keep their true timestamps; only the *delivery order* changes,
-    the way a feed that syncs hours late hands the fusion engine slightly
-    stale events. Delays are capped at the plan's ``stream_max_delay``,
-    which must stay within :class:`~repro.core.streaming.StreamingFusion`'s
-    one-day disorder tolerance for the stream to remain consumable.
-    """
-
-    def __init__(self, plan: FaultPlan, seed: Optional[int] = None) -> None:
-        if plan.stream_max_delay >= DAY:
-            raise ValueError(
-                "stream delay must stay below the fusion one-day tolerance"
-            )
-        self.late_fraction = plan.stream_late_fraction
-        self.max_delay = plan.stream_max_delay
-        self._rng = Random(plan.seed * 1000003 + 13 if seed is None else seed)
-        self.late_events = 0
-
-    def deliver(self, events: Iterable[AttackEvent]) -> List[AttackEvent]:
-        """Events in delivery order (late ones pushed back, none lost)."""
-        rng = self._rng
-        keyed: List[Tuple[float, int, AttackEvent]] = []
-        for index, event in enumerate(events):
-            delivery = event.start_ts
-            if self.late_fraction and rng.random() < self.late_fraction:
-                delivery += rng.uniform(0.0, self.max_delay)
-                self.late_events += 1
-            keyed.append((delivery, index, event))
-        keyed.sort(key=lambda item: (item[0], item[1]))
-        return [event for _, _, event in keyed]
-
-
 class FaultInjectorSet:
     """All per-feed injectors for one plan, plus their loss counters."""
 
@@ -240,15 +203,6 @@ class FaultInjectorSet:
         self.honeypot = HoneypotFaultInjector(plan)
         self.openintel = OpenIntelFaultInjector(plan)
         self.dps = DPSFaultInjector(plan)
-        self.stream = StreamFaultInjector(plan)
-
-    def dropped_counts(self) -> Dict[str, int]:
-        return {
-            "telescope": self.telescope.dropped_batches,
-            "honeypot": self.honeypot.dropped_batches,
-            "openintel": self.openintel.dropped_interval_days,
-            "dps": self.dps.dropped_records + self.dps.jittered_records,
-        }
 
     #: Loss counters that must survive a crash for a resumed run's quality
     #: report to match the uninterrupted one: (attr path, counter name).
@@ -262,7 +216,6 @@ class FaultInjectorSet:
         ("openintel", "dropped_domains"),
         ("dps", "dropped_records"),
         ("dps", "jittered_records"),
-        ("stream", "late_events"),
     )
 
     def counters(self) -> Dict[str, int]:

@@ -78,9 +78,6 @@ class FaultPlanConfig:
     openintel_miss_rate: float = 0.03
     # DPS-signature records: fraction corrupted (dropped or day-jittered).
     dps_corruption_rate: float = 0.02
-    # Streaming delivery: fraction of events delivered late and how late.
-    stream_late_fraction: float = 0.05
-    stream_max_delay: float = 6 * 3600.0
     # Injected transient stage failures: stage name -> number of attempts
     # that fail with TransientStageError before the stage succeeds.
     transient_failures: Mapping[str, int] = field(default_factory=dict)
@@ -98,8 +95,6 @@ class FaultPlan:
     honeypot_outages: Tuple[Tuple[int, Tuple[OutageWindow, ...]], ...] = ()
     openintel_missed_days: FrozenSet[int] = frozenset()
     dps_corruption_rate: float = 0.0
-    stream_late_fraction: float = 0.0
-    stream_max_delay: float = 0.0
     transient_failures: Tuple[Tuple[str, int], ...] = ()
 
     # -- constructors ---------------------------------------------------------
@@ -146,8 +141,6 @@ class FaultPlan:
             honeypot_outages=tuple(honeypots),
             openintel_missed_days=missed,
             dps_corruption_rate=config.dps_corruption_rate,
-            stream_late_fraction=config.stream_late_fraction,
-            stream_max_delay=config.stream_max_delay,
             transient_failures=tuple(sorted(config.transient_failures.items())),
         )
 
@@ -189,17 +182,6 @@ class FaultPlan:
     def honeypot_schedule(self) -> Dict[int, Tuple[OutageWindow, ...]]:
         return dict(self.honeypot_outages)
 
-    def telescope_outage_days(self) -> FrozenSet[int]:
-        """Days with telescope collection gaps — feed these to
-        :class:`~repro.core.streaming.StreamingFusion` as ``outage_days``
-        so post-outage baselines stay sane."""
-        days = set()
-        for window in self.telescope_outages:
-            days.update(
-                range(window.start_day, min(window.end_day, self.n_days))
-            )
-        return frozenset(days)
-
     def transient_failure_counts(self) -> Dict[str, int]:
         return dict(self.transient_failures)
 
@@ -216,7 +198,6 @@ class FaultPlan:
             and not self.honeypot_outages
             and not self.openintel_missed_days
             and self.dps_corruption_rate == 0.0
-            and self.stream_late_fraction == 0.0
             and not self.transient_failures
         )
 
@@ -261,11 +242,6 @@ class FaultPlan:
             f"snapshot day(s), uptime {self.openintel_uptime():.1%}",
             f"  dps:       corruption rate {self.dps_corruption_rate:.1%}",
         ]
-        if self.stream_late_fraction:
-            lines.append(
-                f"  stream:    {self.stream_late_fraction:.1%} of events "
-                f"late by up to {self.stream_max_delay / 3600.0:.1f} h"
-            )
         if self.transient_failures:
             parts = ", ".join(
                 f"{name}×{count}" for name, count in self.transient_failures

@@ -14,8 +14,6 @@ two-year feed must cost one record, not the run.
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -29,7 +27,7 @@ from repro.core.events import (
 )
 from repro.log import get_logger
 from repro.obs.metrics import get_registry
-from repro.store.atomic import fsync_directory
+from repro.store.atomic import atomic_writer
 
 log = get_logger("datasets")
 
@@ -77,22 +75,7 @@ def save_events_jsonl(
     replace did not happen (never racing a successful rename against a
     concurrent writer's fresh temp file).
     """
-    count = 0
-    dumps = json.dumps
-    with _atomic_text_writer(path) as handle:
-        # Chunked writes: lines are batched and joined so the hot loop
-        # performs one handle.write per WRITE_CHUNK_LINES events instead
-        # of one per event. The bytes are identical to the line-at-a-time
-        # path (each line still ends in exactly one newline).
-        chunk: list = []
-        for event in events:
-            chunk.append(dumps(event_to_dict(event)))
-            count += 1
-            if len(chunk) >= WRITE_CHUNK_LINES:
-                handle.write("\n".join(chunk) + "\n")
-                chunk.clear()
-        if chunk:
-            handle.write("\n".join(chunk) + "\n")
+    count = _write_lines(map(json.dumps, map(event_to_dict, events)), path)
     log.debug("events saved", path=str(path), events=count)
     return count
 
@@ -100,33 +83,28 @@ def save_events_jsonl(
 #: Lines per buffered write in the chunked JSONL serializers.
 WRITE_CHUNK_LINES = 4096
 
-#: Userspace buffer for the atomic text writer: large enough that a
-#: chunked write rarely crosses into the OS more than once.
-WRITE_BUFFER_BYTES = 1 << 20
 
+def _write_lines(lines: Iterable[str], path: Union[str, Path]) -> int:
+    """Write one line per string through the atomic writer; returns the
+    count.
 
-@contextmanager
-def _atomic_text_writer(path: Union[str, Path]):
-    """Same-directory temp file that durably replaces *path* on success."""
-    path = Path(path)
-    tmp_path = path.with_name(path.name + ".tmp")
-    replaced = False
-    try:
-        with open(
-            tmp_path, "w", encoding="utf-8", buffering=WRITE_BUFFER_BYTES
-        ) as handle:
-            yield handle
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-        replaced = True
-        fsync_directory(path.parent)
-    finally:
-        if not replaced:
-            try:
-                tmp_path.unlink()
-            except FileNotFoundError:
-                pass
+    Lines are batched and joined so the hot loop performs one
+    ``handle.write`` per :data:`WRITE_CHUNK_LINES` lines instead of one
+    per line; the bytes are those of a line-at-a-time write (each line
+    ends in exactly one newline).
+    """
+    count = 0
+    with atomic_writer(path, text=True) as handle:
+        chunk: list = []
+        for line in lines:
+            chunk.append(line)
+            count += 1
+            if len(chunk) >= WRITE_CHUNK_LINES:
+                handle.write("\n".join(chunk) + "\n")
+                chunk.clear()
+        if chunk:
+            handle.write("\n".join(chunk) + "\n")
+    return count
 
 
 # -- validated loading --------------------------------------------------------
@@ -303,19 +281,10 @@ def write_quarantine_jsonl(
     records: Iterable[QuarantinedRecord], path: Union[str, Path]
 ) -> int:
     """Write rejected records as a dead-letter JSONL file (atomically)."""
-    count = 0
-    dumps = json.dumps
-    with _atomic_text_writer(path) as handle:
-        chunk: list = []
-        for record in records:
-            chunk.append(dumps(record.to_dict(), sort_keys=True))
-            count += 1
-            if len(chunk) >= WRITE_CHUNK_LINES:
-                handle.write("\n".join(chunk) + "\n")
-                chunk.clear()
-        if chunk:
-            handle.write("\n".join(chunk) + "\n")
-    return count
+    return _write_lines(
+        (json.dumps(record.to_dict(), sort_keys=True) for record in records),
+        path,
+    )
 
 
 __all__ = [

@@ -182,7 +182,7 @@ class StageReport:
 
     name: str
     # "cached" is a same-run checkpoint hit; "cache-hit" is the
-    # cross-run stage cache (see repro.store.stagecache).
+    # cross-run stage cache (see runner.stage_fingerprint).
     status: str  # "ok" | "degraded" | "failed" | "cached" | "cache-hit"
     attempts: int = 1
     elapsed: float = 0.0

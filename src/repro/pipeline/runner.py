@@ -43,10 +43,12 @@ checkpoints so even the feed-quality accounting survives the crash.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -73,6 +75,7 @@ from repro.faults.plan import (
 )
 from repro.log import get_logger
 from repro.obs import Telemetry, get_telemetry
+from repro.obs.metrics import NULL_REGISTRY
 from repro.pipeline.config import ScenarioConfig
 from repro.pipeline.quality import (
     DataQualityReport,
@@ -83,13 +86,35 @@ from repro.pipeline.quality import (
     StageReport,
     feed_status,
 )
-from repro.store.checkpoint import CheckpointIssue, CheckpointStore
-from repro.store.stagecache import CACHE_MISS, StageCache, stage_fingerprint
+from repro.store.checkpoint import (
+    STORE_SCHEMA_VERSION,
+    CheckpointError,
+    CheckpointIssue,
+    CheckpointStore,
+)
 from repro.pipeline import simulation as sim
 from repro.pipeline.simulation import SimulationResult
 
 #: A stage's outputs so far, keyed by stage name.
 Outputs = Dict[str, Any]
+
+#: Bump when the same scenario starts producing different stage outputs
+#: (v2: per-attack random streams), so every stage cache entry misses.
+STAGE_CACHE_SCHEMA = 2
+
+
+def stage_fingerprint(config: ScenarioConfig, stage: str) -> str:
+    """SHA-256 identity of one stage output: the scenario (every field),
+    the stage name and the store and cache schema versions, hashed as
+    canonical JSON so the digest is stable across processes."""
+    document = {
+        "scenario": asdict(config),
+        "stage": stage,
+        "store_schema": STORE_SCHEMA_VERSION,
+        "cache_schema": STAGE_CACHE_SCHEMA,
+    }
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -237,7 +262,7 @@ class ResilientPipeline:
         deadline: Optional[Union[float, RunDeadline]] = None,
         interrupt: Optional[InterruptGuard] = None,
         telemetry: Optional[Telemetry] = None,
-        stage_cache: Optional[Union[str, Path, StageCache]] = None,
+        stage_cache: Optional[Union[str, Path]] = None,
     ) -> None:
         self.config = config
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
@@ -302,16 +327,35 @@ class ResilientPipeline:
             "pipeline_stage_seconds", "stage wall time (telemetry clock)",
             ("stage",),
         )
-        # Cross-run stage cache: only consulted for fault-free plans
+        # Cross-run stage cache: a checkpoint store whose entry names
+        # carry the fingerprint, only consulted for fault-free plans
         # (outputs are then pure functions of the scenario config) and
-        # only for the observation stages.
-        if stage_cache is not None and not isinstance(stage_cache, StageCache):
-            stage_cache = StageCache(stage_cache, metrics=metrics)
-        self.stage_cache: Optional[StageCache] = (
-            stage_cache
-            if self.plan.is_benign() and not self.exec_faults.faults
-            else None
-        )
+        # only for the observation stages. Its store counts nothing, so
+        # checkpoint_* keeps counting run-dir checkpoints alone.
+        self.stage_cache: Optional[CheckpointStore] = None
+        if stage_cache is not None:
+            self._m_cache_hits = metrics.counter(
+                "stage_cache_hits_total",
+                "stage outputs served from the cross-run cache",
+                ("stage",),
+            )
+            self._m_cache_misses = metrics.counter(
+                "stage_cache_misses_total",
+                "stage cache lookups that fell through to compute",
+                ("stage",),
+            )
+            self._m_cache_read = metrics.counter(
+                "stage_cache_bytes_read_total",
+                "payload bytes served from the stage cache",
+            )
+            self._m_cache_written = metrics.counter(
+                "stage_cache_bytes_written_total",
+                "payload bytes written into the stage cache",
+            )
+            if self.plan.is_benign() and not self.exec_faults.faults:
+                self.stage_cache = CheckpointStore(
+                    stage_cache, metrics=NULL_REGISTRY
+                )
         self._pool: Optional[SupervisedPool] = (
             SupervisedPool(metrics=metrics)
             if task_deadline is not None
@@ -438,15 +482,10 @@ class ResilientPipeline:
         if name in out:
             self._settle(row, "cached")
             return
-        cacheable = row.empty is not None and self.stage_cache is not None
-        if cacheable:
-            output = self.stage_cache.get(
-                name, stage_fingerprint(self.config, name)
-            )
-            if output is not CACHE_MISS:
-                # Adopted exactly like a computed output, so resume
-                # checkpoints (and crash drills) behave as uncached.
-                out[name] = output
+        cache_key: Optional[str] = None
+        if row.empty is not None and self.stage_cache is not None:
+            cache_key = f"{name}-{stage_fingerprint(self.config, name)}"
+            if self._from_cache(name, cache_key, out):
                 self._settle(row, "cache-hit")
                 return
         # A stage that runs as a pool task takes its execution fault
@@ -514,12 +553,11 @@ class ResilientPipeline:
                     prof.set_events(
                         len(output) if isinstance(output, list) else 0
                     )
-                    if cacheable:
+                    if cache_key is not None:
                         # Degraded outputs never enter the cache: they
                         # reflect a failure, not the scenario.
-                        self.stage_cache.put(
-                            name, stage_fingerprint(self.config, name), output
-                        )
+                        manifest = self.stage_cache.save(cache_key, output)
+                        self._m_cache_written.inc(manifest.payload_bytes)
                 elif status == "degraded":
                     output = row.empty(self.config)
                     self._degraded_stages.add(name)
@@ -534,6 +572,31 @@ class ResilientPipeline:
                 )
                 if status == "failed":
                     raise StageFailedError(name, error)
+
+    def _from_cache(self, name: str, key: str, out: Outputs) -> bool:
+        """Adopt stage *name*'s output from cache entry *key* into *out*.
+
+        An entry that does not verify (absent, poisoned, renamed, written
+        by another schema) is a miss: it is discarded and the stage
+        recomputes, and that run's save writes a fresh entry.
+        """
+        try:
+            output = self.stage_cache.load(key)
+        except CheckpointError as exc:
+            self._m_cache_misses.inc(stage=name)
+            if exc.kind != "missing":
+                self._log.warning(
+                    "cache entry rejected", stage=name, kind=exc.kind,
+                    reason=exc.reason,
+                )
+            self.stage_cache.discard(key)
+            return False
+        # Adopted exactly like a computed output, so resume checkpoints
+        # (and crash drills) behave as uncached.
+        out[name] = output
+        self._m_cache_hits.inc(stage=name)
+        self._m_cache_read.inc(self.stage_cache.manifest(key).payload_bytes)
+        return True
 
     def _settle(
         self,

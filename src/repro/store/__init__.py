@@ -1,14 +1,19 @@
 """Durable run store: crash-safe checkpoints and atomic file primitives.
 
-See :mod:`repro.store.checkpoint` for the per-stage checkpoint store the
-resilient runner persists completed stages into, and
-:mod:`repro.store.atomic` for the write-temp/fsync/rename/fsync-dir
-pattern everything in the store (and the JSONL event serializer) uses.
+:mod:`repro.store.checkpoint` is the one manifest-verified pickle store:
+a :class:`CheckpointStore` holds the resumable stage checkpoints of a
+run directory, the serve node's rolling snapshots, and the cross-run
+stage cache (entries named ``<stage>-<fingerprint>``, see
+:func:`repro.pipeline.runner.stage_fingerprint`).
+:mod:`repro.store.atomic` is the one write-temp/fsync/rename/fsync-dir
+implementation; every durable file (checkpoints, manifests, run
+documents, event and quarantine JSONL) is written through it.
 """
 
 from repro.store.atomic import (
     atomic_write_bytes,
     atomic_write_text,
+    atomic_writer,
     fsync_directory,
 )
 from repro.store.checkpoint import (
@@ -22,22 +27,10 @@ from repro.store.checkpoint import (
     CheckpointStore,
     CheckpointVersionError,
 )
-from repro.store.stagecache import (
-    CACHE_MISS,
-    STAGE_CACHE_SCHEMA,
-    StageCache,
-    StageCacheManifest,
-    stage_fingerprint,
-)
 
 __all__ = [
-    "CACHE_MISS",
     "CHECKPOINT_CODEC",
-    "STAGE_CACHE_SCHEMA",
     "STORE_SCHEMA_VERSION",
-    "StageCache",
-    "StageCacheManifest",
-    "stage_fingerprint",
     "CheckpointCorruptionError",
     "CheckpointError",
     "CheckpointIssue",
@@ -47,5 +40,6 @@ __all__ = [
     "CheckpointVersionError",
     "atomic_write_bytes",
     "atomic_write_text",
+    "atomic_writer",
     "fsync_directory",
 ]

@@ -8,17 +8,26 @@ only promises the rename is durable once the directory entry is). The
 temp file is removed only when the replace did not happen, so a cleanup
 racing a successful rename can never unlink a file some concurrent
 writer just created at the same temp path.
+
+:func:`atomic_writer` is the one implementation; every durable file in
+the project (checkpoints, manifests, run documents, event and
+quarantine JSONL) is written through it.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Union
+from typing import IO, Iterator, Union
 
 from repro.obs.metrics import get_registry
 
 PathLike = Union[str, Path]
+
+#: Userspace buffer for text-mode writers: large enough that a chunked
+#: JSONL write rarely crosses into the OS more than once.
+WRITE_BUFFER_BYTES = 1 << 20
 
 
 def _fsync_counter():
@@ -48,14 +57,26 @@ def fsync_directory(path: PathLike) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: PathLike, data: bytes) -> None:
-    """Write *data* to *path* atomically and durably."""
+@contextmanager
+def atomic_writer(path: PathLike, text: bool = False) -> Iterator[IO]:
+    """A handle whose contents durably replace *path* when the block exits.
+
+    Binary by default; ``text=True`` yields a UTF-8 text handle with a
+    1 MiB buffer. If the block raises, *path* is left untouched and the
+    temp file is removed.
+    """
     path = Path(path)
     tmp_path = path.with_name(path.name + ".tmp")
     replaced = False
     try:
-        with open(tmp_path, "wb") as handle:
-            handle.write(data)
+        if text:
+            handle = open(
+                tmp_path, "w", encoding="utf-8", buffering=WRITE_BUFFER_BYTES
+            )
+        else:
+            handle = open(tmp_path, "wb")
+        with handle:
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
             _fsync_counter().inc()
@@ -70,9 +91,22 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> None:
                 pass
 
 
+def atomic_write_bytes(path: PathLike, data: bytes) -> None:
+    """Write *data* to *path* atomically and durably."""
+    with atomic_writer(path) as handle:
+        handle.write(data)
+
+
 def atomic_write_text(path: PathLike, text: str) -> None:
     """Write *text* (UTF-8) to *path* atomically and durably."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+    with atomic_writer(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "fsync_directory"]
+__all__ = [
+    "WRITE_BUFFER_BYTES",
+    "atomic_write_bytes",
+    "atomic_write_text",
+    "atomic_writer",
+    "fsync_directory",
+]

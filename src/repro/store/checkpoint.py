@@ -9,18 +9,26 @@ resumed by a fresh one (``python -m repro resume <run_dir>``). Layout::
         state.json                 # injector counters etc. (runner-owned)
         checkpoints/
             <stage>.pkl            # stage payload (pickle)
-            <stage>.manifest.json  # schema version, codec, bytes, sha256
+            <stage>.manifest.json  # stage, schema, codec, bytes, sha256
+
+The same store, opened on another directory, holds the serve node's
+rolling snapshots and the cross-run stage cache (``--stage-cache DIR``:
+entries ``DIR/checkpoints/<stage>-<fingerprint>``, where the name is
+the identity).
 
 Every file is written with the atomic temp-file + rename + directory
 fsync pattern from :mod:`repro.store.atomic`, and the manifest is written
 *after* its payload — a manifest on disk therefore implies a complete
 payload. Loads verify the manifest's schema version, byte count and
-SHA-256 checksum before unpickling, so corruption and version skew are
+SHA-256 checksum before unpickling, and that the manifest names the
+stage it was loaded under, so corruption and version skew are
 detected at the store boundary, not three stages downstream:
 
 * wrong/absent manifest        -> :class:`CheckpointMissingError`
 * schema version/codec skew    -> :class:`CheckpointVersionError`
-* size/checksum/unpickle fail  -> :class:`CheckpointCorruptionError`
+* size/checksum/unpickle fail,
+  or a manifest naming another
+  stage (a renamed pair)       -> :class:`CheckpointCorruptionError`
 
 :meth:`CheckpointStore.load_valid_graph` implements the resume policy:
 walk the stage order and restore each checkpoint that validates and
@@ -61,6 +69,9 @@ CHECKPOINT_CODEC = "pickle"
 class CheckpointError(RuntimeError):
     """Base class for checkpoint load failures."""
 
+    #: The load result it counts as, and its :class:`CheckpointIssue` kind.
+    kind = "missing"
+
     def __init__(self, stage: str, reason: str) -> None:
         super().__init__(f"checkpoint {stage!r}: {reason}")
         self.stage = stage
@@ -74,9 +85,14 @@ class CheckpointMissingError(CheckpointError):
 class CheckpointVersionError(CheckpointError):
     """The checkpoint was written by an incompatible store version."""
 
+    kind = "version"
+
 
 class CheckpointCorruptionError(CheckpointError):
-    """The payload does not match its manifest."""
+    """The payload does not match its manifest, or the manifest names
+    another stage."""
+
+    kind = "corrupt"
 
 
 @dataclass(frozen=True)
@@ -201,20 +217,19 @@ class CheckpointStore:
         try:
             payload = self._load_verified(stage)
         except CheckpointError as exc:
-            result = (
-                "version"
-                if isinstance(exc, CheckpointVersionError)
-                else "corrupt"
-                if isinstance(exc, CheckpointCorruptionError)
-                else "missing"
-            )
-            self._m_loads.inc(result=result)
+            self._m_loads.inc(result=exc.kind)
             raise
         self._m_loads.inc(result="ok")
         return payload
 
     def _load_verified(self, stage: str) -> Any:
         manifest = self.manifest(stage)
+        if manifest.stage != stage:
+            # A pair copied or renamed from another name: its payload
+            # is some other stage's output.
+            raise CheckpointCorruptionError(
+                stage, f"manifest names stage {manifest.stage!r}"
+            )
         if manifest.schema_version != STORE_SCHEMA_VERSION:
             raise CheckpointVersionError(
                 stage,
@@ -306,16 +321,9 @@ class CheckpointStore:
             try:
                 payloads[stage] = self.load(stage)
             except CheckpointError as exc:
-                kind = (
-                    "version"
-                    if isinstance(exc, CheckpointVersionError)
-                    else "corrupt"
-                    if isinstance(exc, CheckpointCorruptionError)
-                    else "missing"
-                )
-                issues.append(CheckpointIssue(stage, kind, exc.reason))
+                issues.append(CheckpointIssue(stage, exc.kind, exc.reason))
                 log.warning(
-                    "checkpoint rejected", stage=stage, kind=kind,
+                    "checkpoint rejected", stage=stage, kind=exc.kind,
                     reason=exc.reason,
                 )
                 self.discard(stage)

@@ -11,6 +11,7 @@ from repro.core.events import (
     SOURCE_TELESCOPE,
     validate_event_dict,
 )
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.pipeline.datasets import (
     MalformedRecordError,
     QUARANTINE_SUFFIX,
@@ -88,6 +89,15 @@ class TestAtomicWrite:
         with pytest.raises(RuntimeError):
             save_events_jsonl(self._failing_events(), path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_counts_both_fsyncs(self, tmp_path):
+        """The file fsync and the directory fsync are both counted."""
+        registry = set_registry(MetricsRegistry())
+        try:
+            save_events_jsonl(events(), tmp_path / "events.jsonl")
+        finally:
+            set_registry(None)
+        assert registry.value("store_fsyncs_total") == 2
 
     def test_overwrite_replaces_longer_file(self, tmp_path):
         path = tmp_path / "events.jsonl"

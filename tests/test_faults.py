@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.core.events import AttackEvent, SOURCE_TELESCOPE
-from repro.core.streaming import StreamingFusion
 from repro.dns.openintel import OpenIntelDataset
 from repro.dps.detection import DPSUsage, DPSUsageDataset
 from repro.faults.injectors import (
     DPSFaultInjector,
     HoneypotFaultInjector,
     OpenIntelFaultInjector,
-    StreamFaultInjector,
     TelescopeFaultInjector,
 )
 from repro.faults.plan import (
@@ -89,13 +86,6 @@ class TestFaultPlan:
         )
         for window in plan.telescope_outages:
             assert 0 <= window.start_day < window.end_day <= 50
-
-    def test_telescope_outage_days(self):
-        plan = FaultPlan(
-            seed=0, n_days=10, n_honeypots=4,
-            telescope_outages=(OutageWindow(2, 4), OutageWindow(7, 8)),
-        )
-        assert plan.telescope_outage_days() == frozenset({2, 3, 7})
 
     def test_describe_is_deterministic(self):
         config = FaultPlanConfig(seed=5, n_days=120)
@@ -218,43 +208,3 @@ class TestDPSInjector:
         a = DPSFaultInjector(plan).corrupt(self._dataset())
         b = DPSFaultInjector(plan).corrupt(self._dataset())
         assert a.usages == b.usages
-
-
-class TestStreamInjector:
-    def _events(self, n=300):
-        return [
-            AttackEvent(SOURCE_TELESCOPE, target=i, start_ts=i * 600.0,
-                        end_ts=i * 600.0 + 60.0, intensity=1.0)
-            for i in range(n)
-        ]
-
-    def _plan(self, fraction=0.5, delay=6 * 3600.0):
-        return FaultPlan(
-            seed=11, n_days=60, n_honeypots=4,
-            stream_late_fraction=fraction, stream_max_delay=delay,
-        )
-
-    def test_no_events_lost(self):
-        injector = StreamFaultInjector(self._plan())
-        events = self._events()
-        delivered = injector.deliver(events)
-        assert sorted(delivered, key=lambda e: e.start_ts) == events
-        assert injector.late_events > 0
-
-    def test_disorder_stays_within_fusion_tolerance(self):
-        injector = StreamFaultInjector(self._plan())
-        fusion = StreamingFusion()
-        for event in injector.deliver(self._events()):
-            fusion.ingest(event)  # must not raise the disorder ValueError
-        fusion.finish()
-        assert fusion.total_events == 300
-
-    def test_rejects_delay_beyond_tolerance(self):
-        with pytest.raises(ValueError):
-            StreamFaultInjector(self._plan(delay=DAY))
-
-    def test_zero_fraction_preserves_order(self):
-        injector = StreamFaultInjector(self._plan(fraction=0.0))
-        events = self._events(50)
-        assert injector.deliver(events) == events
-        assert injector.late_events == 0

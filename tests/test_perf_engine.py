@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,17 +28,21 @@ from repro.pipeline.datasets import (
     event_to_dict,
     save_events_jsonl,
     write_quarantine_jsonl,
-    _atomic_text_writer,
 )
-from repro.pipeline.runner import OBSERVATION_STAGES, ResilientPipeline
+from repro.obs import Telemetry
+from repro.pipeline.runner import (
+    OBSERVATION_STAGES,
+    ResilientPipeline,
+    stage_fingerprint,
+)
 from repro.pipeline.simulation import (
     honeypot_capture,
     merge_honeypot_shards,
     merge_telescope_shards,
     telescope_capture,
 )
+from repro.store.atomic import atomic_writer
 from repro.store.checkpoint import CheckpointStore, CheckpointVersionError
-from repro.store.stagecache import CACHE_MISS, StageCache, stage_fingerprint
 from tests.detection_oracle import (
     HoneypotDetector,
     RSDoSDetector,
@@ -145,7 +150,7 @@ class TestPackedLookups:
 
 class TestChunkedSerialization:
     def _reference_events(self, events, path):
-        with _atomic_text_writer(path) as handle:
+        with atomic_writer(path, text=True) as handle:
             for event in events:
                 handle.write(json.dumps(event_to_dict(event)) + "\n")
 
@@ -176,7 +181,7 @@ class TestChunkedSerialization:
             QuarantinedRecord(line_no=i, reason="parse-error", raw=f"x{i}")
             for i in range(11)
         ]
-        with _atomic_text_writer(tmp_path / "ref.jsonl") as handle:
+        with atomic_writer(tmp_path / "ref.jsonl", text=True) as handle:
             for record in records:
                 handle.write(json.dumps(record.to_dict(), sort_keys=True))
                 handle.write("\n")
@@ -231,48 +236,103 @@ class TestStageFingerprint:
 
 
 class TestStageCache:
-    PAYLOAD = ["event"] * 64
+    """The stage cache is a checkpoint store whose entry names are
+    ``<stage>-<fingerprint>``; a run adopts an entry that verifies and
+    recomputes (then rewrites) one that does not."""
 
-    def test_miss_then_hit_round_trip(self, tmp_path, small_config):
-        cache = StageCache(tmp_path)
-        fingerprint = stage_fingerprint(small_config, "telescope")
-        assert cache.get("telescope", fingerprint) is CACHE_MISS
-        cache.put("telescope", fingerprint, self.PAYLOAD)
-        assert cache.get("telescope", fingerprint) == self.PAYLOAD
-        assert cache.entries() == [("telescope", fingerprint[:16])]
+    @staticmethod
+    def key(config, stage):
+        return f"{stage}-{stage_fingerprint(config, stage)}"
 
-    def test_poisoned_payload_is_a_miss(self, tmp_path, small_config):
-        cache = StageCache(tmp_path)
-        fingerprint = stage_fingerprint(small_config, "telescope")
-        cache.put("telescope", fingerprint, self.PAYLOAD)
-        payload_path = cache.payload_path("telescope", fingerprint)
+    @staticmethod
+    def run(config, cache_dir):
+        telemetry = Telemetry.create()
+        result = ResilientPipeline(
+            config, stage_cache=cache_dir, telemetry=telemetry
+        ).run()
+        statuses = {s.name: s.status for s in result.quality.stages}
+        return result, statuses, telemetry.metrics
+
+    @pytest.fixture(scope="class")
+    def cold(self, small_config, tmp_path_factory):
+        """One cold run's cache directory and result."""
+        cache_dir = tmp_path_factory.mktemp("cold") / "cache"
+        result, statuses, metrics = self.run(small_config, cache_dir)
+        return cache_dir, result, statuses, metrics
+
+    @pytest.fixture
+    def cache(self, cold, tmp_path):
+        """A private copy of the cold cache, free to tamper with."""
+        copy = tmp_path / "cache"
+        shutil.copytree(cold[0], copy)
+        return CheckpointStore(copy)
+
+    def assert_recomputed_once(self, config, cache, cold, stage):
+        """A warm run over *cache* recomputes *stage* alone, matches the
+        cold run, and leaves a fresh entry equal to the cold one."""
+        result, statuses, metrics = self.run(config, cache.run_dir)
+        events = result.fused.combined.events
+        assert events == cold[1].fused.combined.events
+        for other in OBSERVATION_STAGES:
+            expected = "ok" if other == stage else "cache-hit"
+            assert statuses[other] == expected, other
+        assert metrics.value("stage_cache_misses_total", stage=stage) == 1
+        key = self.key(config, stage)
+        assert cache.load(key) == CheckpointStore(cold[0]).load(key)
+
+    def test_miss_then_hit_round_trip(self, cold, small_config):
+        cache_dir, _, statuses, metrics = cold
+        keys = sorted(self.key(small_config, s) for s in OBSERVATION_STAGES)
+        assert CheckpointStore(cache_dir).stages() == keys
+        for stage in OBSERVATION_STAGES:
+            assert statuses[stage] == "ok"
+            assert metrics.value("stage_cache_misses_total", stage=stage) == 1
+            assert metrics.value("stage_cache_hits_total", stage=stage) == 0
+        written = sum(
+            CheckpointStore(cache_dir).manifest(key).payload_bytes
+            for key in keys
+        )
+        assert metrics.value("stage_cache_bytes_written_total") == written
+        _, warm, metrics = self.run(small_config, cache_dir)
+        for stage in OBSERVATION_STAGES:
+            assert warm[stage] == "cache-hit"
+            assert metrics.value("stage_cache_hits_total", stage=stage) == 1
+        assert metrics.value("stage_cache_bytes_read_total") == written
+        assert metrics.value("stage_cache_bytes_written_total") == 0
+        # Cache entries are not run-dir checkpoints.
+        assert metrics.value("checkpoint_saves_total") == 0
+        assert metrics.value("checkpoint_loads_total", result="ok") == 0
+
+    def test_poisoned_payload_is_a_miss(self, cold, cache, small_config):
+        payload_path = cache.payload_path(self.key(small_config, "telescope"))
         data = bytearray(payload_path.read_bytes())
         data[len(data) // 2] ^= 0xFF
         payload_path.write_bytes(bytes(data))
-        assert cache.get("telescope", fingerprint) is CACHE_MISS
+        self.assert_recomputed_once(small_config, cache, cold, "telescope")
 
-    def test_stale_fingerprint_is_a_miss(self, tmp_path, small_config):
-        # Same filename prefix, different full fingerprint in the
-        # manifest: the entry belongs to another scenario and must not
-        # be served.
-        cache = StageCache(tmp_path)
-        fingerprint = stage_fingerprint(small_config, "telescope")
-        cache.put("telescope", fingerprint, self.PAYLOAD)
-        manifest_path = cache.manifest_path("telescope", fingerprint)
-        document = json.loads(manifest_path.read_text())
-        document["fingerprint"] = "0" * 64
-        manifest_path.write_text(json.dumps(document))
-        assert cache.get("telescope", fingerprint) is CACHE_MISS
+    def test_stale_fingerprint_is_a_miss(self, cold, cache, small_config):
+        # Another scenario's entry copied under this scenario's name: the
+        # manifest names the other fingerprint, so it must not be served.
+        other = small_config.with_seed(small_config.seed + 1)
+        foreign = CheckpointStore(cache.run_dir.parent / "foreign")
+        foreign.save(self.key(other, "telescope"), ["not", "this", "run"])
+        key = self.key(small_config, "telescope")
+        shutil.copyfile(
+            foreign.payload_path(self.key(other, "telescope")),
+            cache.payload_path(key),
+        )
+        shutil.copyfile(
+            foreign.manifest_path(self.key(other, "telescope")),
+            cache.manifest_path(key),
+        )
+        self.assert_recomputed_once(small_config, cache, cold, "telescope")
 
-    def test_schema_skew_is_a_miss(self, tmp_path, small_config):
-        cache = StageCache(tmp_path)
-        fingerprint = stage_fingerprint(small_config, "telescope")
-        cache.put("telescope", fingerprint, self.PAYLOAD)
-        manifest_path = cache.manifest_path("telescope", fingerprint)
+    def test_schema_skew_is_a_miss(self, cold, cache, small_config):
+        manifest_path = cache.manifest_path(self.key(small_config, "honeypot"))
         document = json.loads(manifest_path.read_text())
         document["schema_version"] = 999
         manifest_path.write_text(json.dumps(document))
-        assert cache.get("telescope", fingerprint) is CACHE_MISS
+        self.assert_recomputed_once(small_config, cache, cold, "honeypot")
 
     def test_warm_run_hits_and_matches(self, tmp_path, small_config):
         cache_dir = tmp_path / "cache"
@@ -296,7 +356,7 @@ class TestStageCache:
         ResilientPipeline(
             small_config, plan=plan, stage_cache=cache_dir
         ).run()
-        assert list(cache_dir.glob("*.manifest.json")) == []
+        assert list(cache_dir.glob("**/*.manifest.json")) == []
 
 
 class TestStageCacheCLI:
@@ -329,10 +389,13 @@ class TestStageCacheCLI:
             "--stage-cache", str(cache), "--crash-after", "attacks",
             check_rc=137,
         )
-        assert list(cache.glob("*.manifest.json")) == []
+        assert list(cache.glob("**/*.manifest.json")) == []
         # Resume finishes the run and publishes the observation stages.
         self.run_cli("resume", str(crash_dir), check_rc=0)
-        cached = {stage for stage, _ in StageCache(cache).entries()}
+        cached = {
+            entry.rpartition("-")[0]
+            for entry in CheckpointStore(cache).stages()
+        }
         assert set(OBSERVATION_STAGES) <= cached
         # A second run dir starts cold but serves them from the cache.
         self.run_cli(

@@ -180,6 +180,18 @@ class TestValidPrefix:
         # Both rejected checkpoints are gone; alpha remains trustworthy.
         assert store.stages() == ["alpha"]
 
+    def test_renamed_pair_is_discarded_as_corrupt(self, store):
+        for i, stage in enumerate(ORDER):
+            store.save(stage, [i])
+        # gamma's pair copied over beta's: valid bytes, wrong stage.
+        for path in (store.payload_path, store.manifest_path):
+            path("beta").write_bytes(path("gamma").read_bytes())
+        payloads, issues = store.load_valid_graph(ORDER, CHAIN)
+        assert payloads == {"alpha": [0]}
+        kinds = {issue.stage: issue.kind for issue in issues}
+        assert kinds == {"beta": "corrupt", "gamma": "orphaned"}
+        assert store.stages() == ["alpha"]
+
     def test_empty_store(self, store):
         payloads, issues = store.load_valid_graph(ORDER, CHAIN)
         assert payloads == {} and issues == []
