@@ -297,15 +297,21 @@ class AttackDataset:
         }
 
     def annotated(
-        self, geo: GeoDatabase, routing: RoutingTable
+        self,
+        geo: GeoDatabase,
+        routing: RoutingTable,
+        origins: Optional[Dict[int, Tuple[str, Optional[int]]]] = None,
     ) -> "AttackDataset":
         """Copy with country and origin-AS metadata on every event.
 
         The metadata is a function of the target alone, so it is looked
-        up once per distinct victim; the order is unchanged, so the copy
-        is not sorted again.
+        up once per distinct victim, in *origins* (target -> country,
+        origin AS), which callers annotating several data sets over one
+        geo database and routing table share; the order is unchanged, so
+        the copy is not sorted again.
         """
-        origins: Dict[int, Tuple[str, Optional[int]]] = {}
+        if origins is None:
+            origins = {}
         events = []
         for event in self.events:
             origin = origins.get(event.target)

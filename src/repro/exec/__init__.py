@@ -1,15 +1,17 @@
 """Supervised execution: a fork watchdog, breakers and deadlines.
 
-The pipeline runs its stages serially in one process. What this package
-adds is supervision for the stages that talk to lossy collectors — the
-three observation stages (telescope, honeypot, DNS measurement), which
-are exactly the work that hangs or dies partway when one feed
-misbehaves:
+The pipeline runs its stages in one process, apart from the feed
+stages it forks beside migration when it has more than one CPU. What
+this package adds is supervision for the stages that talk to lossy
+collectors — the three observation stages (telescope, honeypot, DNS
+measurement), which are exactly the work that hangs or dies partway when
+one feed misbehaves:
 
-* :mod:`repro.exec.pool` — a fork watchdog that runs one task in a
+* :mod:`repro.exec.pool` — a fork watchdog that runs each task in a
   forked child with a deadline and a heartbeat, and kills it when it
-  hangs. With a task deadline armed, the runner hands it each victim
-  partition's detection and the DNS measurement as watched tasks;
+  hangs. The runner starts its feed-stage children there, and, with a
+  task deadline armed, hands it each victim partition's detection and
+  the DNS measurement as watched tasks;
 * :mod:`repro.exec.retry` — the capped-backoff retry policy shared by
   the runner's stage retries and the serve client and follower; a stage
   that fails every attempt degrades to an empty feed;

@@ -40,6 +40,10 @@ class RunInterrupted(RuntimeError):
         super().__init__(message)
         self.signum = signum
 
+    def __reduce__(self):
+        # Pickled home from a pipeline stage's fork child.
+        return type(self), (self.args[0], self.signum)
+
     @property
     def exit_code(self) -> int:
         return SIGNAL_EXIT_BASE + self.signum

@@ -1,9 +1,9 @@
 """A fork watchdog that assumes its task will misbehave.
 
-``SupervisedPool`` runs one task at a time in a forked child under a
-watchdog instead of trusting it:
+``SupervisedPool`` runs each task in a forked child under a watchdog
+instead of trusting it:
 
-* every task carries a **deadline**; a child still running past it is
+* every task may carry a **deadline**; a child still running past it is
   killed and the task reported as ``deadline`` instead of blocking the
   run forever;
 * the child sends a **heartbeat** the moment it starts; one that never
@@ -13,14 +13,21 @@ watchdog instead of trusting it:
 * an exception inside the task is reported as ``error`` with the message
   — never re-raised across the process boundary.
 
+:meth:`SupervisedPool.start` forks a task and returns its handle at
+once; :meth:`SupervisedPool.wait` blocks on the child's pipe and exit
+sentinel (no polling) until it delivers, dies or passes a deadline, and
+:meth:`SupervisedPool.cancel` kills and reaps a task nobody will wait
+for. :meth:`SupervisedPool.run` is the two in a row.
+
 The child inherits the parent's memory, so closures over large pipeline
 objects cost nothing to dispatch, and only the (small) result is pickled
 back through a pipe.
 
-The pipeline runner uses the pool only when a task deadline is armed:
-each victim partition's telescope or honeypot detection, and the DNS
-measurement, becomes one watched task, so a hung task is killed at its
-deadline and its stage retried.
+The pipeline runner starts the telescope and honeypot stages as tasks
+and waits for them at fusion, while it runs migration and measurement
+itself. With a task deadline armed, each victim partition's detection
+and the DNS measurement also become one watched task each, so a hung
+task is killed at its deadline and its stage retried.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from multiprocessing.connection import wait as wait_ready
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -39,8 +47,6 @@ STATUS_ERROR = "error"  # task raised; message captured
 STATUS_DEADLINE = "deadline"  # hung past its deadline; killed
 STATUS_CRASHED = "crashed"  # worker died without delivering a result
 
-#: Seconds between the watchdog's checks on a running child.
-POLL_INTERVAL = 0.01
 #: Seconds a child may take to send its first heartbeat.
 START_TIMEOUT = 30.0
 
@@ -76,8 +82,11 @@ class _ForkWorker:
         ctx = multiprocessing.get_context("fork")
         self.spec = spec
         self.recv_conn, send_conn = ctx.Pipe(duplex=False)
+        # Not a daemon: a daemonic process may not fork children of its
+        # own, and a pipeline stage child forks its watched tasks. Every
+        # worker is reaped by wait() or cancel() instead.
         self.process = ctx.Process(
-            target=_fork_entry, args=(send_conn, spec.fn), daemon=True
+            target=_fork_entry, args=(send_conn, spec.fn)
         )
         self.started_at = time.monotonic()
         self.heartbeat_seen = False
@@ -97,6 +106,12 @@ class _ForkWorker:
                 kind, payload = self.recv_conn.recv()
             except (EOFError, OSError):
                 break  # child died mid-send; fall through to liveness check
+            except Exception as exc:  # noqa: BLE001 - result won't unpickle
+                return self._finish(
+                    STATUS_ERROR,
+                    error=f"result could not be read: "
+                          f"{type(exc).__name__}: {exc}",
+                )
             if kind == "heartbeat":
                 self.heartbeat_seen = True
                 continue
@@ -110,6 +125,16 @@ class _ForkWorker:
                       f"before delivering a result",
             )
         return None
+
+    def timeout(self) -> Optional[float]:
+        """Seconds until :meth:`expired` could next say yes (None: never)."""
+        elapsed = time.monotonic() - self.started_at
+        limits = []
+        if self.spec.deadline is not None:
+            limits.append(self.spec.deadline - elapsed)
+        if not self.heartbeat_seen:
+            limits.append(START_TIMEOUT - elapsed)
+        return max(0.0, min(limits)) if limits else None
 
     def expired(self) -> Optional[str]:
         """Why the watchdog should kill this worker now, if it should."""
@@ -160,7 +185,7 @@ def _fork_entry(conn, fn) -> None:
 
 
 class SupervisedPool:
-    """Deadline-enforcing fork watchdog, one task at a time."""
+    """Deadline-enforcing fork watchdog over any number of started tasks."""
 
     def __init__(self, metrics: Optional[Any] = None) -> None:
         self._log = get_logger("exec")
@@ -191,16 +216,27 @@ class SupervisedPool:
             "exec_task_seconds", "task wall time by status", ("status",)
         )
 
-    def run(self, spec: TaskSpec) -> TaskOutcome:
-        """Run one task in a watched fork child; never raises its error."""
+    def start(self, spec: TaskSpec) -> _ForkWorker:
+        """Fork one task and return its handle without waiting for it."""
         self._m_queued.inc()
         worker = _ForkWorker(spec)
         self._m_started.inc()
         self._m_inflight.inc()
+        return worker
+
+    def wait(self, worker: _ForkWorker) -> TaskOutcome:
+        """Block until a started task delivers, dies or passes a deadline;
+        never raises its error."""
         outcome: Optional[TaskOutcome] = None
         heartbeat_counted = False
         try:
             while outcome is None:
+                # Wakes on a message (heartbeat or result), on the child's
+                # exit, or when the nearer deadline falls due.
+                wait_ready(
+                    [worker.recv_conn, worker.process.sentinel],
+                    worker.timeout(),
+                )
                 outcome = worker.poll()
                 if worker.heartbeat_seen and not heartbeat_counted:
                     heartbeat_counted = True
@@ -209,12 +245,27 @@ class SupervisedPool:
                     reason = worker.expired()
                     if reason is not None:
                         outcome = self._kill(worker, reason)
-                    else:
-                        time.sleep(POLL_INTERVAL)
         finally:
-            self._m_inflight.dec()
             if outcome is None:  # unwinding on an error path
-                self._kill(worker, "pool shutting down")
+                outcome = self._kill(worker, "pool shutting down")
+            self._done(outcome)
+        return outcome
+
+    def cancel(self, worker: _ForkWorker, reason: str) -> None:
+        """Kill and reap a started task whose outcome nobody will read.
+
+        Not a watchdog kill and not an outcome: the caller abandoned it.
+        """
+        worker.kill(reason)
+        self._m_inflight.dec()
+        self._log.info("task cancelled", task=worker.spec.name, reason=reason)
+
+    def run(self, spec: TaskSpec) -> TaskOutcome:
+        """Run one task in a watched fork child; never raises its error."""
+        return self.wait(self.start(spec))
+
+    def _done(self, outcome: TaskOutcome) -> None:
+        self._m_inflight.dec()
         self._m_outcomes.inc(status=outcome.status)
         self._m_task_seconds.observe(outcome.elapsed, status=outcome.status)
         if not outcome.ok:
@@ -224,7 +275,6 @@ class SupervisedPool:
                 status=outcome.status,
                 error=outcome.error,
             )
-        return outcome
 
     def _kill(self, worker: _ForkWorker, reason: str) -> TaskOutcome:
         self._m_killed.inc()
@@ -235,7 +285,6 @@ class SupervisedPool:
 
 
 __all__ = [
-    "POLL_INTERVAL",
     "START_TIMEOUT",
     "STATUS_CRASHED",
     "STATUS_DEADLINE",

@@ -23,7 +23,6 @@ hangs on its first attempt" is a plan, not a probability.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -152,15 +151,15 @@ class ExecFaultPlan:
         return "; ".join(fault.describe() for fault in self.faults)
 
 
-def apply_exec_fault(fault: Optional[ExecFault]) -> None:
+def apply_exec_fault(fault: Optional[ExecFault], worker: bool = False) -> None:
     """Enact a fault inside the worker; call at the top of a stage task.
 
-    ``crash`` kills the current process outright when it runs in a
-    forked worker (the supervisor sees a dead child and reports
-    ``crashed``); where there is no separate process to kill (a stage
-    run in the runner's own process, without a task deadline) it raises
-    :class:`WorkerCrashError` instead, because
-    ``os._exit`` would take the whole interpreter down with it.
+    ``crash`` kills the current process outright when it runs as a
+    *worker*, a watched task's fork child (the supervisor sees a dead
+    child and reports ``crashed``); anywhere else (a stage attempt, in
+    the runner's process or in a stage's fork child) it raises
+    :class:`WorkerCrashError` instead, because ``os._exit`` would take
+    the whole stage down with it.
     """
     if fault is None:
         return
@@ -169,7 +168,7 @@ def apply_exec_fault(fault: Optional[ExecFault]) -> None:
     elif fault.kind == KIND_SLOW:
         time.sleep(fault.delay)
     elif fault.kind == KIND_CRASH:
-        if multiprocessing.parent_process() is not None:
+        if worker:
             os._exit(13)
         raise WorkerCrashError(
             f"injected worker crash in {fault.stage}"

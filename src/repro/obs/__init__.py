@@ -20,6 +20,13 @@ byte-deterministic artifacts, and installs it process-wide with
 (the checkpoint store's fsync accounting, the streaming queue) report
 into the same registry.
 
+Work done in a fork child comes home: the child takes
+:meth:`Telemetry.fork_mark` before its work and returns
+:meth:`Telemetry.since` with its result, and the parent adds that to its
+own observers with :meth:`Telemetry.absorb`: the child's spans (under
+fresh ids), its profile entries (measured in the child, so their peak
+RSS is the child's) and its metric increments.
+
 A run directory gains the artifacts ``metrics.json``, ``trace.json``
 (Chrome ``trace_event``), ``trace.jsonl`` and ``profile.json`` via
 :meth:`Telemetry.write_artifacts`; ``python -m repro report --run-dir``
@@ -29,8 +36,9 @@ renders them as a post-run flight report.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -54,6 +62,26 @@ METRICS_FILE = "metrics.json"
 TRACE_FILE = "trace.json"
 TRACE_JSONL_FILE = "trace.jsonl"
 PROFILE_FILE = "profile.json"
+
+
+@dataclass(frozen=True)
+class TelemetryMark:
+    """Where a fork child's copy of the observers stood when it began."""
+
+    spans: int
+    profiles: int
+    counts: Dict[str, Dict]
+
+
+@dataclass
+class TelemetryDelta:
+    """What a fork child recorded: picklable, for :meth:`Telemetry.absorb`."""
+
+    spans: List[SpanRecord]
+    profiles: List[StageProfile]
+    metrics: List[tuple]
+    #: The Chrome-export lane of the child's spans (None: unchanged).
+    thread: Optional[str] = None
 
 
 class Telemetry:
@@ -109,6 +137,32 @@ class Telemetry:
             ),
             clock=wall,
         )
+
+    def fork_mark(self) -> TelemetryMark:
+        """Call in a fork child before its work: the baseline of
+        :meth:`since`."""
+        return TelemetryMark(
+            spans=self.tracer.mark(),
+            profiles=self.profiler.fork_mark(),
+            counts=self.metrics.counts(),
+        )
+
+    def since(
+        self, mark: TelemetryMark, thread: Optional[str] = None
+    ) -> TelemetryDelta:
+        """Everything this (child) process recorded after *mark*."""
+        return TelemetryDelta(
+            spans=self.tracer.since(mark.spans),
+            profiles=self.profiler.since(mark.profiles),
+            metrics=self.metrics.since(mark.counts),
+            thread=thread,
+        )
+
+    def absorb(self, delta: TelemetryDelta) -> None:
+        """Add a fork child's :meth:`since` to these observers."""
+        self.tracer.adopt(delta.spans, thread=delta.thread)
+        self.profiler.absorb(delta.profiles)
+        self.metrics.absorb(delta.metrics)
 
     def write_artifacts(self, run_dir: Union[str, Path]) -> Dict[str, str]:
         """Export all artifacts into *run_dir*; returns name -> path."""
@@ -169,6 +223,8 @@ __all__ = [
     "TRACE_FILE",
     "TRACE_JSONL_FILE",
     "Telemetry",
+    "TelemetryDelta",
+    "TelemetryMark",
     "get_registry",
     "get_telemetry",
     "peak_rss_kb",

@@ -94,6 +94,22 @@ class Counter:
             for key, value in items
         ]
 
+    def _raw(self) -> Dict[Tuple[str, ...], float]:
+        with self._lock:
+            return dict(self._values)
+
+    def _diff(self, before: Dict[Tuple[str, ...], float]) -> Dict:
+        return {
+            key: value - before.get(key, 0)
+            for key, value in self._raw().items()
+            if value != before.get(key, 0)
+        }
+
+    def _add(self, changes: Dict[Tuple[str, ...], float]) -> None:
+        with self._lock:
+            for key, change in changes.items():
+                self._values[key] = self._values.get(key, 0) + change
+
 
 class Gauge(Counter):
     """A value that can go up and down (e.g. queue depth, breaker state)."""
@@ -155,6 +171,28 @@ class Histogram:
         with self._lock:
             state = self._state.get(key)
             return state[-1] if state else 0.0
+
+    def _raw(self) -> Dict[Tuple[str, ...], List[float]]:
+        with self._lock:
+            return {key: list(state) for key, state in self._state.items()}
+
+    def _diff(self, before: Dict[Tuple[str, ...], List[float]]) -> Dict:
+        zero = [0.0] * (len(self.buckets) + 2)
+        changes = {}
+        for key, state in self._raw().items():
+            old = before.get(key, zero)
+            if state != old:
+                changes[key] = [now - then for now, then in zip(state, old)]
+        return changes
+
+    def _add(self, changes: Dict[Tuple[str, ...], List[float]]) -> None:
+        with self._lock:
+            for key, change in changes.items():
+                state = self._state.setdefault(
+                    key, [0.0] * (len(self.buckets) + 2)
+                )
+                for index, amount in enumerate(change):
+                    state[index] += amount
 
     def _series(self) -> List[Dict[str, Any]]:
         with self._lock:
@@ -276,6 +314,41 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         return prometheus_from_snapshot(self.snapshot())
 
+    # -- fork children ----------------------------------------------------------
+
+    def counts(self) -> Dict[str, Dict]:
+        """Every series' raw state, by family: the baseline :meth:`since`
+        diffs against (a fork child takes it before its work)."""
+        with self._lock:
+            families = list(self._families.items())
+        return {name: family._raw() for name, family in families}
+
+    def since(self, before: Dict[str, Dict]) -> List[tuple]:
+        """What changed after *before* was taken, as picklable increments
+        for :meth:`absorb` (a fork child's registry is a copy)."""
+        with self._lock:
+            families = sorted(self._families.items())
+        delta = []
+        for name, family in families:
+            changes = family._diff(before.get(name, {}))
+            if changes:
+                delta.append((
+                    name, family.kind, family.help, family.label_names,
+                    getattr(family, "buckets", None), changes,
+                ))
+        return delta
+
+    def absorb(self, delta: List[tuple]) -> None:
+        """Add a fork child's increments (:meth:`since`) to this registry."""
+        for name, kind, help, labels, buckets, changes in delta:
+            if kind == TYPE_HISTOGRAM:
+                family = self.histogram(name, help, labels, buckets)
+            elif kind == TYPE_GAUGE:
+                family = self.gauge(name, help, labels)
+            else:
+                family = self.counter(name, help, labels)
+            family._add(changes)
+
 
 class NullRegistry:
     """The default: accepts every registration, records nothing."""
@@ -295,6 +368,15 @@ class NullRegistry:
 
     def value(self, name: str, **labels: Any) -> float:
         return 0
+
+    def counts(self) -> Dict[str, Dict]:
+        return {}
+
+    def since(self, before: Dict[str, Dict]) -> List[tuple]:
+        return []
+
+    def absorb(self, delta: List[tuple]) -> None:
+        pass
 
     def snapshot(self) -> Dict[str, Any]:
         return {"snapshot_ts": 0.0, "metrics": {}}

@@ -48,8 +48,17 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None
 
 
+_PAGE_KB = os.sysconf("SC_PAGE_SIZE") // 1024 if hasattr(os, "sysconf") else 4
+
+
 def peak_rss_kb() -> int:
-    """Peak resident set size of this process, in kilobytes (0: unknown)."""
+    """Peak resident set size of this process, in kilobytes (0: unknown).
+
+    Never below :func:`current_rss_kb`: Linux sums the resident size
+    ``statm`` reports exactly but reads the high-water mark from per-CPU
+    counters that can lag it by a few hundred kilobytes, which shows
+    when a process sits at its peak.
+    """
     if resource is None:
         return 0
     usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -57,10 +66,7 @@ def peak_rss_kb() -> int:
     import sys
     if sys.platform == "darwin":  # pragma: no cover
         return int(usage / 1024)
-    return int(usage)
-
-
-_PAGE_KB = os.sysconf("SC_PAGE_SIZE") // 1024 if hasattr(os, "sysconf") else 4
+    return max(int(usage), current_rss_kb())
 
 
 def current_rss_kb() -> int:
@@ -190,6 +196,32 @@ class StageProfiler:
                     self._scopes[-1][stage] = record
                     self.profiles.append(record)
 
+    def fork_mark(self) -> int:
+        """In a fork child, before its work: where the parent's entries
+        end. The child also starts a fresh accumulation scope, so every
+        entry it records is a new one that :meth:`since` returns."""
+        with self._lock:
+            self._scopes[-1] = {}
+            return len(self.profiles)
+
+    def since(self, mark: int) -> List[StageProfile]:
+        """The entries recorded after :meth:`fork_mark`."""
+        with self._lock:
+            return self.profiles[mark:]
+
+    def absorb(self, entries: List[StageProfile]) -> None:
+        """Add a fork child's entries: each folds into the entry of the
+        same name in the open profile's scope, as an accumulated layer
+        would, or is appended."""
+        with self._lock:
+            scope = self._scopes[-1]
+            for entry in entries:
+                if entry.stage in scope:
+                    scope[entry.stage].add(entry)
+                else:
+                    scope[entry.stage] = entry
+                    self.profiles.append(entry)
+
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
             profiles = [p.to_dict() for p in self.profiles]
@@ -210,6 +242,15 @@ class NullProfiler:
         self, stage: str, accumulate: bool = False
     ) -> Iterator[_ProfileHandle]:
         yield _NULL_HANDLE
+
+    def fork_mark(self) -> int:
+        return 0
+
+    def since(self, mark: int) -> List[StageProfile]:
+        return []
+
+    def absorb(self, entries: List[StageProfile]) -> None:
+        pass
 
     def snapshot(self) -> Dict[str, Any]:
         return {"profiles": []}

@@ -124,6 +124,40 @@ class SpanTracer:
             with self._lock:
                 self.spans.append(record)
 
+    # -- fork children -----------------------------------------------------------
+
+    def mark(self) -> int:
+        """Where the spans recorded so far end (see :meth:`since`)."""
+        with self._lock:
+            return len(self.spans)
+
+    def since(self, mark: int) -> List[SpanRecord]:
+        """The spans completed after *mark*: in a fork child, the ones it
+        recorded itself (its copies of the parent's open spans never
+        close)."""
+        with self._lock:
+            return self.spans[mark:]
+
+    def adopt(
+        self, spans: List[SpanRecord], thread: Optional[str] = None
+    ) -> None:
+        """Add a fork child's spans under fresh ids, in the child's id
+        order. A parent the child opened is renumbered with it; a parent
+        that was open in this process at the fork keeps its id, so the
+        child's top spans hang under it. *thread* names the child's lane
+        in the Chrome export."""
+        with self._lock:
+            ids: Dict[int, int] = {}
+            for span in sorted(spans, key=lambda s: s.span_id):
+                ids[span.span_id] = self._next_id
+                self._next_id += 1
+            for span in spans:
+                span.span_id = ids[span.span_id]
+                span.parent_id = ids.get(span.parent_id, span.parent_id)
+                if thread is not None:
+                    span.thread = thread
+                self.spans.append(span)
+
     # -- exports ---------------------------------------------------------------
 
     def _sorted_spans(self) -> List[SpanRecord]:
@@ -192,6 +226,17 @@ class NullTracer:
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[_NullSpan]:
         yield _NULL_SPAN
+
+    def mark(self) -> int:
+        return 0
+
+    def since(self, mark: int) -> List[SpanRecord]:
+        return []
+
+    def adopt(
+        self, spans: List[SpanRecord], thread: Optional[str] = None
+    ) -> None:
+        pass
 
     def to_jsonl(self) -> str:
         return ""

@@ -6,11 +6,20 @@ reads, how it runs, the injector counters it owns and, for an
 observation stage, its typed empty output. :class:`ResilientPipeline`
 runs the rows in order through one executor and builds the
 :class:`~repro.pipeline.simulation.SimulationResult` from their outputs
-by name; ``run_simulation`` is this runner with its defaults (serial, in
-memory, fault-free). Rows look stage functions up on the simulation
-module when they run (``sim.<fn>``), never at import, so a wrapper
-installed there (a tracer, a test double) sees every stage. The executor
-adds:
+by name; ``run_simulation`` is this runner with its defaults (in memory,
+fault-free). Rows look stage functions up on the simulation module when
+they run (``sim.<fn>``), never at import, so a wrapper installed there
+(a tracer, a test double) sees every stage run in this process. The
+executor adds:
+
+* **stage children** — before a row computes here, the later
+  observation rows whose ``deps`` are already folded start as fork
+  children (:func:`stage_children_allowed`: more than one CPU, no other
+  thread): after ``attacks``, telescope and honeypot run beside
+  migration and measurement. Every stage, wherever it ran, ends as one
+  :class:`StageRecord`, and the records are folded into the run in table
+  order, joining a child when a row reads its stage (fusion); the
+  telemetry a child recorded comes home with its record;
 
 * **timing** — every stage's wall time and attempt count is recorded in a
   :class:`~repro.pipeline.quality.StageReport`;
@@ -28,8 +37,8 @@ adds:
 * **graceful degradation** — an observation stage (a row with ``empty``)
   that stays broken yields its *empty but correctly typed* output plus a
   quality flag, and the run completes with honest, quantified losses.
-  Observation stages also get the cross-run stage cache, and run as
-  watched fork tasks when a task deadline is armed.
+  Observation stages also get the cross-run stage cache, and their
+  compute runs as watched fork tasks when a task deadline is armed.
   Core stages (internet, attacks, migration, fusion) still fail the run.
 
 A :class:`~repro.faults.plan.FaultPlan` wires per-feed injectors into the
@@ -46,9 +55,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -57,7 +67,7 @@ from repro.dns.openintel import OpenIntelDataset
 from repro.dps.detection import DPSUsageDataset
 from repro.exec.deadline import RunDeadline
 from repro.exec.interrupt import InterruptGuard
-from repro.exec.pool import SupervisedPool, TaskSpec
+from repro.exec.pool import STATUS_DEADLINE, SupervisedPool, TaskSpec
 from repro.exec.retry import RetryPolicy
 from repro.faults.exec import (
     ExecFaultPlan,
@@ -74,7 +84,7 @@ from repro.faults.plan import (
     FaultPlan,
 )
 from repro.log import get_logger
-from repro.obs import Telemetry, get_telemetry
+from repro.obs import Telemetry, TelemetryDelta, get_telemetry
 from repro.obs.metrics import NULL_REGISTRY
 from repro.pipeline.config import ScenarioConfig
 from repro.pipeline.quality import (
@@ -137,6 +147,39 @@ class Stage:
     empty: Optional[Callable[[ScenarioConfig], Any]] = None
 
 
+def stage_children_allowed() -> bool:
+    """Whether observation stages may run as fork children beside the
+    runner: there is more than one CPU to run them on, and no other
+    thread is alive (a fork copies every lock as it stands, so a lock
+    another thread holds would deadlock the child)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        cpus = os.cpu_count() or 1
+    return cpus > 1 and threading.active_count() == 1
+
+
+@dataclass
+class StageRecord:
+    """One stage's outcome, wherever it was computed (this process, or
+    the stage's fork child, whence it is pickled home). The runner folds
+    it into the run in table order (``ResilientPipeline._fold``)."""
+
+    #: ``cached``, ``cache-hit``, ``ok``, ``degraded`` or ``failed``.
+    status: str
+    output: Any = None
+    attempts: int = 0
+    elapsed: float = 0.0
+    error: Optional[Exception] = None
+    #: The injector counters the stage owns, as its last attempt left them.
+    counters: Dict[str, int] = field(default_factory=dict)
+    #: What a fork child recorded, added to the run's telemetry at the join.
+    telemetry: Optional[TelemetryDelta] = None
+    #: What escaped the stage in a fork child (a deadline, an interrupt,
+    #: a bug); the parent raises it at the join.
+    raised: Optional[BaseException] = None
+
+
 def _migrate(pipeline: "ResilientPipeline", out: Outputs) -> Callable[[], Any]:
     internet = out["internet"]
     # Migration mutates internet.zones in place, so the stage's checkpoint
@@ -155,7 +198,8 @@ def _migrate(pipeline: "ResilientPipeline", out: Outputs) -> Callable[[], Any]:
 #: actual data dependencies, which the sequential order overstates: the
 #: three observation stages read only the attack / migration layers, not
 #: each other, so a corrupt telescope checkpoint does not cost a valid
-#: honeypot one on resume (see :meth:`CheckpointStore.load_valid_graph`).
+#: honeypot one on resume (see :meth:`CheckpointStore.load_valid_graph`),
+#: and the feeds can run as fork children beside migration.
 STAGES: Tuple[Stage, ...] = (
     Stage(
         "internet", (),
@@ -204,8 +248,9 @@ STAGES: Tuple[Stage, ...] = (
     ),
 )
 
-#: The observation stages: degradable to an empty feed, cacheable, and
-#: run as watched fork tasks when a task deadline is armed.
+#: The observation stages: degradable to an empty feed, cacheable, run
+#: as fork children when their inputs are ready before their turn, and
+#: as watched fork tasks when a task deadline is armed.
 OBSERVATION_STAGES = tuple(
     row.name for row in STAGES if row.empty is not None
 )
@@ -361,6 +406,14 @@ class ResilientPipeline:
             if task_deadline is not None
             else None
         )
+        # Stage children are no watched tasks: the exec_* metrics stay
+        # the task deadline's, and a lost child counts as a failed
+        # stage attempt instead.
+        self._stage_pool = SupervisedPool(metrics=NULL_REGISTRY)
+        #: Stage children started and not yet joined, by stage.
+        self._children: Dict[str, Any] = {}
+        #: Records computed (or served) ahead of their fold, by stage.
+        self._records: Dict[str, StageRecord] = {}
         self._attempt_now: Dict[str, int] = {}
         #: The victim partitions of the running pipeline, once bucketed.
         self._partitions: Optional[List[list]] = None
@@ -427,6 +480,7 @@ class ResilientPipeline:
             self._log.error(
                 "simulated hard crash (recovery drill)", stage=name
             )
+            self._cancel_children("crash drill")
             os._exit(137)  # SIGKILL semantics: no cleanup, no atexit
 
     def attach_record_report(self, report: Any) -> None:
@@ -442,13 +496,135 @@ class ResilientPipeline:
         with self._tracer.span("run", n_days=self.config.n_days):
             self.stage_reports = []
             try:
-                for row in STAGES:
-                    self._execute(row, self._checkpoints)
+                self._run_stages(self._checkpoints)
             finally:
+                # No stage child outlives the run, however it ends.
+                self._cancel_children("run ended")
+                self._records.clear()
                 self._partitions = None
             result = self._result(self._checkpoints)
             result.quality = self._build_quality(result, baseline)
             return result
+
+    def _run_stages(self, out: Outputs) -> None:
+        """Every row's record, folded into *out* in table order.
+
+        A row that computes here first starts the later observation rows
+        whose inputs are already folded as fork children
+        (:meth:`_start_ahead`). A record computed before an earlier row's
+        child delivered waits in the queue, and a row that reads a queued
+        stage joins the children up to it. So the artifacts a stage
+        leaves (report, log, checkpoint, crash drill) come in table
+        order whichever process computed it.
+        """
+        queue: List[Stage] = []  # rows awaiting their fold, in table order
+        for index, row in enumerate(STAGES):
+            if any(queued.name in row.deps for queued in queue):
+                self._fold_queue(queue, out, join=True)
+            name = row.name
+            if name not in self._children and name not in self._records:
+                record = self._served(row, out)
+                if record is None:
+                    self._start_ahead(index, out)
+                    record = self._compute(row, row.run(self, out))
+                self._records[name] = record
+            queue.append(row)
+            self._fold_queue(queue, out, join=False)
+        self._fold_queue(queue, out, join=True)
+
+    def _fold_queue(
+        self, queue: List[Stage], out: Outputs, join: bool
+    ) -> None:
+        """Fold queued rows in order while the head's record is at hand;
+        with *join*, wait for each head's child until the queue is empty."""
+        while queue:
+            row = queue[0]
+            if row.name in self._children:
+                if not join:
+                    return
+                self._records[row.name] = self._join(row, out)
+            queue.pop(0)
+            self._fold(row, self._records.pop(row.name), out)
+
+    def _start_ahead(self, index: int, out: Outputs) -> None:
+        """Start, as fork children that run beside row *index*, the later
+        observation rows whose inputs are all folded.
+
+        Only when :func:`stage_children_allowed`. A row already restored
+        from a checkpoint is left for its turn; the stage cache is read
+        here, so a hit is adopted and only a miss forks. Each child's
+        attempt is bound here, before its fork, so the feed stages'
+        victim partitions are bucketed once and both children share them
+        copy-on-write.
+        """
+        if not stage_children_allowed():
+            return
+        for row in STAGES[index + 1:]:
+            name = row.name
+            if (
+                row.empty is None
+                or name in out
+                or name in self._children
+                or name in self._records
+                or not all(dep in out for dep in row.deps)
+            ):
+                continue
+            record = self._served(row, out)
+            if record is not None:
+                self._records[name] = record
+                continue
+            attempt = row.run(self, out)
+            self._children[name] = self._stage_pool.start(
+                TaskSpec(
+                    name=name,
+                    fn=lambda row=row, attempt=attempt: self._child_record(
+                        row, attempt
+                    ),
+                    # A hung stage child cannot out-sleep the run deadline.
+                    deadline=self.deadline.remaining(),
+                )
+            )
+
+    def _child_record(
+        self, row: Stage, attempt: Callable[[], Any]
+    ) -> StageRecord:
+        """A stage child's whole job: the stage's record, carrying the
+        telemetry the child recorded and whatever escaped the stage."""
+        mark = self.telemetry.fork_mark()
+        try:
+            record = self._compute(row, attempt)
+        except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
+            record = StageRecord("failed", raised=exc)
+        record.telemetry = self.telemetry.since(mark, thread=row.name)
+        return record
+
+    def _join(self, row: Stage, out: Outputs) -> StageRecord:
+        """Wait for row's stage child and take its record home.
+
+        A deadline, interrupt or error that escaped the stage in the
+        child is raised here. A child killed at the run deadline raises
+        that deadline; one that died without delivering is one failed
+        attempt, and the stage's remaining attempts run in this process.
+        """
+        outcome = self._stage_pool.wait(self._children.pop(row.name))
+        if outcome.ok:
+            record = outcome.value
+            self.telemetry.absorb(record.telemetry)
+            if record.raised is not None:
+                raise record.raised
+            return record
+        if outcome.status == STATUS_DEADLINE:
+            self.deadline.check(f"stage {row.name!r}")
+        lost = TransientStageError(
+            f"stage {row.name!r} child {outcome.status}: {outcome.error}"
+        )
+        return self._compute(row, row.run(self, out), lost=lost)
+
+    def _cancel_children(self, reason: str) -> None:
+        """Kill and reap every stage child still running."""
+        for worker in self._children.values():
+            self._stage_pool.cancel(worker, reason)
+        self._children.clear()
 
     def _result(self, out: Outputs) -> SimulationResult:
         """The run's result, from the stage outputs by name."""
@@ -474,21 +650,37 @@ class ResilientPipeline:
             web_index=web_index,
         )
 
-    def _execute(self, row: Stage, out: Outputs) -> None:
-        """Run one stage row into *out*: serve it from a checkpoint or the
-        stage cache, or attempt it under retry and faults, then
-        degrade (observation stages) or fail the run."""
+    def _served(self, row: Stage, out: Outputs) -> Optional[StageRecord]:
+        """Row's record without computing it: its restored checkpoint, or,
+        for an observation stage, its stage-cache entry."""
+        if row.name in out:
+            return StageRecord("cached")
+        key = self._cache_key(row)
+        if key is None:
+            return None
+        return self._from_cache(row.name, key)
+
+    def _cache_key(self, row: Stage) -> Optional[str]:
+        """Row's stage-cache entry name (None: the row is not cached)."""
+        if row.empty is None or self.stage_cache is None:
+            return None
+        return f"{row.name}-{stage_fingerprint(self.config, row.name)}"
+
+    def _compute(
+        self,
+        row: Stage,
+        attempt: Callable[[], Any],
+        lost: Optional[Exception] = None,
+    ) -> StageRecord:
+        """Attempt one bound row under retry and faults: its record, ok
+        or (after the last attempt) degraded or failed.
+
+        Runs in this process or in the row's fork child. *lost* is the
+        first attempt, already spent by a child that died without
+        delivering.
+        """
         name = row.name
-        if name in out:
-            self._settle(row, "cached")
-            return
-        cache_key: Optional[str] = None
-        if row.empty is not None and self.stage_cache is not None:
-            cache_key = f"{name}-{stage_fingerprint(self.config, name)}"
-            if self._from_cache(name, cache_key, out):
-                self._settle(row, "cache-hit")
-                return
-        # A stage that runs as a pool task takes its execution fault
+        # A stage that runs as pool tasks takes its execution fault
         # inside the task (see _supervised); every other stage here.
         fault_in_task = self._pool is not None and row.empty is not None
         with self._tracer.span("stage", stage=name) as span:
@@ -499,10 +691,15 @@ class ResilientPipeline:
                 start = time.perf_counter()
                 obs_start = self._obs_clock()
                 self._stage_span = span
-                attempt = row.run(self, out)
                 status = "failed" if row.empty is None else "degraded"
+                output: Any = None
                 attempts = 0
                 error: Optional[Exception] = None
+                if lost is not None:
+                    attempts = 1
+                    error = lost
+                    self._m_attempts.inc(stage=name)
+                    self._attempt_failed(name, attempts, lost)
                 while attempts < self.retry.max_attempts:
                     label = f"stage {name!r} attempt {attempts + 1}"
                     self.deadline.check(label)
@@ -533,18 +730,9 @@ class ResilientPipeline:
                         WorkerCrashError,
                     ) as exc:
                         error = exc
-                        self._m_attempt_failures.inc(stage=name)
                         if counter_baseline:
                             self.injectors.restore_counters(counter_baseline)
-                        self._log.warning(
-                            "stage attempt failed",
-                            stage=name,
-                            attempt=attempts,
-                            max_attempts=self.retry.max_attempts,
-                            error=str(exc),
-                        )
-                        if attempts < self.retry.max_attempts:
-                            self._sleep(self.retry.delay(attempts))
+                        self._attempt_failed(name, attempts, exc)
                         continue
                     status, error = "ok", None
                     break
@@ -553,28 +741,58 @@ class ResilientPipeline:
                     prof.set_events(
                         len(output) if isinstance(output, list) else 0
                     )
-                    if cache_key is not None:
-                        # Degraded outputs never enter the cache: they
-                        # reflect a failure, not the scenario.
-                        manifest = self.stage_cache.save(cache_key, output)
-                        self._m_cache_written.inc(manifest.payload_bytes)
-                elif status == "degraded":
-                    output = row.empty(self.config)
-                    self._degraded_stages.add(name)
                 self._m_stage_seconds.observe(
                     self._obs_clock() - obs_start, stage=name
                 )
                 span.set_attr(status=status, attempts=attempts)
-                if status != "failed":
-                    out[name] = output
-                self._settle(
-                    row, status, attempts, time.perf_counter() - start, error
+                return StageRecord(
+                    status,
+                    output=output if status == "ok" else None,
+                    attempts=attempts,
+                    elapsed=time.perf_counter() - start,
+                    error=error,
+                    counters=self._own_counters(row),
                 )
-                if status == "failed":
-                    raise StageFailedError(name, error)
 
-    def _from_cache(self, name: str, key: str, out: Outputs) -> bool:
-        """Adopt stage *name*'s output from cache entry *key* into *out*.
+    def _attempt_failed(self, name: str, attempt: int, exc: Exception) -> None:
+        """Count and log a failed attempt, then back off before the next."""
+        self._m_attempt_failures.inc(stage=name)
+        self._log.warning(
+            "stage attempt failed",
+            stage=name,
+            attempt=attempt,
+            max_attempts=self.retry.max_attempts,
+            error=str(exc),
+        )
+        if attempt < self.retry.max_attempts:
+            self._sleep(self.retry.delay(attempt))
+
+    def _fold(self, row: Stage, record: StageRecord, out: Outputs) -> None:
+        """Adopt one stage's record into the run: its output (the typed
+        empty one for a degraded stage), its injector counters, the
+        stage-cache save, then the settle; a failed core stage fails the
+        run. The parent does all of it, whichever process computed it."""
+        name, status = row.name, record.status
+        if status in ("ok", "cache-hit"):
+            out[name] = record.output
+        elif status == "degraded":
+            out[name] = row.empty(self.config)
+            self._degraded_stages.add(name)
+        self.injectors.restore_counters(record.counters)
+        key = self._cache_key(row)
+        if status == "ok" and key is not None:
+            # Degraded outputs never enter the cache: they reflect a
+            # failure, not the scenario.
+            manifest = self.stage_cache.save(key, record.output)
+            self._m_cache_written.inc(manifest.payload_bytes)
+        self._settle(
+            row, status, record.attempts, record.elapsed, record.error
+        )
+        if status == "failed":
+            raise StageFailedError(name, record.error)
+
+    def _from_cache(self, name: str, key: str) -> Optional[StageRecord]:
+        """Stage *name*'s cache-hit record from cache entry *key*.
 
         An entry that does not verify (absent, poisoned, renamed, written
         by another schema) is a miss: it is discarded and the stage
@@ -590,13 +808,12 @@ class ResilientPipeline:
                     reason=exc.reason,
                 )
             self.stage_cache.discard(key)
-            return False
+            return None
         # Adopted exactly like a computed output, so resume checkpoints
         # (and crash drills) behave as uncached.
-        out[name] = output
         self._m_cache_hits.inc(stage=name)
         self._m_cache_read.inc(self.stage_cache.manifest(key).payload_bytes)
-        return True
+        return StageRecord("cache-hit", output=output)
 
     def _settle(
         self,
@@ -637,8 +854,8 @@ class ResilientPipeline:
         self, out: Outputs, observe: Callable[[List[list]], Any]
     ) -> Callable[[], Any]:
         """Bind a feed stage to the victim partitions: bucketed once per
-        run, by the first feed stage that runs (a feed restored from a
-        checkpoint or the stage cache needs none)."""
+        run, by the first feed stage bound, in the runner's process (a
+        feed restored from a checkpoint or the stage cache needs none)."""
         if self._partitions is None:
             # Partition k holds the attacks on victims v with v % n == k.
             attacks = out["attacks"]
@@ -646,7 +863,6 @@ class ResilientPipeline:
                 attacks, sim.partition_count(len(attacks))
             )
         partitions = self._partitions
-        self._stage_span.set_attr(partitions=len(partitions))
         return lambda: observe(partitions)
 
     def _observe_telescope(self, partitions: List[list]) -> list:
@@ -693,13 +909,16 @@ class ResilientPipeline:
         keyed on the victim and every attack has its own random stream,
         so each partition is exactly the whole capture's rows of its
         victims and the merged events equal one whole-capture detection
-        (DESIGN.md section 6). Synthesis and fault filtering run here in
-        the runner's process, so the injector's loss counters add up
-        across partitions (a fork child would lose them); with a task
-        deadline armed, each partition's detection is one watched task.
-        Each layer gets one child span per partition and one profile
-        entry per stage, summed over the partitions.
+        (DESIGN.md section 6). Synthesis and fault filtering run in the
+        stage's process (the runner's, or the stage's fork child, whose
+        record carries the counters home), so the injector's loss
+        counters add up across partitions; with a task deadline armed,
+        each partition's detection is one watched task. Each layer gets
+        one child span per partition and one profile entry per stage,
+        summed over the partitions.
         """
+        if self._stage_span is not None:
+            self._stage_span.set_attr(partitions=len(partitions))
         config = self.config
         noise = None
         shards = []
@@ -747,8 +966,8 @@ class ResilientPipeline:
         """DNS measurement of the post-migration Internet (supervised),
         then its faults in this process: degradation mutates injector
         counters. Its ``crawl`` and ``classify`` layers are recorded
-        when it runs in this process; a watched fork task's records die
-        with the child, leaving the stage's own entry."""
+        wherever it runs; a watched fork task ships them home with its
+        result."""
         config = self.config
         diversion_log, _, internet = migration
         openintel, dps_usage = self._supervised(
@@ -772,9 +991,10 @@ class ResilientPipeline:
 
         The task runs in a fork child, so the watchdog can kill it at
         the deadline, and a child that hangs, crashes or fails surfaces
-        as a :class:`TransientStageError` for the stage's retry loop.
-        The stage's execution fault fires inside each of its tasks: a
-        hung, crashed or poisoned attempt fails at its first task.
+        as a :class:`TransientStageError` for the stage's retry loop. A
+        task that delivers brings home the telemetry it recorded. The
+        stage's execution fault fires inside each of its tasks: a hung,
+        crashed or poisoned attempt fails at its first task.
         """
         if self._pool is None:
             return fn()
@@ -787,8 +1007,9 @@ class ResilientPipeline:
             )
 
         def task():
-            apply_exec_fault(fault)
-            return fn()
+            mark = self.telemetry.fork_mark()
+            apply_exec_fault(fault, worker=True)
+            return fn(), self.telemetry.since(mark)
 
         with self._tracer.span("task", stage=stage, attempt=attempt):
             outcome = self._pool.run(
@@ -798,7 +1019,9 @@ class ResilientPipeline:
             raise TransientStageError(
                 f"{stage} task {outcome.status}: {outcome.error}"
             )
-        return outcome.value
+        value, telemetry = outcome.value
+        self.telemetry.absorb(telemetry)
+        return value
 
     def _task_deadline(self) -> float:
         """Watchdog deadline of one task: the task cap, bounded by what is

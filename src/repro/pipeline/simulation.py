@@ -446,12 +446,14 @@ def fuse_observations(
     geo, routing = internet.topology.geo, internet.topology.routing
     with layer("annotate") as set_rows:
         set_rows(len(telescope_events) + len(honeypot_events))
+        # One lookup per victim across both feeds.
+        origins: dict = {}
         telescope_dataset = AttackDataset.from_telescope_events(
             telescope_events
-        ).annotated(geo, routing)
+        ).annotated(geo, routing, origins)
         honeypot_dataset = AttackDataset.from_honeypot_events(
             honeypot_events
-        ).annotated(geo, routing)
+        ).annotated(geo, routing, origins)
     with layer("fuse") as set_rows:
         set_rows(len(telescope_dataset) + len(honeypot_dataset))
         fused = FusedDataset(telescope_dataset, honeypot_dataset)

@@ -11,7 +11,10 @@ writer just created at the same temp path.
 
 :func:`atomic_writer` is the one implementation; every durable file in
 the project (checkpoints, manifests, run documents, event and
-quarantine JSONL) is written through it.
+quarantine JSONL) is written through it. Each fsync counts on
+``store_fsyncs_total`` of the registry the caller passes (a
+:class:`~repro.store.CheckpointStore` passes its own), or of the
+process-wide one.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Any, Iterator, Optional, Union
 
 from repro.obs.metrics import get_registry
 
@@ -30,14 +33,16 @@ PathLike = Union[str, Path]
 WRITE_BUFFER_BYTES = 1 << 20
 
 
-def _fsync_counter():
-    """The process-wide fsync counter (no-op under the null registry)."""
-    return get_registry().counter(
+def _fsync_counter(metrics: Optional[Any]):
+    """The fsync counter of *metrics*, else of the process-wide registry
+    (a no-op under the null registry)."""
+    registry = metrics if metrics is not None else get_registry()
+    return registry.counter(
         "store_fsyncs_total", "fsync calls issued by the durable store"
     )
 
 
-def fsync_directory(path: PathLike) -> None:
+def fsync_directory(path: PathLike, metrics: Optional[Any] = None) -> None:
     """Flush a directory entry table to stable storage (best effort).
 
     Some platforms (and some filesystems) refuse ``open`` or ``fsync`` on
@@ -50,7 +55,7 @@ def fsync_directory(path: PathLike) -> None:
         return
     try:
         os.fsync(fd)
-        _fsync_counter().inc()
+        _fsync_counter(metrics).inc()
     except OSError:
         pass
     finally:
@@ -58,12 +63,15 @@ def fsync_directory(path: PathLike) -> None:
 
 
 @contextmanager
-def atomic_writer(path: PathLike, text: bool = False) -> Iterator[IO]:
+def atomic_writer(
+    path: PathLike, text: bool = False, metrics: Optional[Any] = None
+) -> Iterator[IO]:
     """A handle whose contents durably replace *path* when the block exits.
 
     Binary by default; ``text=True`` yields a UTF-8 text handle with a
     1 MiB buffer. If the block raises, *path* is left untouched and the
-    temp file is removed.
+    temp file is removed. Fsyncs count on *metrics* (default: the
+    process-wide registry).
     """
     path = Path(path)
     tmp_path = path.with_name(path.name + ".tmp")
@@ -79,10 +87,10 @@ def atomic_writer(path: PathLike, text: bool = False) -> Iterator[IO]:
             yield handle
             handle.flush()
             os.fsync(handle.fileno())
-            _fsync_counter().inc()
+            _fsync_counter(metrics).inc()
         os.replace(tmp_path, path)
         replaced = True
-        fsync_directory(path.parent)
+        fsync_directory(path.parent, metrics)
     finally:
         if not replaced:
             try:
@@ -91,15 +99,19 @@ def atomic_writer(path: PathLike, text: bool = False) -> Iterator[IO]:
                 pass
 
 
-def atomic_write_bytes(path: PathLike, data: bytes) -> None:
+def atomic_write_bytes(
+    path: PathLike, data: bytes, metrics: Optional[Any] = None
+) -> None:
     """Write *data* to *path* atomically and durably."""
-    with atomic_writer(path) as handle:
+    with atomic_writer(path, metrics=metrics) as handle:
         handle.write(data)
 
 
-def atomic_write_text(path: PathLike, text: str) -> None:
+def atomic_write_text(
+    path: PathLike, text: str, metrics: Optional[Any] = None
+) -> None:
     """Write *text* (UTF-8) to *path* atomically and durably."""
-    with atomic_writer(path) as handle:
+    with atomic_writer(path, metrics=metrics) as handle:
         handle.write(text.encode("utf-8"))
 
 

@@ -147,6 +147,8 @@ class CheckpointStore:
         self.checkpoint_dir = self.run_dir / self.CHECKPOINT_DIR
         self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         registry = metrics if metrics is not None else get_registry()
+        #: Where this store's counts go, its fsyncs included.
+        self._metrics = registry
         self._m_saves = registry.counter(
             "checkpoint_saves_total", "stage checkpoints persisted"
         )
@@ -181,8 +183,10 @@ class CheckpointStore:
             record_count=_record_count(payload),
             created_ts=time.time(),
         )
-        atomic_write_bytes(self.payload_path(stage), data)
-        atomic_write_text(self.manifest_path(stage), manifest.to_json())
+        atomic_write_bytes(self.payload_path(stage), data, self._metrics)
+        atomic_write_text(
+            self.manifest_path(stage), manifest.to_json(), self._metrics
+        )
         self._m_saves.inc()
         self._m_bytes.inc(len(data))
         log.debug(
@@ -339,7 +343,9 @@ class CheckpointStore:
 
     def write_json(self, name: str, payload: Dict[str, Any]) -> None:
         atomic_write_text(
-            self.run_dir / name, json.dumps(payload, sort_keys=True, indent=2)
+            self.run_dir / name,
+            json.dumps(payload, sort_keys=True, indent=2),
+            self._metrics,
         )
 
     def read_json(self, name: str) -> Optional[Dict[str, Any]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.pipeline import runner
 from repro.pipeline.config import ScenarioConfig
 from repro.pipeline.simulation import run_simulation
 
@@ -27,3 +28,17 @@ def topology(sim):
 @pytest.fixture(scope="session")
 def ecosystem(sim):
     return sim.ecosystem
+
+
+@pytest.fixture
+def inline_stages(monkeypatch):
+    """Compute every stage in the test's process, as on one CPU: for
+    tests that observe a stage's calls, sleeps or allocations from here."""
+    monkeypatch.setattr(runner, "stage_children_allowed", lambda: False)
+
+
+@pytest.fixture
+def forked_stages(monkeypatch):
+    """Run the observation stages as fork children beside the runner,
+    whatever the machine."""
+    monkeypatch.setattr(runner, "stage_children_allowed", lambda: True)

@@ -398,6 +398,14 @@ class TestFusion:
         assert hp_annotated.events == dps_oracle.annotated(
             hp, geo, routing
         ).events
+        # Fusion shares one per-victim lookup table across both feeds.
+        origins: dict = {}
+        assert tel.annotated(geo, routing, origins).events == (
+            tel_annotated.events
+        )
+        assert hp.annotated(geo, routing, origins).events == (
+            hp_annotated.events
+        )
         fused = FusedDataset(tel_annotated, hp_annotated)
         # Identity, not just equality: on a tie the telescope event
         # comes first, as in the sorted concatenation.

@@ -1,7 +1,8 @@
 """Unit tests for the supervised executor building blocks.
 
 Covers the fork watchdog (value delivery, error capture, the watchdog
-killing hung workers, crash reporting), the per-feed circuit breaker's
+killing hung workers, crash reporting, started tasks running side by
+side and waiting without polling), the per-feed circuit breaker's
 closed → open → half-open life cycle under an injected clock, the
 run-level deadline and execution-fault plans.
 """
@@ -85,6 +86,43 @@ class TestSupervisedPool:
         # The pool is reusable after a kill.
         fine = pool.run(TaskSpec("fine", lambda: "done", deadline=30.0))
         assert fine.ok and fine.value == "done"
+
+    def test_started_tasks_run_side_by_side(self, tmp_path):
+        # Each task waits for the other's file, so they finish only if
+        # both children run at once.
+        def meet(mine, theirs):
+            def task():
+                (tmp_path / mine).touch()
+                while not (tmp_path / theirs).exists():
+                    time.sleep(0.001)
+                return mine
+            return task
+
+        pool = SupervisedPool()
+        first = pool.start(TaskSpec("a", meet("a", "b"), deadline=30.0))
+        second = pool.start(TaskSpec("b", meet("b", "a"), deadline=30.0))
+        assert pool.wait(second).value == "b"
+        assert pool.wait(first).value == "a"
+
+    def test_wait_sleeps_on_the_child_not_a_timer(self, monkeypatch):
+        import repro.exec.pool as pool_module
+
+        def no_polling(_seconds):
+            raise AssertionError("the watchdog polled")
+
+        pool = SupervisedPool()
+        worker = pool.start(TaskSpec("slow", lambda: time.sleep(0.2) or 1))
+        monkeypatch.setattr(pool_module.time, "sleep", no_polling)
+        assert pool.wait(worker).value == 1
+
+    def test_cancel_kills_and_reaps(self):
+        import multiprocessing
+
+        pool = SupervisedPool()
+        worker = pool.start(TaskSpec("hung", lambda: time.sleep(120)))
+        pool.cancel(worker, "abandoned")
+        assert not worker.process.is_alive()
+        assert worker.process not in multiprocessing.active_children()
 
     def test_crashed_worker_reported_with_exit_code(self):
         import os

@@ -9,6 +9,7 @@ fault scenario, and the CLI surface (``--metrics`` artifacts, the
 """
 
 import json
+import pickle
 import time
 
 import pytest
@@ -664,6 +665,67 @@ class TestExactCountersUnderFaults:
         seconds = metrics._families["pipeline_stage_seconds"]
         assert seconds.count(stage="honeypot") == 1
         assert seconds.count(stage="fusion") == 1
+
+
+class TestForkChildTelemetry:
+    """A fork child's records come home through since/absorb."""
+
+    def test_metric_increments_add_up(self):
+        child = MetricsRegistry()
+        tries = child.counter("tries_total", "t", ("stage",))
+        depth = child.gauge("depth", "d")
+        seconds = child.histogram("seconds", "s", buckets=(1.0, 10.0))
+        tries.inc(stage="a")
+        seconds.observe(0.5)
+        before = child.counts()
+        tries.inc(2, stage="a")
+        tries.inc(stage="b")
+        depth.inc(3)
+        seconds.observe(5.0)
+        parent = MetricsRegistry()
+        parent.counter("tries_total", "t", ("stage",)).inc(stage="a")
+        parent.absorb(child.since(before))
+        assert parent.value("tries_total", stage="a") == 3
+        assert parent.value("tries_total", stage="b") == 1
+        assert parent.value("depth") == 3
+        histogram = parent._families["seconds"]
+        assert histogram.count() == 1 and histogram.sum() == 5.0
+        assert child.since(child.counts()) == []
+
+    def test_child_spans_get_fresh_ids_under_the_open_parent(self):
+        tracer = SpanTracer()
+        with tracer.span("run"):
+            mark = tracer.mark()
+            with tracer.span("stage"):
+                with tracer.span("attempt"):
+                    pass
+            child_spans = tracer.since(mark)
+            tracer.spans = tracer.spans[:mark]  # as if recorded elsewhere
+            with tracer.span("migration"):
+                pass
+            tracer.adopt(child_spans, thread="telescope")
+        by_name = {span.name: span for span in tracer.spans}
+        ids = [span.span_id for span in tracer.spans]
+        assert len(ids) == len(set(ids))
+        assert by_name["stage"].parent_id == by_name["run"].span_id
+        assert by_name["attempt"].parent_id == by_name["stage"].span_id
+        assert by_name["stage"].span_id > by_name["migration"].span_id
+        assert by_name["attempt"].thread == "telescope"
+
+    def test_child_profile_entries_fold_by_name(self):
+        profiler = StageProfiler()
+        child = StageProfiler()
+        with child.profile("measurement"):
+            mark = child.fork_mark()
+            with child.profile("measurement.crawl", accumulate=True) as h:
+                h.set_rows(10)
+            entries = child.since(mark)
+        with profiler.profile("measurement"):
+            # Two tasks' entries, each pickled home.
+            profiler.absorb(pickle.loads(pickle.dumps(entries)))
+            profiler.absorb(pickle.loads(pickle.dumps(entries)))
+        (crawl,) = [p for p in profiler.profiles if p.stage.endswith("crawl")]
+        assert crawl.rows == 20
 
 
 class TestSupervisedPoolCounters:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.faults.injectors import FaultInjectorSet
@@ -202,6 +203,7 @@ class TestRunnerPartitions:
             sim.honeypot_events
         )
 
+    @pytest.mark.usefixtures("inline_stages")  # counts calls made here
     def test_failure_midway_rolls_back_every_partitions_counters(
         self, small_config
     ):

@@ -238,6 +238,7 @@ class TestStageTable:
             assert set(row.deps) <= set(STAGE_ORDER[:index])
         assert OBSERVATION_STAGES == ("telescope", "honeypot", "measurement")
 
+    @pytest.mark.usefixtures("inline_stages")  # counts calls made here
     def test_stage_functions_are_looked_up_at_call_time(
         self, small_config, monkeypatch
     ):
@@ -279,6 +280,7 @@ class TestTransientFailures:
             )
         )
 
+    @pytest.mark.usefixtures("inline_stages")  # records sleeps made here
     def test_retry_recovers(self, small_config, sim):
         slept = []
         plan = self._plan(small_config, {"telescope": 2})
