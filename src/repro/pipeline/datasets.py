@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.core.events import (
     AttackEvent,
@@ -61,6 +61,12 @@ def quarantine_path_for(
     return base / f"{events_path.name}{middle}{QUARANTINE_SUFFIX}"
 
 
+def event_lines(events: Iterable[AttackEvent]) -> Iterator[str]:
+    """The JSON Lines of *events*, one record per line, without the
+    newline: exactly what :func:`save_events_jsonl` writes."""
+    return map(json.dumps, map(event_to_dict, events))
+
+
 def save_events_jsonl(
     events: Iterable[AttackEvent], path: Union[str, Path]
 ) -> int:
@@ -75,7 +81,7 @@ def save_events_jsonl(
     replace did not happen (never racing a successful rename against a
     concurrent writer's fresh temp file).
     """
-    count = _write_lines(map(json.dumps, map(event_to_dict, events)), path)
+    count = _write_lines(event_lines(events), path)
     log.debug("events saved", path=str(path), events=count)
     return count
 
@@ -296,6 +302,7 @@ __all__ = [
     "MalformedRecordError",
     "QuarantinedRecord",
     "event_from_dict",
+    "event_lines",
     "event_to_dict",
     "load_events_jsonl",
     "read_events_jsonl",

@@ -6,7 +6,9 @@ change is most likely to move without anyone noticing: the Table 1 rows
 rows of Section 3.1.3 (ground-truth attacks per category and how many
 the sensors detected), the detection thresholds that produced them, DPS
 adoption (Web sites whose first detected protection is each provider,
-the Table 3 counts) and the migration model's totals.
+the Table 3 counts), the migration model's totals, and a SHA-256 of
+every fused event as ``simulate --save-events`` writes them, so drift
+in one event's values shows even where every count holds.
 A refactor must leave the ledger byte-identical; a change that moves a
 number on purpose regenerates it and shows the diff. Regenerate with::
 
@@ -23,6 +25,7 @@ leave it to CI's ``paper-ledger`` job, which rebuilds and diffs it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 from dataclasses import asdict
@@ -31,6 +34,7 @@ from typing import Any, Dict, Optional, Union
 
 from repro.core.coverage import detection_coverage
 from repro.pipeline.config import ScenarioConfig
+from repro.pipeline.datasets import event_lines
 from repro.pipeline.simulation import SimulationResult, run_simulation
 
 
@@ -67,7 +71,17 @@ def science_ledger(result: SimulationResult) -> Dict[str, Any]:
             ),
             "bgp_diversions": len(result.diversion_log),
         },
+        "fused_events_sha256": events_sha256(result.fused.combined.events),
     }
+
+
+def events_sha256(events) -> str:
+    """SHA-256 of the JSON Lines file ``save_events_jsonl`` writes for
+    *events*."""
+    digest = hashlib.sha256()
+    for line in event_lines(events):
+        digest.update(line.encode("utf-8") + b"\n")
+    return digest.hexdigest()
 
 
 def render_ledger(ledger: Dict[str, Any]) -> str:
@@ -83,4 +97,4 @@ def write_ledger(
     return ledger
 
 
-__all__ = ["render_ledger", "science_ledger", "write_ledger"]
+__all__ = ["events_sha256", "render_ledger", "science_ledger", "write_ledger"]

@@ -2,16 +2,19 @@
 
 ``benchmarks/out/ledger_small.json`` and ``ledger_default.json`` pin the
 small and default presets' Table 1 rows, detection-coverage rows,
-detection thresholds, DPS adoption per provider and migration totals.
+detection thresholds, DPS adoption per provider, migration totals and
+the SHA-256 of every fused event as ``--save-events`` writes them.
 Any change that moves one of them — a new random stream, a threshold, a
 detector bug — fails here until the ledger is regenerated on purpose
 (see :mod:`repro.pipeline.ledger`), so the diff shows up in review.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 from repro.pipeline.config import ScenarioConfig
+from repro.pipeline.datasets import save_events_jsonl
 from repro.pipeline.ledger import render_ledger, science_ledger
 from repro.pipeline.simulation import run_simulation
 
@@ -51,3 +54,11 @@ def test_ledgers_pin_dps_adoption_and_migration(sim):
         assert committed["migration"]["migrations"] > 0
     ledger = science_ledger(sim)
     assert ledger["dps_adoption"] == sim.dps_usage.provider_site_counts()
+
+
+def test_events_digest_is_that_of_the_saved_events_file(sim, tmp_path):
+    path = tmp_path / "events.jsonl"
+    save_events_jsonl(sim.fused.combined.events, path)
+    assert science_ledger(sim)["fused_events_sha256"] == (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+    )
