@@ -17,9 +17,10 @@ against one victim. The actor population gives the schedule's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from random import Random
 from typing import Dict, List, Sequence
+
+from repro.core.distributions import cumulative_weights, weighted_pick
 
 ACTOR_BOOTER = "booter"
 ACTOR_BOTNET = "botnet"
@@ -66,7 +67,7 @@ class ActorPopulation:
         for actor in self.actors:
             self._by_kind.setdefault(actor.kind, []).append(actor)
         self._cum_weights: Dict[str, List[float]] = {
-            kind: list(accumulate(a.activity for a in members))
+            kind: cumulative_weights(a.activity for a in members)
             for kind, members in self._by_kind.items()
         }
 
@@ -84,9 +85,7 @@ class ActorPopulation:
         members = self._by_kind.get(kind)
         if not members:
             raise ValueError(f"no actors of kind {kind!r}")
-        return rng.choices(
-            members, cum_weights=self._cum_weights[kind], k=1
-        )[0]
+        return weighted_pick(rng, members, self._cum_weights[kind])
 
     @classmethod
     def generate(

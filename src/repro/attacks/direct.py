@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from random import Random
 from typing import Dict, Tuple
 
@@ -24,6 +23,7 @@ from repro.attacks.attacker import (
     VECTOR_SYN_FLOOD,
     VECTOR_UDP_FLOOD,
 )
+from repro.core.distributions import cumulative_weights, weighted_pick
 from repro.net.packet import PROTO_ICMP, PROTO_IGMP, PROTO_TCP, PROTO_UDP
 
 
@@ -87,8 +87,8 @@ class DirectAttackGenerator:
         self.config = config
         self._rng = rng
         self._protos = list(config.proto_weights)
-        self._proto_cum_weights = list(
-            accumulate(config.proto_weights[p] for p in self._protos)
+        self._proto_cum_weights = cumulative_weights(
+            config.proto_weights[p] for p in self._protos
         )
 
     def generate(
@@ -103,9 +103,9 @@ class DirectAttackGenerator:
     ) -> GroundTruthAttack:
         """Draw one attack against *target* starting at *start* seconds."""
         rng = self._rng
-        proto = force_proto if force_proto is not None else rng.choices(
-            self._protos, cum_weights=self._proto_cum_weights, k=1
-        )[0]
+        proto = force_proto if force_proto is not None else weighted_pick(
+            rng, self._protos, self._proto_cum_weights
+        )
         if force_ports is not None:
             ports = force_ports
         else:

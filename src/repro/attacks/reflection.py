@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from random import Random
 from typing import Dict, Optional
 
 from repro.attacks.attacker import ATTACK_REFLECTION, GroundTruthAttack
+from repro.core.distributions import cumulative_weights, weighted_pick
 from repro.net.packet import PROTO_UDP
 from repro.net.protocols import REFLECTION_PROTOCOLS
 
@@ -73,8 +73,8 @@ class ReflectionAttackGenerator:
         self.config = config
         self._rng = rng
         self._protocols = list(config.protocol_weights)
-        self._cum_weights = list(
-            accumulate(config.protocol_weights[p] for p in self._protocols)
+        self._cum_weights = cumulative_weights(
+            config.protocol_weights[p] for p in self._protocols
         )
 
     def generate(
@@ -89,9 +89,9 @@ class ReflectionAttackGenerator:
     ) -> GroundTruthAttack:
         """Draw one reflection attack against *target*."""
         rng, cfg = self._rng, self.config
-        protocol = force_protocol or rng.choices(
-            self._protocols, cum_weights=self._cum_weights, k=1
-        )[0]
+        protocol = force_protocol or weighted_pick(
+            rng, self._protocols, self._cum_weights
+        )
         duration = rng.lognormvariate(cfg.duration_mu, cfg.duration_sigma)
         duration = min(max(duration, cfg.min_duration), cfg.max_duration)
         if min_duration is not None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 from random import Random
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -30,7 +29,11 @@ from repro.attacks.reflection import (
     ReflectionAttackConfig,
     ReflectionAttackGenerator,
 )
-from repro.core.distributions import poisson
+from repro.core.distributions import (
+    cumulative_weights,
+    poisson,
+    weighted_pick,
+)
 from repro.internet.hosting import HostingEcosystem
 from repro.internet.topology import AS_KIND_ISP, InternetTopology
 from repro.net.geo import GeoDatabase
@@ -151,13 +154,11 @@ class TargetPools:
         # Space-weighted AS selection: eyeball victims are distributed like
         # address-space usage, which is what makes the per-country rankings
         # track space-usage statistics (paper Section 4).
-        # Cumulative weights, the list ``Random.choices`` would build
-        # from plain weights on every draw.
-        self._eyeball_cum_weights = list(
-            accumulate(a.address_count for a in self._eyeball_ases)
+        self._eyeball_cum_weights = cumulative_weights(
+            a.address_count for a in self._eyeball_ases
         )
         self._shared_ips = [ip for ip, _ in self.web_shared]
-        self._shared_cum_weights = list(accumulate(w for _, w in self.web_shared))
+        self._shared_cum_weights = cumulative_weights(w for _, w in self.web_shared)
 
     @classmethod
     def build(
@@ -203,18 +204,18 @@ class TargetPools:
     def draw(self, category: str, rng: Random) -> int:
         """Draw a target address from one category."""
         if category == CAT_WEB_SHARED:
-            return rng.choices(
-                self._shared_ips, cum_weights=self._shared_cum_weights, k=1
-            )[0]
+            return weighted_pick(
+                rng, self._shared_ips, self._shared_cum_weights
+            )
         if category == CAT_WEB_SELF and self.web_self:
             return rng.choice(self.web_self)
         if category == CAT_MAIL and self.mail:
             return rng.choice(self.mail)
         if category == CAT_DPS_INFRA and self.dps_infra:
             return rng.choice(self.dps_infra)
-        autonomous_system = rng.choices(
-            self._eyeball_ases, cum_weights=self._eyeball_cum_weights, k=1
-        )[0]
+        autonomous_system = weighted_pick(
+            rng, self._eyeball_ases, self._eyeball_cum_weights
+        )
         return autonomous_system.random_address(rng)
 
 
@@ -248,8 +249,8 @@ class AttackSchedule:
         self._recent_direct: Deque[int] = deque(maxlen=config.hot_pool_size)
         self._recent_reflection: Deque[int] = deque(maxlen=config.hot_pool_size)
         self._categories = list(config.category_weights)
-        self._category_cum_weights = list(
-            accumulate(config.category_weights[c] for c in self._categories)
+        self._category_cum_weights = cumulative_weights(
+            config.category_weights[c] for c in self._categories
         )
 
     def generate(self) -> List[GroundTruthAttack]:
@@ -310,9 +311,9 @@ class AttackSchedule:
             if self._recent_direct and rng.random() < cfg.cross_repeat_prob:
                 return rng.choice(self._recent_direct)
         for _ in range(64):
-            category = rng.choices(
-                self._categories, cum_weights=self._category_cum_weights, k=1
-            )[0]
+            category = weighted_pick(
+                rng, self._categories, self._category_cum_weights
+            )
             target = self.pools.draw(category, rng)
             bias = cfg.country_bias.get(self._geo.country(target), 1.0)
             if bias >= 1.0 or rng.random() < bias:

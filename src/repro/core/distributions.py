@@ -1,5 +1,6 @@
-"""Distributions: duration and intensity CDFs (Figures 2, 3, 4) and the
-Poisson sampler the traffic models draw counts from.
+"""Distributions: duration and intensity CDFs (Figures 2, 3, 4), the
+Poisson sampler the traffic models draw counts from, and the weighted
+pick the generators draw categories, countries and targets with.
 
 :class:`EmpiricalCDF` is the shared primitive: exact quantiles and
 fraction-at-or-below queries over a sorted sample, which is all the paper's
@@ -10,8 +11,9 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import accumulate
 from random import Random
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, TypeVar
 
 import numpy as np
 
@@ -19,6 +21,40 @@ if TYPE_CHECKING:
     # Only for annotations: the traffic models import ``poisson`` while
     # repro.core.events is still initializing.
     from repro.core.events import AttackEvent
+
+T = TypeVar("T")
+
+
+def cumulative_weights(weights: Iterable[float]) -> List[float]:
+    """The cumulative table of *weights* for :func:`weighted_pick`,
+    checked once here where ``Random.choices`` checks it on every call:
+    the total must be positive and finite, or it raises the
+    ``ValueError`` ``choices`` raises. An empty table passes, and
+    picking from it fails as ``choices`` does."""
+    table = list(accumulate(weights))
+    if not table:
+        return table
+    total = table[-1] + 0.0
+    if total <= 0.0:
+        raise ValueError("Total of weights must be greater than zero")
+    if not math.isfinite(total):
+        raise ValueError("Total of weights must be finite")
+    return table
+
+
+def weighted_pick(
+    rng: Random, population: Sequence[T], cum_weights: Sequence[float]
+) -> T:
+    """``rng.choices(population, cum_weights=cum_weights, k=1)[0]``:
+    the same arithmetic and one ``random()`` draw, without the list and
+    the per-call total checks (*cum_weights* comes from
+    :func:`cumulative_weights`)."""
+    n = len(population)
+    if len(cum_weights) != n:
+        raise ValueError("The number of weights does not match the population")
+    return population[
+        bisect.bisect(cum_weights, rng.random() * (cum_weights[-1] + 0.0), 0, n - 1)
+    ]
 
 
 def poisson(rng: Random, lam: float) -> int:

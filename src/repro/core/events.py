@@ -13,7 +13,16 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.net.addressing import slash16, slash24
 from repro.net.geo import GeoDatabase, UNKNOWN_COUNTRY
@@ -31,6 +40,12 @@ DAY = 86400.0
 #: Version of the serialized AttackEvent record schema (JSONL feeds).
 EVENT_SCHEMA_VERSION = 1
 
+#: A target's country and origin AS, as annotation attaches them.
+Origin = Tuple[str, Optional[int]]
+
+#: The origin of an event that is not annotated.
+NO_ORIGIN: Origin = (UNKNOWN_COUNTRY, None)
+
 MAX_IPV4 = 2**32 - 1
 MAX_PORT = 65535
 
@@ -43,10 +58,6 @@ _REQUIRED_FIELDS = (
     ("end_ts", (int, float)),
     ("intensity", (int, float)),
 )
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate_event_dict(data) -> Optional[str]:
@@ -149,7 +160,12 @@ class AttackEvent:
         return self.start_ts <= other.end_ts and other.start_ts <= self.end_ts
 
     @classmethod
-    def from_telescope(cls, event: TelescopeEvent) -> "AttackEvent":
+    def from_telescope(
+        cls, event: TelescopeEvent, origin: Origin = NO_ORIGIN
+    ) -> "AttackEvent":
+        """A telescope detection in the unified schema, with *origin*
+        (its victim's country and origin AS) attached."""
+        country, asn = origin
         return cls(
             source=SOURCE_TELESCOPE,
             target=event.victim,
@@ -159,10 +175,17 @@ class AttackEvent:
             ip_proto=event.ip_proto,
             ports=event.ports,
             packets=event.packets,
+            country=country,
+            asn=asn,
         )
 
     @classmethod
-    def from_honeypot(cls, event: AmpPotEvent) -> "AttackEvent":
+    def from_honeypot(
+        cls, event: AmpPotEvent, origin: Origin = NO_ORIGIN
+    ) -> "AttackEvent":
+        """A honeypot detection in the unified schema, with *origin*
+        (its victim's country and origin AS) attached."""
+        country, asn = origin
         return cls(
             source=SOURCE_HONEYPOT,
             target=event.victim,
@@ -171,6 +194,8 @@ class AttackEvent:
             intensity=event.avg_rps,
             reflector_protocol=event.protocol,
             packets=event.requests,
+            country=country,
+            asn=asn,
         )
 
     def annotated(
@@ -234,6 +259,28 @@ def event_from_dict(data: dict) -> AttackEvent:
 
 #: The canonical order of a data set's events: ``(start_ts, target)``.
 event_order = operator.attrgetter("start_ts", "target")
+
+
+def origin_lookup(
+    geo: GeoDatabase,
+    routing: RoutingTable,
+    origins: Optional[Dict[int, Origin]] = None,
+) -> Callable[[int], Origin]:
+    """A target's :data:`Origin`, looked up once per distinct target in
+    *origins* (target -> origin), which callers annotating several data
+    sets over one geo database and routing table share."""
+    known: Dict[int, Origin] = {} if origins is None else origins
+
+    def origin(target: int) -> Origin:
+        found = known.get(target)
+        if found is None:
+            found = known[target] = (
+                geo.country(target),
+                routing.origin_asn(target),
+            )
+        return found
+
+    return origin
 
 
 class AttackDataset:
@@ -305,23 +352,15 @@ class AttackDataset:
         """Copy with country and origin-AS metadata on every event.
 
         The metadata is a function of the target alone, so it is looked
-        up once per distinct victim, in *origins* (target -> country,
-        origin AS), which callers annotating several data sets over one
-        geo database and routing table share; the order is unchanged, so
-        the copy is not sorted again.
+        up once per distinct victim (:func:`origin_lookup` over
+        *origins*); the order is unchanged, so the copy is not sorted
+        again.
         """
-        if origins is None:
-            origins = {}
-        events = []
-        for event in self.events:
-            origin = origins.get(event.target)
-            if origin is None:
-                origin = origins[event.target] = (
-                    geo.country(event.target),
-                    routing.origin_asn(event.target),
-                )
-            events.append(event.with_origin(*origin))
-        return AttackDataset._in_order(events, self.label)
+        origin = origin_lookup(geo, routing, origins)
+        return AttackDataset._in_order(
+            [event.with_origin(*origin(event.target)) for event in self.events],
+            self.label,
+        )
 
     def filter(self, predicate) -> "AttackDataset":
         return AttackDataset(
@@ -338,12 +377,32 @@ class AttackDataset:
 
     @classmethod
     def from_telescope_events(
-        cls, events: Iterable[TelescopeEvent], label: str = "Network Telescope"
+        cls,
+        events: Iterable[TelescopeEvent],
+        label: str = "Network Telescope",
+        origin: Optional[Callable[[int], Origin]] = None,
     ) -> "AttackDataset":
-        return cls((AttackEvent.from_telescope(e) for e in events), label)
+        """The telescope's data set; with *origin* (an
+        :func:`origin_lookup`), every event is built annotated."""
+        if origin is None:
+            return cls((AttackEvent.from_telescope(e) for e in events), label)
+        return cls(
+            (AttackEvent.from_telescope(e, origin(e.victim)) for e in events),
+            label,
+        )
 
     @classmethod
     def from_honeypot_events(
-        cls, events: Iterable[AmpPotEvent], label: str = "Amplification Honeypot"
+        cls,
+        events: Iterable[AmpPotEvent],
+        label: str = "Amplification Honeypot",
+        origin: Optional[Callable[[int], Origin]] = None,
     ) -> "AttackDataset":
-        return cls((AttackEvent.from_honeypot(e) for e in events), label)
+        """The honeypot's data set; with *origin* (an
+        :func:`origin_lookup`), every event is built annotated."""
+        if origin is None:
+            return cls((AttackEvent.from_honeypot(e) for e in events), label)
+        return cls(
+            (AttackEvent.from_honeypot(e, origin(e.victim)) for e in events),
+            label,
+        )

@@ -15,10 +15,10 @@ the way the real data sets are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from random import Random
 from typing import Dict, Iterator, List, Optional, Sequence
 
+from repro.core.distributions import cumulative_weights, weighted_pick
 from repro.dns.records import DomainTimeline, HostingState
 from repro.internet.hosting import HostingEcosystem
 
@@ -78,9 +78,9 @@ class ZoneGenerator:
         rng, cfg = self._rng, self.config
         zones = {tld: Zone(tld) for tld in cfg.tld_shares}
         tlds = list(cfg.tld_shares)
-        tld_cum_weights = list(accumulate(cfg.tld_shares[t] for t in tlds))
+        tld_cum_weights = cumulative_weights(cfg.tld_shares[t] for t in tlds)
         for index in range(cfg.n_domains):
-            tld = rng.choices(tlds, cum_weights=tld_cum_weights, k=1)[0]
+            tld = weighted_pick(rng, tlds, tld_cum_weights)
             domain = self._generate_domain(index, tld)
             zones[tld].domains.append(domain)
         return [zones[t] for t in tlds]

@@ -34,6 +34,7 @@ from repro.dps.providers import (
     METHOD_BGP,
     choose_provider,
     provider_by_name,
+    provider_cum_weights,
 )
 from repro.internet.hosting import (
     HostingEcosystem,
@@ -143,10 +144,6 @@ class MigrationLedger:
     preexisting: List[Tuple[str, str]] = field(default_factory=list)
     migrations: List[MigrationRecord] = field(default_factory=list)
 
-    @property
-    def migrated_domains(self) -> Dict[str, MigrationRecord]:
-        return {record.domain: record for record in self.migrations}
-
 
 class MigrationSimulator:
     """Applies the behavioural model to zones, in place."""
@@ -161,6 +158,7 @@ class MigrationSimulator:
     ) -> None:
         self.zones = list(zones)
         self.providers = list(providers)
+        self._provider_cum_weights = provider_cum_weights(self.providers)
         self.ecosystem = ecosystem
         self.config = config
         self.diversion_log = diversion_log if diversion_log is not None else BGPDiversionLog()
@@ -354,10 +352,14 @@ class MigrationSimulator:
     def _choose_provider_for(self, state: HostingState) -> DPSProvider:
         """Shared-hosting customers cannot use BGP diversion (no prefix of
         their own), so re-draw until a DNS-method provider comes up."""
-        provider = choose_provider(self.providers, self._rng)
+        provider = choose_provider(
+            self.providers, self._rng, self._provider_cum_weights
+        )
         if state.hoster is not None:
             while provider.method == METHOD_BGP:
-                provider = choose_provider(self.providers, self._rng)
+                provider = choose_provider(
+                    self.providers, self._rng, self._provider_cum_weights
+                )
         return provider
 
     # -- storylines -----------------------------------------------------------

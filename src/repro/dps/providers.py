@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.distributions import cumulative_weights, weighted_pick
 from repro.internet.topology import InternetTopology
 from repro.net.addressing import Prefix
 
@@ -111,7 +112,24 @@ def provider_by_name(
     return next((p for p in providers if p.name == name), None)
 
 
-def choose_provider(providers: Sequence[DPSProvider], rng) -> DPSProvider:
-    """Market-share-weighted provider choice for a migrating customer."""
-    weights = [p.market_share for p in providers]
-    return rng.choices(list(providers), weights=weights, k=1)[0]
+def provider_cum_weights(providers: Sequence[DPSProvider]) -> List[float]:
+    """The cumulative market shares :func:`choose_provider` draws from."""
+    return cumulative_weights(p.market_share for p in providers)
+
+
+def choose_provider(
+    providers: Sequence[DPSProvider],
+    rng,
+    cum_weights: Optional[Sequence[float]] = None,
+) -> DPSProvider:
+    """Market-share-weighted provider choice for a migrating customer.
+
+    One ``rng.random()`` draw, the value ``rng.choices(providers,
+    weights=<market shares>)`` picks. *cum_weights* is
+    :func:`provider_cum_weights` of *providers*: a caller that draws
+    many times (the migration simulator) builds it once, and it is
+    built here when omitted.
+    """
+    if cum_weights is None:
+        cum_weights = provider_cum_weights(providers)
+    return weighted_pick(rng, providers, cum_weights)

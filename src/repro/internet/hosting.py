@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 from random import Random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.distributions import cumulative_weights, weighted_pick
 from repro.internet.topology import (
     AS_KIND_HOSTER,
     AS_KIND_ISP,
@@ -66,7 +66,7 @@ _NAMED_PLATFORMS: Sequence[Tuple[str, str, str, Optional[str], float]] = (
 @lru_cache(maxsize=None)
 def _zipf_cum_weights(n: int) -> Tuple[float, ...]:
     """Cumulative :meth:`Hoster.ip_weights` of an *n*-address pool."""
-    return tuple(accumulate(1.0 / (index + 1) for index in range(n)))
+    return tuple(cumulative_weights(1.0 / (index + 1) for index in range(n)))
 
 
 @dataclass
@@ -91,9 +91,7 @@ class Hoster:
 
     def pick_ip(self, rng: Random) -> int:
         """Choose a shared hosting IP for a new customer site."""
-        return rng.choices(
-            self.ips, cum_weights=_zipf_cum_weights(len(self.ips)), k=1
-        )[0]
+        return weighted_pick(rng, self.ips, _zipf_cum_weights(len(self.ips)))
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,7 @@ class HostingEcosystem:
         self._names = {h.name: h for h in hosters}
         self._weights = [h.popularity for h in hosters]
         self._total_hosted = sum(self._weights)
-        self._cum_weights = list(accumulate(self._weights))
+        self._cum_weights = cumulative_weights(self._weights)
 
     def hoster_by_name(self, name: str) -> Optional[Hoster]:
         return self._names.get(name)
@@ -145,7 +143,7 @@ class HostingEcosystem:
         )
         if pick >= self._total_hosted:
             return None
-        return rng.choices(self.hosters, cum_weights=self._cum_weights, k=1)[0]
+        return weighted_pick(rng, self.hosters, self._cum_weights)
 
     def allocate_self_hosted_ip(self, rng: Random) -> int:
         """A fresh, unique IP in ISP/enterprise space for a self-hosted site."""

@@ -16,10 +16,10 @@ name; everything else is an anonymous AS in a weighted country draw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from random import Random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.distributions import cumulative_weights, weighted_pick
 from repro.net.addressing import Prefix
 from repro.net.geo import GeoDatabase
 from repro.net.routing import RoutingTable
@@ -198,7 +198,7 @@ class InternetTopology:
             ases.append(AutonomousSystem(asn, name, country, kind, prefixes))
 
         countries = list(COUNTRY_SPACE_WEIGHTS)
-        cum_weights = list(accumulate(COUNTRY_SPACE_WEIGHTS[c] for c in countries))
+        cum_weights = cumulative_weights(COUNTRY_SPACE_WEIGHTS[c] for c in countries)
         kind_choices = (
             [AS_KIND_ISP] * int(config.isp_fraction * 100)
             + [AS_KIND_HOSTER] * int(config.hoster_fraction * 100)
@@ -207,7 +207,7 @@ class InternetTopology:
         )
         next_asn = 64512  # private ASN range for anonymous ASes
         for _ in range(config.n_ases):
-            country = rng.choices(countries, cum_weights=cum_weights, k=1)[0]
+            country = weighted_pick(rng, countries, cum_weights)
             kind = rng.choice(kind_choices)
             size = _pareto_slash24s(rng, config)
             prefixes = allocator.take_slash24s(size)

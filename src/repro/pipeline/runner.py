@@ -21,6 +21,12 @@ executor adds:
   order, joining a child when a row reads its stage (fusion); the
   telemetry a child recorded comes home with its record;
 
+* **a frozen heap** — once ``internet`` and ``attacks`` are folded, the
+  garbage collector's permanent generation takes them (``gc.freeze()``),
+  so later collections, here and in the stage children forked after,
+  do not walk them again. ``run()`` unfreezes however it ends, and a
+  run whose caller had frozen objects itself freezes nothing;
+
 * **timing** — every stage's wall time and attempt count is recorded in a
   :class:`~repro.pipeline.quality.StageReport`;
 * **retry with backoff** — :class:`TransientStageError` (the injectable
@@ -52,6 +58,7 @@ checkpoints so even the feed-quality accounting survives the crash.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -248,6 +255,10 @@ STAGES: Tuple[Stage, ...] = (
     ),
 )
 
+#: Stages whose outputs live for the rest of the run: the garbage
+#: collector's permanent generation takes them once folded.
+LONG_LIVED_STAGES = ("internet", "attacks")
+
 #: The observation stages: degradable to an empty feed, cacheable, run
 #: as fork children when their inputs are ready before their turn, and
 #: as watched fork tasks when a task deadline is armed.
@@ -419,6 +430,8 @@ class ResilientPipeline:
         self._partitions: Optional[List[list]] = None
         #: The span of the stage the executor is running.
         self._stage_span: Any = None
+        #: Whether this run freezes its long-lived outputs (set by run).
+        self._freeze_heap = False
         self.store: Optional[CheckpointStore] = None
         if run_dir is not None:
             self.store = CheckpointStore(run_dir, metrics=metrics)
@@ -495,13 +508,18 @@ class ResilientPipeline:
         """Run (or resume) the pipeline; returns a result with ``quality``."""
         with self._tracer.span("run", n_days=self.config.n_days):
             self.stage_reports = []
+            # A caller that froze objects owns the permanent generation.
+            self._freeze_heap = gc.get_freeze_count() == 0
             try:
                 self._run_stages(self._checkpoints)
             finally:
-                # No stage child outlives the run, however it ends.
+                # No stage child outlives the run, however it ends, and
+                # no frozen object either: a process may run many.
                 self._cancel_children("run ended")
                 self._records.clear()
                 self._partitions = None
+                if self._freeze_heap:
+                    gc.unfreeze()
             result = self._result(self._checkpoints)
             result.quality = self._build_quality(result, baseline)
             return result
@@ -790,6 +808,10 @@ class ResilientPipeline:
         )
         if status == "failed":
             raise StageFailedError(name, record.error)
+        if name in LONG_LIVED_STAGES and self._freeze_heap:
+            # Later collections skip what is frozen, and the feed
+            # children, forked after attacks, inherit it frozen.
+            gc.freeze()
 
     def _from_cache(self, name: str, key: str) -> Optional[StageRecord]:
         """Stage *name*'s cache-hit record from cache entry *key*.

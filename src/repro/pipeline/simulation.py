@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.attacks.attacker import GroundTruthAttack
 from repro.attacks.schedule import AttackSchedule, TargetPools
-from repro.core.events import AttackDataset
+from repro.core.events import AttackDataset, origin_lookup
 from repro.core.fusion import FusedDataset
 from repro.core.webmap import WebHostingIndex
 from repro.dns.openintel import OpenIntelDataset, OpenIntelPlatform
@@ -441,19 +441,26 @@ def fuse_observations(
     openintel: OpenIntelDataset,
     layer: LayerHook = untimed,
 ) -> Tuple[FusedDataset, WebHostingIndex]:
-    """Stage 6: annotate each feed (layer ``annotate``), fuse them
-    (``fuse``) and index the Web hosting intervals (``index``)."""
-    geo, routing = internet.topology.geo, internet.topology.routing
+    """Stage 6: build each feed's annotated data set (layer
+    ``annotate``), fuse them (``fuse``) and index the Web hosting
+    intervals (``index``).
+
+    Every detected event becomes one :class:`AttackEvent`, built with
+    its victim's country and origin AS already attached; the origins
+    are looked up once per victim across both feeds. Each feed is
+    sorted once, so the data sets equal
+    ``AttackDataset.from_*_events(...).annotated(geo, routing)``.
+    """
+    topology = internet.topology
     with layer("annotate") as set_rows:
         set_rows(len(telescope_events) + len(honeypot_events))
-        # One lookup per victim across both feeds.
-        origins: dict = {}
+        origin = origin_lookup(topology.geo, topology.routing)
         telescope_dataset = AttackDataset.from_telescope_events(
-            telescope_events
-        ).annotated(geo, routing, origins)
+            telescope_events, origin=origin
+        )
         honeypot_dataset = AttackDataset.from_honeypot_events(
-            honeypot_events
-        ).annotated(geo, routing, origins)
+            honeypot_events, origin=origin
+        )
     with layer("fuse") as set_rows:
         set_rows(len(telescope_dataset) + len(honeypot_dataset))
         fused = FusedDataset(telescope_dataset, honeypot_dataset)

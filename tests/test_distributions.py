@@ -1,5 +1,9 @@
-"""Unit and property tests for empirical CDFs and the Poisson sampler."""
+"""Unit and property tests for empirical CDFs, the Poisson sampler and
+the weighted pick."""
 
+import math
+import sys
+from itertools import accumulate
 from random import Random
 
 import pytest
@@ -7,10 +11,12 @@ from hypothesis import given, strategies as st
 
 from repro.core.distributions import (
     EmpiricalCDF,
+    cumulative_weights,
     duration_cdf,
     intensity_cdf,
     per_protocol_intensity_cdfs,
     poisson,
+    weighted_pick,
 )
 from repro.core.events import AttackEvent, SOURCE_HONEYPOT, SOURCE_TELESCOPE
 
@@ -110,3 +116,75 @@ class TestPoisson:
         n = 4000
         mean = sum(poisson(rng, lam) for _ in range(n)) / n
         assert abs(mean - lam) < 4 * (lam / n) ** 0.5
+
+
+weights_lists = st.one_of(
+    st.lists(st.integers(0, 1000), min_size=1, max_size=60),
+    st.lists(
+        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=60,
+    ),
+).filter(lambda weights: sum(weights) > 0)
+
+
+class TestWeightedPick:
+    """``weighted_pick`` is ``Random.choices(k=1)`` draw for draw."""
+
+    @given(
+        weights=weights_lists,
+        seed=st.integers(0, 2**32 - 1),
+        draws=st.integers(1, 20),
+    )
+    def test_matches_random_choices(self, weights, seed, draws):
+        population = list(range(len(weights)))
+        table = cumulative_weights(weights)
+        assert table == list(accumulate(weights))
+        ours, theirs = Random(seed), Random(seed)
+        for _ in range(draws):
+            assert weighted_pick(ours, population, table) == theirs.choices(
+                population, cum_weights=table, k=1
+            )[0]
+        # The stream is consumed identically.
+        assert ours.random() == theirs.random()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_one_element_and_zero_weight_entries(self, seed):
+        rng = Random(seed)
+        assert weighted_pick(rng, ["only"], cumulative_weights([3])) == "only"
+        table = cumulative_weights([0, 2.5, 0, 0, 1, 0])
+        picks = {weighted_pick(rng, "abcdef", table) for _ in range(50)}
+        assert picks <= {"b", "e"}
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[0, 0], [0.0], [-1, 0.5], [1, math.inf], [math.nan, 1],
+         [1e308, 1e308]],
+    )
+    def test_bad_totals_raise_what_choices_raises(self, weights):
+        with pytest.raises(ValueError) as ours:
+            cumulative_weights(weights)
+        table = list(accumulate(weights))
+        try:
+            Random(0).choices(range(len(weights)), cum_weights=table, k=1)
+        except ValueError as theirs:
+            assert str(ours.value) == str(theirs)
+        else:
+            # Python 3.9's choices does not check that the total is finite.
+            assert sys.version_info < (3, 10)
+            assert not math.isfinite(table[-1])
+
+    def test_length_mismatch_raises_what_choices_raises(self):
+        table = cumulative_weights([1, 2, 3])
+        with pytest.raises(ValueError) as ours:
+            weighted_pick(Random(0), [1, 2], table)
+        with pytest.raises(ValueError) as theirs:
+            Random(0).choices([1, 2], cum_weights=table, k=1)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_empty_table_fails_at_the_pick_as_choices_does(self):
+        assert cumulative_weights([]) == []
+        with pytest.raises(IndexError):
+            weighted_pick(Random(0), [], [])
+        with pytest.raises(IndexError):
+            Random(0).choices([], cum_weights=[], k=1)

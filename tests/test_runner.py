@@ -5,6 +5,8 @@ fault-free reference and run the small scenario through
 :class:`ResilientPipeline` under various plans.
 """
 
+import gc
+
 import pytest
 
 from repro.core.events import AttackEvent, SOURCE_TELESCOPE
@@ -27,6 +29,7 @@ from repro.pipeline.quality import (
     STATUS_DOWN,
     STATUS_OK,
 )
+from repro.pipeline import runner
 from repro.pipeline import simulation as sim_module
 from repro.pipeline.runner import (
     OBSERVATION_STAGES,
@@ -695,3 +698,109 @@ class TestInterruptGuard:
         )
         with pytest.raises(RunInterrupted):
             pipeline.run()
+
+
+@pytest.fixture(params=["forked", "inline"])
+def stage_path(request, monkeypatch):
+    """Run the feeds as fork children, then inline (the CPU probe the
+    ``forked_stages``/``inline_stages`` fixtures patch)."""
+    forked = request.param == "forked"
+    monkeypatch.setattr(runner, "stage_children_allowed", lambda: forked)
+    return request.param
+
+
+class TestFrozenHeap:
+    """The run freezes the Internet and the attack list once folded, and
+    leaves nothing frozen behind, however it ends."""
+
+    def _watch_migration(self, monkeypatch, also=None):
+        """Record the freeze count while migration runs (after attacks
+        folded), then run *also*."""
+        seen = []
+        migrate = sim_module.run_migration
+
+        def watched(*args, **kwargs):
+            seen.append(gc.get_freeze_count())
+            if also is not None:
+                also()
+            return migrate(*args, **kwargs)
+
+        monkeypatch.setattr(sim_module, "run_migration", watched)
+        return seen
+
+    def test_frozen_during_the_run_and_not_after(
+        self, small_config, stage_path, monkeypatch, sim
+    ):
+        seen = self._watch_migration(monkeypatch)
+        result = ResilientPipeline(small_config).run()
+        assert seen[0] > 0
+        assert gc.get_freeze_count() == 0
+        assert result.fused.combined.events == sim.fused.combined.events
+
+    def test_unfrozen_after_a_failed_stage(
+        self, small_config, stage_path, monkeypatch
+    ):
+        seen = self._watch_migration(monkeypatch)
+
+        def broken_fusion(*args, **kwargs):
+            raise TransientStageError("fusion down")
+
+        monkeypatch.setattr(sim_module, "fuse_observations", broken_fusion)
+        pipeline = ResilientPipeline(
+            small_config, retry=RetryPolicy(max_attempts=1), sleep=no_sleep
+        )
+        with pytest.raises(StageFailedError):
+            pipeline.run()
+        assert seen[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_unfrozen_after_the_run_deadline(
+        self, small_config, stage_path, monkeypatch
+    ):
+        now = [0.0]
+
+        def pass_the_deadline():
+            now[0] += 100.0
+
+        seen = self._watch_migration(monkeypatch, pass_the_deadline)
+        pipeline = ResilientPipeline(
+            small_config, deadline=RunDeadline(50.0, clock=lambda: now[0])
+        )
+        with pytest.raises(RunDeadlineExceeded):
+            pipeline.run()
+        assert seen[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_unfrozen_after_an_interrupt(
+        self, small_config, stage_path, monkeypatch
+    ):
+        guard = InterruptGuard()
+        seen = self._watch_migration(monkeypatch, guard.trigger)
+        pipeline = ResilientPipeline(small_config, interrupt=guard)
+        with pytest.raises(RunInterrupted):
+            pipeline.run()
+        assert seen[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_a_caller_who_froze_keeps_its_own(
+        self, small_config, stage_path, monkeypatch
+    ):
+        seen = self._watch_migration(monkeypatch)
+        freeze, unfreeze = gc.freeze, gc.unfreeze
+        calls = []
+        freeze()
+        try:
+            own = gc.get_freeze_count()
+            monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+            monkeypatch.setattr(
+                gc, "unfreeze", lambda: calls.append("unfreeze")
+            )
+            ResilientPipeline(small_config).run()
+            # The run froze and unfroze nothing; the count moves only as
+            # objects the caller froze are freed.
+            assert calls == []
+            assert 0 < seen[0] <= own
+            assert 0 < gc.get_freeze_count() <= own
+        finally:
+            monkeypatch.undo()
+            unfreeze()
