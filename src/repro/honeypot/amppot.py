@@ -124,23 +124,9 @@ class AmpPotFleet:
             )
         return instances
 
-    def abused_instances(self, rng: Random) -> List[HoneypotInstance]:
-        """Which honeypots one attacker's reflector list includes.
-
-        Every instance is included independently; if none lands in the list
-        (rare at fleet size 24), the attack is simply unobserved — the same
-        residual blind spot the real deployment has.
-        """
-        probability = self.config.instance_abuse_probability
-        return [i for i in self.instances if rng.random() < probability]
-
     def observe(self, attack: GroundTruthAttack) -> List[RequestBatch]:
         """One attack's per-minute request batches, as objects."""
         return self.capture_columns([attack]).batches()
-
-    def scanner_noise(self, n_days: int) -> List[RequestBatch]:
-        """Reflector scans over *n_days*, as objects (unsorted)."""
-        return self.noise_columns(n_days).batches()
 
     def noise_columns(self, n_days: int) -> RequestColumns:
         """Reflector scans over *n_days* (unsorted; none without days)."""
@@ -219,6 +205,9 @@ class AmpPotFleet:
                 rng.random(len(self.instances)) < cfg.instance_abuse_probability
             ).nonzero()[0]
             if not len(abused):
+                # No instance is on the attacker's reflector list: the
+                # attack goes unobserved, the real deployment's residual
+                # blind spot.
                 continue
             rates = attack.rate * np.exp(
                 rng.normal(0.0, cfg.rate_jitter_sigma, len(abused))

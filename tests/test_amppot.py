@@ -1,7 +1,5 @@
 """Unit tests for the AmpPot fleet."""
 
-from random import Random
-
 import pytest
 
 from repro.attacks.attacker import ATTACK_DIRECT, ATTACK_REFLECTION, GroundTruthAttack
@@ -83,18 +81,11 @@ class TestObservation:
         expected = 50.0 * 600.0 * n_instances
         assert 0.8 * expected < total < 1.2 * expected
 
-    def test_abused_instances_vary_per_attack(self):
-        fleet = AmpPotFleet(FleetConfig(seed=7))
-        rng = Random(0)
-        draws = {tuple(i.instance_id for i in fleet.abused_instances(rng))
-                 for _ in range(10)}
-        assert len(draws) > 1
-
 
 class TestScannerNoise:
     def test_scans_below_event_threshold(self):
         fleet = AmpPotFleet(FleetConfig(seed=8, scan_max_requests=30))
-        assert all(b.count <= 30 for b in fleet.scanner_noise(2))
+        assert all(b.count <= 30 for b in fleet.noise_columns(2).batches())
 
     def test_capture_merges_and_sorts(self):
         fleet = AmpPotFleet(FleetConfig(seed=9))
