@@ -380,12 +380,10 @@ class AttackDataset:
         cls,
         events: Iterable[TelescopeEvent],
         label: str = "Network Telescope",
-        origin: Optional[Callable[[int], Origin]] = None,
+        origin: Callable[[int], Origin] = lambda target: NO_ORIGIN,
     ) -> "AttackDataset":
-        """The telescope's data set; with *origin* (an
-        :func:`origin_lookup`), every event is built annotated."""
-        if origin is None:
-            return cls((AttackEvent.from_telescope(e) for e in events), label)
+        """The telescope's data set, every event built with its victim's
+        *origin* (an :func:`origin_lookup` annotates)."""
         return cls(
             (AttackEvent.from_telescope(e, origin(e.victim)) for e in events),
             label,
@@ -396,12 +394,10 @@ class AttackDataset:
         cls,
         events: Iterable[AmpPotEvent],
         label: str = "Amplification Honeypot",
-        origin: Optional[Callable[[int], Origin]] = None,
+        origin: Callable[[int], Origin] = lambda target: NO_ORIGIN,
     ) -> "AttackDataset":
-        """The honeypot's data set; with *origin* (an
-        :func:`origin_lookup`), every event is built annotated."""
-        if origin is None:
-            return cls((AttackEvent.from_honeypot(e) for e in events), label)
+        """The honeypot's data set, every event built with its victim's
+        *origin* (an :func:`origin_lookup` annotates)."""
         return cls(
             (AttackEvent.from_honeypot(e, origin(e.victim)) for e in events),
             label,

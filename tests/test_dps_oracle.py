@@ -450,6 +450,16 @@ class TestFusion:
         assert telescope.annotated(geo, routing).events == (
             dps_oracle.annotated(telescope, geo, routing).events
         )
+        # Fusion builds each event once, annotated: the same data sets
+        # as building plain events and annotating copies.
+        honeypot = AttackDataset.from_honeypot_events(sim.honeypot_events)
+        for fused, plain in (
+            (sim.fused.telescope, telescope), (sim.fused.honeypot, honeypot)
+        ):
+            assert fused.label == plain.label
+            assert fused.events == (
+                dps_oracle.annotated(plain, geo, routing).events
+            )
         assert events == dps_oracle.combined(
             sim.fused.telescope, sim.fused.honeypot
         )
