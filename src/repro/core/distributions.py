@@ -52,9 +52,8 @@ def weighted_pick(
     n = len(population)
     if len(cum_weights) != n:
         raise ValueError("The number of weights does not match the population")
-    return population[
-        bisect.bisect(cum_weights, rng.random() * (cum_weights[-1] + 0.0), 0, n - 1)
-    ]
+    total = cum_weights[-1] + 0.0
+    return population[bisect.bisect(cum_weights, rng.random() * total, 0, n - 1)]
 
 
 def poisson(rng: Random, lam: float) -> int:
