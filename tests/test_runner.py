@@ -29,7 +29,6 @@ from repro.pipeline.quality import (
     STATUS_DOWN,
     STATUS_OK,
 )
-from repro.pipeline import runner
 from repro.pipeline import simulation as sim_module
 from repro.pipeline.runner import (
     OBSERVATION_STAGES,
@@ -700,13 +699,10 @@ class TestInterruptGuard:
             pipeline.run()
 
 
-@pytest.fixture(params=["forked", "inline"])
-def stage_path(request, monkeypatch):
-    """Run the feeds as fork children, then inline (the CPU probe the
-    ``forked_stages``/``inline_stages`` fixtures patch)."""
-    forked = request.param == "forked"
-    monkeypatch.setattr(runner, "stage_children_allowed", lambda: forked)
-    return request.param
+@pytest.fixture(params=["forked_stages", "inline_stages"])
+def stage_path(request):
+    """Each test once with the feeds as fork children, once inline."""
+    request.getfixturevalue(request.param)
 
 
 class TestFrozenHeap:
