@@ -41,10 +41,10 @@ Commands:
   a dashboard frame per interval (``--once`` for CI and scripts).
 
 ``simulate`` and ``resume`` accept the supervision knobs:
-``--task-deadline`` runs the observation compute as watched fork
-children (each victim partition's telescope or honeypot detection, and
-the DNS measurement) that are killed and their stage retried when one
-overruns (the output is byte-identical either way), and ``--deadline`` aborts the run cleanly
+``--task-deadline`` runs each observation stage (telescope, honeypot,
+DNS measurement) as one watched fork child, killed when it overruns and
+its remaining attempts run in a fresh child (the output is
+byte-identical either way), and ``--deadline`` aborts the run cleanly
 once the budget is spent: checkpoints are already flushed, the run dir
 stays resumable, and the process exits with code 124 (the ``timeout(1)``
 convention, distinct from a crash). Bad supervision input (a malformed
@@ -103,9 +103,9 @@ def _add_exec_args(sub: argparse.ArgumentParser) -> None:
     """Supervision knobs shared by ``simulate`` and ``resume``."""
     sub.add_argument(
         "--task-deadline", type=float, default=None, metavar="SECONDS",
-        help="run observation compute (per-partition detection, DNS "
-             "measurement) as watched workers; one still running after "
-             "SECONDS is killed and its stage retried",
+        help="run each observation stage (telescope, honeypot, DNS "
+             "measurement) as one watched fork child; one still running "
+             "after SECONDS is killed and its stage retried",
     )
     sub.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",

@@ -23,11 +23,12 @@ The child inherits the parent's memory, so closures over large pipeline
 objects cost nothing to dispatch, and only the (small) result is pickled
 back through a pipe.
 
-The pipeline runner starts the telescope and honeypot stages as tasks
-and waits for them at fusion, while it runs migration and measurement
-itself. With a task deadline armed, each victim partition's detection
-and the DNS measurement also become one watched task each, so a hung
-task is killed at its deadline and its stage retried.
+The pipeline runner's stage children are its tasks: with more than one
+CPU it starts the telescope and honeypot stages and waits for them at
+fusion, while it runs migration and measurement itself. With a task
+deadline armed, every observation stage (telescope, honeypot,
+measurement) is one watched task, so a stage that hangs is killed at
+its deadline and its remaining attempts run in a fresh task.
 """
 
 from __future__ import annotations
@@ -78,13 +79,15 @@ class TaskOutcome:
 class _ForkWorker:
     """One forked child computing one task, reporting through a pipe."""
 
-    def __init__(self, spec: TaskSpec) -> None:
+    def __init__(
+        self, spec: TaskSpec, clock: Callable[[], float] = time.monotonic
+    ) -> None:
         ctx = multiprocessing.get_context("fork")
         self.spec = spec
+        #: The start on the pool's metrics clock (see SupervisedPool).
+        self.clock_started = clock()
         self.recv_conn, send_conn = ctx.Pipe(duplex=False)
-        # Not a daemon: a daemonic process may not fork children of its
-        # own, and a pipeline stage child forks its watched tasks. Every
-        # worker is reaped by wait() or cancel() instead.
+        # Not a daemon: every worker is reaped by wait() or cancel().
         self.process = ctx.Process(
             target=_fork_entry, args=(send_conn, spec.fn)
         )
@@ -187,8 +190,16 @@ def _fork_entry(conn, fn) -> None:
 class SupervisedPool:
     """Deadline-enforcing fork watchdog over any number of started tasks."""
 
-    def __init__(self, metrics: Optional[Any] = None) -> None:
+    def __init__(
+        self,
+        metrics: Optional[Any] = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
         self._log = get_logger("exec")
+        # Times exec_task_seconds only: a telemetry's injected clock
+        # keeps metrics.json reproducible, while the watchdog's
+        # deadlines always run on the monotonic clock.
+        self._clock = clock
         registry = metrics if metrics is not None else get_registry()
         self._m_queued = registry.counter(
             "exec_tasks_queued_total", "tasks submitted to the pool"
@@ -219,7 +230,7 @@ class SupervisedPool:
     def start(self, spec: TaskSpec) -> _ForkWorker:
         """Fork one task and return its handle without waiting for it."""
         self._m_queued.inc()
-        worker = _ForkWorker(spec)
+        worker = _ForkWorker(spec, self._clock)
         self._m_started.inc()
         self._m_inflight.inc()
         return worker
@@ -248,7 +259,7 @@ class SupervisedPool:
         finally:
             if outcome is None:  # unwinding on an error path
                 outcome = self._kill(worker, "pool shutting down")
-            self._done(outcome)
+            self._done(outcome, self._clock() - worker.clock_started)
         return outcome
 
     def cancel(self, worker: _ForkWorker, reason: str) -> None:
@@ -264,10 +275,10 @@ class SupervisedPool:
         """Run one task in a watched fork child; never raises its error."""
         return self.wait(self.start(spec))
 
-    def _done(self, outcome: TaskOutcome) -> None:
+    def _done(self, outcome: TaskOutcome, seconds: float) -> None:
         self._m_inflight.dec()
         self._m_outcomes.inc(status=outcome.status)
-        self._m_task_seconds.observe(outcome.elapsed, status=outcome.status)
+        self._m_task_seconds.observe(seconds, status=outcome.status)
         if not outcome.ok:
             self._log.warning(
                 "task failed",

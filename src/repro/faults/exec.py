@@ -10,8 +10,8 @@ contain:
 * ``slow``   — the worker takes ``delay`` extra seconds, long enough to
   trip a tight deadline but not a generous one;
 * ``crash``  — the worker process dies without delivering a result
-  (``os._exit`` in a forked child; a :class:`WorkerCrashError` where
-  there is no separate process to kill);
+  (``os._exit`` in a stage's fork child; a :class:`WorkerCrashError` in
+  the runner's process, which must survive it);
 * ``poison`` — the stage's input is deterministically unprocessable and
   raises :class:`PoisonShardError` on *every* attempt, the canonical
   persistent failure that must degrade its stage once retries run out.
@@ -152,14 +152,13 @@ class ExecFaultPlan:
 
 
 def apply_exec_fault(fault: Optional[ExecFault], worker: bool = False) -> None:
-    """Enact a fault inside the worker; call at the top of a stage task.
+    """Enact a fault; the runner calls it at the start of each attempt.
 
-    ``crash`` kills the current process outright when it runs as a
-    *worker*, a watched task's fork child (the supervisor sees a dead
-    child and reports ``crashed``); anywhere else (a stage attempt, in
-    the runner's process or in a stage's fork child) it raises
-    :class:`WorkerCrashError` instead, because ``os._exit`` would take
-    the whole stage down with it.
+    ``crash`` kills the current process outright when the attempt runs
+    in a *worker*, a stage's fork child (the watchdog sees a dead child
+    and reports ``crashed``, and the runner counts a failed attempt); in
+    the runner's own process it raises :class:`WorkerCrashError`
+    instead, because ``os._exit`` would take the whole run down with it.
     """
     if fault is None:
         return

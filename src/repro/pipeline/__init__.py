@@ -19,7 +19,6 @@ __getattr__ = lazy_exports(__name__, {
         "DataQualityReport",
         "FeedQuality",
         "HeadlineMetrics",
-        "RecordQuality",
         "StageReport",
     ),
     "repro.pipeline.runner": (
@@ -42,7 +41,6 @@ __all__ = [
     "DataQualityReport",
     "FeedQuality",
     "HeadlineMetrics",
-    "RecordQuality",
     "StageReport",
     "ResilientPipeline",
     "RetryPolicy",

@@ -8,18 +8,18 @@ past its time budget. ``python -m repro chaos`` runs it from the CLI and
 CI runs ``chaos --quick`` as a smoke job.
 
 Each scenario runs the pipeline with a task deadline armed, so every
-partition's detection and the DNS measurement run as watched worker
-tasks, and with one
+observation stage (telescope, honeypot, DNS measurement) runs as one
+watched fork child, and with one
 :class:`~repro.faults.exec.ExecFaultPlan` armed; it checks the outcome
 against a fault-free baseline run without supervision:
 
-* ``hung-worker``  — a stage's task sleeps forever; the watchdog must
-  kill it at the task deadline and the retry must recover
-  byte-identically;
-* ``slow-worker``  — a task is delayed but finishes inside its deadline;
-  output must be byte-identical (skipped under ``--quick``);
-* ``worker-crash`` — a forked worker dies mid-task; the retry recomputes
-  the stage and output must be byte-identical;
+* ``hung-worker``  — a stage's child sleeps forever; the watchdog must
+  kill it at the task deadline and the retry, in a fresh child, must
+  recover byte-identically;
+* ``slow-worker``  — a stage is delayed but finishes inside its
+  deadline; output must be byte-identical (skipped under ``--quick``);
+* ``worker-crash`` — a stage's child dies mid-stage; the retry
+  recomputes the stage and output must be byte-identical;
 * ``poison-shard`` — a stage's input fails on every attempt; the stage
   must degrade through the empty-typed path, reported in the
   :class:`~repro.pipeline.quality.DataQualityReport` as its feed
@@ -62,7 +62,7 @@ class ChaosScenario:
     name: str
     faults: ExecFaultPlan
     expect: str
-    #: Watchdog deadline of each observation task in this scenario.
+    #: Watchdog deadline of each observation stage's child.
     task_deadline: float = 60.0
     #: Feed that must show up degraded (EXPECT_DEGRADED scenarios only).
     degraded_feed: str = ""

@@ -12,7 +12,7 @@ reports across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.taxonomy import classify_sites, taxonomy_counts
 from repro.core.webmap import WebImpactAnalysis
@@ -123,59 +123,6 @@ class FeedQuality:
         )
 
 
-@dataclass(frozen=True)
-class RecordQuality:
-    """Record-level validation accounting for one serialized feed load.
-
-    Built from a :class:`~repro.pipeline.datasets.FeedLoadReport` so the
-    quality report can state how many records a feed file lost to
-    quarantine, and why (reason code -> count).
-    """
-
-    source: str
-    loaded: int
-    quarantined: int
-    reasons: Tuple[Tuple[str, int], ...] = ()
-    quarantine_path: Optional[str] = None
-    #: Which feed the load belonged to; namespaces the dead-letter file
-    #: so two feeds quarantining in the same run dir cannot collide.
-    feed: str = ""
-
-    @classmethod
-    def from_load_report(cls, report) -> "RecordQuality":
-        return cls(
-            source=report.path,
-            loaded=report.loaded,
-            quarantined=report.rejected,
-            reasons=tuple(report.reason_counts().items()),
-            quarantine_path=report.quarantine_path,
-            feed=getattr(report, "feed", ""),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "loaded": self.loaded,
-            "quarantined": self.quarantined,
-            "reasons": [[reason, count] for reason, count in self.reasons],
-            "quarantine_path": self.quarantine_path,
-            "feed": self.feed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecordQuality":
-        return cls(
-            source=data["source"],
-            loaded=data["loaded"],
-            quarantined=data["quarantined"],
-            reasons=tuple(
-                (reason, count) for reason, count in data.get("reasons", ())
-            ),
-            quarantine_path=data.get("quarantine_path"),
-            feed=data.get("feed", ""),
-        )
-
-
 @dataclass
 class StageReport:
     """Outcome of one orchestrated stage."""
@@ -214,7 +161,6 @@ class DataQualityReport:
 
     feeds: List[FeedQuality] = field(default_factory=list)
     stages: List[StageReport] = field(default_factory=list)
-    records: List[RecordQuality] = field(default_factory=list)
     headline: Optional[HeadlineMetrics] = None
     baseline: Optional[HeadlineMetrics] = None
     plan_description: str = ""
@@ -225,7 +171,6 @@ class DataQualityReport:
             "plan_description": self.plan_description,
             "feeds": [f.to_dict() for f in self.feeds],
             "stages": [s.to_dict() for s in self.stages],
-            "records": [r.to_dict() for r in self.records],
             "headline": self.headline.to_dict() if self.headline else None,
             "baseline": self.baseline.to_dict() if self.baseline else None,
         }
@@ -233,28 +178,17 @@ class DataQualityReport:
     @classmethod
     def from_dict(cls, data: dict) -> "DataQualityReport":
         # Unknown keys are ignored: quality.json files from older
-        # versions carry a "breakers" list that nothing reads now.
+        # versions carry "breakers" and "records" lists that nothing
+        # reads now.
         headline = data.get("headline")
         baseline = data.get("baseline")
         return cls(
             feeds=[FeedQuality.from_dict(f) for f in data.get("feeds", ())],
             stages=[StageReport.from_dict(s) for s in data.get("stages", ())],
-            records=[
-                RecordQuality.from_dict(r) for r in data.get("records", ())
-            ],
             headline=HeadlineMetrics.from_dict(headline) if headline else None,
             baseline=HeadlineMetrics.from_dict(baseline) if baseline else None,
             plan_description=data.get("plan_description", ""),
         )
-
-    def per_feed_quarantine_counts(self) -> Dict[str, int]:
-        """Quarantined-record totals keyed by feed (satellite: surfacing
-        the per-feed dead-letter accounting)."""
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            key = record.feed or record.source
-            counts[key] = counts.get(key, 0) + record.quarantined
-        return counts
 
     def feed(self, name: str) -> FeedQuality:
         for quality in self.feeds:
@@ -264,9 +198,7 @@ class DataQualityReport:
 
     @property
     def degraded(self) -> bool:
-        return any(f.status != STATUS_OK for f in self.feeds) or any(
-            r.quarantined > 0 for r in self.records
-        )
+        return any(f.status != STATUS_OK for f in self.feeds)
 
     def headline_drift(self) -> Dict[str, float]:
         if self.headline is None or self.baseline is None:
@@ -290,33 +222,6 @@ class DataQualityReport:
                 f"{quality.events_dropped:>8}"
                 + (f"  ({quality.detail})" if quality.detail else "")
             )
-        if self.records:
-            lines.append("")
-            lines.append("record validation:")
-            for record in self.records:
-                entry = (
-                    f"  {record.source}: {record.loaded} loaded, "
-                    f"{record.quarantined} quarantined"
-                )
-                if record.reasons:
-                    entry += " (" + ", ".join(
-                        f"{reason}×{count}"
-                        for reason, count in record.reasons
-                    ) + ")"
-                lines.append(entry)
-                if record.quarantine_path:
-                    lines.append(
-                        f"    dead-letter file: {record.quarantine_path}"
-                    )
-            per_feed = self.per_feed_quarantine_counts()
-            if sum(per_feed.values()):
-                lines.append(
-                    "  per feed: "
-                    + ", ".join(
-                        f"{feed}={count}"
-                        for feed, count in sorted(per_feed.items())
-                    )
-                )
         if self.stages:
             lines.append("")
             lines.append("stages:")
@@ -374,7 +279,6 @@ __all__ = [
     "STATUS_DOWN",
     "HeadlineMetrics",
     "FeedQuality",
-    "RecordQuality",
     "StageReport",
     "DataQualityReport",
     "feed_status",

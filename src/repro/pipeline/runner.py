@@ -19,7 +19,10 @@ executor adds:
   migration and measurement. Every stage, wherever it ran, ends as one
   :class:`StageRecord`, and the records are folded into the run in table
   order, joining a child when a row reads its stage (fusion); the
-  telemetry a child recorded comes home with its record;
+  telemetry a child recorded comes home with its record. With a task
+  deadline armed, every observation stage runs as a stage child under
+  that watchdog deadline: one not started ahead forks at its own turn
+  and is joined before the next row starts;
 
 * **a frozen heap** — once ``internet`` and ``attacks`` are folded, the
   garbage collector's permanent generation takes them (``gc.freeze()``),
@@ -43,9 +46,8 @@ executor adds:
 * **graceful degradation** — an observation stage (a row with ``empty``)
   that stays broken yields its *empty but correctly typed* output plus a
   quality flag, and the run completes with honest, quantified losses.
-  Observation stages also get the cross-run stage cache, and their
-  compute runs as watched fork tasks when a task deadline is armed.
-  Core stages (internet, attacks, migration, fusion) still fail the run.
+  Observation stages also get the cross-run stage cache. Core stages
+  (internet, attacks, migration, fusion) still fail the run.
 
 A :class:`~repro.faults.plan.FaultPlan` wires per-feed injectors into the
 observation stages and can schedule transient stage failures, which makes
@@ -98,7 +100,6 @@ from repro.pipeline.quality import (
     DataQualityReport,
     FeedQuality,
     HeadlineMetrics,
-    RecordQuality,
     STATUS_DOWN,
     StageReport,
     feed_status,
@@ -261,7 +262,7 @@ LONG_LIVED_STAGES = ("internet", "attacks")
 
 #: The observation stages: degradable to an empty feed, cacheable, run
 #: as fork children when their inputs are ready before their turn, and
-#: as watched fork tasks when a task deadline is armed.
+#: always as watched fork children when a task deadline is armed.
 OBSERVATION_STAGES = tuple(
     row.name for row in STAGES if row.empty is not None
 )
@@ -341,7 +342,6 @@ class ResilientPipeline:
         self.retry = retry
         self.injectors = FaultInjectorSet(self.plan)
         self.stage_reports: List[StageReport] = []
-        self.record_reports: List[Any] = []
         self.checkpoint_issues: List[CheckpointIssue] = []
         self._checkpoints: Dict[str, Any] = {}
         self._pending_failures = self.plan.transient_failure_counts()
@@ -349,7 +349,8 @@ class ResilientPipeline:
         self._sleep = sleep if sleep is not None else time.sleep
         self._log = get_logger("runner")
         self.crash_after = crash_after
-        #: Watchdog deadline per observation task (None: run in process).
+        #: Watchdog deadline of each observation stage's child (None:
+        #: a stage forks only when it can run beside another).
         self.task_deadline = task_deadline
         self.exec_faults = (
             exec_faults if exec_faults is not None else ExecFaultPlan.none()
@@ -412,20 +413,14 @@ class ResilientPipeline:
                 self.stage_cache = CheckpointStore(
                     stage_cache, metrics=NULL_REGISTRY
                 )
-        self._pool: Optional[SupervisedPool] = (
-            SupervisedPool(metrics=metrics)
-            if task_deadline is not None
-            else None
+        #: The watchdog over every stage child; exec_* count them.
+        self._stage_pool = SupervisedPool(
+            metrics=metrics, clock=self._obs_clock
         )
-        # Stage children are no watched tasks: the exec_* metrics stay
-        # the task deadline's, and a lost child counts as a failed
-        # stage attempt instead.
-        self._stage_pool = SupervisedPool(metrics=NULL_REGISTRY)
         #: Stage children started and not yet joined, by stage.
         self._children: Dict[str, Any] = {}
         #: Records computed (or served) ahead of their fold, by stage.
         self._records: Dict[str, StageRecord] = {}
-        self._attempt_now: Dict[str, int] = {}
         #: The victim partitions of the running pipeline, once bucketed.
         self._partitions: Optional[List[list]] = None
         #: The span of the stage the executor is running.
@@ -496,10 +491,6 @@ class ResilientPipeline:
             self._cancel_children("crash drill")
             os._exit(137)  # SIGKILL semantics: no cleanup, no atexit
 
-    def attach_record_report(self, report: Any) -> None:
-        """Surface a :class:`FeedLoadReport` in this run's quality report."""
-        self.record_reports.append(report)
-
     # -- orchestration --------------------------------------------------------
 
     def run(
@@ -544,7 +535,13 @@ class ResilientPipeline:
                 record = self._served(row, out)
                 if record is None:
                     self._start_ahead(index, out)
-                    record = self._compute(row, row.run(self, out))
+                    if row.empty is None or self.task_deadline is None:
+                        record = self._compute(row, row.run(self, out))
+                    else:
+                        # Watched but not started ahead: it forks and is
+                        # joined at its turn, one stage at a time.
+                        self._fork(row, row.run(self, out))
+                        record = self._join(row, out)
                 self._records[name] = record
             queue.append(row)
             self._fold_queue(queue, out, join=False)
@@ -591,26 +588,43 @@ class ResilientPipeline:
             if record is not None:
                 self._records[name] = record
                 continue
-            attempt = row.run(self, out)
-            self._children[name] = self._stage_pool.start(
-                TaskSpec(
-                    name=name,
-                    fn=lambda row=row, attempt=attempt: self._child_record(
-                        row, attempt
-                    ),
-                    # A hung stage child cannot out-sleep the run deadline.
-                    deadline=self.deadline.remaining(),
-                )
+            self._fork(row, row.run(self, out))
+
+    def _fork(
+        self,
+        row: Stage,
+        attempt: Callable[[], Any],
+        spent: int = 0,
+        lost: Optional[Exception] = None,
+    ) -> None:
+        """Start row's stage child, attempting from attempt *spent* + 1
+        (see :meth:`_compute`). The watchdog kills it at the task
+        deadline, or sooner when the run deadline falls due: a hung
+        child cannot out-sleep the run."""
+        limits = (self.task_deadline, self.deadline.remaining())
+        self._children[row.name] = self._stage_pool.start(
+            TaskSpec(
+                name=row.name,
+                fn=lambda: self._child_record(row, attempt, spent, lost),
+                deadline=min(
+                    (limit for limit in limits if limit is not None),
+                    default=None,
+                ),
             )
+        )
 
     def _child_record(
-        self, row: Stage, attempt: Callable[[], Any]
+        self,
+        row: Stage,
+        attempt: Callable[[], Any],
+        spent: int,
+        lost: Optional[Exception],
     ) -> StageRecord:
         """A stage child's whole job: the stage's record, carrying the
         telemetry the child recorded and whatever escaped the stage."""
         mark = self.telemetry.fork_mark()
         try:
-            record = self._compute(row, attempt)
+            record = self._compute(row, attempt, spent, lost, in_child=True)
         except BaseException as exc:  # noqa: BLE001 - the parent re-raises it
             record = StageRecord("failed", raised=exc)
         record.telemetry = self.telemetry.since(mark, thread=row.name)
@@ -621,22 +635,33 @@ class ResilientPipeline:
 
         A deadline, interrupt or error that escaped the stage in the
         child is raised here. A child killed at the run deadline raises
-        that deadline; one that died without delivering is one failed
-        attempt, and the stage's remaining attempts run in this process.
+        that deadline; one killed at the task deadline, or that died
+        without delivering, is one failed attempt. The stage's remaining
+        attempts run in a fresh child when a task deadline is armed, and
+        in this process otherwise.
         """
-        outcome = self._stage_pool.wait(self._children.pop(row.name))
-        if outcome.ok:
-            record = outcome.value
-            self.telemetry.absorb(record.telemetry)
-            if record.raised is not None:
-                raise record.raised
-            return record
-        if outcome.status == STATUS_DEADLINE:
-            self.deadline.check(f"stage {row.name!r}")
-        lost = TransientStageError(
-            f"stage {row.name!r} child {outcome.status}: {outcome.error}"
-        )
-        return self._compute(row, row.run(self, out), lost=lost)
+        name = row.name
+        spent = 0
+        while True:
+            outcome = self._stage_pool.wait(self._children.pop(name))
+            if outcome.ok:
+                record = outcome.value
+                self.telemetry.absorb(record.telemetry)
+                if record.raised is not None:
+                    raise record.raised
+                return record
+            if outcome.status == STATUS_DEADLINE:
+                self.deadline.check(f"stage {name!r}")
+            spent += 1
+            lost = TransientStageError(
+                f"stage {name!r} child {outcome.status}: {outcome.error}"
+            )
+            self._m_attempts.inc(stage=name)
+            self._attempt_failed(name, spent, lost)
+            attempt = row.run(self, out)
+            if self.task_deadline is None or spent == self.retry.max_attempts:
+                return self._compute(row, attempt, spent, lost)
+            self._fork(row, attempt, spent, lost)
 
     def _cancel_children(self, reason: str) -> None:
         """Kill and reap every stage child still running."""
@@ -688,19 +713,18 @@ class ResilientPipeline:
         self,
         row: Stage,
         attempt: Callable[[], Any],
+        spent: int = 0,
         lost: Optional[Exception] = None,
+        in_child: bool = False,
     ) -> StageRecord:
         """Attempt one bound row under retry and faults: its record, ok
         or (after the last attempt) degraded or failed.
 
-        Runs in this process or in the row's fork child. *lost* is the
-        first attempt, already spent by a child that died without
-        delivering.
+        Runs in this process or, *in_child*, in the row's fork child.
+        The first *spent* attempts were already lost by stage children
+        that never delivered, the last of them to *lost*.
         """
         name = row.name
-        # A stage that runs as pool tasks takes its execution fault
-        # inside the task (see _supervised); every other stage here.
-        fault_in_task = self._pool is not None and row.empty is not None
         with self._tracer.span("stage", stage=name) as span:
             with self._profiler.profile(name) as prof:
                 self.deadline.check(f"stage {name!r}")
@@ -711,36 +735,29 @@ class ResilientPipeline:
                 self._stage_span = span
                 status = "failed" if row.empty is None else "degraded"
                 output: Any = None
-                attempts = 0
-                error: Optional[Exception] = None
-                if lost is not None:
-                    attempts = 1
-                    error = lost
-                    self._m_attempts.inc(stage=name)
-                    self._attempt_failed(name, attempts, lost)
+                attempts, error = spent, lost
                 while attempts < self.retry.max_attempts:
                     label = f"stage {name!r} attempt {attempts + 1}"
                     self.deadline.check(label)
                     self.interrupt.check(label)
                     attempts += 1
-                    self._attempt_now[name] = attempts
                     self._m_attempts.inc(stage=name)
-                    # An attempt that fails after partially running (a
-                    # crashed detection task, say) has already folded
-                    # losses into the injector counters; the retry
-                    # regenerates them, so they are rolled back first.
+                    # An attempt that fails after partially running
+                    # has already folded losses into the injector
+                    # counters; the retry regenerates them, so they are
+                    # rolled back first.
                     counter_baseline = self._own_counters(row)
                     try:
                         with self._tracer.span(
                             "attempt", stage=name, attempt=attempts
                         ):
                             self._maybe_inject_failure(name)
-                            if not fault_in_task:
-                                # Crash/poison surface as stage failures;
-                                # hung genuinely hangs (no watchdog here).
-                                apply_exec_fault(
-                                    self.exec_faults.lookup(name, attempts)
-                                )
+                            # Hung hangs until a watchdog kills the
+                            # stage's child, or for good in the runner.
+                            apply_exec_fault(
+                                self.exec_faults.lookup(name, attempts),
+                                worker=in_child,
+                            )
                             output = attempt()
                     except (
                         TransientStageError,
@@ -855,7 +872,11 @@ class ResilientPipeline:
                 status=status,
                 attempts=attempts,
                 elapsed=elapsed,
-                error=None if error is None else str(error),
+                # The type too: a poisoned input reads PoisonShardError.
+                error=(
+                    None if error is None
+                    else f"{type(error).__name__}: {error}"
+                ),
             )
         )
         fields: Dict[str, Any] = {"stage": name}
@@ -934,8 +955,7 @@ class ResilientPipeline:
         (DESIGN.md section 6). Synthesis and fault filtering run in the
         stage's process (the runner's, or the stage's fork child, whose
         record carries the counters home), so the injector's loss
-        counters add up across partitions; with a task deadline armed,
-        each partition's detection is one watched task. Each layer gets
+        counters add up across partitions. Each layer gets
         one child span per partition and one profile entry per stage,
         summed over the partitions.
         """
@@ -952,9 +972,7 @@ class ResilientPipeline:
                 set_rows(len(capture))
             with self._layer(stage, "detect", index) as set_rows:
                 set_rows(len(capture))
-                shards.append(
-                    self._supervised(stage, lambda: detect(config, capture))
-                )
+                shards.append(detect(config, capture))
             del capture  # before the next partition's synthesis allocates
         return merge(shards)
 
@@ -985,19 +1003,13 @@ class ResilientPipeline:
         return lambda layer: self._layer(stage, layer)
 
     def _measure(self, migration: Any) -> Any:
-        """DNS measurement of the post-migration Internet (supervised),
-        then its faults in this process: degradation mutates injector
-        counters. Its ``crawl`` and ``classify`` layers are recorded
-        wherever it runs; a watched fork task ships them home with its
-        result."""
-        config = self.config
+        """DNS measurement of the post-migration Internet, then its
+        faults, which mutate injector counters. Its ``crawl`` and
+        ``classify`` layers are recorded wherever the stage runs."""
         diversion_log, _, internet = migration
-        openintel, dps_usage = self._supervised(
-            "measurement",
-            lambda: sim.measure_dns(
-                config, internet, diversion_log,
-                layer=self._layers("measurement"),
-            ),
+        openintel, dps_usage = sim.measure_dns(
+            self.config, internet, diversion_log,
+            layer=self._layers("measurement"),
         )
         return sim.apply_dns_faults(
             openintel,
@@ -1005,54 +1017,6 @@ class ResilientPipeline:
             openintel_fault=self.injectors.openintel,
             dps_fault=self.injectors.dps,
         )
-
-    def _supervised(self, stage: str, fn: Callable[[], Any]) -> Any:
-        """Run a piece of a stage's compute (one partition's detection,
-        or the DNS measurement); with a task deadline armed, as one
-        watched fork task.
-
-        The task runs in a fork child, so the watchdog can kill it at
-        the deadline, and a child that hangs, crashes or fails surfaces
-        as a :class:`TransientStageError` for the stage's retry loop. A
-        task that delivers brings home the telemetry it recorded. The
-        stage's execution fault fires inside each of its tasks: a hung,
-        crashed or poisoned attempt fails at its first task.
-        """
-        if self._pool is None:
-            return fn()
-        attempt = self._attempt_now[stage]
-        fault = self.exec_faults.lookup(stage, attempt)
-        if fault is not None:
-            self._log.warning(
-                "exec fault armed", stage=stage, attempt=attempt,
-                fault=fault.kind,
-            )
-
-        def task():
-            mark = self.telemetry.fork_mark()
-            apply_exec_fault(fault, worker=True)
-            return fn(), self.telemetry.since(mark)
-
-        with self._tracer.span("task", stage=stage, attempt=attempt):
-            outcome = self._pool.run(
-                TaskSpec(name=stage, fn=task, deadline=self._task_deadline())
-            )
-        if not outcome.ok:
-            raise TransientStageError(
-                f"{stage} task {outcome.status}: {outcome.error}"
-            )
-        value, telemetry = outcome.value
-        self.telemetry.absorb(telemetry)
-        return value
-
-    def _task_deadline(self) -> float:
-        """Watchdog deadline of one task: the task cap, bounded by what is
-        left of the whole-run deadline so a hung task cannot out-sleep
-        the run-level abort."""
-        remaining = self.deadline.remaining()
-        if remaining is None:
-            return self.task_deadline
-        return max(0.01, min(self.task_deadline, remaining))
 
     def _maybe_inject_failure(self, name: str) -> None:
         remaining = self._pending_failures.get(name, 0)
@@ -1126,10 +1090,6 @@ class ResilientPipeline:
         return DataQualityReport(
             feeds=feeds,
             stages=list(self.stage_reports),
-            records=[
-                RecordQuality.from_load_report(report)
-                for report in self.record_reports
-            ],
             headline=headline,
             baseline=baseline,
             plan_description=plan.describe(),

@@ -3,8 +3,8 @@
 These contracts are exercised through real subprocesses (the same way
 an operator would hit them):
 
-* a run under ``--task-deadline``, whose observation stages compute in
-  watched worker tasks, saves an event data set byte-identical to an
+* a run under ``--task-deadline``, whose observation stages run as
+  watched fork children, saves an event data set byte-identical to an
   unsupervised run's for the same seed and config, in memory and
   durable;
 * bad supervision input (``--exec-fault`` specs, deadlines) exits 2

@@ -3,8 +3,8 @@
 The report became a durable run artifact (``quality.json``) alongside
 the telemetry exports, so its dict round-trip is now a contract: a
 flight report rendered from disk must see exactly what the live run
-saw — including degraded feeds, degraded stages with their attempts
-and errors, and quarantine reasons the validator has never heard of.
+saw — including degraded feeds and degraded stages with their
+attempts and errors.
 """
 
 import json
@@ -16,7 +16,6 @@ from repro.pipeline.quality import (
     DataQualityReport,
     FeedQuality,
     HeadlineMetrics,
-    RecordQuality,
     STATUS_DEGRADED,
     STATUS_OK,
     StageReport,
@@ -67,7 +66,8 @@ class TestRoundTrip:
 
     def test_reads_document_with_breakers_key(self):
         """quality.json files written while the runner still kept stage
-        breakers carry a "breakers" list; they still load and render."""
+        breakers carry a "breakers" list, and older ones a "records"
+        list; they still load and render."""
         data = {
             "plan_description": "fault plan (seed=1, 60 days)",
             "feeds": [{
@@ -80,7 +80,11 @@ class TestRoundTrip:
                 "elapsed": 0.0005,
                 "error": "injected transient failure in stage 'honeypot'",
             }],
-            "records": [],
+            "records": [{
+                "source": "feed.jsonl", "loaded": 1, "quarantined": 1,
+                "reasons": [["unparseable-json", 1]],
+                "quarantine_path": None, "feed": "",
+            }],
             "breakers": [{
                 "name": "honeypot", "state": "open", "failures_seen": 2,
                 "refusals": 0,
@@ -100,6 +104,7 @@ class TestRoundTrip:
             "honeypot", "degraded", 2,
         )
         assert "breakers" not in report.to_dict()
+        assert "records" not in report.to_dict()
         assert "honeypot     degraded after 2 attempts" in report.render()
 
     def test_empty_report_roundtrips(self):
@@ -112,45 +117,8 @@ class TestRoundTrip:
         assert not restored.degraded
         assert restored.headline_drift() == {}
 
-    def test_unknown_reason_codes_preserved(self):
-        """Reason codes are open-ended: future validators must not be
-        dropped or renamed by (de)serialization."""
-        record = RecordQuality(
-            source="feeds/alien.jsonl",
-            loaded=10,
-            quarantined=3,
-            reasons=(("solar-flare", 2), ("gremlins", 1)),
-            quarantine_path="feeds/alien.quarantine.jsonl",
-            feed="telescope",
-        )
-        report = DataQualityReport(records=[record])
-        restored = _roundtrip(report)
-        assert restored.records[0].reasons == (
-            ("solar-flare", 2), ("gremlins", 1)
-        )
-        assert restored.degraded  # quarantined records alone flag it
-
 
 class TestPerFeedQuarantineEdgeCases:
-    def test_no_feeds_no_records(self):
-        assert DataQualityReport().per_feed_quarantine_counts() == {}
-
-    def test_feedless_record_falls_back_to_source(self):
-        report = DataQualityReport(records=[
-            RecordQuality(source="stray.jsonl", loaded=1, quarantined=4),
-        ])
-        assert report.per_feed_quarantine_counts() == {"stray.jsonl": 4}
-
-    def test_same_feed_accumulates_across_loads(self):
-        records = [
-            RecordQuality(
-                source=f"part{i}.jsonl", loaded=1, quarantined=i, feed="dps"
-            )
-            for i in (1, 2)
-        ]
-        report = DataQualityReport(records=records)
-        assert report.per_feed_quarantine_counts() == {"dps": 3}
-
     def test_feed_lookup_raises_on_unknown(self):
         report = DataQualityReport(feeds=[
             FeedQuality(

@@ -9,10 +9,15 @@ import gc
 
 import pytest
 
-from repro.core.events import AttackEvent, SOURCE_TELESCOPE
 from repro.exec.deadline import RunDeadline, RunDeadlineExceeded
 from repro.exec.interrupt import InterruptGuard, RunInterrupted
-from repro.faults.exec import ExecFaultPlan, KIND_CRASH, KIND_HUNG, KIND_POISON
+from repro.faults.exec import (
+    ExecFault,
+    ExecFaultPlan,
+    KIND_CRASH,
+    KIND_HUNG,
+    KIND_POISON,
+)
 from repro.faults.fileio import flip_bits
 from repro.faults.plan import (
     ALL_FEEDS,
@@ -23,7 +28,9 @@ from repro.faults.plan import (
     FaultPlan,
     FaultPlanConfig,
 )
-from repro.pipeline.datasets import read_events_jsonl, save_events_jsonl
+from repro.obs import Telemetry
+from repro.obs.report import render_flight_report
+from repro.pipeline.datasets import event_lines
 from repro.pipeline.quality import (
     HeadlineMetrics,
     STATUS_DOWN,
@@ -508,29 +515,6 @@ class TestDurableRuns:
                 b.uptime, b.events_observed, b.events_dropped
             ), feed
 
-    def test_record_reports_surface_in_quality(
-        self, small_config, tmp_path
-    ):
-        feed_path = tmp_path / "feed.jsonl"
-        save_events_jsonl(
-            [
-                AttackEvent(SOURCE_TELESCOPE, 1, 0.0, 1.0, 1.0),
-            ],
-            feed_path,
-        )
-        with open(feed_path, "a", encoding="utf-8") as handle:
-            handle.write("not json\n")
-        _events, report = read_events_jsonl(feed_path)
-        pipeline = ResilientPipeline(small_config, sleep=no_sleep)
-        pipeline.attach_record_report(report)
-        result = pipeline.run()
-        assert result.quality.degraded
-        (record,) = result.quality.records
-        assert record.loaded == 1 and record.quarantined == 1
-        rendered = result.quality.render()
-        assert "record validation:" in rendered
-        assert "unparseable-json×1" in rendered
-
     def test_crash_after_validation(self, small_config, tmp_path):
         with pytest.raises(ValueError):
             ResilientPipeline(
@@ -541,8 +525,8 @@ class TestDurableRuns:
 
 
 class TestSupervisedExecution:
-    """The watchdog path, in process: a task deadline runs each
-    observation stage's compute as one watched worker task."""
+    """The watchdog path: a task deadline runs each observation stage
+    as one watched fork child, started ahead or at its turn."""
 
     def test_supervised_run_matches_serial(self, small_config, sim):
         result = ResilientPipeline(
@@ -590,6 +574,43 @@ class TestSupervisedExecution:
         )
         assert telescope.status == STATUS_OK and telescope.attempts == 2
 
+    def test_hung_child_is_killed_twice_then_recovers(
+        self, small_config, sim, stage_path
+    ):
+        result = ResilientPipeline(
+            small_config,
+            task_deadline=1.0,
+            exec_faults=ExecFaultPlan(
+                (ExecFault(KIND_HUNG, "honeypot", attempts=2),)
+            ),
+            sleep=no_sleep,
+        ).run()
+        stage = {s.name: s for s in result.quality.stages}["honeypot"]
+        assert (stage.status, stage.attempts) == ("ok", 3)
+        assert list(event_lines(result.fused.combined.events)) == list(
+            event_lines(sim.fused.combined.events)
+        )
+
+    def test_crashed_child_is_detected_not_killed(
+        self, small_config, stage_path, tmp_path
+    ):
+        telemetry = Telemetry.create()
+        ResilientPipeline(
+            small_config,
+            task_deadline=60.0,
+            exec_faults=ExecFaultPlan.single(KIND_CRASH, "telescope"),
+            telemetry=telemetry,
+            sleep=no_sleep,
+        ).run()
+        metrics = telemetry.metrics
+        assert metrics.value(
+            "exec_task_outcomes_total", status="crashed"
+        ) == 1
+        assert metrics.value("exec_workers_killed_total") == 0
+        telemetry.write_artifacts(tmp_path)
+        report = render_flight_report(tmp_path)
+        assert "worker crashes detected: 1" in report
+
     def test_deadline_aborts_mid_stage_and_resumes_identically(
         self, small_config, sim, tmp_path
     ):
@@ -629,28 +650,6 @@ class TestSupervisedExecution:
         statuses = {s.name: s.status for s in result.quality.stages}
         assert statuses["migration"] == "cached"
         assert statuses["telescope"] == "ok"
-
-
-class TestPerFeedQuarantineCounts:
-    def test_per_feed_counts_surface_in_quality(
-        self, small_config, tmp_path
-    ):
-        bad = tmp_path / "shared.jsonl"
-        bad.write_text('{"garbage": true}\nnot json\n', encoding="utf-8")
-        _events, telescope = read_events_jsonl(bad, feed="telescope")
-        _events, honeypot = read_events_jsonl(bad, feed="honeypot")
-        pipeline = ResilientPipeline(small_config, sleep=no_sleep)
-        pipeline.attach_record_report(telescope)
-        pipeline.attach_record_report(honeypot)
-        result = pipeline.run()
-        counts = result.quality.per_feed_quarantine_counts()
-        assert counts == {"telescope": 2, "honeypot": 2}
-        rendered = result.quality.render()
-        assert "per feed: honeypot=2, telescope=2" in rendered
-        # The namespaced dead-letter files both survive side by side.
-        assert (record.feed for record in result.quality.records)
-        paths = {r.quarantine_path for r in result.quality.records}
-        assert len(paths) == 2
 
 
 class TestInterruptGuard:

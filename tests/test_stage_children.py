@@ -276,8 +276,10 @@ class TestChildren:
 
 class TestWatchedTaskTelemetry:
     def test_measurement_layers_come_home_from_the_task(
-        self, small_config, tmp_path
+        self, small_config, tmp_path, inline_stages
     ):
+        """On one CPU a watched measurement forks at its turn; its layers
+        are recorded in the child and come home with its record."""
         telemetry = Telemetry.create()
         ResilientPipeline(
             small_config, task_deadline=600.0, telemetry=telemetry
@@ -289,13 +291,19 @@ class TestWatchedTaskTelemetry:
         report = render_flight_report(tmp_path)
         assert "measurement.crawl" in report
         assert "measurement.classify" in report
-        task_ids = {
-            s.span_id for s in telemetry.tracer.spans if s.name == "task"
-        }
-        crawl = next(
-            s for s in telemetry.tracer.spans if s.name == "crawl"
+        spans = {s.span_id: s for s in telemetry.tracer.spans}
+        stage = next(
+            s for s in spans.values()
+            if s.name == "stage" and s.attrs["stage"] == "measurement"
         )
-        assert crawl.parent_id in task_ids
+        assert stage.thread == "measurement"  # recorded in the child
+        for name in ("crawl", "classify"):
+            layer = next(s for s in spans.values() if s.name == name)
+            ancestors = []
+            while layer.parent_id is not None:
+                layer = spans[layer.parent_id]
+                ancestors.append(layer)
+            assert stage in ancestors, name
 
 
 class TestCheckpointFsyncs:
