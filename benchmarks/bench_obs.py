@@ -115,7 +115,6 @@ def _serve_ingest_wall(data_dir, tracer, traced):
         queue_size=8192,
         snapshot_every_events=100_000,
         snapshot_interval_s=100_000.0,
-        wal_fsync_every=1024,
     )
     service = LiveIngestService(config, tracer=tracer)
     service.start()

@@ -6,8 +6,8 @@ default three-node spec — a full run each: schedule generation, virtual
 cluster with WAL-shipping replication, the settle phase and all three
 oracles (durability, digest-vs-replay, single-writer-per-epoch). A
 second arm measures shrink cost on a known failing trace (the committed
-``primary-rewind`` corpus bug, re-introduced by disabling the WAL fsync
-barrier) since minimization is the expensive step when a sweep does
+``primary-rewind`` corpus bug, re-introduced by disabling the WAL
+commit's fsync) since minimization is the expensive step when a sweep does
 fail.
 
 Results land in ``benchmarks/out/simtest.json``.
@@ -41,7 +41,7 @@ def bench_sweep():
 
 
 def bench_shrink():
-    """Shrink cost with the fsync-barrier fix temporarily disabled."""
+    """Shrink cost with the WAL commit temporarily disabled."""
     real_flush = walmod.WriteAheadLog.flush
     walmod.WriteAheadLog.flush = lambda self: None
     try:

@@ -342,12 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "when the newest fails verification (default: 2)",
     )
     serve.add_argument(
-        "--wal-fsync-every", type=int, default=64, metavar="N",
-        help="fsync the WAL every N appends; every append is still "
-             "flushed, so only power loss can cost the tail "
-             "(default: 64)",
-    )
-    serve.add_argument(
         "--max-events-per-victim", type=int, default=256, metavar="N",
         help="per-victim query ring bound (default: 256)",
     )
@@ -906,7 +900,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         snapshot_every_events=args.snapshot_every,
         snapshot_interval_s=args.snapshot_interval,
         snapshot_keep=args.snapshot_keep,
-        wal_fsync_every=args.wal_fsync_every,
         max_events_per_victim=args.max_events_per_victim,
         apply_delay=args.apply_delay,
         replica_of=args.replica_of,

@@ -210,17 +210,10 @@ class StageProfiler:
             return self.profiles[mark:]
 
     def absorb(self, entries: List[StageProfile]) -> None:
-        """Add a fork child's entries: each folds into the entry of the
-        same name in the open profile's scope, as an accumulated layer
-        would, or is appended."""
+        """Append a fork child's entries. A stage child delivers once per
+        run, so they stay one per run, as entries recorded here are."""
         with self._lock:
-            scope = self._scopes[-1]
-            for entry in entries:
-                if entry.stage in scope:
-                    scope[entry.stage].add(entry)
-                else:
-                    scope[entry.stage] = entry
-                    self.profiles.append(entry)
+            self.profiles.extend(entries)
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:

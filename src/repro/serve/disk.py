@@ -18,7 +18,9 @@ Durability vocabulary the simulation relies on:
 * ``append`` = write + flush to the OS. A *process* kill never loses
   appended bytes.
 * ``fsync`` = force to stable storage. Only a *power* failure can lose
-  appended-but-unfsynced bytes — and may tear the final line.
+  appended-but-unfsynced bytes — and may tear the final line. The WAL
+  fsyncs each batch before the service acks it, so such bytes were
+  never acknowledged.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class LocalDisk:
         return open(path, "ab")
 
     def append(self, handle, data: bytes) -> None:
-        """Write *data* and flush it to the OS (the ack point)."""
+        """Write *data* and flush it to the OS (a process kill keeps it)."""
         handle.write(data)
         handle.flush()
 

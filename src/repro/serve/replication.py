@@ -570,14 +570,16 @@ class WalShipper:
     def _check_rewind(self, status: dict) -> None:
         """Fail-stop when the primary's WAL rewound below our commit.
 
-        A primary that lost its acked-but-unfsynced WAL tail to a power
-        cut can come back reporting a highest sequence *below* what this
-        follower already committed. Continuing to stream would misalign
-        byte offsets and silently fork history once the primary reassigns
-        those sequences to different records — found by the simulation
-        harness (corpus trace ``primary-rewind``). The only safe move is
-        to refuse, permanently: an operator (or the failover drill) must
-        re-seed this follower or promote it.
+        A primary whose WAL lost records this follower already committed
+        comes back reporting a highest sequence *below* that commit. The
+        simulation harness found this when the primary acked before
+        fsyncing (corpus trace ``primary-rewind``); now it takes a disk
+        that drops fsynced bytes or a data dir restored from an older
+        copy. Continuing to stream would misalign byte offsets and
+        silently fork history once the primary reassigns those sequences
+        to different records. The only safe move is to refuse,
+        permanently: an operator (or the failover drill) must re-seed
+        this follower or promote it.
         """
         if self._diverged is not None:
             raise ReplicationError(self._diverged)
@@ -657,11 +659,11 @@ class WalShipper:
                 continue
             offset = self._fetched.get(first, 0)
             while offset < size and not self._stop.is_set():
-                # Cap at the status-reported size: the primary fsyncs
-                # before reporting, so bytes below it are power-loss
-                # durable — but the segment may have grown (unsynced)
-                # since, and fetching past the report would reintroduce
-                # the rewind hazard the fsync barrier exists to close.
+                # Cap at the status-reported size: the primary samples
+                # it between batch commits, so bytes below it are
+                # fsynced — but the segment may have grown since with a
+                # batch not yet committed, which a failed commit cuts
+                # away again.
                 limit = min(self.fetch_chunk_bytes, size - offset)
                 chunk = self._get(
                     f"/replication/segment?first={first}"

@@ -8,15 +8,16 @@ Data path (one-way, deterministic)::
     breaker / watermark check
     [intake lock]
       assign sequence numbers
-      append to WAL  (ack point)  ------>   take batch from queue
+      append to WAL
+      fsync the batch  (ack point) ------>  take batch from queue
       push to admission queue               apply to LiveFusedStore
       tombstone any drop-oldest             rolling snapshot when due
     ack 202 / 503+Retry-After
 
-The *ack point* is the WAL append: a record answered 202 is on disk
-before the client hears back, so ``kill -9`` anywhere in this diagram
-loses nothing acknowledged. Recovery is therefore snapshot-load + WAL
-replay, and because every apply is a deterministic function of (state,
+The *ack point* is the WAL commit: a batch answered 202 is fsynced
+before the client hears back, so neither ``kill -9`` nor a power cut
+anywhere in this diagram loses anything acknowledged. Recovery is
+therefore snapshot-load + WAL replay, and because every apply is a deterministic function of (state,
 record) — including the rejections — the recovered store is
 value-identical to one that never crashed.
 
@@ -80,6 +81,9 @@ WAL_DIR = "wal"
 #: Role as the ``serve_role`` gauge value.
 ROLE_CODES = {ROLE_PRIMARY: 0, ROLE_REPLICA: 1, ROLE_FENCED: 2}
 
+#: Seconds :meth:`LiveIngestService.drain` waits for the backlog.
+DRAIN_TIMEOUT_S = 30.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -93,13 +97,11 @@ class ServeConfig:
     snapshot_every_events: int = 2000
     snapshot_interval_s: float = 30.0
     snapshot_keep: int = 2
-    wal_fsync_every: int = 64
     max_events_per_victim: int = 256
     baseline_days: int = 7
     alert_factor: float = 3.0
     apply_batch: int = 256
     heartbeat_timeout: float = 10.0
-    drain_timeout: float = 30.0
     breaker_threshold: int = 8
     breaker_cooldown: float = 5.0
     #: Chaos/test hook: seconds the applier sleeps per record (a slow
@@ -123,14 +125,6 @@ class ServeConfig:
     #: available for the offline replay oracle (digest checking) at the
     #: cost of unbounded disk — simulation and deep-recovery tests only.
     wal_keep_all: bool = False
-    #: Flight recorder: metrics-history sampling cadence and ring size
-    #: (:class:`~repro.obs.timeseries.MetricsHistory`), recent-request
-    #: ring size and the slow-request capture threshold
-    #: (:class:`~repro.obs.timeseries.RequestLog`).
-    history_interval_s: float = 5.0
-    history_capacity: int = 240
-    recent_requests: int = 256
-    slow_request_threshold_s: float = 0.5
 
 
 @dataclass
@@ -206,10 +200,7 @@ class LiveIngestService:
             metrics=registry,
         )
         self.wal = WriteAheadLog(
-            self.data_dir / WAL_DIR,
-            fsync_every=config.wal_fsync_every,
-            metrics=registry,
-            disk=disk,
+            self.data_dir / WAL_DIR, metrics=registry, disk=disk
         )
         self.snapshots = SnapshotManager(
             snapshot_store
@@ -350,17 +341,8 @@ class LiveIngestService:
         )
         # Flight recorder: rolling metrics windows + recent-request ring,
         # both on the injected clock so tests replay byte-identically.
-        self.history = MetricsHistory(
-            registry,
-            clock,
-            interval_s=config.history_interval_s,
-            capacity=config.history_capacity,
-        )
-        self.requests = RequestLog(
-            clock,
-            capacity=config.recent_requests,
-            slow_threshold_s=config.slow_request_threshold_s,
-        )
+        self.history = MetricsHistory(registry, clock)
+        self.requests = RequestLog(clock)
         self._trace_lock = threading.Lock()
         self._trace_counter = 0
         self._publish_cluster_gauges()
@@ -517,14 +499,13 @@ class LiveIngestService:
             )
         return info
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
+    def drain(self, timeout: float = DRAIN_TIMEOUT_S) -> bool:
         """Graceful shutdown: refuse intake, apply the backlog, snapshot.
 
         Returns True when the queue fully drained inside *timeout* —
         either way the WAL is flushed and the state snapshotted, so
         nothing acknowledged is lost even on a timed-out drain.
         """
-        timeout = timeout if timeout is not None else self.config.drain_timeout
         self._draining.set()
         if self.shipper is not None:
             self.shipper.stop()
@@ -560,7 +541,6 @@ class LiveIngestService:
         else:
             self._snapshot_now()
         with self._snapshot_lock:
-            self.wal.flush()
             self.wal.close()
         log.info("service drained", drained=drained, seq=self._applied_seq)
         return drained
@@ -696,16 +676,16 @@ class LiveIngestService:
         degraded_before = self.degraded
         with self._intake_lock:
             entries = []
-            append_error: Optional[OSError] = None
+            error: Optional[OSError] = None
             for record in valid:
                 # Sequence numbers advance only on a successful append:
                 # an ENOSPC'd record was never acked, so its candidate
-                # sequence is safely reused (WAL.append repaired any
-                # partial bytes away).
+                # sequence is safely reused (WAL.append cut any partial
+                # bytes away).
                 try:
                     self.wal.append(self._seq + 1, kind, record, trace=trace)
                 except OSError as exc:
-                    append_error = exc
+                    error = exc
                     break
                 self._seq += 1
                 entries.append(
@@ -713,10 +693,19 @@ class LiveIngestService:
                         seq=self._seq, kind=kind, feed=feed, record=record
                     )
                 )
-            if append_error is not None:
-                self._enter_degraded("append", append_error)
+            # The ack point: one fsync commits the batch. A failed
+            # commit cut every line of it away again, so nothing is
+            # acked and the sequence numbers are reused.
+            try:
+                self.wal.flush()
+            except OSError as exc:
+                error = exc
+                self._seq -= len(entries)
+                entries = []
+            if error is not None:
+                self._enter_degraded("append", error)
             elif degraded_before:
-                # The probe append went through: disk is back.
+                # The probe commit went through: disk is back.
                 self._clear_degraded()
             dropped = self.queue.push(entries) if entries else []
             if dropped:
@@ -731,6 +720,7 @@ class LiveIngestService:
                             "feed": feed,
                         },
                     )
+                    self.wal.flush()
                     self._seq += 1
                 except OSError as exc:
                     # Tombstone did not land: put the dropped entries
@@ -848,28 +838,21 @@ class LiveIngestService:
         """Primary-side shipping state (``GET /replication/status``).
 
         The **stable frontier** is the load-bearing field: ``stable_seq``
-        is computed under the intake lock *before* segment sizes are
-        sampled, so the byte ranges a follower fetches from this reply
-        provably contain every ``shed`` tombstone that can name a
-        sequence at or under the frontier — a record below it is safe to
-        apply the moment it is parsed.
+        and the segment sizes are sampled under the intake lock, which no
+        batch leaves uncommitted. So every byte a follower fetches from
+        this reply is fsynced here (a power cut cannot take back what a
+        follower committed), and the byte ranges provably contain every
+        ``shed`` tombstone that can name a sequence at or under the
+        frontier — a record below it is safe to apply the moment it is
+        parsed.
         """
         if follower_id and committed is not None:
             self.note_follower(follower_id, committed)
         with self._intake_lock:
-            # Fsync before reporting: every byte a follower can learn
-            # about from this reply is power-loss durable on this node.
-            # Without this, a follower could fetch flushed-but-unsynced
-            # bytes, the primary could lose them to a power cut, reuse
-            # the sequence numbers for different records — and the
-            # follower would commit the phantom history (found by the
-            # simulation harness: digest forks after primary power
-            # crashes). The fsync is amortized across the poll interval.
-            self.wal.flush()
             seq = self._seq
             queued_min = self.queue.min_seq()
             stable = queued_min - 1 if queued_min is not None else seq
-        segments = self.wal.segment_sizes()
+            segments = self.wal.segment_sizes()
         self._update_wal_gauges(segments)
         with self._sync_cond:
             followers = {
@@ -901,7 +884,7 @@ class LiveIngestService:
         return status
 
     def replicate_commit(self, batch: List[WalRecord]) -> int:
-        """Commit replicated records: local WAL append, then apply.
+        """Commit replicated records: local WAL commit, then apply.
 
         The follower-side write path — the shipper is its only caller
         and the only writer on a replica (external ingest is refused by
@@ -919,6 +902,8 @@ class LiveIngestService:
                         record.seq, record.kind, record.record,
                         trace=record.trace,
                     )
+                # A batch is fsynced before the committed cursor moves.
+                self.wal.flush()
             except OSError as exc:
                 # Propagate to the shipper (it will not advance its
                 # committed cursor and re-fetches the batch later; the
@@ -1066,8 +1051,6 @@ class LiveIngestService:
             self.fences += 1
             self._m_fences.inc()
             self._publish_cluster_gauges()
-            with self._intake_lock:
-                self.wal.flush()
         log.warning(
             "fenced by newer epoch", epoch=epoch, role=new_role,
             primary=primary_url,

@@ -1,12 +1,12 @@
 """Append-only write-ahead log of accepted ingest records.
 
 Durability contract: an event is acknowledged to the client (HTTP 202)
-only after its WAL line reached the operating system — so a ``kill -9``
-at any instant loses nothing that was acknowledged, and recovery is
-snapshot-load + replay of the WAL tail. ``fsync`` is batched
-(``fsync_every``): a process kill never loses flushed writes, only a
-*power* failure can lose the last unfsynced batch, and the window is
-bounded and configurable.
+only after its WAL line is fsynced. The service appends a batch's lines
+and commits them with one :meth:`WriteAheadLog.flush` before it answers,
+so neither a ``kill -9`` nor a power cut loses anything acknowledged,
+and recovery is snapshot-load + replay of the WAL tail. A commit that
+fails cuts the segment back to the previous commit: no line the caller
+did not ack survives to shadow a later record reusing its sequence.
 
 Layout: one directory of segment files, ``wal-<first_seq>.jsonl``. A
 segment is named after the first sequence number it may contain; the
@@ -116,28 +116,28 @@ class ReplayReport:
 
 
 class WriteAheadLog:
-    """Segmented JSONL write-ahead log with batched fsync.
+    """Segmented JSONL write-ahead log, committed batch by batch.
 
-    Not thread-safe by itself: the service serializes appends under its
-    admission lock, which also makes WAL order the apply order.
+    Not thread-safe by itself: the service serializes appends and
+    commits under its admission lock, which also makes WAL order the
+    apply order.
     """
 
     def __init__(
         self,
         directory: Union[str, Path],
-        fsync_every: int = 64,
         metrics=None,
         disk=None,
     ) -> None:
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be at least one append")
         self.directory = Path(directory)
         self.disk = disk if disk is not None else LocalDisk()
         self.disk.mkdir(self.directory)
-        self.fsync_every = fsync_every
         self._handle = None
         self._current_path: Optional[Path] = None
-        self._appends_since_fsync = 0
+        # Bytes in the current segment, and how many of them the last
+        # commit fsynced: the segment is dirty while they differ.
+        self._size = 0
+        self._synced = 0
         registry = metrics if metrics is not None else get_registry()
         self._m_appends = registry.counter(
             "serve_wal_appends_total", "WAL records appended", ("kind",)
@@ -179,12 +179,11 @@ class WriteAheadLog:
     def segment_sizes(self) -> List[Tuple[int, int]]:
         """``(first_seq, byte_size)`` per segment, in first-seq order.
 
-        Sizes are read *after* whatever was appended so far was flushed
-        to the OS (every append flushes), so a byte range below a
-        reported size is stable: re-reading it always yields the same
-        bytes. A segment vanishing between listing and stat (pruned
-        concurrently) is simply omitted — the follower notices via
-        :meth:`oldest_seq` on its next status poll.
+        The service reads them between batch commits, so a byte range
+        below a reported size is fsynced and stable: re-reading it
+        always yields the same bytes. A segment vanishing between
+        listing and stat (pruned concurrently) is simply omitted — the
+        follower notices via :meth:`oldest_seq` on its next status poll.
         """
         sizes: List[Tuple[int, int]] = []
         for path in self.segments():
@@ -222,7 +221,7 @@ class WriteAheadLog:
         self._close_handle()
         self._current_path = self.directory / segment_name(first_seq)
         self._handle = self.disk.open_append(self._current_path)
-        self._appends_since_fsync = 0
+        self._size = self._synced = self.disk.size(self._current_path)
 
     def rotate(self, next_seq: int) -> None:
         """Close the current segment and open a fresh one at *next_seq*.
@@ -231,7 +230,6 @@ class WriteAheadLog:
         land in the new segment, so every older segment holds only
         sequences the snapshot already covers once the applier catches up.
         """
-        self._fsync()
         self.open_segment(next_seq)
 
     def prune(self, upto_seq: int) -> int:
@@ -266,7 +264,8 @@ class WriteAheadLog:
 
     def append(self, seq: int, kind: str, record: dict,
                trace: Optional[str] = None) -> None:
-        """Append one record and flush it to the OS (ack-safe).
+        """Append one record and flush it to the OS; :meth:`flush`
+        commits it.
 
         *trace* optionally tags the line with the request trace ID that
         produced it; untraced lines keep the historical byte format, and
@@ -275,9 +274,9 @@ class WriteAheadLog:
         A failed append (ENOSPC) may have written a *partial* line; left
         in place it would glue itself onto the next successful append and
         take an acknowledged record down with it. So on ``OSError`` the
-        segment is repaired — handle closed, partial bytes truncated
-        away, handle reopened — before the error propagates; the caller
-        (which never acked this record) may retry the sequence number.
+        partial bytes are cut away before the error propagates; the
+        caller (which never acked this record) may retry the sequence
+        number.
         """
         if kind not in WAL_KINDS:
             raise ValueError(f"unknown WAL record kind: {kind!r}")
@@ -286,40 +285,53 @@ class WriteAheadLog:
         payload = {"seq": seq, "kind": kind, "record": record}
         if trace is not None:
             payload["trace"] = trace
-        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        data = (
+            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
         try:
-            self.disk.append(self._handle, (line + "\n").encode("utf-8"))
+            self.disk.append(self._handle, data)
         except OSError:
-            path = self._current_path
-            try:
-                self.disk.close(self._handle)
-            except OSError:  # pragma: no cover - close after ENOSPC
-                pass
-            self._handle = None
-            self._appends_since_fsync = 0
-            if path is not None:
-                self.repair_tail(path)
-                self._current_path = path
-                self._handle = self.disk.open_append(path)
+            self._cut(self._size)
             raise
+        self._size += len(data)
         self._m_appends.inc(kind=kind)
-        self._m_bytes.inc(len(line) + 1)
-        self._appends_since_fsync += 1
-        if self._appends_since_fsync >= self.fsync_every:
-            self._fsync()
+        self._m_bytes.inc(len(data))
 
     def _fsync(self) -> None:
-        if self._handle is None or self._appends_since_fsync == 0:
+        if self._handle is None or self._synced == self._size:
             return
         started = time.perf_counter()
         self.disk.fsync(self._handle)
         self._m_fsync_seconds.observe(time.perf_counter() - started)
         self._m_fsyncs.inc()
-        self._appends_since_fsync = 0
+        self._synced = self._size
 
     def flush(self) -> None:
-        """Force everything appended so far to stable storage."""
-        self._fsync()
+        """Commit: fsync every line appended since the last commit.
+
+        A failed fsync cuts the segment back to the last commit before
+        the error propagates, so none of the uncommitted lines survives:
+        the caller acks none of them and may reuse their sequence
+        numbers.
+        """
+        try:
+            self._fsync()
+        except OSError:
+            self._cut(self._synced)
+            raise
+
+    def _cut(self, keep: int) -> None:
+        """Close the handle, truncate the segment to *keep* bytes (the
+        cut is fsynced) and reopen it for appending."""
+        path = self._current_path
+        try:
+            self.disk.close(self._handle)
+        except OSError:  # pragma: no cover - close after a failed write
+            pass
+        self._handle = None
+        self.disk.truncate(path, keep)
+        self._handle = self.disk.open_append(path)
+        self._size = keep
 
     def _close_handle(self) -> None:
         if self._handle is not None:

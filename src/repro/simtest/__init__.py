@@ -14,9 +14,9 @@ three injected seams the serve layer exposes:
 
 A seeded generator produces a fault schedule (a list of plain-dict ops),
 a pure executor runs it, and an oracle asserts the standing invariants
-after final recovery: every acked write survives exactly once (modulo
-the documented power-cut window), every surviving node converges to the
-WAL-replay digest, and at most one node per epoch accepted writes.
+after final recovery: every acked write survives exactly once, power
+cuts included, every surviving node converges to the WAL-replay digest,
+and at most one node per epoch accepted writes.
 Failures are written as replayable JSON traces and minimized by
 :mod:`~repro.simtest.shrink` into ``tests/simtest_corpus/``.
 """

@@ -92,9 +92,7 @@ class SimDisk:
         ``keep_unsynced_fraction`` of each unsynced tail survives (byte
         count rounded down) — a non-integral cut lands mid-line, which
         is precisely the torn-tail case recovery must repair. Returns
-        the bytes each file *lost*, keyed by path, so the harness can
-        compute which acked sequences fell inside the documented
-        power-loss window.
+        the bytes each file *lost*, keyed by path.
         """
         if not 0.0 <= keep_unsynced_fraction <= 1.0:
             raise ValueError("keep_unsynced_fraction must be within [0, 1]")

@@ -22,9 +22,8 @@ One run is a pure function of ``(seed, config)``:
 4. The **oracles** then assert the standing invariants:
 
    * *durability* — every acked sequence is present in the final
-     primary's full-WAL replay or named by a shed tombstone, except
-     sequences provably lost to a power cut's documented unfsynced
-     window (collected at crash time by diffing WAL sequence sets);
+     primary's full-WAL replay or named by a shed tombstone, power cuts
+     included (a batch is acked only once its WAL lines are fsynced);
    * *digest* — every non-fenced node's live store digest equals an
      offline replay oracle built from the final primary's WAL alone;
    * *epoch* — at most one node accepted writes per epoch (observed at
@@ -62,7 +61,6 @@ from repro.serve.wal import (
     KIND_ATTACK,
     KIND_DPS,
     KIND_SHED,
-    WAL_KINDS,
     WriteAheadLog,
     segment_first_seq,
 )
@@ -105,7 +103,6 @@ def default_spec(**overrides) -> dict:
         "snapshot_every_events": 40,
         "snapshot_interval_s": 5.0,
         "snapshot_keep": 3,
-        "fsync_every": 8,
         "sync_replicas": 1,
         "sync_timeout_s": 1.0,
         "retry_after": 0.2,
@@ -292,19 +289,18 @@ class _SimNode:
         self.replica_of: Optional[str] = None
 
 
-def _wal_seq_sets(node: _SimNode) -> Tuple[Set[int], Set[int]]:
-    """(non-shed seqs, shed-tombstoned seqs) parseable from a node's WAL.
+def _wal_shed_seqs(node: _SimNode) -> Set[int]:
+    """Sequences the shed tombstones parseable from a node's WAL name.
 
     Reads the raw SimDisk bytes directly — no service needed — skipping
     torn/partial lines, which is exactly what recovery would discard.
     """
-    nonshed: Set[int] = set()
     shed: Set[int] = set()
     wal_dir = node.data_dir / WAL_DIR
     try:
         names = node.disk.listdir(wal_dir)
     except OSError:
-        return nonshed, shed
+        return shed
     for name in names:
         if segment_first_seq(name) is None:
             continue
@@ -320,21 +316,17 @@ def _wal_seq_sets(node: _SimNode) -> Tuple[Set[int], Set[int]]:
                 data = json.loads(line.decode("utf-8"))
             except (ValueError, UnicodeDecodeError):
                 continue
-            if not isinstance(data, dict):
-                continue
-            seq = data.get("seq")
-            kind = data.get("kind")
-            if not isinstance(seq, int) or kind not in WAL_KINDS:
-                continue
-            if kind == KIND_SHED:
+            if (
+                isinstance(data, dict)
+                and isinstance(data.get("seq"), int)
+                and data.get("kind") == KIND_SHED
+            ):
                 shed.update(
                     s
                     for s in (data.get("record") or {}).get("seqs", ())
                     if isinstance(s, int)
                 )
-            else:
-                nonshed.add(seq)
-    return nonshed, shed
+    return shed
 
 
 class _Sim:
@@ -357,7 +349,6 @@ class _Sim:
             )
         self.transport.on_response = self._on_response
         self.acked: Set[int] = set()
-        self.power_lost: Set[int] = set()
         self.shed_harvest: Set[int] = set()
         self.writes_by_epoch: Dict[int, Set[str]] = {}
         self.violations: List[dict] = []
@@ -396,7 +387,6 @@ class _Sim:
             snapshot_every_events=int(c["snapshot_every_events"]),
             snapshot_interval_s=float(c["snapshot_interval_s"]),
             snapshot_keep=int(c["snapshot_keep"]),
-            wal_fsync_every=int(c["fsync_every"]),
             max_events_per_victim=int(c["max_events_per_victim"]),
             baseline_days=int(c["baseline_days"]),
             alert_factor=float(c["alert_factor"]),
@@ -440,13 +430,7 @@ class _Sim:
         if node.crashed:
             return
         if mode == "power":
-            before, _shed = _wal_seq_sets(node)
             node.disk.crash_power(keep_fraction)
-            after, _shed = _wal_seq_sets(node)
-            # Anything parseable before but not after fell inside the
-            # documented power-loss window (unfsynced tail, torn line
-            # included): the durability oracle must not demand it back.
-            self.power_lost |= before - after
         else:
             node.disk.crash_process()
         # No drain, no close: a crash is a crash. The service object is
@@ -475,7 +459,7 @@ class _Sim:
         # primary when the shed happened; harvest them before the wipe
         # so the durability oracle keeps exempting acked-then-shed
         # sequences.
-        self.shed_harvest |= _wal_seq_sets(node)[1]
+        self.shed_harvest |= _wal_shed_seqs(node)
         node.disk.wipe()
         node.snap_store = MemorySnapshotStore()
         (node.data_dir / CURSOR_FILE).unlink(missing_ok=True)
@@ -670,8 +654,7 @@ class _Sim:
                 except (ReplicationError, OSError):
                     pass
         new = max(candidates, key=lambda n: (self._committed(n), n.name))
-        durable_acked = self.acked - self.power_lost
-        frontier = max(durable_acked) if durable_acked else 0
+        frontier = max(self.acked) if self.acked else 0
         if self._committed(new) < frontier:
             return
         old = self.nodes.get(self.primary_name)
@@ -819,8 +802,8 @@ class _Sim:
         survived = {record.seq for record in records}
         shed: Set[int] = set(self.shed_harvest)
         for node in self.nodes.values():
-            shed |= _wal_seq_sets(node)[1]
-        missing = sorted(self.acked - self.power_lost - survived - shed)
+            shed |= _wal_shed_seqs(node)
+        missing = sorted(self.acked - survived - shed)
         if missing:
             self.violations.append({
                 "oracle": "durability",
@@ -887,7 +870,6 @@ class _Sim:
         keeper = self.nodes.get(self.primary_name)
         return {
             "acked": len(self.acked),
-            "power_cut_exempt": len(self.power_lost & self.acked),
             "final_primary": self.primary_name,
             "final_epoch": self.max_epoch,
             "final_seq": (

@@ -712,7 +712,7 @@ class TestForkChildTelemetry:
         assert by_name["stage"].span_id > by_name["migration"].span_id
         assert by_name["attempt"].thread == "telescope"
 
-    def test_child_profile_entries_fold_by_name(self):
+    def test_child_profile_entries_stay_one_per_run(self):
         profiler = StageProfiler()
         child = StageProfiler()
         with child.profile("measurement"):
@@ -720,12 +720,16 @@ class TestForkChildTelemetry:
             with child.profile("measurement.crawl", accumulate=True) as h:
                 h.set_rows(10)
             entries = child.since(mark)
-        with profiler.profile("measurement"):
-            # Two tasks' entries, each pickled home.
+        for _run in range(2):
+            # Each run's child pickles its entries home once; they are
+            # new entries, as the ones recorded here are, not sums.
+            with profiler.profile("internet"):
+                pass
             profiler.absorb(pickle.loads(pickle.dumps(entries)))
-            profiler.absorb(pickle.loads(pickle.dumps(entries)))
-        (crawl,) = [p for p in profiler.profiles if p.stage.endswith("crawl")]
-        assert crawl.rows == 20
+        assert [p.stage for p in profiler.profiles] == [
+            "internet", "measurement.crawl"
+        ] * 2
+        assert [p.rows for p in profiler.profiles[1::2]] == [10, 10]
 
 
 class TestSupervisedPoolCounters:

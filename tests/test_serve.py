@@ -6,12 +6,14 @@ hysteresis, drop-oldest), the fused store (apply/query/state roundtrip)
 and the service itself (validation, accounting, drain, recovery).
 """
 
+import errno
 import json
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.admission import AdmissionQueue, QueueEntry
+from repro.serve.disk import LocalDisk
 from repro.serve.service import LiveIngestService, ServeConfig
 from repro.serve.snapshot import SnapshotManager, snapshot_stage_name
 from repro.serve.state import (
@@ -24,6 +26,7 @@ from repro.serve.wal import (
     KIND_ATTACK,
     KIND_DPS,
     KIND_SHED,
+    WalRecord,
     WriteAheadLog,
     segment_first_seq,
     segment_name,
@@ -50,14 +53,18 @@ def entry(seq, feed="telescope"):
 class TestWriteAheadLog:
     def test_fsync_histogram_counts_every_fsync(self, tmp_path):
         registry = MetricsRegistry()
-        wal = WriteAheadLog(tmp_path, fsync_every=4, metrics=registry)
-        for seq in range(1, 11):
-            wal.append(seq, KIND_ATTACK, attack(seq))
-        wal.rotate(11)
-        wal.append(11, KIND_ATTACK, attack(11))
+        wal = WriteAheadLog(tmp_path, metrics=registry)
+        for first in (1, 5, 9):
+            for seq in range(first, first + 4):
+                wal.append(seq, KIND_ATTACK, attack(seq))
+            wal.flush()
+        wal.flush()
+        wal.rotate(13)
+        wal.append(13, KIND_ATTACK, attack(13))
         wal.close()
         fsyncs = registry.value("serve_wal_fsyncs_total")
-        # Two batches of four, the rotation's partial batch, the close.
+        # One per commit: three batches and the close. A commit with
+        # nothing new and the rotation of a committed segment cost none.
         assert fsyncs == 4
         seconds = registry.histogram(
             "serve_wal_fsync_seconds", buckets=FSYNC_BUCKETS
@@ -465,3 +472,91 @@ class TestLiveIngestService:
             assert "serve_queue_depth" in text
         finally:
             service.stop()
+
+
+class FailingFsyncDisk(LocalDisk):
+    """A local disk whose next fsync fails with EIO once."""
+
+    def __init__(self):
+        self.fail_next_fsync = False
+
+    def fsync(self, handle):
+        if self.fail_next_fsync:
+            self.fail_next_fsync = False
+            raise OSError(errno.EIO, "input/output error (injected)")
+        super().fsync(handle)
+
+
+class TestFailedCommit:
+    """A batch whose fsync fails is acked nowhere and leaves no line."""
+
+    def make(self, data_dir, disk=None, clock=None, **overrides):
+        return LiveIngestService(
+            ServeConfig(data_dir=data_dir, manual_drive=True, **overrides),
+            metrics=MetricsRegistry(),
+            disk=disk,
+            clock=clock or (lambda: 0.0),
+        )
+
+    def test_failed_commit_acks_nothing_and_reuses_no_sequence(
+        self, tmp_path
+    ):
+        now = [0.0]
+        disk = FailingFsyncDisk()
+        service = self.make(tmp_path, disk=disk, clock=lambda: now[0])
+        service.start()
+        try:
+            disk.fail_next_fsync = True
+            failed = service.submit(
+                "telescope", KIND_ATTACK, [attack(i) for i in range(1, 5)]
+            )
+            assert failed.accepted == 0
+            assert failed.reasons == {"degraded": 4}
+            assert failed.http_status() == 503
+            assert service.degraded and service._seq == 0
+            assert service.queue.depth == 0
+            assert service.wal.replay()[0] == []
+            # Past the probe window the next batch commits and takes
+            # the sequence numbers the failed one gave back.
+            now[0] += service.config.retry_after
+            acked = service.submit(
+                "telescope", KIND_ATTACK, [attack(i) for i in range(5, 9)]
+            )
+            assert acked.accepted == 4 and acked.last_seq == 4
+            assert not service.degraded
+        finally:
+            service.stop()
+        recovered = self.make(tmp_path)
+        info = recovered.start()
+        try:
+            assert info.replayed == 4 and info.replay_duplicates == 0
+            records, report = recovered.wal.replay()
+            assert report.duplicate_seqs == 0
+            assert [(r.seq, r.record) for r in records] == [
+                (seq, attack(seq + 4)) for seq in range(1, 5)
+            ]
+        finally:
+            recovered.stop()
+
+    def test_follower_failed_commit_raises_without_advancing(
+        self, tmp_path
+    ):
+        disk = FailingFsyncDisk()
+        follower = self.make(
+            tmp_path, disk=disk, replica_of="http://127.0.0.1:1"
+        )
+        follower.start()
+        batch = [WalRecord(seq, KIND_ATTACK, attack(seq)) for seq in (1, 2)]
+        try:
+            disk.fail_next_fsync = True
+            with pytest.raises(OSError):
+                follower.replicate_commit(batch)
+            assert follower._seq == 0 and follower.applied_seq == 0
+            assert follower.degraded
+            assert follower.wal.replay()[0] == []
+            # The shipper re-sends the batch; this time it commits.
+            assert follower.replicate_commit(batch) == 2
+            assert follower._seq == 2 and not follower.degraded
+            assert [r.seq for r in follower.wal.replay()[0]] == [1, 2]
+        finally:
+            follower.stop()

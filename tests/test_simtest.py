@@ -9,8 +9,8 @@ Four layers of assurance:
    shrinking, corpus regression) rests on.
 3. The committed regression corpus replays to its recorded outcome, and
    a bounded fresh sweep stays violation-free.
-4. Oracle sensitivity: re-introducing a fixed serve-layer bug (the
-   fsync barrier before replication_status) makes the digest oracle
+4. Oracle sensitivity: re-introducing a fixed serve-layer bug (no
+   fsync between a WAL append and its ack) makes the digest oracle
    fire again, and the shrinker reduces that failure while preserving
    its signature — the harness is shown to *detect*, not just pass.
 """
@@ -36,6 +36,7 @@ from repro.simtest import (
     shrink_trace,
     trace_to_json,
 )
+from repro.simtest.harness import execute_ops
 
 CORPUS_DIR = Path(__file__).parent / "simtest_corpus"
 
@@ -189,6 +190,21 @@ def test_disk_full_degrades_to_read_only_and_probe_recovers(tmp_path):
         assert service.applied_seq == service._seq
     finally:
         service.stop()
+
+
+def test_acked_batch_survives_a_power_cut_on_the_primary():
+    """Acked means fsynced: a power cut that keeps none of the unsynced
+    tail loses nothing the client was answered 202 for."""
+    ops = [
+        {"op": "ingest", "feed": "telescope", "start": 0, "count": 5},
+        {"op": "ingest", "feed": "dps", "start": 5, "count": 3},
+        {"op": "crash", "node": "n0", "mode": "power", "keep_fraction": 0.0},
+        {"op": "restart", "node": "n0"},
+    ]
+    violations, summary = execute_ops(0, default_spec(nodes=1), ops)
+    assert violations == []
+    assert summary["acked"] == 8
+    assert summary["final_seq"] == 8
 
 
 # -- determinism + sweep -------------------------------------------------------

@@ -193,6 +193,23 @@ class TestChildren:
                 stage=stage
             ) == 1
 
+    def test_two_runs_in_one_registry_keep_entries_per_run(
+        self, small_config
+    ):
+        telemetry = Telemetry.create()
+        for _run in range(2):
+            ResilientPipeline(small_config, telemetry=telemetry).run()
+        by_name = {}
+        for entry in telemetry.profiler.profiles:
+            by_name.setdefault(entry.stage, []).append(entry)
+        for name in (
+            "internet", "telescope", "honeypot",
+            "telescope.synthesize", "honeypot.detect",
+        ):
+            first, second = by_name[name]
+            assert (first.rows, first.events) == (second.rows, second.events)
+        assert by_name["honeypot.detect"][0].rows > 0
+
     def test_child_lost_without_delivering_is_a_failed_attempt(
         self, small_config, monkeypatch, sim
     ):
