@@ -28,9 +28,11 @@ from repro.serve.wal import KIND_ATTACK
 
 ROUNDS = 3
 
-#: Serve-path arm: batches x batch size ingested per timed round.
+#: Serve-path arm: batches x batch size ingested per timed round, and
+#: rounds per configuration.
 SERVE_BATCHES = 40
 SERVE_BATCH_SIZE = 50
+SERVE_ROUNDS = 7
 
 
 def _timed_runs(bench_config, telemetry):
@@ -108,8 +110,9 @@ def _serve_event(i):
     }
 
 
-def _serve_ingest_wall(data_dir, tracer, traced):
-    """Seconds to ingest + quiesce one fixed workload through submit()."""
+def _serve_ingest_round(data_dir, tracer, traced):
+    """Wall and process-CPU seconds to ingest + quiesce one fixed
+    workload through submit()."""
     config = ServeConfig(
         data_dir=data_dir,
         queue_size=8192,
@@ -119,7 +122,8 @@ def _serve_ingest_wall(data_dir, tracer, traced):
     service = LiveIngestService(config, tracer=tracer)
     service.start()
     try:
-        start = time.perf_counter()
+        wall_start = time.perf_counter()
+        cpu_start = time.process_time()
         for i in range(SERVE_BATCHES):
             batch = [
                 _serve_event(i * SERVE_BATCH_SIZE + j)
@@ -130,7 +134,10 @@ def _serve_ingest_wall(data_dir, tracer, traced):
                 trace=f"bench-{i:06d}" if traced else None,
             )
         assert service.quiesce(timeout=60.0)
-        return time.perf_counter() - start
+        return (
+            time.perf_counter() - wall_start,
+            time.process_time() - cpu_start,
+        )
     finally:
         service.stop()
 
@@ -141,49 +148,60 @@ def test_serve_flight_recorder_overhead(tmp_path, write_report):
     *dormant*: the default serve configuration — null tracer, untraced
     WAL appends — with all flight-recorder seams (request log, history
     ring, span hooks) compiled in. *armed*: live SpanTracer plus a trace
-    ID on every batch. The gate mirrors the pipeline arm: dormant stays
-    within 5% of the fastest observed configuration.
+    ID on every batch. The gate: dormant's median process CPU per round
+    stays within 5% of the faster configuration's. Each round waits on
+    40 batch fsyncs, so its wall time is the disk's; CPU is what the
+    seams cost. Dormant and armed rounds alternate (which one goes
+    first flips every pair), so a drift in machine speed lands on both.
     """
-    _serve_ingest_wall(tmp_path / "warmup", None, False)
-    dormant_walls = [
-        _serve_ingest_wall(tmp_path / f"dormant-{r}", None, False)
-        for r in range(ROUNDS)
-    ]
-    armed_walls = [
-        _serve_ingest_wall(tmp_path / f"armed-{r}", SpanTracer(), True)
-        for r in range(ROUNDS)
-    ]
-    dormant = min(dormant_walls)
-    armed = min(armed_walls)
+    _serve_ingest_round(tmp_path / "warmup", None, False)
+    rounds = {"dormant": [], "armed": []}
+    for r in range(SERVE_ROUNDS):
+        order = ("dormant", "armed") if r % 2 == 0 else ("armed", "dormant")
+        for arm in order:
+            traced = arm == "armed"
+            rounds[arm].append(_serve_ingest_round(
+                tmp_path / f"{arm}-{r}",
+                SpanTracer() if traced else None,
+                traced,
+            ))
+    dormant_walls = [wall for wall, _cpu in rounds["dormant"]]
+    dormant_cpus = [cpu for _wall, cpu in rounds["dormant"]]
+    armed_walls = [wall for wall, _cpu in rounds["armed"]]
+    armed_cpus = [cpu for _wall, cpu in rounds["armed"]]
+    dormant = statistics.median(dormant_cpus)
+    armed = statistics.median(armed_cpus)
     fastest = min(dormant, armed)
     dormant_overhead_pct = (dormant - fastest) / fastest * 100
     armed_overhead_pct = (armed - dormant) / dormant * 100
+    dormant_wall = statistics.median(dormant_walls)
     events = SERVE_BATCHES * SERVE_BATCH_SIZE
 
     lines = [
-        "Serve-path flight recorder overhead "
-        f"(best of {ROUNDS} rounds, {events} records/round)",
+        "Serve-path flight recorder overhead (median of "
+        f"{SERVE_ROUNDS} interleaved rounds each, {events} records/round)",
         "",
-        f"{'configuration':<12} {'best_s':>8} {'mean_s':>8}",
-        f"{'dormant':<12} {dormant:>8.3f} "
-        f"{statistics.mean(dormant_walls):>8.3f}",
+        f"{'configuration':<12} {'cpu_s':>8} {'wall_s':>8}",
+        f"{'dormant':<12} {dormant:>8.3f} {dormant_wall:>8.3f}",
         f"{'armed':<12} {armed:>8.3f} "
-        f"{statistics.mean(armed_walls):>8.3f}",
+        f"{statistics.median(armed_walls):>8.3f}",
         "",
-        f"dormant vs fastest: {dormant_overhead_pct:+.2f}%",
-        f"armed   vs dormant: {armed_overhead_pct:+.2f}%",
+        f"dormant vs fastest (cpu): {dormant_overhead_pct:+.2f}%",
+        f"armed   vs dormant (cpu): {armed_overhead_pct:+.2f}%",
     ]
     write_report("serve_flight_recorder", "\n".join(lines))
     write_bench_json(
         "serve_flight_recorder",
         params={
-            "rounds": ROUNDS,
+            "rounds": SERVE_ROUNDS,
             "batches": SERVE_BATCHES,
             "batch_size": SERVE_BATCH_SIZE,
         },
-        wall_s=dormant,
-        events_per_s=events / dormant if dormant else None,
+        wall_s=dormant_wall,
+        events_per_s=events / dormant_wall if dormant_wall else None,
         extra={
+            "dormant_cpu_s": [round(c, 6) for c in dormant_cpus],
+            "armed_cpu_s": [round(c, 6) for c in armed_cpus],
             "dormant_wall_s": [round(w, 6) for w in dormant_walls],
             "armed_wall_s": [round(w, 6) for w in armed_walls],
             "dormant_overhead_pct": round(dormant_overhead_pct, 3),
@@ -192,5 +210,5 @@ def test_serve_flight_recorder_overhead(tmp_path, write_report):
     )
     assert dormant_overhead_pct < 5.0, (
         f"dormant flight recorder cost {dormant_overhead_pct:.2f}% "
-        "on the serve path (bar: <5%)"
+        "CPU on the serve path (bar: <5%)"
     )

@@ -84,6 +84,13 @@ ROLE_CODES = {ROLE_PRIMARY: 0, ROLE_REPLICA: 1, ROLE_FENCED: 2}
 #: Seconds :meth:`LiveIngestService.drain` waits for the backlog.
 DRAIN_TIMEOUT_S = 30.0
 
+#: ``serve_snapshot_seconds`` buckets: a few ms for a fresh store, tens
+#: of ms at ten thousand applied records, seconds for a large one.
+SNAPSHOT_BUCKETS = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
+    5.0, 10.0,
+)
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -281,6 +288,11 @@ class LiveIngestService:
         self._m_snapshot_age = registry.gauge(
             "serve_snapshot_age_seconds",
             "seconds since the last completed snapshot",
+        )
+        self._m_snapshot_seconds = registry.histogram(
+            "serve_snapshot_seconds",
+            "snapshot save wall time (state capture, write, fsyncs)",
+            buckets=SNAPSHOT_BUCKETS,
         )
         self._m_recovery_s = registry.gauge(
             "serve_recovery_duration_seconds",
@@ -1165,10 +1177,14 @@ class LiveIngestService:
         # The snapshot lock serializes snapshot + rotation against the
         # drain path's final snapshot and WAL close.
         with self._snapshot_lock:
+            started = time.perf_counter()
             seq = self._applied_seq
             payload = {"seq": seq, "state": self.store.state_dict()}
             try:
                 self.snapshots.save(seq, payload)
+                self._m_snapshot_seconds.observe(
+                    time.perf_counter() - started
+                )
                 # Rotate under the intake lock: concurrent appends must
                 # not race the segment switch, and the fresh segment
                 # starts above every sequence number handed out so far.

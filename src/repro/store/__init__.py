@@ -11,7 +11,6 @@ documents, event and quarantine JSONL) is written through it.
 """
 
 from repro.store.atomic import (
-    atomic_write_bytes,
     atomic_write_text,
     atomic_writer,
     fsync_directory,
@@ -38,7 +37,6 @@ __all__ = [
     "CheckpointMissingError",
     "CheckpointStore",
     "CheckpointVersionError",
-    "atomic_write_bytes",
     "atomic_write_text",
     "atomic_writer",
     "fsync_directory",

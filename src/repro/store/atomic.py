@@ -99,14 +99,6 @@ def atomic_writer(
                 pass
 
 
-def atomic_write_bytes(
-    path: PathLike, data: bytes, metrics: Optional[Any] = None
-) -> None:
-    """Write *data* to *path* atomically and durably."""
-    with atomic_writer(path, metrics=metrics) as handle:
-        handle.write(data)
-
-
 def atomic_write_text(
     path: PathLike, text: str, metrics: Optional[Any] = None
 ) -> None:
@@ -117,7 +109,6 @@ def atomic_write_text(
 
 __all__ = [
     "WRITE_BUFFER_BYTES",
-    "atomic_write_bytes",
     "atomic_write_text",
     "atomic_writer",
     "fsync_directory",

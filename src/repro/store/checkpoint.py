@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.log import get_logger
 from repro.obs.metrics import get_registry
-from repro.store.atomic import atomic_write_bytes, atomic_write_text
+from repro.store.atomic import atomic_write_text, atomic_writer
 
 log = get_logger("store")
 
@@ -173,22 +173,31 @@ class CheckpointStore:
     # -- writing --------------------------------------------------------------
 
     def save(self, stage: str, payload: Any) -> CheckpointManifest:
-        """Persist one stage output; payload first, manifest second."""
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        """Persist one stage output; payload first, manifest second.
+
+        The pickler writes straight into the payload's atomic handle
+        through a :class:`_HashingSink`, one frame (~64 KiB) at a time:
+        the whole pickle is never held in memory, and between frames
+        other threads get the GIL back. The bytes are exactly those of
+        ``pickle.dumps(payload, HIGHEST_PROTOCOL)``.
+        """
+        path = self.payload_path(stage)
+        with atomic_writer(path, metrics=self._metrics) as handle:
+            sink = _HashingSink(handle)
+            pickle.Pickler(sink, pickle.HIGHEST_PROTOCOL).dump(payload)
         manifest = CheckpointManifest(
             stage=stage,
             schema_version=STORE_SCHEMA_VERSION,
-            payload_bytes=len(data),
-            sha256=hashlib.sha256(data).hexdigest(),
+            payload_bytes=sink.size,
+            sha256=sink.sha256.hexdigest(),
             record_count=_record_count(payload),
             created_ts=time.time(),
         )
-        atomic_write_bytes(self.payload_path(stage), data, self._metrics)
         atomic_write_text(
             self.manifest_path(stage), manifest.to_json(), self._metrics
         )
         self._m_saves.inc()
-        self._m_bytes.inc(len(data))
+        self._m_bytes.inc(sink.size)
         log.debug(
             "checkpoint saved",
             stage=stage,
@@ -360,6 +369,23 @@ class CheckpointStore:
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
         return data if isinstance(data, dict) else None
+
+
+class _HashingSink:
+    """A pickler's file: each write goes to *handle* and into the
+    running SHA-256 and byte count of the payload."""
+
+    def __init__(self, handle: Any) -> None:
+        self._handle = handle
+        self.sha256 = hashlib.sha256()
+        self.size = 0
+
+    def write(self, data: Any) -> int:
+        # A large buffer (bytes, or a numpy array's PickleBuffer) is
+        # passed through whole; ``nbytes`` sizes both.
+        self.sha256.update(data)
+        self.size += memoryview(data).nbytes
+        return self._handle.write(data)
 
 
 def _record_count(payload: Any) -> int:

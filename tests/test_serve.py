@@ -14,7 +14,11 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.admission import AdmissionQueue, QueueEntry
 from repro.serve.disk import LocalDisk
-from repro.serve.service import LiveIngestService, ServeConfig
+from repro.serve.service import (
+    SNAPSHOT_BUCKETS,
+    LiveIngestService,
+    ServeConfig,
+)
 from repro.serve.snapshot import SnapshotManager, snapshot_stage_name
 from repro.serve.state import (
     LiveFusedStore,
@@ -470,6 +474,69 @@ class TestLiveIngestService:
             assert registry.value("serve_applied_total", kind="attack") == 3
             text = registry.render_prometheus()
             assert "serve_queue_depth" in text
+        finally:
+            service.stop()
+
+
+class TestSnapshotSave:
+    """Each snapshot save is timed; a failed one degrades, leaves no file."""
+
+    def make(self, data_dir):
+        return LiveIngestService(
+            ServeConfig(
+                data_dir=data_dir, manual_drive=True, snapshot_every_events=10
+            ),
+            metrics=MetricsRegistry(),
+            clock=lambda: 0.0,
+        )
+
+    def ingest(self, service, batches):
+        for b in range(batches):
+            result = service.submit(
+                "telescope", KIND_ATTACK,
+                [attack(b * 10 + i) for i in range(10)],
+            )
+            assert result.accepted == 10
+            assert service.tick_apply() == 10
+
+    def test_histogram_counts_rolling_and_drain_snapshots(self, tmp_path):
+        service = self.make(tmp_path)
+        service.start()
+        self.ingest(service, 3)
+        assert service.drain(timeout=10)
+        registry = service.metrics
+        # Three rolling snapshots (one per 10 applied) and the drain's.
+        assert registry.value("serve_snapshots_total") == 4
+        seconds = registry.histogram(
+            "serve_snapshot_seconds", buckets=SNAPSHOT_BUCKETS
+        )
+        assert seconds.count() == 4
+        assert seconds.sum() > 0.0
+        assert "serve_snapshot_seconds_count 4" in (
+            registry.render_prometheus()
+        )
+
+    def test_enospc_mid_save_degrades_and_leaves_no_file(
+        self, tmp_path, full_checkpoint_disk
+    ):
+        service = self.make(tmp_path)
+        service.start()
+        try:
+            full_checkpoint_disk(100)
+            self.ingest(service, 1)
+            assert service.degraded
+            assert service.degraded_reason.startswith("snapshot:")
+            registry = service.metrics
+            assert registry.value("serve_wal_errors_total", op="snapshot") == 1
+            assert registry.value("serve_snapshots_total") == 0
+            assert registry.histogram(
+                "serve_snapshot_seconds", buckets=SNAPSHOT_BUCKETS
+            ).count() == 0
+            assert service.snapshots.seqs() == []
+            checkpoints = service.snapshots.store.checkpoint_dir
+            assert list(checkpoints.iterdir()) == []
+            # The WAL still holds the acked batch.
+            assert len(service.wal.replay()[0]) == 10
         finally:
             service.stop()
 

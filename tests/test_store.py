@@ -1,12 +1,18 @@
 """Unit tests for the durable checkpoint store and atomic file primitives."""
 
+import errno
+import hashlib
 import json
 import os
+import pickle
+import tracemalloc
 from random import Random
+
+import numpy as np
 
 import pytest
 
-from repro.store.atomic import atomic_write_bytes, atomic_write_text
+from repro.store.atomic import atomic_write_text, atomic_writer
 from repro.store.checkpoint import (
     STORE_SCHEMA_VERSION,
     CheckpointCorruptionError,
@@ -29,7 +35,8 @@ def store(tmp_path):
 class TestAtomicWrite:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "blob.bin"
-        atomic_write_bytes(path, b"\x00\x01payload")
+        with atomic_writer(path) as handle:
+            handle.write(b"\x00\x01payload")
         assert path.read_bytes() == b"\x00\x01payload"
         atomic_write_text(path, "text now")
         assert path.read_text() == "text now"
@@ -41,7 +48,8 @@ class TestAtomicWrite:
         monkeypatch.setattr(os, "replace", boom)
         path = tmp_path / "blob.bin"
         with pytest.raises(OSError):
-            atomic_write_bytes(path, b"data")
+            with atomic_writer(path) as handle:
+                handle.write(b"data")
         assert list(tmp_path.iterdir()) == []
 
     def test_successful_replace_never_unlinks_foreign_temp(
@@ -57,7 +65,8 @@ class TestAtomicWrite:
             tmp.write_bytes(b"concurrent writer's temp")
 
         monkeypatch.setattr(os, "replace", replace_then_race)
-        atomic_write_bytes(path, b"ours")
+        with atomic_writer(path) as handle:
+            handle.write(b"ours")
         assert path.read_bytes() == b"ours"
         assert tmp.read_bytes() == b"concurrent writer's temp"
 
@@ -102,6 +111,69 @@ class TestSaveLoad:
         second = store.save("alpha", [1, 2, 3, 4])
         assert second.sha256 != first.sha256
         assert store.load("alpha") == [1, 2, 3, 4]
+
+
+class _Unpicklable:
+    """Fails the pickler when it gets this far into a payload."""
+
+    def __reduce__(self):
+        raise RuntimeError("cannot pickle this (injected)")
+
+
+class TestStreamedSave:
+    """``save`` streams the pickle through the hash into the file."""
+
+    def test_bytes_equal_pickle_dumps(self, store):
+        # Several 64 KiB frames, a large bytes object and a large numpy
+        # array (both handed to the file whole), and small values.
+        payload = {
+            "rows": [(i, f"target-{i}", i * 0.5) for i in range(20_000)],
+            "blob": bytes(range(256)) * 1024,
+            "array": np.arange(100_000, dtype=np.int64),
+            "tail": [None, True, 3],
+        }
+        manifest = store.save("alpha", payload)
+        expected = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(expected) > 4 * 65536
+        assert store.payload_path("alpha").read_bytes() == expected
+        assert manifest.payload_bytes == len(expected)
+        assert manifest.sha256 == hashlib.sha256(expected).hexdigest()
+        loaded = store.load("alpha")
+        assert loaded["rows"] == payload["rows"]
+        assert np.array_equal(loaded["array"], payload["array"])
+
+    def test_save_never_holds_the_whole_pickle(self, store):
+        payload = [bytes([i % 256]) * 8192 for i in range(1024)]
+        size = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        assert size >= 8 * 1024 * 1024
+        tracemalloc.start()
+        try:
+            store.save("alpha", payload)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 4, f"peak {peak} B for a {size} B payload"
+        assert store.manifest("alpha").payload_bytes == size
+
+    def _assert_nothing_written(self, store):
+        assert not store.has("alpha")
+        assert list(store.checkpoint_dir.iterdir()) == []
+
+    def test_pickling_failure_partway_leaves_nothing(self, store):
+        payload = [b"x" * 200_000, list(range(50_000)), _Unpicklable()]
+        with pytest.raises(RuntimeError, match="injected"):
+            store.save("alpha", payload)
+        self._assert_nothing_written(store)
+
+    def test_write_failure_partway_leaves_nothing(
+        self, store, full_checkpoint_disk
+    ):
+        full_checkpoint_disk(3 * 65536)
+        payload = [(i, str(i)) for i in range(100_000)]
+        with pytest.raises(OSError) as info:
+            store.save("alpha", payload)
+        assert info.value.errno == errno.ENOSPC
+        self._assert_nothing_written(store)
 
 
 class TestCorruptionDetection:

@@ -1,5 +1,9 @@
 """Unit and integration tests for streaming fusion."""
 
+import hashlib
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.events import AttackEvent, SOURCE_HONEYPOT, SOURCE_TELESCOPE
@@ -288,6 +292,25 @@ class TestDurableState:
             a.day for a in live.alerts
         ]
         assert restored.state_digest() == live.state_digest()
+
+    def test_summaries_capture_equals_asdict(self):
+        """The hand-built summary dicts are asdict()'s, key order too,
+        so snapshot bytes and the digest do not move."""
+        live = StreamingFusion()
+        for e in self._stream():
+            live.ingest(e)
+        live.finish()
+        assert len(live.summaries) == 3
+        state = live.state_dict()
+        expected = [asdict(s) for s in live.summaries]
+        assert [list(d.items()) for d in state["summaries"]] == [
+            list(d.items()) for d in expected
+        ]
+        state["summaries"] = expected
+        canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        assert live.state_digest() == hashlib.sha256(
+            canonical.encode("utf-8")
+        ).hexdigest()
 
     def test_version_mismatch_rejected(self):
         state = StreamingFusion().state_dict()
