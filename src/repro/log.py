@@ -111,14 +111,15 @@ class StructuredLogger:
         merged.update(fields)
         return StructuredLogger(self.logger, merged)
 
-    def _log(self, level: int, event: str, fields: Dict[str, Any]) -> None:
+    def _log(self, level: int, event: str, fields: Dict[str, Any],
+             exc_info: bool = False) -> None:
         if self.logger.isEnabledFor(level):
             if self._bound:
                 merged = dict(self._bound)
                 merged.update(fields)
                 fields = merged
             extra = {_FIELDS_ATTR: fields} if fields else None
-            self.logger.log(level, event, extra=extra)
+            self.logger.log(level, event, extra=extra, exc_info=exc_info)
 
     def debug(self, event: str, **fields: Any) -> None:
         self._log(logging.DEBUG, event, fields)
@@ -131,6 +132,11 @@ class StructuredLogger:
 
     def error(self, event: str, **fields: Any) -> None:
         self._log(logging.ERROR, event, fields)
+
+    def exception(self, event: str, **fields: Any) -> None:
+        """An error record with the traceback of the exception being
+        handled."""
+        self._log(logging.ERROR, event, fields, exc_info=True)
 
 
 def get_logger(name: str = "") -> StructuredLogger:

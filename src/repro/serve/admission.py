@@ -42,6 +42,9 @@ class QueueEntry:
     kind: str
     feed: str
     record: dict
+    #: The record's canonical JSON, encoded once at intake: its WAL
+    #: line's record and, for an attack event, the text the store keeps.
+    text: Optional[str] = None
 
 
 @dataclass

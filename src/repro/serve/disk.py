@@ -18,9 +18,11 @@ Durability vocabulary the simulation relies on:
 * ``append`` = write + flush to the OS. A *process* kill never loses
   appended bytes.
 * ``fsync`` = force to stable storage. Only a *power* failure can lose
-  appended-but-unfsynced bytes — and may tear the final line. The WAL
-  fsyncs each batch before the service acks it, so such bytes were
-  never acknowledged.
+  appended-but-unfsynced bytes — and may tear the final line.
+
+The WAL calls ``append`` once per commit, with every line of the batch,
+and then ``fsync``; the service acks the batch only after both, so bytes
+a power cut takes back were never acknowledged.
 """
 
 from __future__ import annotations

@@ -6,20 +6,26 @@ Data path (one-way, deterministic)::
     --------------------                    --------------
     validate records
     breaker / watermark check
+    encode each record's canonical JSON
     [intake lock]
       assign sequence numbers
-      append to WAL
-      fsync the batch  (ack point) ------>  take batch from queue
+      buffer the WAL lines
+      commit: one write, one fsync
+        (ack point) ---------------------->  take batch from queue
       push to admission queue               apply to LiveFusedStore
-      tombstone any drop-oldest             rolling snapshot when due
-    ack 202 / 503+Retry-After
+      tombstone any drop-oldest               (keeps the intake text)
+    ack 202 / 503+Retry-After               rolling snapshot when due
 
-The *ack point* is the WAL commit: a batch answered 202 is fsynced
-before the client hears back, so neither ``kill -9`` nor a power cut
-anywhere in this diagram loses anything acknowledged. Recovery is
-therefore snapshot-load + WAL replay, and because every apply is a deterministic function of (state,
-record) — including the rejections — the recovered store is
-value-identical to one that never crashed.
+Each record is encoded once, at intake: the same canonical JSON text is
+the record inside its WAL line and, for an attack event whose
+normalized form equals the record, the text the store keeps and
+snapshots. The *ack point* is the WAL commit: a batch answered 202 is
+written and fsynced before the client hears back, so neither ``kill
+-9`` nor a power cut anywhere in this diagram loses anything
+acknowledged. Recovery is therefore snapshot-load + WAL replay, and
+because every apply is a deterministic function of (state, record) —
+including the rejections — the recovered store is value-identical to
+one that never crashed.
 
 Supervision: the applier carries a heartbeat the watchdog thread checks
 (the same contract the batch executor's
@@ -64,6 +70,7 @@ from repro.serve.wal import (
     KIND_SHED,
     WalRecord,
     WriteAheadLog,
+    canonical_json,
 )
 from repro.store.checkpoint import CheckpointStore
 
@@ -384,6 +391,7 @@ class LiveIngestService:
         self._stop = threading.Event()
         self._draining = threading.Event()
         self._applier: Optional[threading.Thread] = None
+        self._applier_failed = False
         self._watchdog: Optional[threading.Thread] = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -515,8 +523,10 @@ class LiveIngestService:
         """Graceful shutdown: refuse intake, apply the backlog, snapshot.
 
         Returns True when the queue fully drained inside *timeout* —
-        either way the WAL is flushed and the state snapshotted, so
-        nothing acknowledged is lost even on a timed-out drain.
+        either way the WAL is committed, so nothing acknowledged is lost
+        even on a timed-out drain. A dead applier ends the wait at once
+        (False) and skips the final snapshot: its last batch may be half
+        applied, and the WAL replays every acked record at the next start.
         """
         self._draining.set()
         if self.shipper is not None:
@@ -524,6 +534,8 @@ class LiveIngestService:
         deadline = self._clock() + timeout
         drained = True
         while self.queue.depth > 0:
+            if self._applier_failed:
+                break
             if self._clock() >= deadline:
                 drained = False
                 log.warning(
@@ -542,7 +554,14 @@ class LiveIngestService:
             self._applier.join(timeout=max(timeout, 1.0))
         if self._watchdog is not None:
             self._watchdog.join(timeout=1.0)
-        if self._applier is not None and self._applier.is_alive():
+        if self._applier_failed:
+            drained = False
+            log.error(
+                "applier died; skipping final snapshot, the WAL keeps "
+                "every acked record",
+                depth=self.queue.depth,
+            )
+        elif self._applier is not None and self._applier.is_alive():
             # The applier outlived its join (huge backlog, injected
             # apply delay): it may be mid-snapshot itself, so skip the
             # final snapshot rather than race it — the flushed WAL alone
@@ -685,35 +704,33 @@ class LiveIngestService:
             result.shed = len(valid)
             result.retry_after = retry_after
             return result
+        texts = [canonical_json(record) for record in valid]
         degraded_before = self.degraded
         with self._intake_lock:
-            entries = []
-            error: Optional[OSError] = None
-            for record in valid:
-                # Sequence numbers advance only on a successful append:
-                # an ENOSPC'd record was never acked, so its candidate
-                # sequence is safely reused (WAL.append cut any partial
-                # bytes away).
-                try:
-                    self.wal.append(self._seq + 1, kind, record, trace=trace)
-                except OSError as exc:
-                    error = exc
-                    break
-                self._seq += 1
-                entries.append(
-                    QueueEntry(
-                        seq=self._seq, kind=kind, feed=feed, record=record
-                    )
+            entries = [
+                QueueEntry(
+                    seq=self._seq + index, kind=kind, feed=feed,
+                    record=record, text=text,
                 )
-            # The ack point: one fsync commits the batch. A failed
-            # commit cut every line of it away again, so nothing is
-            # acked and the sequence numbers are reused.
+                for index, (record, text) in enumerate(
+                    zip(valid, texts), start=1
+                )
+            ]
+            # The ack point: one write and one fsync commit the batch. A
+            # failed commit cut every line of it away again, so nothing
+            # is acked and the sequence numbers are reused.
+            error: Optional[OSError] = None
             try:
+                for entry in entries:
+                    self.wal.append(
+                        entry.seq, kind, entry.record, trace=trace,
+                        text=entry.text,
+                    )
                 self.wal.flush()
             except OSError as exc:
                 error = exc
-                self._seq -= len(entries)
                 entries = []
+            self._seq += len(entries)
             if error is not None:
                 self._enter_degraded("append", error)
             elif degraded_before:
@@ -1071,25 +1088,33 @@ class LiveIngestService:
 
     # -- applier --------------------------------------------------------------
 
-    def _apply_record(self, kind: str, record: dict, feed: str) -> None:
+    def _apply_record(self, kind: str, record: dict, feed: str,
+                      text: Optional[str] = None) -> None:
         if kind == KIND_ATTACK:
-            self.store.apply_attack(record)
+            self.store.apply_attack(record, text)
         elif kind == KIND_DPS:
             self.store.apply_dps(record)
         else:  # pragma: no cover - intake validates kinds
             raise ValueError(f"unknown record kind {kind!r}")
 
     def _apply_loop(self) -> None:
-        while True:
-            batch = self.queue.take(
-                max_items=self.config.apply_batch, timeout=0.1
-            )
-            if not batch:
-                self._beat()
-                if self._stop.is_set():
-                    return
-                continue
-            self._apply_batch(batch)
+        try:
+            while True:
+                batch = self.queue.take(
+                    max_items=self.config.apply_batch, timeout=0.1
+                )
+                if not batch:
+                    self._beat()
+                    if self._stop.is_set():
+                        return
+                    continue
+                self._apply_batch(batch)
+        except Exception:
+            # Anything but a deterministic rejection ends the thread.
+            # Its acked records stay in the WAL, and drain() stops
+            # waiting for a queue nobody takes from.
+            self._applier_failed = True
+            log.exception("applier thread died", applied_seq=self._applied_seq)
 
     def _apply_batch(self, batch: List[QueueEntry]) -> None:
         delay = self.config.apply_delay
@@ -1097,7 +1122,9 @@ class LiveIngestService:
             if delay:
                 self._sleep(delay)
             try:
-                self._apply_record(entry.kind, entry.record, entry.feed)
+                self._apply_record(
+                    entry.kind, entry.record, entry.feed, entry.text
+                )
             except ValueError as exc:
                 # Deterministic rejection (e.g. out-of-order beyond
                 # tolerance): counted, breaker-charged, and — because

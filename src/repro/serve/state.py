@@ -6,7 +6,10 @@ summaries, spike alerts) and adds the indexes a query API needs to stay
 O(1) per request while the stream is still flowing:
 
 * ``victim ip -> recent events`` (bounded ring per victim, so one
-  much-attacked IP cannot grow memory without limit);
+  much-attacked IP cannot grow memory without limit), each event kept
+  as its canonical JSON text (:func:`~repro.serve.wal.canonical_json`):
+  the text the WAL line carries is the one stored, snapshotted and
+  hashed, and a query decodes only the events it returns;
 * ``/24 and /16 prefix -> victim set`` (prefix queries without scans);
 * ``domain -> latest DPS status record``.
 
@@ -28,12 +31,35 @@ from repro.core.events import AttackEvent, event_from_dict, event_to_dict
 from repro.core.streaming import FUSION_STATE_VERSION, StreamingFusion
 from repro.net.addressing import slash16, slash24
 from repro.obs.metrics import get_registry
+from repro.serve.wal import canonical_json
 
 if TYPE_CHECKING:
     from repro.core.webmap import WebHostingIndex
 
 #: Version of the serialized LiveFusedStore state (snapshot payloads).
-STORE_STATE_VERSION = 1
+#: v2 keeps each event as its canonical JSON text; v1 kept the dicts and
+#: still loads.
+STORE_STATE_VERSION = 2
+
+#: The state version :meth:`LiveFusedStore.state_digest` names: the
+#: digest hashes the v1 form (events as JSON objects), so it is the same
+#: for every state version and across nodes of different builds.
+DIGEST_STATE_VERSION = 1
+
+
+def _order_key(text: str) -> tuple:
+    """``(start_ts, target)`` of a stored event text, without decoding it.
+
+    Stored texts encode :func:`event_to_dict` output with sorted keys, so
+    they end ``,"start_ts":S,"target":T}``; both values are numbers, and
+    no string value can hold the unescaped ``,"target":`` marker.
+    """
+    head, _, target = text.rpartition(',"target":')
+    start = head[head.rindex(":") + 1:]
+    return (
+        int(start) if start.isdigit() else float(start),
+        int(target[:-1]),
+    )
 
 
 def validate_dps_record(data) -> Optional[str]:
@@ -99,7 +125,7 @@ class LiveFusedStore:
         # Re-entrant because summary() and state_digest() call other
         # locked methods.
         self._lock = threading.RLock()
-        self._by_victim: Dict[int, Deque[dict]] = {}
+        self._by_victim: Dict[int, Deque[str]] = {}
         self._victims_by_slash24: Dict[int, Set[int]] = {}
         self._victims_by_slash16: Dict[int, Set[int]] = {}
         self._dps: Dict[str, dict] = {}
@@ -111,8 +137,14 @@ class LiveFusedStore:
 
     # -- applying -------------------------------------------------------------
 
-    def apply_attack(self, record: dict) -> None:
+    def apply_attack(self, record: dict, text: Optional[str] = None) -> None:
         """Apply one validated attack-event record (normalizing first).
+
+        *text* is the record's :func:`canonical_json`, encoded at intake.
+        The store keeps it as is when normalizing leaves the record
+        unchanged: normalizing reuses the record's own values, so equal
+        dicts encode to equal texts. Otherwise, or without *text*, the
+        normalized record is encoded here.
 
         Order matters: the fusion's own monotonicity check runs *before*
         any index mutation, so a rejected record (out-of-order beyond the
@@ -120,15 +152,17 @@ class LiveFusedStore:
         property replay determinism rests on.
         """
         event = event_from_dict(record)
+        normalized = event_to_dict(event)
+        if text is None or normalized != record:
+            text = canonical_json(normalized)
         with self._lock:
             self.fusion.ingest(event)
-            normalized = event_to_dict(event)
             victim = event.target
             ring = self._by_victim.get(victim)
             if ring is None:
                 ring = deque(maxlen=self.max_events_per_victim)
                 self._by_victim[victim] = ring
-            ring.append(normalized)
+            ring.append(text)
             self._victims_by_slash24.setdefault(
                 slash24(victim), set()
             ).add(victim)
@@ -155,9 +189,8 @@ class LiveFusedStore:
         """Most recent events against one victim IP, newest first."""
         with self._lock:
             ring = self._by_victim.get(ip)
-            if not ring:
-                return []
-            return list(ring)[-limit:][::-1]
+            texts = list(ring)[-limit:] if ring else []
+        return [json.loads(text) for text in reversed(texts)]
 
     def events_for_prefix(
         self, base: int, length: int, limit: int = 50
@@ -170,11 +203,11 @@ class LiveFusedStore:
                 victims = self._victims_by_slash16.get(slash16(base), ())
             else:
                 raise ValueError("prefix queries support /24 and /16 only")
-            merged: List[dict] = []
+            merged: List[str] = []
             for victim in victims:
                 merged.extend(self._by_victim.get(victim, ()))
-        merged.sort(key=lambda e: (e["start_ts"], e["target"]), reverse=True)
-        return merged[:limit]
+        merged.sort(key=_order_key, reverse=True)
+        return [json.loads(text) for text in merged[:limit]]
 
     def victims_in_prefix(self, base: int, length: int) -> List[int]:
         with self._lock:
@@ -214,7 +247,8 @@ class LiveFusedStore:
     # -- durable state --------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Canonical JSON-able capture of the entire store."""
+        """Canonical JSON-able capture of the entire store (events as
+        their texts)."""
         with self._lock:
             return {
                 "version": STORE_STATE_VERSION,
@@ -239,10 +273,10 @@ class LiveFusedStore:
         metrics=None,
     ) -> "LiveFusedStore":
         version = state.get("version")
-        if version != STORE_STATE_VERSION:
+        if version not in (1, STORE_STATE_VERSION):
             raise ValueError(
                 f"store state v{version!r}, this build reads "
-                f"v{STORE_STATE_VERSION}"
+                f"v1 and v{STORE_STATE_VERSION}"
             )
         store = cls(
             max_events_per_victim=int(state["max_events_per_victim"]),
@@ -255,7 +289,11 @@ class LiveFusedStore:
         store.applied_dps = int(state["applied_dps"])
         for victim_text, events in state["by_victim"].items():
             victim = int(victim_text)
-            ring: Deque[dict] = deque(
+            if version == 1:
+                events = [canonical_json(event) for event in events]
+            elif not all(isinstance(text, str) for text in events):
+                raise TypeError(f"victim {victim} holds a non-text event")
+            ring: Deque[str] = deque(
                 events, maxlen=store.max_events_per_victim
             )
             store._by_victim[victim] = ring
@@ -273,14 +311,37 @@ class LiveFusedStore:
 
     def state_digest(self) -> str:
         """SHA-256 of the canonical state: the equivalence oracle the
-        kill-9 drills compare across recoveries."""
-        canonical = json.dumps(
-            self.state_dict(), sort_keys=True, separators=(",", ":")
-        )
+        kill-9 drills compare across recoveries.
+
+        The hashed text is the canonical JSON of :meth:`state_dict` with
+        every event as a JSON object and ``version`` 1, built by
+        splicing the stored texts between the encoded other fields (in
+        sorted key order) rather than decoding them.
+        """
+        with self._lock:
+            head = canonical_json({
+                "applied_dps": self.applied_dps,
+                "applied_events": self.applied_events,
+            })
+            tail = canonical_json({
+                "dps": self._dps,
+                "fusion": self.fusion.state_dict(),
+                "max_events_per_victim": self.max_events_per_victim,
+                "version": DIGEST_STATE_VERSION,
+            })
+            victims = ",".join(
+                f'"{victim}":[{",".join(ring)}]'
+                for victim, ring in sorted(
+                    (str(victim), ring)
+                    for victim, ring in self._by_victim.items()
+                )
+            )
+        canonical = f'{head[:-1]},"by_victim":{{{victims}}},{tail[1:]}'
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 __all__ = [
+    "DIGEST_STATE_VERSION",
     "LiveFusedStore",
     "STORE_STATE_VERSION",
     "normalize_dps_record",

@@ -4,9 +4,13 @@ Durability contract: an event is acknowledged to the client (HTTP 202)
 only after its WAL line is fsynced. The service appends a batch's lines
 and commits them with one :meth:`WriteAheadLog.flush` before it answers,
 so neither a ``kill -9`` nor a power cut loses anything acknowledged,
-and recovery is snapshot-load + replay of the WAL tail. A commit that
-fails cuts the segment back to the previous commit: no line the caller
-did not ack survives to shadow a later record reusing its sequence.
+and recovery is snapshot-load + replay of the WAL tail.
+
+:meth:`WriteAheadLog.append` only buffers a line in memory. The commit
+is the log's only write: it hands the whole batch to the disk in one
+write, then fsyncs it. A commit that fails cuts the segment back to the
+previous commit, so no line the caller did not ack survives to shadow a
+later record reusing its sequence.
 
 Layout: one directory of segment files, ``wal-<first_seq>.jsonl``. A
 segment is named after the first sequence number it may contain; the
@@ -14,17 +18,22 @@ service rotates to a fresh segment at every snapshot, so pruning is
 "delete every segment whose successor starts at or below the snapshot
 sequence" — no rewrite, no read-modify-write, nothing to corrupt.
 
-Records are one JSON object per line::
+Records are one JSON object per line, keys sorted, no spaces::
 
-    {"seq": 17, "kind": "attack", "record": {...}}
-    {"seq": 42, "kind": "shed",   "record": {"seqs": [18, 19], "feed": "telescope"}}
+    {"kind":"attack","record":{...},"seq":17}
+    {"kind":"shed","record":{"feed":"telescope","seqs":[18,19]},"seq":42}
+
+A line is built by splicing the record's canonical JSON text
+(:func:`canonical_json`) into that frame, so the bytes equal
+``json.dumps(line, sort_keys=True, separators=(",", ":"))`` while a
+record the service already encoded at intake is not encoded again.
 
 ``shed`` tombstones make load shedding itself durable: when admission
 drops already-logged events (drop-oldest overflow), the drop decision is
 appended too, so replay skips exactly what the live process never
 applied — recovery stays value-identical even across an overload burst.
 
-Replay is tolerant of a torn tail: a crash mid-append leaves at most one
+Replay is tolerant of a torn tail: a crash mid-write leaves at most one
 unparseable final line per segment, which is discarded (and counted) —
 it was never acknowledged, so discarding it is correct, not lossy.
 
@@ -63,12 +72,44 @@ KIND_SHED = "shed"
 
 WAL_KINDS = (KIND_ATTACK, KIND_DPS, KIND_SHED)
 
-#: ``serve_wal_fsync_seconds`` buckets: an idle-disk fsync takes a
-#: fraction of a millisecond, one queued behind a snapshot save ~100 ms.
+#: ``serve_wal_fsync_seconds`` and ``serve_wal_prune_seconds`` buckets:
+#: an idle-disk fsync takes a fraction of a millisecond, one queued
+#: behind a snapshot save ~100 ms.
 FSYNC_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0,
 )
+
+#: ``serve_wal_write_seconds`` buckets: a 64-record batch's write into
+#: the page cache takes tens of microseconds.
+WRITE_BUCKETS = (
+    0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
+    0.005, 0.01, 0.025, 0.05, 0.1,
+)
+
+#: The serve process's one canonical JSON encoder: keys sorted, no
+#: spaces, ASCII only (``json.dumps(..., sort_keys=True,
+#: separators=(",", ":"))``). One instance serves every thread; an
+#: encode call keeps no state on it.
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":")
+).encode
+
+
+def wal_line(seq: int, kind: str, text: str,
+             trace: Optional[str] = None) -> str:
+    """One WAL line around a record's canonical JSON *text*.
+
+    Equal to the canonical JSON of ``{"seq", "kind", "record"[, "trace"]}``
+    plus a newline: the keys are spliced in sorted order, and *kind* is
+    one of :data:`WAL_KINDS`, which need no escaping.
+    """
+    if trace is None:
+        return f'{{"kind":"{kind}","record":{text},"seq":{seq:d}}}\n'
+    return (
+        f'{{"kind":"{kind}","record":{text},"seq":{seq:d},'
+        f'"trace":{canonical_json(trace)}}}\n'
+    )
 
 
 def segment_name(first_seq: int) -> str:
@@ -118,9 +159,10 @@ class ReplayReport:
 class WriteAheadLog:
     """Segmented JSONL write-ahead log, committed batch by batch.
 
-    Not thread-safe by itself: the service serializes appends and
-    commits under its admission lock, which also makes WAL order the
-    apply order.
+    Lines reach the segment file only in a commit (:meth:`flush`, or the
+    commit that closing or rotating a segment makes). Not thread-safe by
+    itself: the service serializes appends and commits under its
+    admission lock, which also makes WAL order the apply order.
     """
 
     def __init__(
@@ -134,10 +176,11 @@ class WriteAheadLog:
         self.disk.mkdir(self.directory)
         self._handle = None
         self._current_path: Optional[Path] = None
-        # Bytes in the current segment, and how many of them the last
-        # commit fsynced: the segment is dirty while they differ.
+        # Bytes in the current segment as of the last commit.
         self._size = 0
-        self._synced = 0
+        # Lines appended since the last commit, and how many per kind.
+        self._pending: List[str] = []
+        self._pending_kinds: Dict[str, int] = {}
         registry = metrics if metrics is not None else get_registry()
         self._m_appends = registry.counter(
             "serve_wal_appends_total", "WAL records appended", ("kind",)
@@ -145,11 +188,19 @@ class WriteAheadLog:
         self._m_bytes = registry.counter(
             "serve_wal_bytes_total", "WAL bytes written"
         )
+        self._m_write_seconds = registry.histogram(
+            "serve_wal_write_seconds", "WAL commit write wall time",
+            buckets=WRITE_BUCKETS,
+        )
         self._m_fsyncs = registry.counter(
             "serve_wal_fsyncs_total", "WAL fsync calls"
         )
         self._m_fsync_seconds = registry.histogram(
             "serve_wal_fsync_seconds", "WAL fsync wall time",
+            buckets=FSYNC_BUCKETS,
+        )
+        self._m_prune_seconds = registry.histogram(
+            "serve_wal_prune_seconds", "WAL segment prune wall time",
             buckets=FSYNC_BUCKETS,
         )
 
@@ -179,9 +230,10 @@ class WriteAheadLog:
     def segment_sizes(self) -> List[Tuple[int, int]]:
         """``(first_seq, byte_size)`` per segment, in first-seq order.
 
-        The service reads them between batch commits, so a byte range
-        below a reported size is fsynced and stable: re-reading it
-        always yields the same bytes. A segment vanishing between
+        The service reads them between batch commits, and bytes reach a
+        segment only in a commit, so a byte range below a reported size
+        is fsynced and stable: re-reading it always yields the same
+        bytes. A segment vanishing between
         listing and stat (pruned concurrently) is simply omitted — the
         follower notices via :meth:`oldest_seq` on its next status poll.
         """
@@ -203,7 +255,7 @@ class WriteAheadLog:
 
         The replication fetch path: followers pull segment bytes in
         order and append them to their own log. The read may end
-        mid-line when it races a concurrent append — the shipper buffers
+        mid-line when it races a concurrent commit — the shipper buffers
         the partial tail until the rest arrives, so chunk boundaries
         need no alignment.
         """
@@ -216,12 +268,13 @@ class WriteAheadLog:
         """Start appending to the segment that begins at *first_seq*.
 
         Appending to an existing segment continues it (the recovery path
-        re-opens the tail segment rather than abandoning it).
+        re-opens the tail segment rather than abandoning it). Lines still
+        pending are committed to the segment being closed first.
         """
         self._close_handle()
         self._current_path = self.directory / segment_name(first_seq)
         self._handle = self.disk.open_append(self._current_path)
-        self._size = self._synced = self.disk.size(self._current_path)
+        self._size = self.disk.size(self._current_path)
 
     def rotate(self, next_seq: int) -> None:
         """Close the current segment and open a fresh one at *next_seq*.
@@ -239,6 +292,7 @@ class WriteAheadLog:
         *next* segment starts at or below ``upto_seq + 1`` — i.e. every
         record it can contain has ``seq <= upto_seq``.
         """
+        started = time.perf_counter()
         removed = 0
         segments = self.segments()
         for index, path in enumerate(segments):
@@ -256,6 +310,7 @@ class WriteAheadLog:
                     removed += 1
                 except FileNotFoundError:
                     pass
+        self._m_prune_seconds.observe(time.perf_counter() - started)
         if removed:
             log.debug("wal segments pruned", removed=removed, upto=upto_seq)
         return removed
@@ -263,62 +318,55 @@ class WriteAheadLog:
     # -- appending ------------------------------------------------------------
 
     def append(self, seq: int, kind: str, record: dict,
-               trace: Optional[str] = None) -> None:
-        """Append one record and flush it to the OS; :meth:`flush`
-        commits it.
+               trace: Optional[str] = None,
+               text: Optional[str] = None) -> None:
+        """Buffer one record's line; :meth:`flush` writes and commits it.
 
+        *text* is the record's :func:`canonical_json` when the caller
+        already encoded it; without it the record is encoded here.
         *trace* optionally tags the line with the request trace ID that
         produced it; untraced lines keep the historical byte format, and
         readers that predate the field ignore the extra key.
-
-        A failed append (ENOSPC) may have written a *partial* line; left
-        in place it would glue itself onto the next successful append and
-        take an acknowledged record down with it. So on ``OSError`` the
-        partial bytes are cut away before the error propagates; the
-        caller (which never acked this record) may retry the sequence
-        number.
         """
         if kind not in WAL_KINDS:
             raise ValueError(f"unknown WAL record kind: {kind!r}")
         if self._handle is None:
             self.open_segment(seq)
-        payload = {"seq": seq, "kind": kind, "record": record}
-        if trace is not None:
-            payload["trace"] = trace
-        data = (
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        ).encode("utf-8")
+        if text is None:
+            text = canonical_json(record)
+        self._pending.append(wal_line(seq, kind, text, trace))
+        self._pending_kinds[kind] = self._pending_kinds.get(kind, 0) + 1
+
+    def flush(self) -> None:
+        """Commit: write every line appended since the last commit in
+        one write, then fsync it.
+
+        A failed write (ENOSPC) may have left a *partial* line, and a
+        failed fsync leaves lines a power cut could still take back.
+        Either way the segment is cut back to the last commit before the
+        error propagates, so none of the batch survives: the caller acks
+        none of it and may reuse its sequence numbers.
+        """
+        if not self._pending:
+            return
+        data = "".join(self._pending).encode("utf-8")
+        kinds = self._pending_kinds
+        self._pending, self._pending_kinds = [], {}
         try:
+            started = time.perf_counter()
             self.disk.append(self._handle, data)
+            written = time.perf_counter()
+            self._m_write_seconds.observe(written - started)
+            for kind, count in kinds.items():
+                self._m_appends.inc(count, kind=kind)
+            self._m_bytes.inc(len(data))
+            self.disk.fsync(self._handle)
+            self._m_fsync_seconds.observe(time.perf_counter() - written)
+            self._m_fsyncs.inc()
         except OSError:
             self._cut(self._size)
             raise
         self._size += len(data)
-        self._m_appends.inc(kind=kind)
-        self._m_bytes.inc(len(data))
-
-    def _fsync(self) -> None:
-        if self._handle is None or self._synced == self._size:
-            return
-        started = time.perf_counter()
-        self.disk.fsync(self._handle)
-        self._m_fsync_seconds.observe(time.perf_counter() - started)
-        self._m_fsyncs.inc()
-        self._synced = self._size
-
-    def flush(self) -> None:
-        """Commit: fsync every line appended since the last commit.
-
-        A failed fsync cuts the segment back to the last commit before
-        the error propagates, so none of the uncommitted lines survives:
-        the caller acks none of them and may reuse their sequence
-        numbers.
-        """
-        try:
-            self._fsync()
-        except OSError:
-            self._cut(self._synced)
-            raise
 
     def _cut(self, keep: int) -> None:
         """Close the handle, truncate the segment to *keep* bytes (the
@@ -335,7 +383,7 @@ class WriteAheadLog:
 
     def _close_handle(self) -> None:
         if self._handle is not None:
-            self._fsync()
+            self.flush()
             self.disk.close(self._handle)
             self._handle = None
 
@@ -504,6 +552,8 @@ __all__ = [
     "WAL_KINDS",
     "WalRecord",
     "WriteAheadLog",
+    "canonical_json",
     "segment_first_seq",
     "segment_name",
+    "wal_line",
 ]

@@ -7,7 +7,10 @@ and the service itself (validation, accounting, drain, recovery).
 """
 
 import errno
+import hashlib
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -32,8 +35,10 @@ from repro.serve.wal import (
     KIND_SHED,
     WalRecord,
     WriteAheadLog,
+    canonical_json,
     segment_first_seq,
     segment_name,
+    wal_line,
 )
 from repro.store.checkpoint import CheckpointStore
 
@@ -165,6 +170,8 @@ class TestWriteAheadLog:
         wal.rotate(4)
         for seq in (4, 5):
             wal.append(seq, KIND_ATTACK, attack(seq))
+        # An append only buffers its line: commit before replay reads.
+        wal.flush()
         assert len(wal.segments()) == 2
         # A snapshot at 2 does not cover seq 3: nothing prunable.
         assert wal.prune(2) == 0
@@ -627,3 +634,245 @@ class TestFailedCommit:
             assert [r.seq for r in follower.wal.replay()[0]] == [1, 2]
         finally:
             follower.stop()
+
+
+# -- one canonical text per event ----------------------------------------------
+
+
+def canonical_dumps(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+#: Records whose encoding has to match ``json.dumps`` byte for byte.
+CANONICAL_RECORDS = [
+    attack(1),
+    {**attack(2), "start_ts": 2, "end_ts": 40},
+    {**attack(3), "country": "Ünïcødé \"quoted\" \u2603", "asn": None,
+     "reflector_protocol": None, "ports": [53, 123]},
+    {**attack(4), "unknown_key": {"z": [1, 2.5, None], "a": "é"}},
+    {"domain": "example.com", "provider": "cf", "day": 3, "active": False},
+    {"seqs": [7, 8], "feed": "honeypot"},
+]
+
+
+class TestCanonicalText:
+    @pytest.mark.parametrize("record", CANONICAL_RECORDS)
+    @pytest.mark.parametrize("trace", [None, "node-000001", 'n\u00e9-"1"'])
+    def test_spliced_line_equals_json_dumps(self, record, trace):
+        payload = {"seq": 17, "kind": KIND_ATTACK, "record": record}
+        if trace is not None:
+            payload["trace"] = trace
+        expected = canonical_dumps(payload) + "\n"
+        text = canonical_json(record)
+        assert text == canonical_dumps(record)
+        assert wal_line(17, KIND_ATTACK, text, trace) == expected
+
+    def test_wal_file_bytes_equal_json_dumps(self, tmp_path):
+        wal = WriteAheadLog(tmp_path, metrics=MetricsRegistry())
+        expected = []
+        for seq, record in enumerate(CANONICAL_RECORDS, start=1):
+            trace = "t-1" if seq % 2 else None
+            # With and without the caller's text: the same bytes.
+            text = canonical_json(record) if seq % 3 else None
+            wal.append(seq, KIND_ATTACK, record, trace=trace, text=text)
+            payload = {"seq": seq, "kind": KIND_ATTACK, "record": record}
+            if trace is not None:
+                payload["trace"] = trace
+            expected.append(canonical_dumps(payload) + "\n")
+        wal.flush()
+        segment = next(tmp_path.glob("wal-*.jsonl"))
+        assert segment.read_bytes() == "".join(expected).encode("utf-8")
+        wal.close()
+
+    def test_commit_writes_the_batch_once(self, tmp_path):
+        class CountingDisk(LocalDisk):
+            writes = 0
+
+            def append(self, handle, data):
+                CountingDisk.writes += 1
+                super().append(handle, data)
+
+        registry = MetricsRegistry()
+        wal = WriteAheadLog(tmp_path, metrics=registry, disk=CountingDisk())
+        for seq in range(1, 65):
+            wal.append(seq, KIND_ATTACK, attack(seq))
+        assert CountingDisk.writes == 0
+        assert registry.value("serve_wal_appends_total", kind="attack") == 0
+        wal.flush()
+        assert CountingDisk.writes == 1
+        assert registry.value("serve_wal_appends_total", kind="attack") == 64
+        size = next(tmp_path.glob("wal-*.jsonl")).stat().st_size
+        assert registry.value("serve_wal_bytes_total") == size
+        text = registry.render_prometheus()
+        assert "serve_wal_write_seconds_count 1" in text
+        wal.rotate(65)
+        wal.prune(64)
+        assert "serve_wal_prune_seconds_count 1" in (
+            registry.render_prometheus()
+        )
+        wal.close()
+
+    def test_state_digest_is_the_v1_formula(self):
+        store = LiveFusedStore(metrics=MetricsRegistry())
+        for i in range(12):
+            store.apply_attack(attack(i % 5 if i < 10 else i))
+        store.apply_attack({**attack(20), "start_ts": 20, "end_ts": 50})
+        store.apply_dps({"domain": "x", "provider": "p", "day": 0})
+        state = store.state_dict()
+        assert state["version"] == 2
+        v1 = dict(state, version=1, by_victim={
+            victim: [json.loads(text) for text in texts]
+            for victim, texts in state["by_victim"].items()
+        })
+        expected = hashlib.sha256(
+            canonical_dumps(v1).encode("utf-8")
+        ).hexdigest()
+        assert store.state_digest() == expected
+        assert LiveFusedStore(metrics=MetricsRegistry()).state_digest() == (
+            hashlib.sha256(canonical_dumps(dict(
+                LiveFusedStore(metrics=MetricsRegistry()).state_dict(),
+                version=1,
+            )).encode("utf-8")).hexdigest()
+        )
+
+    def test_v1_snapshot_payload_loads(self):
+        store = LiveFusedStore(metrics=MetricsRegistry())
+        for i in range(8):
+            store.apply_attack(attack(i))
+        store.apply_attack({**attack(9), "start_ts": 9, "end_ts": 90})
+        store.apply_dps({"domain": "x", "provider": "p", "day": 0})
+        state = store.state_dict()
+        v1 = dict(state, version=1, by_victim={
+            victim: [json.loads(text) for text in texts]
+            for victim, texts in state["by_victim"].items()
+        })
+        loaded = LiveFusedStore.from_state_dict(
+            v1, metrics=MetricsRegistry()
+        )
+        assert loaded.state_digest() == store.state_digest()
+        assert loaded.state_dict() == state
+        prefix = 10 << 24
+        assert loaded.events_for_prefix(prefix, 24) == (
+            store.events_for_prefix(prefix, 24)
+        )
+
+    def test_prefix_query_orders_like_decoded_events(self):
+        store = LiveFusedStore(metrics=MetricsRegistry())
+        records = []
+        for i in range(40):
+            record = attack(i % 7)
+            # Mixed int/float timestamps, ties across victims.
+            record["start_ts"] = (i // 3) if i % 2 else float(i // 3)
+            record["end_ts"] = record["start_ts"] + 5
+            records.append(record)
+            store.apply_attack(record)
+        events = store.events_for_prefix(10 << 24, 24, limit=100)
+        assert events == sorted(
+            events, key=lambda e: (e["start_ts"], e["target"]), reverse=True
+        )
+        assert len(events) == 40
+        assert store.events_for_prefix(10 << 24, 24, limit=5) == events[:5]
+
+    def test_normalized_records_digest_the_same_live_and_recovered(
+        self, tmp_path
+    ):
+        records = [
+            attack(1),  # optional keys missing: normalized adds them
+            {**attack(2), "unknown_key": 1},  # dropped by normalizing
+            {**attack(3), "start_ts": 3, "end_ts": 33},
+            {**attack(4), "ip_proto": 6, "ports": [80], "packets": 2,
+             "reflector_protocol": None, "country": "DE", "asn": 3320},
+        ]
+        offline = LiveFusedStore(metrics=MetricsRegistry())
+        for record in records:
+            offline.apply_attack(dict(record))
+        config = ServeConfig(data_dir=tmp_path / "serve", manual_drive=True)
+        service = LiveIngestService(config, metrics=MetricsRegistry())
+        service.start()
+        try:
+            assert service.submit(
+                "telescope", KIND_ATTACK, records
+            ).accepted == len(records)
+            assert service.tick_apply() == len(records)
+            live = service.store.state_digest()
+        finally:
+            service.stop()
+        assert live == offline.state_digest()
+        recovered = LiveIngestService(config, metrics=MetricsRegistry())
+        info = recovered.start()
+        try:
+            assert info.replayed == len(records)
+            assert recovered.store.state_digest() == live
+        finally:
+            recovered.stop()
+
+    def test_store_bytes_per_event_bound(self):
+        """Events kept as texts: at most 350 B each at 100 per victim
+        (a dict per event took ~550 B)."""
+        records = [
+            {**attack(i), "target": (10 << 24) + (i * 7919) % 100}
+            for i in range(10_000)
+        ]
+        store = LiveFusedStore(metrics=MetricsRegistry())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for record in records:
+                store.apply_attack(record)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert store.applied_events == len(records)
+        assert grown / len(records) <= 350
+
+
+class TestDeadApplier:
+    """An applier that dies of an unexpected error does not stall drain."""
+
+    def test_drain_returns_promptly_and_restart_recovers(self, tmp_path):
+        config = ServeConfig(data_dir=tmp_path / "serve", queue_size=256)
+        service = LiveIngestService(config, metrics=MetricsRegistry())
+        service.start()
+
+        def broken(record, text=None):
+            raise RuntimeError("injected apply failure")
+
+        service.store.apply_attack = broken
+        records = [attack(i) for i in range(20)]
+        assert service.submit("telescope", KIND_ATTACK, records).accepted == 20
+        service._applier.join(timeout=5.0)
+        assert not service._applier.is_alive()
+        started = time.monotonic()
+        assert service.drain(timeout=30.0) is False
+        assert time.monotonic() - started < 5.0
+        recovered = LiveIngestService(config, metrics=MetricsRegistry())
+        info = recovered.start()
+        try:
+            assert info.replayed == 20
+            assert recovered.store.applied_events == 20
+            offline = LiveFusedStore(metrics=MetricsRegistry())
+            for record in records:
+                offline.apply_attack(record)
+            assert recovered.store.state_digest() == offline.state_digest()
+        finally:
+            recovered.stop()
+
+    def test_applier_death_is_logged_with_traceback(self, tmp_path, caplog):
+        service = LiveIngestService(
+            ServeConfig(data_dir=tmp_path / "serve"),
+            metrics=MetricsRegistry(),
+        )
+        service.start()
+
+        def broken(record, text=None):
+            raise RuntimeError("injected apply failure")
+
+        service.store.apply_attack = broken
+        with caplog.at_level("ERROR", logger="repro.serve"):
+            service.submit("telescope", KIND_ATTACK, [attack(1)])
+            service._applier.join(timeout=5.0)
+            assert service.drain(timeout=30.0) is False
+        died = [r for r in caplog.records if r.getMessage() == (
+            "applier thread died"
+        )]
+        assert died and died[0].exc_info[0] is RuntimeError

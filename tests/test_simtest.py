@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import wal as walmod
 from repro.serve.service import LiveIngestService, ServeConfig
 from repro.serve.transport import TransportError
 from repro.serve.wal import KIND_ATTACK
@@ -192,6 +191,44 @@ def test_disk_full_degrades_to_read_only_and_probe_recovers(tmp_path):
         service.stop()
 
 
+def test_enospc_in_a_commit_write_acks_none_of_the_batch(tmp_path):
+    """The batch is one write: a torn ENOSPC write acks no record of it
+    (not even those whose lines were whole) and leaves no partial line."""
+    disk, clock = SimDisk(), SimClock()
+    service = _manual_service(tmp_path, disk, clock)
+    service.start()
+    try:
+        assert service.submit(
+            "telescope", KIND_ATTACK, [_attack(n) for n in range(3)]
+        ).accepted == 3
+        segment = service.wal.segments()[-1]
+        committed = disk.read_bytes(segment)
+        # Tear the write after two whole lines and part of a third.
+        torn = len(committed) // 3 * 2 + 10
+        disk.set_full(True, partial_next_append=torn)
+        failed = service.submit(
+            "telescope", KIND_ATTACK, [_attack(n) for n in range(3, 8)]
+        )
+        assert failed.accepted == 0
+        assert failed.reasons == {"degraded": 5}
+        assert failed.http_status() == 503
+        assert service._seq == 3 and service.queue.depth == 3
+        assert disk.read_bytes(segment) == committed
+        disk.set_full(False)
+        clock.advance(0.5)
+        retried = service.submit(
+            "telescope", KIND_ATTACK, [_attack(n) for n in range(3, 8)]
+        )
+        assert retried.accepted == 5 and retried.last_seq == 8
+        records, report = service.wal.replay()
+        assert report.torn_lines == 0
+        assert [(r.seq, r.record) for r in records] == [
+            (n + 1, _attack(n)) for n in range(8)
+        ]
+    finally:
+        service.stop()
+
+
 def test_acked_batch_survives_a_power_cut_on_the_primary():
     """Acked means fsynced: a power cut that keeps none of the unsynced
     tail loses nothing the client was answered 202 for."""
@@ -257,13 +294,14 @@ def test_corpus_trace_replays_to_recorded_outcome(path):
 def test_digest_oracle_detects_missing_fsync_barrier(monkeypatch):
     """Re-introduce the primary-rewind bug; the oracle must catch it.
 
-    The fix under guard: replication_status fsyncs before reporting, so
-    followers never learn of power-loss-volatile bytes. With flush
-    disabled, the corpus seed's schedule forks the follower digests —
-    and the shrinker must reduce the failure while keeping its
-    signature.
+    The fix under guard: a WAL commit fsyncs its batch before the ack
+    and before replication_status reports the bytes, so followers never
+    learn of power-loss-volatile bytes. With the commit writing its
+    batch but skipping the fsync, the corpus seed's schedule forks the
+    follower digests — and the shrinker must reduce the failure while
+    keeping its signature.
     """
-    monkeypatch.setattr(walmod.WriteAheadLog, "flush", lambda self: None)
+    monkeypatch.setattr(SimDisk, "fsync", lambda self, handle: None)
     config = default_spec(nodes=3, steps=60)
     trace = run_sim(0, config)
     oracles = {v.get("oracle") for v in trace["violations"]}
