@@ -79,6 +79,44 @@ class _DayState:
     sites: Set[str] = field(default_factory=set)
 
 
+#: The whole-stream sets, as named in :meth:`StreamingFusion.state_dict`.
+_GROWING_SETS = ("all_targets", "all_slash24s", "all_slash16s", "all_asns")
+
+
+def _summary_dict(summary: DaySummary) -> Dict:
+    # Field by field, in declaration order (the snapshot bytes follow
+    # it): asdict() deep-copies every value and takes over ten times as
+    # long at a few hundred days.
+    return {
+        "day": summary.day,
+        "attacks": summary.attacks,
+        "telescope_attacks": summary.telescope_attacks,
+        "honeypot_attacks": summary.honeypot_attacks,
+        "unique_targets": summary.unique_targets,
+        "targeted_slash16s": summary.targeted_slash16s,
+        "targeted_asns": summary.targeted_asns,
+        "affected_sites": summary.affected_sites,
+    }
+
+
+def _alert_dict(alert: Alert) -> Dict:
+    return {
+        "day": alert.day,
+        "metric": alert.metric,
+        "value": alert.value,
+        "baseline": alert.baseline,
+    }
+
+
+def _check_version(state: Dict) -> None:
+    version = state.get("version")
+    if version != FUSION_STATE_VERSION:
+        raise ValueError(
+            f"fusion state v{version!r}, this build reads "
+            f"v{FUSION_STATE_VERSION}"
+        )
+
+
 class StreamingFusion:
     """Incremental fusion over a time-ordered unified event stream.
 
@@ -119,6 +157,12 @@ class StreamingFusion:
         self._recent_attacks: Deque[int] = deque(maxlen=baseline_days)
         self._recent_sites: Deque[int] = deque(maxlen=baseline_days)
         self._last_ts = float("-inf")
+        # While track_additions() is on: each whole-stream set's new
+        # members since the last additions_saved(), in insertion order,
+        # and how many summaries and alerts that save covered.
+        self._added: Optional[Dict[str, List[int]]] = None
+        self._saved_summaries = 0
+        self._saved_alerts = 0
 
     # -- ingestion -----------------------------------------------------------
 
@@ -145,12 +189,21 @@ class StreamingFusion:
                 self.web_index.sites_on(event.target, event.start_day)
             )
         self.total_events += 1
-        self._all_targets.add(event.target)
-        self._all_slash24s.add(slash24(event.target))
-        self._all_slash16s.add(slash16(event.target))
-        if event.asn is not None:
-            self._all_asns.add(event.asn)
+        target = event.target
+        if target not in self._all_targets:
+            # Only a new target can bring a new /24 or /16.
+            self._add_new("all_targets", self._all_targets, target)
+            self._add_new("all_slash24s", self._all_slash24s, slash24(target))
+            self._add_new("all_slash16s", self._all_slash16s, slash16(target))
+        if event.asn is not None and event.asn not in self._all_asns:
+            self._add_new("all_asns", self._all_asns, event.asn)
         return closed
+
+    def _add_new(self, key: str, members: Set[int], value: int) -> None:
+        if value not in members:
+            members.add(value)
+            if self._added is not None:
+                self._added[key].append(value)
 
     def finish(self) -> List[DaySummary]:
         """Close the stream, flushing the open day."""
@@ -244,60 +297,126 @@ class StreamingFusion:
         web index is *configuration*, not state: a restored fusion gets it
         re-attached by the caller.
         """
-        current = None
-        if self._current is not None:
-            current = {
-                "day": self._current.day,
-                "attacks": self._current.attacks,
-                "telescope": self._current.telescope,
-                "honeypot": self._current.honeypot,
-                "targets": sorted(self._current.targets),
-                "nets": sorted(self._current.nets),
-                "asns": sorted(self._current.asns),
-                "sites": sorted(self._current.sites),
-            }
         return {
             "version": FUSION_STATE_VERSION,
             "baseline_days": self.baseline_days,
             "alert_factor": self.alert_factor,
             "outage_days": sorted(self.outage_days),
-            # Field by field, in declaration order (the snapshot bytes
-            # follow it): asdict() deep-copies every value and takes
-            # over ten times as long at a few hundred days.
-            "summaries": [
-                {
-                    "day": s.day,
-                    "attacks": s.attacks,
-                    "telescope_attacks": s.telescope_attacks,
-                    "honeypot_attacks": s.honeypot_attacks,
-                    "unique_targets": s.unique_targets,
-                    "targeted_slash16s": s.targeted_slash16s,
-                    "targeted_asns": s.targeted_asns,
-                    "affected_sites": s.affected_sites,
-                }
-                for s in self.summaries
-            ],
-            "alerts": [
-                {
-                    "day": a.day,
-                    "metric": a.metric,
-                    "value": a.value,
-                    "baseline": a.baseline,
-                }
-                for a in self.alerts
-            ],
+            "summaries": [_summary_dict(s) for s in self.summaries],
+            "alerts": [_alert_dict(a) for a in self.alerts],
             "total_events": self.total_events,
             "all_targets": sorted(self._all_targets),
             "all_slash24s": sorted(self._all_slash24s),
             "all_slash16s": sorted(self._all_slash16s),
             "all_asns": sorted(self._all_asns),
-            "current": current,
+            "current": self._current_dict(),
             "recent_attacks": list(self._recent_attacks),
             "recent_sites": list(self._recent_sites),
-            "last_ts": (
-                None if self._last_ts == float("-inf") else self._last_ts
-            ),
+            "last_ts": self._last_ts_value(),
         }
+
+    def _current_dict(self) -> Optional[Dict]:
+        current = self._current
+        if current is None:
+            return None
+        return {
+            "day": current.day,
+            "attacks": current.attacks,
+            "telescope": current.telescope,
+            "honeypot": current.honeypot,
+            "targets": sorted(current.targets),
+            "nets": sorted(current.nets),
+            "asns": sorted(current.asns),
+            "sites": sorted(current.sites),
+        }
+
+    def _last_ts_value(self) -> Optional[float]:
+        return None if self._last_ts == float("-inf") else self._last_ts
+
+    def track_additions(self) -> None:
+        """Count the current state as saved and log what grows from here.
+
+        Turns on the bookkeeping :meth:`delta_dict` reads; until then
+        ingest keeps none.
+        """
+        self._added = {key: [] for key in _GROWING_SETS}
+        self._saved_summaries = len(self.summaries)
+        self._saved_alerts = len(self.alerts)
+
+    def delta_dict(self) -> Dict:
+        """What changed since the last :meth:`additions_saved`.
+
+        The whole-stream sets and the summary and alert lists only grow,
+        so they contribute their new members; the scalars, the outage
+        days, the open day and the baselines are small and go whole.
+        :meth:`apply_delta` of this onto the state as of that save gives
+        this fusion's :meth:`state_dict`.
+        """
+        return {
+            "version": FUSION_STATE_VERSION,
+            "outage_days": sorted(self.outage_days),
+            "summaries": [
+                _summary_dict(s)
+                for s in self.summaries[self._saved_summaries:]
+            ],
+            "alerts": [
+                _alert_dict(a) for a in self.alerts[self._saved_alerts:]
+            ],
+            "total_events": self.total_events,
+            **{key: list(values) for key, values in self._added.items()},
+            "current": self._current_dict(),
+            "recent_attacks": list(self._recent_attacks),
+            "recent_sites": list(self._recent_sites),
+            "last_ts": self._last_ts_value(),
+        }
+
+    def additions_mark(self) -> tuple:
+        """Where the addition log stands; hand it to :meth:`additions_saved`
+        once the capture taken with it is durable."""
+        return (
+            len(self.summaries),
+            len(self.alerts),
+            tuple(len(values) for values in self._added.values()),
+        )
+
+    def additions_saved(self, mark: tuple) -> None:
+        """Drop from the addition log what the capture at *mark* holds."""
+        self._saved_summaries, self._saved_alerts, counts = mark
+        for values, count in zip(self._added.values(), counts):
+            del values[:count]
+
+    def apply_delta(self, delta: Dict) -> None:
+        """Fold a :meth:`delta_dict` into this fusion.
+
+        A whole :meth:`state_dict` is the delta from an empty fusion,
+        which is how :meth:`from_state_dict` loads one.
+        """
+        _check_version(delta)
+        self.outage_days.update(delta.get("outage_days", ()))
+        self.summaries.extend(DaySummary(**s) for s in delta["summaries"])
+        self.alerts.extend(Alert(**a) for a in delta["alerts"])
+        self.total_events = int(delta["total_events"])
+        self._all_targets.update(delta["all_targets"])
+        self._all_slash24s.update(delta["all_slash24s"])
+        self._all_slash16s.update(delta["all_slash16s"])
+        self._all_asns.update(delta["all_asns"])
+        current = delta.get("current")
+        self._current = None if current is None else _DayState(
+            day=current["day"],
+            attacks=current["attacks"],
+            telescope=current["telescope"],
+            honeypot=current["honeypot"],
+            targets=set(current["targets"]),
+            nets=set(current["nets"]),
+            asns=set(current["asns"]),
+            sites=set(current["sites"]),
+        )
+        self._recent_attacks.clear()
+        self._recent_attacks.extend(delta["recent_attacks"])
+        self._recent_sites.clear()
+        self._recent_sites.extend(delta["recent_sites"])
+        last_ts = delta.get("last_ts")
+        self._last_ts = float("-inf") if last_ts is None else last_ts
 
     @classmethod
     def from_state_dict(
@@ -308,49 +427,13 @@ class StreamingFusion:
         Raises :class:`ValueError` on a version the build does not read —
         snapshot loaders turn that into a fall-back to an older snapshot.
         """
-        version = state.get("version")
-        if version != FUSION_STATE_VERSION:
-            raise ValueError(
-                f"fusion state v{version!r}, this build reads "
-                f"v{FUSION_STATE_VERSION}"
-            )
+        _check_version(state)
         fusion = cls(
             web_index=web_index,
             baseline_days=int(state["baseline_days"]),
             alert_factor=float(state["alert_factor"]),
-            outage_days=state.get("outage_days", ()),
         )
-        fusion.summaries = [DaySummary(**s) for s in state["summaries"]]
-        fusion.alerts = [
-            Alert(
-                day=a["day"],
-                metric=a["metric"],
-                value=a["value"],
-                baseline=a["baseline"],
-            )
-            for a in state["alerts"]
-        ]
-        fusion.total_events = int(state["total_events"])
-        fusion._all_targets = set(state["all_targets"])
-        fusion._all_slash24s = set(state["all_slash24s"])
-        fusion._all_slash16s = set(state["all_slash16s"])
-        fusion._all_asns = set(state["all_asns"])
-        current = state.get("current")
-        if current is not None:
-            fusion._current = _DayState(
-                day=current["day"],
-                attacks=current["attacks"],
-                telescope=current["telescope"],
-                honeypot=current["honeypot"],
-                targets=set(current["targets"]),
-                nets=set(current["nets"]),
-                asns=set(current["asns"]),
-                sites=set(current["sites"]),
-            )
-        fusion._recent_attacks.extend(state["recent_attacks"])
-        fusion._recent_sites.extend(state["recent_sites"])
-        last_ts = state.get("last_ts")
-        fusion._last_ts = float("-inf") if last_ts is None else last_ts
+        fusion.apply_delta(state)
         return fusion
 
     def state_digest(self) -> str:

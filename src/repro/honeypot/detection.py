@@ -117,15 +117,18 @@ def detect_columns(
         capped = np.searchsorted(starts, cap_splits) - 1
         end_ts[capped] = np.minimum(end_ts[capped], first_ts[capped] + cap)
 
+    # Distinct honeypots per kept flow: mark each (flow, honeypot) pair
+    # in a presence table, then count each row's marks.
     flow_of_row = np.cumsum(new_flow) - 1
-    keep = np.zeros(len(starts), dtype=bool)
-    keep[kept] = True
-    kept_rows = np.flatnonzero(keep[flow_of_row])
-    n_ids = int(log.honeypot_id.max()) + 1
-    pairs = np.unique(
-        flow_of_row[kept_rows] * n_ids + log.honeypot_id[order[kept_rows]]
+    kept_index = np.full(len(starts), -1)
+    kept_index[kept] = np.arange(len(kept))
+    row_flow = kept_index[flow_of_row]
+    kept_rows = np.flatnonzero(row_flow >= 0)
+    present = np.zeros(
+        (len(kept), int(log.honeypot_id.max()) + 1), dtype=bool
     )
-    honeypots = np.bincount(pairs // n_ids, minlength=len(starts))
+    present[row_flow[kept_rows], log.honeypot_id[order[kept_rows]]] = True
+    honeypots = present.sum(axis=1)
 
     events = [
         AmpPotEvent(
@@ -143,7 +146,7 @@ def detect_columns(
             end_ts[kept].tolist(),
             protocol[starts[kept]].tolist(),
             requests[kept].tolist(),
-            honeypots[kept].tolist(),
+            honeypots.tolist(),
         )
     ]
     events.sort(key=lambda event: (event.start_ts, event.victim, event.protocol))

@@ -45,6 +45,9 @@ class QueueEntry:
     #: The record's canonical JSON, encoded once at intake: its WAL
     #: line's record and, for an attack event, the text the store keeps.
     text: Optional[str] = None
+    #: Service-clock time the entry was pushed (after its WAL commit),
+    #: for ``serve_queue_wait_seconds``.
+    enqueued_at: float = 0.0
 
 
 @dataclass

@@ -12,9 +12,13 @@ Data path (one-way, deterministic)::
       buffer the WAL lines
       commit: one write, one fsync
         (ack point) ---------------------->  take batch from queue
-      push to admission queue               apply to LiveFusedStore
-      tombstone any drop-oldest               (keeps the intake text)
-    ack 202 / 503+Retry-After               rolling snapshot when due
+      push to admission queue               (observe its oldest's wait)
+        (stamped with the push time)        apply to LiveFusedStore
+      tombstone any drop-oldest               (keeps the intake text,
+    ack 202 / 503+Retry-After                  logs it for the next delta)
+                                            rolling snapshot when due:
+                                              a base (whole state) first,
+                                              then deltas (what changed)
 
 Each record is encoded once, at intake: the same canonical JSON text is
 the record inside its WAL line and, for an attack event whose
@@ -22,10 +26,12 @@ normalized form equals the record, the text the store keeps and
 snapshots. The *ack point* is the WAL commit: a batch answered 202 is
 written and fsynced before the client hears back, so neither ``kill
 -9`` nor a power cut anywhere in this diagram loses anything
-acknowledged. Recovery is therefore snapshot-load + WAL replay, and
-because every apply is a deterministic function of (state, record) —
-including the rejections — the recovered store is value-identical to
-one that never crashed.
+acknowledged. Recovery is therefore snapshot-chain load (the newest
+base that verifies, plus its deltas) + WAL replay, and because every
+apply is a deterministic function of (state, record) — including the
+rejections — the recovered store is value-identical to one that never
+crashed. A rolling snapshot costs the records applied since the last
+one, not the whole store (:mod:`repro.serve.snapshot`).
 
 Supervision: the applier carries a heartbeat the watchdog thread checks
 (the same contract the batch executor's
@@ -59,7 +65,7 @@ from repro.serve.replication import (
     ShipperCursor,
     WalShipper,
 )
-from repro.serve.snapshot import SnapshotManager, snapshot_stage_name
+from repro.serve.snapshot import SnapshotManager
 from repro.serve.state import (
     LiveFusedStore,
     validate_dps_record,
@@ -90,6 +96,13 @@ ROLE_CODES = {ROLE_PRIMARY: 0, ROLE_REPLICA: 1, ROLE_FENCED: 2}
 
 #: Seconds :meth:`LiveIngestService.drain` waits for the backlog.
 DRAIN_TIMEOUT_S = 30.0
+
+#: ``serve_queue_wait_seconds`` buckets: sub-millisecond when the
+#: applier keeps up, up to seconds behind a snapshot or a burst.
+QUEUE_WAIT_BUCKETS = (
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+    0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
+)
 
 #: ``serve_snapshot_seconds`` buckets: a few ms for a fresh store, tens
 #: of ms at ten thousand applied records, seconds for a large one.
@@ -146,6 +159,8 @@ class RecoveryInfo:
     """What recovery did at the last start."""
 
     snapshot_seq: int = 0
+    #: Delta snapshots folded onto the base to reach ``snapshot_seq``.
+    snapshot_deltas: int = 0
     replayed: int = 0
     torn_lines: int = 0
     tail_trimmed_bytes: int = 0
@@ -160,6 +175,7 @@ class RecoveryInfo:
     def to_dict(self) -> dict:
         return {
             "snapshot_seq": self.snapshot_seq,
+            "snapshot_deltas": self.snapshot_deltas,
             "replayed": self.replayed,
             "torn_lines": self.torn_lines,
             "tail_trimmed_bytes": self.tail_trimmed_bytes,
@@ -300,6 +316,11 @@ class LiveIngestService:
             "serve_snapshot_seconds",
             "snapshot save wall time (state capture, write, fsyncs)",
             buckets=SNAPSHOT_BUCKETS,
+        )
+        self._m_queue_wait = registry.histogram(
+            "serve_queue_wait_seconds",
+            "admission-queue wait of each applied batch's oldest entry",
+            buckets=QUEUE_WAIT_BUCKETS,
         )
         self._m_recovery_s = registry.gauge(
             "serve_recovery_duration_seconds",
@@ -452,9 +473,9 @@ class LiveIngestService:
         tail_segments = self.wal.segments()
         if tail_segments:
             info.tail_trimmed_bytes = self.wal.repair_tail(tail_segments[-1])
-        # Newest snapshot that both verifies (checksums, at the store
-        # layer) and decodes (state version, here). Either failure mode
-        # discards the snapshot and falls back one generation — the WAL
+        # Newest snapshot chain that both verifies (checksums, at the
+        # store layer) and decodes (state version). Either failure mode
+        # discards the snapshot and falls back along the chain — the WAL
         # still covers the widened gap.
         while True:
             loaded = self.snapshots.load_newest_valid()
@@ -467,7 +488,9 @@ class LiveIngestService:
                     payload["state"], metrics=self.metrics
                 )
                 info.snapshot_seq = int(payload["seq"])
+                info.snapshot_deltas = loaded.deltas
                 info.fresh_start = False
+                self.snapshots.resume(loaded)
                 break
             except (ValueError, KeyError, TypeError) as exc:
                 log.warning(
@@ -475,8 +498,10 @@ class LiveIngestService:
                     seq=loaded.seq,
                     error=str(exc),
                 )
-                self.snapshots.store.discard(snapshot_stage_name(loaded.seq))
+                self.snapshots.discard(loaded.seq)
                 info.discarded_snapshots += 1
+        # What replay applies belongs in the next delta.
+        self.store.track_changes()
         records, report = self.wal.replay(after_seq=info.snapshot_seq)
         info.torn_lines = report.torn_lines
         info.replay_duplicates = report.duplicate_seqs
@@ -512,6 +537,7 @@ class LiveIngestService:
             log.info(
                 "state recovered",
                 snapshot_seq=info.snapshot_seq,
+                snapshot_deltas=info.snapshot_deltas,
                 replayed=info.replayed,
                 torn=info.torn_lines,
                 discarded_snapshots=info.discarded_snapshots,
@@ -707,29 +733,33 @@ class LiveIngestService:
         texts = [canonical_json(record) for record in valid]
         degraded_before = self.degraded
         with self._intake_lock:
-            entries = [
-                QueueEntry(
-                    seq=self._seq + index, kind=kind, feed=feed,
-                    record=record, text=text,
-                )
-                for index, (record, text) in enumerate(
-                    zip(valid, texts), start=1
-                )
-            ]
             # The ack point: one write and one fsync commit the batch. A
             # failed commit cut every line of it away again, so nothing
             # is acked and the sequence numbers are reused.
             error: Optional[OSError] = None
+            entries: List[QueueEntry] = []
             try:
-                for entry in entries:
+                for index, (record, text) in enumerate(
+                    zip(valid, texts), start=1
+                ):
                     self.wal.append(
-                        entry.seq, kind, entry.record, trace=trace,
-                        text=entry.text,
+                        self._seq + index, kind, record, trace=trace,
+                        text=text,
                     )
                 self.wal.flush()
             except OSError as exc:
                 error = exc
-                entries = []
+            else:
+                enqueued_at = self._clock()
+                entries = [
+                    QueueEntry(
+                        seq=self._seq + index, kind=kind, feed=feed,
+                        record=record, text=text, enqueued_at=enqueued_at,
+                    )
+                    for index, (record, text) in enumerate(
+                        zip(valid, texts), start=1
+                    )
+                ]
             self._seq += len(entries)
             if error is not None:
                 self._enter_degraded("append", error)
@@ -994,7 +1024,9 @@ class LiveIngestService:
             self.store = store
             self._seq = seq
             self._applied_seq = seq
+            # A store from elsewhere starts a lineage of its own: a base.
             self.snapshots.save(seq, {"seq": seq, "state": store.state_dict()})
+            store.track_changes()
             self.wal.close()
             for path in self.wal.segments():
                 try:
@@ -1117,6 +1149,7 @@ class LiveIngestService:
             log.exception("applier thread died", applied_seq=self._applied_seq)
 
     def _apply_batch(self, batch: List[QueueEntry]) -> None:
+        self._m_queue_wait.observe(self._clock() - batch[0].enqueued_at)
         delay = self.config.apply_delay
         for entry in batch:
             if delay:
@@ -1206,12 +1239,27 @@ class LiveIngestService:
         with self._snapshot_lock:
             started = time.perf_counter()
             seq = self._applied_seq
-            payload = {"seq": seq, "state": self.store.state_dict()}
-            try:
-                self.snapshots.save(seq, payload)
-                self._m_snapshot_seconds.observe(
-                    time.perf_counter() - started
+            store = self.store
+            head = self.snapshots.head
+            # The chain head already holds the state at its seq.
+            due = seq != head
+            if due:
+                base = self.snapshots.wants_base(
+                    store.applied_events + store.applied_dps
                 )
+                document, mark = store.capture(delta=not base)
+                payload = (
+                    {"seq": seq, "state": document} if base
+                    else {"seq": seq, "prev": head, "delta": document}
+                )
+            try:
+                if due:
+                    self.snapshots.save(seq, payload)
+                    # Saved: the change log may let go of what it holds.
+                    store.capture_saved(mark)
+                    self._m_snapshot_seconds.observe(
+                        time.perf_counter() - started
+                    )
                 # Rotate under the intake lock: concurrent appends must
                 # not race the segment switch, and the fresh segment
                 # starts above every sequence number handed out so far.
@@ -1221,16 +1269,18 @@ class LiveIngestService:
                 # A full disk must not kill the applier: note it, stay
                 # on the current WAL segment, and let the next due
                 # snapshot (or ingest probe) retry. Nothing acked is at
-                # risk — the WAL that backs this state is still intact.
+                # risk — the WAL that backs this state is still intact,
+                # and an unsaved capture's changes stay in the change
+                # log for the next delta.
                 self._enter_degraded("snapshot", exc)
                 return
-            # Prune only up to the *oldest retained* snapshot, not this
-            # one: if this snapshot is later found corrupt, recovery
-            # falls back to an older one and needs the WAL span between
-            # them intact.
-            retained = self.snapshots.seqs()
-            if retained and not self.config.wal_keep_all:
-                self.wal.prune(retained[0])
+            # Prune only up to the *oldest retained* base, not this
+            # snapshot: if a later element is found corrupt, recovery
+            # falls back along the chain and needs the WAL span after
+            # the last element it can use intact.
+            oldest = self.snapshots.oldest_base_seq()
+            if oldest is not None and not self.config.wal_keep_all:
+                self.wal.prune(oldest)
             self._applied_since_snapshot = 0
             self._last_snapshot_at = self._clock()
             self._m_snapshot_age.set(0.0)

@@ -13,6 +13,10 @@ O(1) per request while the stream is still flowing:
 * ``/24 and /16 prefix -> victim set`` (prefix queries without scans);
 * ``domain -> latest DPS status record``.
 
+Under a snapshot chain the store also logs what changed since the last
+snapshot (:meth:`LiveFusedStore.track_changes`), so a delta snapshot
+costs the records applied since, not the whole store.
+
 Everything here is deterministic: applying the same record sequence to a
 fresh store — in one process or across any number of crash/recover
 cycles — produces the same :meth:`state_digest`. That property is what
@@ -25,7 +29,7 @@ import hashlib
 import json
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.events import AttackEvent, event_from_dict, event_to_dict
 from repro.core.streaming import FUSION_STATE_VERSION, StreamingFusion
@@ -129,6 +133,11 @@ class LiveFusedStore:
         self._victims_by_slash24: Dict[int, Set[int]] = {}
         self._victims_by_slash16: Dict[int, Set[int]] = {}
         self._dps: Dict[str, dict] = {}
+        # The change log a delta snapshot reads, on from track_changes():
+        # each accepted event as (victim, its text in the ring) in apply
+        # order, and each DPS domain whose record changed, with it.
+        self._new_events: Optional[List[Tuple[int, str]]] = None
+        self._new_dps: Dict[str, dict] = {}
         registry = metrics if metrics is not None else get_registry()
         self._m_applied = registry.counter(
             "serve_applied_total", "records applied to the fused store",
@@ -157,20 +166,25 @@ class LiveFusedStore:
             text = canonical_json(normalized)
         with self._lock:
             self.fusion.ingest(event)
-            victim = event.target
-            ring = self._by_victim.get(victim)
-            if ring is None:
-                ring = deque(maxlen=self.max_events_per_victim)
-                self._by_victim[victim] = ring
-            ring.append(text)
+            self._ring(event.target).append(text)
+            if self._new_events is not None:
+                self._new_events.append((event.target, text))
+            self.applied_events += 1
+        self._m_applied.inc(kind="attack")
+
+    def _ring(self, victim: int) -> Deque[str]:
+        """The victim's event ring, made and prefix-indexed on first use."""
+        ring = self._by_victim.get(victim)
+        if ring is None:
+            ring = deque(maxlen=self.max_events_per_victim)
+            self._by_victim[victim] = ring
             self._victims_by_slash24.setdefault(
                 slash24(victim), set()
             ).add(victim)
             self._victims_by_slash16.setdefault(
                 slash16(victim), set()
             ).add(victim)
-            self.applied_events += 1
-        self._m_applied.inc(kind="attack")
+        return ring
 
     def apply_dps(self, record: dict) -> None:
         """Apply one validated DPS status record (latest-by-day wins)."""
@@ -180,6 +194,8 @@ class LiveFusedStore:
             current = self._dps.get(domain)
             if current is None or normalized["day"] >= current["day"]:
                 self._dps[domain] = normalized
+                if self._new_events is not None:
+                    self._new_dps[domain] = normalized
             self.applied_dps += 1
         self._m_applied.inc(kind="dps")
 
@@ -293,21 +309,96 @@ class LiveFusedStore:
                 events = [canonical_json(event) for event in events]
             elif not all(isinstance(text, str) for text in events):
                 raise TypeError(f"victim {victim} holds a non-text event")
-            ring: Deque[str] = deque(
-                events, maxlen=store.max_events_per_victim
-            )
-            store._by_victim[victim] = ring
-            store._victims_by_slash24.setdefault(
-                slash24(victim), set()
-            ).add(victim)
-            store._victims_by_slash16.setdefault(
-                slash16(victim), set()
-            ).add(victim)
+            store._ring(victim).extend(events)
         store._dps = {
             domain: dict(record)
             for domain, record in state["dps"].items()
         }
         return store
+
+    def track_changes(self) -> None:
+        """Count the current state as saved and log what changes from here.
+
+        The log is what :meth:`delta_dict` reads: references to the
+        texts already in the rings, not copies. A store no snapshot
+        chain follows never turns it on.
+        """
+        with self._lock:
+            self._new_events = []
+            self._new_dps = {}
+            self.fusion.track_additions()
+
+    def delta_dict(self) -> dict:
+        """What changed since the last :meth:`capture_saved`, for a delta
+        snapshot: the accepted events in apply order, the DPS records
+        that changed, the applied counters and the fusion's additions.
+        :meth:`apply_delta` of this onto the state as of that save gives
+        this store's :meth:`state_dict`."""
+        with self._lock:
+            if self._new_events is None:
+                raise RuntimeError("delta_dict needs track_changes() first")
+            return {
+                "version": STORE_STATE_VERSION,
+                "applied_events": self.applied_events,
+                "applied_dps": self.applied_dps,
+                "events": list(self._new_events),
+                "dps": dict(self._new_dps),
+                "fusion": self.fusion.delta_dict(),
+            }
+
+    def capture(self, delta: bool) -> Tuple[dict, tuple]:
+        """One snapshot's document and its change-log mark, read together.
+
+        The document is :meth:`state_dict`, or with *delta*
+        :meth:`delta_dict`. The log keeps everything until
+        :meth:`capture_saved` gets the mark, so a save that fails leaves
+        its changes for the next snapshot.
+        """
+        with self._lock:
+            document = self.delta_dict() if delta else self.state_dict()
+            mark = (
+                len(self._new_events),
+                dict(self._new_dps),
+                self.fusion.additions_mark(),
+            )
+        return document, mark
+
+    def capture_saved(self, mark: tuple) -> None:
+        """Drop from the change log what the capture at *mark* holds."""
+        events, dps, fusion_mark = mark
+        with self._lock:
+            del self._new_events[:events]
+            for domain, record in dps.items():
+                if self._new_dps.get(domain) is record:
+                    del self._new_dps[domain]
+            self.fusion.additions_saved(fusion_mark)
+
+    def apply_delta(self, delta: dict) -> None:
+        """Fold a :meth:`delta_dict` into this store.
+
+        Each event goes onto its victim's ring, whose bound evicts
+        exactly what it evicted live. The version and the event texts
+        are checked before anything changes, so a delta of another
+        build raises and leaves the store as it was.
+        """
+        version = delta.get("version")
+        if version != STORE_STATE_VERSION:
+            raise ValueError(
+                f"store delta v{version!r}, this build reads "
+                f"v{STORE_STATE_VERSION}"
+            )
+        events = delta["events"]
+        if not all(isinstance(text, str) for _, text in events):
+            raise TypeError("delta holds a non-text event")
+        fusion = delta["fusion"]
+        with self._lock:
+            self.fusion.apply_delta(fusion)
+            for victim, text in events:
+                self._ring(int(victim)).append(text)
+            for domain, record in delta["dps"].items():
+                self._dps[domain] = dict(record)
+            self.applied_events = int(delta["applied_events"])
+            self.applied_dps = int(delta["applied_dps"])
 
     def state_digest(self) -> str:
         """SHA-256 of the canonical state: the equivalence oracle the

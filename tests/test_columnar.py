@@ -430,6 +430,16 @@ class TestHoneypotOracle:
         ]
         assert [e.honeypots for e in events] == [3, 3, 3]
 
+    def test_repeated_honeypots_count_once_per_capped_flow(self):
+        config = DetectionConfig(gap_timeout=10.0, min_requests=0,
+                                 max_event_duration=30.0)
+        ids = [0, 0, 4, 0, 4, 4, 2, 2, 2, 2, 0, 2, 7, 7, 7, 7, 7, 7, 7, 7]
+        batches = [requests(t * 5, honeypot=h) for t, h in enumerate(ids)]
+        events = _honeypot_oracle(config, batches)
+        assert [(e.start_ts, e.honeypots) for e in events] == [
+            (0.0, 3), (35.0, 3), (70.0, 1)
+        ]
+
     def test_gap_equal_to_timeout_continues_the_flow(self):
         config = DetectionConfig(gap_timeout=3600.0, min_requests=0)
         assert len(_honeypot_oracle(config, [requests(0), requests(3600)])) == 1

@@ -18,6 +18,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.admission import AdmissionQueue, QueueEntry
 from repro.serve.disk import LocalDisk
 from repro.serve.service import (
+    QUEUE_WAIT_BUCKETS,
     SNAPSHOT_BUCKETS,
     LiveIngestService,
     ServeConfig,
@@ -214,6 +215,21 @@ class TestSnapshotManager:
         for seq in (10, 20, 30):
             manager.save(seq, {"seq": seq})
         assert manager.seqs() == [20, 30]
+
+    def test_retention_counts_bases_and_keeps_their_deltas(self, tmp_path):
+        manager = SnapshotManager(tmp_path, keep=2)
+        manager.save(10, {"seq": 10})
+        manager.save(20, {"seq": 20, "prev": 10, "delta": {}})
+        manager.save(30, {"seq": 30})
+        manager.save(40, {"seq": 40, "prev": 30, "delta": {}})
+        assert manager.seqs() == [10, 20, 30, 40]
+        manager.save(50, {"seq": 50})
+        assert manager.names() == [
+            snapshot_stage_name(30),
+            snapshot_stage_name(40, delta=True),
+            snapshot_stage_name(50),
+        ]
+        assert manager.oldest_base_seq() == 30
 
     def test_load_newest(self, tmp_path):
         manager = SnapshotManager(tmp_path, keep=2)
@@ -485,6 +501,37 @@ class TestLiveIngestService:
             service.stop()
 
 
+def test_queue_wait_observed_once_per_applied_batch(tmp_path):
+    """The wait of each applied batch's oldest entry, on the service
+    clock: entries stamped when pushed, observed when applied."""
+    now = [100.0]
+    service = LiveIngestService(
+        ServeConfig(data_dir=tmp_path, manual_drive=True, apply_batch=4),
+        metrics=MetricsRegistry(),
+        clock=lambda: now[0],
+    )
+    service.start()
+    try:
+        assert service.submit(
+            "telescope", KIND_ATTACK, [attack(i) for i in range(3)]
+        ).accepted == 3
+        now[0] += 0.5
+        assert service.submit(
+            "telescope", KIND_ATTACK, [attack(i) for i in range(3, 6)]
+        ).accepted == 3
+        now[0] += 0.25
+        assert service.tick_apply() == 4  # oldest pushed 0.75 s ago
+        now[0] += 1.0
+        assert service.tick_apply() == 2  # oldest pushed 1.25 s ago
+        wait = service.metrics.histogram(
+            "serve_queue_wait_seconds", buckets=QUEUE_WAIT_BUCKETS
+        )
+        assert wait.count() == 2
+        assert wait.sum() == pytest.approx(2.0)
+    finally:
+        service.stop()
+
+
 class TestSnapshotSave:
     """Each snapshot save is timed; a failed one degrades, leaves no file."""
 
@@ -510,6 +557,10 @@ class TestSnapshotSave:
         service = self.make(tmp_path)
         service.start()
         self.ingest(service, 3)
+        assert service.submit(
+            "telescope", KIND_ATTACK, [attack(30 + i) for i in range(5)]
+        ).accepted == 5
+        assert service.tick_apply() == 5
         assert service.drain(timeout=10)
         registry = service.metrics
         # Three rolling snapshots (one per 10 applied) and the drain's.
@@ -522,6 +573,15 @@ class TestSnapshotSave:
         assert "serve_snapshot_seconds_count 4" in (
             registry.render_prometheus()
         )
+
+    def test_drain_at_the_chain_head_writes_nothing(self, tmp_path):
+        """The head snapshot already holds the state at its seq."""
+        service = self.make(tmp_path)
+        service.start()
+        self.ingest(service, 2)
+        assert service.drain(timeout=10)
+        assert service.metrics.value("serve_snapshots_total") == 2
+        assert service.snapshots.seqs() == [10, 20]
 
     def test_enospc_mid_save_degrades_and_leaves_no_file(
         self, tmp_path, full_checkpoint_disk

@@ -20,7 +20,6 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.service import LiveIngestService, ServeConfig
-from repro.serve.snapshot import snapshot_stage_name
 from repro.serve.state import LiveFusedStore
 from repro.serve.wal import KIND_ATTACK, KIND_DPS
 from repro.store.checkpoint import CheckpointStore
@@ -184,8 +183,12 @@ def test_corrupt_newest_snapshot_falls_back_to_older(tmp_path):
 
     store = CheckpointStore(data_dir)
     seqs = service.snapshots.seqs()
+    names = service.snapshots.names()
     assert len(seqs) >= 2, "drill needs at least two rolling snapshots"
-    payload = store.payload_path(snapshot_stage_name(seqs[-1]))
+    # The chain: one base, then deltas.
+    assert not names[0].endswith("-delta")
+    assert names[-1].endswith("-delta")
+    payload = store.payload_path(names[-1])
     payload.write_bytes(b"\x00garbage\x00" + payload.read_bytes())
 
     recovered = service_at(data_dir, snapshot_every=10)
@@ -229,8 +232,8 @@ def test_corrupt_newest_two_snapshots_fall_back_to_third(tmp_path):
     store = CheckpointStore(data_dir)
     seqs = service.snapshots.seqs()
     assert len(seqs) >= 3, "drill needs at least three rolling snapshots"
-    for seq in seqs[-2:]:
-        payload = store.payload_path(snapshot_stage_name(seq))
+    for name in service.snapshots.names()[-2:]:
+        payload = store.payload_path(name)
         payload.write_bytes(b"\x00garbage\x00" + payload.read_bytes())
 
     recovered = LiveIngestService(config, metrics=MetricsRegistry())
@@ -270,8 +273,8 @@ def test_every_snapshot_corrupt_replays_wal_from_seq_zero(tmp_path):
     store = CheckpointStore(data_dir)
     seqs = service.snapshots.seqs()
     assert seqs, "drill needs snapshots to corrupt"
-    for seq in seqs:
-        payload = store.payload_path(snapshot_stage_name(seq))
+    for name in service.snapshots.names():
+        payload = store.payload_path(name)
         payload.write_bytes(b"\x00garbage\x00" + payload.read_bytes())
 
     recovered = LiveIngestService(config, metrics=MetricsRegistry())
