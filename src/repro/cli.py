@@ -337,11 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "applied (default: 30)",
     )
     serve.add_argument(
-        "--snapshot-keep", type=int, default=2, metavar="N",
-        help="rolling snapshots to retain; older ones are fall-backs "
-             "when the newest fails verification (default: 2)",
-    )
-    serve.add_argument(
         "--max-events-per-victim", type=int, default=256, metavar="N",
         help="per-victim query ring bound (default: 256)",
     )
@@ -899,7 +894,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         retry_after=args.retry_after,
         snapshot_every_events=args.snapshot_every,
         snapshot_interval_s=args.snapshot_interval,
-        snapshot_keep=args.snapshot_keep,
         max_events_per_victim=args.max_events_per_victim,
         apply_delay=args.apply_delay,
         replica_of=args.replica_of,

@@ -45,12 +45,12 @@ Catch-up
 --------
 
 A follower whose cursor has fallen below the primary's oldest retained
-WAL segment (pruning runs up to the oldest retained snapshot) cannot
-catch up from the log alone: it **bootstraps** — fetches the primary's
-newest snapshot, resets its store and local WAL at that sequence, and
-resumes streaming from there. Catch-up cost is therefore bounded by one
-snapshot plus one snapshot-interval of WAL, regardless of how long the
-follower was away.
+WAL segment (pruning runs up to the older of the two newest snapshot
+bases) cannot catch up from the log alone: it **bootstraps** — fetches
+the primary's newest snapshot, saves it as a base of its own, resets
+its store and local WAL at that sequence, and resumes streaming from
+there. Catch-up cost is therefore bounded by one snapshot plus the WAL
+after it, regardless of how long the follower was away.
 """
 
 from __future__ import annotations
@@ -493,7 +493,14 @@ class WalShipper:
             self._stop.wait(self.poll_interval)
 
     def poll_once(self) -> dict:
-        """One full replication cycle; returns the primary status seen."""
+        """One full replication cycle; returns the primary status seen.
+
+        A stopped shipper refuses: its node may since have been promoted,
+        and committing from the old primary would collide with the
+        sequence numbers it now hands out itself.
+        """
+        if self._stop.is_set():
+            raise ReplicationError("shipper stopped; refusing to poll")
         self.polls += 1
         self._m_polls.inc()
         # One trace per cycle: every fetch this poll performs carries it,

@@ -62,6 +62,7 @@ from repro.serve.replication import (
     ROLE_FENCED,
     ROLE_PRIMARY,
     ROLE_REPLICA,
+    ReplicationError,
     ShipperCursor,
     WalShipper,
 )
@@ -123,7 +124,6 @@ class ServeConfig:
     retry_after: float = 1.0
     snapshot_every_events: int = 2000
     snapshot_interval_s: float = 30.0
-    snapshot_keep: int = 2
     max_events_per_victim: int = 256
     baseline_days: int = 7
     alert_factor: float = 3.0
@@ -148,10 +148,6 @@ class ServeConfig:
     #: and ``shipper.poll_once()`` itself. The deterministic simulation
     #: harness is the intended driver.
     manual_drive: bool = False
-    #: Never prune WAL segments. Keeps the full log from sequence 1
-    #: available for the offline replay oracle (digest checking) at the
-    #: cost of unbounded disk — simulation and deep-recovery tests only.
-    wal_keep_all: bool = False
 
 
 @dataclass
@@ -236,7 +232,6 @@ class LiveIngestService:
             snapshot_store
             if snapshot_store is not None
             else CheckpointStore(self.data_dir, metrics=registry),
-            keep=config.snapshot_keep,
             metrics=registry,
         )
         self.store = LiveFusedStore(
@@ -955,6 +950,7 @@ class LiveIngestService:
         if not batch:
             return 0
         with self._intake_lock:
+            self._require_replica("replicated commit")
             try:
                 for record in batch:
                     self.wal.append(
@@ -1013,31 +1009,37 @@ class LiveIngestService:
         """Replace local state wholesale with a primary snapshot.
 
         The catch-up reset for a follower whose cursor fell below the
-        primary's pruned WAL. Save-then-wipe ordering is crash-safe:
-        dying between the local snapshot save and the WAL wipe leaves
-        only WAL records at or below the new snapshot sequence, which
-        replay skips; dying before the save leaves the previous local
-        state intact and the next poll bootstraps again.
+        primary's pruned WAL. The snapshot is saved before anything
+        else changes, so a failed save (a full disk) leaves this node
+        exactly as it was and the next poll bootstraps again. Dying
+        between the save and the WAL reset leaves only WAL records at
+        or below the new snapshot sequence, which replay skips.
         """
         store = LiveFusedStore.from_state_dict(state, metrics=self.metrics)
         with self._snapshot_lock, self._intake_lock:
-            self.store = store
-            self._seq = seq
-            self._applied_seq = seq
+            self._require_replica("bootstrap")
             # A store from elsewhere starts a lineage of its own: a base.
             self.snapshots.save(seq, {"seq": seq, "state": store.state_dict()})
             store.track_changes()
-            self.wal.close()
-            for path in self.wal.segments():
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    pass
-            self.wal.open_segment(seq + 1)
+            self.store = store
+            self._seq = seq
+            self._applied_seq = seq
+            self.wal.reset(seq + 1)
             self._applied_since_snapshot = 0
             self._last_snapshot_at = self._clock()
             self._recovery_base = store.applied_events + store.applied_dps
         log.info("bootstrapped from snapshot", seq=seq)
+
+    def _require_replica(self, what: str) -> None:
+        """Refuse a replication write on a node that is not a replica.
+
+        A promoted node must not go on committing from its old primary:
+        those sequence numbers would collide with its own.
+        """
+        if self.cluster.role != ROLE_REPLICA:
+            raise ReplicationError(
+                f"{what} refused: this node is {self.cluster.role}"
+            )
 
     def promote(self) -> dict:
         """Take over as primary: stop streaming, bump the epoch, open up.
@@ -1274,13 +1276,13 @@ class LiveIngestService:
                 # log for the next delta.
                 self._enter_degraded("snapshot", exc)
                 return
-            # Prune only up to the *oldest retained* base, not this
-            # snapshot: if a later element is found corrupt, recovery
-            # falls back along the chain and needs the WAL span after
-            # the last element it can use intact.
-            oldest = self.snapshots.oldest_base_seq()
-            if oldest is not None and not self.config.wal_keep_all:
-                self.wal.prune(oldest)
+            # Prune only up to the older of the two newest bases, not
+            # this snapshot: if a later element is found corrupt,
+            # recovery falls back along the chain and needs the WAL span
+            # after the last element it can use intact.
+            upto = self.snapshots.wal_prune_seq()
+            if upto is not None:
+                self.wal.prune(upto)
             self._applied_since_snapshot = 0
             self._last_snapshot_at = self._clock()
             self._m_snapshot_age.set(0.0)

@@ -20,8 +20,11 @@ the one before, a server writes O(log N) bases over N records, snapshot
 work stays O(1) per record amortized, and recovery reads at most
 ``1 + K`` times a base.
 
-Retention keeps the newest ``keep`` bases and every delta after the
-oldest of them, and the service prunes the WAL only up to that base.
+Retention keeps the newest :data:`KEEP_BASES` (two) bases and every
+delta after the older of them. The service prunes the WAL up to that
+older base (:meth:`SnapshotManager.wal_prune_seq`), and prunes nothing
+while only one base exists: a lone base is never a prune point, since
+if it failed to verify nothing older would be left to rebuild from.
 Loading takes the newest base that verifies and folds in the deltas
 after it along their ``prev`` links. The first delta that fails
 verification (or does not follow) ends the chain: it and every later
@@ -50,6 +53,9 @@ DELTA_SUFFIX = "-delta"
 #: hold more than this many times the base's applied records. A larger
 #: factor writes fewer bases but lets recovery fold longer chains.
 COMPACT_FACTOR = 8
+
+#: Bases retention keeps: the newest, and one to fall back on.
+KEEP_BASES = 2
 
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{12})(-delta)?$")
 
@@ -92,11 +98,8 @@ class SnapshotManager:
     def __init__(
         self,
         store: Union[str, Path, CheckpointStore],
-        keep: int = 2,
         metrics=None,
     ) -> None:
-        if keep < 1:
-            raise ValueError("must keep at least one snapshot")
         # Paths become real CheckpointStores; anything else only has to
         # duck-type stages/save/load/discard — the simulation harness
         # substitutes an in-memory store with seeded corruption here.
@@ -105,7 +108,6 @@ class SnapshotManager:
             if isinstance(store, (str, Path))
             else store
         )
-        self.keep = keep
         #: Sequence number of the chain element this node saved (or
         #: resumed from) last: the ``prev`` of its next delta. None
         #: makes the next snapshot a base.
@@ -144,10 +146,12 @@ class SnapshotManager:
         """Stage names of the bases and deltas on disk, by seq."""
         return [name for _, name, _ in self._elements()]
 
-    def oldest_base_seq(self) -> Optional[int]:
-        """The oldest retained base: the WAL after it must stay."""
+    def wal_prune_seq(self) -> Optional[int]:
+        """How far the WAL may be pruned: the older of the two newest
+        bases. None while only one base exists, so that a base that
+        fails to verify always leaves the WAL from before it."""
         bases = [seq for seq, _, delta in self._elements() if not delta]
-        return bases[0] if bases else None
+        return bases[-KEEP_BASES] if len(bases) >= KEEP_BASES else None
 
     def wants_base(self, applied: int) -> bool:
         """Whether a snapshot at *applied* records must be a base."""
@@ -179,7 +183,7 @@ class SnapshotManager:
         bases = [
             seq for seq, _, delta in elements if not delta and seq <= base_seq
         ]
-        oldest = bases[-self.keep:][0]
+        oldest = bases[-KEEP_BASES:][0]
         for seq, name, delta in elements:
             # Past the new base (or beside it, as a delta) lies a history
             # it replaces: a follower's pre-bootstrap state.
@@ -286,6 +290,7 @@ class SnapshotManager:
 
 __all__ = [
     "COMPACT_FACTOR",
+    "KEEP_BASES",
     "SNAPSHOT_PREFIX",
     "SnapshotLoad",
     "SnapshotManager",

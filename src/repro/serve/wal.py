@@ -285,6 +285,20 @@ class WriteAheadLog:
         """
         self.open_segment(next_seq)
 
+    def reset(self, first_seq: int) -> None:
+        """Drop every segment and start a fresh one at *first_seq*.
+
+        The bootstrap path: a follower that took a snapshot at
+        ``first_seq - 1`` keeps no log from before it.
+        """
+        self.close()
+        for path in self.segments():
+            try:
+                self.disk.unlink(path)
+            except FileNotFoundError:
+                pass
+        self.open_segment(first_seq)
+
     def prune(self, upto_seq: int) -> int:
         """Delete segments fully covered by a snapshot at *upto_seq*.
 
@@ -392,15 +406,6 @@ class WriteAheadLog:
 
     # -- repair ---------------------------------------------------------------
 
-    @staticmethod
-    def _valid_shape(data) -> bool:
-        return (
-            isinstance(data, dict)
-            and isinstance(data.get("seq"), int)
-            and data.get("kind") in WAL_KINDS
-            and isinstance(data.get("record"), dict)
-        )
-
     def repair_tail(self, path: Path) -> int:
         """Truncate *path* to the end of its last complete, parseable line.
 
@@ -429,7 +434,7 @@ class WriteAheadLog:
                     data = json.loads(line.decode("utf-8"))
                 except (ValueError, UnicodeDecodeError):
                     break
-                if not self._valid_shape(data):
+                if not _valid_shape(data):
                     break
             keep = offset
         if keep >= len(raw):
@@ -449,44 +454,20 @@ class WriteAheadLog:
         self, path: Path, report: ReplayReport
     ) -> Iterator[dict]:
         try:
-            text = self.disk.read_bytes(path).decode(
-                "utf-8", errors="replace"
-            )
+            raw = self.disk.read_bytes(path)
         except OSError:
-            return
-        lines = text.splitlines()
-        for index, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
-                # A torn line can only be the crash-interrupted tail;
-                # anything after it in this segment is untrustworthy.
-                report.torn_lines += 1
-                if index < len(lines) - 1:
-                    log.warning(
-                        "wal line torn mid-segment; segment tail discarded",
-                        segment=path.name,
-                        line=index + 1,
-                    )
-                return
-            if not self._valid_shape(data):
-                report.torn_lines += 1
-                return
-            yield data
+            return iter(())
+        return parse_segment(raw, report, path.name)
 
     def replay(
         self, after_seq: int = 0, upto_seq: Optional[int] = None
     ) -> Tuple[List[WalRecord], ReplayReport]:
         """All apply-able records with ``seq > after_seq``, in order.
 
-        Two passes: the first collects ``shed`` tombstones (a drop
-        decision is recorded *after* the sequences it drops), the second
-        yields every non-shed record that is neither covered by the
-        snapshot nor shed. Segments are small — they only span the
-        distance since the last snapshot — so the double read is cheap.
+        Two passes over the parsed lines (:func:`resolve_lines`): the
+        first collects ``shed`` tombstones (a drop decision is recorded
+        *after* the sequences it drops), the second keeps every record
+        that is neither covered by the snapshot nor shed.
 
         *upto_seq* truncates the replay at a sequence number while the
         shed set is still computed from the **whole** log: a tombstone
@@ -498,40 +479,12 @@ class WriteAheadLog:
         it.
         """
         report = ReplayReport()
-        shed: set = set()
         segments = self.segments()
         report.segments = len(segments)
         parsed: List[dict] = []
         for path in segments:
-            for data in self._iter_segment(path, report):
-                parsed.append(data)
-                if data["kind"] == KIND_SHED:
-                    shed.update(
-                        s
-                        for s in data["record"].get("seqs", ())
-                        if isinstance(s, int)
-                    )
-        report.shed_seqs = len(shed)
-        records: List[WalRecord] = []
-        seen: set = set()
-        for data in parsed:
-            seq = data["seq"]
-            if seq <= after_seq or seq in shed or data["kind"] == KIND_SHED:
-                continue
-            if upto_seq is not None and seq > upto_seq:
-                continue
-            if seq in seen:
-                report.duplicate_seqs += 1
-                continue
-            seen.add(seq)
-            trace = data.get("trace")
-            records.append(WalRecord(
-                seq, data["kind"], data["record"],
-                trace if isinstance(trace, str) else None,
-            ))
-        records.sort(key=lambda r: r.seq)
-        report.records = len(records)
-        return records, report
+            parsed.extend(self._iter_segment(path, report))
+        return resolve_lines(parsed, report, after_seq, upto_seq), report
 
     def max_seq(self) -> int:
         """Highest sequence number present anywhere in the log (0: none)."""
@@ -544,6 +497,85 @@ class WriteAheadLog:
         return highest
 
 
+def _valid_shape(data) -> bool:
+    return (
+        isinstance(data, dict)
+        and isinstance(data.get("seq"), int)
+        and data.get("kind") in WAL_KINDS
+        and isinstance(data.get("record"), dict)
+    )
+
+
+def parse_segment(raw: bytes, report: ReplayReport,
+                  name: str = "") -> Iterator[dict]:
+    """The lines of one segment's bytes, as dicts, up to the first torn
+    one (counted in *report*)."""
+    lines = raw.decode("utf-8", errors="replace").splitlines()
+    for index, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError:
+            # A torn line can only be the crash-interrupted tail;
+            # anything after it in this segment is untrustworthy.
+            report.torn_lines += 1
+            if index < len(lines) - 1:
+                log.warning(
+                    "wal line torn mid-segment; segment tail discarded",
+                    segment=name,
+                    line=index + 1,
+                )
+            return
+        if not _valid_shape(data):
+            report.torn_lines += 1
+            return
+        yield data
+
+
+def shed_seqs(parsed: Iterable[dict]) -> set:
+    """The sequence numbers the ``shed`` tombstones among *parsed* name."""
+    return {
+        seq
+        for data in parsed if data["kind"] == KIND_SHED
+        for seq in data["record"].get("seqs", ())
+        if isinstance(seq, int)
+    }
+
+
+def resolve_lines(
+    parsed: Iterable[dict], report: ReplayReport, after_seq: int = 0,
+    upto_seq: Optional[int] = None,
+) -> List[WalRecord]:
+    """The apply-able records among *parsed* lines, by seq: those with
+    ``after_seq < seq <= upto_seq`` that no ``shed`` tombstone names
+    (the shed set is taken from every line), first copy of each seq."""
+    parsed = list(parsed)
+    shed = shed_seqs(parsed)
+    report.shed_seqs = len(shed)
+    records: List[WalRecord] = []
+    seen: set = set()
+    for data in parsed:
+        seq = data["seq"]
+        if seq <= after_seq or seq in shed or data["kind"] == KIND_SHED:
+            continue
+        if upto_seq is not None and seq > upto_seq:
+            continue
+        if seq in seen:
+            report.duplicate_seqs += 1
+            continue
+        seen.add(seq)
+        trace = data.get("trace")
+        records.append(WalRecord(
+            seq, data["kind"], data["record"],
+            trace if isinstance(trace, str) else None,
+        ))
+    records.sort(key=lambda r: r.seq)
+    report.records = len(records)
+    return records
+
+
 __all__ = [
     "KIND_ATTACK",
     "KIND_DPS",
@@ -553,7 +585,10 @@ __all__ = [
     "WalRecord",
     "WriteAheadLog",
     "canonical_json",
+    "parse_segment",
+    "resolve_lines",
     "segment_first_seq",
     "segment_name",
+    "shed_seqs",
     "wal_line",
 ]

@@ -15,6 +15,11 @@ ENOSPC is modeled with :meth:`set_full`: the next append may write a
 chosen partial prefix before failing, reproducing the
 partial-line-then-error shape a full filesystem produces.
 
+``unlink`` keeps the bytes of every file it removes in
+:attr:`SimDisk.unlinked`. The serve code never reads them; the
+simulation's oracles do, to replay a node's whole history after its WAL
+was pruned.
+
 :class:`MemorySnapshotStore` duck-types the
 :class:`~repro.store.checkpoint.CheckpointStore` surface the
 :class:`~repro.serve.snapshot.SnapshotManager` needs (``stages`` /
@@ -27,7 +32,7 @@ from __future__ import annotations
 import errno
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.store.checkpoint import (
     CheckpointCorruptionError,
@@ -70,6 +75,8 @@ class SimDisk:
         self.appends = 0
         self.fsyncs = 0
         self.power_cuts = 0
+        #: ``(path, bytes)`` of every unlinked file, in unlink order.
+        self.unlinked: List[Tuple[str, bytes]] = []
 
     # -- fault controls --------------------------------------------------------
 
@@ -119,6 +126,7 @@ class SimDisk:
         """Forget everything (re-seeding a diverged node)."""
         self._files.clear()
         self._dirs.clear()
+        self.unlinked.clear()
         self._full = False
         self._partial_next = None
 
@@ -145,7 +153,7 @@ class SimDisk:
         key = _key(path)
         if key not in self._files:
             raise FileNotFoundError(errno.ENOENT, "no such file", key)
-        del self._files[key]
+        self.unlinked.append((key, bytes(self._files.pop(key).data)))
 
     def open_append(self, path: Union[str, Path]):
         key = _key(path)

@@ -22,12 +22,20 @@ One run is a pure function of ``(seed, config)``:
 4. The **oracles** then assert the standing invariants:
 
    * *durability* — every acked sequence is present in the final
-     primary's full-WAL replay or named by a shed tombstone, power cuts
+     primary's whole history or named by a shed tombstone, power cuts
      included (a batch is acked only once its WAL lines are fsynced);
    * *digest* — every non-fenced node's live store digest equals an
-     offline replay oracle built from the final primary's WAL alone;
+     offline replay oracle built from the final primary's history alone;
    * *epoch* — at most one node accepted writes per epoch (observed at
-     the transport chokepoint, so split-brain cannot hide).
+     the transport chokepoint, so split-brain cannot hide);
+   * *recovery* — every non-fenced node, restarted from its own data
+     dir, recovers the digest it had live.
+
+   The nodes run the WAL retention a server runs, so a node's history
+   is more than its WAL on disk: the segments it pruned (kept by
+   :class:`~repro.simtest.disk.SimDisk` for the oracles alone), and,
+   once it bootstrapped from a snapshot, the history of the primary it
+   took that snapshot from, up to the snapshot's sequence.
 
 Failures ship as replayable JSON traces (:func:`trace_to_json` is
 byte-stable for a given seed) and are minimized by
@@ -36,6 +44,7 @@ byte-stable for a given seed) and are minimized by
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import shutil
@@ -60,9 +69,12 @@ from repro.serve.transport import TransportError
 from repro.serve.wal import (
     KIND_ATTACK,
     KIND_DPS,
-    KIND_SHED,
-    WriteAheadLog,
+    ReplayReport,
+    WalRecord,
+    parse_segment,
+    resolve_lines,
     segment_first_seq,
+    shed_seqs,
 )
 from repro.simtest.clock import SimClock
 from repro.simtest.disk import MemorySnapshotStore, SimDisk
@@ -102,7 +114,6 @@ def default_spec(**overrides) -> dict:
         "queue_size": 64,
         "snapshot_every_events": 40,
         "snapshot_interval_s": 5.0,
-        "snapshot_keep": 3,
         "sync_replicas": 1,
         "sync_timeout_s": 1.0,
         "retry_after": 0.2,
@@ -287,46 +298,39 @@ class _SimNode:
         self.service: Optional[LiveIngestService] = None
         self.crashed = False
         self.replica_of: Optional[str] = None
+        #: What the node took over at its last bootstrap: the source
+        #: primary's history up to the snapshot's sequence.
+        self.inherited: List[WalRecord] = []
+        self.inherited_seq = 0
 
 
-def _wal_shed_seqs(node: _SimNode) -> Set[int]:
-    """Sequences the shed tombstones parseable from a node's WAL name.
+def _wal_lines(node: _SimNode) -> List[dict]:
+    """Every WAL line the node wrote, pruned segments first (in unlink
+    order), each segment up to its first torn line as replay reads it.
 
-    Reads the raw SimDisk bytes directly — no service needed — skipping
-    torn/partial lines, which is exactly what recovery would discard.
+    Reads the raw SimDisk bytes directly — no service needed.
     """
-    shed: Set[int] = set()
     wal_dir = node.data_dir / WAL_DIR
-    try:
-        names = node.disk.listdir(wal_dir)
-    except OSError:
-        return shed
-    for name in names:
-        if segment_first_seq(name) is None:
-            continue
-        try:
-            raw = node.disk.read_bytes(wal_dir / name)
-        except OSError:
-            continue
-        for line in raw.split(b"\n"):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue
-            if (
-                isinstance(data, dict)
-                and isinstance(data.get("seq"), int)
-                and data.get("kind") == KIND_SHED
-            ):
-                shed.update(
-                    s
-                    for s in (data.get("record") or {}).get("seqs", ())
-                    if isinstance(s, int)
-                )
-    return shed
+    segments = [
+        raw for path, raw in node.disk.unlinked
+        if Path(path).parent == wal_dir
+    ]
+    live = sorted(
+        (first, name) for name in node.disk.listdir(wal_dir)
+        if (first := segment_first_seq(name)) is not None
+    )
+    segments += [node.disk.read_bytes(wal_dir / name) for _, name in live]
+    report = ReplayReport()
+    return [line for raw in segments for line in parse_segment(raw, report)]
+
+
+def _history(node: _SimNode) -> List[WalRecord]:
+    """The node's whole committed history, by seq: what it inherited at
+    its last bootstrap, then its own WAL lines past that."""
+    own = resolve_lines(
+        _wal_lines(node), ReplayReport(), after_seq=node.inherited_seq
+    )
+    return node.inherited + own
 
 
 class _Sim:
@@ -381,12 +385,10 @@ class _Sim:
         return ServeConfig(
             data_dir=node.data_dir,
             manual_drive=True,
-            wal_keep_all=True,
             queue_size=int(c["queue_size"]),
             retry_after=float(c["retry_after"]),
             snapshot_every_events=int(c["snapshot_every_events"]),
             snapshot_interval_s=float(c["snapshot_interval_s"]),
-            snapshot_keep=int(c["snapshot_keep"]),
             max_events_per_victim=int(c["max_events_per_victim"]),
             baseline_days=int(c["baseline_days"]),
             alert_factor=float(c["alert_factor"]),
@@ -411,6 +413,9 @@ class _Sim:
             sleep=self.clock.sleep,
         )
         node.service = service
+        service.bootstrap_from_snapshot = functools.partial(
+            self._bootstrap, node, service.bootstrap_from_snapshot
+        )
         service.start()
         service.sync_pump = self._pump
         # A restarted stale primary must not reopen for writes when a
@@ -424,6 +429,20 @@ class _Sim:
             service.fence(
                 self.max_epoch, self.transport.url_of(self.primary_name)
             )
+
+    def _bootstrap(self, node: _SimNode, bootstrap, seq: int,
+                   state: dict) -> None:
+        """The service's own bootstrap, noting what the node inherits."""
+        url = node.service.shipper.primary_url
+        source = next(
+            other for other in self.nodes.values()
+            if self.transport.url_of(other.name) == url
+        )
+        inherited = [
+            record for record in _history(source) if record.seq <= seq
+        ]
+        bootstrap(seq, state)
+        node.inherited, node.inherited_seq = inherited, seq
 
     def _crash_node(self, node: _SimNode, mode: str,
                     keep_fraction: float) -> None:
@@ -459,8 +478,9 @@ class _Sim:
         # primary when the shed happened; harvest them before the wipe
         # so the durability oracle keeps exempting acked-then-shed
         # sequences.
-        self.shed_harvest |= _wal_shed_seqs(node)
+        self.shed_harvest |= shed_seqs(_wal_lines(node))
         node.disk.wipe()
+        node.inherited, node.inherited_seq = [], 0
         node.snap_store = MemorySnapshotStore()
         (node.data_dir / CURSOR_FILE).unlink(missing_ok=True)
         (node.data_dir / CLUSTER_FILE).unlink(missing_ok=True)
@@ -731,8 +751,8 @@ class _Sim:
                     done = False
                     if stalls[node.name] >= _STALL_ROUNDS:
                         # Diverged (rewound primary, misaligned offsets,
-                        # poisoned stream): wipe and stream fresh — the
-                        # keeper's WAL is complete from sequence 1.
+                        # poisoned stream): wipe and stream fresh, from
+                        # sequence 1 or from the keeper's snapshot.
                         self._reseed(node, url)
                         last_committed.pop(node.name, None)
                         stalls[node.name] = 0
@@ -793,22 +813,17 @@ class _Sim:
 
     def check_oracles(self) -> None:
         keeper = self.nodes[self.primary_name]
-        oracle_wal = WriteAheadLog(
-            keeper.data_dir / WAL_DIR,
-            metrics=MetricsRegistry(),
-            disk=keeper.disk,
-        )
-        records, _report = oracle_wal.replay(after_seq=0)
+        records = _history(keeper)
         survived = {record.seq for record in records}
         shed: Set[int] = set(self.shed_harvest)
         for node in self.nodes.values():
-            shed |= _wal_shed_seqs(node)
+            shed |= shed_seqs(_wal_lines(node))
         missing = sorted(self.acked - survived - shed)
         if missing:
             self.violations.append({
                 "oracle": "durability",
                 "detail": "acked sequences absent from final primary "
-                          "WAL and shed set",
+                          "history and shed set",
                 "missing_count": len(missing),
                 "missing": missing[:32],
             })
@@ -850,6 +865,21 @@ class _Sim:
                     "oracle": "epoch",
                     "epoch": epoch,
                     "writers": writers,
+                })
+        for node in self._alive():
+            if node.service.cluster.role == ROLE_FENCED:
+                continue
+            live = node.service.store.state_digest()
+            self._crash_node(node, mode="process", keep_fraction=1.0)
+            self._start_node(node)
+            recovered = node.service.store.state_digest()
+            if recovered != live:
+                self.violations.append({
+                    "oracle": "recovery",
+                    "node": node.name,
+                    "digest": recovered,
+                    "expected": live,
+                    "recovery": node.service.recovery.to_dict(),
                 })
 
     def summary(self) -> dict:

@@ -21,6 +21,7 @@ Three layers under test, bottom up:
 
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,14 +37,23 @@ from repro.serve.replication import (
     CLUSTER_FILE,
     CURSOR_FILE,
     ClusterState,
+    ReplicationError,
     ROLE_FENCED,
     ROLE_PRIMARY,
     ROLE_REPLICA,
     ShipperCursor,
     WalShipper,
 )
-from repro.serve.service import LiveIngestService, ServeConfig
-from repro.serve.wal import KIND_ATTACK, KIND_SHED, WriteAheadLog
+from repro.serve.service import LiveIngestService, ServeConfig, WAL_DIR
+from repro.serve.snapshot import snapshot_stage_name
+from repro.serve.wal import (
+    KIND_ATTACK,
+    KIND_SHED,
+    WalRecord,
+    WriteAheadLog,
+    segment_name,
+)
+from repro.simtest import MemorySnapshotStore, SimClock, SimDisk, SimTransport
 from repro.pipeline.runner import RetryPolicy
 
 
@@ -160,6 +170,24 @@ def test_prune_boundary_and_newest_segment_guard(tmp_path):
     fresh = WriteAheadLog(tmp_path / "wal", metrics=MetricsRegistry())
     assert fresh.prune(upto_seq=10_000) == 1  # removes 6..10, keeps 11
     assert [f for f, _s in fresh.segment_sizes()] == [11]
+
+
+def test_reset_drops_every_segment_through_the_disk(tmp_path):
+    disk = SimDisk()
+    wal = WriteAheadLog(tmp_path / "wal", metrics=MetricsRegistry(),
+                        disk=disk)
+    for seq in range(1, 8):
+        wal.append(seq, KIND_ATTACK, attack(seq))
+        if seq == 4:
+            wal.rotate(seq + 1)
+    wal.reset(21)
+    assert [f for f, _s in wal.segment_sizes()] == [21]
+    assert [Path(path).name for path, _raw in disk.unlinked] == [
+        segment_name(1), segment_name(5),
+    ]
+    wal.append(21, KIND_ATTACK, attack(21))
+    wal.flush()
+    assert [r.seq for r in wal.replay()[0]] == [21]
 
 
 # -- durable cluster identity and cursor ---------------------------------------
@@ -362,7 +390,9 @@ def test_late_follower_bootstraps_from_snapshot(tmp_path):
     try:
         # Quiesce between chunks so the rolling snapshots rotate the WAL
         # *between* appends — only then do old segments become prunable.
-        for chunk in range(6):
+        # A lone base is never a prune point: ingest past the second
+        # base (seq 100), which lets the WAL go up to the first (seq 10).
+        for chunk in range(11):
             primary.submit(
                 "telescope", KIND_ATTACK,
                 [attack(i) for i in range(chunk * 10, chunk * 10 + 10)],
@@ -402,6 +432,129 @@ def test_late_follower_bootstraps_from_snapshot(tmp_path):
     finally:
         stop_http(server)
         primary.stop()
+
+
+def manual_replica(data_dir, disk, snapshots) -> LiveIngestService:
+    """A manually driven follower on a simulated disk and snapshot store."""
+    service = LiveIngestService(
+        ServeConfig(data_dir=data_dir, manual_drive=True,
+                    snapshot_every_events=5,
+                    replica_of="http://127.0.0.1:1"),
+        metrics=MetricsRegistry(), clock=lambda: 0.0, disk=disk,
+        snapshot_store=snapshots,
+    )
+    service.start()
+    return service
+
+
+def test_bootstrap_save_failure_leaves_the_node_as_it_was(tmp_path):
+    """A full disk during a bootstrap's snapshot save changes nothing:
+    the node keeps its store, sequence, WAL and chain, and its next
+    snapshot is an ordinary delta."""
+    source = make_service(tmp_path / "source")
+    source.start()
+    source.submit("telescope", KIND_ATTACK, [attack(i) for i in range(20)])
+    assert source.quiesce(timeout=20)
+    state = source.store.state_dict()
+    source.stop()
+
+    snapshots = MemorySnapshotStore()
+    node = manual_replica(tmp_path / "node", SimDisk(), snapshots)
+    batch = [WalRecord(seq, KIND_ATTACK, attack(100 + seq))
+             for seq in range(1, 6)]
+    node.replicate_commit(batch)
+    digest = node.store.state_digest()
+    stages = snapshots.stages()
+    assert stages == [snapshot_stage_name(5)]
+    snapshots.fail_saves = True
+    with pytest.raises(OSError):
+        node.bootstrap_from_snapshot(20, state)
+    assert node.store.state_digest() == digest
+    assert (node._seq, node.applied_seq) == (5, 5)
+    assert [r.seq for r in node.wal.replay()[0]] == [1, 2, 3, 4, 5]
+    assert snapshots.stages() == stages
+    snapshots.fail_saves = False
+    node.replicate_commit([WalRecord(seq, KIND_ATTACK, attack(100 + seq))
+                           for seq in range(6, 11)])
+    assert snapshots.stages() == stages + [
+        snapshot_stage_name(10, delta=True)
+    ]
+    node.stop()
+
+
+def test_bootstrap_drops_the_old_wal_through_the_disk(tmp_path):
+    source = make_service(tmp_path / "source")
+    source.start()
+    source.submit("telescope", KIND_ATTACK, [attack(i) for i in range(20)])
+    assert source.quiesce(timeout=20)
+    state, digest = source.store.state_dict(), source.store.state_digest()
+    source.stop()
+
+    disk, snapshots = SimDisk(), MemorySnapshotStore()
+    node = manual_replica(tmp_path / "node", disk, snapshots)
+    node.replicate_commit([WalRecord(seq, KIND_ATTACK, attack(100 + seq))
+                           for seq in range(1, 4)])
+    node.bootstrap_from_snapshot(20, state)
+    wal_dir = tmp_path / "node" / WAL_DIR
+    assert disk.listdir(wal_dir) == [segment_name(21)]
+    assert [Path(path).name for path, _raw in disk.unlinked] == [
+        segment_name(1)
+    ]
+    assert snapshots.stages() == [snapshot_stage_name(20)]
+    node.stop()
+    again = manual_replica(tmp_path / "node", disk, snapshots)
+    assert again.recovery.snapshot_seq == 20
+    assert again.recovery.replayed == 0
+    assert again.store.state_digest() == digest
+    again.stop()
+
+
+def test_promoted_node_stops_committing_from_its_old_primary(tmp_path):
+    """After promotion the node's shipper refuses to poll, and the node
+    refuses replicated writes: the old primary's later records must not
+    land under sequence numbers the new primary hands out itself."""
+    clock = SimClock()
+    transport = SimTransport(seed=0, clock=clock)
+    services = {}
+
+    def make(name, replica_of=None):
+        service = LiveIngestService(
+            ServeConfig(data_dir=tmp_path / name, manual_drive=True,
+                        replica_of=replica_of, follower_id=name),
+            metrics=MetricsRegistry(), clock=clock, disk=SimDisk(),
+            snapshot_store=MemorySnapshotStore(),
+            transport=transport.bind(name), sleep=clock.sleep,
+        )
+        services[name] = service
+        transport.register(name, lambda: services[name])
+        service.start()
+        return service
+
+    old = make("n0")
+    new = make("n1", replica_of=transport.url_of("n0"))
+    old.submit("telescope", KIND_ATTACK, [attack(i) for i in range(3)])
+    while old.tick_apply():
+        pass
+    new.shipper.poll_once()
+    assert new.applied_seq == 3
+    assert new.promote()["promoted"]
+
+    old.submit("telescope", KIND_ATTACK, [attack(i) for i in range(3, 6)])
+    while old.tick_apply():
+        pass
+    digest = new.store.state_digest()
+    with pytest.raises(ReplicationError):
+        new.shipper.poll_once()
+    with pytest.raises(ReplicationError):
+        new.replicate_commit([WalRecord(4, KIND_ATTACK, attack(4))])
+    with pytest.raises(ReplicationError):
+        new.bootstrap_from_snapshot(6, old.store.state_dict())
+    assert new.store.state_digest() == digest
+    assert [r.seq for r in new.wal.replay()[0]] == [1, 2, 3]
+    new.submit("honeypot", KIND_ATTACK, [attack(7)])
+    assert [r.seq for r in new.wal.replay()[0]] == [1, 2, 3, 4]
+    new.stop()
+    old.stop()
 
 
 def test_sync_replicas_times_out_without_followers(tmp_path):

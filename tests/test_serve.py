@@ -211,16 +211,19 @@ class TestWriteAheadLog:
 
 class TestSnapshotManager:
     def test_rolling_retention(self, tmp_path):
-        manager = SnapshotManager(tmp_path, keep=2)
+        manager = SnapshotManager(tmp_path)
         for seq in (10, 20, 30):
             manager.save(seq, {"seq": seq})
         assert manager.seqs() == [20, 30]
 
     def test_retention_counts_bases_and_keeps_their_deltas(self, tmp_path):
-        manager = SnapshotManager(tmp_path, keep=2)
+        manager = SnapshotManager(tmp_path)
         manager.save(10, {"seq": 10})
         manager.save(20, {"seq": 20, "prev": 10, "delta": {}})
+        # A lone base is never a prune point.
+        assert manager.wal_prune_seq() is None
         manager.save(30, {"seq": 30})
+        assert manager.wal_prune_seq() == 10
         manager.save(40, {"seq": 40, "prev": 30, "delta": {}})
         assert manager.seqs() == [10, 20, 30, 40]
         manager.save(50, {"seq": 50})
@@ -229,10 +232,10 @@ class TestSnapshotManager:
             snapshot_stage_name(40, delta=True),
             snapshot_stage_name(50),
         ]
-        assert manager.oldest_base_seq() == 30
+        assert manager.wal_prune_seq() == 30
 
     def test_load_newest(self, tmp_path):
-        manager = SnapshotManager(tmp_path, keep=2)
+        manager = SnapshotManager(tmp_path)
         manager.save(10, {"seq": 10})
         manager.save(20, {"seq": 20})
         loaded = manager.load_newest_valid()
@@ -245,7 +248,7 @@ class TestSnapshotManager:
 
     def test_corrupt_newest_falls_back(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        manager = SnapshotManager(store, keep=2)
+        manager = SnapshotManager(store)
         manager.save(10, {"seq": 10})
         manager.save(20, {"seq": 20})
         payload = store.payload_path(snapshot_stage_name(20))

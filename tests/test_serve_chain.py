@@ -161,7 +161,7 @@ class TestMergeOracle:
         store = LiveFusedStore(max_events_per_victim=3,
                                metrics=MetricsRegistry())
         store.track_changes()
-        manager = SnapshotManager(make_store(tmp_path), keep=2,
+        manager = SnapshotManager(make_store(tmp_path),
                                   metrics=MetricsRegistry())
         for seq, (kind, record) in enumerate(chain_stream(4), start=1):
             apply(store, kind, record)
@@ -206,7 +206,7 @@ class TestChainOnDisk:
     def test_compaction_writes_a_base_at_the_threshold(self, tmp_path):
         items = [(KIND_ATTACK, record) for kind, record in chain_stream(5)
                  if kind == KIND_ATTACK and record["start_ts"] > 1.0][:140]
-        service = self.service(tmp_path, snapshot_keep=1)
+        service = self.service(tmp_path)
         service.start()
         self.ingest(service, items)
         # Base at 10; deltas while the records since it are at most
@@ -214,33 +214,41 @@ class TestChainOnDisk:
         threshold = 10 + COMPACT_FACTOR * 10
         second_base = threshold + 10
         names = service.snapshots.names()
-        assert names[0] == snapshot_stage_name(second_base)
-        assert names[1:] == [
+        later = [
             snapshot_stage_name(seq, delta=True)
             for seq in range(second_base + 10, 141, 10)
         ]
+        assert names == (
+            [snapshot_stage_name(10)]
+            + [snapshot_stage_name(seq, delta=True)
+               for seq in range(20, second_base, 10)]
+            + [snapshot_stage_name(second_base)] + later
+        )
         assert service.metrics.value("serve_snapshot_bases_total") == 2
-        # keep=1: the first lineage is gone, and the WAL before the
-        # retained base with it.
-        assert service.wal.oldest_seq() == second_base + 1
+        # Both lineages are kept, and the WAL after the older base.
+        assert service.wal.oldest_seq() == 11
         service.stop()
-        again = self.service(tmp_path, snapshot_keep=1)
+        again = self.service(tmp_path)
         info = again.start()
         assert info.snapshot_seq == 140
-        assert info.snapshot_deltas == len(names) - 1
+        assert info.snapshot_deltas == len(later)
         assert again.store.state_digest() == self.reference(items)
         again.stop()
 
     def test_retention_keeps_bases_and_their_deltas(self, tmp_path):
         items = [(KIND_ATTACK, record) for kind, record in chain_stream(6)
                  if kind == KIND_ATTACK and record["start_ts"] > 1.0][:110]
-        service = self.service(tmp_path, snapshot_keep=2)
+        service = self.service(tmp_path)
         service.start()
-        self.ingest(service, items)
+        self.ingest(service, items[:90])
+        # One base: a lone base is never a prune point.
+        assert service.snapshots.wal_prune_seq() is None
+        assert service.wal.oldest_seq() == 1
+        self.ingest(service, items[90:])
         seqs = service.snapshots.seqs()
         assert seqs == list(range(10, 111, 10))
-        assert service.snapshots.oldest_base_seq() == 10
-        # The WAL is pruned only up to the oldest retained base.
+        assert service.snapshots.wal_prune_seq() == 10
+        # The WAL is pruned only up to the older of the two bases.
         assert service.wal.oldest_seq() == 11
         service.stop()
 
@@ -304,7 +312,7 @@ class TestChainOnDisk:
 
     def test_delta_that_does_not_follow_ends_the_chain(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        manager = SnapshotManager(store, keep=2, metrics=MetricsRegistry())
+        manager = SnapshotManager(store, metrics=MetricsRegistry())
         live = LiveFusedStore(metrics=MetricsRegistry())
         live.track_changes()
         manager.save(1, {"seq": 1, "state": live.state_dict()})
@@ -367,7 +375,8 @@ def test_replication_snapshot_is_merged_and_bootstrap_writes_a_base(
 
     follower = LiveIngestService(
         ServeConfig(data_dir=tmp_path / "follower", manual_drive=True,
-                    snapshot_every_events=10),
+                    snapshot_every_events=10,
+                    replica_of="http://127.0.0.1:1"),
         metrics=MetricsRegistry(), clock=lambda: 0.0,
     )
     follower.start()

@@ -187,12 +187,14 @@ def test_serve_session_never_imports_numpy_or_the_pipeline(tmp_path):
     data_dir = tmp_path / "serve"
     logs = [tmp_path / f"imports-{n}.log" for n in range(3)]
 
-    # Session 1: ingest past four snapshots (so the WAL is pruned),
-    # query every endpoint, drain on SIGTERM. Each chunk waits for its
-    # snapshot, so every rotation lands on a chunk boundary.
+    # Session 1: ingest up to the second base, at ten snapshots (the
+    # WAL is then pruned up to the first base; a lone base is never a
+    # prune point), query every endpoint, drain on SIGTERM. Each chunk
+    # waits for its snapshot, so every rotation lands on a chunk
+    # boundary.
     server = Server(data_dir, logs[0], "--metrics")
     try:
-        for chunk in range(4):
+        for chunk in range(10):
             server.ingest(chunk * SNAPSHOT_EVERY, SNAPSHOT_EVERY)
             seq = (chunk + 1) * SNAPSHOT_EVERY
             server.await_stats(lambda s: seq in s["snapshot_seqs"])

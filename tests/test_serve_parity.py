@@ -145,7 +145,6 @@ def build(data_dir, setup):
             data_dir=data_dir,
             manual_drive=True,
             snapshot_every_events=4,
-            wal_keep_all=True,
             queue_size=64,
         ),
         metrics=MetricsRegistry(),

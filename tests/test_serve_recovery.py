@@ -206,9 +206,10 @@ def test_corrupt_newest_snapshot_falls_back_to_older(tmp_path):
 
 
 def test_corrupt_newest_two_snapshots_fall_back_to_third(tmp_path):
-    """Snapshot fallback is a chain, not a single step: with three
-    rolling snapshots retained and the newest two corrupted, recovery
-    must land on the third and replay the longer WAL tail exactly."""
+    """Snapshot fallback is a chain, not a single step: with the newest
+    two chain elements corrupted, recovery must land on the third and
+    replay the longer WAL tail exactly. One base holds the whole chain,
+    so the WAL is not pruned at all."""
     rng = random.Random(17)
     items = make_stream(rng, count=90)
     expected = reference_digest(items)
@@ -216,11 +217,8 @@ def test_corrupt_newest_two_snapshots_fall_back_to_third(tmp_path):
     config = ServeConfig(
         data_dir=data_dir,
         snapshot_every_events=10,
-        snapshot_keep=4,
         apply_batch=5,
         queue_size=4096,
-        wal_keep_all=True,  # pruning follows the oldest snapshot; keep
-                            # the full log so a deep fallback can replay
     )
     service = LiveIngestService(config, metrics=MetricsRegistry())
     service.start()
@@ -250,7 +248,8 @@ def test_corrupt_newest_two_snapshots_fall_back_to_third(tmp_path):
 
 def test_every_snapshot_corrupt_replays_wal_from_seq_zero(tmp_path):
     """The last rung of the fallback ladder: every snapshot is garbage,
-    but with the full WAL retained recovery rebuilds from sequence 1."""
+    but a lone base is never a prune point, so the WAL from sequence 1
+    is still there and recovery rebuilds from it."""
     rng = random.Random(23)
     items = make_stream(rng, count=60)
     expected = reference_digest(items)
@@ -258,10 +257,8 @@ def test_every_snapshot_corrupt_replays_wal_from_seq_zero(tmp_path):
     config = ServeConfig(
         data_dir=data_dir,
         snapshot_every_events=10,
-        snapshot_keep=4,
         apply_batch=5,
         queue_size=4096,
-        wal_keep_all=True,
     )
     service = LiveIngestService(config, metrics=MetricsRegistry())
     service.start()

@@ -12,7 +12,9 @@ Four layers of assurance:
 4. Oracle sensitivity: re-introducing a fixed serve-layer bug (no
    fsync between a WAL append and its ack) makes the digest oracle
    fire again, and the shrinker reduces that failure while preserving
-   its signature — the harness is shown to *detect*, not just pass.
+   its signature; re-introducing the old retention rule (prune up to
+   a lone base) makes the per-node recovery oracle fire — the harness
+   is shown to *detect*, not just pass.
 """
 
 import json
@@ -135,7 +137,6 @@ def _manual_service(tmp_path, disk, clock):
         ServeConfig(
             data_dir=tmp_path / "node",
             manual_drive=True,
-            wal_keep_all=True,
             retry_after=0.2,
             queue_size=64,
         ),
@@ -312,6 +313,24 @@ def test_digest_oracle_detects_missing_fsync_barrier(monkeypatch):
     assert runs >= 1
 
 
+def test_recovery_oracle_detects_pruning_to_a_lone_base(monkeypatch):
+    """Re-introduce the old retention rule, which pruned the WAL up to
+    the only base: a node whose lone base is then corrupted recovers
+    onto an empty store over a WAL that starts after that base, and
+    the per-node recovery oracle must see its digest change."""
+    from repro.serve.snapshot import DELTA_SUFFIX, SnapshotManager
+
+    def oldest_base_seq(self):
+        bases = [seq for seq, name in zip(self.seqs(), self.names())
+                 if not name.endswith(DELTA_SUFFIX)]
+        return bases[0] if bases else None
+
+    monkeypatch.setattr(SnapshotManager, "wal_prune_seq", oldest_base_seq)
+    trace = run_sim(4, default_spec(nodes=3, steps=60))
+    oracles = {v.get("oracle") for v in trace["violations"]}
+    assert "recovery" in oracles, trace["violations"]
+
+
 def test_shrinker_refuses_passing_trace():
     trace = run_sim(1, default_spec(nodes=3, steps=30))
     assert trace["violations"] == []
@@ -344,7 +363,6 @@ def test_trace_id_propagates_primary_to_follower_deterministically(tmp_path):
                 ServeConfig(
                     data_dir=base_dir / name,
                     manual_drive=True,
-                    wal_keep_all=True,
                     replica_of=replica_of,
                     follower_id=name,
                     poll_interval_s=0.1,
